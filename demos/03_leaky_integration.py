@@ -15,6 +15,7 @@ Run:  python demos/03_leaky_integration.py
 from pathlib import Path
 
 from seactrl.control import LeakyState, leaky_step
+from seactrl.sysid import write_csv
 
 OUT = Path("demo_out/03_leaky")
 OUT.mkdir(parents=True, exist_ok=True)
@@ -35,10 +36,7 @@ for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         if k == INPUT_STEPS - 1:
             v_after = v
     tag = f"{alpha:g}".replace(".", "p")
-    with open(OUT / f"alpha_{tag}.csv", "w") as fh:
-        fh.write("t,qddot_d,q_bar_d,qdot_bar_d\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.9g}" for x in row) + "\n")
+    write_csv(OUT / f"alpha_{tag}.csv", ("t", "qddot_d", "q_bar_d", "qdot_bar_d"), zip(*rows))
     print(f"{alpha:>6} | {v_after:>13.6f} | {rows[-1][3]:>11.2e} | {rows[-1][2]:>11.6f}")
 
 print("\nalpha = 0 keeps the velocity at 0.025 after the input stops (windup);")

@@ -19,7 +19,6 @@ from .plant import SimulationFault
 def _add_common(sub):
     sub.add_argument("--config", default=None, help="INI config file")
     sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--seed", type=int, default=0, help="scenario seed (recorded)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,7 +89,6 @@ def main(argv=None) -> int:
             summary = experiments.fit_experiment(cfg, out, u_csv=args.u, y_csv=args.y)
         else:  # pragma: no cover - argparse enforces choices
             raise ValueError(f"unknown command {args.command}")
-        summary["seed"] = args.seed
         for key in sorted(summary):
             print(f"{key} = {summary[key]}")
         print(f"artifacts written to {out}")

@@ -32,8 +32,8 @@ __all__ = [
     "ForceController",
     "q_filter",
     "pid_transfer_function",
+    "build_observer",
     "build_force_controller",
-    "force_control_step",
     "impedance_step",
     "leaky_step",
 ]
@@ -247,14 +247,12 @@ class ForceController:
         self.fault = False
 
 
-def build_force_controller(pid: PidConfig, dob: DobConfig, k_ff: float, T: float,
-                           ff_scale: float = 1e-3) -> ForceController:
-    """Discretize the loop components and assemble a ForceController.
+def build_observer(dob: DobConfig, T: float) -> DisturbanceObserver:
+    """Discretize the observer's Q and Q/P filters at sample period ``T``.
 
-    The PID comes from its rational form; Q and Q/P are each discretized as
-    single composite transfer functions (not cascades) to minimize rounding.
-    The inverse plant is only causal behind Q, so the plant's relative
-    degree must not exceed Q's order.
+    Q and Q/P are each discretized as single composite transfer functions
+    (not cascades) to minimize rounding.  The inverse plant is only causal
+    behind Q, so the plant's relative degree must not exceed Q's order.
     """
     if T <= 0.0:
         raise ValueError("sample period must be positive")
@@ -267,19 +265,23 @@ def build_force_controller(pid: PidConfig, dob: DobConfig, k_ff: float, T: float
     inv_plant = ContinuousTransferFunction(
         np.convolve(q.num, dob.plant.den), np.convolve(q.den, dob.plant.num)
     )  # raises CausalityError when Q cannot make 1/P proper
-    observer = DisturbanceObserver(
+    return DisturbanceObserver(
         inv_plant=bilinear_discretize(inv_plant, T),
         q=bilinear_discretize(q, T),
         gamma=dob.gamma,
     )
+
+
+def build_force_controller(pid: PidConfig, dob: DobConfig, k_ff: float, T: float,
+                           ff_scale: float = 1e-3) -> ForceController:
+    """Discretize the loop components and assemble a ForceController.
+
+    The PID comes from its rational form; the observer from ``build_observer``.
+    """
+    observer = build_observer(dob, T)
     return ForceController(
         pid=bilinear_discretize(pid_transfer_function(pid), T),
         dob=observer,
         k_ff=k_ff,
         ff_scale=ff_scale,
     )
-
-
-def force_control_step(fc: ForceController, f_desired: float, f_measured: float) -> float:
-    """Functional alias for ``ForceController.step``."""
-    return fc.step(f_desired, f_measured)

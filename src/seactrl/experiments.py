@@ -23,7 +23,6 @@ from .plant import (
     PlantConfig,
     ReferenceSpec,
     SimScenario,
-    free_oscillation_frequency,
     nominal_lsea_tf,
     run_scenario,
 )
@@ -31,6 +30,7 @@ from .sysid import (
     TimeSeries,
     empirical_frf,
     fit_rational,
+    write_csv,
     write_frf_csv,
     zoh_compensate,
 )
@@ -209,10 +209,8 @@ def leaky_demo(cfg: dict, out_dir) -> dict:
             if k >= n_in and decay_steps is None and abs(qdot_bar) < 1e-4:
                 decay_steps = k + 1 - n_in
         tag = f"{alpha:g}".replace(".", "p")
-        with open(out / f"leaky_alpha{tag}.csv", "w") as fh:
-            fh.write("t,qddot_d,q_bar_d,qdot_bar_d\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        write_csv(out / f"leaky_alpha{tag}.csv", ("t", "qddot_d", "q_bar_d", "qdot_bar_d"),
+                  zip(*rows))
         summary[f"velocity_after_input_alpha{tag}"] = rows[n_in][3]
         if decay_steps is not None:
             summary[f"decay_steps_to_1e-4_alpha{tag}"] = decay_steps
@@ -355,9 +353,3 @@ def fit_experiment(cfg: dict, out_dir, u_csv=None, y_csv=None) -> dict:
     _write_summary(out, summary)
     return summary
 
-
-def measured_natural_frequency(cfg: dict) -> float:
-    """Zero-crossing frequency of the configured pendulum released from 0.1 rad."""
-    p = cfg["pendulum"]
-    return free_oscillation_frequency(theta0=0.1, m=p["m"], l1=p["l1"], g=p["g"],
-                                      damping=0.0)

@@ -1,4 +1,4 @@
-"""Polynomial and LTI system core.
+"""LTI system core: transfer-function polynomials, Tustin discretization, IIR filters.
 
 Continuous transfer functions are stored as real coefficient arrays
 (highest degree first).  The bilinear (Tustin) transform is computed with
@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "CausalityError",
     "NyquistError",
-    "Polynomial",
     "ContinuousTransferFunction",
     "DiscreteIirFilter",
     "FrequencyResponse",
@@ -59,28 +58,6 @@ def _as_coeffs(coeffs) -> np.ndarray:
     return arr[nz[0]:].copy()
 
 
-class Polynomial:
-    """Real polynomial with coefficients ordered highest degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = _as_coeffs(coeffs)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def __call__(self, x):
-        return np.polyval(self.coeffs, x)
-
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and np.array_equal(self.coeffs, other.coeffs)
-
-    def __repr__(self):
-        return f"Polynomial({self.coeffs.tolist()})"
-
-
 def taylor_shift(coeffs, shift: float = 1.0) -> np.ndarray:
     """Shift a polynomial's argument: return the coefficients of ``p(x + shift)``.
 
@@ -91,8 +68,7 @@ def taylor_shift(coeffs, shift: float = 1.0) -> np.ndarray:
     Parameters
     ----------
     coeffs : array_like
-        Coefficients of ``p``, highest degree first.  A ``Polynomial`` is
-        also accepted.
+        Coefficients of ``p``, highest degree first.
     shift : float
         Shift amount; the default ``1.0`` gives ``p(x + 1)``.
 
@@ -101,8 +77,6 @@ def taylor_shift(coeffs, shift: float = 1.0) -> np.ndarray:
     ndarray
         Coefficients of ``p(x + shift)``, highest degree first.
     """
-    if isinstance(coeffs, Polynomial):
-        coeffs = coeffs.coeffs
     c = np.array(coeffs, dtype=float).ravel()
     m = c.size
     for i in range(m - 1):

@@ -29,19 +29,18 @@ from .control import (
     ImpedanceConfig,
     PidConfig,
     build_force_controller,
+    build_observer,
     impedance_step,
-    q_filter,
 )
 from .kinematics import PendulumMap, actuator_setpoints, ff_force
-from .lti import ContinuousTransferFunction, bilinear_discretize
-from .sysid import exponential_chirp_point, linear_chirp_point
+from .lti import ContinuousTransferFunction
+from .sysid import ChirpSpec, exponential_chirp_point, linear_chirp_point, write_csv
 
 __all__ = [
     "SimulationFault",
     "nominal_lsea_tf",
     "BacklashPlay",
     "LseaPlant",
-    "lsea_step",
     "PendulumState",
     "pendulum_step",
     "free_oscillation_frequency",
@@ -193,11 +192,6 @@ class LseaPlant:
         return y
 
 
-def lsea_step(p: LseaPlant, i_m: float, dt: float) -> float:
-    """Functional alias for ``LseaPlant.step``."""
-    return p.step(i_m, dt)
-
-
 @dataclass
 class PendulumState:
     """Weighted-pendulum state and parameters.
@@ -250,16 +244,12 @@ def _pend_rk4_forced(theta, omega, f_0, f_mid, f_1, dt, m, l1, l2, g, c, trig):
             omega + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w))
 
 
-def _pend_rk4(theta, omega, tau, dt, m, l1, g, c):
-    return _pend_rk4_forced(theta, omega, tau, tau, tau, dt, m, l1, 1.0, g, c, False)
-
-
 def pendulum_step(s: PendulumState, f_actuator: float, dt: float) -> PendulumState:
     """One RK4 step of the pendulum driven by actuator force ``f_actuator``."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    th, w = _pend_rk4(s.theta, s.theta_dot, s.l2 * f_actuator, dt,
-                      s.m, s.l1, s.g, s.damping)
+    th, w = _pend_rk4_forced(s.theta, s.theta_dot, f_actuator, f_actuator, f_actuator,
+                             dt, s.m, s.l1, s.l2, s.g, s.damping, False)
     return replace(s, theta=th, theta_dot=w)
 
 
@@ -276,7 +266,8 @@ def free_oscillation_frequency(theta0: float = 0.1, duration: float = 30.0,
     t = 0.0
     n = int(round(duration / dt))
     for _ in range(n):
-        th_next, w_next = _pend_rk4(th, w, 0.0, dt, m, l1, g, damping)
+        th_next, w_next = _pend_rk4_forced(th, w, 0.0, 0.0, 0.0, dt, m, l1, 1.0, g,
+                                           damping, False)
         if th != 0.0 and (th_next == 0.0 or (th > 0.0) != (th_next > 0.0)):
             crossings.append(t + dt * th / (th - th_next))
         th, w = th_next, w_next
@@ -333,7 +324,8 @@ class ReferenceSpec:
     ``step_value`` at ``step_time``), ``current_chirp`` (open-loop / DOB-loop
     current excitation), ``position_chirp`` (joint-space linear chirp through
     the full controller).  Current chirps may be linear (``omega_o``) or
-    exponential (``f_start``/``f_end``).
+    exponential (``f_start``/``f_end``).  ``SimScenario.validate`` checks
+    chirps against their generating rate.
     """
 
     kind: str = "zero"
@@ -348,21 +340,6 @@ class ReferenceSpec:
         kinds = ("zero", "force_step", "current_chirp", "position_chirp")
         if self.kind not in kinds:
             raise ValueError(f"reference kind must be one of {kinds}")
-        if self.kind == "position_chirp" and not self.omega_o:
-            raise ValueError("position_chirp needs a linear sweep rate omega_o")
-        if self.kind == "current_chirp":
-            exponential = self.f_start is not None or self.f_end is not None
-            if exponential and not (self.f_start and self.f_end):
-                raise ValueError("exponential current chirp needs f_start and f_end")
-            if not exponential and not self.omega_o:
-                raise ValueError("current chirp needs omega_o or f_start/f_end")
-
-    def max_freq_hz(self, duration: float) -> float:
-        if self.kind in ("zero", "force_step"):
-            return 0.0
-        if self.f_start is not None:
-            return max(self.f_start, self.f_end)
-        return self.omega_o * duration / math.pi
 
 
 @dataclass
@@ -383,7 +360,6 @@ class SimScenario:
     reference_hz: int = 200
     plant_hz: int = 20000
     estimate_backlash_m: float = 0.0
-    seed: int = 0
 
     def validate(self) -> None:
         if self.duration_s < 0.0:
@@ -397,13 +373,18 @@ class SimScenario:
             raise ValueError("plant rate must be an integer multiple of the controller rate")
         if self.controller_hz % self.reference_hz != 0:
             raise ValueError("controller rate must be an integer multiple of the reference rate")
+        ref = self.reference
         # current chirps are generated at the controller rate; position
         # references are communicated at the reference rate
-        ny_rate = (self.controller_hz if self.reference.kind == "current_chirp"
-                   else self.reference_hz)
-        if self.reference.max_freq_hz(self.duration_s) >= 0.5 * ny_rate:
-            raise ValueError("reference sweep reaches the generating rate's Nyquist limit")
-        if self.pendulum is None and self.reference.kind == "position_chirp":
+        if ref.kind == "current_chirp":
+            exponential = ref.f_start is not None or ref.f_end is not None
+            ChirpSpec("exponential" if exponential else "linear", ref.amplitude,
+                      self.duration_s, 1.0 / self.controller_hz, omega_o=ref.omega_o,
+                      f_start=ref.f_start, f_end=ref.f_end)
+        elif ref.kind == "position_chirp":
+            ChirpSpec("linear", ref.amplitude, self.duration_s, 1.0 / self.reference_hz,
+                      omega_o=ref.omega_o)
+        if self.pendulum is None and ref.kind == "position_chirp":
             raise ValueError("position_chirp needs the pendulum enabled")
 
 
@@ -435,11 +416,7 @@ class SimLog:
         return getattr(self, name)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(LOG_COLUMNS) + "\n")
-            cols = [self.column(c) for c in LOG_COLUMNS]
-            for row in zip(*cols):
-                fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        write_csv(path, LOG_COLUMNS, [self.column(c) for c in LOG_COLUMNS])
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
@@ -483,17 +460,11 @@ def run_scenario(sc: SimScenario) -> SimLog:
 
     fc: ForceController | None = None
     dob: DisturbanceObserver | None = None
+    dob_cfg = DobConfig(sc.omega_c, sc.gamma, nominal_lsea_tf())
     if ref.kind == "current_chirp":
-        q = q_filter(sc.omega_c)
-        plant_model = nominal_lsea_tf()
-        inv = ContinuousTransferFunction(
-            np.convolve(q.num, plant_model.den), np.convolve(q.den, plant_model.num))
-        dob = DisturbanceObserver(bilinear_discretize(inv, T),
-                                  bilinear_discretize(q, T), sc.gamma)
+        dob = build_observer(dob_cfg, T)
     else:
-        fc = build_force_controller(
-            sc.pid, DobConfig(sc.omega_c, sc.gamma, nominal_lsea_tf()),
-            sc.k_ff, T, ff_scale=sc.ff_scale)
+        fc = build_force_controller(sc.pid, dob_cfg, sc.k_ff, T, ff_scale=sc.ff_scale)
 
     cols = {name: np.zeros(n_steps) for name in LOG_COLUMNS}
     f_o = 0.0
@@ -501,8 +472,7 @@ def run_scenario(sc: SimScenario) -> SimLog:
 
     # a diverging loop is reported through SimulationFault; the transient
     # overflow on the way to the non-finite values is expected, not a warning
-    err_state = np.seterr(over="ignore", invalid="ignore")
-    try:
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             t = k * T
             if pend is None:
@@ -570,7 +540,5 @@ def run_scenario(sc: SimScenario) -> SimLog:
                         pend.trig_coupling)
             else:
                 f_o = plant.advance(i_m, dt_sub, n_sub)
-    finally:
-        np.seterr(**err_state)
 
     return SimLog(**cols)

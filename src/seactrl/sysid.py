@@ -30,12 +30,31 @@ __all__ = [
     "exponential_chirp_point",
     "empirical_frf",
     "fit_rational",
+    "write_csv",
     "write_frf_csv",
 ]
+
+_CSV_BLOCK_ROWS = 512  # rows formatted per write; bounds the transient list memory
 
 
 class FitError(RuntimeError):
     """Raised when the rational fit is rank-deficient or under-determined."""
+
+
+def write_csv(path, header, columns) -> None:
+    """Write equal-length numeric columns as CSV, one ``%.9g`` row per sample.
+
+    Every CSV the package emits goes through here, so the row format
+    (``%.9g`` values, ``,`` separators, ``\n`` line ends) lives in one place.
+    """
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    fmt = ",".join(["%.9g"] * len(cols)) + "\n"
+    n = cols[0].size if cols else 0
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for s in range(0, n, _CSV_BLOCK_ROWS):
+            block = (c[s:s + _CSV_BLOCK_ROWS].tolist() for c in cols)
+            fh.write("".join(fmt % row for row in zip(*block)))
 
 
 @dataclass
@@ -57,10 +76,7 @@ class TimeSeries:
         return np.arange(self.samples.size) * self.sample_period
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,value\n")
-            for ti, v in zip(self.t, self.samples):
-                fh.write(f"{ti:.9g},{v:.9g}\n")
+        write_csv(path, ("t", "value"), (self.t, self.samples))
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":
@@ -326,7 +342,5 @@ def write_frf_csv(frf: FrequencyResponse, path) -> None:
     mag = frf.magnitude_db
     ph = frf.phase_deg
     coh = frf.coherence if frf.coherence is not None else np.ones(frf.freqs_hz.size)
-    with open(path, "w") as fh:
-        fh.write("f_hz,mag_db,phase_deg,coherence\n")
-        for row in zip(frf.freqs_hz, mag, ph, coh):
-            fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+    write_csv(path, ("f_hz", "mag_db", "phase_deg", "coherence"),
+              (frf.freqs_hz, mag, ph, coh))

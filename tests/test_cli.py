@@ -128,6 +128,15 @@ class TestCliCommands:
                      "--out", str(out2)]) == 0
         for name in ("leaky_alpha0.csv", "leaky_alpha0p75.csv", "summary.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        # the same for a simulated run
+        cfg = write(tmp_path, "fast.ini",
+                    "[scenario]\nduration_s = 0.5\nplant_hz = 5000\nkd_sweep = 0.0, 0.5\n")
+        out3, out4 = tmp_path / "c", tmp_path / "d"
+        assert main(["pid-step", "--config", cfg, "--out", str(out3)]) == 0
+        assert main(["pid-step", "--config", str(out3 / "effective_config.ini"),
+                     "--out", str(out4)]) == 0
+        for name in ("step_kd0.csv", "step_kd0p5.csv", "summary.txt"):
+            assert (out3 / name).read_bytes() == (out4 / name).read_bytes()
 
     def test_fit_from_csv_records(self, tmp_path):
         # tiny synthetic record: static gain of 2 fits orders (0, 0)

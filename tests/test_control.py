@@ -9,7 +9,6 @@ from seactrl.control import (
     LeakyState,
     PidConfig,
     build_force_controller,
-    force_control_step,
     impedance_step,
     leaky_step,
     pid_transfer_function,
@@ -134,7 +133,7 @@ class TestForceControlStep:
         rng = np.random.default_rng(5)
         for _ in range(500):
             fd, fm = rng.normal(), rng.normal()
-            assert force_control_step(fc, fd, fm) == pid_ref.step(fd - fm) + 3.2e-3 * fd
+            assert fc.step(fd, fm) == pid_ref.step(fd - fm) + 3.2e-3 * fd
 
     def test_nan_rejected_command_held_fault_raised(self):
         fc = self.make(0.8)

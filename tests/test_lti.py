@@ -6,7 +6,6 @@ from seactrl.lti import (
     ContinuousTransferFunction,
     DiscreteIirFilter,
     NyquistError,
-    Polynomial,
     bilinear_discretize,
     bilinear_num_den,
     butterworth_lowpass,
@@ -35,22 +34,22 @@ class TestTaylorShift:
         c = rng.normal(size=6)
         assert np.allclose(taylor_shift(taylor_shift(c, 1.0), -1.0), c, atol=1e-12)
 
-    def test_accepts_polynomial(self):
-        assert np.allclose(taylor_shift(Polynomial([1, 0, 0])), [1.0, 2.0, 1.0])
-
 
 class TestPolynomial:
+    """Coefficient coercion of a transfer function's numerator and denominator."""
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            Polynomial([])
+            ContinuousTransferFunction([], [1.0])
 
     def test_strips_leading_zeros(self):
-        p = Polynomial([0.0, 0.0, 3.0, 1.0])
-        assert p.degree == 1
-        assert p(2.0) == 7.0
+        tf = ContinuousTransferFunction([0.0, 0.0, 3.0, 1.0], [0.0, 1.0, 0.0])
+        assert tf.num.tolist() == [3.0, 1.0]
+        assert tf.order == 1
+        assert tf(2.0) == 3.5
 
     def test_zero_polynomial(self):
-        assert Polynomial([0.0, 0.0]).coeffs.tolist() == [0.0]
+        assert ContinuousTransferFunction([0.0, 0.0], [1.0]).num.tolist() == [0.0]
 
 
 class TestBilinear:

@@ -12,6 +12,7 @@ from seactrl.lti import (
 )
 from seactrl.plant import nominal_lsea_tf
 from seactrl.sysid import (
+    _CSV_BLOCK_ROWS,
     ChirpSpec,
     FitError,
     TimeSeries,
@@ -21,6 +22,7 @@ from seactrl.sysid import (
     fit_rational,
     linear_chirp_freq_hz,
     linear_chirp_point,
+    write_csv,
     write_frf_csv,
     zoh_compensate,
 )
@@ -120,6 +122,21 @@ class TestTimeSeries:
             TimeSeries(0.0, [1.0])
         with pytest.raises(ValueError):
             TimeSeries(0.01, [])
+
+
+class TestWriteCsv:
+    SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 0.1 + 0.2,
+               3.0, -42.0, 1e9, 123456789.0)
+
+    @pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+    def test_matches_per_value_format_oracle(self, tmp_path, rows):
+        vals = np.resize(np.array(self.SPECIAL), rows)
+        cols = (vals, vals[::-1], np.arange(rows) * 0.001)
+        path = tmp_path / "out.csv"
+        write_csv(path, ("a", "b", "c"), cols)
+        oracle = "a,b,c\n" + "".join(
+            ",".join(f"{v:.9g}" for v in row) + "\n" for row in zip(*cols))
+        assert path.read_text() == oracle
 
 
 class TestEmpiricalFrf:
