@@ -9,6 +9,7 @@ experiment's output directory so a run can be reproduced from it exactly.
 from __future__ import annotations
 
 import configparser
+import math
 from pathlib import Path
 
 __all__ = ["ConfigError", "EXPERIMENTS", "load_config", "write_config"]
@@ -139,17 +140,22 @@ def _parse(section: str, key: str, raw: str):
     kind, _ = _SCHEMA[section][key]
     path = f"{section}.{key}"
     try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            value = float(raw)
-            if value != int(value):
-                raise ValueError("not an integer")
-            return int(value)
         if kind == "floats":
-            return tuple(float(tok) for tok in raw.replace(",", " ").split())
+            values = tuple(float(tok) for tok in raw.replace(",", " ").split())
+        else:
+            values = (float(raw),)
     except ValueError as exc:
         raise ConfigError(path, f"cannot parse {raw!r} ({exc})") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(path, f"{raw!r} is not finite")
+    if kind == "floats":
+        return values
+    if kind == "float":
+        return values[0]
+    if kind == "int":
+        if values[0] != int(values[0]):
+            raise ConfigError(path, f"cannot parse {raw!r} (not an integer)")
+        return int(values[0])
     raise ConfigError(path, f"unhandled type {kind}")
 
 

@@ -2,11 +2,13 @@
 
 The actuator force loop combines a rational PID+feedforward with a
 disturbance observer (DOB): the observer passes the measured force through
-a discretized Q/P composite (inverse nominal plant made causal by a
-third-order low-pass Q) and compares it against the low-passed previous
-command.  The difference is the disturbance estimate, blended back with a
-gain ``gamma`` in [0, 1].  Upstream of the force loop sit a virtual
-spring/damper (impedance) and leaky integration of desired accelerations.
+Q/P (inverse nominal plant made causal by a third-order low-pass Q) and
+the previous command through Q, and subtracts the two.  Q/P and Q are put
+over one continuous denominator before Tustin, so the observer is a single
+two-input discrete filter.  Its output, the disturbance estimate, is
+blended back with a gain ``gamma`` in [0, 1].  Upstream of the force loop
+sit a virtual spring/damper (impedance) and leaky integration of desired
+accelerations.
 """
 
 from __future__ import annotations
@@ -96,8 +98,9 @@ class DobConfig:
     """Disturbance-observer parameters.
 
     ``gamma`` is clamped into [0, 1] (it is a hand-tuned knob, not a hard
-    constraint).  ``plant`` is the nominal model whose inverse the observer
-    applies behind the Q filter.
+    constraint); this is the only place it is clamped, and a non-finite
+    ``gamma`` is rejected.  ``plant`` is the nominal model whose inverse the
+    observer applies behind the Q filter.
     """
 
     omega_c: float
@@ -107,6 +110,8 @@ class DobConfig:
     def __post_init__(self):
         if self.omega_c <= 0.0:
             raise ValueError("Q-filter cutoff must be positive")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"observer gain gamma must be finite, got {self.gamma}")
         self.gamma = min(1.0, max(0.0, float(self.gamma)))
 
 
@@ -171,29 +176,56 @@ def leaky_step(st: LeakyState, qddot_d, q_measured):
 class DisturbanceObserver:
     """Disturbance estimator d_hat = (Q/P)(f_measured) - Q(u_prev).
 
-    ``estimate`` consumes the current force measurement; ``commit`` stores
-    the command actually applied so the next estimate compares against it.
+    ``inv_plant`` (Q/P) and ``q`` (Q) must share the sample period and the
+    denominator, as ``build_observer`` makes them.  Their coefficients are
+    copied into one two-input filter,
+
+        d_hat = (N1(z) f_measured - N2(z) u_prev) / D(z),
+
+    stepped as a transposed direct form II on Python floats with one state
+    value per order.  ``estimate`` consumes the current force measurement;
+    ``commit`` stores the command actually applied so the next estimate
+    compares against it.
     """
 
     def __init__(self, inv_plant: DiscreteIirFilter, q: DiscreteIirFilter, gamma: float):
         if inv_plant.T != q.T:
             raise ValueError("observer filters must share the sample period")
-        self.inv_plant = inv_plant
-        self.q = q
-        self.gamma = min(1.0, max(0.0, float(gamma)))
+        if not np.array_equal(inv_plant.b_hat, q.b_hat):
+            raise ValueError("observer filters must share the denominator")
+        n = max(1, inv_plant.a_hat.size - 1, q.a_hat.size - 1, q.b_hat.size)
+
+        def padded(c, size):
+            return c.tolist() + [0.0] * (size - c.size)
+
+        p, r = padded(inv_plant.a_hat, n + 1), padded(q.a_hat, n + 1)
+        self._p0, self._q0 = p[0], r[0]
+        self._p, self._q = tuple(p[1:]), tuple(r[1:])
+        self._b = tuple(padded(q.b_hat, n))
+        self._z = [0.0] * n
+        self._mid = range(n - 1)
+        self._last = n - 1
+        self.T = q.T
+        self.gamma = float(gamma)
         self.u_prev = 0.0
         self.d_hat = 0.0
 
     def estimate(self, f_measured: float) -> float:
-        self.d_hat = self.inv_plant.step(f_measured) - self.q.step(self.u_prev)
-        return self.d_hat
+        z, p, q, b = self._z, self._p, self._q, self._b
+        u = self.u_prev
+        d = self._p0 * f_measured - self._q0 * u + z[0]
+        for i in self._mid:
+            z[i] = z[i + 1] + p[i] * f_measured - q[i] * u + b[i] * d
+        last = self._last
+        z[last] = p[last] * f_measured - q[last] * u + b[last] * d
+        self.d_hat = d
+        return d
 
     def commit(self, u: float) -> None:
         self.u_prev = u
 
     def reset(self) -> None:
-        self.inv_plant.reset()
-        self.q.reset()
+        self._z[:] = [0.0] * len(self._z)
         self.u_prev = 0.0
         self.d_hat = 0.0
 
@@ -208,7 +240,7 @@ class ForceController:
 
     def __init__(self, pid: DiscreteIirFilter, dob: DisturbanceObserver,
                  k_ff: float, ff_scale: float = 1e-3):
-        if pid.T != dob.q.T:
+        if pid.T != dob.T:
             raise ValueError("controller filters must share the sample period")
         self.pid = pid
         self.dob = dob
@@ -248,11 +280,14 @@ class ForceController:
 
 
 def build_observer(dob: DobConfig, T: float) -> DisturbanceObserver:
-    """Discretize the observer's Q and Q/P filters at sample period ``T``.
+    """Discretize the observer's Q/P and Q filters at sample period ``T``.
 
-    Q and Q/P are each discretized as single composite transfer functions
-    (not cascades) to minimize rounding.  The inverse plant is only causal
-    behind Q, so the plant's relative degree must not exceed Q's order.
+    Q/P and Q are each discretized as single composite transfer functions
+    (not cascades) to minimize rounding, both over the one continuous
+    denominator ``Q.den * P.num``, so their Tustin denominators come out
+    bit-identical and the observer runs them as one filter.  The inverse
+    plant is only causal behind Q, so the plant's relative degree must not
+    exceed Q's order.
     """
     if T <= 0.0:
         raise ValueError("sample period must be positive")
@@ -262,12 +297,13 @@ def build_observer(dob: DobConfig, T: float) -> DisturbanceObserver:
             f"Nyquist rate {math.pi / T:g} rad/s"
         )
     q = q_filter(dob.omega_c)
-    inv_plant = ContinuousTransferFunction(
-        np.convolve(q.num, dob.plant.den), np.convolve(q.den, dob.plant.num)
-    )  # raises CausalityError when Q cannot make 1/P proper
+    den = np.convolve(q.den, dob.plant.num)
+    # raises CausalityError when Q cannot make 1/P proper
+    inv_plant = ContinuousTransferFunction(np.convolve(q.num, dob.plant.den), den)
+    q_over_den = ContinuousTransferFunction(np.convolve(q.num, dob.plant.num), den)
     return DisturbanceObserver(
         inv_plant=bilinear_discretize(inv_plant, T),
-        q=bilinear_discretize(q, T),
+        q=bilinear_discretize(q_over_den, T),
         gamma=dob.gamma,
     )
 

@@ -4,15 +4,17 @@ Continuous transfer functions are stored as real coefficient arrays
 (highest degree first).  The bilinear (Tustin) transform is computed with
 a Horner-shift polynomial chain that needs only coefficient reversals,
 power scalings, and Taylor shifts, so it stays cheap and exact for any
-causal transfer function.  Discrete filters execute the standard IIR
-difference equation
+causal transfer function.  Discrete filters realize the IIR difference
+equation
 
     y0 = b_hat . y_hist + a_hat . x_hist
 
-with zero-initialized histories.  All coefficient arithmetic is 64-bit;
-single precision is known to destabilize filters above a few orders.
-Orders above ~10 produce very large intermediate coefficients and are not
-guaranteed, only passed through.
+as a transposed direct form II (DF2T) stepped on Python floats: the state
+is one zero-initialized value per order, updated in the same order of
+operations as ``scipy.signal.lfilter``.  All coefficient arithmetic is
+64-bit; single precision is known to destabilize filters above a few
+orders.  Orders above ~10 produce very large intermediate coefficients and
+are not guaranteed, only passed through.
 """
 
 from __future__ import annotations
@@ -142,15 +144,19 @@ class ContinuousTransferFunction:
 
 
 class DiscreteIirFilter:
-    """Stateful IIR filter implementing ``y0 = b_hat . y + a_hat . x``.
+    """Stateful IIR filter with transfer function ``A(z) / (1 - B(z))``.
 
-    ``a_hat`` multiplies the input history (current sample first) and
-    ``b_hat`` multiplies the previous outputs (most recent first).
-    Histories are zero-initialized; an instance is single-owner and must
-    not be shared mutably between threads.
+    ``a_hat`` holds the input coefficients (current sample first) and
+    ``b_hat`` the output-feedback coefficients (most recent output first),
+    so the filter realizes ``y0 = b_hat . y + a_hat . x``.  ``step`` runs
+    the transposed direct form II (DF2T): with ``n`` the filter order, the
+    state is ``n`` floats (one for a static gain) and each sample costs
+    ``2n + 1`` multiply-adds with no numpy call.  This is the structure of
+    ``scipy.signal.lfilter``.  The state is zero-initialized; an instance
+    is single-owner and must not be shared mutably between threads.
     """
 
-    __slots__ = ("a_hat", "b_hat", "T", "x_hist", "y_hist")
+    __slots__ = ("a_hat", "b_hat", "T", "_a0", "_a", "_b", "_z", "_mid", "_last")
 
     def __init__(self, a_hat, b_hat, T: float):
         if T <= 0.0:
@@ -158,13 +164,14 @@ class DiscreteIirFilter:
         self.a_hat = np.atleast_1d(np.asarray(a_hat, dtype=float)).ravel()
         self.b_hat = np.asarray(b_hat, dtype=float).ravel()
         self.T = float(T)
-        self.x_hist = np.zeros(self.a_hat.size)
-        self.y_hist = np.zeros(self.b_hat.size)
-
-    @property
-    def num(self) -> np.ndarray:
-        """Numerator of the z-domain transfer function (highest power first)."""
-        return self.a_hat
+        n = max(1, self.a_hat.size - 1, self.b_hat.size)
+        a = self.a_hat.tolist() + [0.0] * (n + 1 - self.a_hat.size)
+        self._a0 = a[0]
+        self._a = tuple(a[1:])
+        self._b = tuple(self.b_hat.tolist() + [0.0] * (n - self.b_hat.size))
+        self._z = [0.0] * n
+        self._mid = range(n - 1)
+        self._last = n - 1
 
     @property
     def den(self) -> np.ndarray:
@@ -172,20 +179,17 @@ class DiscreteIirFilter:
         return np.concatenate(([1.0], -self.b_hat))
 
     def reset(self) -> None:
-        """Zero both histories (all experiments start from rest)."""
-        self.x_hist[:] = 0.0
-        self.y_hist[:] = 0.0
+        """Zero the state (all experiments start from rest)."""
+        self._z[:] = [0.0] * len(self._z)
 
     def step(self, x0: float) -> float:
-        """Advance one sample: push ``x0``, return ``y0``, shift histories."""
-        xh = self.x_hist
-        xh[1:] = xh[:-1]
-        xh[0] = x0
-        y0 = float(self.a_hat @ xh)
-        if self.b_hat.size:
-            y0 += float(self.b_hat @ self.y_hist)
-            self.y_hist[1:] = self.y_hist[:-1]
-            self.y_hist[0] = y0
+        """Advance one sample: take ``x0``, return ``y0``, update the state."""
+        z, a, b = self._z, self._a, self._b
+        y0 = self._a0 * x0 + z[0]
+        for i in self._mid:
+            z[i] = z[i + 1] + a[i] * x0 + b[i] * y0
+        last = self._last
+        z[last] = a[last] * x0 + b[last] * y0
         return y0
 
     def run(self, xs) -> np.ndarray:

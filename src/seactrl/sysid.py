@@ -80,11 +80,20 @@ class TimeSeries:
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":
+        """Read a ``t,value`` CSV whose time steps all match the first within 1e-3."""
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         t, v = data[:, 0], data[:, 1]
         if t.size < 2:
             raise ValueError("need at least two samples to infer the period")
-        return cls(sample_period=float(t[1] - t[0]), samples=v)
+        dt = float(t[1] - t[0])
+        off = np.flatnonzero(np.abs(np.diff(t) - dt) > 1e-3 * abs(dt))
+        if off.size:
+            i = int(off[0]) + 1  # 0-based data row whose time step is off
+            raise ValueError(
+                f"{path}: non-uniform sampling at data row {i + 1} (line {i + 2}): "
+                f"time step {t[i] - t[i - 1]:g} s, expected {dt:g} s"
+            )
+        return cls(sample_period=dt, samples=v)
 
 
 @dataclass

@@ -53,3 +53,15 @@ def random_stable_tf(rng, max_order=4, w_lo=0.5, w_hi=200.0, min_damp=0.3):
     num = (np.real(np.poly(roots(m))) * rng.uniform(0.1, 10.0)
            if m else np.array([rng.uniform(0.1, 10.0)]))
     return ContinuousTransferFunction(num, den)
+
+
+def observer_reference(inv_plant, q, f_measured, u_prev):
+    """Disturbance estimate of two separately stepped filters, via scipy.
+
+    Returns ``(Q/P)(f_measured) - Q(u_prev)`` with each discrete filter run
+    by ``scipy.signal.lfilter`` on its own (a_hat, den) pair.
+    """
+    from scipy.signal import lfilter
+
+    return (lfilter(inv_plant.a_hat, inv_plant.den, f_measured)
+            - lfilter(q.a_hat, q.den, u_prev))

@@ -83,6 +83,17 @@ class TestCliCommands:
         assert code == 2
         assert "plant.friction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("control", "gamma", "nan"),
+        ("plant", "gain_factor", "inf"),
+        ("scenario", "kd_sweep", "0.0, -inf"),
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, section, key, value):
+        bad = write(tmp_path, "bad.ini", f"[{section}]\n{key} = {value}\n")
+        code = main(["pid-step", "--config", bad, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
     def test_numeric_fault_exits_3(self, tmp_path, capsys):
         cfg = write(tmp_path, "blow.ini",
                     "[control]\nk_p = 1e9\n[scenario]\nduration_s = 1.0\nplant_hz = 5000\n")

@@ -9,13 +9,22 @@ from seactrl.control import (
     LeakyState,
     PidConfig,
     build_force_controller,
+    build_observer,
     impedance_step,
     leaky_step,
     pid_transfer_function,
     q_filter,
 )
-from seactrl.lti import CausalityError, NyquistError, bilinear_discretize, freq_response
+from seactrl.lti import (
+    CausalityError,
+    ContinuousTransferFunction,
+    NyquistError,
+    bilinear_discretize,
+    freq_response,
+)
 from seactrl.plant import nominal_lsea_tf
+
+from oracles import observer_reference
 
 T = 1e-3
 FRONT_HIP = dict(k_p=15.0, k_i=4.0, k_d=2.5, lambda_c=3.5)
@@ -89,6 +98,11 @@ class TestQFilter:
 
 
 class TestBuildForceController:
+    def test_non_finite_gamma_rejected(self):
+        for gamma in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                DobConfig(10.0, gamma, nominal_lsea_tf())
+
     def test_gamma_clamped(self):
         dob = DobConfig(10.0, 1.7, nominal_lsea_tf())
         assert dob.gamma == 1.0
@@ -109,7 +123,7 @@ class TestBuildForceController:
     def test_filters_share_period(self):
         fc = build_force_controller(
             front_hip_pid(), DobConfig(2 * np.pi * 25, 0.8, nominal_lsea_tf()), 3.2, T)
-        assert fc.pid.T == fc.dob.q.T == fc.dob.inv_plant.T == T
+        assert fc.pid.T == fc.dob.T == T
 
 
 class TestForceControlStep:
@@ -174,6 +188,32 @@ class TestDisturbanceObserver:
         q2 = bilinear_discretize(q_filter(100.0), 2e-3)
         with pytest.raises(ValueError):
             DisturbanceObserver(q, q2, 1.0)
+
+    def test_mismatched_denominators_rejected(self):
+        q = bilinear_discretize(q_filter(100.0), 1e-3)
+        q2 = bilinear_discretize(q_filter(120.0), 1e-3)
+        with pytest.raises(ValueError):
+            DisturbanceObserver(q, q2, 1.0)
+
+    @pytest.mark.parametrize("plant_num", [[208.8], [2.0, 100.0]])
+    def test_matches_two_filter_reference(self, plant_num):
+        # the fused filter against Q/P and Q discretized and run separately
+        pytest.importorskip("scipy.signal")
+        plant = ContinuousTransferFunction(plant_num, nominal_lsea_tf().den)
+        cfg = DobConfig(2 * np.pi * 25.0, 1.0, plant)
+        q = q_filter(cfg.omega_c)
+        inv_plant = bilinear_discretize(ContinuousTransferFunction(
+            np.convolve(q.num, plant.den), np.convolve(q.den, plant.num)), T)
+        dob = build_observer(cfg, T)
+        rng = np.random.default_rng(17)
+        f, u = rng.normal(size=(2, 10_000))
+        got = np.empty(f.size)
+        for k in range(f.size):
+            got[k] = dob.estimate(float(f[k]))
+            dob.commit(float(u[k]))
+        ref = observer_reference(inv_plant, bilinear_discretize(q, T), f,
+                                 np.concatenate(([0.0], u[:-1])))
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 class TestImpedance:

@@ -132,11 +132,30 @@ class TestFilterStep:
         filt = bilinear_discretize(ContinuousTransferFunction([1.0], [1.0, 1.0]), 0.01)
         assert np.isnan(filt.step(np.nan))
 
+    def test_matches_scipy_lfilter(self):
+        signal = pytest.importorskip("scipy.signal")
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            filt = bilinear_discretize(random_stable_tf(rng, max_order=8),
+                                       10.0 ** rng.uniform(-4, -2))
+            x = rng.normal(size=400)
+            ref = signal.lfilter(filt.a_hat, filt.den, x)
+            assert np.max(np.abs(filt.run(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_butterworth_impulse_matches_scipy_lfilter(self):
+        signal = pytest.importorskip("scipy.signal")
+        filt = bilinear_discretize(butterworth_lowpass(8, 25.0), 1e-3)
+        x = np.zeros(10**5)
+        x[0] = 1.0
+        ref = signal.lfilter(filt.a_hat, filt.den, x)
+        assert np.max(np.abs(filt.run(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_history_lengths(self):
         filt = bilinear_discretize(
             ContinuousTransferFunction([208.8], [0.01, 1.13, 23.04, 987.0]), 1e-3)
-        assert filt.a_hat.size == 4 and filt.x_hist.size == 4
-        assert filt.b_hat.size == 3 and filt.y_hist.size == 3
+        # DF2T keeps one state value per order
+        assert filt.a_hat.size == 4 and filt.b_hat.size == 3
+        assert len(filt._z) == 3
 
 
 class TestFrequencyResponse:

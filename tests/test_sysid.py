@@ -117,6 +117,15 @@ class TestTimeSeries:
         assert back.sample_period == pytest.approx(0.01)
         assert np.allclose(back.samples, ts.samples)
 
+    def test_dropped_sample_rejected(self, tmp_path):
+        ts = TimeSeries(0.01, np.arange(6.0))
+        path = tmp_path / "ts.csv"
+        ts.to_csv(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:4] + lines[5:]) + "\n")  # drop t = 0.03
+        with pytest.raises(ValueError, match="line 5"):
+            TimeSeries.from_csv(path)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TimeSeries(0.0, [1.0])
