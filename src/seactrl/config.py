@@ -1,8 +1,9 @@
 """Experiment configuration: flat INI files with sections per module.
 
 Defaults are layered: package baseline, then per-experiment overrides, then
-the user's file.  Unknown sections or keys are rejected with the offending
-``section.key`` path.  The fully resolved configuration is echoed into each
+the user's file.  Unknown sections or keys, and values that parse but
+cannot run (after layering), are rejected with the offending ``section.key``
+path.  The fully resolved configuration is echoed into each
 experiment's output directory so a run can be reproduced from it exactly.
 """
 
@@ -183,7 +184,35 @@ def load_config(experiment: str, path: str | Path | None = None) -> dict:
                 if key not in _SCHEMA[sec]:
                     raise ConfigError(f"{sec}.{key}", "unknown key")
                 cfg[sec][key] = _parse(sec, key, raw)
+    _check_semantics(cfg)
     return cfg
+
+
+def _check_semantics(cfg: dict) -> None:
+    """Reject values that parse but cannot run, naming their ``section.key``."""
+    factors = cfg["plant"]["den_factors"]
+    if len(factors) != 4 or min(factors) <= 0.0:
+        raise ConfigError("plant.den_factors", f"{factors} is not four positive multipliers")
+    sn = cfg["scenario"]
+    plant_hz, controller_hz, reference_hz = (
+        sn["plant_hz"], sn["controller_hz"], sn["reference_hz"])
+    for key, hz in (("plant_hz", plant_hz), ("controller_hz", controller_hz),
+                    ("reference_hz", reference_hz)):
+        if hz <= 0:
+            raise ConfigError(f"scenario.{key}", f"{hz} is not positive")
+    if plant_hz % controller_hz or controller_hz % reference_hz:
+        raise ConfigError(
+            "scenario.controller_hz",
+            f"{controller_hz} must divide scenario.plant_hz ({plant_hz}) and be a "
+            f"multiple of scenario.reference_hz ({reference_hz})")
+    if sn["duration_s"] <= 0.0:
+        raise ConfigError("scenario.duration_s", f"{sn['duration_s']} is not positive")
+    omega_c_hz = cfg["control"]["omega_c_hz"]
+    if not 0.0 < omega_c_hz < 0.5 * controller_hz:
+        raise ConfigError(
+            "control.omega_c_hz",
+            f"{omega_c_hz} must lie between 0 and the controller's Nyquist rate "
+            f"({0.5 * controller_hz:g} Hz)")
 
 
 def write_config(cfg: dict, path: str | Path) -> None:

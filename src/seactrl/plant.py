@@ -10,9 +10,13 @@ stiction dead-band on the effective input, and a hysteretic backlash play.
 
 The pendulum is the nonlinear 1-DoF load; scenarios couple it to the
 actuator through the small-angle testbed geometry q_a = l2 * theta and
-tau = l2 * f.  ``run_scenario`` executes the two-rate loop (reference rate
-/ controller rate / plant substep rate) and returns a uniformly sampled
-log that serializes to CSV bit-reproducibly.
+tau = l2 * f.  ``LseaPlant.advance_pendulum`` runs one controller step of
+the coupled substeps in a single loop: two RK4 half-substeps of the plant
+per RK4 step of the pendulum, which sees the force at its start, midpoint
+and end.  ``run_scenario`` executes the two-rate loop (reference rate /
+controller rate / plant substep rate) and returns a uniformly sampled log
+that serializes to CSV bit-reproducibly; a non-finite signal stops it with
+a ``SimulationFault`` that names the signal and the time.
 """
 
 from __future__ import annotations
@@ -57,11 +61,18 @@ NOMINAL_DEN = (0.01, 1.13, 23.04, 987.0)
 
 
 class SimulationFault(RuntimeError):
-    """A scenario produced a non-finite value; carries the fault time."""
+    """A scenario produced a non-finite value.
 
-    def __init__(self, time: float, what: str = "non-finite value"):
-        super().__init__(f"{what} at t = {time:.6f} s")
+    ``time`` is the start of the controller step it happened in and ``what``
+    names the signal: ``theta``/``theta_dot`` (pendulum state), ``f_o``
+    (plant output), ``f_d`` (the desired force the controller rejected) or
+    ``i_m`` (the current command).
+    """
+
+    def __init__(self, time: float, what: str):
+        super().__init__(f"non-finite {what} at t = {time:.6f} s")
         self.time = time
+        self.what = what
 
 
 def nominal_lsea_tf() -> ContinuousTransferFunction:
@@ -169,14 +180,16 @@ class LseaPlant:
             raise ValueError("substep must be positive")
         (m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2) = self._coeffs(dt)
         x0, x1, x2 = self._x0, self._x1, self._x2
-        brk = self.stiction_breakaway
         vdead = self.stiction_velocity_deadband
         cy = self._cy
         play = self._play
         u = float(i_m)
+        # the input half of the Karnopp test is constant for a held input
+        brk = self.stiction_breakaway
+        stuck_input = brk > 0.0 and abs(u) < brk
         y = cy * x0
         for _ in range(substeps):
-            if brk > 0.0 and abs(cy * x1) < vdead and abs(u) < brk:
+            if stuck_input and abs(cy * x1) < vdead:
                 ue = 0.0
             else:
                 ue = u
@@ -190,6 +203,52 @@ class LseaPlant:
                 y = play.step(y)
         self._x0, self._x1, self._x2 = x0, x1, x2
         return y
+
+    def advance_pendulum(self, i_m: float, f_o: float, theta: float, theta_dot: float,
+                         dt: float, substeps: int, pend) -> tuple[float, float, float]:
+        """Advance ``substeps`` substeps of size ``dt`` with the pendulum coupled.
+
+        ``f_o`` is the output force at the start of the call and ``pend`` any
+        object with the ``PendulumConfig`` fields.  Each substep is two RK4
+        half-substeps of the plant, so the pendulum's RK4 sees the force at
+        its start, midpoint and end and the one-way coupling stays 4th
+        order.  The result is bit-identical to two ``advance(i_m, dt / 2, 1)``
+        calls and one ``pendulum_step``-style RK4 per substep.  Returns the
+        output force and the pendulum angle and rate after the last substep;
+        a ``ValueError`` from ``math`` means the angle became infinite.
+        """
+        if dt <= 0.0:
+            raise ValueError("substep must be positive")
+        (m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2) = self._coeffs(0.5 * dt)
+        x0, x1, x2 = self._x0, self._x1, self._x2
+        vdead = self.stiction_velocity_deadband
+        cy = self._cy
+        play = self._play
+        u = float(i_m)
+        brk = self.stiction_breakaway
+        stuck_input = brk > 0.0 and abs(u) < brk
+        m, l1, l2, g, c, trig = pend.m, pend.l1, pend.l2, pend.g, pend.damping, pend.trig_coupling
+        for half in range(2 * substeps):
+            if stuck_input and abs(cy * x1) < vdead:
+                ue = 0.0
+            else:
+                ue = u
+            x0, x1, x2 = (
+                m00 * x0 + m01 * x1 + m02 * x2 + n0 * ue,
+                m10 * x0 + m11 * x1 + m12 * x2 + n1 * ue,
+                m20 * x0 + m21 * x1 + m22 * x2 + n2 * ue,
+            )
+            y = cy * x0
+            if play is not None:
+                y = play.step(y)
+            if half & 1:
+                theta, theta_dot = _pend_rk4_forced(theta, theta_dot, f_o, f_mid, y, dt,
+                                                    m, l1, l2, g, c, trig)
+                f_o = y
+            else:
+                f_mid = y
+        self._x0, self._x1, self._x2 = x0, x1, x2
+        return f_o, theta, theta_dot
 
 
 @dataclass
@@ -225,22 +284,24 @@ def _pend_rk4_forced(theta, omega, f_0, f_mid, f_1, dt, m, l1, l2, g, c, trig):
     """
     inertia = m * l1 * l1
     mgl = m * g * l1
-
-    if trig:
-        def acc(th, w, f):
-            return (l2 * math.cos(th) * f - mgl * math.sin(th) - c * w) / inertia
-    else:
-        def acc(th, w, f):
-            return (l2 * f - mgl * math.sin(th) - c * w) / inertia
-
-    k1t, k1w = omega, acc(theta, omega, f_0)
-    k2t = omega + 0.5 * dt * k1w
-    k2w = acc(theta + 0.5 * dt * k1t, k2t, f_mid)
-    k3t = omega + 0.5 * dt * k2w
-    k3w = acc(theta + 0.5 * dt * k2t, k3t, f_mid)
+    h = 0.5 * dt
+    # stage k has angle th_k, rate k_kt and acceleration k_kw (written out,
+    # not as a nested function: this runs once per 20 kHz plant substep)
+    k1w = ((l2 * math.cos(theta) if trig else l2) * f_0
+           - mgl * math.sin(theta) - c * omega) / inertia
+    th2 = theta + h * omega
+    k2t = omega + h * k1w
+    k2w = ((l2 * math.cos(th2) if trig else l2) * f_mid
+           - mgl * math.sin(th2) - c * k2t) / inertia
+    th3 = theta + h * k2t
+    k3t = omega + h * k2w
+    k3w = ((l2 * math.cos(th3) if trig else l2) * f_mid
+           - mgl * math.sin(th3) - c * k3t) / inertia
+    th4 = theta + dt * k3t
     k4t = omega + dt * k3w
-    k4w = acc(theta + dt * k3t, k4t, f_1)
-    return (theta + dt / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t),
+    k4w = ((l2 * math.cos(th4) if trig else l2) * f_1
+           - mgl * math.sin(th4) - c * k4t) / inertia
+    return (theta + dt / 6.0 * (omega + 2.0 * k2t + 2.0 * k3t + k4t),
             omega + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w))
 
 
@@ -437,8 +498,11 @@ def run_scenario(sc: SimScenario) -> SimLog:
     Measurements are captured at the start of each controller step (so the
     controller sees the plant state produced by the previous command), the
     command is computed and logged, then the plant (and pendulum, when
-    enabled) advance through the substeps with the command held.  Re-running
-    an identical scenario yields bit-identical output.
+    enabled) advance through the substeps with the command held: one
+    ``LseaPlant.advance`` call per step, or one ``advance_pendulum`` call
+    with the pendulum.  Re-running an identical scenario yields bit-identical
+    output.  A non-finite pendulum state, plant output, rejected desired
+    force or current command raises ``SimulationFault`` with the step time.
     """
     sc.validate()
     T = 1.0 / sc.controller_hz
@@ -466,7 +530,8 @@ def run_scenario(sc: SimScenario) -> SimLog:
     else:
         fc = build_force_controller(sc.pid, dob_cfg, sc.k_ff, T, ff_scale=sc.ff_scale)
 
-    cols = {name: np.zeros(n_steps) for name in LOG_COLUMNS}
+    # one row per log column, so each column is a contiguous float64 array
+    data = np.zeros((len(LOG_COLUMNS), n_steps))
     f_o = 0.0
     ref_pos = q_a_d = qdot_a_d = f_ff = 0.0
 
@@ -477,6 +542,10 @@ def run_scenario(sc: SimScenario) -> SimLog:
             t = k * T
             if pend is None:
                 q_hat_a_j = qdot_hat_a = 0.0
+            elif not math.isfinite(theta):
+                raise SimulationFault(t, "theta")
+            elif not math.isfinite(theta_dot):
+                raise SimulationFault(t, "theta_dot")
             elif pend.trig_coupling:
                 q_hat_a_j = pend.l2 * math.sin(theta)
                 qdot_hat_a = pend.l2 * math.cos(theta) * theta_dot
@@ -517,28 +586,23 @@ def run_scenario(sc: SimScenario) -> SimLog:
                 i_m = fc.step(f_d, f_o)
                 d_hat = fc.d_hat
 
-            row = (t, ref_pos, q_a_d, qdot_a_d, f_d, f_o, i_m, d_hat,
-                   theta, theta_dot, q_hat_a_m, q_hat_a_j)
-            for name, value in zip(LOG_COLUMNS, row):
-                cols[name][k] = value
-            if (not math.isfinite(i_m) or not math.isfinite(f_o)
-                    or (fc is not None and fc.fault)):
-                raise SimulationFault(t)
+            data[:, k] = (t, ref_pos, q_a_d, qdot_a_d, f_d, f_o, i_m, d_hat,
+                          theta, theta_dot, q_hat_a_m, q_hat_a_j)
+            if not math.isfinite(f_o):
+                raise SimulationFault(t, "f_o")
+            if fc is not None and fc.fault:
+                # f_o is finite, so the controller rejected f_d
+                raise SimulationFault(t, "f_d")
+            if not math.isfinite(i_m):
+                raise SimulationFault(t, "i_m")
 
             if pend is not None:
-                # the force is evaluated at the substep start, midpoint, and
-                # end (half-substep plant advances) so the one-way coupled
-                # pendulum integration stays 4th order
-                half = 0.5 * dt_sub
-                for _ in range(n_sub):
-                    f_start = f_o
-                    f_mid = plant.advance(i_m, half, 1)
-                    f_o = plant.advance(i_m, half, 1)
-                    theta, theta_dot = _pend_rk4_forced(
-                        theta, theta_dot, f_start, f_mid, f_o, dt_sub,
-                        pend.m, pend.l1, pend.l2, pend.g, pend.damping,
-                        pend.trig_coupling)
+                try:
+                    f_o, theta, theta_dot = plant.advance_pendulum(
+                        i_m, f_o, theta, theta_dot, dt_sub, n_sub, pend)
+                except ValueError:  # math.sin/cos of an infinite angle
+                    raise SimulationFault(t, "theta") from None
             else:
                 f_o = plant.advance(i_m, dt_sub, n_sub)
 
-    return SimLog(**cols)
+    return SimLog(**dict(zip(LOG_COLUMNS, data)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seactrl.cli import main
-from seactrl.config import ConfigError, load_config, write_config
+from seactrl.config import EXPERIMENTS, ConfigError, load_config, write_config
 from seactrl.sysid import TimeSeries
 
 FAST_SCENARIO = """
@@ -49,6 +49,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("leaky-demo", path)
 
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_shipped_defaults_load(self, experiment):
+        load_config(experiment)
+
     def test_round_trip(self, tmp_path):
         cfg = load_config("pendulum-chirp")
         path = tmp_path / "echo.ini"
@@ -89,6 +93,18 @@ class TestCliCommands:
         ("scenario", "kd_sweep", "0.0, -inf"),
     ])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, section, key, value):
+        bad = write(tmp_path, "bad.ini", f"[{section}]\n{key} = {value}\n")
+        code = main(["pid-step", "--config", bad, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("plant", "den_factors", "1, 2"),
+        ("scenario", "controller_hz", "300"),
+        ("scenario", "duration_s", "-1"),
+        ("control", "omega_c_hz", "600"),
+    ])
+    def test_unrunnable_value_exits_2(self, tmp_path, capsys, section, key, value):
         bad = write(tmp_path, "bad.ini", f"[{section}]\n{key} = {value}\n")
         code = main(["pid-step", "--config", bad, "--out", str(tmp_path / "o")])
         assert code == 2

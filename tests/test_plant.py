@@ -23,6 +23,8 @@ from seactrl.plant import (
 )
 from seactrl.sysid import TimeSeries, empirical_frf
 
+from oracles import coupled_ode_reference, pendulum_substeps_reference
+
 
 class TestLseaPlant:
     def test_zero_input_equilibrium(self):
@@ -94,6 +96,53 @@ class TestLseaPlant:
         emp = empirical_frf(TimeSeries(1e-3, log.i_m), TimeSeries(1e-3, log.f_o), grid)
         ref = freq_response(nominal_lsea_tf(), grid)
         assert np.max(np.abs(emp.magnitude_db - ref.magnitude_db)) < 0.2
+
+
+class TestAdvancePendulum:
+    N_SUB = 20
+    DT = 1.0 / 20000
+
+    @staticmethod
+    def _plant(kwargs):
+        return LseaPlant(den_factors=(1.0, 1.2, 0.8, 1.25), **kwargs)
+
+    @pytest.mark.parametrize("plant_kwargs", [
+        dict(stiction_breakaway=150.0, stiction_velocity_deadband=500.0),
+        dict(stiction_breakaway=150.0, stiction_velocity_deadband=500.0, backlash=0.5),
+        dict(),
+    ], ids=["stiction", "stiction-backlash", "default-stiction"])
+    @pytest.mark.parametrize("trig", [False, True], ids=["linear", "trig"])
+    def test_bit_identical_to_one_substep_composition(self, plant_kwargs, trig):
+        rng = np.random.default_rng(11)
+        pend = PendulumConfig(damping=0.05, trig_coupling=trig)
+        fused, composed = self._plant(plant_kwargs), self._plant(plant_kwargs)
+        got = want = (0.0, 0.1, 0.0)
+        for i_m in rng.uniform(-300.0, 300.0, 2000):
+            got = fused.advance_pendulum(i_m, *got, self.DT, self.N_SUB, pend)
+            want = pendulum_substeps_reference(composed, i_m, *want, self.DT,
+                                               self.N_SUB, pend)
+            assert got == want
+
+    @pytest.mark.parametrize("trig", [False, True], ids=["linear", "trig"])
+    def test_matches_solve_ivp_on_joint_ode(self, trig):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(5)
+        pend = PendulumConfig(damping=0.05, trig_coupling=trig)
+        inputs = rng.uniform(-100.0, 100.0, 200)
+        plant = LseaPlant()
+        f_o, theta, theta_dot = 0.0, pend.theta0, pend.theta_dot0
+        got = []
+        for i_m in inputs:
+            f_o, theta, theta_dot = plant.advance_pendulum(
+                i_m, f_o, theta, theta_dot, self.DT, self.N_SUB, pend)
+            got.append((f_o, theta, theta_dot))
+        want = coupled_ode_reference(208.8, (0.01, 1.13, 23.04, 987.0), pend, inputs, 1e-3)
+        for col, ref in zip(zip(*got), want):
+            assert np.max(np.abs(np.array(col) - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_rejects_non_positive_substep(self):
+        with pytest.raises(ValueError):
+            LseaPlant().advance_pendulum(1.0, 0.0, 0.0, 0.0, 0.0, 1, PendulumConfig())
 
 
 class TestBacklashPlay:
@@ -262,6 +311,18 @@ class TestScenario:
         with pytest.raises(SimulationFault) as err:
             run_scenario(sc)
         assert 0.0 <= err.value.time <= 2.0
+        assert err.value.what == "i_m"
+
+    @pytest.mark.parametrize("theta_dot0, what", [(1e308, "theta"), (math.inf, "theta_dot")])
+    def test_pendulum_fault_names_signal(self, theta_dot0, what):
+        # 1e308 rad/s overflows the angle inside the first substeps, where
+        # math.sin(inf) raises ValueError
+        sc = SimScenario(reference=ReferenceSpec(kind="zero"), duration_s=0.2,
+                         pendulum=PendulumConfig(theta_dot0=theta_dot0))
+        with pytest.raises(SimulationFault) as err:
+            run_scenario(sc)
+        assert err.value.what == what
+        assert err.value.time == 0.0
 
     def test_locked_testbed_logs_zero_pendulum_columns(self):
         sc = SimScenario(
