@@ -46,7 +46,7 @@ def run(gamma):
         pendulum=PendulumConfig(damping=0.05),
         pid=PidConfig(2.0, 4.0, 0.0, 3.5e-3),
         impedance=ImpedanceConfig(40.0, 5.0),
-        k_ff=987.0 / 208.8, ff_scale=1.0,
+        k_ff=987.0 / 208.8,
         gamma=gamma, plant_hz=20000)
     return run_scenario(sc)
 

@@ -188,12 +188,40 @@ def load_config(experiment: str, path: str | Path | None = None) -> dict:
     return cfg
 
 
+# keys whose value (every value, for a list) must be positive, or non-negative
+_POSITIVE = (("plant", "gain_factor"), ("pendulum", "m"), ("pendulum", "l1"),
+             ("pendulum", "l2"), ("scenario", "amplitude"), ("scenario", "amplitudes"),
+             ("scenario", "leaky_dt"))
+_NON_NEGATIVE = (
+    ("control", "k"), ("control", "b"), ("control", "k_p"), ("control", "k_i"),
+    ("control", "k_d"), ("scenario", "kd_sweep"), ("plant", "stiction_breakaway"),
+    ("plant", "stiction_velocity_deadband"), ("plant", "backlash"), ("pendulum", "g"),
+    ("pendulum", "estimate_backlash_m"),
+)
+
+
 def _check_semantics(cfg: dict) -> None:
     """Reject values that parse but cannot run, naming their ``section.key``."""
+    for keys, positive in ((_POSITIVE, True), (_NON_NEGATIVE, False)):
+        for sec, key in keys:
+            value = cfg[sec][key]
+            values = value if isinstance(value, tuple) else (value,)
+            if any(v < 0.0 or (positive and v == 0.0) for v in values):
+                raise ConfigError(f"{sec}.{key}", f"{value} is not "
+                                  f"{'positive' if positive else 'non-negative'}")
+    sn = cfg["scenario"]
+    if not all(0.0 <= a <= 1.0 for a in sn["alphas"]):
+        raise ConfigError("scenario.alphas", f"{sn['alphas']} has a value outside [0, 1]")
+    dt = sn["leaky_dt"]
+    if not 0 <= int(round(sn["leaky_input_end"] / dt)) < int(round(sn["leaky_duration"] / dt)):
+        raise ConfigError(
+            "scenario.leaky_input_end",
+            f"{sn['leaky_input_end']} must be non-negative and end at least one "
+            f"scenario.leaky_dt ({dt}) before scenario.leaky_duration "
+            f"({sn['leaky_duration']})")
     factors = cfg["plant"]["den_factors"]
     if len(factors) != 4 or min(factors) <= 0.0:
         raise ConfigError("plant.den_factors", f"{factors} is not four positive multipliers")
-    sn = cfg["scenario"]
     plant_hz, controller_hz, reference_hz = (
         sn["plant_hz"], sn["controller_hz"], sn["reference_hz"])
     for key, hz in (("plant_hz", plant_hz), ("controller_hz", controller_hz),

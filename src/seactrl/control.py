@@ -5,8 +5,9 @@ disturbance observer (DOB): the observer passes the measured force through
 Q/P (inverse nominal plant made causal by a third-order low-pass Q) and
 the previous command through Q, and subtracts the two.  Q/P and Q are put
 over one continuous denominator before Tustin, so the observer is a single
-two-input discrete filter.  Its output, the disturbance estimate, is
-blended back with a gain ``gamma`` in [0, 1].  Upstream of the force loop
+two-input discrete filter.  ``DisturbanceObserver.step`` closes the blend
+u = u_c - gamma * d_hat with a gain ``gamma`` in [0, 1] and keeps u as the
+command the next estimate compares against.  Upstream of the force loop
 sit a virtual spring/damper (impedance) and leaky integration of desired
 accelerations.
 """
@@ -14,7 +15,7 @@ accelerations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,9 +184,9 @@ class DisturbanceObserver:
         d_hat = (N1(z) f_measured - N2(z) u_prev) / D(z),
 
     stepped as a transposed direct form II on Python floats with one state
-    value per order.  ``estimate`` consumes the current force measurement;
-    ``commit`` stores the command actually applied so the next estimate
-    compares against it.
+    value per order.  ``step`` estimates from the current force measurement,
+    subtracts ``gamma * d_hat`` from the command and keeps the result as
+    ``u_prev``, the command the next estimate compares against.
     """
 
     def __init__(self, inv_plant: DiscreteIirFilter, q: DiscreteIirFilter, gamma: float):
@@ -221,8 +222,10 @@ class DisturbanceObserver:
         self.d_hat = d
         return d
 
-    def commit(self, u: float) -> None:
-        self.u_prev = u
+    def step(self, u: float, f_measured: float) -> float:
+        """Return and keep the blended command u - gamma * d_hat."""
+        self.u_prev = u - self.gamma * self.estimate(f_measured)
+        return self.u_prev
 
     def reset(self) -> None:
         self._z[:] = [0.0] * len(self._z)
@@ -233,49 +236,31 @@ class DisturbanceObserver:
 class ForceController:
     """PID + feedforward + DOB force loop producing motor-current commands.
 
-    One instance per actuator; stateful, single-owner.  A non-finite input
+    ``k_ff`` is the feedforward current per unit of desired force.  One
+    instance per actuator; stateful, single-owner.  A non-finite input
     raises the ``fault`` flag and holds the previous command instead of
-    propagating NaN into the filters.
+    propagating NaN into the filters; ``reset`` clears it.
     """
 
-    def __init__(self, pid: DiscreteIirFilter, dob: DisturbanceObserver,
-                 k_ff: float, ff_scale: float = 1e-3):
+    def __init__(self, pid: DiscreteIirFilter, dob: DisturbanceObserver, k_ff: float):
         if pid.T != dob.T:
             raise ValueError("controller filters must share the sample period")
         self.pid = pid
         self.dob = dob
         self.k_ff = float(k_ff)
-        self.ff_scale = float(ff_scale)
-        self.u_prev = 0.0
         self.fault = False
-
-    @property
-    def gamma(self) -> float:
-        return self.dob.gamma
-
-    @property
-    def d_hat(self) -> float:
-        return self.dob.d_hat
 
     def step(self, f_desired: float, f_measured: float) -> float:
         """One control tick: returns the motor current command in amperes."""
         if not (math.isfinite(f_desired) and math.isfinite(f_measured)):
             self.fault = True
-            return self.u_prev
-        d_hat = self.dob.estimate(f_measured)
-        i_m = (
-            self.pid.step(f_desired - f_measured)
-            + self.k_ff * self.ff_scale * f_desired
-            - self.dob.gamma * d_hat
-        )
-        self.dob.commit(i_m)
-        self.u_prev = i_m
-        return i_m
+            return self.dob.u_prev
+        return self.dob.step(
+            self.pid.step(f_desired - f_measured) + self.k_ff * f_desired, f_measured)
 
     def reset(self) -> None:
         self.pid.reset()
         self.dob.reset()
-        self.u_prev = 0.0
         self.fault = False
 
 
@@ -308,16 +293,14 @@ def build_observer(dob: DobConfig, T: float) -> DisturbanceObserver:
     )
 
 
-def build_force_controller(pid: PidConfig, dob: DobConfig, k_ff: float, T: float,
-                           ff_scale: float = 1e-3) -> ForceController:
+def build_force_controller(pid: PidConfig, dob: DobConfig, k_ff: float,
+                           T: float) -> ForceController:
     """Discretize the loop components and assemble a ForceController.
 
     The PID comes from its rational form; the observer from ``build_observer``.
     """
-    observer = build_observer(dob, T)
     return ForceController(
         pid=bilinear_discretize(pid_transfer_function(pid), T),
-        dob=observer,
+        dob=build_observer(dob, T),
         k_ff=k_ff,
-        ff_scale=ff_scale,
     )

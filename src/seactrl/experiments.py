@@ -68,8 +68,7 @@ def _base_scenario(cfg: dict, reference: ReferenceSpec, **overrides) -> SimScena
         plant=_plant_config(cfg),
         pid=_pid_config(cfg),
         impedance=ImpedanceConfig(c["k"], c["b"]),
-        k_ff=c["k_ff"],
-        ff_scale=c["ff_current_scale"],
+        k_ff=c["k_ff"] * c["ff_current_scale"],
         omega_c=2.0 * math.pi * c["omega_c_hz"],
         gamma=c["gamma"],
         controller_hz=sn["controller_hz"],

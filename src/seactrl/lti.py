@@ -111,10 +111,6 @@ class ContinuousTransferFunction:
     def order(self) -> int:
         return self.den.size - 1
 
-    @property
-    def relative_degree(self) -> int:
-        return self.den.size - self.num.size
-
     def __call__(self, s):
         """Evaluate at a (complex) point or array of points."""
         return np.polyval(self.num, s) / np.polyval(self.den, s)
@@ -127,14 +123,6 @@ class ContinuousTransferFunction:
 
     def poles(self) -> np.ndarray:
         return np.roots(self.den)
-
-    def __mul__(self, other: "ContinuousTransferFunction") -> "ContinuousTransferFunction":
-        """Series composition as a single rational function."""
-        if not isinstance(other, ContinuousTransferFunction):
-            return NotImplemented
-        return ContinuousTransferFunction(
-            np.convolve(self.num, other.num), np.convolve(self.den, other.den)
-        )
 
     def __repr__(self):
         return (

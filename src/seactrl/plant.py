@@ -10,24 +10,24 @@ stiction dead-band on the effective input, and a hysteretic backlash play.
 
 The pendulum is the nonlinear 1-DoF load; scenarios couple it to the
 actuator through the small-angle testbed geometry q_a = l2 * theta and
-tau = l2 * f.  ``LseaPlant.advance_pendulum`` runs one controller step of
-the coupled substeps in a single loop: two RK4 half-substeps of the plant
-per RK4 step of the pendulum, which sees the force at its start, midpoint
-and end.  ``run_scenario`` executes the two-rate loop (reference rate /
-controller rate / plant substep rate) and returns a uniformly sampled log
-that serializes to CSV bit-reproducibly; a non-finite signal stops it with
-a ``SimulationFault`` that names the signal and the time.
+tau = l2 * f, the only coupling modelled.  ``LseaPlant.advance_pendulum``
+runs one controller step of the coupled substeps in a single loop: two RK4
+half-substeps of the plant per RK4 step of the pendulum, which sees the
+force at its start, midpoint and end.  ``run_scenario`` executes the
+two-rate loop (reference rate / controller rate / plant substep rate) and
+returns a uniformly sampled log that serializes to CSV bit-reproducibly; a
+non-finite signal stops it with a ``SimulationFault`` that names the signal
+and the time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .control import (
-    DisturbanceObserver,
     DobConfig,
     ForceController,
     ImpedanceConfig,
@@ -45,7 +45,6 @@ __all__ = [
     "nominal_lsea_tf",
     "BacklashPlay",
     "LseaPlant",
-    "PendulumState",
     "pendulum_step",
     "free_oscillation_frequency",
     "PlantConfig",
@@ -101,9 +100,6 @@ class BacklashPlay:
             self.output = x + half
         return self.output
 
-    def reset(self, output: float = 0.0) -> None:
-        self.output = output
-
 
 class LseaPlant:
     """Perturbable realization of the third-order actuator model.
@@ -125,8 +121,8 @@ class LseaPlant:
             raise ValueError("den_factors must be four positive multipliers")
         if gain_factor <= 0.0:
             raise ValueError("gain_factor must be positive")
-        if stiction_breakaway < 0.0 or stiction_velocity_deadband < 0.0:
-            raise ValueError("stiction parameters must be non-negative")
+        if min(stiction_breakaway, stiction_velocity_deadband, backlash) < 0.0:
+            raise ValueError("stiction and backlash parameters must be non-negative")
         den = np.asarray(NOMINAL_DEN) * factors
         gain = NOMINAL_NUM[0] * gain_factor
         self.tf = ContinuousTransferFunction([gain], den)
@@ -141,11 +137,6 @@ class LseaPlant:
 
     def dc_gain(self) -> float:
         return self.tf.dc_gain()
-
-    def reset(self) -> None:
-        self._x0 = self._x1 = self._x2 = 0.0
-        if self._play is not None:
-            self._play.reset()
 
     def _coeffs(self, dt: float) -> tuple:
         cached = self._step_cache.get(dt)
@@ -169,10 +160,6 @@ class LseaPlant:
         coeffs = (*M.ravel(), *(N @ B))
         self._step_cache[dt] = coeffs
         return coeffs
-
-    def step(self, i_m: float, dt: float) -> float:
-        """Advance one RK4 substep with held input; returns the output force."""
-        return self.advance(i_m, dt, 1)
 
     def advance(self, i_m: float, dt: float, substeps: int) -> float:
         """Advance ``substeps`` equal RK4 substeps with held input."""
@@ -205,17 +192,18 @@ class LseaPlant:
         return y
 
     def advance_pendulum(self, i_m: float, f_o: float, theta: float, theta_dot: float,
-                         dt: float, substeps: int, pend) -> tuple[float, float, float]:
+                         dt: float, substeps: int,
+                         pend: PendulumConfig) -> tuple[float, float, float]:
         """Advance ``substeps`` substeps of size ``dt`` with the pendulum coupled.
 
-        ``f_o`` is the output force at the start of the call and ``pend`` any
-        object with the ``PendulumConfig`` fields.  Each substep is two RK4
-        half-substeps of the plant, so the pendulum's RK4 sees the force at
-        its start, midpoint and end and the one-way coupling stays 4th
-        order.  The result is bit-identical to two ``advance(i_m, dt / 2, 1)``
-        calls and one ``pendulum_step``-style RK4 per substep.  Returns the
-        output force and the pendulum angle and rate after the last substep;
-        a ``ValueError`` from ``math`` means the angle became infinite.
+        ``f_o`` is the output force at the start of the call.  Each substep
+        is two RK4 half-substeps of the plant, so the pendulum's RK4 sees the
+        force at its start, midpoint and end and the one-way coupling stays
+        4th order.  The result is bit-identical to two
+        ``advance(i_m, dt / 2, 1)`` calls and one pendulum RK4 on the three
+        force samples per substep.  Returns the output force and the pendulum angle and rate
+        after the last substep; a ``ValueError`` from ``math`` means the angle
+        became infinite.
         """
         if dt <= 0.0:
             raise ValueError("substep must be positive")
@@ -227,7 +215,7 @@ class LseaPlant:
         u = float(i_m)
         brk = self.stiction_breakaway
         stuck_input = brk > 0.0 and abs(u) < brk
-        m, l1, l2, g, c, trig = pend.m, pend.l1, pend.l2, pend.g, pend.damping, pend.trig_coupling
+        m, l1, l2, g, c = pend.m, pend.l1, pend.l2, pend.g, pend.damping
         for half in range(2 * substeps):
             if stuck_input and abs(cy * x1) < vdead:
                 ue = 0.0
@@ -243,7 +231,7 @@ class LseaPlant:
                 y = play.step(y)
             if half & 1:
                 theta, theta_dot = _pend_rk4_forced(theta, theta_dot, f_o, f_mid, y, dt,
-                                                    m, l1, l2, g, c, trig)
+                                                    m, l1, l2, g, c)
                 f_o = y
             else:
                 f_mid = y
@@ -251,67 +239,38 @@ class LseaPlant:
         return f_o, theta, theta_dot
 
 
-@dataclass
-class PendulumState:
-    """Weighted-pendulum state and parameters.
-
-    tau = l2 * f drives  m l1^2 theta'' = tau - m g l1 sin(theta) - c theta'.
-    """
-
-    theta: float = 0.0
-    theta_dot: float = 0.0
-    m: float = 10.0
-    l1: float = 0.33
-    l2: float = 0.07
-    g: float = 9.81
-    damping: float = 0.0
-
-    def __post_init__(self):
-        if min(self.m, self.l1, self.l2) <= 0.0:
-            raise ValueError("m, l1, l2 must be positive")
-
-    def energy(self) -> float:
-        """Total mechanical energy (datum at the hanging equilibrium)."""
-        return (0.5 * self.m * self.l1**2 * self.theta_dot**2
-                + self.m * self.g * self.l1 * (1.0 - math.cos(self.theta)))
-
-
-def _pend_rk4_forced(theta, omega, f_0, f_mid, f_1, dt, m, l1, l2, g, c, trig):
-    """RK4 step with the actuator force sampled at the stage times.
-
-    The drive torque is l2 * f, or l2 * cos(theta) * f with the full
-    trigonometric coupling.
-    """
+def _pend_rk4_forced(theta, omega, f_0, f_mid, f_1, dt, m, l1, l2, g, c):
+    """RK4 step of m l1^2 theta'' = l2 f - m g l1 sin(theta) - c theta' with the
+    actuator force sampled at the stage times."""
     inertia = m * l1 * l1
     mgl = m * g * l1
     h = 0.5 * dt
     # stage k has angle th_k, rate k_kt and acceleration k_kw (written out,
     # not as a nested function: this runs once per 20 kHz plant substep)
-    k1w = ((l2 * math.cos(theta) if trig else l2) * f_0
-           - mgl * math.sin(theta) - c * omega) / inertia
+    k1w = (l2 * f_0 - mgl * math.sin(theta) - c * omega) / inertia
     th2 = theta + h * omega
     k2t = omega + h * k1w
-    k2w = ((l2 * math.cos(th2) if trig else l2) * f_mid
-           - mgl * math.sin(th2) - c * k2t) / inertia
+    k2w = (l2 * f_mid - mgl * math.sin(th2) - c * k2t) / inertia
     th3 = theta + h * k2t
     k3t = omega + h * k2w
-    k3w = ((l2 * math.cos(th3) if trig else l2) * f_mid
-           - mgl * math.sin(th3) - c * k3t) / inertia
+    k3w = (l2 * f_mid - mgl * math.sin(th3) - c * k3t) / inertia
     th4 = theta + dt * k3t
     k4t = omega + dt * k3w
-    k4w = ((l2 * math.cos(th4) if trig else l2) * f_1
-           - mgl * math.sin(th4) - c * k4t) / inertia
+    k4w = (l2 * f_1 - mgl * math.sin(th4) - c * k4t) / inertia
     return (theta + dt / 6.0 * (omega + 2.0 * k2t + 2.0 * k3t + k4t),
             omega + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w))
 
 
-def pendulum_step(s: PendulumState, f_actuator: float, dt: float) -> PendulumState:
-    """One RK4 step of the pendulum driven by actuator force ``f_actuator``."""
+def pendulum_step(p: PendulumConfig, theta: float, theta_dot: float,
+                  f_actuator: float, dt: float) -> tuple[float, float]:
+    """One RK4 step of the pendulum driven by actuator force ``f_actuator``.
+
+    Returns the angle and rate after ``dt``.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    th, w = _pend_rk4_forced(s.theta, s.theta_dot, f_actuator, f_actuator, f_actuator,
-                             dt, s.m, s.l1, s.l2, s.g, s.damping, False)
-    return replace(s, theta=th, theta_dot=w)
+    return _pend_rk4_forced(theta, theta_dot, f_actuator, f_actuator, f_actuator,
+                            dt, p.m, p.l1, p.l2, p.g, p.damping)
 
 
 def free_oscillation_frequency(theta0: float = 0.1, duration: float = 30.0,
@@ -328,7 +287,7 @@ def free_oscillation_frequency(theta0: float = 0.1, duration: float = 30.0,
     n = int(round(duration / dt))
     for _ in range(n):
         th_next, w_next = _pend_rk4_forced(th, w, 0.0, 0.0, 0.0, dt, m, l1, 1.0, g,
-                                           damping, False)
+                                           damping)
         if th != 0.0 and (th_next == 0.0 or (th > 0.0) != (th_next > 0.0)):
             crossings.append(t + dt * th / (th - th_next))
         th, w = th_next, w_next
@@ -360,11 +319,10 @@ class PlantConfig:
 
 @dataclass
 class PendulumConfig:
-    """Pendulum parameters for a scenario.
+    """Weighted-pendulum parameters and initial state for a scenario.
 
-    ``trig_coupling`` switches the actuator coupling from the small-angle
-    testbed geometry (q_a = l2 theta, tau = l2 f) to the full trigonometric
-    form (q_a = l2 sin(theta), tau = l2 cos(theta) f).
+    tau = l2 * f drives  m l1^2 theta'' = tau - m g l1 sin(theta) - c theta',
+    and the actuator sees q_a = l2 * theta (small-angle testbed geometry).
     """
 
     m: float = 10.0
@@ -374,22 +332,25 @@ class PendulumConfig:
     damping: float = 0.0
     theta0: float = 0.0
     theta_dot0: float = 0.0
-    trig_coupling: bool = False
+
+    def __post_init__(self):
+        if min(self.m, self.l1, self.l2) <= 0.0:
+            raise ValueError("m, l1, l2 must be positive")
 
 
 @dataclass
 class ReferenceSpec:
     """Reference signal for a scenario.
 
-    kinds: ``zero`` (hold zero force), ``force_step`` (desired force step of
-    ``step_value`` at ``step_time``), ``current_chirp`` (open-loop / DOB-loop
-    current excitation), ``position_chirp`` (joint-space linear chirp through
-    the full controller).  Current chirps may be linear (``omega_o``) or
-    exponential (``f_start``/``f_end``).  ``SimScenario.validate`` checks
-    chirps against their generating rate.
+    kinds: ``force_step`` (desired force step of ``step_value`` at
+    ``step_time``; the default holds zero force), ``current_chirp``
+    (open-loop / DOB-loop current excitation), ``position_chirp``
+    (joint-space linear chirp through the full controller).  Current chirps
+    may be linear (``omega_o``) or exponential (``f_start``/``f_end``).
+    ``SimScenario.validate`` checks chirps against their generating rate.
     """
 
-    kind: str = "zero"
+    kind: str = "force_step"
     amplitude: float = 1.0
     omega_o: float | None = None
     f_start: float | None = None
@@ -398,7 +359,7 @@ class ReferenceSpec:
     step_time: float = 0.0
 
     def __post_init__(self):
-        kinds = ("zero", "force_step", "current_chirp", "position_chirp")
+        kinds = ("force_step", "current_chirp", "position_chirp")
         if self.kind not in kinds:
             raise ValueError(f"reference kind must be one of {kinds}")
 
@@ -413,8 +374,7 @@ class SimScenario:
     pendulum: PendulumConfig | None = None
     pid: PidConfig = field(default_factory=lambda: PidConfig(2.0, 4.0, 0.0, 3.5e-3))
     impedance: ImpedanceConfig = field(default_factory=lambda: ImpedanceConfig(40.0, 5.0))
-    k_ff: float = 3.2
-    ff_scale: float = 1e-3
+    k_ff: float = 3.2e-3  # feedforward current per unit desired force
     omega_c: float = 2.0 * math.pi * 25.0
     gamma: float = 1.0
     controller_hz: int = 1000
@@ -522,13 +482,13 @@ def run_scenario(sc: SimScenario) -> SimLog:
         pmap = None
     est_play = BacklashPlay(sc.estimate_backlash_m) if sc.estimate_backlash_m > 0.0 else None
 
-    fc: ForceController | None = None
-    dob: DisturbanceObserver | None = None
     dob_cfg = DobConfig(sc.omega_c, sc.gamma, nominal_lsea_tf())
+    fc: ForceController | None = None
     if ref.kind == "current_chirp":
         dob = build_observer(dob_cfg, T)
     else:
-        fc = build_force_controller(sc.pid, dob_cfg, sc.k_ff, T, ff_scale=sc.ff_scale)
+        fc = build_force_controller(sc.pid, dob_cfg, sc.k_ff, T)
+        dob = fc.dob
 
     # one row per log column, so each column is a contiguous float64 array
     data = np.zeros((len(LOG_COLUMNS), n_steps))
@@ -546,9 +506,6 @@ def run_scenario(sc: SimScenario) -> SimLog:
                 raise SimulationFault(t, "theta")
             elif not math.isfinite(theta_dot):
                 raise SimulationFault(t, "theta_dot")
-            elif pend.trig_coupling:
-                q_hat_a_j = pend.l2 * math.sin(theta)
-                qdot_hat_a = pend.l2 * math.cos(theta) * theta_dot
             else:
                 q_hat_a_j = pend.l2 * theta
                 qdot_hat_a = pend.l2 * theta_dot
@@ -566,25 +523,18 @@ def run_scenario(sc: SimScenario) -> SimLog:
                 f_d = impedance_step(sc.impedance, q_a_d, qdot_a_d,
                                      q_hat_a_m, qdot_hat_a, f_ff)
                 i_m = fc.step(f_d, f_o)
-                d_hat = fc.d_hat
             elif ref.kind == "force_step":
                 f_d = ref.step_value if t >= ref.step_time else 0.0
                 i_m = fc.step(f_d, f_o)
-                d_hat = fc.d_hat
-            elif ref.kind == "current_chirp":
+            else:  # current_chirp: open loop around the observer blend
                 if ref.f_start is not None:
                     u_c, _ = exponential_chirp_point(ref.amplitude, ref.f_start,
                                                      ref.f_end, sc.duration_s, t)
                 else:
                     u_c, _, _ = linear_chirp_point(ref.amplitude, ref.omega_o, t)
-                d_hat = dob.estimate(f_o)
-                i_m = u_c - dob.gamma * d_hat
-                dob.commit(i_m)
+                i_m = dob.step(u_c, f_o)
                 f_d = 0.0
-            else:  # zero
-                f_d = 0.0
-                i_m = fc.step(f_d, f_o)
-                d_hat = fc.d_hat
+            d_hat = dob.d_hat
 
             data[:, k] = (t, ref_pos, q_a_d, qdot_a_d, f_d, f_o, i_m, d_hat,
                           theta, theta_dot, q_hat_a_m, q_hat_a_j)
@@ -600,7 +550,7 @@ def run_scenario(sc: SimScenario) -> SimLog:
                 try:
                     f_o, theta, theta_dot = plant.advance_pendulum(
                         i_m, f_o, theta, theta_dot, dt_sub, n_sub, pend)
-                except ValueError:  # math.sin/cos of an infinite angle
+                except ValueError:  # math.sin of an infinite angle
                     raise SimulationFault(t, "theta") from None
             else:
                 f_o = plant.advance(i_m, dt_sub, n_sub)

@@ -22,9 +22,7 @@ __all__ = [
     "FitError",
     "ChirpSpec",
     "TimeSeries",
-    "ChirpSignal",
     "FitResult",
-    "chirp",
     "linear_chirp_point",
     "linear_chirp_freq_hz",
     "exponential_chirp_point",
@@ -35,6 +33,9 @@ __all__ = [
 ]
 
 _CSV_BLOCK_ROWS = 512  # rows formatted per write; bounds the transient list memory
+# an FRF bin whose input auto-spectrum is below this fraction of the
+# spectral peak carries no input energy and is flagged invalid
+_SPECTRUM_FLOOR = 1e-12
 
 
 class FitError(RuntimeError):
@@ -134,21 +135,6 @@ class ChirpSpec:
                 raise NyquistError("exponential chirp endpoint at or above Nyquist")
 
 
-@dataclass
-class ChirpSignal:
-    """Sampled chirp with instantaneous frequency and, for linear sweeps,
-    closed-form velocity and acceleration series."""
-
-    position: TimeSeries
-    inst_freq_hz: np.ndarray
-    velocity: TimeSeries | None = None
-    acceleration: TimeSeries | None = None
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.position.t
-
-
 def linear_chirp_point(amplitude: float, omega_o: float, t: float):
     """Position, velocity, acceleration of A*sin(w_o t^2) at time ``t``."""
     ph = omega_o * t * t
@@ -174,41 +160,14 @@ def exponential_chirp_point(amplitude: float, f_start: float, f_end: float,
     return amplitude * math.sin(phase), f_start * math.exp(lnk * t)
 
 
-def chirp(spec: ChirpSpec) -> ChirpSignal:
-    """Sample a chirp on its grid; samples are exact at grid points."""
-    n = int(math.floor(spec.duration / spec.sample_period)) + 1
-    t = np.arange(n) * spec.sample_period
-    if spec.kind == "linear":
-        ph = spec.omega_o * t * t
-        pos = spec.amplitude * np.sin(ph)
-        vel = 2.0 * spec.amplitude * spec.omega_o * t * np.cos(ph)
-        acc = (2.0 * spec.amplitude * spec.omega_o * np.cos(ph)
-               - 4.0 * spec.amplitude * spec.omega_o**2 * t * t * np.sin(ph))
-        return ChirpSignal(
-            position=TimeSeries(spec.sample_period, pos),
-            inst_freq_hz=spec.omega_o * t / np.pi,
-            velocity=TimeSeries(spec.sample_period, vel),
-            acceleration=TimeSeries(spec.sample_period, acc),
-        )
-    if spec.f_end == spec.f_start:
-        pos = spec.amplitude * np.sin(2.0 * np.pi * spec.f_start * t)
-        freq = np.full(n, spec.f_start)
-    else:
-        lnk = math.log(spec.f_end / spec.f_start) / spec.duration
-        phase = 2.0 * np.pi * spec.f_start * (np.exp(lnk * t) - 1.0) / lnk
-        pos = spec.amplitude * np.sin(phase)
-        freq = spec.f_start * np.exp(lnk * t)
-    return ChirpSignal(position=TimeSeries(spec.sample_period, pos), inst_freq_hz=freq)
-
-
-def empirical_frf(u: TimeSeries, y: TimeSeries, freqs_hz, segments: int = 8,
-                  spectrum_floor: float = 1e-12) -> FrequencyResponse:
+def empirical_frf(u: TimeSeries, y: TimeSeries, freqs_hz,
+                  segments: int = 8) -> FrequencyResponse:
     """H1 frequency-response estimate of y relative to u.
 
     The records are split into ``segments`` Hann-windowed segments with 50%
     overlap; the estimate at each requested frequency is read from the
     nearest FFT bin.  Bins whose input auto-spectrum falls below
-    ``spectrum_floor`` times the spectral peak are flagged invalid (NaN
+    ``_SPECTRUM_FLOOR`` times the spectral peak are flagged invalid (NaN
     value) rather than fabricated.  Coherence is reported per bin.
     """
     if u.sample_period != y.sample_period:
@@ -241,7 +200,7 @@ def empirical_frf(u: TimeSeries, y: TimeSeries, freqs_hz, segments: int = 8,
         start += step
 
     bins = np.fft.rfftfreq(seg, T)
-    floor = spectrum_floor * puu.max()
+    floor = _SPECTRUM_FLOOR * puu.max()
     idx = np.array([int(np.argmin(np.abs(bins - fk))) for fk in f])
     valid = puu[idx] > floor
     values = np.full(f.size, np.nan + 1j * np.nan)
@@ -265,7 +224,7 @@ class FitResult:
 
 
 def fit_rational(frf: FrequencyResponse, num_order: int, den_order: int,
-                 sk_iterations: int = 0, weights=None) -> FitResult:
+                 sk_iterations: int = 0) -> FitResult:
     """Fit num/den polynomial coefficients to a frequency response.
 
     Solves the Levy linearization min ||N(jw) - H D(jw)|| with the leading
@@ -287,7 +246,6 @@ def fit_rational(frf: FrequencyResponse, num_order: int, den_order: int,
             f"need at least {2 * n_unknown} valid bins for orders "
             f"({num_order}, {den_order}); got {w.size}"
         )
-    wgt = np.ones(w.size) if weights is None else np.asarray(weights, float)[mask]
 
     w_med = float(np.median(w))
     s = 1j * (w / w_med)
@@ -295,11 +253,10 @@ def fit_rational(frf: FrequencyResponse, num_order: int, den_order: int,
     num_cols = np.column_stack([s ** (m - j) for j in range(m + 1)])
     den_cols = np.column_stack([s ** (n - i) for i in range(1, n + 1)]) if n else None
 
-    extra = np.ones(w.size)
+    scale = np.ones(w.size)  # Sanathanan-Koerner weights 1/|D_prev(jw)|
     cond = 0.0
     sol = None
     for _ in range(max(1, sk_iterations + 1)):
-        scale = wgt * extra
         if den_cols is not None:
             a_mat = np.hstack([num_cols, -(h[:, None]) * den_cols])
         else:
@@ -317,7 +274,7 @@ def fit_rational(frf: FrequencyResponse, num_order: int, den_order: int,
         if den_cols is not None:
             den_scaled = np.concatenate([[1.0], sol[m + 1:]])
             with np.errstate(divide="ignore"):
-                extra = 1.0 / np.maximum(np.abs(np.polyval(den_scaled, s)), 1e-300)
+                scale = 1.0 / np.maximum(np.abs(np.polyval(den_scaled, s)), 1e-300)
 
     num_scaled = sol[:m + 1]
     den_scaled = np.concatenate([[1.0], sol[m + 1:]])

@@ -72,17 +72,13 @@ def observer_reference(inv_plant, q, f_measured, u_prev):
             - lfilter(q.a_hat, q.den, u_prev))
 
 
-def _closure_pendulum_rk4(theta, omega, f_0, f_mid, f_1, dt, m, l1, l2, g, c, trig):
+def _closure_pendulum_rk4(theta, omega, f_0, f_mid, f_1, dt, m, l1, l2, g, c):
     """The pendulum RK4 as first written: one nested acceleration function."""
     inertia = m * l1 * l1
     mgl = m * g * l1
 
-    if trig:
-        def acc(th, w, f):
-            return (l2 * math.cos(th) * f - mgl * math.sin(th) - c * w) / inertia
-    else:
-        def acc(th, w, f):
-            return (l2 * f - mgl * math.sin(th) - c * w) / inertia
+    def acc(th, w, f):
+        return (l2 * f - mgl * math.sin(th) - c * w) / inertia
 
     k1t, k1w = omega, acc(theta, omega, f_0)
     k2t = omega + 0.5 * dt * k1w
@@ -107,7 +103,7 @@ def pendulum_substeps_reference(plant, i_m, f_o, theta, theta_dot, dt, substeps,
         f_o = plant.advance(i_m, 0.5 * dt, 1)
         theta, theta_dot = _closure_pendulum_rk4(
             theta, theta_dot, f_start, f_mid, f_o, dt,
-            pend.m, pend.l1, pend.l2, pend.g, pend.damping, pend.trig_coupling)
+            pend.m, pend.l1, pend.l2, pend.g, pend.damping)
     return f_o, theta, theta_dot
 
 
@@ -116,9 +112,8 @@ def coupled_ode_reference(num, den, pend, inputs, T):
 
     The actuator is ``num / den`` (constant numerator) in controllable
     canonical form, the pendulum obeys
-    m l1^2 theta'' = arm * f - m g l1 sin(theta) - c theta'
-    with arm l2, or l2 cos(theta) with the trigonometric coupling, and each
-    input is held for one period ``T``.  Returns the force, angle and rate
+    m l1^2 theta'' = l2 f - m g l1 sin(theta) - c theta'
+    and each input is held for one period ``T``.  Returns the force, angle and rate
     at the end of every period, each as an array.
     """
     from scipy.integrate import solve_ivp
@@ -131,9 +126,8 @@ def coupled_ode_reference(num, den, pend, inputs, T):
     def rhs(_t, s, u):
         x0, x1, x2, th, w = s
         f = cy * x0
-        arm = pend.l2 * math.cos(th) if pend.trig_coupling else pend.l2
         return [x1, x2, u - a[3] * x0 - a[2] * x1 - a[1] * x2,
-                w, (arm * f - mgl * math.sin(th) - pend.damping * w) / inertia]
+                w, (pend.l2 * f - mgl * math.sin(th) - pend.damping * w) / inertia]
 
     state = [0.0, 0.0, 0.0, pend.theta0, pend.theta_dot0]
     out = []

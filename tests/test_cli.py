@@ -103,6 +103,18 @@ class TestCliCommands:
         ("scenario", "controller_hz", "300"),
         ("scenario", "duration_s", "-1"),
         ("control", "omega_c_hz", "600"),
+        ("plant", "backlash", "-1"),
+        ("plant", "gain_factor", "0"),
+        ("plant", "stiction_breakaway", "-1"),
+        ("pendulum", "m", "0"),
+        ("pendulum", "l1", "0"),
+        ("pendulum", "l2", "0"),
+        ("pendulum", "g", "-9.81"),
+        ("scenario", "kd_sweep", "0.0, -0.5"),
+        ("scenario", "amplitudes", "1.0, 0"),
+        ("scenario", "leaky_dt", "0"),
+        ("scenario", "leaky_input_end", "0.06"),
+        ("scenario", "alphas", "0.5, 2"),
     ])
     def test_unrunnable_value_exits_2(self, tmp_path, capsys, section, key, value):
         bad = write(tmp_path, "bad.ini", f"[{section}]\n{key} = {value}\n")

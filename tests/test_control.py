@@ -111,26 +111,25 @@ class TestBuildForceController:
     def test_cutoff_above_nyquist_rejected(self):
         dob = DobConfig(2 * np.pi * 600.0, 1.0, nominal_lsea_tf())
         with pytest.raises(NyquistError):
-            build_force_controller(front_hip_pid(), dob, 3.2, T)
+            build_force_controller(front_hip_pid(), dob, 3.2e-3, T)
 
     def test_plant_relative_degree_above_q_order_rejected(self):
         # 1/s^4 cannot be made causal behind a 3rd-order Q
         from seactrl.lti import ContinuousTransferFunction
         plant = ContinuousTransferFunction([1.0], [1.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(CausalityError):
-            build_force_controller(front_hip_pid(), DobConfig(100.0, 1.0, plant), 3.2, T)
+            build_force_controller(front_hip_pid(), DobConfig(100.0, 1.0, plant), 3.2e-3, T)
 
     def test_filters_share_period(self):
         fc = build_force_controller(
-            front_hip_pid(), DobConfig(2 * np.pi * 25, 0.8, nominal_lsea_tf()), 3.2, T)
+            front_hip_pid(), DobConfig(2 * np.pi * 25, 0.8, nominal_lsea_tf()), 3.2e-3, T)
         assert fc.pid.T == fc.dob.T == T
 
 
 class TestForceControlStep:
-    def make(self, gamma, k_ff=3.2, ff_scale=1e-3):
+    def make(self, gamma, k_ff=3.2e-3):
         return build_force_controller(
-            front_hip_pid(), DobConfig(2 * np.pi * 25.0, gamma, nominal_lsea_tf()),
-            k_ff, T, ff_scale=ff_scale)
+            front_hip_pid(), DobConfig(2 * np.pi * 25.0, gamma, nominal_lsea_tf()), k_ff, T)
 
     def test_rest_state(self):
         fc = self.make(0.8)
@@ -158,27 +157,26 @@ class TestForceControlStep:
         assert fc.step(10.0, np.inf) == u1
 
     def test_dob_null_on_nominal_plant(self):
-        # feed the observer a force generated by stepping the discretized
-        # nominal plant on the previous command: the estimate stays at the
-        # rounding floor
+        # close the observer blend around the discretized nominal plant: the
+        # force it measures comes from the previous blended command, so the
+        # estimate stays at the rounding floor
         fc = self.make(1.0)
         plant_d = bilinear_discretize(nominal_lsea_tf(), T)
         rng = np.random.default_rng(3)
-        u_prev = 0.0
+        i_m = 0.0
         worst = 0.0
         for _ in range(2000):
-            f = plant_d.step(u_prev)
-            u_prev = 0.5 * np.sin(0.3 * _ * T * 2 * np.pi) + 0.1 * rng.normal()
-            fc.dob.estimate(f)
-            fc.dob.commit(u_prev)
-            worst = max(worst, abs(fc.d_hat))
+            f = plant_d.step(i_m)
+            u_c = 0.5 * np.sin(0.3 * _ * T * 2 * np.pi) + 0.1 * rng.normal()
+            i_m = fc.dob.step(u_c, f)
+            worst = max(worst, abs(fc.dob.d_hat))
         assert worst < 1e-9
 
     def test_reset(self):
         fc = self.make(0.8)
         fc.step(100.0, 20.0)
         fc.reset()
-        assert fc.u_prev == 0.0 and not fc.fault
+        assert fc.dob.u_prev == 0.0 and not fc.fault
         assert fc.step(0.0, 0.0) == 0.0
 
 
@@ -206,11 +204,13 @@ class TestDisturbanceObserver:
             np.convolve(q.num, plant.den), np.convolve(q.den, plant.num)), T)
         dob = build_observer(cfg, T)
         rng = np.random.default_rng(17)
-        f, u = rng.normal(size=(2, 10_000))
-        got = np.empty(f.size)
+        f, u_c = rng.normal(size=(2, 10_000))
+        got, u = np.empty(f.size), np.empty(f.size)
         for k in range(f.size):
-            got[k] = dob.estimate(float(f[k]))
-            dob.commit(float(u[k]))
+            u[k] = dob.step(float(u_c[k]), float(f[k]))
+            got[k] = dob.d_hat
+        # step blends in the estimate and keeps the result as the next u_prev
+        assert np.array_equal(u, u_c - cfg.gamma * got)
         ref = observer_reference(inv_plant, bilinear_discretize(q, T), f,
                                  np.concatenate(([0.0], u[:-1])))
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))

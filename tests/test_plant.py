@@ -10,7 +10,6 @@ from seactrl.plant import (
     BacklashPlay,
     LseaPlant,
     PendulumConfig,
-    PendulumState,
     PlantConfig,
     ReferenceSpec,
     SimLog,
@@ -29,14 +28,14 @@ from oracles import coupled_ode_reference, pendulum_substeps_reference
 class TestLseaPlant:
     def test_zero_input_equilibrium(self):
         p = LseaPlant()
-        assert all(p.step(0.0, 1e-3) == 0.0 for _ in range(100))
+        assert all(p.advance(0.0, 1e-3, 1) == 0.0 for _ in range(100))
 
     def test_unperturbed_dc_gain(self):
         p = LseaPlant()
         assert p.dc_gain() == pytest.approx(208.8 / 987.0, rel=1e-12)
         f = 0.0
         for _ in range(4000):
-            f = p.step(1.0, 1e-3)
+            f = p.advance(1.0, 1e-3, 1)
         assert f == pytest.approx(208.8 / 987.0, rel=1e-6)
 
     def test_step_matches_dense_rk4_oracle(self):
@@ -57,19 +56,19 @@ class TestLseaPlant:
             k3 = deriv(x + 0.5 * dt * k2, u)
             k4 = deriv(x + dt * k3, u)
             x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            got = p.step(u, dt)
+            got = p.advance(u, dt, 1)
         assert got == pytest.approx(cy * x[0], rel=1e-12)
 
     def test_stiction_holds_below_breakaway(self):
         p = LseaPlant(stiction_breakaway=0.3, stiction_velocity_deadband=0.1)
-        out = [p.step(0.2, 1e-3) for _ in range(2000)]
+        out = [p.advance(0.2, 1e-3, 1) for _ in range(2000)]
         assert max(abs(v) for v in out) == 0.0
 
     def test_stiction_breaks_away(self):
         p = LseaPlant(stiction_breakaway=0.3, stiction_velocity_deadband=0.1)
         f = 0.0
         for _ in range(3000):
-            f = p.step(1.0, 1e-3)
+            f = p.advance(1.0, 1e-3, 1)
         assert f == pytest.approx(208.8 / 987.0, rel=1e-4)
 
     def test_perturbation_scales_dc_gain(self):
@@ -83,6 +82,24 @@ class TestLseaPlant:
             LseaPlant(den_factors=(1.0, 0.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             LseaPlant(gain_factor=-1.0)
+        with pytest.raises(ValueError):
+            LseaPlant(backlash=-1.0)
+
+    @pytest.mark.parametrize("plant_hz, bound", [(1000, 1e-6), (5000, 1e-8), (20000, 1e-8)])
+    def test_linear_limit_matches_lsim(self, plant_hz, bound):
+        # without stiction or backlash the plant is the nominal LTI model, so
+        # its RK4 substeps must track scipy's exact zero-order-hold solution;
+        # y_ref[k + 1] is the output after input k was held for one period
+        signal = pytest.importorskip("scipy.signal")
+        rng = np.random.default_rng(23)
+        u = rng.uniform(-1.0, 1.0, 2000)
+        T = 1e-3
+        tf = nominal_lsea_tf()
+        _, y_ref, _ = signal.lsim((tf.num, tf.den), np.append(u, 0.0),
+                                  np.arange(u.size + 1) * T, interp=False)
+        p = LseaPlant()
+        got = np.array([p.advance(u_k, 1.0 / plant_hz, plant_hz // 1000) for u_k in u])
+        assert np.max(np.abs(got - y_ref[1:])) <= bound * np.max(np.abs(y_ref))
 
     def test_linear_limit_matches_analytic_response(self):
         # open-loop chirp through the clean plant vs the analytic bode
@@ -110,11 +127,10 @@ class TestAdvancePendulum:
         dict(stiction_breakaway=150.0, stiction_velocity_deadband=500.0),
         dict(stiction_breakaway=150.0, stiction_velocity_deadband=500.0, backlash=0.5),
         dict(),
-    ], ids=["stiction", "stiction-backlash", "default-stiction"])
-    @pytest.mark.parametrize("trig", [False, True], ids=["linear", "trig"])
-    def test_bit_identical_to_one_substep_composition(self, plant_kwargs, trig):
+    ], ids=["stiction", "backlash", "default"])
+    def test_bit_identical_to_one_substep_composition(self, plant_kwargs):
         rng = np.random.default_rng(11)
-        pend = PendulumConfig(damping=0.05, trig_coupling=trig)
+        pend = PendulumConfig(damping=0.05)
         fused, composed = self._plant(plant_kwargs), self._plant(plant_kwargs)
         got = want = (0.0, 0.1, 0.0)
         for i_m in rng.uniform(-300.0, 300.0, 2000):
@@ -123,11 +139,10 @@ class TestAdvancePendulum:
                                                self.N_SUB, pend)
             assert got == want
 
-    @pytest.mark.parametrize("trig", [False, True], ids=["linear", "trig"])
-    def test_matches_solve_ivp_on_joint_ode(self, trig):
+    def test_matches_solve_ivp_on_joint_ode(self):
         pytest.importorskip("scipy")
         rng = np.random.default_rng(5)
-        pend = PendulumConfig(damping=0.05, trig_coupling=trig)
+        pend = PendulumConfig(damping=0.05)
         inputs = rng.uniform(-100.0, 100.0, 200)
         plant = LseaPlant()
         f_o, theta, theta_dot = 0.0, pend.theta0, pend.theta_dot0
@@ -167,8 +182,8 @@ class TestBacklashPlay:
         out = 0.0
         for k in range(6000):
             u = np.sin(2 * np.pi * 0.7 * k * 1e-3)
-            f = p.step(u, 1e-3)
-            f_lin = ref.step(u, 1e-3)
+            f = p.advance(u, 1e-3, 1)
+            f_lin = ref.advance(u, 1e-3, 1)
             if f_lin - out > w / 2:
                 out = f_lin - w / 2
             elif out - f_lin > w / 2:
@@ -176,21 +191,26 @@ class TestBacklashPlay:
             assert f == out
 
 
+def pendulum_energy(p, theta, theta_dot):
+    """Total mechanical energy (datum at the hanging equilibrium)."""
+    return (0.5 * p.m * p.l1**2 * theta_dot**2
+            + p.m * p.g * p.l1 * (1.0 - math.cos(theta)))
+
+
 class TestPendulum:
     def test_rest_equilibrium(self):
-        s = PendulumState()
-        s2 = pendulum_step(s, 0.0, 1e-3)
-        assert s2.theta == 0.0 and s2.theta_dot == 0.0
+        assert pendulum_step(PendulumConfig(), 0.0, 0.0, 0.0, 1e-3) == (0.0, 0.0)
 
     def test_static_hold_force_is_equilibrium(self):
         # f = m g l1 sin(0.1) / l2 holds the pendulum exactly at 0.1 rad
-        s = PendulumState(theta=0.1)
-        f_hold = s.m * s.g * s.l1 * math.sin(0.1) / s.l2
+        p = PendulumConfig()
+        f_hold = p.m * p.g * p.l1 * math.sin(0.1) / p.l2
         assert f_hold == pytest.approx(46.17, abs=0.01)
+        th, w = 0.1, 0.0
         for _ in range(2000):
-            s = pendulum_step(s, f_hold, 5e-4)
-        assert s.theta == pytest.approx(0.1, abs=1e-12)
-        assert abs(s.theta_dot) < 1e-12
+            th, w = pendulum_step(p, th, w, f_hold, 5e-4)
+        assert th == pytest.approx(0.1, abs=1e-12)
+        assert abs(w) < 1e-12
 
     def test_natural_frequency_small_angle(self):
         f_n = free_oscillation_frequency(theta0=0.1)
@@ -198,22 +218,25 @@ class TestPendulum:
         assert f_n == pytest.approx(math.sqrt(9.81 / 0.33) / (2 * math.pi), abs=0.002)
 
     def test_energy_conservation_undamped(self):
-        s = PendulumState(theta=0.5)
-        e0 = s.energy()
+        p = PendulumConfig()
+        th, w = 0.5, 0.0
+        e0 = pendulum_energy(p, th, w)
         for _ in range(int(60.0 / 5e-5)):
-            s = pendulum_step(s, 0.0, 5e-5)
-        assert abs(s.energy() - e0) / e0 < 1e-5
+            th, w = pendulum_step(p, th, w, 0.0, 5e-5)
+        assert abs(pendulum_energy(p, th, w) - e0) / e0 < 1e-5
 
     def test_damping_decays_energy(self):
-        s = PendulumState(theta=0.5, damping=0.5)
-        e0 = s.energy()
+        p = PendulumConfig(damping=0.5)
+        th, w = 0.5, 0.0
+        e0 = pendulum_energy(p, th, w)
         for _ in range(20000):
-            s = pendulum_step(s, 0.0, 1e-3)
-        assert s.energy() < 0.1 * e0
+            th, w = pendulum_step(p, th, w, 0.0, 1e-3)
+        assert pendulum_energy(p, th, w) < 0.1 * e0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PendulumState(m=0.0)
+        for bad in (dict(m=0.0), dict(l1=0.0), dict(l2=-0.07)):
+            with pytest.raises(ValueError):
+                PendulumConfig(**bad)
 
 
 def short_pendulum_scenario(plant_hz=20000, duration=1.5):
@@ -224,7 +247,7 @@ def short_pendulum_scenario(plant_hz=20000, duration=1.5):
         pendulum=PendulumConfig(damping=0.05),
         pid=PidConfig(2.0, 4.0, 0.0, 3.5e-3),
         impedance=ImpedanceConfig(40.0, 5.0),
-        k_ff=987.0 / 208.8, ff_scale=1.0,
+        k_ff=987.0 / 208.8,
         gamma=1.0, plant_hz=plant_hz)
 
 
@@ -236,7 +259,7 @@ class TestScenario:
             assert np.array_equal(log1.column(name), log2.column(name))
 
     def test_zero_duration_empty_log(self, tmp_path):
-        sc = SimScenario(reference=ReferenceSpec(kind="zero"), duration_s=0.0)
+        sc = SimScenario(reference=ReferenceSpec(), duration_s=0.0)
         log = run_scenario(sc)
         assert len(log) == 0
         path = tmp_path / "empty.csv"
@@ -244,11 +267,11 @@ class TestScenario:
         assert path.read_text() == ",".join(LOG_COLUMNS) + "\n"
 
     def test_invalid_rate_ratio_rejected(self):
-        sc = SimScenario(reference=ReferenceSpec(kind="zero"), duration_s=0.1,
+        sc = SimScenario(reference=ReferenceSpec(), duration_s=0.1,
                          controller_hz=1000, plant_hz=1500)
         with pytest.raises(ValueError):
             run_scenario(sc)
-        sc = SimScenario(reference=ReferenceSpec(kind="zero"), duration_s=0.1,
+        sc = SimScenario(reference=ReferenceSpec(), duration_s=0.1,
                          controller_hz=1000, reference_hz=300)
         with pytest.raises(ValueError):
             run_scenario(sc)
@@ -317,7 +340,7 @@ class TestScenario:
     def test_pendulum_fault_names_signal(self, theta_dot0, what):
         # 1e308 rad/s overflows the angle inside the first substeps, where
         # math.sin(inf) raises ValueError
-        sc = SimScenario(reference=ReferenceSpec(kind="zero"), duration_s=0.2,
+        sc = SimScenario(reference=ReferenceSpec(), duration_s=0.2,
                          pendulum=PendulumConfig(theta_dot0=theta_dot0))
         with pytest.raises(SimulationFault) as err:
             run_scenario(sc)
@@ -339,15 +362,3 @@ class TestScenario:
         gap = log.q_hat_a_m - log.q_hat_a_j
         assert np.max(np.abs(gap)) <= 0.001 + 1e-12
         assert np.max(np.abs(gap)) > 0.0
-
-    def test_trig_coupling_flag(self):
-        sc_lin = short_pendulum_scenario(plant_hz=10000, duration=1.0)
-        sc_trig = short_pendulum_scenario(plant_hz=10000, duration=1.0)
-        sc_trig.pendulum = PendulumConfig(damping=0.05, trig_coupling=True)
-        log_lin = run_scenario(sc_lin)
-        log_trig = run_scenario(sc_trig)
-        # small angles: the couplings agree closely but not identically
-        dth = np.max(np.abs(log_lin.theta - log_trig.theta))
-        assert 0.0 < dth < 0.01
-        th = log_trig.theta[-1]
-        assert log_trig.q_hat_a_j[-1] == pytest.approx(0.07 * np.sin(th), rel=1e-12)

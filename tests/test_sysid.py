@@ -16,7 +16,6 @@ from seactrl.sysid import (
     ChirpSpec,
     FitError,
     TimeSeries,
-    chirp,
     empirical_frf,
     exponential_chirp_point,
     fit_rational,
@@ -52,23 +51,23 @@ class TestChirp:
         assert round(linear_chirp_freq_hz(2.75, 1.0), 4) == 0.8754
 
     def test_linear_series_match_point_forms(self):
-        spec = ChirpSpec(kind="linear", amplitude=1.5, duration=2.0,
-                         sample_period=1e-3, omega_o=2.75)
-        sig = chirp(spec)
+        # at samples of a 1 ms series, the point form's velocity and
+        # acceleration equal central differences of its position and velocity;
+        # their truncation error h^2 |x'''| / 6 stays below 1e-6 up to 2 s
+        a, wo, h = 1.5, 2.75, 1e-5
         for idx in (0, 500, 1999):
-            t = sig.t[idx]
-            pos, vel, acc = linear_chirp_point(1.5, 2.75, t)
-            assert sig.position.samples[idx] == pytest.approx(pos, abs=1e-12)
-            assert sig.velocity.samples[idx] == pytest.approx(vel, abs=1e-12)
-            assert sig.acceleration.samples[idx] == pytest.approx(acc, abs=1e-10)
+            t = idx * 1e-3
+            pos_m, vel_m, _ = linear_chirp_point(a, wo, t - h)
+            pos_p, vel_p, _ = linear_chirp_point(a, wo, t + h)
+            _, vel, acc = linear_chirp_point(a, wo, t)
+            assert (pos_p - pos_m) / (2 * h) == pytest.approx(vel, rel=0, abs=1e-6)
+            assert (vel_p - vel_m) / (2 * h) == pytest.approx(acc, rel=0, abs=1e-6)
 
     def test_exponential_endpoints(self):
-        spec = ChirpSpec(kind="exponential", amplitude=1.0, duration=120.0,
-                         sample_period=1e-3, f_start=0.1, f_end=100.0)
-        sig = chirp(spec)
-        assert sig.inst_freq_hz[0] == pytest.approx(0.1, rel=1e-12)
-        assert sig.inst_freq_hz[-1] == pytest.approx(100.0, rel=1e-6)
-        assert sig.velocity is None
+        _, f_0 = exponential_chirp_point(1.0, 0.1, 100.0, 120.0, 0.0)
+        _, f_end = exponential_chirp_point(1.0, 0.1, 100.0, 120.0, 120.0)
+        assert f_0 == pytest.approx(0.1, rel=1e-12)
+        assert f_end == pytest.approx(100.0, rel=1e-6)
 
     def test_nyquist_violation_rejected(self):
         with pytest.raises(NyquistError):
