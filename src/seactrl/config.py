@@ -184,23 +184,23 @@ def load_config(experiment: str, path: str | Path | None = None) -> dict:
                 if key not in _SCHEMA[sec]:
                     raise ConfigError(f"{sec}.{key}", "unknown key")
                 cfg[sec][key] = _parse(sec, key, raw)
-    _check_semantics(cfg)
+    _check_semantics(cfg, experiment)
     return cfg
 
 
 # keys whose value (every value, for a list) must be positive, or non-negative
-_POSITIVE = (("plant", "gain_factor"), ("pendulum", "m"), ("pendulum", "l1"),
-             ("pendulum", "l2"), ("scenario", "amplitude"), ("scenario", "amplitudes"),
-             ("scenario", "leaky_dt"))
+_POSITIVE = (("control", "lambda_c"), ("plant", "gain_factor"), ("pendulum", "m"),
+             ("pendulum", "l1"), ("pendulum", "l2"), ("scenario", "amplitude"),
+             ("scenario", "amplitudes"), ("scenario", "step_force"), ("scenario", "leaky_dt"))
 _NON_NEGATIVE = (
     ("control", "k"), ("control", "b"), ("control", "k_p"), ("control", "k_i"),
-    ("control", "k_d"), ("scenario", "kd_sweep"), ("plant", "stiction_breakaway"),
-    ("plant", "stiction_velocity_deadband"), ("plant", "backlash"), ("pendulum", "g"),
-    ("pendulum", "estimate_backlash_m"),
+    ("control", "k_d"), ("control", "lambda_direct"), ("scenario", "kd_sweep"),
+    ("plant", "stiction_breakaway"), ("plant", "stiction_velocity_deadband"),
+    ("plant", "backlash"), ("pendulum", "g"), ("pendulum", "estimate_backlash_m"),
 )
 
 
-def _check_semantics(cfg: dict) -> None:
+def _check_semantics(cfg: dict, experiment: str) -> None:
     """Reject values that parse but cannot run, naming their ``section.key``."""
     for keys, positive in ((_POSITIVE, True), (_NON_NEGATIVE, False)):
         for sec, key in keys:
@@ -233,6 +233,12 @@ def _check_semantics(cfg: dict) -> None:
             "scenario.controller_hz",
             f"{controller_hz} must divide scenario.plant_hz ({plant_hz}) and be a "
             f"multiple of scenario.reference_hz ({reference_hz})")
+    # the pendulum path advances the plant a quarter controller step per call
+    if experiment == "pendulum-chirp" and (plant_hz // controller_hz) % 2:
+        raise ConfigError(
+            "scenario.plant_hz",
+            f"{plant_hz} must be an even multiple of scenario.controller_hz "
+            f"({controller_hz}) when the pendulum is simulated")
     if sn["duration_s"] <= 0.0:
         raise ConfigError("scenario.duration_s", f"{sn['duration_s']} is not positive")
     omega_c_hz = cfg["control"]["omega_c_hz"]

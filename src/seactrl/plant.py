@@ -10,14 +10,16 @@ stiction dead-band on the effective input, and a hysteretic backlash play.
 
 The pendulum is the nonlinear 1-DoF load; scenarios couple it to the
 actuator through the small-angle testbed geometry q_a = l2 * theta and
-tau = l2 * f, the only coupling modelled.  ``LseaPlant.advance_pendulum``
-runs one controller step of the coupled substeps in a single loop: two RK4
-half-substeps of the plant per RK4 step of the pendulum, which sees the
-force at its start, midpoint and end.  ``run_scenario`` executes the
-two-rate loop (reference rate / controller rate / plant substep rate) and
-returns a uniformly sampled log that serializes to CSV bit-reproducibly; a
-non-finite signal stops it with a ``SimulationFault`` that names the signal
-and the time.
+tau = l2 * f, the only coupling modelled.  The coupling is one-way within
+a controller step: the pendulum reaches the controller only through the
+next step's measurement.  So each controller step runs the plant in four
+``LseaPlant.advance`` calls of half-substeps, a quarter step each, and the
+pendulum in two RK4 steps of half a controller step, each seeing the force
+at its start, midpoint and end; the substep ratio must be even on this
+path.  ``run_scenario`` executes the two-rate loop (reference rate /
+controller rate / plant substep rate) and returns a uniformly sampled log
+that serializes to CSV bit-reproducibly; a non-finite signal stops it with
+a ``SimulationFault`` that names the signal and the time.
 """
 
 from __future__ import annotations
@@ -191,53 +193,6 @@ class LseaPlant:
         self._x0, self._x1, self._x2 = x0, x1, x2
         return y
 
-    def advance_pendulum(self, i_m: float, f_o: float, theta: float, theta_dot: float,
-                         dt: float, substeps: int,
-                         pend: PendulumConfig) -> tuple[float, float, float]:
-        """Advance ``substeps`` substeps of size ``dt`` with the pendulum coupled.
-
-        ``f_o`` is the output force at the start of the call.  Each substep
-        is two RK4 half-substeps of the plant, so the pendulum's RK4 sees the
-        force at its start, midpoint and end and the one-way coupling stays
-        4th order.  The result is bit-identical to two
-        ``advance(i_m, dt / 2, 1)`` calls and one pendulum RK4 on the three
-        force samples per substep.  Returns the output force and the pendulum angle and rate
-        after the last substep; a ``ValueError`` from ``math`` means the angle
-        became infinite.
-        """
-        if dt <= 0.0:
-            raise ValueError("substep must be positive")
-        (m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2) = self._coeffs(0.5 * dt)
-        x0, x1, x2 = self._x0, self._x1, self._x2
-        vdead = self.stiction_velocity_deadband
-        cy = self._cy
-        play = self._play
-        u = float(i_m)
-        brk = self.stiction_breakaway
-        stuck_input = brk > 0.0 and abs(u) < brk
-        m, l1, l2, g, c = pend.m, pend.l1, pend.l2, pend.g, pend.damping
-        for half in range(2 * substeps):
-            if stuck_input and abs(cy * x1) < vdead:
-                ue = 0.0
-            else:
-                ue = u
-            x0, x1, x2 = (
-                m00 * x0 + m01 * x1 + m02 * x2 + n0 * ue,
-                m10 * x0 + m11 * x1 + m12 * x2 + n1 * ue,
-                m20 * x0 + m21 * x1 + m22 * x2 + n2 * ue,
-            )
-            y = cy * x0
-            if play is not None:
-                y = play.step(y)
-            if half & 1:
-                theta, theta_dot = _pend_rk4_forced(theta, theta_dot, f_o, f_mid, y, dt,
-                                                    m, l1, l2, g, c)
-                f_o = y
-            else:
-                f_mid = y
-        self._x0, self._x1, self._x2 = x0, x1, x2
-        return f_o, theta, theta_dot
-
 
 def _pend_rk4_forced(theta, omega, f_0, f_mid, f_1, dt, m, l1, l2, g, c):
     """RK4 step of m l1^2 theta'' = l2 f - m g l1 sin(theta) - c theta' with the
@@ -246,7 +201,7 @@ def _pend_rk4_forced(theta, omega, f_0, f_mid, f_1, dt, m, l1, l2, g, c):
     mgl = m * g * l1
     h = 0.5 * dt
     # stage k has angle th_k, rate k_kt and acceleration k_kw (written out,
-    # not as a nested function: this runs once per 20 kHz plant substep)
+    # not as a nested function: free_oscillation_frequency runs it at 20 kHz)
     k1w = (l2 * f_0 - mgl * math.sin(theta) - c * omega) / inertia
     th2 = theta + h * omega
     k2t = omega + h * k1w
@@ -392,6 +347,9 @@ class SimScenario:
                 raise ValueError(f"{name} must be a positive integer")
         if self.plant_hz % self.controller_hz != 0:
             raise ValueError("plant rate must be an integer multiple of the controller rate")
+        if self.pendulum is not None and (self.plant_hz // self.controller_hz) % 2:
+            raise ValueError("with the pendulum, the plant rate must be an even multiple "
+                             "of the controller rate")
         if self.controller_hz % self.reference_hz != 0:
             raise ValueError("controller rate must be an integer multiple of the reference rate")
         ref = self.reference
@@ -459,16 +417,21 @@ def run_scenario(sc: SimScenario) -> SimLog:
     controller sees the plant state produced by the previous command), the
     command is computed and logged, then the plant (and pendulum, when
     enabled) advance through the substeps with the command held: one
-    ``LseaPlant.advance`` call per step, or one ``advance_pendulum`` call
-    with the pendulum.  Re-running an identical scenario yields bit-identical
-    output.  A non-finite pendulum state, plant output, rejected desired
-    force or current command raises ``SimulationFault`` with the step time.
+    ``LseaPlant.advance`` call per step, or, with the pendulum, four calls
+    of ``n_sub / 2`` half-substeps each (``n_sub`` = plant_hz /
+    controller_hz must be even) and two pendulum RK4 steps of half a step
+    each, which see the force at their start, midpoint and end.  Re-running
+    an identical scenario yields bit-identical output.  A non-finite
+    pendulum state, plant output, rejected desired force or current command
+    raises ``SimulationFault`` with the step time.
     """
     sc.validate()
     T = 1.0 / sc.controller_hz
     n_steps = int(round(sc.duration_s * sc.controller_hz))
     n_sub = sc.plant_hz // sc.controller_hz
     dt_sub = 1.0 / sc.plant_hz
+    # the pendulum path runs the plant in half-substeps, a quarter tick per call
+    dt_half, n_quarter, T_half = 0.5 * dt_sub, n_sub // 2, 0.5 * T
     ref_div = sc.controller_hz // sc.reference_hz
     ref = sc.reference
 
@@ -548,8 +511,13 @@ def run_scenario(sc: SimScenario) -> SimLog:
 
             if pend is not None:
                 try:
-                    f_o, theta, theta_dot = plant.advance_pendulum(
-                        i_m, f_o, theta, theta_dot, dt_sub, n_sub, pend)
+                    for _ in range(2):
+                        f_q = plant.advance(i_m, dt_half, n_quarter)
+                        f_h = plant.advance(i_m, dt_half, n_quarter)
+                        theta, theta_dot = _pend_rk4_forced(
+                            theta, theta_dot, f_o, f_q, f_h, T_half,
+                            pend.m, pend.l1, pend.l2, pend.g, pend.damping)
+                        f_o = f_h
                 except ValueError:  # math.sin of an infinite angle
                     raise SimulationFault(t, "theta") from None
             else:

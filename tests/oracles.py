@@ -4,8 +4,8 @@ These deliberately avoid the library's own computation paths: the Tustin
 oracle expands the substitution with binomial products, the random
 system sampler builds transfer functions from explicit pole/zero draws, and
 the coupled plant/pendulum ODE is integrated by scipy.  The one exception is
-``pendulum_substeps_reference``: it keeps the slower composition of
-one-substep plant calls that the fused coupled loop must match bit for bit.
+``pendulum_tick_reference``: it writes out, with the library's plant, the
+controller step that ``run_scenario``'s pendulum path must match bit for bit.
 """
 
 import math
@@ -91,20 +91,22 @@ def _closure_pendulum_rk4(theta, omega, f_0, f_mid, f_1, dt, m, l1, l2, g, c):
             omega + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w))
 
 
-def pendulum_substeps_reference(plant, i_m, f_o, theta, theta_dot, dt, substeps, pend):
-    """Coupled plant/pendulum substeps composed from one-substep calls.
+def pendulum_tick_reference(plant, pend, i_m, f_o, theta, theta_dot, dt_sub, n_sub, T):
+    """One controller step ``T`` of the coupled plant and pendulum, written out.
 
-    Each substep is two ``plant.advance(i_m, dt / 2, 1)`` calls and one RK4
-    of the pendulum with the force at the substep's start, midpoint and end.
+    Four ``plant.advance(i_m, dt_sub / 2, n_sub // 2)`` calls give the force
+    at the step's quarter points; two RK4 steps of ``T / 2`` see the force at
+    their start, midpoint and end.  Returns the force, angle and rate at the
+    end of the step.
     """
-    for _ in range(substeps):
-        f_start = f_o
-        f_mid = plant.advance(i_m, 0.5 * dt, 1)
-        f_o = plant.advance(i_m, 0.5 * dt, 1)
-        theta, theta_dot = _closure_pendulum_rk4(
-            theta, theta_dot, f_start, f_mid, f_o, dt,
-            pend.m, pend.l1, pend.l2, pend.g, pend.damping)
-    return f_o, theta, theta_dot
+    args = (pend.m, pend.l1, pend.l2, pend.g, pend.damping)
+    f_1 = plant.advance(i_m, dt_sub / 2, n_sub // 2)
+    f_2 = plant.advance(i_m, dt_sub / 2, n_sub // 2)
+    theta, theta_dot = _closure_pendulum_rk4(theta, theta_dot, f_o, f_1, f_2, T / 2, *args)
+    f_3 = plant.advance(i_m, dt_sub / 2, n_sub // 2)
+    f_4 = plant.advance(i_m, dt_sub / 2, n_sub // 2)
+    theta, theta_dot = _closure_pendulum_rk4(theta, theta_dot, f_2, f_3, f_4, T / 2, *args)
+    return f_4, theta, theta_dot
 
 
 def coupled_ode_reference(num, den, pend, inputs, T):

@@ -115,10 +115,16 @@ class TestCliCommands:
         ("scenario", "leaky_dt", "0"),
         ("scenario", "leaky_input_end", "0.06"),
         ("scenario", "alphas", "0.5, 2"),
+        ("scenario", "plant_hz", "5000"),
+        ("control", "lambda_c", "0"),
+        ("control", "lambda_direct", "-1"),
+        ("scenario", "step_force", "0"),
     ])
     def test_unrunnable_value_exits_2(self, tmp_path, capsys, section, key, value):
         bad = write(tmp_path, "bad.ini", f"[{section}]\n{key} = {value}\n")
-        code = main(["pid-step", "--config", bad, "--out", str(tmp_path / "o")])
+        # an odd substep ratio is runnable except on the pendulum path
+        command = "pendulum-chirp" if key == "plant_hz" else "pid-step"
+        code = main([command, "--config", bad, "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"{section}.{key}" in capsys.readouterr().err
 

@@ -22,7 +22,7 @@ from seactrl.plant import (
 )
 from seactrl.sysid import TimeSeries, empirical_frf
 
-from oracles import coupled_ode_reference, pendulum_substeps_reference
+from oracles import coupled_ode_reference, pendulum_tick_reference
 
 
 class TestLseaPlant:
@@ -116,48 +116,44 @@ class TestLseaPlant:
 
 
 class TestAdvancePendulum:
-    N_SUB = 20
-    DT = 1.0 / 20000
+    """``run_scenario``'s pendulum path: four plant calls, two pendulum RK4 steps."""
 
-    @staticmethod
-    def _plant(kwargs):
-        return LseaPlant(den_factors=(1.0, 1.2, 0.8, 1.25), **kwargs)
-
-    @pytest.mark.parametrize("plant_kwargs", [
-        dict(stiction_breakaway=150.0, stiction_velocity_deadband=500.0),
-        dict(stiction_breakaway=150.0, stiction_velocity_deadband=500.0, backlash=0.5),
-        dict(),
+    @pytest.mark.parametrize("plant", [
+        PlantConfig(den_factors=(1.0, 1.2, 0.8, 1.25), stiction_breakaway=150.0,
+                    stiction_velocity_deadband=500.0),
+        PlantConfig(den_factors=(1.0, 1.2, 0.8, 1.25), stiction_breakaway=150.0,
+                    stiction_velocity_deadband=500.0, backlash=0.5),
+        PlantConfig(den_factors=(1.0, 1.2, 0.8, 1.25)),
     ], ids=["stiction", "backlash", "default"])
-    def test_bit_identical_to_one_substep_composition(self, plant_kwargs):
-        rng = np.random.default_rng(11)
-        pend = PendulumConfig(damping=0.05)
-        fused, composed = self._plant(plant_kwargs), self._plant(plant_kwargs)
-        got = want = (0.0, 0.1, 0.0)
-        for i_m in rng.uniform(-300.0, 300.0, 2000):
-            got = fused.advance_pendulum(i_m, *got, self.DT, self.N_SUB, pend)
-            want = pendulum_substeps_reference(composed, i_m, *want, self.DT,
-                                               self.N_SUB, pend)
-            assert got == want
+    def test_bit_identical_to_one_substep_composition(self, plant):
+        # replay the logged commands through the written-out controller step
+        sc = short_pendulum_scenario(duration=0.5)
+        sc.plant = plant
+        log = run_scenario(sc)
+        ref_plant, pend = plant.build(), sc.pendulum
+        state = (0.0, pend.theta0, pend.theta_dot0)
+        for k, i_m in enumerate(log.i_m):
+            assert (log.f_o[k], log.theta[k], log.theta_dot[k]) == state
+            state = pendulum_tick_reference(ref_plant, pend, i_m, *state, 1.0 / sc.plant_hz,
+                                            sc.plant_hz // sc.controller_hz,
+                                            1.0 / sc.controller_hz)
 
     def test_matches_solve_ivp_on_joint_ode(self):
         pytest.importorskip("scipy")
-        rng = np.random.default_rng(5)
-        pend = PendulumConfig(damping=0.05)
-        inputs = rng.uniform(-100.0, 100.0, 200)
-        plant = LseaPlant()
-        f_o, theta, theta_dot = 0.0, pend.theta0, pend.theta_dot0
-        got = []
-        for i_m in inputs:
-            f_o, theta, theta_dot = plant.advance_pendulum(
-                i_m, f_o, theta, theta_dot, self.DT, self.N_SUB, pend)
-            got.append((f_o, theta, theta_dot))
-        want = coupled_ode_reference(208.8, (0.01, 1.13, 23.04, 987.0), pend, inputs, 1e-3)
-        for col, ref in zip(zip(*got), want):
-            assert np.max(np.abs(np.array(col) - ref)) <= 1e-9 * np.max(np.abs(ref))
+        sc = SimScenario(
+            reference=ReferenceSpec(kind="current_chirp", amplitude=100.0,
+                                    f_start=0.5, f_end=40.0),
+            duration_s=0.2, gamma=0.0, pendulum=PendulumConfig(damping=0.05))
+        log = run_scenario(sc)
+        # row k + 1 holds the state after input k was held for one period
+        want = coupled_ode_reference(208.8, (0.01, 1.13, 23.04, 987.0), sc.pendulum,
+                                     log.i_m[:-1], 1e-3)
+        for col, ref in zip((log.f_o, log.theta, log.theta_dot), want):
+            assert np.max(np.abs(col[1:] - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_rejects_non_positive_substep(self):
         with pytest.raises(ValueError):
-            LseaPlant().advance_pendulum(1.0, 0.0, 0.0, 0.0, 0.0, 1, PendulumConfig())
+            LseaPlant().advance(1.0, 0.0, 1)
 
 
 class TestBacklashPlay:
@@ -275,6 +271,10 @@ class TestScenario:
                          controller_hz=1000, reference_hz=300)
         with pytest.raises(ValueError):
             run_scenario(sc)
+
+    def test_pendulum_needs_even_substep_ratio(self):
+        with pytest.raises(ValueError, match="even multiple"):
+            run_scenario(short_pendulum_scenario(plant_hz=5000, duration=0.1))
 
     def test_chirp_nyquist_guard(self):
         sc = SimScenario(
