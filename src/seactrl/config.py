@@ -209,6 +209,12 @@ def _check_semantics(cfg: dict, experiment: str) -> None:
             if any(v < 0.0 or (positive and v == 0.0) for v in values):
                 raise ConfigError(f"{sec}.{key}", f"{value} is not "
                                   f"{'positive' if positive else 'non-negative'}")
+    # the derivative pole is 1e-3 * lambda_c, which underflows to 0 for a
+    # subnormal lambda_c
+    lambda_c = cfg["control"]["lambda_c"]
+    if 1e-3 * lambda_c == 0.0:
+        raise ConfigError("control.lambda_c", f"{lambda_c} gives a derivative pole "
+                          f"1e-3 * lambda_c that underflows to 0")
     sn = cfg["scenario"]
     if not all(0.0 <= a <= 1.0 for a in sn["alphas"]):
         raise ConfigError("scenario.alphas", f"{sn['alphas']} has a value outside [0, 1]")

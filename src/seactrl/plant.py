@@ -3,7 +3,11 @@
 The actuator is the identified third-order current-to-force model in a
 controllable-canonical realization, advanced with RK4 (for a linear system
 with held input one RK4 substep is exactly a constant matrix recurrence,
-which is precomputed per substep size).  Injectable perturbations stand in
+which is precomputed per substep size).  A held input that stiction cannot
+act on (at or above the breakaway, no backlash) reaches every substep
+unchanged, so a call of several substeps is one cached linear map, the
+substep recurrence composed in Python floats; every other call steps its
+substeps one by one.  Injectable perturbations stand in
 for everything the disturbance observer must absorb: multiplicative
 denominator/gain perturbation (structural-elasticity emulation), a Karnopp
 stiction dead-band on the effective input, and a hysteretic backlash play.
@@ -136,6 +140,7 @@ class LseaPlant:
         self._play = BacklashPlay(backlash) if backlash > 0.0 else None
         self._x0 = self._x1 = self._x2 = 0.0
         self._step_cache: dict[float, tuple] = {}
+        self._lift_cache: dict[tuple[float, int], tuple] = {}
 
     def dc_gain(self) -> float:
         return self.tf.dc_gain()
@@ -163,19 +168,69 @@ class LseaPlant:
         self._step_cache[dt] = coeffs
         return coeffs
 
+    def _lifted(self, dt: float, substeps: int) -> tuple:
+        """``n = substeps`` RK4 substeps of ``dt`` as one map ``x+ = P x + G u``.
+
+        ``P = M^n`` and ``G = (M^0 + ... + M^(n-1)) N`` are built in Python
+        floats by running the substep recurrence of ``_coeffs(dt)`` ``n``
+        times on each unit state (zero input) and on the zero state (unit
+        input), so each entry is that composition.  Returns the nine
+        entries of ``P`` row by row, then the three of ``G``.
+        """
+        key = (dt, substeps)
+        cached = self._lift_cache.get(key)
+        if cached is not None:
+            return cached
+        m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2 = map(
+            float, self._coeffs(dt))
+
+        def compose(x0, x1, x2, u):
+            for _ in range(substeps):
+                x0, x1, x2 = (
+                    m00 * x0 + m01 * x1 + m02 * x2 + n0 * u,
+                    m10 * x0 + m11 * x1 + m12 * x2 + n1 * u,
+                    m20 * x0 + m21 * x1 + m22 * x2 + n2 * u,
+                )
+            return x0, x1, x2
+
+        cols = (compose(1.0, 0.0, 0.0, 0.0), compose(0.0, 1.0, 0.0, 0.0),
+                compose(0.0, 0.0, 1.0, 0.0))
+        lifted = (*(col[i] for i in range(3) for col in cols),
+                  *compose(0.0, 0.0, 0.0, 1.0))
+        self._lift_cache[key] = lifted
+        return lifted
+
     def advance(self, i_m: float, dt: float, substeps: int) -> float:
-        """Advance ``substeps`` equal RK4 substeps with held input."""
+        """Advance ``substeps`` equal RK4 substeps with held input.
+
+        When ``substeps > 1``, there is no backlash and the input is at or
+        above the stiction breakaway (or stiction is off), every substep
+        sees the input unchanged, so the whole call is one cached linear map
+        (``_lifted``).  Otherwise the substeps are stepped one by one, each
+        applying the Karnopp test and the backlash play.  Returns the
+        transmitted force after the last substep.
+        """
         if dt <= 0.0:
             raise ValueError("substep must be positive")
-        (m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2) = self._coeffs(dt)
-        x0, x1, x2 = self._x0, self._x1, self._x2
-        vdead = self.stiction_velocity_deadband
         cy = self._cy
         play = self._play
         u = float(i_m)
         # the input half of the Karnopp test is constant for a held input
         brk = self.stiction_breakaway
         stuck_input = brk > 0.0 and abs(u) < brk
+        x0, x1, x2 = self._x0, self._x1, self._x2
+        if substeps > 1 and play is None and not stuck_input:
+            (p00, p01, p02, p10, p11, p12, p20, p21, p22,
+             g0, g1, g2) = self._lifted(dt, substeps)
+            x0, x1, x2 = (
+                p00 * x0 + p01 * x1 + p02 * x2 + g0 * u,
+                p10 * x0 + p11 * x1 + p12 * x2 + g1 * u,
+                p20 * x0 + p21 * x1 + p22 * x2 + g2 * u,
+            )
+            self._x0, self._x1, self._x2 = x0, x1, x2
+            return cy * x0
+        (m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2) = self._coeffs(dt)
+        vdead = self.stiction_velocity_deadband
         y = cy * x0
         for _ in range(substeps):
             if stuck_input and abs(cy * x1) < vdead:

@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own computation paths: the Tustin
 oracle expands the substitution with binomial products, the random
-system sampler builds transfer functions from explicit pole/zero draws, and
-the coupled plant/pendulum ODE is integrated by scipy.  The one exception is
+system sampler builds transfer functions from explicit pole/zero draws,
+the coupled plant/pendulum ODE is integrated by scipy, and the plant's
+multi-substep map is composed with numpy matrix products or taken from
+scipy's matrix exponential.  The one exception is
 ``pendulum_tick_reference``: it writes out, with the library's plant, the
 controller step that ``run_scenario``'s pendulum path must match bit for bit.
 """
@@ -107,6 +109,39 @@ def pendulum_tick_reference(plant, pend, i_m, f_o, theta, theta_dot, dt_sub, n_s
     f_4 = plant.advance(i_m, dt_sub / 2, n_sub // 2)
     theta, theta_dot = _closure_pendulum_rk4(theta, theta_dot, f_2, f_3, f_4, T / 2, *args)
     return f_4, theta, theta_dot
+
+
+def substep_composition(coeffs, n):
+    """``(M^n, (M^0 + ... + M^(n-1)) N)`` of a substep ``x+ = M x + N u``, in numpy.
+
+    ``coeffs`` is the plant's substep tuple: the nine entries of ``M`` row
+    by row, then the three of ``N``.
+    """
+    c = np.array([float(v) for v in coeffs])
+    m, n_col = c[:9].reshape(3, 3), c[9:]
+    power, gain = np.eye(3), np.zeros(3)
+    for _ in range(n):
+        gain = gain + power @ n_col
+        power = m @ power
+    return power, gain
+
+
+def zoh_map(den, T):
+    """Exact zero-order-hold map ``(Phi, Gamma)`` of the canonical realization.
+
+    ``den`` is the actuator's denominator, highest degree first, and the
+    state is (x, dx/dt, d2x/dt2) with d3x/dt3 = u - a3 x - a2 dx/dt - a1 d2x/dt2
+    for the monic coefficients a.  The map is ``scipy.linalg.expm`` of the
+    augmented ``[[A, B], [0, 0]] T``.
+    """
+    from scipy.linalg import expm
+
+    a = np.asarray(den, float) / den[0]
+    aug = np.zeros((4, 4))
+    aug[0, 1] = aug[1, 2] = aug[2, 3] = 1.0
+    aug[2, :3] = -a[3], -a[2], -a[1]
+    e = expm(aug * T)
+    return e[:3, :3], e[:3, 3]
 
 
 def coupled_ode_reference(num, den, pend, inputs, T):

@@ -117,6 +117,7 @@ class TestCliCommands:
         ("scenario", "alphas", "0.5, 2"),
         ("scenario", "plant_hz", "5000"),
         ("control", "lambda_c", "0"),
+        ("control", "lambda_c", "1e-322"),
         ("control", "lambda_direct", "-1"),
         ("scenario", "step_force", "0"),
     ])

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from seactrl.control import PidConfig, pid_transfer_function, q_filter
 from seactrl.lti import (
     CausalityError,
     ContinuousTransferFunction,
@@ -13,9 +16,51 @@ from seactrl.lti import (
     log_grid,
     taylor_shift,
 )
-
+from seactrl.plant import nominal_lsea_tf
+from seactrl.sysid import fit_rational
 
 from oracles import random_stable_tf, tustin_direct
+
+
+def _q_over_pn():
+    pn, q = nominal_lsea_tf(), q_filter(2.0 * np.pi * 25.0)
+    return ContinuousTransferFunction(np.polymul(q.num, pn.den), np.polymul(q.den, pn.num))
+
+
+# the continuous models the controller discretizes at its 1 kHz rate
+CONTROLLER_TFS = {
+    "plant": nominal_lsea_tf,
+    "q": lambda: q_filter(2.0 * np.pi * 25.0),
+    "q_over_plant": _q_over_pn,
+    "pid": lambda: pid_transfer_function(PidConfig(2.0, 4.0, 0.5, 3.5e-3)),
+}
+
+
+def _scipy_bilinear_gaps(tf):
+    """Relative gaps of ``bilinear_discretize`` to scipy at 1 kHz.
+
+    Returns the largest numerator and denominator coefficient gaps, each
+    relative to its largest coefficient, and the largest relative gap of
+    the frequency response to ``scipy.signal.freqz`` of scipy's
+    ``cont2discrete(method="bilinear")`` coefficients.
+    """
+    signal = pytest.importorskip("scipy.signal")
+    T = 1e-3
+    zn, zd = bilinear_num_den(tf, T)
+    b, a, _ = signal.cont2discrete((tf.num, tf.den), T, method="bilinear")
+    b, a = np.ravel(b) / a[0], a / a[0]
+    freqs = np.array([0.2, 1.0, 5.0, 25.0, 100.0, 400.0])
+    _, want = signal.freqz(b, a, worN=freqs, fs=1.0 / T)
+    got = freq_response(bilinear_discretize(tf, T), freqs).values
+    return (np.max(np.abs(zn - b)) / np.max(np.abs(zn)),
+            np.max(np.abs(zd - a)) / np.max(np.abs(a)),
+            np.max(np.abs(got - want) / np.abs(want)))
+
+
+# a normal finite coefficient, and a pole or zero magnitude times the
+# sample period, in a range where the Tustin coefficients stay conditioned
+_coeff = st.floats(-10.0, 10.0, allow_subnormal=False)
+_root_times_T = st.floats(1e-3, 0.5)
 
 
 class TestTaylorShift:
@@ -33,6 +78,17 @@ class TestTaylorShift:
         rng = np.random.default_rng(0)
         c = rng.normal(size=6)
         assert np.allclose(taylor_shift(taylor_shift(c, 1.0), -1.0), c, atol=1e-12)
+
+    @given(st.lists(_coeff, min_size=1, max_size=7), st.floats(-2.0, 2.0),
+           st.floats(-2.0, 2.0))
+    def test_shifted_polynomial_evaluates_equal(self, coeffs, shift, x):
+        # p(x + a) from the shifted coefficients; the bound scales with the
+        # largest value the terms can take (measured <= 3.7e-16 of it), plus
+        # an absolute floor for products that underflow
+        got = np.polyval(taylor_shift(coeffs, shift), x)
+        want = np.polyval(coeffs, x + shift)
+        scale = np.polyval(np.abs(coeffs), abs(x) + abs(shift))
+        assert abs(got - want) <= 1e-13 * scale + 1e-290
 
 
 class TestPolynomial:
@@ -106,6 +162,34 @@ class TestBilinear:
             tf = random_stable_tf(rng, max_order=6)
             filt = bilinear_discretize(tf, 1e-3)
             assert np.all(np.abs(filt.poles()) < 1.0)
+
+    @given(st.lists(_root_times_T, min_size=1, max_size=4),
+           st.lists(_root_times_T, max_size=4), st.floats(0.1, 10.0),
+           st.sampled_from([1e-4, 1e-3, 1e-2]))
+    def test_dc_gain_kept(self, poles_T, zeros_T, gain, T):
+        # s = 0 maps to z = 1; measured <= 3.1e-9 relative over this domain
+        zeros_T = zeros_T[:len(poles_T)]
+        tf = ContinuousTransferFunction(gain * np.poly([-w / T for w in zeros_T]),
+                                        np.poly([-w / T for w in poles_T]))
+        filt = bilinear_discretize(tf, T)
+        assert filt(1.0).real == pytest.approx(tf.dc_gain(), rel=1e-6)
+
+    # scipy discretizes a controllable-canonical state space and converts
+    # back with ss2tf, whose numerator loses digits as the order and the
+    # stiffness grow; its error, not the library's, sets these bounds
+    @pytest.mark.parametrize("name", list(CONTROLLER_TFS))
+    def test_matches_scipy_cont2discrete(self, name):
+        # measured <= 1.7e-10 (numerator) and 4.4e-9 (response)
+        num, den, response = _scipy_bilinear_gaps(CONTROLLER_TFS[name]())
+        assert num <= 1e-9 and den <= 1e-14 and response <= 2e-8
+
+    def test_matches_scipy_cont2discrete_random(self):
+        # second-order systems: measured <= 2.2e-9 (numerator) and 1.25e-8
+        # (response) over these draws
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            num, den, response = _scipy_bilinear_gaps(random_stable_tf(rng, max_order=2))
+            assert num <= 1e-8 and den <= 1e-14 and response <= 5e-8
 
     def test_pole_at_tustin_singularity_rejected(self):
         # a pole exactly at s = 2/T zeroes the current-output coefficient
@@ -193,6 +277,24 @@ class TestFrequencyResponse:
             rd = freq_response(filt, grid)
             assert np.max(np.abs(rc.magnitude_db - rd.magnitude_db)) < 0.5
             assert np.max(np.abs(rc.phase_deg - rd.phase_deg)) < 2.0
+
+
+class TestFitIdempotence:
+    @given(st.floats(0.5, 20.0), st.floats(0.05, 1.0), st.floats(0.5, 50.0),
+           st.floats(0.1, 10.0))
+    def test_refit_of_a_fit_returns_it(self, f_n, zeta, f_p, gain):
+        # a second-order fit of a third-order system is not that system, but
+        # refitting the fit's own response must return the fit (measured
+        # <= 2.6e-13 of the peak response)
+        wn, wp = 2.0 * np.pi * f_n, 2.0 * np.pi * f_p
+        true = ContinuousTransferFunction(
+            [gain * wn * wn * wp], np.polymul([1.0, 2.0 * zeta * wn, wn * wn], [1.0, wp]))
+        grid = log_grid(0.1, 50.0, 30)
+        first = fit_rational(freq_response(true, grid), 0, 2)
+        second = fit_rational(freq_response(first.tf, grid), 0, 2)
+        want = freq_response(first.tf, grid).values
+        got = freq_response(second.tf, grid).values
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 class TestButterworth:

@@ -22,7 +22,14 @@ from seactrl.plant import (
 )
 from seactrl.sysid import TimeSeries, empirical_frf
 
-from oracles import coupled_ode_reference, pendulum_tick_reference
+from oracles import (
+    coupled_ode_reference,
+    pendulum_tick_reference,
+    substep_composition,
+    zoh_map,
+)
+
+SHIPPED_DEN_FACTORS = (1.0, 1.2, 0.8, 1.25)
 
 
 class TestLseaPlant:
@@ -113,6 +120,64 @@ class TestLseaPlant:
         emp = empirical_frf(TimeSeries(1e-3, log.i_m), TimeSeries(1e-3, log.f_o), grid)
         ref = freq_response(nominal_lsea_tf(), grid)
         assert np.max(np.abs(emp.magnitude_db - ref.magnitude_db)) < 0.2
+
+
+class TestLiftedTick:
+    """A held tick that stiction cannot act on is one cached linear map."""
+
+    @pytest.mark.parametrize("dt, n", [(1 / 5000, 5), (1 / 20000, 20), (1 / 40000, 5)])
+    def test_equals_substep_composition(self, dt, n):
+        p = LseaPlant(den_factors=SHIPPED_DEN_FACTORS)
+        lifted = p._lifted(dt, n)
+        assert p._lifted(dt, n) is lifted
+        power, gain = substep_composition(p._coeffs(dt), n)
+        got = np.array(lifted)
+        assert np.max(np.abs(got[:9] - power.ravel())) <= 1e-13 * np.max(np.abs(power))
+        assert np.max(np.abs(got[9:] - gain)) <= 1e-13 * np.max(np.abs(gain))
+
+    @pytest.mark.parametrize("dt, n, bound", [
+        (1 / 5000, 5, 1e-8), (1 / 20000, 20, 4e-11), (1 / 40000, 5, 3e-12)])
+    def test_matches_exact_zero_order_hold(self, dt, n, bound):
+        # RK4's error falls as dt^4; each bound is ~3x the measured 3.5e-9,
+        # 1.3e-11 and 8.9e-13 relative
+        pytest.importorskip("scipy")
+        p = LseaPlant(den_factors=SHIPPED_DEN_FACTORS)
+        phi, gamma = zoh_map(p.tf.den, n * dt)
+        got = np.array(p._lifted(dt, n))
+        assert np.max(np.abs(got[:9] - phi.ravel())) <= bound * np.max(np.abs(phi))
+        assert np.max(np.abs(got[9:] - gamma)) <= bound * np.max(np.abs(gamma))
+
+    @pytest.mark.parametrize("n", [1, 5, 20])
+    @pytest.mark.parametrize("kwargs, lo, hi, exact", [
+        (dict(stiction_breakaway=0.15), 0.0, 0.149, True),
+        (dict(stiction_breakaway=0.15, backlash=0.01), 0.0, 1.0, True),
+        (dict(stiction_breakaway=0.15), 0.15, 1.0, False),
+        (dict(stiction_breakaway=0.15), 0.0, 1.0, False),
+        (dict(), 0.0, 1.0, False),
+    ], ids=["stuck", "backlash", "above-breakaway", "both-sides", "no-stiction"])
+    def test_tick_matches_single_substeps(self, n, kwargs, lo, hi, exact):
+        # |u| is drawn from [lo, hi] with a random sign; a tick that steps
+        # its substeps (stuck input, backlash, n = 1) must match bit for bit
+        dt = 1 / 20000
+        rng = np.random.default_rng(n)
+        inputs = rng.uniform(lo, hi, 400) * rng.choice((-1.0, 1.0), 400)
+        tick = LseaPlant(den_factors=SHIPPED_DEN_FACTORS, **kwargs)
+        single = LseaPlant(den_factors=SHIPPED_DEN_FACTORS, **kwargs)
+        # start in motion, so that the rate test lets a stuck input act
+        for p in (tick, single):
+            for _ in range(200):
+                p.advance(1.0, dt, 1)
+        got, want = [], []
+        for u in inputs:
+            got.append(tick.advance(u, dt, n))
+            for _ in range(n):
+                f = single.advance(u, dt, 1)
+            want.append(f)
+        got, want = np.array(got), np.array(want)
+        if exact or n == 1:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestAdvancePendulum:
