@@ -191,13 +191,24 @@ def load_config(experiment: str, path: str | Path | None = None) -> dict:
 # keys whose value (every value, for a list) must be positive, or non-negative
 _POSITIVE = (("control", "lambda_c"), ("plant", "gain_factor"), ("pendulum", "m"),
              ("pendulum", "l1"), ("pendulum", "l2"), ("scenario", "amplitude"),
-             ("scenario", "amplitudes"), ("scenario", "step_force"), ("scenario", "leaky_dt"))
+             ("scenario", "amplitudes"), ("scenario", "step_force"), ("scenario", "leaky_dt"),
+             ("scenario", "chirp_omega_o"), ("scenario", "chirp_f_start"),
+             ("scenario", "chirp_f_end"), ("sysid", "segments"), ("sysid", "grid_lo_hz"),
+             ("sysid", "points_per_decade"), ("sysid", "fit_lo_hz"))
 _NON_NEGATIVE = (
     ("control", "k"), ("control", "b"), ("control", "k_p"), ("control", "k_i"),
     ("control", "k_d"), ("control", "lambda_direct"), ("scenario", "kd_sweep"),
     ("plant", "stiction_breakaway"), ("plant", "stiction_velocity_deadband"),
-    ("plant", "backlash"), ("pendulum", "g"), ("pendulum", "estimate_backlash_m"),
+    ("plant", "backlash"), ("pendulum", "g"), ("pendulum", "damping"),
+    ("pendulum", "estimate_backlash_m"), ("sysid", "num_order"), ("sysid", "den_order"),
+    ("sysid", "sk_iterations"),
 )
+# (section, low key, high key, strict): the low value must lie below the high
+# one, or may equal it where not strict
+_ORDERED = (("scenario", "band_lo_hz", "band_hi_hz", True),
+            ("sysid", "grid_lo_hz", "grid_hi_hz", True),
+            ("sysid", "fit_lo_hz", "fit_hi_hz", True),
+            ("sysid", "num_order", "den_order", False))
 
 
 def _check_semantics(cfg: dict, experiment: str) -> None:
@@ -209,6 +220,11 @@ def _check_semantics(cfg: dict, experiment: str) -> None:
             if any(v < 0.0 or (positive and v == 0.0) for v in values):
                 raise ConfigError(f"{sec}.{key}", f"{value} is not "
                                   f"{'positive' if positive else 'non-negative'}")
+    for sec, lo_key, hi_key, strict in _ORDERED:
+        lo, hi = cfg[sec][lo_key], cfg[sec][hi_key]
+        if lo > hi or (strict and lo == hi):
+            raise ConfigError(f"{sec}.{lo_key}", f"{lo} must be "
+                              f"{'below' if strict else 'at most'} {sec}.{hi_key} ({hi})")
     # the derivative pole is 1e-3 * lambda_c, which underflows to 0 for a
     # subnormal lambda_c
     lambda_c = cfg["control"]["lambda_c"]

@@ -7,7 +7,9 @@ which is precomputed per substep size).  A held input that stiction cannot
 act on (at or above the breakaway, no backlash) reaches every substep
 unchanged, so a call of several substeps is one cached linear map, the
 substep recurrence composed in Python floats; every other call steps its
-substeps one by one.  Injectable perturbations stand in
+substeps one by one.  Both maps hold Python floats, so the plant output,
+and from it the observer, PID and pendulum state, stays a Python float
+rather than a numpy scalar.  Injectable perturbations stand in
 for everything the disturbance observer must absorb: multiplicative
 denominator/gain perturbation (structural-elasticity emulation), a Karnopp
 stiction dead-band on the effective input, and a hysteretic backlash play.
@@ -134,7 +136,7 @@ class LseaPlant:
         self.tf = ContinuousTransferFunction([gain], den)
         a = den / den[0]
         self._c1, self._c2, self._c3 = float(a[1]), float(a[2]), float(a[3])
-        self._cy = gain / den[0]
+        self._cy = float(gain / den[0])
         self.stiction_breakaway = float(stiction_breakaway)
         self.stiction_velocity_deadband = float(stiction_velocity_deadband)
         self._play = BacklashPlay(backlash) if backlash > 0.0 else None
@@ -146,6 +148,12 @@ class LseaPlant:
         return self.tf.dc_gain()
 
     def _coeffs(self, dt: float) -> tuple:
+        """One RK4 substep of ``dt`` as the map ``x+ = M x + N u``.
+
+        Returns the nine entries of ``M`` row by row, then the three of
+        ``N B``, as Python floats.  ``M`` and ``N`` are built with numpy
+        matrix products; ``tolist`` converts their entries exactly.
+        """
         cached = self._step_cache.get(dt)
         if cached is not None:
             return cached
@@ -164,25 +172,25 @@ class LseaPlant:
             N = N + term * dt / math.factorial(k)
             term = term @ A * dt
             M = M + term / math.factorial(k)
-        coeffs = (*M.ravel(), *(N @ B))
+        coeffs = (*M.ravel().tolist(), *(N @ B).tolist())
         self._step_cache[dt] = coeffs
         return coeffs
 
     def _lifted(self, dt: float, substeps: int) -> tuple:
         """``n = substeps`` RK4 substeps of ``dt`` as one map ``x+ = P x + G u``.
 
-        ``P = M^n`` and ``G = (M^0 + ... + M^(n-1)) N`` are built in Python
-        floats by running the substep recurrence of ``_coeffs(dt)`` ``n``
-        times on each unit state (zero input) and on the zero state (unit
-        input), so each entry is that composition.  Returns the nine
-        entries of ``P`` row by row, then the three of ``G``.
+        ``P = M^n`` and ``G = (M^0 + ... + M^(n-1)) N`` are built by running
+        the substep recurrence of ``_coeffs(dt)``, which holds Python floats,
+        ``n`` times on each unit state (zero input) and on the zero state
+        (unit input), so each entry is that composition.  Returns the nine
+        entries of ``P`` row by row, then the three of ``G``, as Python
+        floats.
         """
         key = (dt, substeps)
         cached = self._lift_cache.get(key)
         if cached is not None:
             return cached
-        m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2 = map(
-            float, self._coeffs(dt))
+        m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2 = self._coeffs(dt)
 
         def compose(x0, x1, x2, u):
             for _ in range(substeps):
@@ -475,10 +483,12 @@ def run_scenario(sc: SimScenario) -> SimLog:
     ``LseaPlant.advance`` call per step, or, with the pendulum, four calls
     of ``n_sub / 2`` half-substeps each (``n_sub`` = plant_hz /
     controller_hz must be even) and two pendulum RK4 steps of half a step
-    each, which see the force at their start, midpoint and end.  Re-running
-    an identical scenario yields bit-identical output.  A non-finite
-    pendulum state, plant output, rejected desired force or current command
-    raises ``SimulationFault`` with the step time.
+    each, which see the force at their start, midpoint and end.  Every
+    per-tick value is a Python float, not a numpy scalar, so it overflows
+    to inf without a warning.  Re-running an identical scenario yields
+    bit-identical output.  A non-finite pendulum state, plant output,
+    rejected desired force or current command raises ``SimulationFault``
+    with the step time.
     """
     sc.validate()
     T = 1.0 / sc.controller_hz
@@ -513,69 +523,66 @@ def run_scenario(sc: SimScenario) -> SimLog:
     f_o = 0.0
     ref_pos = q_a_d = qdot_a_d = f_ff = 0.0
 
-    # a diverging loop is reported through SimulationFault; the transient
-    # overflow on the way to the non-finite values is expected, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            t = k * T
-            if pend is None:
-                q_hat_a_j = qdot_hat_a = 0.0
-            elif not math.isfinite(theta):
-                raise SimulationFault(t, "theta")
-            elif not math.isfinite(theta_dot):
-                raise SimulationFault(t, "theta_dot")
+    for k in range(n_steps):
+        t = k * T
+        if pend is None:
+            q_hat_a_j = qdot_hat_a = 0.0
+        elif not math.isfinite(theta):
+            raise SimulationFault(t, "theta")
+        elif not math.isfinite(theta_dot):
+            raise SimulationFault(t, "theta_dot")
+        else:
+            q_hat_a_j = pend.l2 * theta
+            qdot_hat_a = pend.l2 * theta_dot
+        q_hat_a_m = est_play.step(q_hat_a_j) if est_play is not None else q_hat_a_j
+
+        if ref.kind == "position_chirp":
+            if k % ref_div == 0:
+                qj_d, qjdot_d, qjddot_d = linear_chirp_point(
+                    ref.amplitude, ref.omega_o, t)
+                tau_ff = (pend.m * pend.l1**2 * qjddot_d
+                          + pend.m * pend.g * pend.l1 * math.sin(qj_d))
+                q_a_d, qdot_a_d = actuator_setpoints(pmap, qj_d, qjdot_d, theta)
+                f_ff = ff_force(pmap, theta, tau_ff)
+                ref_pos = qj_d
+            f_d = impedance_step(sc.impedance, q_a_d, qdot_a_d,
+                                 q_hat_a_m, qdot_hat_a, f_ff)
+            i_m = fc.step(f_d, f_o)
+        elif ref.kind == "force_step":
+            f_d = ref.step_value if t >= ref.step_time else 0.0
+            i_m = fc.step(f_d, f_o)
+        else:  # current_chirp: open loop around the observer blend
+            if ref.f_start is not None:
+                u_c, _ = exponential_chirp_point(ref.amplitude, ref.f_start,
+                                                 ref.f_end, sc.duration_s, t)
             else:
-                q_hat_a_j = pend.l2 * theta
-                qdot_hat_a = pend.l2 * theta_dot
-            q_hat_a_m = est_play.step(q_hat_a_j) if est_play is not None else q_hat_a_j
+                u_c, _, _ = linear_chirp_point(ref.amplitude, ref.omega_o, t)
+            i_m = dob.step(u_c, f_o)
+            f_d = 0.0
+        d_hat = dob.d_hat
 
-            if ref.kind == "position_chirp":
-                if k % ref_div == 0:
-                    qj_d, qjdot_d, qjddot_d = linear_chirp_point(
-                        ref.amplitude, ref.omega_o, t)
-                    tau_ff = (pend.m * pend.l1**2 * qjddot_d
-                              + pend.m * pend.g * pend.l1 * math.sin(qj_d))
-                    q_a_d, qdot_a_d = actuator_setpoints(pmap, qj_d, qjdot_d, theta)
-                    f_ff = ff_force(pmap, theta, tau_ff)
-                    ref_pos = qj_d
-                f_d = impedance_step(sc.impedance, q_a_d, qdot_a_d,
-                                     q_hat_a_m, qdot_hat_a, f_ff)
-                i_m = fc.step(f_d, f_o)
-            elif ref.kind == "force_step":
-                f_d = ref.step_value if t >= ref.step_time else 0.0
-                i_m = fc.step(f_d, f_o)
-            else:  # current_chirp: open loop around the observer blend
-                if ref.f_start is not None:
-                    u_c, _ = exponential_chirp_point(ref.amplitude, ref.f_start,
-                                                     ref.f_end, sc.duration_s, t)
-                else:
-                    u_c, _, _ = linear_chirp_point(ref.amplitude, ref.omega_o, t)
-                i_m = dob.step(u_c, f_o)
-                f_d = 0.0
-            d_hat = dob.d_hat
+        data[:, k] = (t, ref_pos, q_a_d, qdot_a_d, f_d, f_o, i_m, d_hat,
+                      theta, theta_dot, q_hat_a_m, q_hat_a_j)
+        if not math.isfinite(f_o):
+            raise SimulationFault(t, "f_o")
+        if fc is not None and fc.fault:
+            # f_o is finite, so the controller rejected f_d
+            raise SimulationFault(t, "f_d")
+        if not math.isfinite(i_m):
+            raise SimulationFault(t, "i_m")
 
-            data[:, k] = (t, ref_pos, q_a_d, qdot_a_d, f_d, f_o, i_m, d_hat,
-                          theta, theta_dot, q_hat_a_m, q_hat_a_j)
-            if not math.isfinite(f_o):
-                raise SimulationFault(t, "f_o")
-            if fc is not None and fc.fault:
-                # f_o is finite, so the controller rejected f_d
-                raise SimulationFault(t, "f_d")
-            if not math.isfinite(i_m):
-                raise SimulationFault(t, "i_m")
-
-            if pend is not None:
-                try:
-                    for _ in range(2):
-                        f_q = plant.advance(i_m, dt_half, n_quarter)
-                        f_h = plant.advance(i_m, dt_half, n_quarter)
-                        theta, theta_dot = _pend_rk4_forced(
-                            theta, theta_dot, f_o, f_q, f_h, T_half,
-                            pend.m, pend.l1, pend.l2, pend.g, pend.damping)
-                        f_o = f_h
-                except ValueError:  # math.sin of an infinite angle
-                    raise SimulationFault(t, "theta") from None
-            else:
-                f_o = plant.advance(i_m, dt_sub, n_sub)
+        if pend is not None:
+            try:
+                for _ in range(2):
+                    f_q = plant.advance(i_m, dt_half, n_quarter)
+                    f_h = plant.advance(i_m, dt_half, n_quarter)
+                    theta, theta_dot = _pend_rk4_forced(
+                        theta, theta_dot, f_o, f_q, f_h, T_half,
+                        pend.m, pend.l1, pend.l2, pend.g, pend.damping)
+                    f_o = f_h
+            except ValueError:  # math.sin of an infinite angle
+                raise SimulationFault(t, "theta") from None
+        else:
+            f_o = plant.advance(i_m, dt_sub, n_sub)
 
     return SimLog(**dict(zip(LOG_COLUMNS, data)))

@@ -3,11 +3,13 @@
 These deliberately avoid the library's own computation paths: the Tustin
 oracle expands the substitution with binomial products, the random
 system sampler builds transfer functions from explicit pole/zero draws,
-the coupled plant/pendulum ODE is integrated by scipy, and the plant's
+the coupled plant/pendulum ODE is integrated by scipy, the plant's
 multi-substep map is composed with numpy matrix products or taken from
-scipy's matrix exponential.  The one exception is
-``pendulum_tick_reference``: it writes out, with the library's plant, the
-controller step that ``run_scenario``'s pendulum path must match bit for bit.
+scipy's matrix exponential, and the observer loop's response is predicted
+from scipy's zero-order-hold discretization of the plant.  The one
+exception is ``pendulum_tick_reference``: it writes out, with the library's
+plant, the controller step that ``run_scenario``'s pendulum path must match
+bit for bit.
 """
 
 import math
@@ -174,3 +176,32 @@ def coupled_ode_reference(num, den, pend, inputs, T):
         state = sol.y[:, -1]
         out.append((cy * state[0], state[3], state[4]))
     return tuple(np.array(col) for col in zip(*out))
+
+
+def dob_loop_response(plant, observer, freqs_hz):
+    """Sampled-data ``u_c -> f_o`` response of the linear observer loop.
+
+    ``plant`` is the simulated actuator's continuous transfer function and
+    ``P_d`` its zero-order-hold discretization by ``scipy.signal.cont2discrete``
+    at the observer's period.  ``A = Q/P`` and ``B = Q`` are the observer's
+    own Tustin filters, read from its coefficients.  Each tick the loop
+    commands ``i_m = u_c - gamma * (A f_o - z^-1 B i_m)`` and measures
+    ``f_o = P_d i_m``, so
+
+        H(z) = P_d / (1 + gamma (A P_d - z^-1 B)).
+
+    Returns ``H`` at ``freqs_hz`` as a complex array.
+    """
+    from scipy.signal import cont2discrete
+
+    num_d, den_d, _ = cont2discrete((plant.num, plant.den), observer.T, method="zoh")
+    z = np.exp(2j * np.pi * np.asarray(freqs_hz, float) * observer.T)
+    p_d = np.polyval(np.ravel(num_d), z) / np.polyval(den_d, z)
+
+    def in_z_inverse(coeffs):  # c0 + c1 z^-1 + ...
+        return np.polyval(np.asarray(coeffs, float)[::-1], 1.0 / z)
+
+    den = in_z_inverse((1.0, *(-b for b in observer._b)))
+    a = in_z_inverse((observer._p0, *observer._p)) / den
+    b = in_z_inverse((observer._q0, *observer._q)) / den
+    return p_d / (1.0 + observer.gamma * (a * p_d - b / z))

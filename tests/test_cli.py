@@ -120,6 +120,21 @@ class TestCliCommands:
         ("control", "lambda_c", "1e-322"),
         ("control", "lambda_direct", "-1"),
         ("scenario", "step_force", "0"),
+        ("scenario", "chirp_omega_o", "0"),
+        ("scenario", "chirp_f_start", "0"),
+        ("scenario", "chirp_f_end", "0"),
+        ("scenario", "band_lo_hz", "5"),
+        ("pendulum", "damping", "-1"),
+        ("sysid", "segments", "0"),
+        ("sysid", "points_per_decade", "0"),
+        ("sysid", "grid_lo_hz", "0"),
+        ("sysid", "grid_hi_hz", "0.05"),
+        ("sysid", "fit_lo_hz", "0"),
+        ("sysid", "fit_lo_hz", "30"),
+        ("sysid", "den_order", "-1"),
+        ("sysid", "num_order", "-1"),
+        ("sysid", "num_order", "4"),
+        ("sysid", "sk_iterations", "-1"),
     ])
     def test_unrunnable_value_exits_2(self, tmp_path, capsys, section, key, value):
         bad = write(tmp_path, "bad.ini", f"[{section}]\n{key} = {value}\n")

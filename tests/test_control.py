@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from seactrl.config import load_config
 from seactrl.control import (
     DisturbanceObserver,
     DobConfig,
@@ -22,9 +25,10 @@ from seactrl.lti import (
     bilinear_discretize,
     freq_response,
 )
-from seactrl.plant import nominal_lsea_tf
+from seactrl.experiments import dob_verify
+from seactrl.plant import LseaPlant, nominal_lsea_tf
 
-from oracles import observer_reference
+from oracles import dob_loop_response, observer_reference
 
 T = 1e-3
 FRONT_HIP = dict(k_p=15.0, k_i=4.0, k_d=2.5, lambda_c=3.5)
@@ -308,3 +312,30 @@ class TestLeakyIntegration:
             LeakyState(alpha_v=1.5, alpha_p=0.0, dT=0.001)
         with pytest.raises(ValueError):
             LeakyState(alpha_v=0.0, alpha_p=0.0, dT=0.0)
+
+
+class TestDobLoopPrediction:
+    """The simulated DOB loop against its exact sampled-data prediction."""
+
+    # measured on the shipped config: 0.122 dB / 0.88 deg with the DOB on,
+    # 0.271 dB / 0.92 deg off, both at the 5.0 Hz bin next to the plant's
+    # resonance, where stiction and the FRF estimate leave the linear model
+    BOUNDS = {"on": (0.2, 1.5), "off": (0.4, 1.5)}  # dB, degrees
+
+    def test_dob_verify_frfs_match_prediction(self, tmp_path):
+        pytest.importorskip("scipy")
+        cfg = load_config("dob-verify")
+        dob_verify(cfg, tmp_path)
+        plant = LseaPlant(cfg["plant"]["den_factors"], cfg["plant"]["gain_factor"]).tf
+        for tag, gamma in (("on", cfg["control"]["gamma"]), ("off", 0.0)):
+            observer = build_observer(
+                DobConfig(2.0 * math.pi * cfg["control"]["omega_c_hz"], gamma,
+                          nominal_lsea_tf()),
+                1.0 / cfg["scenario"]["controller_hz"])
+            f_hz, got_db, got_deg, _ = np.loadtxt(
+                tmp_path / f"frf_dob_{tag}.csv", delimiter=",", skiprows=1, unpack=True)
+            want = dob_loop_response(plant, observer, f_hz)
+            mag_db, phase_deg = self.BOUNDS[tag]
+            assert np.max(np.abs(got_db - 20.0 * np.log10(np.abs(want)))) <= mag_db
+            phase_gap = (got_deg - np.degrees(np.angle(want)) + 180.0) % 360.0 - 180.0
+            assert np.max(np.abs(phase_gap)) <= phase_deg

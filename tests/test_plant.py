@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seactrl.control import ImpedanceConfig, PidConfig
+from seactrl.control import DisturbanceObserver, ImpedanceConfig, PidConfig
 from seactrl.lti import NyquistError, freq_response, log_grid
 from seactrl.plant import (
     LOG_COLUMNS,
@@ -427,3 +427,58 @@ class TestScenario:
         gap = log.q_hat_a_m - log.q_hat_a_j
         assert np.max(np.abs(gap)) <= 0.001 + 1e-12
         assert np.max(np.abs(gap)) > 0.0
+
+
+class TestPythonFloats:
+    """The per-tick arithmetic runs on Python floats, never numpy scalars.
+
+    ``numpy.float64`` subclasses ``float``, so each check is ``type(x) is float``.
+    """
+
+    @pytest.mark.parametrize("kwargs, u, n", [
+        (dict(), 0.7, 1),
+        (dict(stiction_breakaway=0.15), 0.1, 5),
+        (dict(stiction_breakaway=0.15, backlash=0.01), 0.7, 5),
+        (dict(stiction_breakaway=0.15), 0.7, 5),
+    ], ids=["one-substep", "stuck", "backlash", "lifted"])
+    def test_advance_returns_and_keeps_floats(self, kwargs, u, n):
+        p = LseaPlant(den_factors=SHIPPED_DEN_FACTORS, **kwargs)
+        for _ in range(3):
+            assert type(p.advance(u, 1e-4, n)) is float
+            assert all(type(x) is float for x in (p._x0, p._x1, p._x2))
+
+    def test_coefficient_tuples_hold_floats(self):
+        p = LseaPlant(den_factors=SHIPPED_DEN_FACTORS)
+        assert all(type(c) is float for c in p._coeffs(1e-4))
+        assert all(type(c) is float for c in p._lifted(1e-4, 5))
+
+    @pytest.mark.parametrize("reference, pendulum", [
+        (ReferenceSpec(kind="current_chirp", amplitude=1.75, f_start=0.05, f_end=15.0), None),
+        (ReferenceSpec(kind="force_step", step_value=500.0, step_time=0.1), None),
+        (ReferenceSpec(kind="position_chirp", amplitude=0.1, omega_o=0.427),
+         PendulumConfig(damping=0.05)),
+    ], ids=["current_chirp", "force_step", "position_chirp"])
+    def test_loop_sees_only_floats(self, monkeypatch, reference, pendulum):
+        seen = []
+        advance, estimate = LseaPlant.advance, DisturbanceObserver.estimate
+
+        def spy_advance(self, i_m, dt, substeps):
+            out = advance(self, i_m, dt, substeps)
+            seen.extend((i_m, dt, out))
+            return out
+
+        def spy_estimate(self, f_measured):
+            out = estimate(self, f_measured)
+            seen.extend((f_measured, out))
+            return out
+
+        monkeypatch.setattr(LseaPlant, "advance", spy_advance)
+        monkeypatch.setattr(DisturbanceObserver, "estimate", spy_estimate)
+        # the shipped plant of each experiment: perturbed, with stiction
+        plant = (PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=150.0,
+                             stiction_velocity_deadband=500.0) if pendulum else
+                 PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15))
+        run_scenario(SimScenario(reference=reference, duration_s=0.2, plant=plant,
+                                 pendulum=pendulum, k_ff=987.0 / 208.8))
+        assert len(seen) >= 1000  # 200 ticks of at least one estimate and one plant call
+        assert {type(x) for x in seen} == {float}
