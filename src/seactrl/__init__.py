@@ -1,6 +1,6 @@
 """Joint-space force control for series-elastic linear actuators.
 
-Subpackages follow the control stack layer by layer:
+Modules follow the control stack layer by layer:
 
 - ``lti``: transfer functions, bilinear (Tustin/Horner) discretization,
   IIR execution, frequency responses.
@@ -10,10 +10,13 @@ Subpackages follow the control stack layer by layer:
   inverse-transpose effort mapping).
 - ``plant``: deterministic simulator of the elastic actuator testbed and
   the weighted pendulum, with injectable stiction/backlash/coefficient
-  perturbations.
-- ``sysid``: chirp excitation, empirical frequency responses (H1), and
-  rational transfer-function fitting.
-- ``cli``: named desk-scale experiments and CSV/report emission.
+  perturbations; its scenarios hold the reference signals and check them.
+- ``sysid``: chirp signal points, empirical frequency responses (H1),
+  rational transfer-function fitting, and the CSV writer.
+- ``config``: INI experiment configuration, checked key by key.
+- ``experiments``: the named desk-scale experiments and their CSV/summary
+  emission.
+- ``cli``: the ``seactrl`` command that runs the experiments.
 """
 
 from .lti import (

@@ -9,6 +9,7 @@ codes: 0 success, 2 bad configuration (the offending key path is printed),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import experiments
@@ -31,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("bode-open-loop", help="open-loop chirp bode at several amplitudes")
     _add_common(p)
     p.add_argument("--amp", type=float, default=None,
-                   help="single excitation amplitude instead of the configured sweep")
+                   help="single excitation amplitude; sets scenario.amplitudes")
 
     p = subs.add_parser("dob-verify", help="DOB on/off nominalization comparison")
     _add_common(p)
@@ -65,8 +66,13 @@ def _out_dir(args) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.command, args.config)
+        # --amp is a scenario.amplitudes value: checked and echoed like a file value
+        amp = getattr(args, "amp", None)
+        overrides = {} if amp is None else {("scenario", "amplitudes"): repr(amp)}
+        cfg = load_config(args.command, args.config, overrides)
         if args.command == "discretize":
+            if not (math.isfinite(args.rate) and args.rate > 0.0):
+                raise ConfigError("--rate", f"{args.rate} is not a positive finite rate")
             report = experiments.discretize_report(cfg, args.tf, args.rate)
             print(f"tf = {report['tf']}  rate = {report['rate_hz']:g} Hz")
             print("a_hat =", " ".join(f"{v:.12g}" for v in report["a_hat"]))
@@ -75,8 +81,7 @@ def main(argv=None) -> int:
             return 0
         out = _out_dir(args)
         if args.command == "bode-open-loop":
-            amps = [args.amp] if args.amp else None
-            summary = experiments.bode_open_loop(cfg, out, amplitudes=amps)
+            summary = experiments.bode_open_loop(cfg, out)
         elif args.command == "dob-verify":
             summary = experiments.dob_verify(cfg, out)
         elif args.command == "pid-step":

@@ -13,6 +13,8 @@ import configparser
 import math
 from pathlib import Path
 
+from .sysid import linear_chirp_freq_hz
+
 __all__ = ["ConfigError", "EXPERIMENTS", "load_config", "write_config"]
 
 
@@ -160,9 +162,12 @@ def _parse(section: str, key: str, raw: str):
     raise ConfigError(path, f"unhandled type {kind}")
 
 
-def load_config(experiment: str, path: str | Path | None = None) -> dict:
+def load_config(experiment: str, path: str | Path | None = None,
+                overrides: dict | None = None) -> dict:
     """Resolve the effective configuration for ``experiment``.
 
+    ``overrides`` maps ``(section, key)`` to a raw value that takes
+    precedence over the file; it is parsed and checked as a file value is.
     Returns a dict of dicts (section -> key -> typed value).
     """
     if experiment not in EXPERIMENTS:
@@ -184,6 +189,8 @@ def load_config(experiment: str, path: str | Path | None = None) -> dict:
                 if key not in _SCHEMA[sec]:
                     raise ConfigError(f"{sec}.{key}", "unknown key")
                 cfg[sec][key] = _parse(sec, key, raw)
+    for (sec, key), raw in (overrides or {}).items():
+        cfg[sec][key] = _parse(sec, key, raw)
     _check_semantics(cfg, experiment)
     return cfg
 
@@ -269,6 +276,24 @@ def _check_semantics(cfg: dict, experiment: str) -> None:
             "control.omega_c_hz",
             f"{omega_c_hz} must lie between 0 and the controller's Nyquist rate "
             f"({0.5 * controller_hz:g} Hz)")
+    # SimScenario.validate's chirp bounds, checked here to name the key: a
+    # current chirp is generated at the controller rate, a position chirp at
+    # the reference rate
+    if experiment in ("bode-open-loop", "dob-verify", "fit"):
+        nyquist = 0.5 / (1.0 / controller_hz)
+        for key in ("chirp_f_start", "chirp_f_end"):
+            if sn[key] >= nyquist:
+                raise ConfigError(f"scenario.{key}", f"{sn[key]} must lie below the "
+                                  f"controller's Nyquist rate ({nyquist:g} Hz)")
+    if experiment == "pendulum-chirp":
+        nyquist = 0.5 / (1.0 / reference_hz)
+        f_end = linear_chirp_freq_hz(sn["chirp_omega_o"], sn["duration_s"])
+        if f_end >= nyquist:
+            raise ConfigError(
+                "scenario.chirp_omega_o",
+                f"{sn['chirp_omega_o']} sweeps to {f_end:g} Hz by scenario.duration_s "
+                f"({sn['duration_s']}), at or above the reference rate's Nyquist rate "
+                f"({nyquist:g} Hz)")
 
 
 def write_config(cfg: dict, path: str | Path) -> None:

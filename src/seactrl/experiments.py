@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import write_config
+from .config import ConfigError, write_config
 from .control import ImpedanceConfig, LeakyState, PidConfig, leaky_step
 from .lti import bilinear_discretize, freq_response, log_grid
 from .plant import (
@@ -30,6 +30,7 @@ from .sysid import (
     TimeSeries,
     empirical_frf,
     fit_rational,
+    segment_length,
     write_csv,
     write_frf_csv,
     zoh_compensate,
@@ -101,9 +102,23 @@ def _grid(cfg: dict) -> np.ndarray:
     return log_grid(s["grid_lo_hz"], s["grid_hi_hz"], s["points_per_decade"])
 
 
-def _chirp_frf(cfg: dict, gamma: float, amplitude: float):
-    """Run a current chirp through the (DOB-wrapped) plant and estimate the
-    u_c -> f_o response on the configured grid."""
+def _check_segments(cfg: dict, n_samples: int) -> None:
+    """Reject a ``sysid.segments`` that an ``n_samples`` record cannot hold."""
+    segments = cfg["sysid"]["segments"]
+    try:
+        segment_length(n_samples, segments)
+    except ValueError as exc:
+        raise ConfigError("sysid.segments",
+                          f"{segments} does not fit a {n_samples}-sample record: {exc}") from None
+
+
+def _current_chirp(cfg: dict, gamma: float, amplitude: float):
+    """Run the configured exponential current chirp through the
+    (DOB-wrapped) plant; returns the log and its sample period.
+
+    The log feeds an H1 estimate, so a segment count it cannot hold is
+    rejected before the run.
+    """
     sn = cfg["scenario"]
     sc = _base_scenario(
         cfg,
@@ -111,8 +126,14 @@ def _chirp_frf(cfg: dict, gamma: float, amplitude: float):
                       f_start=sn["chirp_f_start"], f_end=sn["chirp_f_end"]),
         gamma=gamma,
     )
-    log = run_scenario(sc)
-    T = 1.0 / sc.controller_hz
+    _check_segments(cfg, int(round(sc.duration_s * sc.controller_hz)))
+    return run_scenario(sc), 1.0 / sc.controller_hz
+
+
+def _chirp_frf(cfg: dict, gamma: float, amplitude: float):
+    """Run a current chirp and estimate the u_c -> f_o response on the
+    configured grid."""
+    log, T = _current_chirp(cfg, gamma, amplitude)
     u_c = log.i_m + gamma * log.d_hat
     frf = empirical_frf(TimeSeries(T, u_c), TimeSeries(T, log.f_o), _grid(cfg),
                         segments=cfg["sysid"]["segments"])
@@ -125,10 +146,11 @@ def _max_deviation_db(frf, reference_tf) -> float:
     return float(np.nanmax(dev))
 
 
-def bode_open_loop(cfg: dict, out_dir, amplitudes=None) -> dict:
-    """Open-loop chirp bode of the simulated testbed at several amplitudes."""
+def bode_open_loop(cfg: dict, out_dir) -> dict:
+    """Open-loop chirp bode of the simulated testbed at each of
+    ``scenario.amplitudes``."""
     out = _prepare_out(cfg, out_dir)
-    amps = tuple(amplitudes) if amplitudes else tuple(cfg["scenario"]["amplitudes"])
+    amps = cfg["scenario"]["amplitudes"]
     summary: dict = {"experiment": "bode-open-loop", "amplitudes": list(amps)}
     pn = nominal_lsea_tf()
     for amp in amps:
@@ -221,8 +243,6 @@ def discretize_report(cfg: dict, tf_name: str, rate_hz: float) -> dict:
     """Discrete coefficients of one of the stack's transfer functions."""
     from .control import pid_transfer_function, q_filter
 
-    if rate_hz <= 0:
-        raise ValueError("rate must be positive")
     name = tf_name.lower()
     if name == "pn":
         tf = nominal_lsea_tf()
@@ -305,16 +325,9 @@ def fit_experiment(cfg: dict, out_dir, u_csv=None, y_csv=None) -> dict:
     if u_csv is not None:
         u = TimeSeries.from_csv(u_csv)
         y = TimeSeries.from_csv(y_csv)
+        _check_segments(cfg, u.samples.size)
     else:
-        sn = cfg["scenario"]
-        sc = _base_scenario(
-            cfg,
-            ReferenceSpec(kind="current_chirp", amplitude=sn["amplitude"],
-                          f_start=sn["chirp_f_start"], f_end=sn["chirp_f_end"]),
-            gamma=cfg["control"]["gamma"],
-        )
-        log = run_scenario(sc)
-        T = 1.0 / sc.controller_hz
+        log, T = _current_chirp(cfg, cfg["control"]["gamma"], cfg["scenario"]["amplitude"])
         u = TimeSeries(T, log.i_m)
         y = TimeSeries(T, log.f_o)
         u.to_csv(out / "input.csv")

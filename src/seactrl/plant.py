@@ -45,8 +45,8 @@ from .control import (
     impedance_step,
 )
 from .kinematics import PendulumMap, actuator_setpoints, ff_force
-from .lti import ContinuousTransferFunction
-from .sysid import ChirpSpec, exponential_chirp_point, linear_chirp_point, write_csv
+from .lti import ContinuousTransferFunction, NyquistError
+from .sysid import exponential_chirp_point, linear_chirp_freq_hz, linear_chirp_point, write_csv
 
 __all__ = [
     "SimulationFault",
@@ -358,14 +358,18 @@ class PendulumConfig:
 
 @dataclass
 class ReferenceSpec:
-    """Reference signal for a scenario.
+    """Reference signal for a scenario; each kind reads only its own fields.
 
-    kinds: ``force_step`` (desired force step of ``step_value`` at
-    ``step_time``; the default holds zero force), ``current_chirp``
-    (open-loop / DOB-loop current excitation), ``position_chirp``
-    (joint-space linear chirp through the full controller).  Current chirps
-    may be linear (``omega_o``) or exponential (``f_start``/``f_end``).
-    ``SimScenario.validate`` checks chirps against their generating rate.
+    - ``force_step``: desired force ``step_value`` from ``step_time`` on
+      (the default holds zero force).
+    - ``current_chirp``: open-loop / DOB-loop current excitation, an
+      exponential sweep of ``amplitude`` from ``f_start`` to ``f_end`` over
+      the scenario, generated at the controller rate.
+    - ``position_chirp``: joint-space linear chirp ``amplitude *
+      sin(omega_o t^2)`` through the full controller, generated at the
+      reference rate.
+
+    ``SimScenario.validate`` checks the fields against the generating rate.
     """
 
     kind: str = "force_step"
@@ -401,6 +405,13 @@ class SimScenario:
     estimate_backlash_m: float = 0.0
 
     def validate(self) -> None:
+        """Check the rates and the reference.
+
+        This is the one check of a reference; ``config`` repeats the chirp
+        bounds only to name the offending key.  Raises ``ValueError``, or
+        ``NyquistError`` for a chirp whose frequency reaches the Nyquist rate
+        of its generating rate before the sweep ends.
+        """
         if self.duration_s < 0.0:
             raise ValueError("duration must be non-negative")
         for name, hz in (("controller_hz", self.controller_hz),
@@ -416,18 +427,25 @@ class SimScenario:
         if self.controller_hz % self.reference_hz != 0:
             raise ValueError("controller rate must be an integer multiple of the reference rate")
         ref = self.reference
+        if ref.kind == "force_step":
+            return
+        if ref.amplitude <= 0.0 or self.duration_s <= 0.0:
+            raise ValueError("a chirp needs a positive amplitude and duration_s")
         # current chirps are generated at the controller rate; position
         # references are communicated at the reference rate
         if ref.kind == "current_chirp":
-            exponential = ref.f_start is not None or ref.f_end is not None
-            ChirpSpec("exponential" if exponential else "linear", ref.amplitude,
-                      self.duration_s, 1.0 / self.controller_hz, omega_o=ref.omega_o,
-                      f_start=ref.f_start, f_end=ref.f_end)
-        elif ref.kind == "position_chirp":
-            ChirpSpec("linear", ref.amplitude, self.duration_s, 1.0 / self.reference_hz,
-                      omega_o=ref.omega_o)
-        if self.pendulum is None and ref.kind == "position_chirp":
-            raise ValueError("position_chirp needs the pendulum enabled")
+            if not (ref.f_start and ref.f_end) or ref.f_start <= 0.0 or ref.f_end <= 0.0:
+                raise ValueError("current_chirp needs positive f_start and f_end")
+            if max(ref.f_start, ref.f_end) >= 0.5 / (1.0 / self.controller_hz):
+                raise NyquistError("current chirp endpoint at or above Nyquist")
+        else:
+            if ref.omega_o is None or ref.omega_o <= 0.0:
+                raise ValueError("position_chirp needs a positive sweep rate omega_o")
+            nyquist = 0.5 / (1.0 / self.reference_hz)
+            if linear_chirp_freq_hz(ref.omega_o, self.duration_s) >= nyquist:
+                raise NyquistError("position chirp reaches Nyquist before the sweep ends")
+            if self.pendulum is None:
+                raise ValueError("position_chirp needs the pendulum enabled")
 
 
 LOG_COLUMNS = ("t", "ref_pos", "q_bar_a_d", "qdot_bar_a_d", "f_d", "f_o", "i_m",
@@ -552,11 +570,8 @@ def run_scenario(sc: SimScenario) -> SimLog:
             f_d = ref.step_value if t >= ref.step_time else 0.0
             i_m = fc.step(f_d, f_o)
         else:  # current_chirp: open loop around the observer blend
-            if ref.f_start is not None:
-                u_c, _ = exponential_chirp_point(ref.amplitude, ref.f_start,
-                                                 ref.f_end, sc.duration_s, t)
-            else:
-                u_c, _, _ = linear_chirp_point(ref.amplitude, ref.omega_o, t)
+            u_c, _ = exponential_chirp_point(ref.amplitude, ref.f_start,
+                                             ref.f_end, sc.duration_s, t)
             i_m = dob.step(u_c, f_o)
             f_d = 0.0
         d_hat = dob.d_hat

@@ -1,4 +1,4 @@
-"""Chirp excitation, empirical frequency responses, and rational fitting.
+"""Chirp signal points, empirical frequency responses, and rational fitting.
 
 Desk-scale replacement for an identification-toolbox workflow: sweep the
 input, record input/output, estimate the frequency response with an H1
@@ -6,7 +6,9 @@ estimator (cross-spectrum over input auto-spectrum, Hann windows, 50%
 overlap), then fit a rational transfer function with linearized complex
 least squares (Levy's method, optionally refined by Sanathanan-Koerner
 reweighting).  All operations are pure and safe to parallelize across
-records.
+records.  The chirp functions give the signal at one instant; which sweep a
+scenario runs, and its check against the generating rate, belong to
+``plant.ReferenceSpec`` and ``plant.SimScenario.validate``.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from .lti import ContinuousTransferFunction, FrequencyResponse, NyquistError
 
 __all__ = [
     "FitError",
-    "ChirpSpec",
     "TimeSeries",
     "FitResult",
     "linear_chirp_point",
     "linear_chirp_freq_hz",
     "exponential_chirp_point",
+    "segment_length",
     "empirical_frf",
     "fit_rational",
     "write_csv",
@@ -97,44 +99,6 @@ class TimeSeries:
         return cls(sample_period=dt, samples=v)
 
 
-@dataclass
-class ChirpSpec:
-    """Swept-sine specification.
-
-    ``linear`` sweeps use phase w_o * t^2 (so the instantaneous frequency
-    is w_o t / pi); ``exponential`` sweeps run from f_start to f_end over
-    the duration.  The instantaneous frequency must stay strictly below
-    Nyquist for the whole sweep.
-    """
-
-    kind: str
-    amplitude: float
-    duration: float
-    sample_period: float
-    omega_o: float | None = None
-    f_start: float | None = None
-    f_end: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("linear", "exponential"):
-            raise ValueError(f"unknown chirp kind {self.kind!r}")
-        if self.amplitude <= 0.0 or self.duration <= 0.0 or self.sample_period <= 0.0:
-            raise ValueError("amplitude, duration, and sample period must be positive")
-        nyq = 0.5 / self.sample_period
-        if self.kind == "linear":
-            if self.omega_o is None or self.omega_o <= 0.0:
-                raise ValueError("linear chirp needs a positive sweep rate omega_o")
-            if linear_chirp_freq_hz(self.omega_o, self.duration) >= nyq:
-                raise NyquistError(
-                    "linear chirp reaches Nyquist before the sweep ends"
-                )
-        else:
-            if not (self.f_start and self.f_end) or self.f_start <= 0.0 or self.f_end <= 0.0:
-                raise ValueError("exponential chirp needs positive f_start and f_end")
-            if max(self.f_start, self.f_end) >= nyq:
-                raise NyquistError("exponential chirp endpoint at or above Nyquist")
-
-
 def linear_chirp_point(amplitude: float, omega_o: float, t: float):
     """Position, velocity, acceleration of A*sin(w_o t^2) at time ``t``."""
     ph = omega_o * t * t
@@ -160,6 +124,20 @@ def exponential_chirp_point(amplitude: float, f_start: float, f_end: float,
     return amplitude * math.sin(phase), f_start * math.exp(lnk * t)
 
 
+def segment_length(n_samples: int, segments: int) -> int:
+    """Length of each of ``segments`` half-overlapping segments of a record.
+
+    Raises ``ValueError`` unless ``segments`` is at least one and leaves each
+    segment at least four samples long.
+    """
+    if segments < 1:
+        raise ValueError("need at least one segment")
+    seg = int(2 * n_samples // (segments + 1))
+    if seg < 4:
+        raise ValueError("record too short for the requested segment count")
+    return seg
+
+
 def empirical_frf(u: TimeSeries, y: TimeSeries, freqs_hz,
                   segments: int = 8) -> FrequencyResponse:
     """H1 frequency-response estimate of y relative to u.
@@ -178,13 +156,8 @@ def empirical_frf(u: TimeSeries, y: TimeSeries, freqs_hz,
     f = np.asarray(freqs_hz, dtype=float).ravel()
     if f.size and f.max() >= 0.5 / T:
         raise NyquistError("requested frequency at or above Nyquist")
-    if segments < 1:
-        raise ValueError("need at least one segment")
-
     n = u.samples.size
-    seg = int(2 * n // (segments + 1))
-    if seg < 4:
-        raise ValueError("record too short for the requested segment count")
+    seg = segment_length(n, segments)
     step = seg // 2
     win = np.hanning(seg)
     puu = np.zeros(seg // 2 + 1)

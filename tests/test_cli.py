@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -135,14 +140,55 @@ class TestCliCommands:
         ("sysid", "num_order", "-1"),
         ("sysid", "num_order", "4"),
         ("sysid", "sk_iterations", "-1"),
+        ("scenario", "chirp_f_end", "600"),
+        ("scenario", "chirp_f_start", "600"),
+        ("scenario", "chirp_f_end", "500"),
+        ("scenario", "chirp_omega_o", "30"),
     ])
     def test_unrunnable_value_exits_2(self, tmp_path, capsys, section, key, value):
         bad = write(tmp_path, "bad.ini", f"[{section}]\n{key} = {value}\n")
-        # an odd substep ratio is runnable except on the pendulum path
-        command = "pendulum-chirp" if key == "plant_hz" else "pid-step"
+        # an odd substep ratio and a chirp at Nyquist are runnable except on
+        # the experiment that runs them
+        command = {("plant_hz", "5000"): "pendulum-chirp",
+                   ("chirp_f_end", "600"): "bode-open-loop",
+                   ("chirp_f_start", "600"): "dob-verify",
+                   ("chirp_f_end", "500"): "fit",
+                   ("chirp_omega_o", "30"): "pendulum-chirp"}.get((key, value), "pid-step")
         code = main([command, "--config", bad, "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bode-open-loop", "dob-verify", "fit"])
+    def test_segments_beyond_record_exits_2(self, tmp_path, capsys, command):
+        bad = write(tmp_path, "bad.ini",
+                    "[scenario]\nduration_s = 2\n[sysid]\nsegments = 100000\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", bad, "--out", str(out)]) == 2
+        assert "sysid.segments" in capsys.readouterr().err
+        # rejected before the first simulation: no log was written
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.ini"]
+
+    def test_segments_beyond_csv_records_exits_2(self, tmp_path, capsys):
+        u = TimeSeries(1e-3, np.arange(64.0))
+        up, yp = tmp_path / "u.csv", tmp_path / "y.csv"
+        u.to_csv(up)
+        u.to_csv(yp)
+        bad = write(tmp_path, "bad.ini", "[sysid]\nsegments = 100\n")
+        code = main(["fit", "--config", bad, "--u", str(up), "--y", str(yp),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "sysid.segments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("amp", ["0", "-1", "nan"])
+    def test_bad_amp_exits_2(self, tmp_path, capsys, amp):
+        code = main(["bode-open-loop", "--amp", amp, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "scenario.amplitudes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["0", "-1000", "nan", "inf"])
+    def test_bad_rate_exits_2(self, capsys, rate):
+        assert main(["discretize", "--tf", "pn", "--rate", rate]) == 2
+        assert "--rate" in capsys.readouterr().err
 
     def test_numeric_fault_exits_3(self, tmp_path, capsys):
         cfg = write(tmp_path, "blow.ini",
@@ -198,6 +244,19 @@ class TestCliCommands:
                      "--out", str(out4)]) == 0
         for name in ("step_kd0.csv", "step_kd0p5.csv", "summary.txt"):
             assert (out3 / name).read_bytes() == (out4 / name).read_bytes()
+        # --amp is echoed as scenario.amplitudes, so the re-run runs that one
+        # amplitude, not the configured sweep
+        cfg = write(tmp_path, "bode.ini",
+                    "[scenario]\nduration_s = 2.0\nplant_hz = 2000\nchirp_f_start = 0.5\n"
+                    "[sysid]\ngrid_lo_hz = 1.0\ngrid_hi_hz = 8.0\nsegments = 2\n")
+        out5, out6 = tmp_path / "e", tmp_path / "f"
+        assert main(["bode-open-loop", "--config", cfg, "--amp", "1.75",
+                     "--out", str(out5)]) == 0
+        assert main(["bode-open-loop", "--config", str(out5 / "effective_config.ini"),
+                     "--out", str(out6)]) == 0
+        assert sorted(p.name for p in out5.iterdir()) == sorted(p.name for p in out6.iterdir())
+        for name in ("frf_amp1p75.csv", "log_amp1p75.csv", "summary.txt"):
+            assert (out5 / name).read_bytes() == (out6 / name).read_bytes()
 
     def test_fit_from_csv_records(self, tmp_path):
         # tiny synthetic record: static gain of 2 fits orders (0, 0)
@@ -219,3 +278,27 @@ class TestCliCommands:
     def test_fit_requires_both_records(self, tmp_path, capsys):
         code = main(["fit", "--u", "only_input.csv", "--out", str(tmp_path / "o")])
         assert code == 1
+
+
+def test_installed_entry_point_runs_the_cli():
+    # pyproject's console script, called as an installed script calls it:
+    # sys.exit(target()) with the arguments in sys.argv
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["seactrl"]
+    module, _, attr = target.partition(":")
+    src = str(root / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = ["discretize", "--tf", "pn", "--rate", "1000"]
+    script = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; from {module} import {attr}; sys.argv[0] = 'seactrl'; sys.exit({attr}())",
+         *argv], capture_output=True, text=True, env=env, timeout=60)
+    direct = subprocess.run([sys.executable, "-m", "seactrl.cli", *argv],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert script.returncode == 0, script.stderr
+    assert direct.returncode == 0, direct.stderr
+    assert script.stdout == direct.stdout
+    assert "dc_gain_at_z1 = " in script.stdout

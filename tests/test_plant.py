@@ -357,11 +357,55 @@ class TestScenario:
         with pytest.raises(ValueError):
             run_scenario(sc)
 
+    def test_nyquist_violation_rejected(self):
+        # a current chirp is generated at the controller rate, a position
+        # chirp at the reference rate: each must stay below that Nyquist rate
+        sc = SimScenario(
+            reference=ReferenceSpec(kind="position_chirp", amplitude=1.0, omega_o=200.0),
+            duration_s=10.0, pendulum=PendulumConfig(), reference_hz=1000)
+        with pytest.raises(NyquistError):
+            sc.validate()
+        sc = SimScenario(
+            reference=ReferenceSpec(kind="current_chirp", amplitude=1.0,
+                                    f_start=0.1, f_end=600.0),
+            duration_s=10.0)
+        with pytest.raises(NyquistError):
+            sc.validate()
+
+    def test_spec_validation(self):
+        with pytest.raises(ValueError, match="reference kind"):
+            ReferenceSpec(kind="triangular")
+        cases = [
+            (ReferenceSpec(kind="current_chirp", amplitude=0.0, f_start=0.1, f_end=10.0),
+             1.0, "positive amplitude"),
+            (ReferenceSpec(kind="position_chirp", amplitude=0.0, omega_o=1.0),
+             1.0, "positive amplitude"),
+            (ReferenceSpec(kind="current_chirp", amplitude=1.0, f_start=0.1, f_end=10.0),
+             0.0, "duration_s"),
+            (ReferenceSpec(kind="position_chirp", amplitude=1.0, omega_o=1.0),
+             0.0, "duration_s"),
+            (ReferenceSpec(kind="current_chirp", amplitude=1.0, f_start=0.1),
+             1.0, "f_start and f_end"),
+        ]
+        for reference, duration_s, match in cases:
+            sc = SimScenario(reference=reference, duration_s=duration_s,
+                             pendulum=PendulumConfig())
+            with pytest.raises(ValueError, match=match):
+                sc.validate()
+
+    def test_current_chirp_is_exponential_only(self):
+        sc = SimScenario(
+            reference=ReferenceSpec(kind="current_chirp", amplitude=1.0, omega_o=1.0),
+            duration_s=1.0)
+        with pytest.raises(ValueError, match="f_start and f_end"):
+            sc.validate()
+
     def test_current_chirp_observer_nyquist_guard(self):
         # the chirp path builds its observer through the same guarded builder
         # as the force controller: a Q cutoff above Nyquist is rejected
         sc = SimScenario(
-            reference=ReferenceSpec(kind="current_chirp", amplitude=1.0, omega_o=1.0),
+            reference=ReferenceSpec(kind="current_chirp", amplitude=1.0,
+                                    f_start=0.1, f_end=10.0),
             duration_s=2.0, omega_c=2.0 * math.pi * 600.0, controller_hz=1000)
         with pytest.raises(NyquistError):
             run_scenario(sc)
@@ -414,7 +458,8 @@ class TestScenario:
 
     def test_locked_testbed_logs_zero_pendulum_columns(self):
         sc = SimScenario(
-            reference=ReferenceSpec(kind="current_chirp", amplitude=1.0, omega_o=1.0),
+            reference=ReferenceSpec(kind="current_chirp", amplitude=1.0,
+                                    f_start=0.1, f_end=10.0),
             duration_s=0.5, plant_hz=5000)
         log = run_scenario(sc)
         assert np.all(log.theta == 0.0)
