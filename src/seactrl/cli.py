@@ -12,8 +12,11 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import experiments
 from .config import ConfigError, load_config
+from .lti import CausalityError
 from .plant import SimulationFault
 
 
@@ -59,6 +62,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discretize(cfg: dict, tf_name: str, rate: float) -> dict:
+    """``discretize_report`` at ``--rate``, rejecting with ``--rate`` a rate
+    that is not positive and finite or that the Tustin chain cannot carry:
+    one that overflows or underflows on the way, or gives non-finite
+    coefficients or a NaN DC gain."""
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise ConfigError("--rate", f"{rate} is not a positive finite rate")
+    try:
+        with np.errstate(all="raise"):
+            report = experiments.discretize_report(cfg, tf_name, rate)
+    except (FloatingPointError, CausalityError) as exc:
+        raise ConfigError("--rate", f"{rate:g} Hz cannot be discretized ({exc})") from None
+    if (not all(map(math.isfinite, report["a_hat"] + report["b_hat"]))
+            or math.isnan(report["dc_gain_at_z1"])):
+        raise ConfigError("--rate", f"{rate:g} Hz gives non-finite coefficients or DC gain")
+    return report
+
+
 def _out_dir(args) -> str:
     return args.out if args.out else f"seactrl-out/{args.command}"
 
@@ -71,9 +92,7 @@ def main(argv=None) -> int:
         overrides = {} if amp is None else {("scenario", "amplitudes"): repr(amp)}
         cfg = load_config(args.command, args.config, overrides)
         if args.command == "discretize":
-            if not (math.isfinite(args.rate) and args.rate > 0.0):
-                raise ConfigError("--rate", f"{args.rate} is not a positive finite rate")
-            report = experiments.discretize_report(cfg, args.tf, args.rate)
+            report = _discretize(cfg, args.tf, args.rate)
             print(f"tf = {report['tf']}  rate = {report['rate_hz']:g} Hz")
             print("a_hat =", " ".join(f"{v:.12g}" for v in report["a_hat"]))
             print("b_hat =", " ".join(f"{v:.12g}" for v in report["b_hat"]))

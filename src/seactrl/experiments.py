@@ -116,10 +116,17 @@ def _current_chirp(cfg: dict, gamma: float, amplitude: float):
     """Run the configured exponential current chirp through the
     (DOB-wrapped) plant; returns the log and its sample period.
 
-    The log feeds an H1 estimate, so a segment count it cannot hold is
-    rejected before the run.
+    Before the run, a chirp endpoint at or above the controller's Nyquist
+    rate (``SimScenario.validate``'s bound, checked here to name the key)
+    and a segment count the log cannot hold for its H1 estimate are
+    rejected.
     """
     sn = cfg["scenario"]
+    nyquist = 0.5 / (1.0 / sn["controller_hz"])
+    for key in ("chirp_f_start", "chirp_f_end"):
+        if sn[key] >= nyquist:
+            raise ConfigError(f"scenario.{key}", f"{sn[key]} must lie below the "
+                              f"controller's Nyquist rate ({nyquist:g} Hz)")
     sc = _base_scenario(
         cfg,
         ReferenceSpec(kind="current_chirp", amplitude=amplitude,

@@ -46,7 +46,7 @@ from .control import (
 )
 from .kinematics import PendulumMap, actuator_setpoints, ff_force
 from .lti import ContinuousTransferFunction, NyquistError
-from .sysid import exponential_chirp_point, linear_chirp_freq_hz, linear_chirp_point, write_csv
+from .sysid import exponential_chirp, linear_chirp_freq_hz, linear_chirp_point, write_csv
 
 __all__ = [
     "SimulationFault",
@@ -228,8 +228,8 @@ class LseaPlant:
         stuck_input = brk > 0.0 and abs(u) < brk
         x0, x1, x2 = self._x0, self._x1, self._x2
         if substeps > 1 and play is None and not stuck_input:
-            (p00, p01, p02, p10, p11, p12, p20, p21, p22,
-             g0, g1, g2) = self._lifted(dt, substeps)
+            lifted = self._lift_cache.get((dt, substeps)) or self._lifted(dt, substeps)
+            (p00, p01, p02, p10, p11, p12, p20, p21, p22, g0, g1, g2) = lifted
             x0, x1, x2 = (
                 p00 * x0 + p01 * x1 + p02 * x2 + g0 * u,
                 p10 * x0 + p11 * x1 + p12 * x2 + g1 * u,
@@ -250,11 +250,10 @@ class LseaPlant:
                 m10 * x0 + m11 * x1 + m12 * x2 + n1 * ue,
                 m20 * x0 + m21 * x1 + m22 * x2 + n2 * ue,
             )
-            y = cy * x0
             if play is not None:
-                y = play.step(y)
+                y = play.step(cy * x0)
         self._x0, self._x1, self._x2 = x0, x1, x2
-        return y
+        return cy * x0 if play is None else y
 
 
 def _pend_rk4_forced(theta, omega, f_0, f_mid, f_1, dt, m, l1, l2, g, c):
@@ -407,8 +406,9 @@ class SimScenario:
     def validate(self) -> None:
         """Check the rates and the reference.
 
-        This is the one check of a reference; ``config`` repeats the chirp
-        bounds only to name the offending key.  Raises ``ValueError``, or
+        This is the one check of a reference; ``config`` (position chirp)
+        and ``experiments`` (current chirp) repeat the Nyquist bounds only to
+        name the offending key.  Raises ``ValueError``, or
         ``NyquistError`` for a chirp whose frequency reaches the Nyquist rate
         of its generating rate before the sweep ends.
         """
@@ -450,6 +450,7 @@ class SimScenario:
 
 LOG_COLUMNS = ("t", "ref_pos", "q_bar_a_d", "qdot_bar_a_d", "f_d", "f_o", "i_m",
                "d_hat", "theta", "theta_dot", "q_hat_a_m", "q_hat_a_j")
+_LOG_BLOCK_TICKS = 1024  # ticks recorded before one copy into the log array
 
 
 @dataclass
@@ -503,10 +504,11 @@ def run_scenario(sc: SimScenario) -> SimLog:
     controller_hz must be even) and two pendulum RK4 steps of half a step
     each, which see the force at their start, midpoint and end.  Every
     per-tick value is a Python float, not a numpy scalar, so it overflows
-    to inf without a warning.  Re-running an identical scenario yields
-    bit-identical output.  A non-finite pendulum state, plant output,
-    rejected desired force or current command raises ``SimulationFault``
-    with the step time.
+    to inf without a warning; each tick's row is appended to a flat list
+    that is copied into the log array every ``_LOG_BLOCK_TICKS`` ticks.
+    Re-running an identical scenario yields bit-identical output.  A
+    non-finite pendulum state, plant output, rejected desired force or
+    current command raises ``SimulationFault`` with the step time.
     """
     sc.validate()
     T = 1.0 / sc.controller_hz
@@ -517,6 +519,8 @@ def run_scenario(sc: SimScenario) -> SimLog:
     dt_half, n_quarter, T_half = 0.5 * dt_sub, n_sub // 2, 0.5 * T
     ref_div = sc.controller_hz // sc.reference_hz
     ref = sc.reference
+    position_chirp = ref.kind == "position_chirp"
+    force_step = ref.kind == "force_step"
 
     plant = sc.plant.build()
     pend = sc.pendulum
@@ -530,74 +534,83 @@ def run_scenario(sc: SimScenario) -> SimLog:
 
     dob_cfg = DobConfig(sc.omega_c, sc.gamma, nominal_lsea_tf())
     fc: ForceController | None = None
-    if ref.kind == "current_chirp":
-        dob = build_observer(dob_cfg, T)
-    else:
+    if position_chirp or force_step:
         fc = build_force_controller(sc.pid, dob_cfg, sc.k_ff, T)
         dob = fc.dob
+        fc_step = fc.step
+    else:
+        dob = build_observer(dob_cfg, T)
+        chirp = exponential_chirp(ref.amplitude, ref.f_start, ref.f_end, sc.duration_s)
+    # bound once per scenario; a tracer that patches the classes beforehand
+    # still sees every call
+    advance, dob_step = plant.advance, dob.step
 
-    # one row per log column, so each column is a contiguous float64 array
+    # one row per log column, so each column is a contiguous float64 array;
+    # ticks are recorded into a flat block that fills _LOG_BLOCK_TICKS columns
     data = np.zeros((len(LOG_COLUMNS), n_steps))
+    block: list[float] = []
+    record = block.extend
     f_o = 0.0
     ref_pos = q_a_d = qdot_a_d = f_ff = 0.0
 
-    for k in range(n_steps):
-        t = k * T
-        if pend is None:
-            q_hat_a_j = qdot_hat_a = 0.0
-        elif not math.isfinite(theta):
-            raise SimulationFault(t, "theta")
-        elif not math.isfinite(theta_dot):
-            raise SimulationFault(t, "theta_dot")
-        else:
-            q_hat_a_j = pend.l2 * theta
-            qdot_hat_a = pend.l2 * theta_dot
-        q_hat_a_m = est_play.step(q_hat_a_j) if est_play is not None else q_hat_a_j
+    for k0 in range(0, n_steps, _LOG_BLOCK_TICKS):
+        k1 = min(k0 + _LOG_BLOCK_TICKS, n_steps)
+        for k in range(k0, k1):
+            t = k * T
+            if pend is None:
+                q_hat_a_j = qdot_hat_a = 0.0
+            elif not math.isfinite(theta):
+                raise SimulationFault(t, "theta")
+            elif not math.isfinite(theta_dot):
+                raise SimulationFault(t, "theta_dot")
+            else:
+                q_hat_a_j = pend.l2 * theta
+                qdot_hat_a = pend.l2 * theta_dot
+            q_hat_a_m = est_play.step(q_hat_a_j) if est_play is not None else q_hat_a_j
 
-        if ref.kind == "position_chirp":
-            if k % ref_div == 0:
-                qj_d, qjdot_d, qjddot_d = linear_chirp_point(
-                    ref.amplitude, ref.omega_o, t)
-                tau_ff = (pend.m * pend.l1**2 * qjddot_d
-                          + pend.m * pend.g * pend.l1 * math.sin(qj_d))
-                q_a_d, qdot_a_d = actuator_setpoints(pmap, qj_d, qjdot_d, theta)
-                f_ff = ff_force(pmap, theta, tau_ff)
-                ref_pos = qj_d
-            f_d = impedance_step(sc.impedance, q_a_d, qdot_a_d,
-                                 q_hat_a_m, qdot_hat_a, f_ff)
-            i_m = fc.step(f_d, f_o)
-        elif ref.kind == "force_step":
-            f_d = ref.step_value if t >= ref.step_time else 0.0
-            i_m = fc.step(f_d, f_o)
-        else:  # current_chirp: open loop around the observer blend
-            u_c, _ = exponential_chirp_point(ref.amplitude, ref.f_start,
-                                             ref.f_end, sc.duration_s, t)
-            i_m = dob.step(u_c, f_o)
-            f_d = 0.0
-        d_hat = dob.d_hat
+            if position_chirp:
+                if k % ref_div == 0:
+                    qj_d, qjdot_d, qjddot_d = linear_chirp_point(
+                        ref.amplitude, ref.omega_o, t)
+                    tau_ff = (pend.m * pend.l1**2 * qjddot_d
+                              + pend.m * pend.g * pend.l1 * math.sin(qj_d))
+                    q_a_d, qdot_a_d = actuator_setpoints(pmap, qj_d, qjdot_d, theta)
+                    f_ff = ff_force(pmap, theta, tau_ff)
+                    ref_pos = qj_d
+                f_d = impedance_step(sc.impedance, q_a_d, qdot_a_d,
+                                     q_hat_a_m, qdot_hat_a, f_ff)
+                i_m = fc_step(f_d, f_o)
+            elif force_step:
+                f_d = ref.step_value if t >= ref.step_time else 0.0
+                i_m = fc_step(f_d, f_o)
+            else:  # current_chirp: open loop around the observer blend
+                i_m = dob_step(chirp(t), f_o)
+                f_d = 0.0
 
-        data[:, k] = (t, ref_pos, q_a_d, qdot_a_d, f_d, f_o, i_m, d_hat,
-                      theta, theta_dot, q_hat_a_m, q_hat_a_j)
-        if not math.isfinite(f_o):
-            raise SimulationFault(t, "f_o")
-        if fc is not None and fc.fault:
-            # f_o is finite, so the controller rejected f_d
-            raise SimulationFault(t, "f_d")
-        if not math.isfinite(i_m):
-            raise SimulationFault(t, "i_m")
+            record((t, ref_pos, q_a_d, qdot_a_d, f_d, f_o, i_m, dob.d_hat,
+                    theta, theta_dot, q_hat_a_m, q_hat_a_j))
+            if not math.isfinite(f_o):
+                raise SimulationFault(t, "f_o")
+            if fc is not None and fc.fault:
+                # f_o is finite, so the controller rejected f_d
+                raise SimulationFault(t, "f_d")
+            if not math.isfinite(i_m):
+                raise SimulationFault(t, "i_m")
 
-        if pend is not None:
-            try:
-                for _ in range(2):
-                    f_q = plant.advance(i_m, dt_half, n_quarter)
-                    f_h = plant.advance(i_m, dt_half, n_quarter)
-                    theta, theta_dot = _pend_rk4_forced(
-                        theta, theta_dot, f_o, f_q, f_h, T_half,
-                        pend.m, pend.l1, pend.l2, pend.g, pend.damping)
-                    f_o = f_h
-            except ValueError:  # math.sin of an infinite angle
-                raise SimulationFault(t, "theta") from None
-        else:
-            f_o = plant.advance(i_m, dt_sub, n_sub)
+            if pend is not None:
+                try:
+                    for _ in range(2):
+                        f_q = advance(i_m, dt_half, n_quarter)
+                        f_h = advance(i_m, dt_half, n_quarter)
+                        theta, theta_dot = _pend_rk4_forced(
+                            theta, theta_dot, f_o, f_q, f_h, T_half,
+                            pend.m, pend.l1, pend.l2, pend.g, pend.damping)
+                        f_o = f_h
+                except ValueError:  # math.sin of an infinite angle
+                    raise SimulationFault(t, "theta") from None
+            else:
+                f_o = advance(i_m, dt_sub, n_sub)
+        data[:, k0:k1] = np.array(block).reshape(k1 - k0, len(LOG_COLUMNS)).T
+        block.clear()
 
     return SimLog(**dict(zip(LOG_COLUMNS, data)))

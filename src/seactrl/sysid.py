@@ -26,6 +26,7 @@ __all__ = [
     "FitResult",
     "linear_chirp_point",
     "linear_chirp_freq_hz",
+    "exponential_chirp",
     "exponential_chirp_point",
     "segment_length",
     "empirical_frf",
@@ -49,15 +50,29 @@ def write_csv(path, header, columns) -> None:
 
     Every CSV the package emits goes through here, so the row format
     (``%.9g`` values, ``,`` separators, ``\n`` line ends) lives in one place.
+    A column whose values all share one bit pattern (compared as ``uint64``,
+    so ``0.0`` and ``-0.0`` differ and NaN matches itself) is formatted once,
+    into the row format; the bytes are those of formatting every value.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
-    fmt = ",".join(["%.9g"] * len(cols)) + "\n"
     n = cols[0].size if cols else 0
+    fields, varying = [], []
+    for c in cols:
+        bits = c.view(np.uint64)
+        if n and (bits == bits[0]).all():
+            fields.append("%.9g" % c[0])
+        else:
+            fields.append("%.9g")
+            varying.append(c)
+    fmt = ",".join(fields) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for s in range(0, n, _CSV_BLOCK_ROWS):
-            block = (c[s:s + _CSV_BLOCK_ROWS].tolist() for c in cols)
-            fh.write("".join(fmt % row for row in zip(*block)))
+            if varying:
+                block = (c[s:s + _CSV_BLOCK_ROWS].tolist() for c in varying)
+                fh.write("".join(fmt % row for row in zip(*block)))
+            else:  # every column constant: the row is fixed text
+                fh.write(fmt * min(_CSV_BLOCK_ROWS, n - s))
 
 
 @dataclass
@@ -114,14 +129,27 @@ def linear_chirp_freq_hz(omega_o: float, t) -> float:
     return omega_o * t / math.pi
 
 
+def exponential_chirp(amplitude: float, f_start: float, f_end: float, duration: float):
+    """The exponential sweep's value as a function of ``t``.
+
+    The sweep rate ``ln(f_end / f_start) / duration`` and ``2 pi f_start``
+    are computed once here, so a caller that samples the sweep every tick
+    pays only for the ``exp`` and ``sin``.
+    """
+    w0 = 2.0 * math.pi * f_start
+    if f_end == f_start:
+        return lambda t: amplitude * math.sin(w0 * t)
+    lnk = math.log(f_end / f_start) / duration
+    return lambda t: amplitude * math.sin(w0 * (math.exp(lnk * t) - 1.0) / lnk)
+
+
 def exponential_chirp_point(amplitude: float, f_start: float, f_end: float,
                             duration: float, t: float):
     """Value and instantaneous frequency of an exponential sweep at ``t``."""
+    value = exponential_chirp(amplitude, f_start, f_end, duration)(t)
     if f_end == f_start:
-        return amplitude * math.sin(2.0 * math.pi * f_start * t), f_start
-    lnk = math.log(f_end / f_start) / duration
-    phase = 2.0 * math.pi * f_start * (math.exp(lnk * t) - 1.0) / lnk
-    return amplitude * math.sin(phase), f_start * math.exp(lnk * t)
+        return value, f_start
+    return value, f_start * math.exp(math.log(f_end / f_start) / duration * t)
 
 
 def segment_length(n_samples: int, segments: int) -> int:

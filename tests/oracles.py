@@ -6,7 +6,8 @@ system sampler builds transfer functions from explicit pole/zero draws,
 the coupled plant/pendulum ODE is integrated by scipy, the plant's
 multi-substep map is composed with numpy matrix products or taken from
 scipy's matrix exponential, and the observer loop's response is predicted
-from scipy's zero-order-hold discretization of the plant.  The one
+from scipy's zero-order-hold discretization of the plant; the CSV
+reference formats each value on its own.  The one
 exception is ``pendulum_tick_reference``: it writes out, with the library's
 plant, the controller step that ``run_scenario``'s pendulum path must match
 bit for bit.
@@ -62,6 +63,19 @@ def random_stable_tf(rng, max_order=4, w_lo=0.5, w_hi=200.0, min_damp=0.3):
     num = (np.real(np.poly(roots(m))) * rng.uniform(0.1, 10.0)
            if m else np.array([rng.uniform(0.1, 10.0)]))
     return ContinuousTransferFunction(num, den)
+
+
+def csv_reference(path, header, columns):
+    """Per-value CSV writer: each value formatted on its own as ``f"{v:.9g}"``.
+
+    The row format ``sysid.write_csv`` promises, without its block
+    formatting or its folding of constant columns into the row format.
+    """
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
 
 
 def observer_reference(inv_plant, q, f_measured, u_prev):

@@ -185,9 +185,11 @@ class TestCliCommands:
         assert code == 2
         assert "scenario.amplitudes" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("rate", ["0", "-1000", "nan", "inf"])
+    @pytest.mark.parametrize("rate", ["0", "-1000", "nan", "inf", "1e300", "1e-300"])
     def test_bad_rate_exits_2(self, capsys, rate):
-        assert main(["discretize", "--tf", "pn", "--rate", rate]) == 2
+        # finite extremes under- or overflow the Tustin chain
+        tf = {"1e300": "pid"}.get(rate, "pn")
+        assert main(["discretize", "--tf", tf, "--rate", rate]) == 2
         assert "--rate" in capsys.readouterr().err
 
     def test_numeric_fault_exits_3(self, tmp_path, capsys):
@@ -258,7 +260,8 @@ class TestCliCommands:
         for name in ("frf_amp1p75.csv", "log_amp1p75.csv", "summary.txt"):
             assert (out5 / name).read_bytes() == (out6 / name).read_bytes()
 
-    def test_fit_from_csv_records(self, tmp_path):
+    @staticmethod
+    def _fit_records(tmp_path, scenario=""):
         # tiny synthetic record: static gain of 2 fits orders (0, 0)
         rng = np.random.default_rng(0)
         u = TimeSeries(1e-3, rng.normal(size=4096))
@@ -267,13 +270,24 @@ class TestCliCommands:
         u.to_csv(up)
         y.to_csv(yp)
         cfg = write(tmp_path, "fit.ini",
-                    "[sysid]\nfit_lo_hz = 1.0\nfit_hi_hz = 100.0\n"
+                    scenario + "[sysid]\nfit_lo_hz = 1.0\nfit_hi_hz = 100.0\n"
                     "num_order = 0\nden_order = 0\nsegments = 4\n")
         out = tmp_path / "fit"
-        assert main(["fit", "--config", cfg, "--u", str(up), "--y", str(yp),
-                     "--out", str(out)]) == 0
+        code = main(["fit", "--config", cfg, "--u", str(up), "--y", str(yp),
+                     "--out", str(out)])
+        return code, out
+
+    def test_fit_from_csv_records(self, tmp_path):
+        code, out = self._fit_records(tmp_path)
+        assert code == 0
         summary = (out / "summary.txt").read_text()
         assert "num_monic" in summary
+
+    def test_fit_from_csv_records_ignores_the_chirp(self, tmp_path):
+        # no chirp runs, so a chirp at Nyquist (exit 2 without records) is moot
+        code, out = self._fit_records(tmp_path, "[scenario]\nchirp_f_end = 600\n")
+        assert code == 0
+        assert "num_monic" in (out / "summary.txt").read_text()
 
     def test_fit_requires_both_records(self, tmp_path, capsys):
         code = main(["fit", "--u", "only_input.csv", "--out", str(tmp_path / "o")])

@@ -6,6 +6,7 @@ import pytest
 from seactrl.control import DisturbanceObserver, ImpedanceConfig, PidConfig
 from seactrl.lti import NyquistError, freq_response, log_grid
 from seactrl.plant import (
+    _LOG_BLOCK_TICKS,
     LOG_COLUMNS,
     BacklashPlay,
     LseaPlant,
@@ -20,7 +21,7 @@ from seactrl.plant import (
     pendulum_step,
     run_scenario,
 )
-from seactrl.sysid import TimeSeries, empirical_frf
+from seactrl.sysid import TimeSeries, empirical_frf, exponential_chirp_point
 
 from oracles import (
     coupled_ode_reference,
@@ -455,6 +456,28 @@ class TestScenario:
             run_scenario(sc)
         assert err.value.what == what
         assert err.value.time == 0.0
+
+    def test_block_log_across_block_boundaries(self):
+        # with gamma = 0 the logged command is the chirp itself, and each
+        # tick's output is one advance of a plant driven by the logged command
+        n = 2 * _LOG_BLOCK_TICKS + 1
+        ref = ReferenceSpec(kind="current_chirp", amplitude=1.0, f_start=0.1, f_end=10.0)
+        sc = SimScenario(reference=ref, duration_s=n / 1000.0, gamma=0.0,
+                         controller_hz=1000, plant_hz=5000,
+                         plant=PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15))
+        log = run_scenario(sc)
+        assert len(log) == n
+        assert all(col.flags.c_contiguous and col.dtype == np.float64
+                   for col in (log.column(c) for c in LOG_COLUMNS))
+        T = 1.0 / sc.controller_hz
+        assert np.array_equal(log.t, np.arange(n) * T)
+        chirp = [exponential_chirp_point(ref.amplitude, ref.f_start, ref.f_end,
+                                         sc.duration_s, t)[0] for t in log.t.tolist()]
+        assert np.array_equal(log.i_m.view(np.uint64), np.array(chirp).view(np.uint64))
+        plant = sc.plant.build()
+        replay = [0.0] + [plant.advance(i_m, 1.0 / sc.plant_hz, 5)
+                          for i_m in log.i_m[:-1].tolist()]
+        assert np.array_equal(log.f_o.view(np.uint64), np.array(replay).view(np.uint64))
 
     def test_locked_testbed_logs_zero_pendulum_columns(self):
         sc = SimScenario(

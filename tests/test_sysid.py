@@ -16,6 +16,7 @@ from seactrl.sysid import (
     FitError,
     TimeSeries,
     empirical_frf,
+    exponential_chirp,
     exponential_chirp_point,
     fit_rational,
     linear_chirp_freq_hz,
@@ -24,6 +25,8 @@ from seactrl.sysid import (
     write_frf_csv,
     zoh_compensate,
 )
+
+from oracles import csv_reference
 
 PN_MONIC_DEN = np.array([1.0, 113.0, 2304.0, 98700.0])
 PN_MONIC_NUM = 20880.0
@@ -80,6 +83,20 @@ class TestChirp:
         phe = 2 * np.pi * f_start * (np.exp(lnk * te) - 1.0) / lnk
         assert np.max(np.diff(phe)) < np.pi
 
+    @pytest.mark.parametrize("f_start, f_end", [(0.05, 15.0), (0.1, 35.0), (2.0, 2.0)])
+    def test_builder_matches_written_out_sweep(self, f_start, f_end):
+        # the per-tick builder keeps the one-shot expression order: equal bits
+        a, duration = 1.75, 120.0
+        value = exponential_chirp(a, f_start, f_end, duration)
+        for t in (np.arange(120_001)[::997] * 1e-3).tolist():
+            if f_end == f_start:
+                expected = a * math.sin(2.0 * math.pi * f_start * t)
+            else:
+                lnk = math.log(f_end / f_start) / duration
+                expected = a * math.sin(2.0 * math.pi * f_start * (math.exp(lnk * t) - 1.0) / lnk)
+            assert value(t) == expected
+            assert exponential_chirp_point(a, f_start, f_end, duration, t)[0] == expected
+
     def test_constant_tone_degenerate_exponential(self):
         v, f = exponential_chirp_point(1.0, 2.0, 2.0, 10.0, 0.25)
         assert f == 2.0
@@ -115,15 +132,39 @@ class TestWriteCsv:
     SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 0.1 + 0.2,
                3.0, -42.0, 1e9, 123456789.0)
 
+    @staticmethod
+    def assert_matches_oracle(tmp_path, cols):
+        header = tuple("abcdefgh"[:len(cols)])
+        path, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+        write_csv(path, header, cols)
+        csv_reference(ref, header, cols)
+        assert path.read_bytes() == ref.read_bytes()
+
     @pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
     def test_matches_per_value_format_oracle(self, tmp_path, rows):
         vals = np.resize(np.array(self.SPECIAL), rows)
-        cols = (vals, vals[::-1], np.arange(rows) * 0.001)
-        path = tmp_path / "out.csv"
-        write_csv(path, ("a", "b", "c"), cols)
-        oracle = "a,b,c\n" + "".join(
-            ",".join(f"{v:.9g}" for v in row) + "\n" for row in zip(*cols))
-        assert path.read_text() == oracle
+        self.assert_matches_oracle(tmp_path, (vals, vals[::-1], np.arange(rows) * 0.001))
+
+    # constant columns are formatted once, into the row format
+    @pytest.mark.parametrize("case, value", [
+        ("zeros", [0.0]),
+        ("negative_zeros", [-0.0]),
+        ("mixed_zeros", [0.0, -0.0, -0.0]),
+        ("nans", [math.nan]),
+        ("signed_nans", [math.nan, -math.nan]),
+        ("constant", [0.1 + 0.2]),
+    ])
+    @pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS + 1])
+    def test_constant_columns_match_oracle(self, tmp_path, case, value, rows):
+        col = np.resize(np.array(value), rows)
+        ramp = np.arange(rows) * 0.001
+        self.assert_matches_oracle(tmp_path, (col, ramp, col, np.full(rows, -42.5)))
+
+    @pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 3])
+    def test_every_column_constant_matches_oracle(self, tmp_path, rows):
+        cols = (np.zeros(rows), np.full(rows, -0.0), np.full(rows, math.nan),
+                np.full(rows, 1e300), np.full(rows, 7.0))
+        self.assert_matches_oracle(tmp_path, cols)
 
 
 class TestEmpiricalFrf:
