@@ -62,11 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# largest Tustin identity gap (relative rounding error of the printed
+# coefficients, see lti.tustin_gap) that discretize accepts
+TUSTIN_GAP_TOL = 1e-6
+
+
 def _discretize(cfg: dict, tf_name: str, rate: float) -> dict:
     """``discretize_report`` at ``--rate``, rejecting with ``--rate`` a rate
     that is not positive and finite or that the Tustin chain cannot carry:
-    one that overflows or underflows on the way, or gives non-finite
-    coefficients or a NaN DC gain."""
+    one that overflows or underflows on the way, gives non-finite
+    coefficients, or gives a Tustin gap above ``TUSTIN_GAP_TOL``."""
     if not (math.isfinite(rate) and rate > 0.0):
         raise ConfigError("--rate", f"{rate} is not a positive finite rate")
     try:
@@ -74,9 +79,13 @@ def _discretize(cfg: dict, tf_name: str, rate: float) -> dict:
             report = experiments.discretize_report(cfg, tf_name, rate)
     except (FloatingPointError, CausalityError) as exc:
         raise ConfigError("--rate", f"{rate:g} Hz cannot be discretized ({exc})") from None
-    if (not all(map(math.isfinite, report["a_hat"] + report["b_hat"]))
-            or math.isnan(report["dc_gain_at_z1"])):
-        raise ConfigError("--rate", f"{rate:g} Hz gives non-finite coefficients or DC gain")
+    if not all(map(math.isfinite, report["a_hat"] + report["b_hat"])):
+        raise ConfigError("--rate", f"{rate:g} Hz gives non-finite coefficients")
+    if not report["tustin_gap"] <= TUSTIN_GAP_TOL:
+        raise ConfigError(
+            "--rate", f"{rate:g} Hz gives a Tustin gap of {report['tustin_gap']:.2g} "
+            f"(tolerance {TUSTIN_GAP_TOL:g}) on the 0.1-100 Hz check points below a "
+            "quarter of the rate (inf: there is none)")
     return report
 
 

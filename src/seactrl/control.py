@@ -7,9 +7,11 @@ the previous command through Q, and subtracts the two.  Q/P and Q are put
 over one continuous denominator before Tustin, so the observer is a single
 two-input discrete filter.  ``DisturbanceObserver.step`` closes the blend
 u = u_c - gamma * d_hat with a gain ``gamma`` in [0, 1] and keeps u as the
-command the next estimate compares against.  Upstream of the force loop
-sit a virtual spring/damper (impedance) and leaky integration of desired
-accelerations.
+command the next estimate compares against.  Each stateful block (PID,
+observer, force loop) also hands out its step as a closure over its
+coefficients and state (``stepper``), which the simulator builds once per
+scenario.  Upstream of the force loop sit a virtual spring/damper
+(impedance) and leaky integration of desired accelerations.
 """
 
 from __future__ import annotations
@@ -184,9 +186,14 @@ class DisturbanceObserver:
         d_hat = (N1(z) f_measured - N2(z) u_prev) / D(z),
 
     stepped as a transposed direct form II on Python floats with one state
-    value per order.  ``step`` estimates from the current force measurement,
-    subtracts ``gamma * d_hat`` from the command and keeps the result as
-    ``u_prev``, the command the next estimate compares against.
+    value per order.  ``stepper`` returns that step as a closure built once
+    per observer, ``step(u_c, f_measured) -> (u, d_hat)``: it estimates
+    from the current force measurement, subtracts ``gamma * d_hat`` from
+    the command and keeps the result as ``u_prev``, the command the next
+    estimate compares against.  The filter state, ``u_prev`` and ``d_hat``
+    live in the closure's scope, which ``step``, ``estimate``, ``reset``
+    and the ``u_prev``/``d_hat`` properties share; ``gamma`` is bound at
+    construction.
     """
 
     def __init__(self, inv_plant: DiscreteIirFilter, q: DiscreteIirFilter, gamma: float):
@@ -203,34 +210,70 @@ class DisturbanceObserver:
         self._p0, self._q0 = p[0], r[0]
         self._p, self._q = tuple(p[1:]), tuple(r[1:])
         self._b = tuple(padded(q.b_hat, n))
-        self._z = [0.0] * n
-        self._mid = range(n - 1)
-        self._last = n - 1
         self.T = q.T
         self.gamma = float(gamma)
-        self.u_prev = 0.0
-        self.d_hat = 0.0
+        self._state, self._step, self._estimate, self._reset = self._scope(n)
+
+    def _scope(self, n: int):
+        """Build the observer's closures over one state of ``n`` filter values."""
+        p0, p, q0, q, b, gamma = self._p0, self._p, self._q0, self._q, self._b, self.gamma
+        z = [0.0] * n
+        mid, last = range(n - 1), n - 1
+        u_prev = d_hat = 0.0
+
+        def state():
+            return u_prev, d_hat
+
+        def step(u_c, f):
+            nonlocal u_prev, d_hat
+            u = u_prev
+            d = p0 * f - q0 * u + z[0]
+            for i in mid:
+                z[i] = z[i + 1] + p[i] * f - q[i] * u + b[i] * d
+            z[last] = p[last] * f - q[last] * u + b[last] * d
+            d_hat = d
+            u_prev = u_c - gamma * d
+            return u_prev, d
+
+        def estimate(f):
+            # a step that keeps u_prev, so the recurrence has one home
+            nonlocal u_prev
+            u = u_prev
+            d = step(u, f)[1]
+            u_prev = u
+            return d
+
+        def reset():
+            nonlocal u_prev, d_hat
+            z[:] = [0.0] * n
+            u_prev = d_hat = 0.0
+
+        return state, step, estimate, reset
+
+    @property
+    def u_prev(self) -> float:
+        """The blended command the next estimate compares against."""
+        return self._state()[0]
+
+    @property
+    def d_hat(self) -> float:
+        """The latest disturbance estimate."""
+        return self._state()[1]
+
+    def stepper(self):
+        """Return the observer step ``step(u_c, f_measured) -> (u, d_hat)``."""
+        return self._step
 
     def estimate(self, f_measured: float) -> float:
-        z, p, q, b = self._z, self._p, self._q, self._b
-        u = self.u_prev
-        d = self._p0 * f_measured - self._q0 * u + z[0]
-        for i in self._mid:
-            z[i] = z[i + 1] + p[i] * f_measured - q[i] * u + b[i] * d
-        last = self._last
-        z[last] = p[last] * f_measured - q[last] * u + b[last] * d
-        self.d_hat = d
-        return d
+        """Return and keep ``d_hat`` from ``f_measured``; ``u_prev`` is unchanged."""
+        return self._estimate(f_measured)
 
     def step(self, u: float, f_measured: float) -> float:
         """Return and keep the blended command u - gamma * d_hat."""
-        self.u_prev = u - self.gamma * self.estimate(f_measured)
-        return self.u_prev
+        return self._step(u, f_measured)[0]
 
     def reset(self) -> None:
-        self._z[:] = [0.0] * len(self._z)
-        self.u_prev = 0.0
-        self.d_hat = 0.0
+        self._reset()
 
 
 class ForceController:
@@ -249,14 +292,29 @@ class ForceController:
         self.dob = dob
         self.k_ff = float(k_ff)
         self.fault = False
+        self._step = self.stepper()
+
+    def stepper(self):
+        """Return the force loop ``step(f_desired, f_measured) -> (i_m, d_hat)``.
+
+        It composes the PID's and the observer's steppers, so it advances
+        their state, with the ``k_ff`` feedforward bound when it is built.
+        """
+        pid_step, dob_step, dob = self.pid.stepper(), self.dob.stepper(), self.dob
+        k_ff = self.k_ff
+        isfinite = math.isfinite
+
+        def step(f_desired, f_measured):
+            if not (isfinite(f_desired) and isfinite(f_measured)):
+                self.fault = True
+                return dob.u_prev, dob.d_hat
+            return dob_step(pid_step(f_desired - f_measured) + k_ff * f_desired, f_measured)
+
+        return step
 
     def step(self, f_desired: float, f_measured: float) -> float:
         """One control tick: returns the motor current command in amperes."""
-        if not (math.isfinite(f_desired) and math.isfinite(f_measured)):
-            self.fault = True
-            return self.dob.u_prev
-        return self.dob.step(
-            self.pid.step(f_desired - f_measured) + self.k_ff * f_desired, f_measured)
+        return self._step(f_desired, f_measured)[0]
 
     def reset(self) -> None:
         self.pid.reset()

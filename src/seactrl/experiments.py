@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ConfigError, write_config
 from .control import ImpedanceConfig, LeakyState, PidConfig, leaky_step
-from .lti import bilinear_discretize, freq_response, log_grid
+from .lti import bilinear_discretize, freq_response, log_grid, tustin_gap
 from .plant import (
     PendulumConfig,
     PlantConfig,
@@ -246,8 +246,20 @@ def leaky_demo(cfg: dict, out_dir) -> dict:
     return summary
 
 
+# the actuator's band, where the Tustin identity is checked: 40 points over
+# 0.1-100 Hz, of which a rate keeps those below a quarter of itself, away
+# from the zeros Tustin puts at Nyquist
+TUSTIN_CHECK_HZ = np.logspace(-1.0, 2.0, 40)
+
+
 def discretize_report(cfg: dict, tf_name: str, rate_hz: float) -> dict:
-    """Discrete coefficients of one of the stack's transfer functions."""
+    """Discrete coefficients of one of the stack's transfer functions.
+
+    ``dc_gain_at_z1`` is the continuous DC gain: Tustin maps s = 0 to z = 1
+    exactly, while the rounded coefficients move an integrator's pole off
+    z = 1.  ``tustin_gap`` is ``lti.tustin_gap`` on the points of
+    ``TUSTIN_CHECK_HZ`` below a quarter of the rate (inf when none is).
+    """
     from .control import pid_transfer_function, q_filter
 
     name = tf_name.lower()
@@ -260,13 +272,15 @@ def discretize_report(cfg: dict, tf_name: str, rate_hz: float) -> dict:
     else:
         raise ValueError(f"unknown transfer function {tf_name!r} (pn, qd, pid)")
     filt = bilinear_discretize(tf, 1.0 / rate_hz)
+    check_hz = TUSTIN_CHECK_HZ[TUSTIN_CHECK_HZ < 0.25 * rate_hz]
     return {
         "experiment": "discretize",
         "tf": name,
         "rate_hz": rate_hz,
         "a_hat": filt.a_hat.tolist(),
         "b_hat": filt.b_hat.tolist(),
-        "dc_gain_at_z1": float(filt(1.0).real),
+        "dc_gain_at_z1": float(tf.dc_gain()),
+        "tustin_gap": tustin_gap(tf, filt, check_hz) if check_hz.size else math.inf,
     }
 
 

@@ -9,7 +9,8 @@ equation
 
     y0 = b_hat . y_hist + a_hat . x_hist
 
-as a transposed direct form II (DF2T) stepped on Python floats: the state
+as a transposed direct form II (DF2T) stepped on Python floats by a
+closure each filter builds once (``DiscreteIirFilter.stepper``): the state
 is one zero-initialized value per order, updated in the same order of
 operations as ``scipy.signal.lfilter``.  All coefficient arithmetic is
 64-bit; single precision is known to destabilize filters above a few
@@ -32,6 +33,7 @@ __all__ = [
     "taylor_shift",
     "bilinear_num_den",
     "bilinear_discretize",
+    "tustin_gap",
     "freq_response",
     "log_grid",
     "butterworth_lowpass",
@@ -116,10 +118,15 @@ class ContinuousTransferFunction:
         return np.polyval(self.num, s) / np.polyval(self.den, s)
 
     def dc_gain(self) -> float:
-        """Gain at s = 0; infinite if s = 0 is a pole."""
-        if self.den[-1] == 0.0:
-            return np.inf if self.num[-1] != 0.0 else np.nan
-        return self.num[-1] / self.den[-1]
+        """Gain at s = 0, as the limit s -> 0: a factor s common to numerator
+        and denominator cancels; infinite if s = 0 remains a pole."""
+        num, den = np.trim_zeros(self.num, "b"), np.trim_zeros(self.den, "b")
+        num_roots, den_roots = self.num.size - num.size, self.den.size - den.size
+        if num.size == 0 or num_roots > den_roots:
+            return 0.0
+        if num_roots < den_roots:
+            return np.inf
+        return num[-1] / den[-1]
 
     def poles(self) -> np.ndarray:
         return np.roots(self.den)
@@ -136,15 +143,18 @@ class DiscreteIirFilter:
 
     ``a_hat`` holds the input coefficients (current sample first) and
     ``b_hat`` the output-feedback coefficients (most recent output first),
-    so the filter realizes ``y0 = b_hat . y + a_hat . x``.  ``step`` runs
-    the transposed direct form II (DF2T): with ``n`` the filter order, the
-    state is ``n`` floats (one for a static gain) and each sample costs
-    ``2n + 1`` multiply-adds with no numpy call.  This is the structure of
-    ``scipy.signal.lfilter``.  The state is zero-initialized; an instance
-    is single-owner and must not be shared mutably between threads.
+    so the filter realizes ``y0 = b_hat . y + a_hat . x``.  ``stepper``
+    returns the transposed direct form II (DF2T) step as a closure over the
+    coefficients and the state: with ``n`` the filter order, the state is
+    ``n`` floats (one for a static gain) and each sample costs ``2n + 1``
+    multiply-adds with no numpy call.  This is the structure of
+    ``scipy.signal.lfilter``.  ``step`` calls that closure, so every
+    stepper and ``step`` advance one state.  The state is zero-initialized;
+    an instance is single-owner and must not be shared mutably between
+    threads.
     """
 
-    __slots__ = ("a_hat", "b_hat", "T", "_a0", "_a", "_b", "_z", "_mid", "_last")
+    __slots__ = ("a_hat", "b_hat", "T", "_z", "_step")
 
     def __init__(self, a_hat, b_hat, T: float):
         if T <= 0.0:
@@ -152,14 +162,8 @@ class DiscreteIirFilter:
         self.a_hat = np.atleast_1d(np.asarray(a_hat, dtype=float)).ravel()
         self.b_hat = np.asarray(b_hat, dtype=float).ravel()
         self.T = float(T)
-        n = max(1, self.a_hat.size - 1, self.b_hat.size)
-        a = self.a_hat.tolist() + [0.0] * (n + 1 - self.a_hat.size)
-        self._a0 = a[0]
-        self._a = tuple(a[1:])
-        self._b = tuple(self.b_hat.tolist() + [0.0] * (n - self.b_hat.size))
-        self._z = [0.0] * n
-        self._mid = range(n - 1)
-        self._last = n - 1
+        self._z = [0.0] * max(1, self.a_hat.size - 1, self.b_hat.size)
+        self._step = self.stepper()
 
     @property
     def den(self) -> np.ndarray:
@@ -170,15 +174,30 @@ class DiscreteIirFilter:
         """Zero the state (all experiments start from rest)."""
         self._z[:] = [0.0] * len(self._z)
 
+    def stepper(self):
+        """Return the DF2T step ``step(x0) -> y0`` over this filter's state.
+
+        The coefficients are bound when it is built; the state is the
+        filter's own, which ``reset`` zeroes in place.
+        """
+        z = self._z
+        n = len(z)
+        a0, *a = self.a_hat.tolist() + [0.0] * (n + 1 - self.a_hat.size)
+        b = self.b_hat.tolist() + [0.0] * (n - self.b_hat.size)
+        mid, last = range(n - 1), n - 1
+
+        def step(x0):
+            y0 = a0 * x0 + z[0]
+            for i in mid:
+                z[i] = z[i + 1] + a[i] * x0 + b[i] * y0
+            z[last] = a[last] * x0 + b[last] * y0
+            return y0
+
+        return step
+
     def step(self, x0: float) -> float:
         """Advance one sample: take ``x0``, return ``y0``, update the state."""
-        z, a, b = self._z, self._a, self._b
-        y0 = self._a0 * x0 + z[0]
-        for i in self._mid:
-            z[i] = z[i + 1] + a[i] * x0 + b[i] * y0
-        last = self._last
-        z[last] = a[last] * x0 + b[last] * y0
-        return y0
+        return self._step(x0)
 
     def run(self, xs) -> np.ndarray:
         """Filter a whole sequence, advancing the internal state."""
@@ -244,6 +263,26 @@ def bilinear_num_den(tf: ContinuousTransferFunction, T: float):
             "(degenerate or non-causal input)"
         )
     return znum / lead, zden / lead
+
+
+def tustin_gap(tf: ContinuousTransferFunction, filt: DiscreteIirFilter, freqs_hz) -> float:
+    """Largest relative gap of the Tustin identity on a frequency grid.
+
+    In exact arithmetic the Tustin discretization ``filt`` of ``tf`` obeys
+    H_d(e^{jωT}) = H_c(j (2/T) tan(ωT/2)) at every ω below Nyquist, so
+
+        max |H_d(e^{jωT}) - H_c(j (2/T) tan(ωT/2))| / |H_c(j (2/T) tan(ωT/2))|
+
+    over ``freqs_hz`` is the rounding error the discrete coefficients
+    carry, with no oracle.  Every frequency must lie strictly below Nyquist.
+    """
+    f = np.asarray(freqs_hz, dtype=float).ravel()
+    T = filt.T
+    if f.size == 0 or f.max() >= 0.5 / T:
+        raise NyquistError("the Tustin gap needs frequencies strictly below Nyquist")
+    wT = 2.0 * np.pi * f * T
+    h_c = tf(1j * (2.0 / T) * np.tan(0.5 * wT))
+    return float(np.max(np.abs(filt(np.exp(1j * wT)) - h_c) / np.abs(h_c)))
 
 
 def bilinear_discretize(tf: ContinuousTransferFunction, T: float) -> DiscreteIirFilter:

@@ -3,13 +3,17 @@
 The actuator is the identified third-order current-to-force model in a
 controllable-canonical realization, advanced with RK4 (for a linear system
 with held input one RK4 substep is exactly a constant matrix recurrence,
-which is precomputed per substep size).  A held input that stiction cannot
-act on (at or above the breakaway, no backlash) reaches every substep
-unchanged, so a call of several substeps is one cached linear map, the
-substep recurrence composed in Python floats; every other call steps its
-substeps one by one.  Both maps hold Python floats, so the plant output,
-and from it the observer, PID and pendulum state, stays a Python float
-rather than a numpy scalar.  Injectable perturbations stand in
+which is precomputed per substep size).  ``LseaPlant.stepper(dt, n)``
+builds, once per substep size and count, a closure that advances ``n``
+substeps with the input held; every stepper of a plant, and
+``LseaPlant.advance``, steps the one state that lives in the plant's
+closure scope.  A held input that stiction cannot act on (at or above the
+breakaway, no backlash) reaches every substep unchanged, so such a step is
+one cached linear map, the substep recurrence composed in Python floats;
+every other step runs its substeps one by one.  Both maps hold Python
+floats, so the plant output, and from it the observer, PID and pendulum
+state, stays a Python float rather than a numpy scalar.  Injectable
+perturbations stand in
 for everything the disturbance observer must absorb: multiplicative
 denominator/gain perturbation (structural-elasticity emulation), a Karnopp
 stiction dead-band on the effective input, and a hysteretic backlash play.
@@ -19,10 +23,10 @@ actuator through the small-angle testbed geometry q_a = l2 * theta and
 tau = l2 * f, the only coupling modelled.  The coupling is one-way within
 a controller step: the pendulum reaches the controller only through the
 next step's measurement.  So each controller step runs the plant in four
-``LseaPlant.advance`` calls of half-substeps, a quarter step each, and the
-pendulum in two RK4 steps of half a controller step, each seeing the force
-at its start, midpoint and end; the substep ratio must be even on this
-path.  ``run_scenario`` executes the two-rate loop (reference rate /
+steps of half-substeps, a quarter controller step each, and the pendulum
+in two RK4 steps of half a controller step (``_pendulum_stepper``), each
+seeing the force at its start, midpoint and end; the substep ratio must be
+even on this path.  ``run_scenario`` executes the two-rate loop (reference rate /
 controller rate / plant substep rate) and returns a uniformly sampled log
 that serializes to CSV bit-reproducibly; a non-finite signal stops it with
 a ``SimulationFault`` that names the signal and the time.
@@ -31,6 +35,7 @@ a ``SimulationFault`` that names the signal and the time.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,9 +145,10 @@ class LseaPlant:
         self.stiction_breakaway = float(stiction_breakaway)
         self.stiction_velocity_deadband = float(stiction_velocity_deadband)
         self._play = BacklashPlay(backlash) if backlash > 0.0 else None
-        self._x0 = self._x1 = self._x2 = 0.0
         self._step_cache: dict[float, tuple] = {}
         self._lift_cache: dict[tuple[float, int], tuple] = {}
+        self._steppers: dict[tuple[float, int], Callable[[float], float]] = {}
+        self._state, self._new_stepper = self._scope()
 
     def dc_gain(self) -> float:
         return self.tf.dc_gain()
@@ -208,74 +214,118 @@ class LseaPlant:
         self._lift_cache[key] = lifted
         return lifted
 
-    def advance(self, i_m: float, dt: float, substeps: int) -> float:
-        """Advance ``substeps`` equal RK4 substeps with held input.
+    def _scope(self):
+        """Build the state reader and the stepper factory over one plant state.
 
-        When ``substeps > 1``, there is no backlash and the input is at or
-        above the stiction breakaway (or stiction is off), every substep
-        sees the input unchanged, so the whole call is one cached linear map
-        (``_lifted``).  Otherwise the substeps are stepped one by one, each
-        applying the Karnopp test and the backlash play.  Returns the
-        transmitted force after the last substep.
+        The state ``x0, x1, x2`` lives in this scope, so every stepper the
+        factory builds, and ``advance``, step the same state; ``state()``
+        reads it.  The perturbation parameters are bound here, once.
         """
-        if dt <= 0.0:
-            raise ValueError("substep must be positive")
-        cy = self._cy
-        play = self._play
-        u = float(i_m)
-        # the input half of the Karnopp test is constant for a held input
-        brk = self.stiction_breakaway
-        stuck_input = brk > 0.0 and abs(u) < brk
-        x0, x1, x2 = self._x0, self._x1, self._x2
-        if substeps > 1 and play is None and not stuck_input:
-            lifted = self._lift_cache.get((dt, substeps)) or self._lifted(dt, substeps)
-            (p00, p01, p02, p10, p11, p12, p20, p21, p22, g0, g1, g2) = lifted
-            x0, x1, x2 = (
-                p00 * x0 + p01 * x1 + p02 * x2 + g0 * u,
-                p10 * x0 + p11 * x1 + p12 * x2 + g1 * u,
-                p20 * x0 + p21 * x1 + p22 * x2 + g2 * u,
-            )
-            self._x0, self._x1, self._x2 = x0, x1, x2
-            return cy * x0
-        (m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2) = self._coeffs(dt)
-        vdead = self.stiction_velocity_deadband
-        y = cy * x0
-        for _ in range(substeps):
-            if stuck_input and abs(cy * x1) < vdead:
-                ue = 0.0
-            else:
-                ue = u
-            x0, x1, x2 = (
-                m00 * x0 + m01 * x1 + m02 * x2 + n0 * ue,
-                m10 * x0 + m11 * x1 + m12 * x2 + n1 * ue,
-                m20 * x0 + m21 * x1 + m22 * x2 + n2 * ue,
-            )
-            if play is not None:
-                y = play.step(cy * x0)
-        self._x0, self._x1, self._x2 = x0, x1, x2
-        return cy * x0 if play is None else y
+        x0 = x1 = x2 = 0.0
+        cy, play = self._cy, self._play
+        brk, vdead = self.stiction_breakaway, self.stiction_velocity_deadband
+        stiction = brk > 0.0
+
+        def state():
+            return x0, x1, x2
+
+        def new_stepper(dt, substeps):
+            if dt <= 0.0:
+                raise ValueError("substep must be positive")
+            m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2 = self._coeffs(dt)
+            # without backlash, a step whose input stiction cannot act on is one
+            # lifted map (for one substep, the substep's own, entry for entry)
+            lifted = play is None
+            (p00, p01, p02, p10, p11, p12, p20, p21, p22, g0, g1, g2) = (
+                self._lifted(dt, substeps) if lifted else (math.nan,) * 12)
+            substep_range = range(substeps)
+
+            def advance(i_m):
+                nonlocal x0, x1, x2
+                u = float(i_m)
+                # the input half of the Karnopp test is constant for a held input
+                stuck_input = stiction and abs(u) < brk
+                if lifted and not stuck_input:
+                    x0, x1, x2 = (
+                        p00 * x0 + p01 * x1 + p02 * x2 + g0 * u,
+                        p10 * x0 + p11 * x1 + p12 * x2 + g1 * u,
+                        p20 * x0 + p21 * x1 + p22 * x2 + g2 * u,
+                    )
+                    return cy * x0
+                y = cy * x0
+                for _ in substep_range:
+                    if stuck_input and abs(cy * x1) < vdead:
+                        ue = 0.0
+                    else:
+                        ue = u
+                    x0, x1, x2 = (
+                        m00 * x0 + m01 * x1 + m02 * x2 + n0 * ue,
+                        m10 * x0 + m11 * x1 + m12 * x2 + n1 * ue,
+                        m20 * x0 + m21 * x1 + m22 * x2 + n2 * ue,
+                    )
+                    if play is not None:
+                        y = play.step(cy * x0)
+                return cy * x0 if play is None else y
+
+            return advance
+
+        return state, new_stepper
+
+    def stepper(self, dt: float, substeps: int) -> Callable[[float], float]:
+        """Return ``advance(i_m) -> f_o``: ``substeps`` equal RK4 substeps of
+        ``dt`` with the input held, on this plant's one state.
+
+        When there is no backlash and the input is at or above the stiction
+        breakaway (or stiction is off), every substep sees the input
+        unchanged, so the whole call is one cached linear map (``_lifted``;
+        for one substep it equals the substep's own map entry for entry).
+        Otherwise the substeps are stepped one by one, each applying the
+        Karnopp test and the backlash play.  The step returns the
+        transmitted force after the last substep.  Steppers are built once
+        per ``(dt, substeps)`` and cached.
+        """
+        key = (dt, substeps)
+        step = self._steppers.get(key)
+        if step is None:
+            step = self._steppers[key] = self._new_stepper(dt, substeps)
+        return step
+
+    def advance(self, i_m: float, dt: float, substeps: int) -> float:
+        """Advance ``substeps`` equal RK4 substeps with held input (see ``stepper``).
+
+        Returns the transmitted force after the last substep.
+        """
+        return (self._steppers.get((dt, substeps)) or self.stepper(dt, substeps))(i_m)
 
 
-def _pend_rk4_forced(theta, omega, f_0, f_mid, f_1, dt, m, l1, l2, g, c):
-    """RK4 step of m l1^2 theta'' = l2 f - m g l1 sin(theta) - c theta' with the
-    actuator force sampled at the stage times."""
+def _pendulum_stepper(dt, m, l1, l2, g, c):
+    """RK4 step of m l1^2 theta'' = l2 f - m g l1 sin(theta) - c theta' over ``dt``.
+
+    Returns ``rk4(theta, omega, f_0, f_mid, f_1) -> (theta, omega)``, which
+    samples the actuator force at the stage times.
+    """
     inertia = m * l1 * l1
     mgl = m * g * l1
     h = 0.5 * dt
-    # stage k has angle th_k, rate k_kt and acceleration k_kw (written out,
-    # not as a nested function: free_oscillation_frequency runs it at 20 kHz)
-    k1w = (l2 * f_0 - mgl * math.sin(theta) - c * omega) / inertia
-    th2 = theta + h * omega
-    k2t = omega + h * k1w
-    k2w = (l2 * f_mid - mgl * math.sin(th2) - c * k2t) / inertia
-    th3 = theta + h * k2t
-    k3t = omega + h * k2w
-    k3w = (l2 * f_mid - mgl * math.sin(th3) - c * k3t) / inertia
-    th4 = theta + dt * k3t
-    k4t = omega + dt * k3w
-    k4w = (l2 * f_1 - mgl * math.sin(th4) - c * k4t) / inertia
-    return (theta + dt / 6.0 * (omega + 2.0 * k2t + 2.0 * k3t + k4t),
-            omega + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w))
+    sixth = dt / 6.0
+    sin = math.sin
+
+    def rk4(theta, omega, f_0, f_mid, f_1):
+        # stage k has angle th_k, rate k_kt and acceleration k_kw
+        k1w = (l2 * f_0 - mgl * sin(theta) - c * omega) / inertia
+        th2 = theta + h * omega
+        k2t = omega + h * k1w
+        k2w = (l2 * f_mid - mgl * sin(th2) - c * k2t) / inertia
+        th3 = theta + h * k2t
+        k3t = omega + h * k2w
+        k3w = (l2 * f_mid - mgl * sin(th3) - c * k3t) / inertia
+        th4 = theta + dt * k3t
+        k4t = omega + dt * k3w
+        k4w = (l2 * f_1 - mgl * sin(th4) - c * k4t) / inertia
+        return (theta + sixth * (omega + 2.0 * k2t + 2.0 * k3t + k4t),
+                omega + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w))
+
+    return rk4
 
 
 def pendulum_step(p: PendulumConfig, theta: float, theta_dot: float,
@@ -286,8 +336,8 @@ def pendulum_step(p: PendulumConfig, theta: float, theta_dot: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    return _pend_rk4_forced(theta, theta_dot, f_actuator, f_actuator, f_actuator,
-                            dt, p.m, p.l1, p.l2, p.g, p.damping)
+    rk4 = _pendulum_stepper(dt, p.m, p.l1, p.l2, p.g, p.damping)
+    return rk4(theta, theta_dot, f_actuator, f_actuator, f_actuator)
 
 
 def free_oscillation_frequency(theta0: float = 0.1, duration: float = 30.0,
@@ -298,13 +348,13 @@ def free_oscillation_frequency(theta0: float = 0.1, duration: float = 30.0,
     Crossing times are interpolated linearly between samples; the result is
     (crossings - 1) / (2 * span).
     """
+    rk4 = _pendulum_stepper(dt, m, l1, 1.0, g, damping)
     th, w = float(theta0), 0.0
     crossings = []
     t = 0.0
     n = int(round(duration / dt))
     for _ in range(n):
-        th_next, w_next = _pend_rk4_forced(th, w, 0.0, 0.0, 0.0, dt, m, l1, 1.0, g,
-                                           damping)
+        th_next, w_next = rk4(th, w, 0.0, 0.0, 0.0)
         if th != 0.0 and (th_next == 0.0 or (th > 0.0) != (th_next > 0.0)):
             crossings.append(t + dt * th / (th - th_next))
         th, w = th_next, w_next
@@ -498,14 +548,17 @@ def run_scenario(sc: SimScenario) -> SimLog:
     Measurements are captured at the start of each controller step (so the
     controller sees the plant state produced by the previous command), the
     command is computed and logged, then the plant (and pendulum, when
-    enabled) advance through the substeps with the command held: one
-    ``LseaPlant.advance`` call per step, or, with the pendulum, four calls
-    of ``n_sub / 2`` half-substeps each (``n_sub`` = plant_hz /
-    controller_hz must be even) and two pendulum RK4 steps of half a step
-    each, which see the force at their start, midpoint and end.  Every
-    per-tick value is a Python float, not a numpy scalar, so it overflows
-    to inf without a warning; each tick's row is appended to a flat list
-    that is copied into the log array every ``_LOG_BLOCK_TICKS`` ticks.
+    enabled) advance through the substeps with the command held: one plant
+    step per controller step, or, with the pendulum, four plant steps of
+    ``n_sub / 2`` half-substeps each (``n_sub`` = plant_hz / controller_hz
+    must be even) and two pendulum RK4 steps of half a step each, which
+    see the force at their start, midpoint and end.  Each block's step is
+    a closure its factory builds once per scenario (``LseaPlant.stepper``,
+    ``ForceController.stepper`` or ``DisturbanceObserver.stepper``, and the
+    pendulum's RK4), so a tick calls no method of a block.  Every per-tick
+    value is a Python float, not a numpy scalar, so it overflows to inf
+    without a warning; each tick's row is appended to a flat list that is
+    copied into the log array every ``_LOG_BLOCK_TICKS`` ticks.
     Re-running an identical scenario yields bit-identical output.  A
     non-finite pendulum state, plant output, rejected desired force or
     current command raises ``SimulationFault`` with the step time.
@@ -526,24 +579,23 @@ def run_scenario(sc: SimScenario) -> SimLog:
     pend = sc.pendulum
     if pend is not None:
         theta, theta_dot = pend.theta0, pend.theta_dot0
-        pmap = PendulumMap(pend.l2)
+        l2 = pend.l2
+        pmap = PendulumMap(l2)
+        pend_rk4 = _pendulum_stepper(T_half, pend.m, pend.l1, l2, pend.g, pend.damping)
+        advance = plant.stepper(dt_half, n_quarter)
     else:
         theta = theta_dot = 0.0
-        pmap = None
+        advance = plant.stepper(dt_sub, n_sub)
     est_play = BacklashPlay(sc.estimate_backlash_m) if sc.estimate_backlash_m > 0.0 else None
 
     dob_cfg = DobConfig(sc.omega_c, sc.gamma, nominal_lsea_tf())
     fc: ForceController | None = None
     if position_chirp or force_step:
         fc = build_force_controller(sc.pid, dob_cfg, sc.k_ff, T)
-        dob = fc.dob
-        fc_step = fc.step
+        fc_step = fc.stepper()
     else:
-        dob = build_observer(dob_cfg, T)
+        dob_step = build_observer(dob_cfg, T).stepper()
         chirp = exponential_chirp(ref.amplitude, ref.f_start, ref.f_end, sc.duration_s)
-    # bound once per scenario; a tracer that patches the classes beforehand
-    # still sees every call
-    advance, dob_step = plant.advance, dob.step
 
     # one row per log column, so each column is a contiguous float64 array;
     # ticks are recorded into a flat block that fills _LOG_BLOCK_TICKS columns
@@ -564,8 +616,8 @@ def run_scenario(sc: SimScenario) -> SimLog:
             elif not math.isfinite(theta_dot):
                 raise SimulationFault(t, "theta_dot")
             else:
-                q_hat_a_j = pend.l2 * theta
-                qdot_hat_a = pend.l2 * theta_dot
+                q_hat_a_j = l2 * theta
+                qdot_hat_a = l2 * theta_dot
             q_hat_a_m = est_play.step(q_hat_a_j) if est_play is not None else q_hat_a_j
 
             if position_chirp:
@@ -579,15 +631,15 @@ def run_scenario(sc: SimScenario) -> SimLog:
                     ref_pos = qj_d
                 f_d = impedance_step(sc.impedance, q_a_d, qdot_a_d,
                                      q_hat_a_m, qdot_hat_a, f_ff)
-                i_m = fc_step(f_d, f_o)
+                i_m, d_hat = fc_step(f_d, f_o)
             elif force_step:
                 f_d = ref.step_value if t >= ref.step_time else 0.0
-                i_m = fc_step(f_d, f_o)
+                i_m, d_hat = fc_step(f_d, f_o)
             else:  # current_chirp: open loop around the observer blend
-                i_m = dob_step(chirp(t), f_o)
+                i_m, d_hat = dob_step(chirp(t), f_o)
                 f_d = 0.0
 
-            record((t, ref_pos, q_a_d, qdot_a_d, f_d, f_o, i_m, dob.d_hat,
+            record((t, ref_pos, q_a_d, qdot_a_d, f_d, f_o, i_m, d_hat,
                     theta, theta_dot, q_hat_a_m, q_hat_a_j))
             if not math.isfinite(f_o):
                 raise SimulationFault(t, "f_o")
@@ -600,16 +652,14 @@ def run_scenario(sc: SimScenario) -> SimLog:
             if pend is not None:
                 try:
                     for _ in range(2):
-                        f_q = advance(i_m, dt_half, n_quarter)
-                        f_h = advance(i_m, dt_half, n_quarter)
-                        theta, theta_dot = _pend_rk4_forced(
-                            theta, theta_dot, f_o, f_q, f_h, T_half,
-                            pend.m, pend.l1, pend.l2, pend.g, pend.damping)
+                        f_q = advance(i_m)
+                        f_h = advance(i_m)
+                        theta, theta_dot = pend_rk4(theta, theta_dot, f_o, f_q, f_h)
                         f_o = f_h
                 except ValueError:  # math.sin of an infinite angle
                     raise SimulationFault(t, "theta") from None
             else:
-                f_o = advance(i_m, dt_sub, n_sub)
+                f_o = advance(i_m)
         data[:, k0:k1] = np.array(block).reshape(k1 - k0, len(LOG_COLUMNS)).T
         block.clear()
 

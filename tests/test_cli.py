@@ -77,6 +77,23 @@ class TestCliCommands:
         assert main(["discretize", "--tf", "qd", "--rate", "1000"]) == 0
         assert main(["discretize", "--tf", "pid", "--rate", "2000"]) == 0
 
+    @pytest.mark.parametrize("tf, dc_gain", [("pn", "0.211550152"), ("qd", "1"), ("pid", "inf")])
+    def test_discretize_prints_the_continuous_dc_gain(self, capsys, tf, dc_gain):
+        # Tustin maps s = 0 to z = 1 exactly, so the PID's integrator gives
+        # inf; every filter passes the Tustin gap check at 1 kHz
+        assert main(["discretize", "--tf", tf, "--rate", "1000"]) == 0
+        assert f"\ndc_gain_at_z1 = {dc_gain}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tf, rate", [
+        ("pn", "1e6"), ("qd", "1e6"), ("pid", "1e6"), ("pn", "1e5"), ("pn", "0.3")])
+    def test_rate_beyond_tustin_tolerance_exits_2(self, capsys, tf, rate):
+        # the printed coefficients would be off by more than TUSTIN_GAP_TOL
+        # (pn: 6e-3 at 1 MHz, 5e-6 at 100 kHz); at 0.3 Hz no check point is
+        # below a quarter of the rate
+        assert main(["discretize", "--tf", tf, "--rate", rate]) == 2
+        err = capsys.readouterr().err
+        assert "--rate" in err and "Tustin gap" in err
+
     def test_leaky_demo_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "leaky"
         assert main(["leaky-demo", "--out", str(out)]) == 0

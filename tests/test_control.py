@@ -160,6 +160,32 @@ class TestForceControlStep:
         assert fc.fault
         assert fc.step(10.0, np.inf) == u1
 
+    def test_stepper_fault_holds_previous_command(self):
+        fc = self.make(0.8)
+        step = fc.stepper()
+        step(10.0, 0.0)
+        held = step(10.0, 1.0)
+        assert held == (fc.dob.u_prev, fc.dob.d_hat) and held[1] != 0.0
+        assert not fc.fault
+        assert step(np.nan, 0.0) == held
+        assert fc.fault
+        assert step(10.0, np.inf) == held
+        assert (fc.dob.u_prev, fc.dob.d_hat) == held
+
+    def test_reset_zeroes_state_live_steppers_see(self):
+        # a stepper built before reset continues from rest, like a fresh
+        # controller's (PID and observer state alike)
+        fc, fresh = self.make(0.8), self.make(0.8)
+        step, fresh_step = fc.stepper(), fresh.stepper()
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            step(float(rng.normal(100.0)), float(rng.normal()))
+        fc.reset()
+        assert (fc.dob.u_prev, fc.dob.d_hat) == (0.0, 0.0)
+        for _ in range(200):
+            fd, fm = float(rng.normal(100.0)), float(rng.normal())
+            assert step(fd, fm) == fresh_step(fd, fm)
+
     def test_dob_null_on_nominal_plant(self):
         # close the observer blend around the discretized nominal plant: the
         # force it measures comes from the previous blended command, so the
@@ -218,6 +244,29 @@ class TestDisturbanceObserver:
         ref = observer_reference(inv_plant, bilinear_discretize(q, T), f,
                                  np.concatenate(([0.0], u[:-1])))
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+    def test_stepper_equals_step_and_d_hat(self):
+        cfg = DobConfig(2 * np.pi * 25.0, 0.8, nominal_lsea_tf())
+        by_method, by_stepper = build_observer(cfg, T), build_observer(cfg, T)
+        step = by_stepper.stepper()
+        rng = np.random.default_rng(23)
+        for u_c, f in rng.normal(size=(2000, 2)).tolist():
+            u, d = step(u_c, f)
+            want = (by_method.step(u_c, f), by_method.d_hat)
+            assert np.array_equal(np.array((u, d)).view(np.uint64),
+                                  np.array(want).view(np.uint64))
+            assert by_stepper.u_prev == u and by_stepper.d_hat == d
+
+    def test_estimate_keeps_u_prev(self):
+        dob = build_observer(DobConfig(2 * np.pi * 25.0, 1.0, nominal_lsea_tf()), T)
+        twin = build_observer(DobConfig(2 * np.pi * 25.0, 1.0, nominal_lsea_tf()), T)
+        u = dob.step(0.3, 1.0)
+        twin.step(0.3, 1.0)
+        d = dob.estimate(2.0)
+        assert dob.u_prev == u and dob.d_hat == d
+        # the estimate advanced the filter as a step from the same command does
+        assert twin.step(0.5, 2.0) == 0.5 - dob.gamma * d
 
 
 class TestImpedance:

@@ -15,6 +15,7 @@ from seactrl.lti import (
     freq_response,
     log_grid,
     taylor_shift,
+    tustin_gap,
 )
 from seactrl.plant import nominal_lsea_tf
 from seactrl.sysid import fit_rational
@@ -106,6 +107,16 @@ class TestPolynomial:
 
     def test_zero_polynomial(self):
         assert ContinuousTransferFunction([0.0, 0.0], [1.0]).num.tolist() == [0.0]
+
+    @pytest.mark.parametrize("num, den, gain", [
+        ([208.8], [0.01, 1.13, 23.04, 987.0], 208.8 / 987.0),
+        ([1.0, 2.0], [1.0, 0.0], np.inf),           # integrator
+        ([3.0, 0.0], [1.0, 1.0], 0.0),              # differentiator
+        ([3.0, 0.5, 0.0], [1.0, 0.25, 0.0], 2.0),   # common factor s cancels
+        ([0.0], [1.0, 0.0], 0.0),
+    ])
+    def test_dc_gain_is_the_limit_at_zero(self, num, den, gain):
+        assert ContinuousTransferFunction(num, den).dc_gain() == gain
 
 
 class TestBilinear:
@@ -240,6 +251,41 @@ class TestFilterStep:
         # DF2T keeps one state value per order
         assert filt.a_hat.size == 4 and filt.b_hat.size == 3
         assert len(filt._z) == 3
+
+    def test_stepper_shares_state_with_step_and_reset(self):
+        filt = bilinear_discretize(
+            ContinuousTransferFunction([208.8], [0.01, 1.13, 23.04, 987.0]), 1e-3)
+        twin = bilinear_discretize(
+            ContinuousTransferFunction([208.8], [0.01, 1.13, 23.04, 987.0]), 1e-3)
+        step = filt.stepper()
+        xs = np.random.default_rng(4).normal(size=300).tolist()
+        for i, x in enumerate(xs):
+            got = step(x) if i % 2 else filt.step(x)
+            assert got == twin.step(x)
+        filt.reset()
+        twin.reset()
+        assert [step(x) for x in xs] == [twin.step(x) for x in xs]
+
+
+class TestTustinGap:
+    def test_rounding_floor_at_controller_rate(self):
+        tf = nominal_lsea_tf()
+        gap = tustin_gap(tf, bilinear_discretize(tf, 1e-3), log_grid(0.1, 100.0, 13))
+        assert 0.0 < gap < 1e-10
+
+    def test_measures_a_coefficient_error(self):
+        # a numerator scaled by 1 + 1e-6 is off by 1e-6 at every frequency
+        tf = nominal_lsea_tf()
+        filt = bilinear_discretize(tf, 1e-3)
+        scaled = DiscreteIirFilter(filt.a_hat * (1.0 + 1e-6), filt.b_hat, filt.T)
+        assert tustin_gap(tf, scaled, log_grid(0.1, 100.0, 13)) == pytest.approx(1e-6, rel=1e-3)
+
+    def test_needs_frequencies_below_nyquist(self):
+        tf = nominal_lsea_tf()
+        filt = bilinear_discretize(tf, 1e-3)
+        for freqs in ([], [10.0, 500.0]):
+            with pytest.raises(NyquistError):
+                tustin_gap(tf, filt, freqs)
 
 
 class TestFrequencyResponse:

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from seactrl.control import DisturbanceObserver, ImpedanceConfig, PidConfig
+from seactrl.control import (
+    DisturbanceObserver,
+    DobConfig,
+    ImpedanceConfig,
+    PidConfig,
+    build_force_controller,
+    build_observer,
+)
 from seactrl.lti import NyquistError, freq_response, log_grid
 from seactrl.plant import (
     _LOG_BLOCK_TICKS,
@@ -136,6 +143,13 @@ class TestLiftedTick:
         assert np.max(np.abs(got[:9] - power.ravel())) <= 1e-13 * np.max(np.abs(power))
         assert np.max(np.abs(got[9:] - gain)) <= 1e-13 * np.max(np.abs(gain))
 
+    @pytest.mark.parametrize("dt", [1e-3, 1 / 5000, 1 / 20000, 1 / 40000])
+    def test_one_substep_map_is_the_substep_map(self, dt):
+        # a one-substep stepper applies _lifted(dt, 1) where the substep
+        # loop applies _coeffs(dt): the two agree entry for entry
+        p = LseaPlant(den_factors=SHIPPED_DEN_FACTORS, gain_factor=0.9)
+        assert p._lifted(dt, 1) == p._coeffs(dt)
+
     @pytest.mark.parametrize("dt, n, bound", [
         (1 / 5000, 5, 1e-8), (1 / 20000, 20, 4e-11), (1 / 40000, 5, 3e-12)])
     def test_matches_exact_zero_order_hold(self, dt, n, bound):
@@ -179,6 +193,38 @@ class TestLiftedTick:
             assert np.array_equal(got, want)
         else:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kwargs, lo, hi, single", [
+        (dict(stiction_breakaway=0.15), 0.0, 0.149, True),
+        (dict(stiction_breakaway=0.15, backlash=0.01), 0.0, 1.0, True),
+        (dict(stiction_breakaway=0.15), 0.0, 1.0, False),
+        (dict(), 0.0, 1.0, False),
+    ], ids=["stuck", "backlash", "both-sides", "no-stiction"])
+    def test_interleaved_steppers_share_one_state(self, kwargs, lo, hi, single):
+        # calls at mixed (dt, n), each through advance or a stepper held
+        # since the start, step one state: a twin plant driven by advance
+        # alone (one-substep calls where every substep is stepped) agrees
+        # bit for bit after every call
+        grid = [(1 / 20000, 1), (1 / 20000, 5), (1 / 40000, 10), (1 / 5000, 2)]
+        rng = np.random.default_rng(29)
+        mixed = LseaPlant(den_factors=SHIPPED_DEN_FACTORS, **kwargs)
+        twin = LseaPlant(den_factors=SHIPPED_DEN_FACTORS, **kwargs)
+        held = {key: mixed.stepper(*key) for key in grid}
+        assert all(mixed.stepper(*key) is held[key] for key in grid)
+        for p in (mixed, twin):
+            for _ in range(200):
+                p.advance(1.0, 1 / 20000, 1)
+        for _ in range(1500):
+            dt, n = grid[rng.integers(len(grid))]
+            u = float(rng.uniform(lo, hi) * rng.choice((-1.0, 1.0)))
+            got = held[(dt, n)](u) if rng.random() < 0.5 else mixed.advance(u, dt, n)
+            if single:
+                for _ in range(n):
+                    want = twin.advance(u, dt, 1)
+            else:
+                want = twin.advance(u, dt, n)
+            assert got == want
+            assert mixed._state() == twin._state()
 
 
 class TestAdvancePendulum:
@@ -479,6 +525,41 @@ class TestScenario:
                           for i_m in log.i_m[:-1].tolist()]
         assert np.array_equal(log.f_o.view(np.uint64), np.array(replay).view(np.uint64))
 
+    @pytest.mark.parametrize("reference", [
+        ReferenceSpec(kind="force_step", step_value=500.0, step_time=0.05),
+        ReferenceSpec(kind="current_chirp", amplitude=1.75, f_start=0.1, f_end=20.0),
+    ], ids=["force_step", "current_chirp"])
+    def test_tick_equals_block_by_block_replay(self, reference):
+        # replay the scenario through the public methods of fresh blocks:
+        # ForceController.step (force step) or DisturbanceObserver.step
+        # (DOB-on chirp), then LseaPlant.advance with the command held
+        sc = SimScenario(reference=reference, duration_s=0.6, gamma=1.0,
+                         controller_hz=1000, plant_hz=5000,
+                         plant=PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15))
+        log = run_scenario(sc)
+        T, n_sub = 1.0 / sc.controller_hz, sc.plant_hz // sc.controller_hz
+        dob_cfg = DobConfig(sc.omega_c, sc.gamma, nominal_lsea_tf())
+        plant = sc.plant.build()
+        if reference.kind == "force_step":
+            fc = build_force_controller(sc.pid, dob_cfg, sc.k_ff, T)
+            dob = fc.dob
+        else:
+            dob = build_observer(dob_cfg, T)
+        f_o, want = 0.0, []
+        for k in range(len(log)):
+            t = k * T
+            if reference.kind == "force_step":
+                i_m = fc.step(reference.step_value if t >= reference.step_time else 0.0, f_o)
+            else:
+                u_c = exponential_chirp_point(reference.amplitude, reference.f_start,
+                                              reference.f_end, sc.duration_s, t)[0]
+                i_m = dob.step(u_c, f_o)
+            want.append((i_m, dob.d_hat, f_o))
+            f_o = plant.advance(i_m, 1.0 / sc.plant_hz, n_sub)
+        got = np.stack((log.i_m, log.d_hat, log.f_o), axis=1)
+        assert np.any(got[:, 1] != 0.0)
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
     def test_locked_testbed_logs_zero_pendulum_columns(self):
         sc = SimScenario(
             reference=ReferenceSpec(kind="current_chirp", amplitude=1.0,
@@ -513,7 +594,7 @@ class TestPythonFloats:
         p = LseaPlant(den_factors=SHIPPED_DEN_FACTORS, **kwargs)
         for _ in range(3):
             assert type(p.advance(u, 1e-4, n)) is float
-            assert all(type(x) is float for x in (p._x0, p._x1, p._x2))
+            assert all(type(x) is float for x in p._state())
 
     def test_coefficient_tuples_hold_floats(self):
         p = LseaPlant(den_factors=SHIPPED_DEN_FACTORS)
@@ -527,26 +608,36 @@ class TestPythonFloats:
          PendulumConfig(damping=0.05)),
     ], ids=["current_chirp", "force_step", "position_chirp"])
     def test_loop_sees_only_floats(self, monkeypatch, reference, pendulum):
+        # the tick calls the closures the plant's and the observer's
+        # steppers return; spy on those
         seen = []
-        advance, estimate = LseaPlant.advance, DisturbanceObserver.estimate
+        plant_stepper, dob_stepper = LseaPlant.stepper, DisturbanceObserver.stepper
 
-        def spy_advance(self, i_m, dt, substeps):
-            out = advance(self, i_m, dt, substeps)
-            seen.extend((i_m, dt, out))
-            return out
+        def spy_plant_stepper(self, dt, substeps):
+            advance = plant_stepper(self, dt, substeps)
 
-        def spy_estimate(self, f_measured):
-            out = estimate(self, f_measured)
-            seen.extend((f_measured, out))
-            return out
+            def spy(i_m):
+                out = advance(i_m)
+                seen.extend((i_m, dt, out))
+                return out
+            return spy
 
-        monkeypatch.setattr(LseaPlant, "advance", spy_advance)
-        monkeypatch.setattr(DisturbanceObserver, "estimate", spy_estimate)
+        def spy_dob_stepper(self):
+            step = dob_stepper(self)
+
+            def spy(u_c, f_measured):
+                out = step(u_c, f_measured)
+                seen.extend((u_c, f_measured, *out))
+                return out
+            return spy
+
+        monkeypatch.setattr(LseaPlant, "stepper", spy_plant_stepper)
+        monkeypatch.setattr(DisturbanceObserver, "stepper", spy_dob_stepper)
         # the shipped plant of each experiment: perturbed, with stiction
         plant = (PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=150.0,
                              stiction_velocity_deadband=500.0) if pendulum else
                  PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15))
         run_scenario(SimScenario(reference=reference, duration_s=0.2, plant=plant,
                                  pendulum=pendulum, k_ff=987.0 / 208.8))
-        assert len(seen) >= 1000  # 200 ticks of at least one estimate and one plant call
+        assert len(seen) >= 1000  # 200 ticks of at least one observer and one plant call
         assert {type(x) for x in seen} == {float}
