@@ -112,6 +112,15 @@ def _check_segments(cfg: dict, n_samples: int) -> None:
                           f"{segments} does not fit a {n_samples}-sample record: {exc}") from None
 
 
+def _read_record(flag: str, path) -> TimeSeries:
+    """``TimeSeries.from_csv`` of a ``fit`` record, a record that cannot be
+    read or breaks its rules rejected with the flag that named it."""
+    try:
+        return TimeSeries.from_csv(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(flag, str(exc)) from None
+
+
 def _current_chirp(cfg: dict, gamma: float, amplitude: float):
     """Run the configured exponential current chirp through the
     (DOB-wrapped) plant; returns the log and its sample period.
@@ -342,10 +351,15 @@ def fit_experiment(cfg: dict, out_dir, u_csv=None, y_csv=None) -> dict:
     out = _prepare_out(cfg, out_dir)
     s = cfg["sysid"]
     if (u_csv is None) != (y_csv is None):
-        raise ValueError("provide both --u and --y records, or neither")
+        raise ConfigError("--y" if y_csv is None else "--u",
+                          "missing: give both --u and --y records, or neither")
     if u_csv is not None:
-        u = TimeSeries.from_csv(u_csv)
-        y = TimeSeries.from_csv(y_csv)
+        u = _read_record("--u", u_csv)
+        y = _read_record("--y", y_csv)
+        if (y.samples.size, y.sample_period) != (u.samples.size, u.sample_period):
+            raise ConfigError(
+                "--y", f"{y.samples.size} samples every {y.sample_period:g} s, but --u "
+                f"has {u.samples.size} every {u.sample_period:g} s")
         _check_segments(cfg, u.samples.size)
     else:
         log, T = _current_chirp(cfg, cfg["control"]["gamma"], cfg["scenario"]["amplitude"])

@@ -14,6 +14,7 @@ scenario runs, and its check against the generating rate, belong to
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,11 @@ __all__ = [
     "write_frf_csv",
 ]
 
-_CSV_BLOCK_ROWS = 512  # rows formatted per write; bounds the transient list memory
+# varying values formatted per block: bounds the kernel's transient arrays
+_CSV_BLOCK_VALUES = 4096
+# byte slots of one value's ``%.9g`` field in ``_format_g9``; unused slots
+# hold NUL, which the writer drops
+_G9_SLOTS = 27
 # an FRF bin whose input auto-spectrum is below this fraction of the
 # spectral peak carries no input energy and is flagged invalid
 _SPECTRUM_FLOOR = 1e-12
@@ -45,34 +50,123 @@ class FitError(RuntimeError):
     """Raised when the rational fit is rank-deficient or under-determined."""
 
 
+def _format_g9(x: np.ndarray) -> np.ndarray:
+    """``"%.9g" % v`` of each value of the float64 vector ``x``, as the
+    columns of a ``(_G9_SLOTS, x.size)`` uint8 matrix padded with NUL.
+
+    Slot 0 holds the sign, slots 1-5 the ``0.000`` that fixed notation puts
+    before a value below 1, slots 6-22 the nine significant digits with a
+    decimal-point slot after each of the first eight, and slots 23-26 the
+    ``e+XX`` of scientific notation; a slot the value does not use is NUL.
+
+    A value with 1e-14 <= |v| < 1e31 is scaled by an exact power of ten
+    onto [1e8, 1e9), so the scaled value is rounded once (by at most 6e-8),
+    and its nearest integer holds the nine digits.  Python formats the rest:
+    +-0, NaN, +-inf, |v| outside that range, a scaled value whose fraction
+    lies within 1e-6 of one half (a tie, or too close to call), and one
+    whose decimal exponent ``floor(log10|v|)`` came out too high or low.
+    """
+    n = x.size
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):  # NaN compares false: formatted by Python
+        ok = (a >= 1e-14) & (a < 1e31)
+    a[~ok] = 1.0
+    p10 = np.array([float(10 ** i) for i in range(23)])  # exact up to 1e22
+    # scale by 10^k onto [1e8, 1e9); floor(log10) can round across a power of ten
+    k = np.clip(8.0 - np.floor(np.log10(a)), -22.0, 22.0).astype(np.intp)
+    s = a * p10[np.abs(k)]
+    big = np.flatnonzero(k < 0)
+    s[big] = a[big] / p10[-k[big]]
+    r = np.rint(s)
+    ok &= (s >= 99999999.96) & (r <= 1e9) & (np.abs(s - r) < 0.499999)
+    carry = r == 1e9  # the digits rounded up to 1e9: 1e8, one decade higher
+    r[carry | ~ok] = 1e8
+    exp10 = (8 - k).astype(np.int8) + carry.view(np.int8)
+
+    # nine digits from three three-digit groups, in uint16 lanes
+    d = r.astype(np.uint32)
+    groups = np.empty((3, n), np.uint16)
+    groups[0] = d // 1000000
+    groups[1] = d // 1000 % 1000
+    groups[2] = d % 1000
+    digits = np.empty((3, 3, n), np.uint8)
+    tens = groups // 10
+    hundreds = tens // 10
+    digits[:, 0] = hundreds
+    digits[:, 1] = tens - hundreds * 10
+    digits[:, 2] = groups - tens * 10
+    digits = digits.reshape(9, n)
+    one_to_nine = np.arange(1, 10, dtype=np.int8)[:, None]
+    sig = ((digits != 0).view(np.int8) * one_to_nine).max(axis=0)  # trailing zeros cut
+
+    fixed = (exp10 >= -4) & (exp10 < 9)
+    point = exp10 * fixed.view(np.int8)  # digit the point follows; 0 in scientific
+    kept = np.maximum(sig, point + np.int8(1))  # digits shown, integer zeros included
+    out = np.empty((_G9_SLOTS, n), np.uint8)
+    out[0] = np.signbit(x).view(np.uint8) * np.uint8(45)  # "-"
+    lead_below = np.array([-1, -1, -2, -3, -4], np.int8)[:, None]
+    out[1:6] = ((point <= lead_below).view(np.uint8)
+                * np.array([48, 46, 48, 48, 48], np.uint8)[:, None])  # "0.000"
+    out[6:23:2] = (digits + np.uint8(48)) * (one_to_nine <= kept).view(np.uint8)
+    out[7:22:2] = (((one_to_nine[:8] == point + np.int8(1)) & (one_to_nine[:8] < sig))
+                   .view(np.uint8) * np.uint8(46))  # "."
+    sci = (~fixed).view(np.uint8)
+    mag = np.abs(exp10).view(np.uint8)
+    out[23] = sci * np.uint8(101)  # "e"
+    out[24] = sci * (np.uint8(43) + (exp10 < 0).view(np.uint8) * np.uint8(2))  # "+" or "-"
+    out[25] = sci * (mag // np.uint8(10) + np.uint8(48))
+    out[26] = sci * (mag % np.uint8(10) + np.uint8(48))
+
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        text = "".join(("%.9g" % v).ljust(_G9_SLOTS, "\0") for v in x[rest].tolist())
+        out[:, rest] = np.frombuffer(text.encode(), np.uint8).reshape(rest.size, _G9_SLOTS).T
+    return out
+
+
 def write_csv(path, header, columns) -> None:
     """Write equal-length numeric columns as CSV, one ``%.9g`` row per sample.
 
     Every CSV the package emits goes through here, so the row format
-    (``%.9g`` values, ``,`` separators, ``\n`` line ends) lives in one place.
-    A column whose values all share one bit pattern (compared as ``uint64``,
-    so ``0.0`` and ``-0.0`` differ and NaN matches itself) is formatted once,
-    into the row format; the bytes are those of formatting every value.
+    (``%.9g`` values, ``,`` separators, ``\n`` line ends, in binary mode on
+    every platform) lives in one place.  The bytes are those of formatting
+    each value with Python's ``"%.9g" % v``:
+
+    - A column whose values all share one bit pattern (compared as
+      ``uint64``, so ``0.0`` and ``-0.0`` differ and NaN matches itself) is
+      formatted once, into a row buffer that also holds the separators.
+    - The other columns are formatted ``_CSV_BLOCK_VALUES`` values at a time
+      by the numpy kernel ``_format_g9``, copied into that buffer, and
+      written with the kernel's NUL padding dropped.
+
+    Raises ``ValueError`` when the columns differ in length.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
     n = cols[0].size if cols else 0
-    fields, varying = [], []
+    for j, c in enumerate(cols):
+        if c.size != n:
+            raise ValueError(f"column {j} has {c.size} values, column 0 has {n}")
+    row, varying = bytearray(), []  # varying: (offset in row, column)
     for c in cols:
         bits = c.view(np.uint64)
         if n and (bits == bits[0]).all():
-            fields.append("%.9g" % c[0])
+            row += ("%.9g" % c[0]).encode()
         else:
-            fields.append("%.9g")
-            varying.append(c)
-    fmt = ",".join(fields) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for s in range(0, n, _CSV_BLOCK_ROWS):
+            varying.append((len(row), c))
+            row += bytes(_G9_SLOTS)
+        row += b","
+    row[-1:] = b"\n"
+    rows = max(1, _CSV_BLOCK_VALUES // max(1, len(varying)))
+    buf = np.tile(np.frombuffer(row, np.uint8), (min(rows, n), 1))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for s in range(0, n, rows):
+            m = min(rows, n - s)
             if varying:
-                block = (c[s:s + _CSV_BLOCK_ROWS].tolist() for c in varying)
-                fh.write("".join(fmt % row for row in zip(*block)))
-            else:  # every column constant: the row is fixed text
-                fh.write(fmt * min(_CSV_BLOCK_ROWS, n - s))
+                text = _format_g9(np.concatenate([c[s:s + m] for _, c in varying]))
+                for j, (off, _) in enumerate(varying):
+                    buf[:m, off:off + _G9_SLOTS] = text[:, j * m:(j + 1) * m].T
+            fh.write(buf[:m].tobytes().translate(None, b"\0"))
 
 
 @dataclass
@@ -98,11 +192,26 @@ class TimeSeries:
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":
-        """Read a ``t,value`` CSV whose time steps all match the first within 1e-3."""
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        """Read a ``t,value`` CSV of finite values whose time steps all match
+        the first within 1e-3.
+
+        Raises ``OSError`` for a file that cannot be opened and
+        ``ValueError`` for one that does not parse or breaks these rules.
+        """
+        with warnings.catch_warnings():
+            # a header-only file warns; it is rejected below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[0] < 2:
+            raise ValueError(f"{path}: need at least two samples to infer the period, "
+                             f"got {data.shape[0]}")
+        if data.shape[1] != 2:
+            raise ValueError(f"{path}: need two columns (t,value), got {data.shape[1]}")
+        off = np.flatnonzero(~np.isfinite(data).all(axis=1))
+        if off.size:
+            i = int(off[0])
+            raise ValueError(f"{path}: non-finite value at data row {i + 1} (line {i + 2})")
         t, v = data[:, 0], data[:, 1]
-        if t.size < 2:
-            raise ValueError("need at least two samples to infer the period")
         dt = float(t[1] - t[0])
         off = np.flatnonzero(np.abs(np.diff(t) - dt) > 1e-3 * abs(dt))
         if off.size:

@@ -307,8 +307,46 @@ class TestCliCommands:
         assert "num_monic" in (out / "summary.txt").read_text()
 
     def test_fit_requires_both_records(self, tmp_path, capsys):
-        code = main(["fit", "--u", "only_input.csv", "--out", str(tmp_path / "o")])
-        assert code == 1
+        for given, missing in (("--u", "--y"), ("--y", "--u")):
+            code = main(["fit", given, "only_one.csv", "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert f"config error: {missing}: missing" in capsys.readouterr().err
+
+    @staticmethod
+    def _fit_with(tmp_path, u, y):
+        return main(["fit", "--u", str(u), "--y", str(y), "--out", str(tmp_path / "o")])
+
+    # a record fit cannot use exits 2 and names the flag that gave it
+    @pytest.mark.parametrize("case, text, message", [
+        ("missing_file", None, "not found"),
+        ("header_only", "t,value\n", "need at least two samples"),
+        ("unparseable", "t,value\n0,1\n0.001,abc\n", "could not convert"),
+        ("one_column", "t\n0\n0.001\n", "need two columns"),
+        ("nan_sample", "t,value\n0,1\n0.001,nan\n0.002,3\n", "non-finite value at data row 2"),
+        ("inf_time", "t,value\n0,1\n0.001,2\ninf,3\n", "non-finite value at data row 3"),
+    ])
+    @pytest.mark.parametrize("flag", ["--u", "--y"])
+    def test_bad_fit_record_exits_2(self, tmp_path, capsys, case, text, message, flag):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        TimeSeries(1e-3, np.arange(64.0)).to_csv(good)
+        if text is not None:
+            bad.write_text(text)
+        records = {"--u": good, "--y": good, flag: bad}
+        assert self._fit_with(tmp_path, records["--u"], records["--y"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag}: ")
+        assert message in err
+
+    @pytest.mark.parametrize("samples, period, message", [
+        (63, 1e-3, "--y: 63 samples every 0.001 s, but --u has 64 every 0.001 s"),
+        (64, 2e-3, "--y: 64 samples every 0.002 s, but --u has 64 every 0.001 s"),
+    ])
+    def test_unmatched_fit_records_exit_2(self, tmp_path, capsys, samples, period, message):
+        u, y = tmp_path / "u.csv", tmp_path / "y.csv"
+        TimeSeries(1e-3, np.arange(64.0)).to_csv(u)
+        TimeSeries(period, np.arange(float(samples))).to_csv(y)
+        assert self._fit_with(tmp_path, u, y) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_installed_entry_point_runs_the_cli():

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seactrl.lti import (
     ContinuousTransferFunction,
@@ -12,7 +15,7 @@ from seactrl.lti import (
 )
 from seactrl.plant import nominal_lsea_tf
 from seactrl.sysid import (
-    _CSV_BLOCK_ROWS,
+    _CSV_BLOCK_VALUES,
     FitError,
     TimeSeries,
     empirical_frf,
@@ -128,19 +131,45 @@ class TestTimeSeries:
             TimeSeries(0.01, [])
 
 
+def _ulps(v, n=2):
+    """``v`` and its ``n`` float64 neighbours on each side."""
+    out = [v]
+    for toward in (-math.inf, math.inf):
+        w = v
+        for _ in range(n):
+            w = math.nextafter(w, toward)
+            out.append(w)
+    return out
+
+
+def _float_from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# any float64 bit pattern (NaN payloads and subnormals included), any float
+# hypothesis draws, and values in the range the numpy kernel formats itself
+_ANY_FLOAT = st.one_of(
+    st.integers(0, 2**64 - 1).map(_float_from_bits),
+    st.floats(),
+    st.floats(-1e31, 1e31),
+    st.floats(-1.0, 1.0),
+)
+
+
 class TestWriteCsv:
     SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 0.1 + 0.2,
                3.0, -42.0, 1e9, 123456789.0)
 
     @staticmethod
     def assert_matches_oracle(tmp_path, cols):
-        header = tuple("abcdefgh"[:len(cols)])
+        header = tuple(f"c{j}" for j in range(len(cols)))
         path, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
         write_csv(path, header, cols)
         csv_reference(ref, header, cols)
         assert path.read_bytes() == ref.read_bytes()
 
-    @pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [0, 1, 512, 513, _CSV_BLOCK_VALUES // 3,
+                                      _CSV_BLOCK_VALUES // 3 + 1])
     def test_matches_per_value_format_oracle(self, tmp_path, rows):
         vals = np.resize(np.array(self.SPECIAL), rows)
         self.assert_matches_oracle(tmp_path, (vals, vals[::-1], np.arange(rows) * 0.001))
@@ -154,17 +183,68 @@ class TestWriteCsv:
         ("signed_nans", [math.nan, -math.nan]),
         ("constant", [0.1 + 0.2]),
     ])
-    @pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [0, 1, 513, _CSV_BLOCK_VALUES + 1])
     def test_constant_columns_match_oracle(self, tmp_path, case, value, rows):
         col = np.resize(np.array(value), rows)
         ramp = np.arange(rows) * 0.001
         self.assert_matches_oracle(tmp_path, (col, ramp, col, np.full(rows, -42.5)))
 
-    @pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("rows", [0, 1, 512, 1027, _CSV_BLOCK_VALUES,
+                                      2 * _CSV_BLOCK_VALUES + 3])
     def test_every_column_constant_matches_oracle(self, tmp_path, rows):
         cols = (np.zeros(rows), np.full(rows, -0.0), np.full(rows, math.nan),
                 np.full(rows, 1e300), np.full(rows, 7.0))
         self.assert_matches_oracle(tmp_path, cols)
+
+    @given(st.lists(_ANY_FLOAT, min_size=1, max_size=40))
+    def test_any_float_matches_oracle(self, tmp_path_factory, values):
+        vals = np.array(values)
+        self.assert_matches_oracle(tmp_path_factory.mktemp("csv"), (vals, -vals[::-1]))
+
+    # where the kernel's digits are hardest to get right: one column each of
+    # 9-digit ties (k + 0.5) 10^e, powers of ten +-2 ulps (the exponent
+    # estimate and the carry to 1e9), the values that round onto the fixed /
+    # scientific boundaries 1e-4 and 1e9, and the edges of the kernel's
+    # range 1e-14 and 1e31, both signs
+    @pytest.mark.parametrize("case", ["ties", "powers_of_ten", "notation_boundaries",
+                                      "kernel_range"])
+    def test_hard_values_match_oracle(self, tmp_path, case):
+        if case == "ties":
+            vals = [(k + 0.5) * 10.0 ** e
+                    for k in (100000000, 123456789, 314159265, 999999999)
+                    for e in range(-23, 24)]
+        elif case == "powers_of_ten":
+            vals = [w for e in range(-16, 34) for w in _ulps(float(f"1e{e}"))]
+        elif case == "notation_boundaries":
+            vals = [w for b in (1e-4, 9.999999995e-5, 9.9999999949999e-5, 1e9,
+                                999999999.5, 999999999.49999994)
+                    for w in _ulps(b, 4)]
+        else:
+            vals = [w for b in (1e-14, 9.999999995e-15, 1e31, 9.999999995e30)
+                    for w in _ulps(b, 4)]
+        vals = np.array(vals)
+        vals = np.concatenate([vals, -vals])
+        self.assert_matches_oracle(tmp_path, (vals,))
+
+    # a block is _CSV_BLOCK_VALUES // k rows of k varying columns, formatted
+    # in one kernel call and copied column by column into the row buffer,
+    # between constant columns; the files below span two blocks and a row
+    @pytest.mark.parametrize("varying", [1, 3, 5, 12])
+    def test_block_edges_match_oracle(self, tmp_path, varying):
+        per_block = _CSV_BLOCK_VALUES // varying
+        rows = 2 * per_block + 1
+        rng = np.random.default_rng(varying)
+        cols = [np.full(rows, -0.0)]
+        for _ in range(varying):
+            cols += [rng.normal(size=rows) * 10.0 ** rng.integers(-16, 33, rows),
+                     np.full(rows, 0.1)]
+        self.assert_matches_oracle(tmp_path, cols)
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=r"column 1 has 3 values, column 0 has 5"):
+            write_csv(path, ("a", "b"), (np.arange(5.0), np.arange(3.0)))
+        assert not path.exists()
 
 
 class TestEmpiricalFrf:
