@@ -28,8 +28,12 @@ in two RK4 steps of half a controller step (``_pendulum_stepper``), each
 seeing the force at its start, midpoint and end; the substep ratio must be
 even on this path.  ``run_scenario`` executes the two-rate loop (reference rate /
 controller rate / plant substep rate) and returns a uniformly sampled log
-that serializes to CSV bit-reproducibly; a non-finite signal stops it with
-a ``SimulationFault`` that names the signal and the time.
+of 12 columns that serializes to CSV bit-reproducibly.  A tick records
+only the values it computes (the loop's outputs, and with the pendulum the
+desired force and the pendulum state); the time, the held reference and
+the other derived columns are filled with numpy after the loop.  A
+non-finite signal stops the loop with a ``SimulationFault`` that names the
+signal and the time.
 """
 
 from __future__ import annotations
@@ -501,6 +505,14 @@ class SimScenario:
 LOG_COLUMNS = ("t", "ref_pos", "q_bar_a_d", "qdot_bar_a_d", "f_d", "f_o", "i_m",
                "d_hat", "theta", "theta_dot", "q_hat_a_m", "q_hat_a_j")
 _LOG_BLOCK_TICKS = 1024  # ticks recorded before one copy into the log array
+_COL = {name: i for i, name in enumerate(LOG_COLUMNS)}
+# the rows a tick records: the loop's outputs, and with the pendulum also the
+# desired force and the pendulum state; t, the held reference (_REF_ROWS, one
+# value per reference tick), a force step's f_d and q_hat_a_j = l2 * theta
+# are filled after the loop
+_TICK_ROWS = slice(_COL["f_o"], _COL["d_hat"] + 1)
+_PENDULUM_TICK_ROWS = slice(_COL["f_d"], _COL["q_hat_a_m"] + 1)
+_REF_ROWS = slice(_COL["ref_pos"], _COL["qdot_bar_a_d"] + 1)
 
 
 @dataclass
@@ -557,11 +569,18 @@ def run_scenario(sc: SimScenario) -> SimLog:
     ``ForceController.stepper`` or ``DisturbanceObserver.stepper``, and the
     pendulum's RK4), so a tick calls no method of a block.  Every per-tick
     value is a Python float, not a numpy scalar, so it overflows to inf
-    without a warning; each tick's row is appended to a flat list that is
-    copied into the log array every ``_LOG_BLOCK_TICKS`` ticks.
-    Re-running an identical scenario yields bit-identical output.  A
-    non-finite pendulum state, plant output, rejected desired force or
-    current command raises ``SimulationFault`` with the step time.
+    without a warning.  A tick records only what it computes: ``f_o``,
+    ``i_m`` and ``d_hat``, and with the pendulum also ``f_d``, ``theta``,
+    ``theta_dot`` and ``q_hat_a_m``, into a flat list that is copied into
+    those rows of the ``(12, n)`` log array every ``_LOG_BLOCK_TICKS``
+    ticks; a position chirp's three reference values are recorded on
+    reference ticks only.  After the loop, numpy fills ``t = k * T``, a
+    force step's ``f_d`` (without the pendulum), ``q_hat_a_j = l2 * theta``
+    and the reference columns, each held between reference ticks; every
+    other column keeps the ``+0.0`` it was allocated as.  Re-running an
+    identical scenario yields bit-identical output.  A non-finite pendulum
+    state, plant output, rejected desired force or current command raises
+    ``SimulationFault`` with the step time.
     """
     sc.validate()
     T = 1.0 / sc.controller_hz
@@ -598,27 +617,30 @@ def run_scenario(sc: SimScenario) -> SimLog:
         chirp = exponential_chirp(ref.amplitude, ref.f_start, ref.f_end, sc.duration_s)
 
     # one row per log column, so each column is a contiguous float64 array;
-    # ticks are recorded into a flat block that fills _LOG_BLOCK_TICKS columns
+    # a tick records only the rows it computes, into a flat block that fills
+    # _LOG_BLOCK_TICKS columns of them, and the rest are filled after the loop
     data = np.zeros((len(LOG_COLUMNS), n_steps))
+    rows = _TICK_ROWS if pend is None else _PENDULUM_TICK_ROWS
+    width = rows.stop - rows.start
     block: list[float] = []
     record = block.extend
+    refs: list[float] = []
+    record_ref = refs.extend
     f_o = 0.0
-    ref_pos = q_a_d = qdot_a_d = f_ff = 0.0
+    q_a_d = qdot_a_d = f_ff = 0.0
 
     for k0 in range(0, n_steps, _LOG_BLOCK_TICKS):
         k1 = min(k0 + _LOG_BLOCK_TICKS, n_steps)
         for k in range(k0, k1):
             t = k * T
-            if pend is None:
-                q_hat_a_j = qdot_hat_a = 0.0
-            elif not math.isfinite(theta):
-                raise SimulationFault(t, "theta")
-            elif not math.isfinite(theta_dot):
-                raise SimulationFault(t, "theta_dot")
-            else:
+            if pend is not None:
+                if not math.isfinite(theta):
+                    raise SimulationFault(t, "theta")
+                if not math.isfinite(theta_dot):
+                    raise SimulationFault(t, "theta_dot")
                 q_hat_a_j = l2 * theta
                 qdot_hat_a = l2 * theta_dot
-            q_hat_a_m = est_play.step(q_hat_a_j) if est_play is not None else q_hat_a_j
+                q_hat_a_m = est_play.step(q_hat_a_j) if est_play is not None else q_hat_a_j
 
             if position_chirp:
                 if k % ref_div == 0:
@@ -628,7 +650,7 @@ def run_scenario(sc: SimScenario) -> SimLog:
                               + pend.m * pend.g * pend.l1 * math.sin(qj_d))
                     q_a_d, qdot_a_d = actuator_setpoints(pmap, qj_d, qjdot_d, theta)
                     f_ff = ff_force(pmap, theta, tau_ff)
-                    ref_pos = qj_d
+                    record_ref((qj_d, q_a_d, qdot_a_d))
                 f_d = impedance_step(sc.impedance, q_a_d, qdot_a_d,
                                      q_hat_a_m, qdot_hat_a, f_ff)
                 i_m, d_hat = fc_step(f_d, f_o)
@@ -639,8 +661,6 @@ def run_scenario(sc: SimScenario) -> SimLog:
                 i_m, d_hat = dob_step(chirp(t), f_o)
                 f_d = 0.0
 
-            record((t, ref_pos, q_a_d, qdot_a_d, f_d, f_o, i_m, d_hat,
-                    theta, theta_dot, q_hat_a_m, q_hat_a_j))
             if not math.isfinite(f_o):
                 raise SimulationFault(t, "f_o")
             if fc is not None and fc.fault:
@@ -650,6 +670,7 @@ def run_scenario(sc: SimScenario) -> SimLog:
                 raise SimulationFault(t, "i_m")
 
             if pend is not None:
+                record((f_d, f_o, i_m, d_hat, theta, theta_dot, q_hat_a_m))
                 try:
                     for _ in range(2):
                         f_q = advance(i_m)
@@ -659,8 +680,24 @@ def run_scenario(sc: SimScenario) -> SimLog:
                 except ValueError:  # math.sin of an infinite angle
                     raise SimulationFault(t, "theta") from None
             else:
+                record((f_o, i_m, d_hat))
                 f_o = advance(i_m)
-        data[:, k0:k1] = np.array(block).reshape(k1 - k0, len(LOG_COLUMNS)).T
+        m = k1 - k0
+        data[rows, k0:k1] = np.fromiter(block, float, m * width).reshape(m, width).T
         block.clear()
+
+    # the columns a tick does not record, written in place so that no
+    # log-sized temporary outlives one column; every other one stays zero
+    times = data[_COL["t"]]
+    np.multiply(np.arange(n_steps), T, out=times)
+    if pend is None:
+        if force_step:
+            data[_COL["f_d"]] = np.where(times >= ref.step_time, ref.step_value, 0.0)
+    else:
+        np.multiply(l2, data[_COL["theta"]], out=data[_COL["q_hat_a_j"]])
+    if position_chirp:
+        held = np.fromiter(refs, float, len(refs)).reshape(-1, 3).T
+        for row, values in zip(data[_REF_ROWS], held):
+            row[:] = np.repeat(values, ref_div)[:n_steps]
 
     return SimLog(**dict(zip(LOG_COLUMNS, data)))

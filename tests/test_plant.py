@@ -10,7 +10,9 @@ from seactrl.control import (
     PidConfig,
     build_force_controller,
     build_observer,
+    impedance_step,
 )
+from seactrl.kinematics import PendulumMap, actuator_setpoints, ff_force
 from seactrl.lti import NyquistError, freq_response, log_grid
 from seactrl.plant import (
     _LOG_BLOCK_TICKS,
@@ -28,7 +30,12 @@ from seactrl.plant import (
     pendulum_step,
     run_scenario,
 )
-from seactrl.sysid import TimeSeries, empirical_frf, exponential_chirp_point
+from seactrl.sysid import (
+    TimeSeries,
+    empirical_frf,
+    exponential_chirp_point,
+    linear_chirp_point,
+)
 
 from oracles import (
     coupled_ode_reference,
@@ -38,6 +45,11 @@ from oracles import (
 )
 
 SHIPPED_DEN_FACTORS = (1.0, 1.2, 0.8, 1.25)
+
+
+def bits(values):
+    """The IEEE bit patterns of ``values``, so ``-0.0`` differs from ``0.0``."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 class TestLseaPlant:
@@ -367,12 +379,17 @@ class TestScenario:
             assert np.array_equal(log1.column(name), log2.column(name))
 
     def test_zero_duration_empty_log(self, tmp_path):
-        sc = SimScenario(reference=ReferenceSpec(), duration_s=0.0)
-        log = run_scenario(sc)
-        assert len(log) == 0
-        path = tmp_path / "empty.csv"
-        log.to_csv(path)
-        assert path.read_text() == ",".join(LOG_COLUMNS) + "\n"
+        for pendulum in (None, PendulumConfig()):
+            sc = SimScenario(reference=ReferenceSpec(step_value=5.0), duration_s=0.0,
+                             pendulum=pendulum)
+            log = run_scenario(sc)
+            assert len(log) == 0
+            for name in LOG_COLUMNS:
+                col = log.column(name)
+                assert col.shape == (0,) and col.dtype == np.float64, name
+            path = tmp_path / "empty.csv"
+            log.to_csv(path)
+            assert path.read_text() == ",".join(LOG_COLUMNS) + "\n"
 
     def test_invalid_rate_ratio_rejected(self):
         sc = SimScenario(reference=ReferenceSpec(), duration_s=0.1,
@@ -525,6 +542,47 @@ class TestScenario:
                           for i_m in log.i_m[:-1].tolist()]
         assert np.array_equal(log.f_o.view(np.uint64), np.array(replay).view(np.uint64))
 
+    def test_pendulum_block_log_across_block_boundaries(self):
+        # replay every tick of a position chirp through the public block
+        # methods: the reference and kinematics on reference ticks, the
+        # impedance, ForceController.step, then the written-out coupled step
+        # (four LseaPlant.advance calls and two pendulum RK4 steps)
+        n = 2 * _LOG_BLOCK_TICKS + 3
+        sc = short_pendulum_scenario(duration=n / 1000.0)
+        sc.estimate_backlash_m = 0.002
+        log = run_scenario(sc)
+        assert len(log) == n
+        T, n_sub = 1.0 / sc.controller_hz, sc.plant_hz // sc.controller_hz
+        ref_div = sc.controller_hz // sc.reference_hz
+        assert n % ref_div != 0
+        ref, pend = sc.reference, sc.pendulum
+        fc = build_force_controller(sc.pid, DobConfig(sc.omega_c, sc.gamma, nominal_lsea_tf()),
+                                    sc.k_ff, T)
+        plant, pmap = sc.plant.build(), PendulumMap(pend.l2)
+        play = BacklashPlay(sc.estimate_backlash_m)
+        f_o, theta, theta_dot = 0.0, pend.theta0, pend.theta_dot0
+        want = []
+        for k in range(n):
+            t = k * T
+            q_hat_a_j = pend.l2 * theta
+            q_hat_a_m = play.step(q_hat_a_j)
+            if k % ref_div == 0:
+                qj_d, qjdot_d, qjddot_d = linear_chirp_point(ref.amplitude, ref.omega_o, t)
+                tau_ff = (pend.m * pend.l1**2 * qjddot_d
+                          + pend.m * pend.g * pend.l1 * math.sin(qj_d))
+                q_a_d, qdot_a_d = actuator_setpoints(pmap, qj_d, qjdot_d, theta)
+                f_ff = ff_force(pmap, theta, tau_ff)
+            f_d = impedance_step(sc.impedance, q_a_d, qdot_a_d, q_hat_a_m,
+                                 pend.l2 * theta_dot, f_ff)
+            i_m = fc.step(f_d, f_o)
+            want.append((t, qj_d, q_a_d, qdot_a_d, f_d, f_o, i_m, fc.dob.d_hat,
+                         theta, theta_dot, q_hat_a_m, q_hat_a_j))
+            f_o, theta, theta_dot = pendulum_tick_reference(
+                plant, pend, i_m, f_o, theta, theta_dot, 1.0 / sc.plant_hz, n_sub, T)
+        got = np.stack([log.column(c) for c in LOG_COLUMNS], axis=1)
+        assert np.any(log.q_hat_a_m != log.q_hat_a_j)
+        assert np.array_equal(bits(got), bits(want))
+
     @pytest.mark.parametrize("reference", [
         ReferenceSpec(kind="force_step", step_value=500.0, step_time=0.05),
         ReferenceSpec(kind="current_chirp", amplitude=1.75, f_start=0.1, f_end=20.0),
@@ -576,6 +634,90 @@ class TestScenario:
         gap = log.q_hat_a_m - log.q_hat_a_j
         assert np.max(np.abs(gap)) <= 0.001 + 1e-12
         assert np.max(np.abs(gap)) > 0.0
+
+
+class TestDerivedColumns:
+    """The columns ``run_scenario`` fills after its loop, pinned bit for bit.
+
+    A tick records only the values it computes; ``t``, the held reference,
+    a force step's ``f_d`` and ``q_hat_a_j`` are filled with numpy once, and
+    every other column stays the zero it was allocated as.
+    """
+
+    CHIRP = ReferenceSpec(kind="current_chirp", amplitude=1.75, f_start=0.1, f_end=20.0)
+    STEP = ReferenceSpec(kind="force_step", step_value=500.0, step_time=0.0503)
+
+    @pytest.mark.parametrize("reference, pendulum", [
+        (CHIRP, None),
+        (STEP, None),
+        (ReferenceSpec(kind="position_chirp", amplitude=0.1, omega_o=0.427),
+         PendulumConfig(damping=0.05)),
+    ], ids=["current_chirp", "force_step", "position_chirp"])
+    def test_time_is_tick_times_period(self, reference, pendulum):
+        sc = SimScenario(reference=reference, duration_s=0.3331, pendulum=pendulum)
+        log = run_scenario(sc)
+        T = 1.0 / sc.controller_hz
+        assert len(log) == 333
+        assert np.array_equal(bits(log.t), bits([k * T for k in range(len(log))]))
+
+    @pytest.mark.parametrize("step_time", [0.0, 0.05, 0.0503, 1.0])
+    def test_force_step_follows_the_tick_rule(self, step_time):
+        ref = ReferenceSpec(kind="force_step", step_value=-37.5, step_time=step_time)
+        sc = SimScenario(reference=ref, duration_s=0.3, plant_hz=5000)
+        log = run_scenario(sc)
+        T = 1.0 / sc.controller_hz
+        want = [ref.step_value if k * T >= ref.step_time else 0.0 for k in range(len(log))]
+        assert np.array_equal(bits(log.f_d), bits(want))
+
+    @pytest.mark.parametrize("duration", [0.6, 0.603], ids=["whole", "partial"])
+    def test_reference_held_between_reference_ticks(self, duration):
+        sc = short_pendulum_scenario(duration=duration)
+        log = run_scenario(sc)
+        n, T = len(log), 1.0 / sc.controller_hz
+        ref_div = sc.controller_hz // sc.reference_hz
+        ref, pmap = sc.reference, PendulumMap(sc.pendulum.l2)
+        want = []
+        for k in range(n):
+            if k % ref_div == 0:
+                qj_d, qjdot_d, _ = linear_chirp_point(ref.amplitude, ref.omega_o, k * T)
+                held = (qj_d, *actuator_setpoints(pmap, qj_d, qjdot_d, log.theta[k].item()))
+            want.append(held)
+        got = np.stack((log.ref_pos, log.q_bar_a_d, log.qdot_bar_a_d), axis=1)
+        assert (n % ref_div == 0) == (duration == 0.6)
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_joint_estimate_is_l2_theta(self):
+        sc = short_pendulum_scenario(duration=0.5)
+        sc.estimate_backlash_m = 0.002
+        log = run_scenario(sc)
+        l2 = sc.pendulum.l2
+        assert np.array_equal(bits(log.q_hat_a_j), bits([l2 * th for th in log.theta.tolist()]))
+
+    @pytest.mark.parametrize("pendulum", [PendulumConfig(damping=0.05), None],
+                             ids=["pendulum", "locked"])
+    def test_motor_estimate_is_backlash_replay(self, pendulum):
+        # without the pendulum the joint estimate is 0.0 on every tick, and
+        # so is the play's output
+        reference = (ReferenceSpec(kind="position_chirp", amplitude=0.1, omega_o=0.427)
+                     if pendulum else self.CHIRP)
+        sc = SimScenario(reference=reference, duration_s=0.5, pendulum=pendulum,
+                         estimate_backlash_m=0.002)
+        log = run_scenario(sc)
+        play = BacklashPlay(sc.estimate_backlash_m)
+        want = [play.step(q) for q in log.q_hat_a_j.tolist()]
+        assert np.array_equal(bits(log.q_hat_a_m), bits(want))
+
+    @pytest.mark.parametrize("reference, computed", [
+        (CHIRP, ("t", "f_o", "i_m", "d_hat")),
+        (STEP, ("t", "f_d", "f_o", "i_m", "d_hat")),
+    ], ids=["current_chirp", "force_step"])
+    def test_constant_columns_are_positive_zero(self, reference, computed):
+        sc = SimScenario(reference=reference, duration_s=0.3, plant_hz=5000,
+                         estimate_backlash_m=0.002)
+        log = run_scenario(sc)
+        for name in LOG_COLUMNS:
+            if name not in computed:
+                assert not np.any(bits(log.column(name))), name
 
 
 class TestPythonFloats:
