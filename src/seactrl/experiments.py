@@ -146,14 +146,19 @@ def _current_chirp(cfg: dict, gamma: float, amplitude: float):
     return run_scenario(sc), 1.0 / sc.controller_hz
 
 
-def _chirp_frf(cfg: dict, gamma: float, amplitude: float):
-    """Run a current chirp and estimate the u_c -> f_o response on the
-    configured grid."""
+def _chirp_frf(cfg: dict, gamma: float, amplitude: float, log_path):
+    """Run a current chirp, write its log to ``log_path`` and estimate the
+    u_c -> f_o response on the configured grid.
+
+    Only the response is returned, so the log is freed before the caller
+    runs its next scenario.
+    """
     log, T = _current_chirp(cfg, gamma, amplitude)
-    u_c = log.i_m + gamma * log.d_hat
-    frf = empirical_frf(TimeSeries(T, u_c), TimeSeries(T, log.f_o), _grid(cfg),
-                        segments=cfg["sysid"]["segments"])
-    return frf, log
+    log.to_csv(log_path)
+    u_c = gamma * log.d_hat
+    u_c += log.i_m
+    return empirical_frf(TimeSeries(T, u_c), TimeSeries(T, log.f_o), _grid(cfg),
+                         segments=cfg["sysid"]["segments"])
 
 
 def _max_deviation_db(frf, reference_tf) -> float:
@@ -170,10 +175,9 @@ def bode_open_loop(cfg: dict, out_dir) -> dict:
     summary: dict = {"experiment": "bode-open-loop", "amplitudes": list(amps)}
     pn = nominal_lsea_tf()
     for amp in amps:
-        frf, log = _chirp_frf(cfg, gamma=0.0, amplitude=amp)
         tag = f"{amp:g}".replace(".", "p")
+        frf = _chirp_frf(cfg, 0.0, amp, out / f"log_amp{tag}.csv")
         write_frf_csv(frf, out / f"frf_amp{tag}.csv")
-        log.to_csv(out / f"log_amp{tag}.csv")
         summary[f"max_dev_from_nominal_db_amp{tag}"] = _max_deviation_db(frf, pn)
     _write_summary(out, summary)
     return summary
@@ -188,9 +192,8 @@ def dob_verify(cfg: dict, out_dir) -> dict:
     pn = nominal_lsea_tf()
     summary: dict = {"experiment": "dob-verify", "gamma_on": gamma_on}
     for tag, gamma in (("on", gamma_on), ("off", 0.0)):
-        frf, log = _chirp_frf(cfg, gamma=gamma, amplitude=amp)
+        frf = _chirp_frf(cfg, gamma, amp, out / f"log_dob_{tag}.csv")
         write_frf_csv(frf, out / f"frf_dob_{tag}.csv")
-        log.to_csv(out / f"log_dob_{tag}.csv")
         summary[f"max_dev_db_dob_{tag}"] = _max_deviation_db(frf, pn)
     summary["nominalized_within_2db"] = bool(summary["max_dev_db_dob_on"] <= 2.0)
     summary["off_exceeds_2db"] = bool(summary["max_dev_db_dob_off"] > 2.0)
@@ -218,6 +221,7 @@ def pid_step(cfg: dict, out_dir) -> dict:
         settle = log.f_o[log.t >= 0.75 * sn["duration_s"]]
         summary[f"overshoot_pct_kd{tag}"] = float(
             (np.max(log.f_o) - step_force) / step_force * 100.0)
+        del log  # freed before the next scenario runs
         summary[f"late_ripple_n_kd{tag}"] = float(np.ptp(settle))
     _write_summary(out, summary)
     return summary
@@ -331,6 +335,7 @@ def pendulum_chirp(cfg: dict, out_dir, dob: str = "both") -> dict:
         f_inst = omega_o * log.t / math.pi
         band = (f_inst >= sn["band_lo_hz"]) & (f_inst <= sn["band_hi_hz"])
         err = log.q_bar_a_d[band] - log.q_hat_a_j[band]
+        del log  # freed before the next scenario runs
         # a run too short to reach the band reports nan rather than a value
         summary[f"rms_pos_err_m_dob_{tag}"] = (
             float(np.sqrt(np.mean(err**2))) if err.size else float("nan"))

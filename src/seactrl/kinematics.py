@@ -109,7 +109,8 @@ def actuator_setpoints(mapping: JointActuatorMap, q_bar_j_d, qdot_bar_j_d, q_j_m
     mapping.check_range(q_j_measured)
     q_a = mapping.forward(q_bar_j_d)
     J = mapping.jacobian(q_j_measured)
-    if np.ndim(J) == 0:
+    # a 1-DoF map's Jacobian is a Python float, tested before numpy's dispatch
+    if type(J) is float or np.ndim(J) == 0:
         qdot_a = float(J) * qdot_bar_j_d
     else:
         qdot_a = np.asarray(J) @ np.asarray(qdot_bar_j_d, dtype=float)
@@ -124,7 +125,7 @@ def ff_force(mapping: JointActuatorMap, q_j_measured, tau_ff_d, det_tol: float =
     """
     mapping.check_range(q_j_measured)
     J = mapping.jacobian(q_j_measured)
-    if np.ndim(J) == 0:
+    if type(J) is float or np.ndim(J) == 0:
         if abs(J) < det_tol:
             raise SingularJacobianError(f"|J| = {abs(J):g} below tolerance {det_tol:g}")
         return tau_ff_d / float(J)

@@ -28,11 +28,11 @@ in two RK4 steps of half a controller step (``_pendulum_stepper``), each
 seeing the force at its start, midpoint and end; the substep ratio must be
 even on this path.  ``run_scenario`` executes the two-rate loop (reference rate /
 controller rate / plant substep rate) and returns a uniformly sampled log
-of 12 columns that serializes to CSV bit-reproducibly.  A tick records
-only the values it computes (the loop's outputs, and with the pendulum the
-desired force and the pendulum state); the time, the held reference and
-the other derived columns are filled with numpy after the loop.  A
-non-finite signal stops the loop with a ``SimulationFault`` that names the
+of 12 columns, each its own array, that serializes to CSV
+bit-reproducibly.  A tick records only the values it computes (the loop's
+outputs, and with the pendulum the desired force and the pendulum state);
+the time is filled with numpy block by block, and the held reference and
+the other derived columns after the loop.  A non-finite signal stops the loop with a ``SimulationFault`` that names the
 signal and the time.
 """
 
@@ -504,15 +504,14 @@ class SimScenario:
 
 LOG_COLUMNS = ("t", "ref_pos", "q_bar_a_d", "qdot_bar_a_d", "f_d", "f_o", "i_m",
                "d_hat", "theta", "theta_dot", "q_hat_a_m", "q_hat_a_j")
-_LOG_BLOCK_TICKS = 1024  # ticks recorded before one copy into the log array
-_COL = {name: i for i, name in enumerate(LOG_COLUMNS)}
-# the rows a tick records: the loop's outputs, and with the pendulum also the
-# desired force and the pendulum state; t, the held reference (_REF_ROWS, one
-# value per reference tick), a force step's f_d and q_hat_a_j = l2 * theta
-# are filled after the loop
-_TICK_ROWS = slice(_COL["f_o"], _COL["d_hat"] + 1)
-_PENDULUM_TICK_ROWS = slice(_COL["f_d"], _COL["q_hat_a_m"] + 1)
-_REF_ROWS = slice(_COL["ref_pos"], _COL["qdot_bar_a_d"] + 1)
+_LOG_BLOCK_TICKS = 1024  # ticks recorded before one copy into the log columns
+# the columns a tick records, in the order it records them: the loop's
+# outputs, and with the pendulum also the desired force and the pendulum
+# state; t, the held reference (_REF_COLUMNS, one value per reference tick),
+# a force step's f_d and q_hat_a_j = l2 * theta are filled outside the tick
+_TICK_COLUMNS = ("f_o", "i_m", "d_hat")
+_PENDULUM_TICK_COLUMNS = ("f_d", "f_o", "i_m", "d_hat", "theta", "theta_dot", "q_hat_a_m")
+_REF_COLUMNS = ("ref_pos", "q_bar_a_d", "qdot_bar_a_d")
 
 
 @dataclass
@@ -572,12 +571,17 @@ def run_scenario(sc: SimScenario) -> SimLog:
     without a warning.  A tick records only what it computes: ``f_o``,
     ``i_m`` and ``d_hat``, and with the pendulum also ``f_d``, ``theta``,
     ``theta_dot`` and ``q_hat_a_m``, into a flat list that is copied into
-    those rows of the ``(12, n)`` log array every ``_LOG_BLOCK_TICKS``
-    ticks; a position chirp's three reference values are recorded on
-    reference ticks only.  After the loop, numpy fills ``t = k * T``, a
+    those columns every ``_LOG_BLOCK_TICKS`` ticks, when numpy also fills
+    the block's ``t = k * T``; a position chirp's three reference values
+    are recorded on reference ticks only.  After the loop, numpy fills a
     force step's ``f_d`` (without the pendulum), ``q_hat_a_j = l2 * theta``
-    and the reference columns, each held between reference ticks; every
-    other column keeps the ``+0.0`` it was allocated as.  Re-running an
+    and the reference columns, each held between reference ticks, in place
+    and without a log-sized temporary; every other column keeps the
+    ``+0.0`` it was allocated as.  Each column is its own ``np.zeros(n)``
+    array: numpy advises huge pages for an allocation of 4 MiB or more, so
+    in one ``(12, n)`` array the rows a scenario never writes would share
+    huge pages with the rows it writes and become resident with them; as
+    separate arrays they stay untouched.  Re-running an
     identical scenario yields bit-identical output.  A non-finite pendulum
     state, plant output, rejected desired force or current command raises
     ``SimulationFault`` with the step time.
@@ -616,12 +620,13 @@ def run_scenario(sc: SimScenario) -> SimLog:
         dob_step = build_observer(dob_cfg, T).stepper()
         chirp = exponential_chirp(ref.amplitude, ref.f_start, ref.f_end, sc.duration_s)
 
-    # one row per log column, so each column is a contiguous float64 array;
-    # a tick records only the rows it computes, into a flat block that fills
-    # _LOG_BLOCK_TICKS columns of them, and the rest are filled after the loop
-    data = np.zeros((len(LOG_COLUMNS), n_steps))
-    rows = _TICK_ROWS if pend is None else _PENDULUM_TICK_ROWS
-    width = rows.stop - rows.start
+    # one array per log column (see the docstring): a column this scenario
+    # does not write stays an untouched np.zeros(n)
+    log = {name: np.zeros(n_steps) for name in LOG_COLUMNS}
+    times = log["t"]
+    recorded = [log[name] for name in (_TICK_COLUMNS if pend is None
+                                       else _PENDULUM_TICK_COLUMNS)]
+    width = len(recorded)
     block: list[float] = []
     record = block.extend
     refs: list[float] = []
@@ -682,22 +687,26 @@ def run_scenario(sc: SimScenario) -> SimLog:
             else:
                 record((f_o, i_m, d_hat))
                 f_o = advance(i_m)
-        m = k1 - k0
-        data[rows, k0:k1] = np.fromiter(block, float, m * width).reshape(m, width).T
+        ticks = np.fromiter(block, float, (k1 - k0) * width).reshape(-1, width)
+        for j, column in enumerate(recorded):
+            column[k0:k1] = ticks[:, j]
         block.clear()
+        np.multiply(np.arange(k0, k1), T, out=times[k0:k1])
 
-    # the columns a tick does not record, written in place so that no
-    # log-sized temporary outlives one column; every other one stays zero
-    times = data[_COL["t"]]
-    np.multiply(np.arange(n_steps), T, out=times)
+    # the other columns a scenario writes, each in place, without a
+    # log-sized temporary; every other one stays zero
     if pend is None:
         if force_step:
-            data[_COL["f_d"]] = np.where(times >= ref.step_time, ref.step_value, 0.0)
+            # t is nondecreasing, so t >= step_time from one index on
+            log["f_d"][np.searchsorted(times, ref.step_time):] = ref.step_value
     else:
-        np.multiply(l2, data[_COL["theta"]], out=data[_COL["q_hat_a_j"]])
+        np.multiply(l2, log["theta"], out=log["q_hat_a_j"])
     if position_chirp:
-        held = np.fromiter(refs, float, len(refs)).reshape(-1, 3).T
-        for row, values in zip(data[_REF_ROWS], held):
-            row[:] = np.repeat(values, ref_div)[:n_steps]
+        held = np.fromiter(refs, float, len(refs)).reshape(-1, 3)
+        whole = n_steps // ref_div  # reference ticks held for all ref_div ticks
+        for j, name in enumerate(_REF_COLUMNS):
+            column = log[name]
+            column[:whole * ref_div].reshape(whole, ref_div)[:] = held[:whole, j, None]
+            column[whole * ref_div:] = held[whole:, j]
 
-    return SimLog(**dict(zip(LOG_COLUMNS, data)))
+    return SimLog(**log)

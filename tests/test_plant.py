@@ -627,6 +627,28 @@ class TestScenario:
         assert np.all(log.theta == 0.0)
         assert np.all(log.q_hat_a_m == 0.0)
 
+    @pytest.mark.parametrize("scenario", [
+        SimScenario(reference=ReferenceSpec(kind="current_chirp", amplitude=1.0,
+                                            f_start=0.1, f_end=10.0),
+                    duration_s=0.5, plant_hz=5000),
+        SimScenario(reference=ReferenceSpec(kind="force_step", step_value=500.0,
+                                            step_time=0.05),
+                    duration_s=0.5, plant_hz=5000),
+        short_pendulum_scenario(duration=0.5),
+    ], ids=["current_chirp", "force_step", "position_chirp"])
+    def test_log_columns_are_separate_arrays(self, scenario):
+        # each column owns its buffer: as rows of one (12, n) array, the
+        # columns would share huge pages
+        log = run_scenario(scenario)
+        n = int(round(scenario.duration_s * scenario.controller_hz))
+        columns = [log.column(c) for c in LOG_COLUMNS]
+        for col in columns:
+            assert col.dtype == np.float64 and col.shape == (n,)
+            assert col.flags.c_contiguous and col.flags.owndata
+        for i, a in enumerate(columns):
+            for b in columns[i + 1:]:
+                assert not np.shares_memory(a, b)
+
     def test_estimate_backlash_divergence(self):
         sc = short_pendulum_scenario(duration=1.0)
         sc.estimate_backlash_m = 0.002
