@@ -7,10 +7,12 @@ which is precomputed per substep size).  ``LseaPlant.stepper(dt, n)``
 builds, once per substep size and count, a closure that advances ``n``
 substeps with the input held; every stepper of a plant, and
 ``LseaPlant.advance``, steps the one state that lives in the plant's
-closure scope.  A held input that stiction cannot act on (at or above the
-breakaway, no backlash) reaches every substep unchanged, so such a step is
-one cached linear map, the substep recurrence composed in Python floats;
-every other step runs its substeps one by one.  Both maps hold Python
+closure scope.  Without backlash, a step whose substeps all see one
+effective input (an input at or above the stiction breakaway, or, below
+it, zero or the input on every substep, by the Karnopp test decided for
+all substeps before the step) is one cached linear map, the substep
+recurrence composed in Python floats; every other step runs its substeps
+one by one.  Both maps hold Python
 floats, so the plant output, and from it the observer, PID and pendulum
 state, stays a Python float rather than a numpy scalar.  Injectable
 perturbations stand in
@@ -41,6 +43,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -150,7 +153,7 @@ class LseaPlant:
         self.stiction_velocity_deadband = float(stiction_velocity_deadband)
         self._play = BacklashPlay(backlash) if backlash > 0.0 else None
         self._step_cache: dict[float, tuple] = {}
-        self._lift_cache: dict[tuple[float, int], tuple] = {}
+        self._lift_cache: dict[tuple[float, int], tuple[tuple, tuple]] = {}
         self._steppers: dict[tuple[float, int], Callable[[float], float]] = {}
         self._state, self._new_stepper = self._scope()
 
@@ -192,9 +195,11 @@ class LseaPlant:
         ``P = M^n`` and ``G = (M^0 + ... + M^(n-1)) N`` are built by running
         the substep recurrence of ``_coeffs(dt)``, which holds Python floats,
         ``n`` times on each unit state (zero input) and on the zero state
-        (unit input), so each entry is that composition.  Returns the nine
-        entries of ``P`` row by row, then the three of ``G``, as Python
-        floats.
+        (unit input), so each entry is that composition.  Returns ``(lifted,
+        rows)`` in Python floats: ``lifted`` holds the nine entries of ``P``
+        row by row, then the three of ``G``; ``rows[j - 1] = (r0, r1, r2,
+        s)``, read off the same compositions, gives the rate ``x1`` after
+        ``j < n`` substeps as ``r0 x0 + r1 x1 + r2 x2 + s u``.
         """
         key = (dt, substeps)
         cached = self._lift_cache.get(key)
@@ -203,20 +208,22 @@ class LseaPlant:
         m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2 = self._coeffs(dt)
 
         def compose(x0, x1, x2, u):
+            rates = []
             for _ in range(substeps):
                 x0, x1, x2 = (
                     m00 * x0 + m01 * x1 + m02 * x2 + n0 * u,
                     m10 * x0 + m11 * x1 + m12 * x2 + n1 * u,
                     m20 * x0 + m21 * x1 + m22 * x2 + n2 * u,
                 )
-            return x0, x1, x2
+                rates.append(x1)
+            return x0, x1, x2, rates
 
-        cols = (compose(1.0, 0.0, 0.0, 0.0), compose(0.0, 1.0, 0.0, 0.0),
-                compose(0.0, 0.0, 1.0, 0.0))
-        lifted = (*(col[i] for i in range(3) for col in cols),
-                  *compose(0.0, 0.0, 0.0, 1.0))
-        self._lift_cache[key] = lifted
-        return lifted
+        runs = (compose(1.0, 0.0, 0.0, 0.0), compose(0.0, 1.0, 0.0, 0.0),
+                compose(0.0, 0.0, 1.0, 0.0), compose(0.0, 0.0, 0.0, 1.0))
+        lifted = (*(run[i] for i in range(3) for run in runs[:3]), *runs[3][:3])
+        rows = tuple(zip(*(run[3][:-1] for run in runs)))
+        cached = self._lift_cache[key] = lifted, rows
+        return cached
 
     def _scope(self):
         """Build the state reader and the stepper factory over one plant state.
@@ -234,14 +241,13 @@ class LseaPlant:
             return x0, x1, x2
 
         def new_stepper(dt, substeps):
-            if dt <= 0.0:
-                raise ValueError("substep must be positive")
             m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2 = self._coeffs(dt)
-            # without backlash, a step whose input stiction cannot act on is one
-            # lifted map (for one substep, the substep's own, entry for entry)
+            # without backlash, a step on whose substeps the Karnopp test
+            # agrees is one lifted map (for one substep, the substep's own,
+            # entry for entry)
             lifted = play is None
-            (p00, p01, p02, p10, p11, p12, p20, p21, p22, g0, g1, g2) = (
-                self._lifted(dt, substeps) if lifted else (math.nan,) * 12)
+            (p00, p01, p02, p10, p11, p12, p20, p21, p22, g0, g1, g2), rows = (
+                self._lifted(dt, substeps) if lifted else ((math.nan,) * 12, ()))
             substep_range = range(substeps)
 
             def advance(i_m):
@@ -249,6 +255,18 @@ class LseaPlant:
                 u = float(i_m)
                 # the input half of the Karnopp test is constant for a held input
                 stuck_input = stiction and abs(u) < brk
+                if stuck_input and lifted:
+                    # decide the rate half for every substep before stepping:
+                    # substep 0's answer picks the input, rows[j - 1] gives
+                    # the rate after j substeps of it; if all agree, lift
+                    zeroed = abs(cy * x1) < vdead
+                    ue = 0.0 if zeroed else u
+                    for r0, r1, r2, s in rows:
+                        rate = r0 * x0 + r1 * x1 + r2 * x2 + s * ue
+                        if (abs(cy * rate) < vdead) is not zeroed:
+                            break
+                    else:
+                        u, stuck_input = ue, False
                 if lifted and not stuck_input:
                     x0, x1, x2 = (
                         p00 * x0 + p01 * x1 + p02 * x2 + g0 * u,
@@ -279,18 +297,26 @@ class LseaPlant:
         """Return ``advance(i_m) -> f_o``: ``substeps`` equal RK4 substeps of
         ``dt`` with the input held, on this plant's one state.
 
-        When there is no backlash and the input is at or above the stiction
-        breakaway (or stiction is off), every substep sees the input
-        unchanged, so the whole call is one cached linear map (``_lifted``;
-        for one substep it equals the substep's own map entry for entry).
+        Without backlash, a call is one cached linear map (``_lifted``; for
+        one substep it equals the substep's own map entry for entry) when
+        every substep sees one effective input: always for an input at or
+        above the stiction breakaway (or without stiction), and below it
+        when the Karnopp rate test, decided for all substeps from the state
+        before the call, zeroes the input on every substep or on none.
         Otherwise the substeps are stepped one by one, each applying the
         Karnopp test and the backlash play.  The step returns the
         transmitted force after the last substep.  Steppers are built once
-        per ``(dt, substeps)`` and cached.
+        per ``(dt, substeps)`` and cached.  A ``dt`` that is not positive
+        and finite, or ``substeps`` that is not a positive integer, raises
+        ``ValueError`` before anything is cached or stepped.
         """
         key = (dt, substeps)
         step = self._steppers.get(key)
         if step is None:
+            if not (math.isfinite(dt) and dt > 0.0):
+                raise ValueError("substep must be positive and finite")
+            if not isinstance(substeps, Integral) or substeps < 1:
+                raise ValueError("substeps must be a positive integer")
             step = self._steppers[key] = self._new_stepper(dt, substeps)
         return step
 

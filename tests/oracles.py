@@ -7,10 +7,11 @@ the coupled plant/pendulum ODE is integrated by scipy, the plant's
 multi-substep map is composed with numpy matrix products or taken from
 scipy's matrix exponential, and the observer loop's response is predicted
 from scipy's zero-order-hold discretization of the plant; the CSV
-reference formats each value on its own.  The one
-exception is ``pendulum_tick_reference``: it writes out, with the library's
-plant, the controller step that ``run_scenario``'s pendulum path must match
-bit for bit.
+reference formats each value on its own.  The exceptions write out, with
+the library's own maps, what the library must match bit for bit:
+``pendulum_tick_reference`` the controller step of ``run_scenario``'s
+pendulum path, and ``stepped_call``, ``lifted_call`` and
+``held_call_reference`` one plant call with stiction.
 """
 
 import math
@@ -140,6 +141,70 @@ def substep_composition(coeffs, n):
         gain = gain + power @ n_col
         power = m @ power
     return power, gain
+
+
+def stepped_call(plant, state, u, dt, n):
+    """``n`` substeps of ``plant._coeffs(dt)`` from ``state``, one by one.
+
+    Before each substep the Karnopp test zeroes the input when it is below
+    the breakaway and the force rate ``cy x1`` is inside the dead-band.
+    Returns the state after the call.
+    """
+    m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2 = plant._coeffs(dt)
+    cy, brk = plant._cy, plant.stiction_breakaway
+    vdead = plant.stiction_velocity_deadband
+    x0, x1, x2 = state
+    for _ in range(n):
+        ue = 0.0 if brk > 0.0 and abs(u) < brk and abs(cy * x1) < vdead else u
+        x0, x1, x2 = (
+            m00 * x0 + m01 * x1 + m02 * x2 + n0 * ue,
+            m10 * x0 + m11 * x1 + m12 * x2 + n1 * ue,
+            m20 * x0 + m21 * x1 + m22 * x2 + n2 * ue,
+        )
+    return x0, x1, x2
+
+
+def lifted_call(plant, state, u, dt, n):
+    """``plant._lifted(dt, n)`` applied to ``state`` with the input that the
+    Karnopp test on ``state`` lets through (zero or ``u``).
+
+    Returns the state after the call.
+    """
+    (p00, p01, p02, p10, p11, p12, p20, p21, p22, g0, g1, g2), _ = plant._lifted(dt, n)
+    brk, vdead = plant.stiction_breakaway, plant.stiction_velocity_deadband
+    x0, x1, x2 = state
+    ue = 0.0 if brk > 0.0 and abs(u) < brk and abs(plant._cy * x1) < vdead else u
+    return (
+        p00 * x0 + p01 * x1 + p02 * x2 + g0 * ue,
+        p10 * x0 + p11 * x1 + p12 * x2 + g1 * ue,
+        p20 * x0 + p21 * x1 + p22 * x2 + g2 * ue,
+    )
+
+
+def held_call_reference(plant, state, u, dt, n):
+    """One call of a backlash-free ``plant`` whose input stiction holds.
+
+    The Karnopp rate test is decided for every substep from ``state``: the
+    rate after ``j`` substeps of the input that substep 0's test chose is
+    row 1 of numpy's composition ``(M^j, (M^0 + ... + M^(j-1)) N)`` of the
+    substep map, applied to ``state`` and that input.  Returns ``(agrees,
+    state_after)``: when the test gives substep 0's answer on every
+    substep, the state after ``lifted_call``, else after ``stepped_call``.
+    """
+    cy, vdead = plant._cy, plant.stiction_velocity_deadband
+    c = np.array(plant._coeffs(dt))
+    m, n_col = c[:9].reshape(3, 3), c[9:]
+    x = np.array(state, dtype=float)
+    zeroed = abs(cy * x[1]) < vdead
+    ue = 0.0 if zeroed else u
+    power, gain = np.eye(3), np.zeros(3)
+    agrees = True
+    for _ in range(1, n):
+        gain = gain + power @ n_col
+        power = m @ power
+        agrees = agrees and bool(abs(cy * (power[1] @ x + gain[1] * ue)) < vdead) == zeroed
+    call = lifted_call if agrees else stepped_call
+    return agrees, call(plant, state, u, dt, n)
 
 
 def zoh_map(den, T):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from seactrl import experiments
+from seactrl.config import load_config
 from seactrl.control import (
     DisturbanceObserver,
     DobConfig,
@@ -39,7 +41,10 @@ from seactrl.sysid import (
 
 from oracles import (
     coupled_ode_reference,
+    held_call_reference,
+    lifted_call,
     pendulum_tick_reference,
+    stepped_call,
     substep_composition,
     zoh_map,
 )
@@ -112,6 +117,28 @@ class TestLseaPlant:
         with pytest.raises(ValueError):
             LseaPlant(backlash=-1.0)
 
+    @pytest.mark.parametrize("dt, substeps", [
+        (math.inf, 2), (math.nan, 2), (-1e-4, 2), (1e-4, 0), (1e-4, -3), (1e-4, 2.0)])
+    @pytest.mark.parametrize("through", ["advance", "stepper"])
+    def test_rejects_bad_substeps_without_touching_the_plant(self, dt, substeps, through):
+        # a non-finite or non-positive dt, or a substep count that is not a
+        # positive integer, is rejected before anything is cached or stepped
+        kwargs = dict(den_factors=SHIPPED_DEN_FACTORS, stiction_breakaway=0.15)
+        p, twin = LseaPlant(**kwargs), LseaPlant(**kwargs)
+        for plant in (p, twin):
+            for _ in range(50):
+                plant.advance(1.0, 1e-4, 5)
+        caches = [dict(c) for c in (p._steppers, p._step_cache, p._lift_cache)]
+        with pytest.raises(ValueError):
+            if through == "advance":
+                p.advance(1.0, dt, substeps)
+            else:
+                p.stepper(dt, substeps)
+        assert [p._steppers, p._step_cache, p._lift_cache] == caches
+        assert p._state() == twin._state()
+        assert p.advance(0.7, 1e-4, 5) == twin.advance(0.7, 1e-4, 5)
+        assert p._state() == twin._state()
+
     @pytest.mark.parametrize("plant_hz, bound", [(1000, 1e-6), (5000, 1e-8), (20000, 1e-8)])
     def test_linear_limit_matches_lsim(self, plant_hz, bound):
         # without stiction or backlash the plant is the nominal LTI model, so
@@ -143,7 +170,8 @@ class TestLseaPlant:
 
 
 class TestLiftedTick:
-    """A held tick that stiction cannot act on is one cached linear map."""
+    """A held tick on whose substeps the Karnopp test agrees is one cached
+    linear map."""
 
     @pytest.mark.parametrize("dt, n", [(1 / 5000, 5), (1 / 20000, 20), (1 / 40000, 5)])
     def test_equals_substep_composition(self, dt, n):
@@ -151,16 +179,23 @@ class TestLiftedTick:
         lifted = p._lifted(dt, n)
         assert p._lifted(dt, n) is lifted
         power, gain = substep_composition(p._coeffs(dt), n)
-        got = np.array(lifted)
+        got = np.array(lifted[0])
         assert np.max(np.abs(got[:9] - power.ravel())) <= 1e-13 * np.max(np.abs(power))
         assert np.max(np.abs(got[9:] - gain)) <= 1e-13 * np.max(np.abs(gain))
+        # rows[j - 1] is the rate row of the j-substep composition
+        rows = lifted[1]
+        assert len(rows) == n - 1
+        for j, row in enumerate(rows, 1):
+            power, gain = substep_composition(p._coeffs(dt), j)
+            assert np.max(np.abs(np.array(row[:3]) - power[1])) <= 1e-13 * np.max(np.abs(power))
+            assert abs(row[3] - gain[1]) <= 1e-13 * np.max(np.abs(gain))
 
     @pytest.mark.parametrize("dt", [1e-3, 1 / 5000, 1 / 20000, 1 / 40000])
     def test_one_substep_map_is_the_substep_map(self, dt):
         # a one-substep stepper applies _lifted(dt, 1) where the substep
         # loop applies _coeffs(dt): the two agree entry for entry
         p = LseaPlant(den_factors=SHIPPED_DEN_FACTORS, gain_factor=0.9)
-        assert p._lifted(dt, 1) == p._coeffs(dt)
+        assert p._lifted(dt, 1) == (p._coeffs(dt), ())
 
     @pytest.mark.parametrize("dt, n, bound", [
         (1 / 5000, 5, 1e-8), (1 / 20000, 20, 4e-11), (1 / 40000, 5, 3e-12)])
@@ -170,13 +205,13 @@ class TestLiftedTick:
         pytest.importorskip("scipy")
         p = LseaPlant(den_factors=SHIPPED_DEN_FACTORS)
         phi, gamma = zoh_map(p.tf.den, n * dt)
-        got = np.array(p._lifted(dt, n))
+        got = np.array(p._lifted(dt, n)[0])
         assert np.max(np.abs(got[:9] - phi.ravel())) <= bound * np.max(np.abs(phi))
         assert np.max(np.abs(got[9:] - gamma)) <= bound * np.max(np.abs(gamma))
 
     @pytest.mark.parametrize("n", [1, 5, 20])
     @pytest.mark.parametrize("kwargs, lo, hi, exact", [
-        (dict(stiction_breakaway=0.15), 0.0, 0.149, True),
+        (dict(stiction_breakaway=0.15), 0.0, 0.149, False),
         (dict(stiction_breakaway=0.15, backlash=0.01), 0.0, 1.0, True),
         (dict(stiction_breakaway=0.15), 0.15, 1.0, False),
         (dict(stiction_breakaway=0.15), 0.0, 1.0, False),
@@ -184,7 +219,8 @@ class TestLiftedTick:
     ], ids=["stuck", "backlash", "above-breakaway", "both-sides", "no-stiction"])
     def test_tick_matches_single_substeps(self, n, kwargs, lo, hi, exact):
         # |u| is drawn from [lo, hi] with a random sign; a tick that steps
-        # its substeps (stuck input, backlash, n = 1) must match bit for bit
+        # its substeps (backlash) or has one (n = 1) must match bit for bit,
+        # a lifted one (stiction held or not) to rounding
         dt = 1 / 20000
         rng = np.random.default_rng(n)
         inputs = rng.uniform(lo, hi, 400) * rng.choice((-1.0, 1.0), 400)
@@ -206,8 +242,106 @@ class TestLiftedTick:
         else:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("n", [5, 20])
+    @pytest.mark.parametrize("deadband, zeroed", [(1e-3, False), (1e3, True)],
+                             ids=["held", "zeroed"])
+    def test_held_call_that_agrees_is_the_lifted_oracle(self, n, deadband, zeroed):
+        # from a moving state, a rate outside (held) or inside (zeroed) the
+        # dead-band mostly gives one answer on every substep, and such a
+        # call is the written-out lifted map, bit for bit (a held rate that
+        # passes through zero flips mid-call and is stepped)
+        dt = 1 / 20000
+        rng = np.random.default_rng(n)
+        p = LseaPlant(den_factors=SHIPPED_DEN_FACTORS, stiction_breakaway=0.15,
+                      stiction_velocity_deadband=deadband)
+        for _ in range(200):
+            p.advance(1.0, dt, 1)
+        lifted = differs = 0
+        for u in rng.uniform(-0.149, 0.149, 100):
+            state = p._state()
+            agrees, want = held_call_reference(p, state, u, dt, n)
+            assert p.advance(u, dt, n) == p._cy * want[0]
+            assert p._state() == want
+            assert (abs(p._cy * state[1]) < deadband) is zeroed
+            lifted += agrees
+            differs += want != stepped_call(p, state, u, dt, n)
+        assert lifted >= 95
+        assert differs >= 50  # the oracle tells a lifted call from a stepped one
+
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_held_call_crossing_the_deadband_is_single_substeps(self, n):
+        # with a stuck input the force rate leaves the dead-band, later
+        # re-enters it; each call whose test flips mid-call equals n
+        # one-substep calls of a twin, bit for bit (the calls between them
+        # are one substep each, so the twin stays in step)
+        dt, u = 1 / 20000, 0.1
+        kwargs = dict(den_factors=SHIPPED_DEN_FACTORS, stiction_breakaway=0.15,
+                      stiction_velocity_deadband=0.8)
+        call, single = LseaPlant(**kwargs), LseaPlant(**kwargs)
+        for p in (call, single):
+            for _ in range(200):
+                p.advance(1.0, dt, 1)
+        crossings = set()
+        for _ in range(1000):
+            state = call._state()
+            agrees, want = held_call_reference(call, state, u, dt, n)
+            if agrees:
+                assert call.advance(u, dt, 1) == single.advance(u, dt, 1)
+                continue
+            got = call.advance(u, dt, n)
+            for _ in range(n):
+                f = single.advance(u, dt, 1)
+            assert got == f
+            assert call._state() == single._state() == want
+            crossings.add(abs(call._cy * state[1]) < 0.8)
+        assert crossings == {True, False}  # left the band, and entered it
+
+    @pytest.mark.parametrize("experiment, dob", [
+        ("pendulum-chirp", "on"), ("pendulum-chirp", "off"), ("dob-verify", None)])
+    def test_shipped_held_calls_are_lifted(self, tmp_path, monkeypatch, experiment, dob):
+        # replay each shipped scenario's own i_m through its plant: every
+        # call is the lifted oracle or the stepped one, every unheld call
+        # the lifted one, and nearly every held call on which the two
+        # differ the lifted one (0.997-0.9996 measured)
+        runs = []
+
+        def run(sc):
+            log = run_scenario(sc)
+            runs.append((sc, log.i_m.tolist()))
+            return log
+
+        monkeypatch.setattr(experiments, "run_scenario", run)
+        cfg = load_config(experiment)
+        if dob is None:
+            experiments.dob_verify(cfg, tmp_path)
+        else:
+            experiments.pendulum_chirp(cfg, tmp_path, dob=dob)
+        for sc, i_m in runs:
+            plant = sc.plant.build()
+            n_sub = sc.plant_hz // sc.controller_hz
+            if sc.pendulum is None:  # one call a tick, or four quarter calls
+                dt, n, calls = 1.0 / sc.plant_hz, n_sub, 1
+            else:
+                dt, n, calls = 0.5 / sc.plant_hz, n_sub // 2, 4
+            advance = plant.stepper(dt, n)
+            lifted = stepped = 0
+            for u in i_m:
+                for _ in range(calls):
+                    state = plant._state()
+                    advance(u)
+                    got = plant._state()
+                    want = lifted_call(plant, state, u, dt, n)
+                    if abs(u) >= plant.stiction_breakaway:
+                        assert got == want
+                    elif want != stepped_call(plant, state, u, dt, n):
+                        lifted += got == want
+                        stepped += got != want
+                        assert got in (want, stepped_call(plant, state, u, dt, n))
+            assert lifted + stepped >= 0.04 * calls * len(i_m)
+            assert lifted >= 0.99 * (lifted + stepped)
+
     @pytest.mark.parametrize("kwargs, lo, hi, single", [
-        (dict(stiction_breakaway=0.15), 0.0, 0.149, True),
+        (dict(stiction_breakaway=0.15), 0.0, 0.149, False),
         (dict(stiction_breakaway=0.15, backlash=0.01), 0.0, 1.0, True),
         (dict(stiction_breakaway=0.15), 0.0, 1.0, False),
         (dict(), 0.0, 1.0, False),
@@ -215,8 +349,8 @@ class TestLiftedTick:
     def test_interleaved_steppers_share_one_state(self, kwargs, lo, hi, single):
         # calls at mixed (dt, n), each through advance or a stepper held
         # since the start, step one state: a twin plant driven by advance
-        # alone (one-substep calls where every substep is stepped) agrees
-        # bit for bit after every call
+        # alone (one-substep calls where every substep is stepped, else
+        # calls at the same (dt, n)) agrees bit for bit after every call
         grid = [(1 / 20000, 1), (1 / 20000, 5), (1 / 40000, 10), (1 / 5000, 2)]
         rng = np.random.default_rng(29)
         mixed = LseaPlant(den_factors=SHIPPED_DEN_FACTORS, **kwargs)
@@ -763,7 +897,8 @@ class TestPythonFloats:
     def test_coefficient_tuples_hold_floats(self):
         p = LseaPlant(den_factors=SHIPPED_DEN_FACTORS)
         assert all(type(c) is float for c in p._coeffs(1e-4))
-        assert all(type(c) is float for c in p._lifted(1e-4, 5))
+        lifted, rows = p._lifted(1e-4, 5)
+        assert all(type(c) is float for c in (*lifted, *sum(rows, ())))
 
     @pytest.mark.parametrize("reference, pendulum", [
         (ReferenceSpec(kind="current_chirp", amplitude=1.75, f_start=0.05, f_end=15.0), None),
