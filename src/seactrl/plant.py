@@ -10,9 +10,10 @@ substeps with the input held; every stepper of a plant, and
 closure scope.  Without backlash, a step whose substeps all see one
 effective input (an input at or above the stiction breakaway, or, below
 it, zero or the input on every substep, by the Karnopp test decided for
-all substeps before the step) is one cached linear map, the substep
-recurrence composed in Python floats; every other step runs its substeps
-one by one.  Both maps hold Python
+all substeps before the step: by one bound on every substep's rate where
+it decides, else by each substep's cached rate row) is one cached linear
+map, the substep recurrence composed in Python floats; every other step
+runs its substeps one by one.  Both maps hold Python
 floats, so the plant output, and from it the observer, PID and pendulum
 state, stays a Python float rather than a numpy scalar.  Injectable
 perturbations stand in
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral
 
 import numpy as np
@@ -125,24 +126,31 @@ class LseaPlant:
     """Perturbable realization of the third-order actuator model.
 
     ``den_factors`` multiply the four denominator coefficients and
-    ``gain_factor`` the numerator gain.  Stiction follows a Karnopp model:
+    ``gain_factor`` the numerator gain; both must be positive and finite.
+    Stiction follows a Karnopp model:
     while the output rate is inside the velocity dead-band and the input
     magnitude is below the breakaway threshold, the effective input is
     zero.  ``backlash`` applies a hysteretic play of that width to the
-    transmitted output.
+    transmitted output.  The breakaway, dead-band and play width must be
+    non-negative and finite.  A parameter that breaks these rules raises
+    ``ValueError`` naming it.
     """
 
     def __init__(self, den_factors=(1.0, 1.0, 1.0, 1.0), gain_factor: float = 1.0,
                  stiction_breakaway: float = 0.0,
                  stiction_velocity_deadband: float = 0.5,
                  backlash: float = 0.0):
+        # each check is a chained comparison that NaN and +-inf fail
         factors = np.asarray(den_factors, dtype=float).ravel()
-        if factors.size != 4 or np.any(factors <= 0.0):
-            raise ValueError("den_factors must be four positive multipliers")
-        if gain_factor <= 0.0:
-            raise ValueError("gain_factor must be positive")
-        if min(stiction_breakaway, stiction_velocity_deadband, backlash) < 0.0:
-            raise ValueError("stiction and backlash parameters must be non-negative")
+        if factors.size != 4 or not np.all((0.0 < factors) & (factors < math.inf)):
+            raise ValueError("den_factors must be four positive, finite multipliers")
+        if not 0.0 < gain_factor < math.inf:
+            raise ValueError("gain_factor must be positive and finite")
+        for name, value in (("stiction_breakaway", stiction_breakaway),
+                            ("stiction_velocity_deadband", stiction_velocity_deadband),
+                            ("backlash", backlash)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         den = np.asarray(NOMINAL_DEN) * factors
         gain = NOMINAL_NUM[0] * gain_factor
         self.tf = ContinuousTransferFunction([gain], den)
@@ -153,7 +161,7 @@ class LseaPlant:
         self.stiction_velocity_deadband = float(stiction_velocity_deadband)
         self._play = BacklashPlay(backlash) if backlash > 0.0 else None
         self._step_cache: dict[float, tuple] = {}
-        self._lift_cache: dict[tuple[float, int], tuple[tuple, tuple]] = {}
+        self._lift_cache: dict[tuple[float, int], tuple[tuple, tuple, tuple]] = {}
         self._steppers: dict[tuple[float, int], Callable[[float], float]] = {}
         self._state, self._new_stepper = self._scope()
 
@@ -196,10 +204,15 @@ class LseaPlant:
         the substep recurrence of ``_coeffs(dt)``, which holds Python floats,
         ``n`` times on each unit state (zero input) and on the zero state
         (unit input), so each entry is that composition.  Returns ``(lifted,
-        rows)`` in Python floats: ``lifted`` holds the nine entries of ``P``
-        row by row, then the three of ``G``; ``rows[j - 1] = (r0, r1, r2,
-        s)``, read off the same compositions, gives the rate ``x1`` after
-        ``j < n`` substeps as ``r0 x0 + r1 x1 + r2 x2 + s u``.
+        rows, bound)`` in Python floats: ``lifted`` holds the nine entries
+        of ``P`` row by row, then the three of ``G``; ``rows[j - 1] = (r0,
+        r1, r2, s)``, read off the same compositions, gives the rate ``x1``
+        after ``j < n`` substeps as ``r0 x0 + r1 x1 + r2 x2 + s u``; and
+        ``bound = (d0, d1, d2, ds)``, taken over the rows in the same pass,
+        holds ``d_i = max_j |r_ji - e1_i|`` with ``e1 = (0, 1, 0)`` and ``ds
+        = max_j |s_j|``, so every row's rate lies within ``d0 |x0| + d1 |x1|
+        + d2 |x2| + ds |u|`` of ``x1`` (all zeros for one substep, which has
+        no rows).
         """
         key = (dt, substeps)
         cached = self._lift_cache.get(key)
@@ -222,7 +235,9 @@ class LseaPlant:
                 compose(0.0, 0.0, 1.0, 0.0), compose(0.0, 0.0, 0.0, 1.0))
         lifted = (*(run[i] for i in range(3) for run in runs[:3]), *runs[3][:3])
         rows = tuple(zip(*(run[3][:-1] for run in runs)))
-        cached = self._lift_cache[key] = lifted, rows
+        bound = tuple(max((abs(row[i] - e) for row in rows), default=0.0)
+                      for i, e in enumerate((0.0, 1.0, 0.0, 0.0)))
+        cached = self._lift_cache[key] = lifted, rows, bound
         return cached
 
     def _scope(self):
@@ -234,6 +249,10 @@ class LseaPlant:
         """
         x0 = x1 = x2 = 0.0
         cy, play = self._cy, self._play
+        acy = abs(cy)
+        # underflow errs by up to half the least subnormal per product,
+        # an absolute error that acy scales and no relative margin covers
+        floor = math.ldexp(acy + 1.0, -1070)
         brk, vdead = self.stiction_breakaway, self.stiction_velocity_deadband
         stiction = brk > 0.0
 
@@ -246,8 +265,11 @@ class LseaPlant:
             # agrees is one lifted map (for one substep, the substep's own,
             # entry for entry)
             lifted = play is None
-            (p00, p01, p02, p10, p11, p12, p20, p21, p22, g0, g1, g2), rows = (
-                self._lifted(dt, substeps) if lifted else ((math.nan,) * 12, ()))
+            (p00, p01, p02, p10, p11, p12, p20, p21, p22, g0, g1, g2), rows, bound = (
+                self._lifted(dt, substeps) if lifted else ((math.nan,) * 12, (), ()))
+            # for |cy| < 1 a row's sum can overflow while v + b stays
+            # finite, so a NaN bound leaves every call to the rows
+            d0, d1, d2, ds = bound if bound and acy >= 1.0 else (math.nan,) * 4
             substep_range = range(substeps)
 
             def advance(i_m):
@@ -257,16 +279,25 @@ class LseaPlant:
                 stuck_input = stiction and abs(u) < brk
                 if stuck_input and lifted:
                     # decide the rate half for every substep before stepping:
-                    # substep 0's answer picks the input, rows[j - 1] gives
-                    # the rate after j substeps of it; if all agree, lift
-                    zeroed = abs(cy * x1) < vdead
+                    # substep 0's answer picks the input; the rate |cy x1|
+                    # after j substeps of it, as rows[j - 1] computes it,
+                    # lies within b of v, so b alone decides when v -+ b is
+                    # on substep 0's side (a NaN or inf never is), and the
+                    # rows decide otherwise; if all agree, lift
+                    v = abs(cy * x1)
+                    zeroed = v < vdead
                     ue = 0.0 if zeroed else u
-                    for r0, r1, r2, s in rows:
-                        rate = r0 * x0 + r1 * x1 + r2 * x2 + s * ue
-                        if (abs(cy * rate) < vdead) is not zeroed:
-                            break
-                    else:
+                    b = acy * (d0 * abs(x0) + d1 * abs(x1) + d2 * abs(x2) + ds * abs(ue))
+                    b += 1e-9 * (v + b) + floor
+                    if (v + b < vdead) if zeroed else (v - b >= vdead):
                         u, stuck_input = ue, False
+                    else:
+                        for r0, r1, r2, s in rows:
+                            rate = r0 * x0 + r1 * x1 + r2 * x2 + s * ue
+                            if (abs(cy * rate) < vdead) is not zeroed:
+                                break
+                        else:
+                            u, stuck_input = ue, False
                 if lifted and not stuck_input:
                     x0, x1, x2 = (
                         p00 * x0 + p01 * x1 + p02 * x2 + g0 * u,
@@ -302,9 +333,18 @@ class LseaPlant:
         every substep sees one effective input: always for an input at or
         above the stiction breakaway (or without stiction), and below it
         when the Karnopp rate test, decided for all substeps from the state
-        before the call, zeroes the input on every substep or on none.
-        Otherwise the substeps are stepped one by one, each applying the
-        Karnopp test and the backlash play.  The step returns the
+        before the call, zeroes the input on every substep or on none.  That
+        test is decided first by one bound: every substep's rate, as its
+        row computes it, lies within ``b = |c_y| (d0 |x0| + d1 |x1| + d2
+        |x2| + ds |u_e|)`` of ``v = |c_y x1|`` (``_lifted``'s ``bound``),
+        ``b`` widened by ``1e-9 (v + b)`` for the rows' rounding and by a
+        floor for underflow, so ``v + b`` below the dead-band (substep 0
+        zeroed) or ``v - b`` at or above it (not zeroed) decides the call as
+        the rows would.  Only a call the bound cannot decide, or whose ``v``
+        or ``b`` is NaN or infinite, reads the rows; so does every call of a
+        plant with ``|c_y| < 1``, where a row can overflow while ``v + b``
+        stays finite.  Otherwise the substeps are stepped one by one, each
+        applying the Karnopp test and the backlash play.  The step returns the
         transmitted force after the last substep.  Steppers are built once
         per ``(dt, substeps)`` and cached.  A ``dt`` that is not positive
         and finite, or ``substeps`` that is not a positive integer, raises
@@ -420,6 +460,8 @@ class PendulumConfig:
 
     tau = l2 * f drives  m l1^2 theta'' = tau - m g l1 sin(theta) - c theta',
     and the actuator sees q_a = l2 * theta (small-angle testbed geometry).
+    Every field must be finite and ``m``, ``l1``, ``l2`` positive; a field
+    that is not raises ``ValueError`` naming it.
     """
 
     m: float = 10.0
@@ -431,6 +473,9 @@ class PendulumConfig:
     theta_dot0: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if min(self.m, self.l1, self.l2) <= 0.0:
             raise ValueError("m, l1, l2 must be positive")
 
@@ -484,7 +529,11 @@ class SimScenario:
     estimate_backlash_m: float = 0.0
 
     def validate(self) -> None:
-        """Check the rates and the reference.
+        """Check the duration, the rates and the reference.
+
+        ``duration_s`` must be non-negative and finite, and each rate a
+        positive ``Integral`` (an integral float is rejected); the error
+        names the field.
 
         This is the one check of a reference; ``config`` (position chirp)
         and ``experiments`` (current chirp) repeat the Nyquist bounds only to
@@ -492,12 +541,12 @@ class SimScenario:
         ``NyquistError`` for a chirp whose frequency reaches the Nyquist rate
         of its generating rate before the sweep ends.
         """
-        if self.duration_s < 0.0:
-            raise ValueError("duration must be non-negative")
+        if not 0.0 <= self.duration_s < math.inf:
+            raise ValueError("duration_s must be non-negative and finite")
         for name, hz in (("controller_hz", self.controller_hz),
                          ("reference_hz", self.reference_hz),
                          ("plant_hz", self.plant_hz)):
-            if int(hz) != hz or hz <= 0:
+            if not isinstance(hz, Integral) or hz <= 0:
                 raise ValueError(f"{name} must be a positive integer")
         if self.plant_hz % self.controller_hz != 0:
             raise ValueError("plant rate must be an integer multiple of the controller rate")
@@ -556,6 +605,8 @@ class SimLog:
     theta_dot: np.ndarray
     q_hat_a_m: np.ndarray
     q_hat_a_j: np.ndarray
+    # the columns run_scenario left as allocated, each made read-only
+    _unwritten: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.t.size
@@ -564,7 +615,16 @@ class SimLog:
         return getattr(self, name)
 
     def to_csv(self, path) -> None:
-        write_csv(path, LOG_COLUMNS, [self.column(c) for c in LOG_COLUMNS])
+        # a column run_scenario never wrote, still in place and read-only,
+        # holds one value: as a zero-stride view of it, the writer's
+        # constancy test reads one page of the column, not all of them
+        columns = []
+        for name in LOG_COLUMNS:
+            column = self.column(name)
+            if not column.flags.writeable and any(column is c for c in self._unwritten):
+                column = np.broadcast_to(column[:1], column.shape)
+            columns.append(column)
+        write_csv(path, LOG_COLUMNS, columns)
 
     @classmethod
     def from_csv(cls, path) -> "SimLog":
@@ -603,7 +663,9 @@ def run_scenario(sc: SimScenario) -> SimLog:
     force step's ``f_d`` (without the pendulum), ``q_hat_a_j = l2 * theta``
     and the reference columns, each held between reference ticks, in place
     and without a log-sized temporary; every other column keeps the
-    ``+0.0`` it was allocated as.  Each column is its own ``np.zeros(n)``
+    ``+0.0`` it was allocated as, and is made read-only, so that
+    ``SimLog.to_csv`` can hand it to the writer as a zero-stride view of
+    its first value.  Each column is its own ``np.zeros(n)``
     array: numpy advises huge pages for an allocation of 4 MiB or more, so
     in one ``(12, n)`` array the rows a scenario never writes would share
     huge pages with the rows it writes and become resident with them; as
@@ -650,8 +712,9 @@ def run_scenario(sc: SimScenario) -> SimLog:
     # does not write stays an untouched np.zeros(n)
     log = {name: np.zeros(n_steps) for name in LOG_COLUMNS}
     times = log["t"]
-    recorded = [log[name] for name in (_TICK_COLUMNS if pend is None
-                                       else _PENDULUM_TICK_COLUMNS)]
+    tick_columns = _TICK_COLUMNS if pend is None else _PENDULUM_TICK_COLUMNS
+    recorded = [log[name] for name in tick_columns]
+    written = ["t", *tick_columns]
     width = len(recorded)
     block: list[float] = []
     record = block.extend
@@ -720,13 +783,15 @@ def run_scenario(sc: SimScenario) -> SimLog:
         np.multiply(np.arange(k0, k1), T, out=times[k0:k1])
 
     # the other columns a scenario writes, each in place, without a
-    # log-sized temporary; every other one stays zero
+    # log-sized temporary; every other one stays zero, and read-only
     if pend is None:
         if force_step:
             # t is nondecreasing, so t >= step_time from one index on
             log["f_d"][np.searchsorted(times, ref.step_time):] = ref.step_value
+            written.append("f_d")
     else:
         np.multiply(l2, log["theta"], out=log["q_hat_a_j"])
+        written.append("q_hat_a_j")
     if position_chirp:
         held = np.fromiter(refs, float, len(refs)).reshape(-1, 3)
         whole = n_steps // ref_div  # reference ticks held for all ref_div ticks
@@ -734,5 +799,9 @@ def run_scenario(sc: SimScenario) -> SimLog:
             column = log[name]
             column[:whole * ref_div].reshape(whole, ref_div)[:] = held[:whole, j, None]
             column[whole * ref_div:] = held[whole:, j]
+        written += _REF_COLUMNS
+    unwritten = tuple(log[name] for name in LOG_COLUMNS if name not in written)
+    for column in unwritten:
+        column.flags.writeable = False
 
-    return SimLog(**log)
+    return SimLog(**log, _unwritten=unwritten)

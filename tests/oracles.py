@@ -170,7 +170,7 @@ def lifted_call(plant, state, u, dt, n):
 
     Returns the state after the call.
     """
-    (p00, p01, p02, p10, p11, p12, p20, p21, p22, g0, g1, g2), _ = plant._lifted(dt, n)
+    p00, p01, p02, p10, p11, p12, p20, p21, p22, g0, g1, g2 = plant._lifted(dt, n)[0]
     brk, vdead = plant.stiction_breakaway, plant.stiction_velocity_deadband
     x0, x1, x2 = state
     ue = 0.0 if brk > 0.0 and abs(u) < brk and abs(plant._cy * x1) < vdead else u

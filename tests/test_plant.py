@@ -1,9 +1,13 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seactrl import experiments
+from seactrl import plant as plant_module
 from seactrl.config import load_config
 from seactrl.control import (
     DisturbanceObserver,
@@ -41,6 +45,7 @@ from seactrl.sysid import (
 
 from oracles import (
     coupled_ode_reference,
+    csv_reference,
     held_call_reference,
     lifted_call,
     pendulum_tick_reference,
@@ -117,6 +122,19 @@ class TestLseaPlant:
         with pytest.raises(ValueError):
             LseaPlant(backlash=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["den_factors", "gain_factor", "stiction_breakaway",
+                                      "stiction_velocity_deadband", "backlash"])
+    def test_rejects_non_finite_parameters(self, name, value):
+        # NaN fails every comparison: gain_factor=nan made every output
+        # NaN, a NaN breakaway or dead-band switched stiction off, and
+        # backlash=inf held the output at 0.0
+        kwargs = {name: (1.0, value, 1.0, 1.0) if name == "den_factors" else value}
+        with pytest.raises(ValueError, match=name):
+            LseaPlant(**kwargs)
+        with pytest.raises(ValueError, match=name):
+            PlantConfig(**kwargs).build()
+
     @pytest.mark.parametrize("dt, substeps", [
         (math.inf, 2), (math.nan, 2), (-1e-4, 2), (1e-4, 0), (1e-4, -3), (1e-4, 2.0)])
     @pytest.mark.parametrize("through", ["advance", "stepper"])
@@ -169,6 +187,107 @@ class TestLseaPlant:
         assert np.max(np.abs(emp.magnitude_db - ref.magnitude_db)) < 0.2
 
 
+# the (dt, n) of the shipped held calls: pendulum-chirp's quarter ticks,
+# dob-verify's ticks
+SHIPPED_HELD_STEPS = [(1 / 40000, 10), (1 / 5000, 5)]
+
+
+def load_state(plant, state):
+    """Set the one state every stepper of ``plant`` steps (its closure cells)."""
+    cells = dict(zip(plant._state.__code__.co_freevars, plant._state.__closure__))
+    for name, value in zip(("x0", "x1", "x2"), state):
+        cells[name].cell_contents = value
+
+
+class CountedRows(tuple):
+    """A plant's rate rows that count how often a call reads them."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def counted_stepper(plant, dt, n):
+    """``plant.stepper(dt, n)`` built over its own rows, counted.
+
+    Returns ``(advance, rows)``: a held call that the bound decides alone
+    leaves ``rows.reads`` as it was.
+    """
+    lifted, rows, bound = plant._lifted(dt, n)
+    rows = CountedRows(rows)
+    plant._lift_cache[(dt, n)] = lifted, rows, bound
+    return plant.stepper(dt, n), rows
+
+
+def rows_agree(plant, rows, state, u):
+    """Whether each row, evaluated as the stepper evaluates it, gives the
+    Karnopp answer of substep 0 on ``state``."""
+    cy, vdead = plant._cy, plant.stiction_velocity_deadband
+    x0, x1, x2 = state
+    zeroed = abs(cy * x1) < vdead
+    ue = 0.0 if zeroed else u
+    return all((abs(cy * (r0 * x0 + r1 * x1 + r2 * x2 + s * ue)) < vdead) is zeroed
+               for r0, r1, r2, s in tuple.__iter__(rows))
+
+
+def _float(k):
+    return struct.unpack("<d", struct.pack("<q", k))[0]
+
+
+def _bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def bound_edges(plant, x0, x2, u, sign, dt, n, window=8):
+    """Probe held calls around each edge of the bound's two regions in x1.
+
+    The bound decides alone, as zeroed, for |x1| below one edge and, as
+    held, above another (up to overflow).  Each edge is found by bisection
+    on the bit pattern of |x1|, against the stepper's own decision; the
+    calls within ``window`` ulps of it are probed.  Returns ``(probes,
+    windows)``: ``(decided, agreed)`` for every call made, and per edge
+    found the ``decided`` of each call in its window.  Asserts nothing.
+    """
+    advance, rows = counted_stepper(plant, dt, n)
+    cy, vdead = plant._cy, plant.stiction_velocity_deadband
+    probes, windows = [], []
+
+    def decides(k, zeroed):
+        state = (x0, sign * _float(k), x2)
+        load_state(plant, state)
+        reads = rows.reads
+        advance(u)
+        decided = rows.reads == reads
+        probes.append((decided, rows_agree(plant, rows, state, u)))
+        return decided and (abs(cy * state[1]) < vdead) is zeroed
+
+    def edge(lo, hi, zeroed):
+        # decides(lo) != decides(hi): narrow to one ulp, then probe around
+        side = decides(lo, zeroed)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if decides(mid, zeroed) is side:
+                lo = mid
+            else:
+                hi = mid
+        start = len(probes)
+        for k in range(max(0, lo - window), lo + window + 2):
+            decides(k, zeroed)
+        windows.append([decided for decided, _ in probes[start:]])
+
+    top = _bits(1.7976931348623157e308)
+    if decides(0, True):
+        edge(0, top, True)
+    k = _bits(max(vdead / abs(cy), 5e-324))
+    while k < top and not decides(k, False):
+        k = min(top, k + (1 << 52))  # one binade up
+    if k < top:
+        edge(0, k, False)
+    return probes, windows
+
+
 class TestLiftedTick:
     """A held tick on whose substeps the Karnopp test agrees is one cached
     linear map."""
@@ -193,9 +312,10 @@ class TestLiftedTick:
     @pytest.mark.parametrize("dt", [1e-3, 1 / 5000, 1 / 20000, 1 / 40000])
     def test_one_substep_map_is_the_substep_map(self, dt):
         # a one-substep stepper applies _lifted(dt, 1) where the substep
-        # loop applies _coeffs(dt): the two agree entry for entry
+        # loop applies _coeffs(dt): the two agree entry for entry; with no
+        # rows, the bound on them is zero
         p = LseaPlant(den_factors=SHIPPED_DEN_FACTORS, gain_factor=0.9)
-        assert p._lifted(dt, 1) == (p._coeffs(dt), ())
+        assert p._lifted(dt, 1) == (p._coeffs(dt), (), (0.0, 0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("dt, n, bound", [
         (1 / 5000, 5, 1e-8), (1 / 20000, 20, 4e-11), (1 / 40000, 5, 3e-12)])
@@ -372,6 +492,109 @@ class TestLiftedTick:
             assert got == want
             assert mixed._state() == twin._state()
 
+    @pytest.mark.parametrize("dt, n", SHIPPED_HELD_STEPS)
+    @pytest.mark.parametrize("gain, vdead, x0, x2, u", [
+        (1.0, 500.0, 0.0, 0.0, 0.0),  # pendulum-chirp's dead-band, the rate alone
+        (1.0, 500.0, 0.05, -5.0, 100.0),
+        (1.0, 500.0, -0.02, 8.0, -149.0),
+        (1.0, 0.5, 0.0, 0.0, 0.1),  # dob-verify's dead-band
+        (1.0, 0.5, 1e-4, -0.01, -0.14),
+        (1.0, 0.5, -2e-4, 0.005, 0.05),
+        (1.0, 1e-310, 1e-320, -1e-318, 5e-324),  # subnormal
+        (1.0, 1e300, 1e290, -1e296, 1e299),  # huge
+        # a subnormal rate and a c_y that is not an integer, where the
+        # rounding of each product to the least subnormal is not relative
+        (1.766632777287572, 1.520308144e-315, 0.0, 0.0, 0.0),
+        (1.766632777287572, 9.20167325e-316, 1.816e-320, -1.192e-320, 0.0),
+    ])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_bound_decides_only_where_every_row_agrees(self, dt, n, gain, vdead, x0, x2, u,
+                                                       sign):
+        # states at each edge of the bound's two regions, where its margin
+        # over the dead-band is one ulp: wherever the bound decides alone,
+        # every row gives substep 0's answer; both edges exist, and each
+        # window holds calls the bound decides and calls it leaves to the rows
+        plant = LseaPlant(den_factors=SHIPPED_DEN_FACTORS, gain_factor=gain,
+                          stiction_breakaway=1e308, stiction_velocity_deadband=vdead)
+        probes, windows = bound_edges(plant, x0, x2, u, sign, dt, n)
+        assert all(agreed for decided, agreed in probes if decided)
+        assert len(windows) == 2
+        assert all(set(window) == {True, False} for window in windows)
+
+    @pytest.mark.parametrize("dt, n", SHIPPED_HELD_STEPS)
+    def test_rows_decide_where_they_can_overflow(self, dt, n):
+        # with |c_y| < 1, states near the float maximum make a row's sum
+        # overflow to inf while v + b stays below a huge dead-band: the
+        # bound must leave such calls to the rows, which step them
+        plant = LseaPlant(den_factors=SHIPPED_DEN_FACTORS, gain_factor=1e-5,
+                          stiction_breakaway=1e308, stiction_velocity_deadband=1e308)
+        advance, rows = counted_stepper(plant, dt, n)
+        for x0 in (1.79e308, -1.79e308, 1e308, -1e308):
+            for x1 in (1.7976931348623157e308, -1.7976931348623157e308):
+                state = (x0, x1, 0.0)
+                load_state(plant, state)
+                reads = rows.reads
+                advance(0.0)
+                assert rows.reads == reads + 1 or rows_agree(plant, rows, state, 0.0)
+
+    @given(dt_n=st.sampled_from(SHIPPED_HELD_STEPS),
+           gain=st.floats(0.5, 2.0),
+           vdead=st.floats(5e-324, 1e300),
+           state=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2),
+           u=st.floats(-1e307, 1e307),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_bound_is_sound_at_its_edges(self, dt_n, gain, vdead, state, u, sign):
+        # states whose rate lies within a few ulps of vdead -+ the bound,
+        # at any magnitude from subnormal to huge: wherever the bound
+        # decides alone, every row gives substep 0's answer
+        plant = LseaPlant(den_factors=SHIPPED_DEN_FACTORS, gain_factor=gain,
+                          stiction_breakaway=1e308, stiction_velocity_deadband=vdead)
+        probes, _ = bound_edges(plant, state[0], state[1], u, sign, *dt_n, window=4)
+        assert all(agreed for decided, agreed in probes if decided)
+
+    @pytest.mark.parametrize("experiment, dob", [
+        ("pendulum-chirp", "on"), ("pendulum-chirp", "off"), ("dob-verify", None)])
+    def test_shipped_held_calls_are_decided_by_the_bound(
+            self, tmp_path, monkeypatch, experiment, dob):
+        # replay each shipped scenario's own i_m through its plant, over
+        # rows that count their reads: the bound alone decides only held
+        # calls on which every row agrees, and at least 0.99 of them
+        # (0.993-0.9996 measured), so a stepper that always reads the rows fails
+        runs = []
+
+        def run(sc):
+            log = run_scenario(sc)
+            runs.append((sc, log.i_m.tolist()))
+            return log
+
+        monkeypatch.setattr(experiments, "run_scenario", run)
+        cfg = load_config(experiment)
+        if dob is None:
+            experiments.dob_verify(cfg, tmp_path)
+        else:
+            experiments.pendulum_chirp(cfg, tmp_path, dob=dob)
+        for sc, i_m in runs:
+            plant = sc.plant.build()
+            n_sub = sc.plant_hz // sc.controller_hz
+            if sc.pendulum is None:  # one call a tick, or four quarter calls
+                dt, n, calls = 1.0 / sc.plant_hz, n_sub, 1
+            else:
+                dt, n, calls = 0.5 / sc.plant_hz, n_sub // 2, 4
+            advance, rows = counted_stepper(plant, dt, n)
+            agreed = decided = 0
+            for u in i_m:
+                held = abs(u) < plant.stiction_breakaway
+                for _ in range(calls):
+                    state, reads = plant._state(), rows.reads
+                    advance(u)
+                    if held and rows_agree(plant, rows, state, u):
+                        agreed += 1
+                        decided += rows.reads == reads
+                    else:
+                        assert rows.reads == reads + held
+            assert agreed >= 0.04 * calls * len(i_m)
+            assert decided >= 0.99 * agreed
+
 
 class TestAdvancePendulum:
     """``run_scenario``'s pendulum path: four plant calls, two pendulum RK4 steps."""
@@ -492,6 +715,13 @@ class TestPendulum:
             with pytest.raises(ValueError):
                 PendulumConfig(**bad)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["m", "l1", "l2", "g", "damping", "theta0",
+                                      "theta_dot0"])
+    def test_rejects_non_finite_fields(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            PendulumConfig(**{name: value})
+
 
 def short_pendulum_scenario(plant_hz=20000, duration=1.5):
     return SimScenario(
@@ -534,6 +764,25 @@ class TestScenario:
                          controller_hz=1000, reference_hz=300)
         with pytest.raises(ValueError):
             run_scenario(sc)
+
+    @pytest.mark.parametrize("name, value", [
+        ("plant_hz", 20000.0), ("controller_hz", 1000.0), ("reference_hz", 200.0),
+        ("plant_hz", "20000"), ("duration_s", math.nan), ("duration_s", math.inf),
+        ("duration_s", -0.1)])
+    def test_rejects_mistyped_rates_and_non_finite_duration(self, name, value):
+        # an integral float rate used to validate, then fail inside the
+        # plant with an error that did not name the rate
+        kwargs = dict(reference=ReferenceSpec(), duration_s=0.01, plant_hz=5000)
+        sc = SimScenario(**{**kwargs, name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            sc.validate()
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            run_scenario(sc)
+
+    def test_numpy_integer_rates_validate(self):
+        sc = SimScenario(reference=ReferenceSpec(), duration_s=0.01,
+                         plant_hz=np.int64(5000), controller_hz=np.int32(1000))
+        assert len(run_scenario(sc)) == 10
 
     def test_pendulum_needs_even_substep_ratio(self):
         with pytest.raises(ValueError, match="even multiple"):
@@ -646,9 +895,12 @@ class TestScenario:
     @pytest.mark.parametrize("theta_dot0, what", [(1e308, "theta"), (math.inf, "theta_dot")])
     def test_pendulum_fault_names_signal(self, theta_dot0, what):
         # 1e308 rad/s overflows the angle inside the first substeps, where
-        # math.sin(inf) raises ValueError
-        sc = SimScenario(reference=ReferenceSpec(), duration_s=0.2,
-                         pendulum=PendulumConfig(theta_dot0=theta_dot0))
+        # math.sin(inf) raises ValueError; PendulumConfig rejects an
+        # infinite rate, so it is set after construction to reach the
+        # loop's own check
+        pend = PendulumConfig()
+        pend.theta_dot0 = theta_dot0
+        sc = SimScenario(reference=ReferenceSpec(), duration_s=0.2, pendulum=pend)
         with pytest.raises(SimulationFault) as err:
             run_scenario(sc)
         assert err.value.what == what
@@ -875,6 +1127,50 @@ class TestDerivedColumns:
             if name not in computed:
                 assert not np.any(bits(log.column(name))), name
 
+    @pytest.mark.parametrize("reference, pendulum, written", [
+        (CHIRP, None, ("t", "f_o", "i_m", "d_hat")),
+        (STEP, None, ("t", "f_d", "f_o", "i_m", "d_hat")),
+        (ReferenceSpec(kind="position_chirp", amplitude=0.1, omega_o=0.427),
+         PendulumConfig(damping=0.05), LOG_COLUMNS),
+        (ReferenceSpec(), PendulumConfig(damping=0.05),
+         ("t", "f_d", "f_o", "i_m", "d_hat", "theta", "theta_dot", "q_hat_a_m",
+          "q_hat_a_j")),
+    ], ids=["current_chirp", "force_step", "position_chirp", "pendulum_force_step"])
+    def test_unwritten_columns_reach_the_writer_as_one_value(
+            self, tmp_path, monkeypatch, reference, pendulum, written):
+        # the columns run_scenario never writes are read-only, and to_csv
+        # hands them to the writer as zero-stride views of their first
+        # value, so its constancy test faults in one page, not all; the
+        # bytes are those of the per-value reference writer
+        sc = SimScenario(reference=reference, duration_s=0.3, pendulum=pendulum,
+                         estimate_backlash_m=0.002)
+        log = run_scenario(sc)
+        for name in LOG_COLUMNS:
+            assert log.column(name).flags.writeable is (name in written), name
+        seen = []
+        monkeypatch.setattr(plant_module, "write_csv",
+                            lambda path, header, columns: seen.append(columns))
+        log.to_csv(tmp_path / "spied.csv")
+        strides = {name: column.strides for name, column in zip(LOG_COLUMNS, seen[0])}
+        assert strides == {name: (8,) if name in written else (0,) for name in LOG_COLUMNS}
+        monkeypatch.undo()
+        columns = [log.column(c) for c in LOG_COLUMNS]
+        log.to_csv(tmp_path / "log.csv")
+        csv_reference(tmp_path / "want.csv", LOG_COLUMNS, columns)
+        assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_an_unwritten_column_changed_later_is_read_in_full(self, tmp_path):
+        # a column made writable again, or replaced (here by a read-only
+        # array), is no longer taken for one value
+        log = run_scenario(SimScenario(reference=self.CHIRP, duration_s=0.3))
+        log.theta.flags.writeable = True
+        log.theta[-1] = 0.25
+        log.theta_dot = np.frombuffer(np.arange(len(log), dtype=float).tobytes())
+        assert not log.theta_dot.flags.writeable
+        log.to_csv(tmp_path / "log.csv")
+        last = (tmp_path / "log.csv").read_text().splitlines()[-1].split(",")
+        assert last[8:10] == ["0.25", "299"]
+
 
 class TestPythonFloats:
     """The per-tick arithmetic runs on Python floats, never numpy scalars.
@@ -897,8 +1193,8 @@ class TestPythonFloats:
     def test_coefficient_tuples_hold_floats(self):
         p = LseaPlant(den_factors=SHIPPED_DEN_FACTORS)
         assert all(type(c) is float for c in p._coeffs(1e-4))
-        lifted, rows = p._lifted(1e-4, 5)
-        assert all(type(c) is float for c in (*lifted, *sum(rows, ())))
+        lifted, rows, bound = p._lifted(1e-4, 5)
+        assert all(type(c) is float for c in (*lifted, *sum(rows, ()), *bound))
 
     @pytest.mark.parametrize("reference, pendulum", [
         (ReferenceSpec(kind="current_chirp", amplitude=1.75, f_start=0.05, f_end=15.0), None),
