@@ -10,14 +10,17 @@ u = u_c - gamma * d_hat with a gain ``gamma`` in [0, 1] and keeps u as the
 command the next estimate compares against.  Each stateful block (PID,
 observer, force loop) also hands out its step as a closure over its
 coefficients and state (``stepper``), which the simulator builds once per
-scenario.  Upstream of the force loop sit a virtual spring/damper
+scenario.  The observer's step keeps a third-order state, the order every
+nominal plant with a constant numerator gives, in three closure locals and
+is written out; another order falls back to a state list and a loop, with
+the same arithmetic.  Upstream of the force loop sit a virtual spring/damper
 (impedance) and leaky integration of desired accelerations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,12 +49,20 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
+def _check_finite(cfg) -> None:
+    """Raise ``ValueError`` naming the first non-finite field of dataclass ``cfg``."""
+    for f in fields(cfg):
+        if not math.isfinite(getattr(cfg, f.name)):
+            raise ValueError(f"{f.name} must be finite")
+
+
 @dataclass
 class PidConfig:
     """PID gains plus the derivative low-pass pole ``lam`` (rad/s).
 
     ``from_gain_row`` applies the gain-table convention lam = 1e-3 *
-    lambda_c; pass ``lam`` directly to bypass it.
+    lambda_c; pass ``lam`` directly to bypass it.  A non-finite field
+    raises ``ValueError`` naming it.
     """
 
     k_p: float
@@ -60,6 +71,7 @@ class PidConfig:
     lam: float
 
     def __post_init__(self):
+        _check_finite(self)
         if min(self.k_p, self.k_i, self.k_d) < 0.0:
             raise ValueError("PID gains must be non-negative")
         if self.lam <= 0.0:
@@ -120,12 +132,16 @@ class DobConfig:
 
 @dataclass
 class ImpedanceConfig:
-    """Virtual spring/damper gains in actuator space (N/m, N s/m)."""
+    """Virtual spring/damper gains in actuator space (N/m, N s/m).
+
+    A non-finite gain raises ``ValueError`` naming it.
+    """
 
     k: float
     b: float
 
     def __post_init__(self):
+        _check_finite(self)
         if self.k < 0.0 or self.b < 0.0:
             raise ValueError("impedance gains must be non-negative")
 
@@ -186,11 +202,16 @@ class DisturbanceObserver:
         d_hat = (N1(z) f_measured - N2(z) u_prev) / D(z),
 
     stepped as a transposed direct form II on Python floats with one state
-    value per order.  ``stepper`` returns that step as a closure built once
-    per observer, ``step(u_c, f_measured) -> (u, d_hat)``: it estimates
-    from the current force measurement, subtracts ``gamma * d_hat`` from
-    the command and keeps the result as ``u_prev``, the command the next
-    estimate compares against.  The filter state, ``u_prev`` and ``d_hat``
+    value per order.  The order is ``n = 3 + deg(num)`` for the nominal
+    plant's numerator, so 3 for a constant numerator, as in every
+    scenario; that state is three closure locals and the step is written
+    out, with the generic step's products and sums in the same order, so
+    its values are bit-identical.  Any other order keeps the state in a
+    list walked by a loop.  ``stepper`` returns that step as a closure
+    built once per observer, ``step(u_c, f_measured) -> (u, d_hat)``: it
+    estimates from the current force measurement, subtracts ``gamma *
+    d_hat`` from the command and keeps the result as ``u_prev``, the
+    command the next estimate compares against.  The filter state, ``u_prev`` and ``d_hat``
     live in the closure's scope, which ``step``, ``estimate``, ``reset``
     and the ``u_prev``/``d_hat`` properties share; ``gamma`` is bound at
     construction.
@@ -215,25 +236,51 @@ class DisturbanceObserver:
         self._state, self._step, self._estimate, self._reset = self._scope(n)
 
     def _scope(self, n: int):
-        """Build the observer's closures over one state of ``n`` filter values."""
+        """Build the observer's closures over one state of ``n`` filter values.
+
+        The state is three closure locals for ``n == 3`` and a list otherwise.
+        """
         p0, p, q0, q, b, gamma = self._p0, self._p, self._q0, self._q, self._b, self.gamma
-        z = [0.0] * n
-        mid, last = range(n - 1), n - 1
         u_prev = d_hat = 0.0
+
+        if n == 3:
+            (p1, p2, p3), (q1, q2, q3), (b1, b2, b3) = p, q, b
+            z0 = z1 = z2 = 0.0
+
+            def step(u_c, f):
+                nonlocal u_prev, d_hat, z0, z1, z2
+                u = u_prev
+                d = p0 * f - q0 * u + z0
+                z0 = z1 + p1 * f - q1 * u + b1 * d
+                z1 = z2 + p2 * f - q2 * u + b2 * d
+                z2 = p3 * f - q3 * u + b3 * d
+                d_hat = d
+                u_prev = u_c - gamma * d
+                return u_prev, d
+
+            def clear():
+                nonlocal z0, z1, z2
+                z0 = z1 = z2 = 0.0
+        else:
+            z = [0.0] * n
+            mid, last = range(n - 1), n - 1
+
+            def step(u_c, f):
+                nonlocal u_prev, d_hat
+                u = u_prev
+                d = p0 * f - q0 * u + z[0]
+                for i in mid:
+                    z[i] = z[i + 1] + p[i] * f - q[i] * u + b[i] * d
+                z[last] = p[last] * f - q[last] * u + b[last] * d
+                d_hat = d
+                u_prev = u_c - gamma * d
+                return u_prev, d
+
+            def clear():
+                z[:] = [0.0] * n
 
         def state():
             return u_prev, d_hat
-
-        def step(u_c, f):
-            nonlocal u_prev, d_hat
-            u = u_prev
-            d = p0 * f - q0 * u + z[0]
-            for i in mid:
-                z[i] = z[i + 1] + p[i] * f - q[i] * u + b[i] * d
-            z[last] = p[last] * f - q[last] * u + b[last] * d
-            d_hat = d
-            u_prev = u_c - gamma * d
-            return u_prev, d
 
         def estimate(f):
             # a step that keeps u_prev, so the recurrence has one home
@@ -245,7 +292,7 @@ class DisturbanceObserver:
 
         def reset():
             nonlocal u_prev, d_hat
-            z[:] = [0.0] * n
+            clear()
             u_prev = d_hat = 0.0
 
         return state, step, estimate, reset

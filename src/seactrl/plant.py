@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -53,6 +53,7 @@ from .control import (
     ForceController,
     ImpedanceConfig,
     PidConfig,
+    _check_finite,
     build_force_controller,
     build_observer,
     impedance_step,
@@ -108,8 +109,8 @@ class BacklashPlay:
     """
 
     def __init__(self, width: float):
-        if width < 0.0:
-            raise ValueError("play width must be non-negative")
+        if not 0.0 <= width < math.inf:
+            raise ValueError("play width must be non-negative and finite")
         self.width = float(width)
         self.output = 0.0
 
@@ -473,9 +474,7 @@ class PendulumConfig:
     theta_dot0: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+        _check_finite(self)
         if min(self.m, self.l1, self.l2) <= 0.0:
             raise ValueError("m, l1, l2 must be positive")
 
@@ -510,6 +509,10 @@ class ReferenceSpec:
             raise ValueError(f"reference kind must be one of {kinds}")
 
 
+# the numeric ReferenceSpec fields; the chirp ones may be None (unset)
+_REFERENCE_NUMBERS = ("amplitude", "omega_o", "f_start", "f_end", "step_value", "step_time")
+
+
 @dataclass
 class SimScenario:
     """Configuration of one two-rate controller/plant run."""
@@ -531,9 +534,11 @@ class SimScenario:
     def validate(self) -> None:
         """Check the duration, the rates and the reference.
 
-        ``duration_s`` must be non-negative and finite, and each rate a
-        positive ``Integral`` (an integral float is rejected); the error
-        names the field.
+        ``duration_s`` must be non-negative and finite, each rate a
+        positive ``Integral`` (an integral float is rejected), and
+        ``k_ff``, ``omega_c``, ``gamma``, ``estimate_backlash_m`` and each
+        numeric reference field that is set finite, whatever the kind
+        reads; the error names the field.
 
         This is the one check of a reference; ``config`` (position chirp)
         and ``experiments`` (current chirp) repeat the Nyquist bounds only to
@@ -556,6 +561,12 @@ class SimScenario:
         if self.controller_hz % self.reference_hz != 0:
             raise ValueError("controller rate must be an integer multiple of the reference rate")
         ref = self.reference
+        numbers = {"k_ff": self.k_ff, "omega_c": self.omega_c, "gamma": self.gamma,
+                   "estimate_backlash_m": self.estimate_backlash_m,
+                   **{key: getattr(ref, key) for key in _REFERENCE_NUMBERS}}
+        for name, value in numbers.items():
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if ref.kind == "force_step":
             return
         if ref.amplitude <= 0.0 or self.duration_s <= 0.0:

@@ -10,8 +10,10 @@ from scipy's zero-order-hold discretization of the plant; the CSV
 reference formats each value on its own.  The exceptions write out, with
 the library's own maps, what the library must match bit for bit:
 ``pendulum_tick_reference`` the controller step of ``run_scenario``'s
-pendulum path, and ``stepped_call``, ``lifted_call`` and
-``held_call_reference`` one plant call with stiction.
+pendulum path, ``stepped_call``, ``lifted_call`` and
+``held_call_reference`` one plant call with stiction, and
+``ThirdOrderObserver`` the third-order observer step, from the two
+filters' coefficients.
 """
 
 import math
@@ -89,6 +91,41 @@ def observer_reference(inv_plant, q, f_measured, u_prev):
 
     return (lfilter(inv_plant.a_hat, inv_plant.den, f_measured)
             - lfilter(q.a_hat, q.den, u_prev))
+
+
+class ThirdOrderObserver:
+    """The third-order two-input DF2T observer, written out with attributes.
+
+    ``a_f`` and ``a_u`` are the four input coefficients of Q/P and of Q
+    (current sample first), and ``b`` the three output-feedback
+    coefficients of their shared denominator, in ``DiscreteIirFilter``'s
+    convention ``y0 = b . y + a . x``.  ``step(u_c, f)`` estimates
+    ``d_hat = (Q/P) f - Q u_prev``, keeps ``u_c - gamma * d_hat`` as
+    ``u_prev`` and returns ``(u_prev, d_hat)``; ``estimate(f)`` estimates
+    the same way but keeps ``u_prev``.
+    """
+
+    def __init__(self, a_f, a_u, b, gamma):
+        self.f0, self.f1, self.f2, self.f3 = (float(c) for c in a_f)
+        self.u0, self.u1, self.u2, self.u3 = (float(c) for c in a_u)
+        self.b1, self.b2, self.b3 = (float(c) for c in b)
+        self.gamma = float(gamma)
+        self.s1 = self.s2 = self.s3 = 0.0
+        self.u_prev = self.d_hat = 0.0
+
+    def estimate(self, f):
+        u = self.u_prev
+        d = self.f0 * f - self.u0 * u + self.s1
+        self.s1 = self.s2 + self.f1 * f - self.u1 * u + self.b1 * d
+        self.s2 = self.s3 + self.f2 * f - self.u2 * u + self.b2 * d
+        self.s3 = self.f3 * f - self.u3 * u + self.b3 * d
+        self.d_hat = d
+        return d
+
+    def step(self, u_c, f):
+        d = self.estimate(f)
+        self.u_prev = u_c - self.gamma * d
+        return self.u_prev, d
 
 
 def _closure_pendulum_rk4(theta, omega, f_0, f_mid, f_1, dt, m, l1, l2, g, c):

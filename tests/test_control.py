@@ -1,7 +1,10 @@
+import dis
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seactrl.config import load_config
 from seactrl.control import (
@@ -28,7 +31,7 @@ from seactrl.lti import (
 from seactrl.experiments import dob_verify
 from seactrl.plant import LseaPlant, nominal_lsea_tf
 
-from oracles import dob_loop_response, observer_reference
+from oracles import ThirdOrderObserver, dob_loop_response, observer_reference
 
 T = 1e-3
 FRONT_HIP = dict(k_p=15.0, k_i=4.0, k_d=2.5, lambda_c=3.5)
@@ -36,6 +39,30 @@ FRONT_HIP = dict(k_p=15.0, k_i=4.0, k_d=2.5, lambda_c=3.5)
 
 def front_hip_pid():
     return PidConfig.from_gain_row(**FRONT_HIP)
+
+
+WITH_ZERO = [2.0, 100.0]  # a plant numerator with a zero: a fourth-order observer
+
+
+def observer_plant(plant_num=None):
+    nominal = nominal_lsea_tf()
+    return nominal if plant_num is None else ContinuousTransferFunction(plant_num, nominal.den)
+
+
+def bits(x):
+    """The IEEE bit pattern of ``x``, so ``-0.0`` differs from ``0.0``."""
+    return np.array(x, dtype=np.float64).view(np.uint64)
+
+
+# inputs of either sign: zeros, ordinary values, values near 1e300 (whose
+# products overflow) and any finite float
+_SIGNED_INPUT = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e3, 1e3),
+    st.floats(1e299, 1e301),
+    st.floats(-1e301, -1e299),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 class TestPidRationalForm:
@@ -52,6 +79,13 @@ class TestPidRationalForm:
             PidConfig(-1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             PidConfig(1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["k_p", "k_i", "k_d", "lam"])
+    def test_rejects_non_finite_fields(self, name, value):
+        # k_p=nan used to be accepted, and lam=inf warned in discretization
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            PidConfig(**{**dict(k_p=1.0, k_i=1.0, k_d=1.0, lam=1.0), name: value})
 
     def test_equivalence_with_time_domain_paths(self):
         # independent oracle: separate P, trapezoid-I, and filtered-D paths,
@@ -246,6 +280,71 @@ class TestDisturbanceObserver:
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+    @given(gamma=st.sampled_from([0.0, 0.8, 1.0]),
+           calls=st.lists(st.tuples(st.sampled_from(["stepper", "step", "estimate"]),
+                                    _SIGNED_INPUT, _SIGNED_INPUT), max_size=40))
+    def test_third_order_step_equals_written_out_oracle(self, gamma, calls):
+        # the closure-local step against a written-out DF2T, bit for bit;
+        # the filters are discretized as build_observer does
+        omega_c, plant = 2 * np.pi * 25.0, nominal_lsea_tf()
+        q = q_filter(omega_c)
+        den = np.convolve(q.den, plant.num)
+        inv_plant = bilinear_discretize(ContinuousTransferFunction(
+            np.convolve(q.num, plant.den), den), T)
+        q_over_den = bilinear_discretize(ContinuousTransferFunction(
+            np.convolve(q.num, plant.num), den), T)
+        oracle = ThirdOrderObserver(inv_plant.a_hat, q_over_den.a_hat, q_over_den.b_hat, gamma)
+        dob = build_observer(DobConfig(omega_c, gamma, plant), T)
+        step = dob.stepper()
+        for how, u_c, f in calls:
+            if how == "stepper":
+                got, want = step(u_c, f), oracle.step(u_c, f)
+            elif how == "step":
+                got, want = dob.step(u_c, f), oracle.step(u_c, f)[0]
+            else:
+                got, want = dob.estimate(f), oracle.estimate(f)
+            assert np.array_equal(bits(got), bits(want))
+            assert np.array_equal(bits((dob.u_prev, dob.d_hat)),
+                                  bits((oracle.u_prev, oracle.d_hat)))
+
+    def test_third_order_observer_keeps_its_state_in_closure_locals(self):
+        # every scenario's observer is third order: its step reads three
+        # closure locals and runs no loop; another order keeps the list
+        step = build_observer(DobConfig(2 * np.pi * 25.0, 1.0, nominal_lsea_tf()), T).stepper()
+        assert {"z0", "z1", "z2", "u_prev", "d_hat"} <= set(step.__code__.co_freevars)
+        assert "z" not in step.__code__.co_freevars
+        assert not any(i.opname == "FOR_ITER" for i in dis.get_instructions(step))
+        generic = build_observer(DobConfig(2 * np.pi * 25.0, 1.0, observer_plant(WITH_ZERO)),
+                                 T).stepper()
+        assert "z" in generic.__code__.co_freevars
+
+    @pytest.mark.parametrize("plant_num", [None, WITH_ZERO])
+    @pytest.mark.parametrize("through", ["observer", "controller"])
+    def test_reset_restores_a_fresh_twin(self, plant_num, through):
+        # observer and force-loop reset, on the written-out third-order
+        # path and on the generic one
+        cfg = DobConfig(2 * np.pi * 25.0, 0.8, observer_plant(plant_num))
+        if through == "observer":
+            used, fresh = build_observer(cfg, T), build_observer(cfg, T)
+            step, fresh_step = used.stepper(), fresh.stepper()
+            dob, fresh_dob = used, fresh
+        else:
+            used, fresh = (build_force_controller(front_hip_pid(), cfg, 3.2e-3, T)
+                           for _ in range(2))
+            step, fresh_step = used.stepper(), fresh.stepper()
+            dob, fresh_dob = used.dob, fresh.dob
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            step(float(rng.normal(100.0)), float(rng.normal()))
+            dob.estimate(float(rng.normal()))
+        assert dob.d_hat != 0.0
+        used.reset()
+        assert (dob.u_prev, dob.d_hat) == (fresh_dob.u_prev, fresh_dob.d_hat) == (0.0, 0.0)
+        for _ in range(300):
+            a, b = float(rng.normal(100.0)), float(rng.normal())
+            assert np.array_equal(bits(step(a, b)), bits(fresh_step(a, b)))
+            assert np.array_equal(bits(dob.estimate(b)), bits(fresh_dob.estimate(b)))
+
     def test_stepper_equals_step_and_d_hat(self):
         cfg = DobConfig(2 * np.pi * 25.0, 0.8, nominal_lsea_tf())
         by_method, by_stepper = build_observer(cfg, T), build_observer(cfg, T)
@@ -284,6 +383,12 @@ class TestImpedance:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ImpedanceConfig(-1.0, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["k", "b"])
+    def test_rejects_non_finite_gains(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            ImpedanceConfig(**{**dict(k=40.0, b=5.0), name: value})
 
 
 class TestLeakyIntegration:

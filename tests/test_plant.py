@@ -1,9 +1,10 @@
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from seactrl import experiments
@@ -645,6 +646,12 @@ class TestBacklashPlay:
         assert play.step(0.25) == pytest.approx(0.2)  # reversal: holds
         assert play.step(0.05) == pytest.approx(0.15)
 
+    @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, -0.1])
+    def test_rejects_negative_or_non_finite_width(self, width):
+        # a NaN or infinite width used to return 0.0 for every input
+        with pytest.raises(ValueError, match="width must be non-negative and finite"):
+            BacklashPlay(width)
+
     def test_zero_width_is_identity(self):
         play = BacklashPlay(0.0)
         for v in (0.0, 0.1, -0.4):
@@ -735,6 +742,35 @@ def short_pendulum_scenario(plant_hz=20000, duration=1.5):
         gamma=1.0, plant_hz=plant_hz)
 
 
+# the float fields a Python caller sets on a scenario, besides the plant's
+# and the pendulum's (TestLseaPlant, TestPendulum)
+_SCENARIO_NUMBERS = ("k_ff", "omega_c", "gamma", "estimate_backlash_m")
+_REFERENCE_NUMBERS = ("amplitude", "f_start", "f_end", "omega_o", "step_value", "step_time")
+_PID_NUMBERS = ("k_p", "k_i", "k_d", "lam")
+_IMPEDANCE_NUMBERS = ("k", "b")
+NON_FINITE_FIELDS = _SCENARIO_NUMBERS + _REFERENCE_NUMBERS + _PID_NUMBERS + _IMPEDANCE_NUMBERS
+
+
+def non_finite_scenario(kind, values):
+    """A valid 0.05 s scenario of reference ``kind`` with ``values`` set over it."""
+    def pick(names):
+        return {name: values[name] for name in names if name in values}
+
+    reference = dict(amplitude=0.5, step_value=20.0, step_time=0.01)
+    if kind == "current_chirp":
+        reference.update(f_start=1.0, f_end=50.0)
+    elif kind == "position_chirp":
+        reference.update(amplitude=0.1, omega_o=0.427)
+    return SimScenario(
+        reference=ReferenceSpec(kind=kind, **{**reference, **pick(_REFERENCE_NUMBERS)}),
+        duration_s=0.05,
+        pendulum=PendulumConfig(damping=0.05) if kind == "position_chirp" else None,
+        pid=PidConfig(**{**dict(k_p=2.0, k_i=4.0, k_d=0.1, lam=3.5e-3), **pick(_PID_NUMBERS)}),
+        impedance=ImpedanceConfig(**{**dict(k=40.0, b=5.0), **pick(_IMPEDANCE_NUMBERS)}),
+        **{**dict(k_ff=3.2e-3, omega_c=2.0 * math.pi * 25.0, gamma=0.8,
+                  estimate_backlash_m=1e-4), **pick(_SCENARIO_NUMBERS)})
+
+
 class TestScenario:
     def test_determinism_bit_identical(self):
         log1 = run_scenario(short_pendulum_scenario(duration=0.5))
@@ -778,6 +814,44 @@ class TestScenario:
             sc.validate()
         with pytest.raises(ValueError, match=f"^{name} must be"):
             run_scenario(sc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind, name", [
+        *(("force_step", name) for name in ("k_ff", "omega_c", "gamma", "estimate_backlash_m",
+                                            "step_value", "step_time")),
+        *(("current_chirp", name) for name in ("amplitude", "f_start", "f_end")),
+        ("position_chirp", "omega_o")])
+    def test_rejects_non_finite_numbers(self, kind, name, value):
+        # each of these used to validate and then run silently wrong, or
+        # fail later with an error that did not name the field
+        sc = non_finite_scenario(kind, {name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            sc.validate()
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            run_scenario(sc)
+
+    @pytest.mark.parametrize("kind", ["force_step", "current_chirp", "position_chirp"])
+    @given(bad=st.dictionaries(st.sampled_from(NON_FINITE_FIELDS),
+                               st.sampled_from([math.nan, math.inf, -math.inf])))
+    @example(bad={})
+    def test_non_finite_inputs_are_named_or_run_finite(self, kind, bad):
+        # construction or validate names a field set non-finite; otherwise
+        # a short run is finite or ends in SimulationFault
+        try:
+            sc = non_finite_scenario(kind, bad)
+            sc.validate()
+        except ValueError as e:
+            named = re.fullmatch(r"(\w+) must be finite", str(e))
+            assert named and named[1] in bad, (str(e), bad)
+            return
+        assert not bad
+        try:
+            log = run_scenario(sc)
+        except SimulationFault:
+            return
+        assert len(log) == 50
+        for name in LOG_COLUMNS:
+            assert np.isfinite(log.column(name)).all(), name
 
     def test_numpy_integer_rates_validate(self):
         sc = SimScenario(reference=ReferenceSpec(), duration_s=0.01,
