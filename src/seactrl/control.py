@@ -99,8 +99,8 @@ def q_filter(omega_c: float) -> ContinuousTransferFunction:
 
     Q(s) = wc^3 / (s^3 + (sqrt2 + 1) wc s^2 + (1 + sqrt2) wc^2 s + wc^3)
     """
-    if omega_c <= 0.0:
-        raise ValueError("cutoff must be positive")
+    if not 0.0 < omega_c < math.inf:
+        raise ValueError(f"omega_c must be positive and finite, got {omega_c}")
     wc = float(omega_c)
     return ContinuousTransferFunction(
         [wc**3],
@@ -123,8 +123,9 @@ class DobConfig:
     plant: ContinuousTransferFunction
 
     def __post_init__(self):
-        if self.omega_c <= 0.0:
-            raise ValueError("Q-filter cutoff must be positive")
+        if not 0.0 < self.omega_c < math.inf:
+            raise ValueError(f"Q-filter cutoff omega_c must be positive and finite, "
+                             f"got {self.omega_c}")
         if not math.isfinite(self.gamma):
             raise ValueError(f"observer gain gamma must be finite, got {self.gamma}")
         self.gamma = min(1.0, max(0.0, float(self.gamma)))

@@ -14,7 +14,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 __all__ = [
-    "JointRangeError",
     "SingularJacobianError",
     "JointActuatorMap",
     "PendulumMap",
@@ -22,10 +21,6 @@ __all__ = [
     "actuator_setpoints",
     "ff_force",
 ]
-
-
-class JointRangeError(ValueError):
-    """Raised when a joint measurement falls outside the declared range."""
 
 
 class SingularJacobianError(ValueError):
@@ -36,12 +31,9 @@ class JointActuatorMap(ABC):
     """Forward map and Jacobian between joint and actuator coordinates.
 
     Maps are immutable after construction and safe for concurrent reads.
-    ``joint_range`` (lo, hi) bounds, when set, apply elementwise to
-    measured joint positions.
     """
 
     ndof: int = 1
-    joint_range: tuple[float, float] | None = None
 
     @abstractmethod
     def forward(self, q_j):
@@ -51,26 +43,15 @@ class JointActuatorMap(ABC):
     def jacobian(self, q_j):
         """d(actuator)/d(joint) at ``q_j``: scalar for 1-DoF, (2, 2) array otherwise."""
 
-    def check_range(self, q_j) -> None:
-        if self.joint_range is None:
-            return
-        lo, hi = self.joint_range
-        q = np.atleast_1d(np.asarray(q_j, dtype=float))
-        if np.any(q < lo) or np.any(q > hi):
-            raise JointRangeError(
-                f"joint position {q.tolist()} outside declared range [{lo}, {hi}]"
-            )
-
 
 class PendulumMap(JointActuatorMap):
     """Small-angle 1-DoF map q_a = l2 * q_j with moment arm ``l2`` (m)."""
 
-    def __init__(self, l2: float, joint_range: tuple[float, float] | None = None):
+    def __init__(self, l2: float):
         if l2 == 0.0:
             raise ValueError("moment arm must be non-zero")
         self.l2 = float(l2)
         self.ndof = 1
-        self.joint_range = joint_range
 
     def forward(self, q_j):
         return self.l2 * q_j
@@ -82,7 +63,7 @@ class PendulumMap(JointActuatorMap):
 class TwoDofAffineMap(JointActuatorMap):
     """Constant-Jacobian 2-DoF map q_a = J q_j + offset."""
 
-    def __init__(self, J, offset=(0.0, 0.0), joint_range: tuple[float, float] | None = None):
+    def __init__(self, J, offset=(0.0, 0.0)):
         self.J = np.array(J, dtype=float)
         if self.J.shape != (2, 2):
             raise ValueError("J must be a 2x2 matrix")
@@ -90,7 +71,6 @@ class TwoDofAffineMap(JointActuatorMap):
         if self.offset.shape != (2,):
             raise ValueError("offset must have 2 entries")
         self.ndof = 2
-        self.joint_range = joint_range
 
     def forward(self, q_j):
         return self.J @ np.asarray(q_j, dtype=float) + self.offset
@@ -106,7 +86,6 @@ def actuator_setpoints(mapping: JointActuatorMap, q_bar_j_d, qdot_bar_j_d, q_j_m
     velocity through the Jacobian evaluated at the measured joint position
     (the transform depends on the current joint measurements).
     """
-    mapping.check_range(q_j_measured)
     q_a = mapping.forward(q_bar_j_d)
     J = mapping.jacobian(q_j_measured)
     # a 1-DoF map's Jacobian is a Python float, tested before numpy's dispatch
@@ -123,7 +102,6 @@ def ff_force(mapping: JointActuatorMap, q_j_measured, tau_ff_d, det_tol: float =
     For scalar 1-DoF maps this reduces to tau / l.  Raises
     SingularJacobianError (and emits no command) when |det J| < det_tol.
     """
-    mapping.check_range(q_j_measured)
     J = mapping.jacobian(q_j_measured)
     if type(J) is float or np.ndim(J) == 0:
         if abs(J) < det_tol:

@@ -29,14 +29,16 @@ next step's measurement.  So each controller step runs the plant in four
 steps of half-substeps, a quarter controller step each, and the pendulum
 in two RK4 steps of half a controller step (``_pendulum_stepper``), each
 seeing the force at its start, midpoint and end; the substep ratio must be
-even on this path.  ``run_scenario`` executes the two-rate loop (reference rate /
-controller rate / plant substep rate) and returns a uniformly sampled log
-of 12 columns, each its own array, that serializes to CSV
-bit-reproducibly.  A tick records only the values it computes (the loop's
-outputs, and with the pendulum the desired force and the pendulum state);
-the time is filled with numpy block by block, and the held reference and
-the other derived columns after the loop.  A non-finite signal stops the loop with a ``SimulationFault`` that names the
-signal and the time.
+even on this path.  ``run_scenario`` executes the two-rate loop
+(reference rate / controller rate / plant substep rate) and returns a
+uniformly sampled log of 12 columns that serializes to CSV
+bit-reproducibly: each column the scenario writes is its own array, and
+every other one a read-only zero-stride ``+0.0``.  A tick records only the
+values it computes (the loop's outputs, and with the pendulum the desired
+force and the pendulum state); the time is filled with numpy block by
+block, and the held reference and the other derived columns after the
+loop.  A non-finite signal stops the loop with a ``SimulationFault`` that
+names the signal and the time.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ __all__ = [
     "nominal_lsea_tf",
     "BacklashPlay",
     "LseaPlant",
-    "pendulum_step",
     "free_oscillation_frequency",
     "PlantConfig",
     "PendulumConfig",
@@ -399,18 +400,6 @@ def _pendulum_stepper(dt, m, l1, l2, g, c):
     return rk4
 
 
-def pendulum_step(p: PendulumConfig, theta: float, theta_dot: float,
-                  f_actuator: float, dt: float) -> tuple[float, float]:
-    """One RK4 step of the pendulum driven by actuator force ``f_actuator``.
-
-    Returns the angle and rate after ``dt``.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    rk4 = _pendulum_stepper(dt, p.m, p.l1, p.l2, p.g, p.damping)
-    return rk4(theta, theta_dot, f_actuator, f_actuator, f_actuator)
-
-
 def free_oscillation_frequency(theta0: float = 0.1, duration: float = 30.0,
                                dt: float = 5e-5, m: float = 10.0, l1: float = 0.33,
                                g: float = 9.81, damping: float = 0.0) -> float:
@@ -538,7 +527,8 @@ class SimScenario:
         positive ``Integral`` (an integral float is rejected), and
         ``k_ff``, ``omega_c``, ``gamma``, ``estimate_backlash_m`` and each
         numeric reference field that is set finite, whatever the kind
-        reads; the error names the field.
+        reads, and ``estimate_backlash_m`` non-negative; the error names the
+        field.
 
         This is the one check of a reference; ``config`` (position chirp)
         and ``experiments`` (current chirp) repeat the Nyquist bounds only to
@@ -567,6 +557,8 @@ class SimScenario:
         for name, value in numbers.items():
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        if self.estimate_backlash_m < 0.0:
+            raise ValueError("estimate_backlash_m must be non-negative")
         if ref.kind == "force_step":
             return
         if ref.amplitude <= 0.0 or self.duration_s <= 0.0:
@@ -602,7 +594,11 @@ _REF_COLUMNS = ("ref_pos", "q_bar_a_d", "qdot_bar_a_d")
 
 @dataclass
 class SimLog:
-    """Uniformly sampled scenario record (one row per controller step)."""
+    """Uniformly sampled scenario record (one row per controller step).
+
+    A column the scenario never writes is a read-only zero-stride view of
+    ``+0.0``; a caller who wants to write into it copies it first.
+    """
 
     t: np.ndarray
     ref_pos: np.ndarray
@@ -616,8 +612,6 @@ class SimLog:
     theta_dot: np.ndarray
     q_hat_a_m: np.ndarray
     q_hat_a_j: np.ndarray
-    # the columns run_scenario left as allocated, each made read-only
-    _unwritten: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.t.size
@@ -626,28 +620,7 @@ class SimLog:
         return getattr(self, name)
 
     def to_csv(self, path) -> None:
-        # a column run_scenario never wrote, still in place and read-only,
-        # holds one value: as a zero-stride view of it, the writer's
-        # constancy test reads one page of the column, not all of them
-        columns = []
-        for name in LOG_COLUMNS:
-            column = self.column(name)
-            if not column.flags.writeable and any(column is c for c in self._unwritten):
-                column = np.broadcast_to(column[:1], column.shape)
-            columns.append(column)
-        write_csv(path, LOG_COLUMNS, columns)
-
-    @classmethod
-    def from_csv(cls, path) -> "SimLog":
-        with open(path) as fh:
-            lines = fh.read().strip().splitlines()
-        if len(lines) <= 1:
-            data = np.zeros((0, len(LOG_COLUMNS)))
-        else:
-            data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
-        if data.shape[1] != len(LOG_COLUMNS):
-            raise ValueError(f"expected {len(LOG_COLUMNS)} columns")
-        return cls(**{name: data[:, i] for i, name in enumerate(LOG_COLUMNS)})
+        write_csv(path, LOG_COLUMNS, [self.column(name) for name in LOG_COLUMNS])
 
 
 def run_scenario(sc: SimScenario) -> SimLog:
@@ -673,14 +646,11 @@ def run_scenario(sc: SimScenario) -> SimLog:
     are recorded on reference ticks only.  After the loop, numpy fills a
     force step's ``f_d`` (without the pendulum), ``q_hat_a_j = l2 * theta``
     and the reference columns, each held between reference ticks, in place
-    and without a log-sized temporary; every other column keeps the
-    ``+0.0`` it was allocated as, and is made read-only, so that
-    ``SimLog.to_csv`` can hand it to the writer as a zero-stride view of
-    its first value.  Each column is its own ``np.zeros(n)``
-    array: numpy advises huge pages for an allocation of 4 MiB or more, so
-    in one ``(12, n)`` array the rows a scenario never writes would share
-    huge pages with the rows it writes and become resident with them; as
-    separate arrays they stay untouched.  Re-running an
+    and without a log-sized temporary.  Each column the scenario writes is
+    its own ``np.zeros(n)`` array (numpy advises huge pages for an
+    allocation of 4 MiB or more, so one ``(12, n)`` array would make every
+    row resident), and every other column is a read-only zero-stride
+    ``+0.0``, which the CSV writer reads as one value.  Re-running an
     identical scenario yields bit-identical output.  A non-finite pendulum
     state, plant output, rejected desired force or current command raises
     ``SimulationFault`` with the step time.
@@ -719,13 +689,20 @@ def run_scenario(sc: SimScenario) -> SimLog:
         dob_step = build_observer(dob_cfg, T).stepper()
         chirp = exponential_chirp(ref.amplitude, ref.f_start, ref.f_end, sc.duration_s)
 
-    # one array per log column (see the docstring): a column this scenario
-    # does not write stays an untouched np.zeros(n)
-    log = {name: np.zeros(n_steps) for name in LOG_COLUMNS}
-    times = log["t"]
+    # each column this scenario writes is its own np.zeros(n) (see the
+    # docstring), and every other one a read-only zero-stride +0.0
     tick_columns = _TICK_COLUMNS if pend is None else _PENDULUM_TICK_COLUMNS
+    written = {"t", *tick_columns}
+    if pend is not None:
+        written.add("q_hat_a_j")
+    elif force_step:
+        written.add("f_d")
+    if position_chirp:
+        written.update(_REF_COLUMNS)
+    log = {name: np.zeros(n_steps) if name in written else np.broadcast_to(0.0, n_steps)
+           for name in LOG_COLUMNS}
+    times = log["t"]
     recorded = [log[name] for name in tick_columns]
-    written = ["t", *tick_columns]
     width = len(recorded)
     block: list[float] = []
     record = block.extend
@@ -794,15 +771,12 @@ def run_scenario(sc: SimScenario) -> SimLog:
         np.multiply(np.arange(k0, k1), T, out=times[k0:k1])
 
     # the other columns a scenario writes, each in place, without a
-    # log-sized temporary; every other one stays zero, and read-only
-    if pend is None:
-        if force_step:
-            # t is nondecreasing, so t >= step_time from one index on
-            log["f_d"][np.searchsorted(times, ref.step_time):] = ref.step_value
-            written.append("f_d")
-    else:
+    # log-sized temporary
+    if pend is not None:
         np.multiply(l2, log["theta"], out=log["q_hat_a_j"])
-        written.append("q_hat_a_j")
+    elif force_step:
+        # t is nondecreasing, so t >= step_time from one index on
+        log["f_d"][np.searchsorted(times, ref.step_time):] = ref.step_value
     if position_chirp:
         held = np.fromiter(refs, float, len(refs)).reshape(-1, 3)
         whole = n_steps // ref_div  # reference ticks held for all ref_div ticks
@@ -810,9 +784,5 @@ def run_scenario(sc: SimScenario) -> SimLog:
             column = log[name]
             column[:whole * ref_div].reshape(whole, ref_div)[:] = held[:whole, j, None]
             column[whole * ref_div:] = held[whole:, j]
-        written += _REF_COLUMNS
-    unwritten = tuple(log[name] for name in LOG_COLUMNS if name not in written)
-    for column in unwritten:
-        column.flags.writeable = False
 
-    return SimLog(**log, _unwritten=unwritten)
+    return SimLog(**log)

@@ -130,9 +130,14 @@ class TestQFilter:
         val = np.polyval(q.den, 1j * wc)
         assert val == pytest.approx(wc**3 * (-np.sqrt(2) + 1j * np.sqrt(2)), rel=1e-12)
 
-    def test_rejects_nonpositive_cutoff(self):
-        with pytest.raises(ValueError):
-            q_filter(0.0)
+    @pytest.mark.parametrize("omega_c", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_cutoff_not_positive_and_finite(self, omega_c):
+        # NaN and +inf used to pass both checks, and building the observer
+        # then failed with an error that did not name omega_c
+        with pytest.raises(ValueError, match="omega_c must be positive and finite"):
+            q_filter(omega_c)
+        with pytest.raises(ValueError, match="omega_c must be positive and finite"):
+            DobConfig(omega_c, 1.0, nominal_lsea_tf())
 
 
 class TestBuildForceController:

@@ -3,7 +3,6 @@ import pytest
 
 from seactrl.kinematics import (
     JointActuatorMap,
-    JointRangeError,
     PendulumMap,
     SingularJacobianError,
     TwoDofAffineMap,
@@ -52,11 +51,6 @@ class TestActuatorSetpoints:
         # desired at 0, measured at pi/3: velocity scale must be cos(pi/3)
         _, qdot_a = actuator_setpoints(m, 0.0, 1.0, np.pi / 3)
         assert qdot_a == pytest.approx(2.0 * np.cos(np.pi / 3), rel=1e-12)
-
-    def test_range_error(self):
-        m = PendulumMap(l2=0.07, joint_range=(-0.5, 0.5))
-        with pytest.raises(JointRangeError):
-            actuator_setpoints(m, 0.0, 0.0, 0.6)
 
 
 class TestFeedforwardForce:

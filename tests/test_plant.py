@@ -29,12 +29,11 @@ from seactrl.plant import (
     PendulumConfig,
     PlantConfig,
     ReferenceSpec,
-    SimLog,
     SimScenario,
     SimulationFault,
+    _pendulum_stepper,
     free_oscillation_frequency,
     nominal_lsea_tf,
-    pendulum_step,
     run_scenario,
 )
 from seactrl.sysid import (
@@ -61,6 +60,19 @@ SHIPPED_DEN_FACTORS = (1.0, 1.2, 0.8, 1.25)
 def bits(values):
     """The IEEE bit patterns of ``values``, so ``-0.0`` differs from ``0.0``."""
     return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def assert_log_layout(log, written):
+    """Each column in ``written`` owns a contiguous float64 buffer; every
+    other column is a read-only zero-stride ``+0.0``."""
+    for name in LOG_COLUMNS:
+        col = log.column(name)
+        assert col.dtype == np.float64 and col.shape == (len(log),), name
+        if name in written:
+            assert col.flags.c_contiguous and col.flags.owndata, name
+        else:
+            assert col.strides == (0,) and not col.flags.writeable, name
+            assert not np.any(bits(col)), name
 
 
 class TestLseaPlant:
@@ -681,18 +693,24 @@ def pendulum_energy(p, theta, theta_dot):
             + p.m * p.g * p.l1 * (1.0 - math.cos(theta)))
 
 
+def pendulum_rk4(p, dt):
+    """The scenario loop's RK4 step of ``dt`` for pendulum ``p``."""
+    return _pendulum_stepper(dt, p.m, p.l1, p.l2, p.g, p.damping)
+
+
 class TestPendulum:
     def test_rest_equilibrium(self):
-        assert pendulum_step(PendulumConfig(), 0.0, 0.0, 0.0, 1e-3) == (0.0, 0.0)
+        assert pendulum_rk4(PendulumConfig(), 1e-3)(0.0, 0.0, 0.0, 0.0, 0.0) == (0.0, 0.0)
 
     def test_static_hold_force_is_equilibrium(self):
         # f = m g l1 sin(0.1) / l2 holds the pendulum exactly at 0.1 rad
         p = PendulumConfig()
         f_hold = p.m * p.g * p.l1 * math.sin(0.1) / p.l2
         assert f_hold == pytest.approx(46.17, abs=0.01)
+        rk4 = pendulum_rk4(p, 5e-4)
         th, w = 0.1, 0.0
         for _ in range(2000):
-            th, w = pendulum_step(p, th, w, f_hold, 5e-4)
+            th, w = rk4(th, w, f_hold, f_hold, f_hold)
         assert th == pytest.approx(0.1, abs=1e-12)
         assert abs(w) < 1e-12
 
@@ -705,16 +723,18 @@ class TestPendulum:
         p = PendulumConfig()
         th, w = 0.5, 0.0
         e0 = pendulum_energy(p, th, w)
+        rk4 = pendulum_rk4(p, 5e-5)
         for _ in range(int(60.0 / 5e-5)):
-            th, w = pendulum_step(p, th, w, 0.0, 5e-5)
+            th, w = rk4(th, w, 0.0, 0.0, 0.0)
         assert abs(pendulum_energy(p, th, w) - e0) / e0 < 1e-5
 
     def test_damping_decays_energy(self):
         p = PendulumConfig(damping=0.5)
         th, w = 0.5, 0.0
         e0 = pendulum_energy(p, th, w)
+        rk4 = pendulum_rk4(p, 1e-3)
         for _ in range(20000):
-            th, w = pendulum_step(p, th, w, 0.0, 1e-3)
+            th, w = rk4(th, w, 0.0, 0.0, 0.0)
         assert pendulum_energy(p, th, w) < 0.1 * e0
 
     def test_validation(self):
@@ -749,6 +769,8 @@ _REFERENCE_NUMBERS = ("amplitude", "f_start", "f_end", "omega_o", "step_value", 
 _PID_NUMBERS = ("k_p", "k_i", "k_d", "lam")
 _IMPEDANCE_NUMBERS = ("k", "b")
 NON_FINITE_FIELDS = _SCENARIO_NUMBERS + _REFERENCE_NUMBERS + _PID_NUMBERS + _IMPEDANCE_NUMBERS
+# the scenario's rates at their defaults, each of which must be an Integral
+_RATES = {"controller_hz": 1000, "reference_hz": 200, "plant_hz": 20000}
 
 
 def non_finite_scenario(kind, values):
@@ -768,7 +790,7 @@ def non_finite_scenario(kind, values):
         pid=PidConfig(**{**dict(k_p=2.0, k_i=4.0, k_d=0.1, lam=3.5e-3), **pick(_PID_NUMBERS)}),
         impedance=ImpedanceConfig(**{**dict(k=40.0, b=5.0), **pick(_IMPEDANCE_NUMBERS)}),
         **{**dict(k_ff=3.2e-3, omega_c=2.0 * math.pi * 25.0, gamma=0.8,
-                  estimate_backlash_m=1e-4), **pick(_SCENARIO_NUMBERS)})
+                  estimate_backlash_m=1e-4), **pick(_SCENARIO_NUMBERS + tuple(_RATES))})
 
 
 class TestScenario:
@@ -804,7 +826,7 @@ class TestScenario:
     @pytest.mark.parametrize("name, value", [
         ("plant_hz", 20000.0), ("controller_hz", 1000.0), ("reference_hz", 200.0),
         ("plant_hz", "20000"), ("duration_s", math.nan), ("duration_s", math.inf),
-        ("duration_s", -0.1)])
+        ("duration_s", -0.1), ("estimate_backlash_m", -0.01)])
     def test_rejects_mistyped_rates_and_non_finite_duration(self, name, value):
         # an integral float rate used to validate, then fail inside the
         # plant with an error that did not name the rate
@@ -832,19 +854,24 @@ class TestScenario:
 
     @pytest.mark.parametrize("kind", ["force_step", "current_chirp", "position_chirp"])
     @given(bad=st.dictionaries(st.sampled_from(NON_FINITE_FIELDS),
-                               st.sampled_from([math.nan, math.inf, -math.inf])))
-    @example(bad={})
-    def test_non_finite_inputs_are_named_or_run_finite(self, kind, bad):
-        # construction or validate names a field set non-finite; otherwise
-        # a short run is finite or ends in SimulationFault
+                               st.sampled_from([math.nan, math.inf, -math.inf])),
+           integral=st.sets(st.sampled_from(sorted(_RATES))))
+    @example(bad={}, integral=set())
+    def test_non_finite_inputs_are_named_or_run_finite(self, kind, bad, integral):
+        # construction or validate names a field set non-finite, or a rate
+        # drawn as an integral float; otherwise a short run is finite or
+        # ends in SimulationFault
+        drawn = {**bad, **{name: float(_RATES[name]) for name in integral}}
         try:
-            sc = non_finite_scenario(kind, bad)
+            sc = non_finite_scenario(kind, drawn)
             sc.validate()
         except ValueError as e:
-            named = re.fullmatch(r"(\w+) must be finite", str(e))
-            assert named and named[1] in bad, (str(e), bad)
+            finite = re.fullmatch(r"(\w+) must be finite", str(e))
+            integer = re.fullmatch(r"(\w+) must be a positive integer", str(e))
+            assert ((finite and finite[1] in bad)
+                    or (integer and integer[1] in integral)), (str(e), drawn)
             return
-        assert not bad
+        assert not drawn
         try:
             log = run_scenario(sc)
         except SimulationFault:
@@ -943,9 +970,10 @@ class TestScenario:
         log = run_scenario(short_pendulum_scenario(duration=0.2))
         path = tmp_path / "log.csv"
         log.to_csv(path)
-        back = SimLog.from_csv(path)
-        for name in LOG_COLUMNS:
-            assert np.allclose(back.column(name), log.column(name), rtol=1e-8, atol=1e-12)
+        assert path.read_text().partition("\n")[0] == ",".join(LOG_COLUMNS)
+        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        for j, name in enumerate(LOG_COLUMNS):
+            assert np.allclose(back[:, j], log.column(name), rtol=1e-8, atol=1e-12)
 
     def test_csv_write_is_reproducible(self, tmp_path):
         log = run_scenario(short_pendulum_scenario(duration=0.2))
@@ -990,8 +1018,7 @@ class TestScenario:
                          plant=PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15))
         log = run_scenario(sc)
         assert len(log) == n
-        assert all(col.flags.c_contiguous and col.dtype == np.float64
-                   for col in (log.column(c) for c in LOG_COLUMNS))
+        assert_log_layout(log, ("t", "f_o", "i_m", "d_hat"))
         T = 1.0 / sc.controller_hz
         assert np.array_equal(log.t, np.arange(n) * T)
         chirp = [exponential_chirp_point(ref.amplitude, ref.f_start, ref.f_end,
@@ -1087,24 +1114,24 @@ class TestScenario:
         assert np.all(log.theta == 0.0)
         assert np.all(log.q_hat_a_m == 0.0)
 
-    @pytest.mark.parametrize("scenario", [
-        SimScenario(reference=ReferenceSpec(kind="current_chirp", amplitude=1.0,
-                                            f_start=0.1, f_end=10.0),
-                    duration_s=0.5, plant_hz=5000),
-        SimScenario(reference=ReferenceSpec(kind="force_step", step_value=500.0,
-                                            step_time=0.05),
-                    duration_s=0.5, plant_hz=5000),
-        short_pendulum_scenario(duration=0.5),
+    @pytest.mark.parametrize("scenario, written", [
+        (SimScenario(reference=ReferenceSpec(kind="current_chirp", amplitude=1.0,
+                                             f_start=0.1, f_end=10.0),
+                     duration_s=0.5, plant_hz=5000),
+         ("t", "f_o", "i_m", "d_hat")),
+        (SimScenario(reference=ReferenceSpec(kind="force_step", step_value=500.0,
+                                             step_time=0.05),
+                     duration_s=0.5, plant_hz=5000),
+         ("t", "f_d", "f_o", "i_m", "d_hat")),
+        (short_pendulum_scenario(duration=0.5), LOG_COLUMNS),
     ], ids=["current_chirp", "force_step", "position_chirp"])
-    def test_log_columns_are_separate_arrays(self, scenario):
-        # each column owns its buffer: as rows of one (12, n) array, the
-        # columns would share huge pages
+    def test_log_columns_are_separate_arrays(self, scenario, written):
+        # each written column owns its buffer: as rows of one (12, n)
+        # array, the columns would share huge pages
         log = run_scenario(scenario)
-        n = int(round(scenario.duration_s * scenario.controller_hz))
+        assert len(log) == int(round(scenario.duration_s * scenario.controller_hz))
+        assert_log_layout(log, written)
         columns = [log.column(c) for c in LOG_COLUMNS]
-        for col in columns:
-            assert col.dtype == np.float64 and col.shape == (n,)
-            assert col.flags.c_contiguous and col.flags.owndata
         for i, a in enumerate(columns):
             for b in columns[i + 1:]:
                 assert not np.shares_memory(a, b)
@@ -1212,10 +1239,10 @@ class TestDerivedColumns:
     ], ids=["current_chirp", "force_step", "position_chirp", "pendulum_force_step"])
     def test_unwritten_columns_reach_the_writer_as_one_value(
             self, tmp_path, monkeypatch, reference, pendulum, written):
-        # the columns run_scenario never writes are read-only, and to_csv
-        # hands them to the writer as zero-stride views of their first
-        # value, so its constancy test faults in one page, not all; the
-        # bytes are those of the per-value reference writer
+        # the columns run_scenario never writes are read-only zero-stride
+        # views of +0.0, and reach the writer as such, so its constancy
+        # test faults in one page, not all; the bytes are those of the
+        # per-value reference writer
         sc = SimScenario(reference=reference, duration_s=0.3, pendulum=pendulum,
                          estimate_backlash_m=0.002)
         log = run_scenario(sc)
@@ -1234,10 +1261,13 @@ class TestDerivedColumns:
         assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_an_unwritten_column_changed_later_is_read_in_full(self, tmp_path):
-        # a column made writable again, or replaced (here by a read-only
-        # array), is no longer taken for one value
+        # a never-written column is a read-only view: a caller copies it to
+        # write into it; a column replaced (here by a read-only array) is
+        # no longer taken for one value
         log = run_scenario(SimScenario(reference=self.CHIRP, duration_s=0.3))
-        log.theta.flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            log.theta[-1] = 0.25
+        log.theta = log.theta.copy()
         log.theta[-1] = 0.25
         log.theta_dot = np.frombuffer(np.arange(len(log), dtype=float).tobytes())
         assert not log.theta_dot.flags.writeable
