@@ -262,12 +262,6 @@ def _check_semantics(cfg: dict, experiment: str) -> None:
             "scenario.controller_hz",
             f"{controller_hz} must divide scenario.plant_hz ({plant_hz}) and be a "
             f"multiple of scenario.reference_hz ({reference_hz})")
-    # the pendulum path advances the plant a quarter controller step per call
-    if experiment == "pendulum-chirp" and (plant_hz // controller_hz) % 2:
-        raise ConfigError(
-            "scenario.plant_hz",
-            f"{plant_hz} must be an even multiple of scenario.controller_hz "
-            f"({controller_hz}) when the pendulum is simulated")
     if sn["duration_s"] <= 0.0:
         raise ConfigError("scenario.duration_s", f"{sn['duration_s']} is not positive")
     omega_c_hz = cfg["control"]["omega_c_hz"]

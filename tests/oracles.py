@@ -150,19 +150,16 @@ def _closure_pendulum_rk4(theta, omega, f_0, f_mid, f_1, dt, m, l1, l2, g, c):
 def pendulum_tick_reference(plant, pend, i_m, f_o, theta, theta_dot, dt_sub, n_sub, T):
     """One controller step ``T`` of the coupled plant and pendulum, written out.
 
-    Four ``plant.advance(i_m, dt_sub / 2, n_sub // 2)`` calls give the force
-    at the step's quarter points; two RK4 steps of ``T / 2`` see the force at
-    their start, midpoint and end.  Returns the force, angle and rate at the
-    end of the step.
+    Two ``plant.advance(i_m, dt_sub / 2, n_sub)`` calls give the force at
+    the step's midpoint and end; one RK4 step of ``T`` sees the force at its
+    start, midpoint and end.  Returns the force, angle and rate at the end
+    of the step.
     """
     args = (pend.m, pend.l1, pend.l2, pend.g, pend.damping)
-    f_1 = plant.advance(i_m, dt_sub / 2, n_sub // 2)
-    f_2 = plant.advance(i_m, dt_sub / 2, n_sub // 2)
-    theta, theta_dot = _closure_pendulum_rk4(theta, theta_dot, f_o, f_1, f_2, T / 2, *args)
-    f_3 = plant.advance(i_m, dt_sub / 2, n_sub // 2)
-    f_4 = plant.advance(i_m, dt_sub / 2, n_sub // 2)
-    theta, theta_dot = _closure_pendulum_rk4(theta, theta_dot, f_2, f_3, f_4, T / 2, *args)
-    return f_4, theta, theta_dot
+    f_h = plant.advance(i_m, dt_sub / 2, n_sub)
+    f_1 = plant.advance(i_m, dt_sub / 2, n_sub)
+    theta, theta_dot = _closure_pendulum_rk4(theta, theta_dot, f_o, f_h, f_1, T, *args)
+    return f_1, theta, theta_dot
 
 
 def substep_composition(coeffs, n):

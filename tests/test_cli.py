@@ -137,7 +137,6 @@ class TestCliCommands:
         ("scenario", "leaky_dt", "0"),
         ("scenario", "leaky_input_end", "0.06"),
         ("scenario", "alphas", "0.5, 2"),
-        ("scenario", "plant_hz", "5000"),
         ("control", "lambda_c", "0"),
         ("control", "lambda_c", "1e-322"),
         ("control", "lambda_direct", "-1"),
@@ -164,10 +163,8 @@ class TestCliCommands:
     ])
     def test_unrunnable_value_exits_2(self, tmp_path, capsys, section, key, value):
         bad = write(tmp_path, "bad.ini", f"[{section}]\n{key} = {value}\n")
-        # an odd substep ratio and a chirp at Nyquist are runnable except on
-        # the experiment that runs them
-        command = {("plant_hz", "5000"): "pendulum-chirp",
-                   ("chirp_f_end", "600"): "bode-open-loop",
+        # a chirp at Nyquist is runnable except on the experiment that runs it
+        command = {("chirp_f_end", "600"): "bode-open-loop",
                    ("chirp_f_start", "600"): "dob-verify",
                    ("chirp_f_end", "500"): "fit",
                    ("chirp_omega_o", "30"): "pendulum-chirp"}.get((key, value), "pid-step")
@@ -234,6 +231,14 @@ class TestCliCommands:
         summary = (out / "summary.txt").read_text()
         assert "rms_pos_err_m_dob_on" in summary
         assert "crossing_time_s" in summary
+
+    def test_pendulum_chirp_odd_substep_ratio_runs(self, tmp_path):
+        # five substeps a tick: each half-tick plant call takes five half-substeps
+        cfg = write(tmp_path, "odd.ini", "[scenario]\nduration_s = 1.0\nplant_hz = 5000\n")
+        out = tmp_path / "pend"
+        assert main(["pendulum-chirp", "--config", cfg, "--dob", "on",
+                     "--out", str(out)]) == 0
+        assert (out / "pendulum_dob_on.csv").exists()
 
     def test_bode_open_loop_single_amp_smoke(self, tmp_path):
         cfg = write(tmp_path, "fast.ini",

@@ -200,9 +200,9 @@ class TestLseaPlant:
         assert np.max(np.abs(emp.magnitude_db - ref.magnitude_db)) < 0.2
 
 
-# the (dt, n) of the shipped held calls: pendulum-chirp's quarter ticks,
+# the (dt, n) of the shipped held calls: pendulum-chirp's half ticks,
 # dob-verify's ticks
-SHIPPED_HELD_STEPS = [(1 / 40000, 10), (1 / 5000, 5)]
+SHIPPED_HELD_STEPS = [(1 / 40000, 20), (1 / 5000, 5)]
 
 
 def load_state(plant, state):
@@ -452,10 +452,10 @@ class TestLiftedTick:
         for sc, i_m in runs:
             plant = sc.plant.build()
             n_sub = sc.plant_hz // sc.controller_hz
-            if sc.pendulum is None:  # one call a tick, or four quarter calls
+            if sc.pendulum is None:  # one call a tick, or two half-tick calls
                 dt, n, calls = 1.0 / sc.plant_hz, n_sub, 1
             else:
-                dt, n, calls = 0.5 / sc.plant_hz, n_sub // 2, 4
+                dt, n, calls = 0.5 / sc.plant_hz, n_sub, 2
             advance = plant.stepper(dt, n)
             lifted = stepped = 0
             for u in i_m:
@@ -589,10 +589,10 @@ class TestLiftedTick:
         for sc, i_m in runs:
             plant = sc.plant.build()
             n_sub = sc.plant_hz // sc.controller_hz
-            if sc.pendulum is None:  # one call a tick, or four quarter calls
+            if sc.pendulum is None:  # one call a tick, or two half-tick calls
                 dt, n, calls = 1.0 / sc.plant_hz, n_sub, 1
             else:
-                dt, n, calls = 0.5 / sc.plant_hz, n_sub // 2, 4
+                dt, n, calls = 0.5 / sc.plant_hz, n_sub, 2
             advance, rows = counted_stepper(plant, dt, n)
             agreed = decided = 0
             for u in i_m:
@@ -610,7 +610,7 @@ class TestLiftedTick:
 
 
 class TestAdvancePendulum:
-    """``run_scenario``'s pendulum path: four plant calls, two pendulum RK4 steps."""
+    """``run_scenario``'s pendulum path: two plant calls, one pendulum RK4 step."""
 
     @pytest.mark.parametrize("plant", [
         PlantConfig(den_factors=(1.0, 1.2, 0.8, 1.25), stiction_breakaway=150.0,
@@ -885,9 +885,17 @@ class TestScenario:
                          plant_hz=np.int64(5000), controller_hz=np.int32(1000))
         assert len(run_scenario(sc)) == 10
 
-    def test_pendulum_needs_even_substep_ratio(self):
-        with pytest.raises(ValueError, match="even multiple"):
-            run_scenario(short_pendulum_scenario(plant_hz=5000, duration=0.1))
+    def test_pendulum_runs_an_odd_substep_ratio(self):
+        # five substeps a tick: two half-tick calls of five half-substeps
+        sc = short_pendulum_scenario(plant_hz=5000, duration=0.5)
+        log = run_scenario(sc)
+        plant, pend = sc.plant.build(), sc.pendulum
+        state = (0.0, pend.theta0, pend.theta_dot0)
+        for k, i_m in enumerate(log.i_m.tolist()):
+            assert (log.f_o[k], log.theta[k], log.theta_dot[k]) == state
+            state = pendulum_tick_reference(plant, pend, i_m, *state, 1.0 / sc.plant_hz,
+                                            sc.plant_hz // sc.controller_hz,
+                                            1.0 / sc.controller_hz)
 
     def test_chirp_nyquist_guard(self):
         sc = SimScenario(
@@ -994,19 +1002,25 @@ class TestScenario:
         assert 0.0 <= err.value.time <= 2.0
         assert err.value.what == "i_m"
 
-    @pytest.mark.parametrize("theta_dot0, what", [(1e308, "theta"), (math.inf, "theta_dot")])
-    def test_pendulum_fault_names_signal(self, theta_dot0, what):
-        # 1e308 rad/s overflows the angle inside the first substeps, where
+    @pytest.mark.parametrize("theta0, theta_dot0, what, time", [
+        pytest.param(0.0, 1e308, "theta", 0.001, id="1e+308-theta"),
+        pytest.param(1.797e308, 1e308, "theta", 0.0, id="1.797e+308-1e+308-theta"),
+        pytest.param(0.0, math.inf, "theta_dot", 0.0, id="inf-theta_dot"),
+    ])
+    def test_pendulum_fault_names_signal(self, theta0, theta_dot0, what, time):
+        # from rest at 1e308 rad/s, tick 0's RK4 stages stay finite but its
+        # angle update overflows to inf, which the start of tick 1 reports;
+        # from 1.797e308 rad a stage angle overflows within tick 0, where
         # math.sin(inf) raises ValueError; PendulumConfig rejects an
         # infinite rate, so it is set after construction to reach the
         # loop's own check
-        pend = PendulumConfig()
+        pend = PendulumConfig(theta0=theta0)
         pend.theta_dot0 = theta_dot0
         sc = SimScenario(reference=ReferenceSpec(), duration_s=0.2, pendulum=pend)
         with pytest.raises(SimulationFault) as err:
             run_scenario(sc)
         assert err.value.what == what
-        assert err.value.time == 0.0
+        assert err.value.time == time
 
     def test_block_log_across_block_boundaries(self):
         # with gamma = 0 the logged command is the chirp itself, and each
@@ -1033,7 +1047,7 @@ class TestScenario:
         # replay every tick of a position chirp through the public block
         # methods: the reference and kinematics on reference ticks, the
         # impedance, ForceController.step, then the written-out coupled step
-        # (four LseaPlant.advance calls and two pendulum RK4 steps)
+        # (two LseaPlant.advance calls and one pendulum RK4 step)
         n = 2 * _LOG_BLOCK_TICKS + 3
         sc = short_pendulum_scenario(duration=n / 1000.0)
         sc.estimate_backlash_m = 0.002
