@@ -174,8 +174,8 @@ class LeakyState:
     def __post_init__(self):
         if not (0.0 <= self.alpha_v <= 1.0 and 0.0 <= self.alpha_p <= 1.0):
             raise ValueError("alpha rates must lie in [0, 1]")
-        if self.dT <= 0.0:
-            raise ValueError("step time must be positive")
+        if not 0.0 < self.dT < math.inf:
+            raise ValueError("step time must be positive and finite")
 
 
 def leaky_step(st: LeakyState, qddot_d, q_measured):

@@ -39,19 +39,9 @@ from .sysid import (
 
 def _pid_config(cfg: dict) -> PidConfig:
     c = cfg["control"]
-    lam = c["lambda_direct"] if c["lambda_direct"] > 0.0 else 1e-3 * c["lambda_c"]
-    return PidConfig(c["k_p"], c["k_i"], c["k_d"], lam)
-
-
-def _plant_config(cfg: dict) -> PlantConfig:
-    p = cfg["plant"]
-    return PlantConfig(
-        den_factors=tuple(p["den_factors"]),
-        gain_factor=p["gain_factor"],
-        stiction_breakaway=p["stiction_breakaway"],
-        stiction_velocity_deadband=p["stiction_velocity_deadband"],
-        backlash=p["backlash"],
-    )
+    if c["lambda_direct"] > 0.0:
+        return PidConfig(c["k_p"], c["k_i"], c["k_d"], c["lambda_direct"])
+    return PidConfig.from_gain_row(c["k_p"], c["k_i"], c["k_d"], c["lambda_c"])
 
 
 def _pendulum_config(cfg: dict) -> PendulumConfig:
@@ -66,7 +56,7 @@ def _base_scenario(cfg: dict, reference: ReferenceSpec, **overrides) -> SimScena
     kwargs = dict(
         reference=reference,
         duration_s=sn["duration_s"],
-        plant=_plant_config(cfg),
+        plant=PlantConfig(**cfg["plant"]),
         pid=_pid_config(cfg),
         impedance=ImpedanceConfig(c["k"], c["b"]),
         k_ff=c["k_ff"] * c["ff_current_scale"],

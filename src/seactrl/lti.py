@@ -20,6 +20,7 @@ are not guaranteed, only passed through.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,8 +158,8 @@ class DiscreteIirFilter:
     __slots__ = ("a_hat", "b_hat", "T", "_z", "_step")
 
     def __init__(self, a_hat, b_hat, T: float):
-        if T <= 0.0:
-            raise ValueError(f"sample period must be positive, got {T}")
+        if not 0.0 < T < math.inf:
+            raise ValueError(f"sample period must be positive and finite, got {T}")
         self.a_hat = np.atleast_1d(np.asarray(a_hat, dtype=float)).ravel()
         self.b_hat = np.asarray(b_hat, dtype=float).ravel()
         self.T = float(T)

@@ -9,15 +9,13 @@ substeps with the input held; every stepper of a plant, and
 ``LseaPlant.advance``, steps the one state that lives in the plant's
 closure scope.  Without backlash, a step whose substeps all see one
 effective input (an input at or above the stiction breakaway, or, below
-it, zero or the input on every substep, by the Karnopp test decided for
-all substeps before the step: by one bound on every substep's rate where
-it decides, else by each substep's cached rate row) is one cached linear
-map, the substep recurrence composed in Python floats; every other step
-runs its substeps one by one.  Both maps hold Python
-floats, so the plant output, and from it the observer, PID and pendulum
-state, stays a Python float rather than a numpy scalar.  Injectable
-perturbations stand in
-for everything the disturbance observer must absorb: multiplicative
+it, zero or the input on every substep, where one bound on every
+substep's rate decides that before the step) is one cached linear map,
+the substep recurrence composed in Python floats; every other step runs
+its substeps one by one.  Both maps hold Python floats, so the plant
+output, and from it the observer, PID and pendulum state, stays a Python
+float rather than a numpy scalar.  Injectable perturbations stand in for
+everything the disturbance observer must absorb: multiplicative
 denominator/gain perturbation (structural-elasticity emulation), a Karnopp
 stiction dead-band on the effective input, and a hysteretic backlash play.
 
@@ -51,7 +49,6 @@ import numpy as np
 
 from .control import (
     DobConfig,
-    ForceController,
     ImpedanceConfig,
     PidConfig,
     _check_finite,
@@ -85,8 +82,8 @@ class SimulationFault(RuntimeError):
     """A scenario produced a non-finite value.
 
     ``what`` names the signal: ``theta``/``theta_dot`` (pendulum state),
-    ``f_o`` (plant output), ``f_d`` (the desired force the controller
-    rejected) or ``i_m`` (the current command).  ``time`` is the start of
+    ``f_o`` (plant output), ``f_d`` (desired force) or ``i_m`` (current
+    command), checked in that order.  ``time`` is the start of
     the controller step that reports it.  A value produced at the end of
     step k (``f_o``, ``theta``, ``theta_dot``) is reported at the start of
     step k + 1; an angle that overflows inside one of step k's RK4 stages,
@@ -165,7 +162,7 @@ class LseaPlant:
         self.stiction_velocity_deadband = float(stiction_velocity_deadband)
         self._play = BacklashPlay(backlash) if backlash > 0.0 else None
         self._step_cache: dict[float, tuple] = {}
-        self._lift_cache: dict[tuple[float, int], tuple[tuple, tuple, tuple]] = {}
+        self._lift_cache: dict[tuple[float, int], tuple[tuple, tuple]] = {}
         self._steppers: dict[tuple[float, int], Callable[[float], float]] = {}
         self._state, self._new_stepper = self._scope()
 
@@ -208,15 +205,12 @@ class LseaPlant:
         the substep recurrence of ``_coeffs(dt)``, which holds Python floats,
         ``n`` times on each unit state (zero input) and on the zero state
         (unit input), so each entry is that composition.  Returns ``(lifted,
-        rows, bound)`` in Python floats: ``lifted`` holds the nine entries
-        of ``P`` row by row, then the three of ``G``; ``rows[j - 1] = (r0,
-        r1, r2, s)``, read off the same compositions, gives the rate ``x1``
-        after ``j < n`` substeps as ``r0 x0 + r1 x1 + r2 x2 + s u``; and
-        ``bound = (d0, d1, d2, ds)``, taken over the rows in the same pass,
-        holds ``d_i = max_j |r_ji - e1_i|`` with ``e1 = (0, 1, 0)`` and ``ds
-        = max_j |s_j|``, so every row's rate lies within ``d0 |x0| + d1 |x1|
-        + d2 |x2| + ds |u|`` of ``x1`` (all zeros for one substep, which has
-        no rows).
+        bound)`` in Python floats: ``lifted`` holds the nine entries of ``P``
+        row by row, then the three of ``G``; ``bound = (d0, d1, d2, ds)``,
+        kept in the same runs, holds the largest deviation ``|x1 - e1_i|``
+        of each run's rate after substeps 1 ... n - 1, with ``e1 = (0, 1, 0,
+        0)``, so the rate after any of them lies within ``d0 |x0| + d1 |x1|
+        + d2 |x2| + ds |u|`` of ``x1`` (all zeros for one substep).
         """
         key = (dt, substeps)
         cached = self._lift_cache.get(key)
@@ -224,24 +218,22 @@ class LseaPlant:
             return cached
         m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2 = self._coeffs(dt)
 
-        def compose(x0, x1, x2, u):
-            rates = []
-            for _ in range(substeps):
+        def compose(x0, x1, x2, u, e1):
+            deviation = 0.0
+            for j in range(substeps):
+                if j:
+                    deviation = max(deviation, abs(x1 - e1))
                 x0, x1, x2 = (
                     m00 * x0 + m01 * x1 + m02 * x2 + n0 * u,
                     m10 * x0 + m11 * x1 + m12 * x2 + n1 * u,
                     m20 * x0 + m21 * x1 + m22 * x2 + n2 * u,
                 )
-                rates.append(x1)
-            return x0, x1, x2, rates
+            return x0, x1, x2, deviation
 
-        runs = (compose(1.0, 0.0, 0.0, 0.0), compose(0.0, 1.0, 0.0, 0.0),
-                compose(0.0, 0.0, 1.0, 0.0), compose(0.0, 0.0, 0.0, 1.0))
+        runs = (compose(1.0, 0.0, 0.0, 0.0, 0.0), compose(0.0, 1.0, 0.0, 0.0, 1.0),
+                compose(0.0, 0.0, 1.0, 0.0, 0.0), compose(0.0, 0.0, 0.0, 1.0, 0.0))
         lifted = (*(run[i] for i in range(3) for run in runs[:3]), *runs[3][:3])
-        rows = tuple(zip(*(run[3][:-1] for run in runs)))
-        bound = tuple(max((abs(row[i] - e) for row in rows), default=0.0)
-                      for i, e in enumerate((0.0, 1.0, 0.0, 0.0)))
-        cached = self._lift_cache[key] = lifted, rows, bound
+        cached = self._lift_cache[key] = lifted, tuple(run[3] for run in runs)
         return cached
 
     def _scope(self):
@@ -269,11 +261,11 @@ class LseaPlant:
             # agrees is one lifted map (for one substep, the substep's own,
             # entry for entry)
             lifted = play is None
-            (p00, p01, p02, p10, p11, p12, p20, p21, p22, g0, g1, g2), rows, bound = (
-                self._lifted(dt, substeps) if lifted else ((math.nan,) * 12, (), ()))
-            # for |cy| < 1 a row's sum can overflow while v + b stays
-            # finite, so a NaN bound leaves every call to the rows
-            d0, d1, d2, ds = bound if bound and acy >= 1.0 else (math.nan,) * 4
+            (p00, p01, p02, p10, p11, p12, p20, p21, p22, g0, g1, g2), bound = (
+                self._lifted(dt, substeps) if lifted else ((math.nan,) * 12, None))
+            # for |cy| < 1 a rate can overflow while v + b stays finite, so
+            # a NaN bound steps every held call
+            d0, d1, d2, ds = bound if lifted and acy >= 1.0 else (math.nan,) * 4
             substep_range = range(substeps)
 
             def advance(i_m):
@@ -284,10 +276,9 @@ class LseaPlant:
                 if stuck_input and lifted:
                     # decide the rate half for every substep before stepping:
                     # substep 0's answer picks the input; the rate |cy x1|
-                    # after j substeps of it, as rows[j - 1] computes it,
-                    # lies within b of v, so b alone decides when v -+ b is
-                    # on substep 0's side (a NaN or inf never is), and the
-                    # rows decide otherwise; if all agree, lift
+                    # after any substep of it lies within b of v, so the call
+                    # is lifted when v -+ b is on substep 0's side (a NaN or
+                    # inf never is), and stepped otherwise
                     v = abs(cy * x1)
                     zeroed = v < vdead
                     ue = 0.0 if zeroed else u
@@ -295,13 +286,6 @@ class LseaPlant:
                     b += 1e-9 * (v + b) + floor
                     if (v + b < vdead) if zeroed else (v - b >= vdead):
                         u, stuck_input = ue, False
-                    else:
-                        for r0, r1, r2, s in rows:
-                            rate = r0 * x0 + r1 * x1 + r2 * x2 + s * ue
-                            if (abs(cy * rate) < vdead) is not zeroed:
-                                break
-                        else:
-                            u, stuck_input = ue, False
                 if lifted and not stuck_input:
                     x0, x1, x2 = (
                         p00 * x0 + p01 * x1 + p02 * x2 + g0 * u,
@@ -336,23 +320,21 @@ class LseaPlant:
         one substep it equals the substep's own map entry for entry) when
         every substep sees one effective input: always for an input at or
         above the stiction breakaway (or without stiction), and below it
-        when the Karnopp rate test, decided for all substeps from the state
-        before the call, zeroes the input on every substep or on none.  That
-        test is decided first by one bound: every substep's rate, as its
-        row computes it, lies within ``b = |c_y| (d0 |x0| + d1 |x1| + d2
-        |x2| + ds |u_e|)`` of ``v = |c_y x1|`` (``_lifted``'s ``bound``),
-        ``b`` widened by ``1e-9 (v + b)`` for the rows' rounding and by a
-        floor for underflow, so ``v + b`` below the dead-band (substep 0
-        zeroed) or ``v - b`` at or above it (not zeroed) decides the call as
-        the rows would.  Only a call the bound cannot decide, or whose ``v``
-        or ``b`` is NaN or infinite, reads the rows; so does every call of a
-        plant with ``|c_y| < 1``, where a row can overflow while ``v + b``
-        stays finite.  Otherwise the substeps are stepped one by one, each
-        applying the Karnopp test and the backlash play.  The step returns the
-        transmitted force after the last substep.  Steppers are built once
-        per ``(dt, substeps)`` and cached.  A ``dt`` that is not positive
-        and finite, or ``substeps`` that is not a positive integer, raises
-        ``ValueError`` before anything is cached or stepped.
+        when one bound decides, from the state before the call, that the
+        Karnopp rate test zeroes the input on every substep or on none.
+        Every substep's rate lies within ``b = |c_y| (d0 |x0| + d1 |x1| + d2
+        |x2| + ds |u_e|)`` of ``v = |c_y x1|`` (``_lifted``'s ``bound``), ``b``
+        widened by ``1e-9 (v + b)`` for rounding and by a floor for
+        underflow, so ``v + b`` below the dead-band (substep 0 zeroed) or
+        ``v - b`` at or above it (not zeroed) lifts the call.  Every other
+        call, and every held call of a plant with ``|c_y| < 1``, where a rate
+        can overflow while ``v + b`` stays finite, is stepped: its substeps
+        one by one, each applying the Karnopp test and the backlash play.
+        The step returns the transmitted force after the last substep.
+        Steppers are built once per ``(dt, substeps)`` and cached.  A ``dt``
+        that is not positive and finite, or ``substeps`` that is not a
+        positive integer, raises ``ValueError`` before anything is cached or
+        stepped.
         """
         key = (dt, substeps)
         step = self._steppers.get(key)
@@ -428,7 +410,11 @@ def free_oscillation_frequency(theta0: float = 0.1, duration: float = 30.0,
 
 @dataclass
 class PlantConfig:
-    """Buildable description of the simulated actuator (keeps scenarios re-runnable)."""
+    """Buildable description of the simulated actuator (keeps scenarios re-runnable).
+
+    Its fields are ``LseaPlant``'s parameters and the config's ``[plant]``
+    keys.
+    """
 
     den_factors: tuple = (1.0, 1.0, 1.0, 1.0)
     gain_factor: float = 1.0
@@ -437,13 +423,7 @@ class PlantConfig:
     backlash: float = 0.0
 
     def build(self) -> LseaPlant:
-        return LseaPlant(
-            den_factors=self.den_factors,
-            gain_factor=self.gain_factor,
-            stiction_breakaway=self.stiction_breakaway,
-            stiction_velocity_deadband=self.stiction_velocity_deadband,
-            backlash=self.backlash,
-        )
+        return LseaPlant(**vars(self))
 
 
 @dataclass
@@ -654,7 +634,7 @@ def run_scenario(sc: SimScenario) -> SimLog:
     row resident), and every other column is a read-only zero-stride
     ``+0.0``, which the CSV writer reads as one value.  Re-running an
     identical scenario yields bit-identical output.  A non-finite pendulum
-    state, plant output, rejected desired force or current command raises
+    state, plant output, desired force or current command raises
     ``SimulationFault`` with the step time.
     """
     sc.validate()
@@ -682,10 +662,8 @@ def run_scenario(sc: SimScenario) -> SimLog:
     est_play = BacklashPlay(sc.estimate_backlash_m) if sc.estimate_backlash_m > 0.0 else None
 
     dob_cfg = DobConfig(sc.omega_c, sc.gamma, nominal_lsea_tf())
-    fc: ForceController | None = None
     if position_chirp or force_step:
-        fc = build_force_controller(sc.pid, dob_cfg, sc.k_ff, T)
-        fc_step = fc.stepper()
+        fc_step = build_force_controller(sc.pid, dob_cfg, sc.k_ff, T).stepper()
     else:
         dob_step = build_observer(dob_cfg, T).stepper()
         chirp = exponential_chirp(ref.amplitude, ref.f_start, ref.f_end, sc.duration_s)
@@ -746,8 +724,7 @@ def run_scenario(sc: SimScenario) -> SimLog:
 
             if not math.isfinite(f_o):
                 raise SimulationFault(t, "f_o")
-            if fc is not None and fc.fault:
-                # f_o is finite, so the controller rejected f_d
+            if not math.isfinite(f_d):
                 raise SimulationFault(t, "f_d")
             if not math.isfinite(i_m):
                 raise SimulationFault(t, "i_m")

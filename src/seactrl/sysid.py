@@ -177,8 +177,8 @@ class TimeSeries:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.sample_period <= 0.0:
-            raise ValueError("sample period must be positive")
+        if not 0.0 < self.sample_period < math.inf:
+            raise ValueError("sample period must be positive and finite")
         self.samples = np.asarray(self.samples, dtype=float).ravel()
         if self.samples.size == 0:
             raise ValueError("time series must be non-empty")

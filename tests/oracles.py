@@ -10,8 +10,10 @@ from scipy's zero-order-hold discretization of the plant; the CSV
 reference formats each value on its own.  The exceptions write out, with
 the library's own maps, what the library must match bit for bit:
 ``pendulum_tick_reference`` the controller step of ``run_scenario``'s
-pendulum path, ``stepped_call``, ``lifted_call`` and
-``held_call_reference`` one plant call with stiction, and
+pendulum path, ``rate_rows`` the substep rates whose deviations
+``LseaPlant._lifted`` keeps as its bound, ``stepped_call``,
+``lifted_call`` and ``held_call_reference`` one plant call with
+stiction, and
 ``ThirdOrderObserver`` the third-order observer step, from the two
 filters' coefficients.
 """
@@ -175,6 +177,32 @@ def substep_composition(coeffs, n):
         gain = gain + power @ n_col
         power = m @ power
     return power, gain
+
+
+def rate_rows(plant, dt, n):
+    """The rate rows of ``n`` substeps of ``plant._coeffs(dt)``, in Python floats.
+
+    ``rows[j - 1] = (r0, r1, r2, s)`` gives the rate ``x1`` after ``j < n``
+    substeps as ``r0 x0 + r1 x1 + r2 x2 + s u``.  Each row is read off the
+    substep recurrence run on each unit state (zero input) and on the zero
+    state (unit input), the runs ``plant._lifted(dt, n)`` composes, so its
+    ``bound`` is these rows' largest deviation from ``(0, 1, 0, 0)``.
+    """
+    m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2 = plant._coeffs(dt)
+
+    def rates(x0, x1, x2, u):
+        out = []
+        for _ in range(n - 1):
+            x0, x1, x2 = (
+                m00 * x0 + m01 * x1 + m02 * x2 + n0 * u,
+                m10 * x0 + m11 * x1 + m12 * x2 + n1 * u,
+                m20 * x0 + m21 * x1 + m22 * x2 + n2 * u,
+            )
+            out.append(x1)
+        return out
+
+    return tuple(zip(rates(1.0, 0.0, 0.0, 0.0), rates(0.0, 1.0, 0.0, 0.0),
+                     rates(0.0, 0.0, 1.0, 0.0), rates(0.0, 0.0, 0.0, 1.0)))
 
 
 def stepped_call(plant, state, u, dt, n):

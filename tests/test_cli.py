@@ -376,3 +376,29 @@ def test_installed_entry_point_runs_the_cli():
     assert direct.returncode == 0, direct.stderr
     assert script.stdout == direct.stdout
     assert "dc_gain_at_z1 = " in script.stdout
+
+
+NUMPY_ONLY_CHILD = """
+import sys
+sys.modules["scipy"] = sys.modules["hypothesis"] = None  # importing either fails
+from seactrl.cli import main
+ini, out = sys.argv[1:]
+runs = [["discretize", "--tf", "pn", "--rate", "1000"],
+        ["dob-verify", "--config", ini, "--out", out + "/dob"],
+        ["fit", "--config", ini, "--out", out + "/fit"],
+        ["pendulum-chirp", "--dob", "both", "--config", ini, "--out", out + "/pend"]]
+sys.exit(max(main(argv) for argv in runs))
+"""
+
+
+def test_package_runs_on_numpy_alone(tmp_path):
+    # the package needs numpy only: with scipy and hypothesis unimportable,
+    # a child interpreter discretizes and runs three experiments
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    ini = write(tmp_path, "short.ini", "[scenario]\nduration_s = 0.5\n")
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_CHILD, ini, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "dc_gain_at_z1 = " in proc.stdout

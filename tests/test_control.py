@@ -472,6 +472,12 @@ class TestLeakyIntegration:
         with pytest.raises(ValueError):
             LeakyState(alpha_v=0.0, alpha_p=0.0, dT=0.0)
 
+    @pytest.mark.parametrize("dT", [math.nan, math.inf, -1e-3])
+    def test_rejects_step_time_not_positive_and_finite(self, dT):
+        # dT = nan used to be accepted, and leaky_step returned (nan, nan)
+        with pytest.raises(ValueError, match="step time must be positive"):
+            LeakyState(alpha_v=0.5, alpha_p=0.5, dT=dT)
+
 
 class TestDobLoopPrediction:
     """The simulated DOB loop against its exact sampled-data prediction."""

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -222,6 +224,12 @@ class TestFilterStep:
         first = filt.run([1.0, 0.5, -0.25]).copy()
         filt.reset()
         assert np.array_equal(filt.run([1.0, 0.5, -0.25]), first)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1e-3])
+    def test_rejects_period_not_positive_and_finite(self, T):
+        # a NaN period used to be accepted, and freq_response then returned NaN
+        with pytest.raises(ValueError, match="sample period must be positive"):
+            DiscreteIirFilter([1.0, 1.0], [0.5], T)
 
     def test_nan_propagates(self):
         filt = bilinear_discretize(ContinuousTransferFunction([1.0], [1.0, 1.0]), 0.01)

@@ -130,6 +130,13 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries(0.01, [])
 
+    @pytest.mark.parametrize("period", [math.nan, math.inf, -0.01])
+    def test_rejects_period_not_positive_and_finite(self, period):
+        # a NaN period used to be accepted, and empirical_frf then failed
+        # with "must share the sample period", which does not name it
+        with pytest.raises(ValueError, match="sample period must be positive"):
+            TimeSeries(period, [1.0, 2.0])
+
 
 def _ulps(v, n=2):
     """``v`` and its ``n`` float64 neighbours on each side."""
