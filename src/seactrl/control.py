@@ -5,15 +5,15 @@ disturbance observer (DOB): the observer passes the measured force through
 Q/P (inverse nominal plant made causal by a third-order low-pass Q) and
 the previous command through Q, and subtracts the two.  Q/P and Q are put
 over one continuous denominator before Tustin, so the observer is a single
-two-input discrete filter.  ``DisturbanceObserver.step`` closes the blend
-u = u_c - gamma * d_hat with a gain ``gamma`` in [0, 1] and keeps u as the
-command the next estimate compares against.  Each stateful block (PID,
-observer, force loop) also hands out its step as a closure over its
-coefficients and state (``stepper``), which the simulator builds once per
-scenario.  The observer's step keeps a third-order state, the order every
-nominal plant with a constant numerator gives, in three closure locals and
-is written out; another order falls back to a state list and a loop, with
-the same arithmetic.  Upstream of the force loop sit a virtual spring/damper
+two-input discrete filter.  Its step closes the blend u = u_c - gamma *
+d_hat with a gain ``gamma`` in [0, 1] and keeps u as the command the next
+estimate compares against.  Each stateful block (PID, observer, force
+loop) hands out its step as a closure over its coefficients and state
+(``stepper``), which the simulator builds once per scenario.  The
+observer's step keeps a third-order state, the order every nominal plant
+with a constant numerator gives, in three closure locals and is written
+out; another order falls back to a state list and a loop, with the same
+arithmetic.  Upstream of the force loop sit a virtual spring/damper
 (impedance) and leaky integration of desired accelerations.
 """
 
@@ -212,10 +212,10 @@ class DisturbanceObserver:
     built once per observer, ``step(u_c, f_measured) -> (u, d_hat)``: it
     estimates from the current force measurement, subtracts ``gamma *
     d_hat`` from the command and keeps the result as ``u_prev``, the
-    command the next estimate compares against.  The filter state, ``u_prev`` and ``d_hat``
-    live in the closure's scope, which ``step``, ``estimate``, ``reset``
-    and the ``u_prev``/``d_hat`` properties share; ``gamma`` is bound at
-    construction.
+    command the next estimate compares against.  The filter state and
+    ``u_prev`` live in the closure's scope, which ``estimate`` shares;
+    ``gamma`` is bound at construction, and a non-finite one raises
+    ``ValueError``.
     """
 
     def __init__(self, inv_plant: DiscreteIirFilter, q: DiscreteIirFilter, gamma: float):
@@ -223,6 +223,8 @@ class DisturbanceObserver:
             raise ValueError("observer filters must share the sample period")
         if not np.array_equal(inv_plant.b_hat, q.b_hat):
             raise ValueError("observer filters must share the denominator")
+        if not math.isfinite(gamma):
+            raise ValueError(f"observer gain gamma must be finite, got {gamma}")
         n = max(1, inv_plant.a_hat.size - 1, q.a_hat.size - 1, q.b_hat.size)
 
         def padded(c, size):
@@ -234,54 +236,42 @@ class DisturbanceObserver:
         self._b = tuple(padded(q.b_hat, n))
         self.T = q.T
         self.gamma = float(gamma)
-        self._state, self._step, self._estimate, self._reset = self._scope(n)
+        self._step, self._estimate = self._scope(n)
 
     def _scope(self, n: int):
-        """Build the observer's closures over one state of ``n`` filter values.
+        """Build the observer's ``(step, estimate)`` over one state of ``n`` values.
 
         The state is three closure locals for ``n == 3`` and a list otherwise.
         """
         p0, p, q0, q, b, gamma = self._p0, self._p, self._q0, self._q, self._b, self.gamma
-        u_prev = d_hat = 0.0
+        u_prev = 0.0
 
         if n == 3:
             (p1, p2, p3), (q1, q2, q3), (b1, b2, b3) = p, q, b
             z0 = z1 = z2 = 0.0
 
             def step(u_c, f):
-                nonlocal u_prev, d_hat, z0, z1, z2
+                nonlocal u_prev, z0, z1, z2
                 u = u_prev
                 d = p0 * f - q0 * u + z0
                 z0 = z1 + p1 * f - q1 * u + b1 * d
                 z1 = z2 + p2 * f - q2 * u + b2 * d
                 z2 = p3 * f - q3 * u + b3 * d
-                d_hat = d
                 u_prev = u_c - gamma * d
                 return u_prev, d
-
-            def clear():
-                nonlocal z0, z1, z2
-                z0 = z1 = z2 = 0.0
         else:
             z = [0.0] * n
             mid, last = range(n - 1), n - 1
 
             def step(u_c, f):
-                nonlocal u_prev, d_hat
+                nonlocal u_prev
                 u = u_prev
                 d = p0 * f - q0 * u + z[0]
                 for i in mid:
                     z[i] = z[i + 1] + p[i] * f - q[i] * u + b[i] * d
                 z[last] = p[last] * f - q[last] * u + b[last] * d
-                d_hat = d
                 u_prev = u_c - gamma * d
                 return u_prev, d
-
-            def clear():
-                z[:] = [0.0] * n
-
-        def state():
-            return u_prev, d_hat
 
         def estimate(f):
             # a step that keeps u_prev, so the recurrence has one home
@@ -291,55 +281,35 @@ class DisturbanceObserver:
             u_prev = u
             return d
 
-        def reset():
-            nonlocal u_prev, d_hat
-            clear()
-            u_prev = d_hat = 0.0
-
-        return state, step, estimate, reset
-
-    @property
-    def u_prev(self) -> float:
-        """The blended command the next estimate compares against."""
-        return self._state()[0]
-
-    @property
-    def d_hat(self) -> float:
-        """The latest disturbance estimate."""
-        return self._state()[1]
+        return step, estimate
 
     def stepper(self):
         """Return the observer step ``step(u_c, f_measured) -> (u, d_hat)``."""
         return self._step
 
     def estimate(self, f_measured: float) -> float:
-        """Return and keep ``d_hat`` from ``f_measured``; ``u_prev`` is unchanged."""
+        """Return ``d_hat`` from ``f_measured``; ``u_prev`` is unchanged."""
         return self._estimate(f_measured)
-
-    def step(self, u: float, f_measured: float) -> float:
-        """Return and keep the blended command u - gamma * d_hat."""
-        return self._step(u, f_measured)[0]
-
-    def reset(self) -> None:
-        self._reset()
 
 
 class ForceController:
     """PID + feedforward + DOB force loop producing motor-current commands.
 
-    ``k_ff`` is the feedforward current per unit of desired force.  One
-    instance per actuator; stateful, single-owner.  A non-finite input
-    raises the ``fault`` flag and holds the previous command instead of
-    propagating NaN into the filters; ``reset`` clears it.
+    ``k_ff`` is the feedforward current per unit of desired force; a
+    non-finite one raises ``ValueError``.  One instance per actuator;
+    stateful, single-owner.  The loop checks no input: a non-finite one
+    enters the filters (``run_scenario`` checks the plant output before
+    the call, and the desired force and the command after it).
     """
 
     def __init__(self, pid: DiscreteIirFilter, dob: DisturbanceObserver, k_ff: float):
         if pid.T != dob.T:
             raise ValueError("controller filters must share the sample period")
+        if not math.isfinite(k_ff):
+            raise ValueError(f"feedforward gain k_ff must be finite, got {k_ff}")
         self.pid = pid
         self.dob = dob
         self.k_ff = float(k_ff)
-        self.fault = False
         self._step = self.stepper()
 
     def stepper(self):
@@ -348,14 +318,9 @@ class ForceController:
         It composes the PID's and the observer's steppers, so it advances
         their state, with the ``k_ff`` feedforward bound when it is built.
         """
-        pid_step, dob_step, dob = self.pid.stepper(), self.dob.stepper(), self.dob
-        k_ff = self.k_ff
-        isfinite = math.isfinite
+        pid_step, dob_step, k_ff = self.pid.stepper(), self.dob.stepper(), self.k_ff
 
         def step(f_desired, f_measured):
-            if not (isfinite(f_desired) and isfinite(f_measured)):
-                self.fault = True
-                return dob.u_prev, dob.d_hat
             return dob_step(pid_step(f_desired - f_measured) + k_ff * f_desired, f_measured)
 
         return step
@@ -363,11 +328,6 @@ class ForceController:
     def step(self, f_desired: float, f_measured: float) -> float:
         """One control tick: returns the motor current command in amperes."""
         return self._step(f_desired, f_measured)[0]
-
-    def reset(self) -> None:
-        self.pid.reset()
-        self.dob.reset()
-        self.fault = False
 
 
 def build_observer(dob: DobConfig, T: float) -> DisturbanceObserver:

@@ -150,9 +150,8 @@ class DiscreteIirFilter:
     ``n`` floats (one for a static gain) and each sample costs ``2n + 1``
     multiply-adds with no numpy call.  This is the structure of
     ``scipy.signal.lfilter``.  ``step`` calls that closure, so every
-    stepper and ``step`` advance one state.  The state is zero-initialized;
-    an instance is single-owner and must not be shared mutably between
-    threads.
+    stepper and ``step`` advance one zero-initialized state; an instance
+    is single-owner and must not be shared mutably between threads.
     """
 
     __slots__ = ("a_hat", "b_hat", "T", "_z", "_step")
@@ -171,15 +170,11 @@ class DiscreteIirFilter:
         """Denominator of the z-domain transfer function, monic."""
         return np.concatenate(([1.0], -self.b_hat))
 
-    def reset(self) -> None:
-        """Zero the state (all experiments start from rest)."""
-        self._z[:] = [0.0] * len(self._z)
-
     def stepper(self):
         """Return the DF2T step ``step(x0) -> y0`` over this filter's state.
 
         The coefficients are bound when it is built; the state is the
-        filter's own, which ``reset`` zeroes in place.
+        filter's own, so every stepper of one filter advances it.
         """
         z = self._z
         n = len(z)
@@ -199,13 +194,6 @@ class DiscreteIirFilter:
     def step(self, x0: float) -> float:
         """Advance one sample: take ``x0``, return ``y0``, update the state."""
         return self._step(x0)
-
-    def run(self, xs) -> np.ndarray:
-        """Filter a whole sequence, advancing the internal state."""
-        out = np.empty(len(xs))
-        for i, x in enumerate(xs):
-            out[i] = self.step(float(x))
-        return out
 
     def __call__(self, z):
         """Evaluate the z-domain transfer function at ``z``.

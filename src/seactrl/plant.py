@@ -83,8 +83,10 @@ class SimulationFault(RuntimeError):
 
     ``what`` names the signal: ``theta``/``theta_dot`` (pendulum state),
     ``f_o`` (plant output), ``f_d`` (desired force) or ``i_m`` (current
-    command), checked in that order.  ``time`` is the start of
-    the controller step that reports it.  A value produced at the end of
+    command), checked in that order: the first three at the start of a
+    controller step, before the controller reads them, the last two after
+    the controller call.  ``time`` is the start of the controller step
+    that reports it.  A value produced at the end of
     step k (``f_o``, ``theta``, ``theta_dot``) is reported at the start of
     step k + 1; an angle that overflows inside one of step k's RK4 stages,
     and ``f_d`` and ``i_m``, are reported at step k.
@@ -165,9 +167,6 @@ class LseaPlant:
         self._lift_cache: dict[tuple[float, int], tuple[tuple, tuple]] = {}
         self._steppers: dict[tuple[float, int], Callable[[float], float]] = {}
         self._state, self._new_stepper = self._scope()
-
-    def dc_gain(self) -> float:
-        return self.tf.dc_gain()
 
     def _coeffs(self, dt: float) -> tuple:
         """One RK4 substep of ``dt`` as the map ``x+ = M x + N u``.
@@ -635,7 +634,9 @@ def run_scenario(sc: SimScenario) -> SimLog:
     ``+0.0``, which the CSV writer reads as one value.  Re-running an
     identical scenario yields bit-identical output.  A non-finite pendulum
     state, plant output, desired force or current command raises
-    ``SimulationFault`` with the step time.
+    ``SimulationFault`` with the step time.  The block steppers check
+    nothing: the pendulum state and the plant output are checked before
+    the controller call, the desired force and the command after it.
     """
     sc.validate()
     T = 1.0 / sc.controller_hz
@@ -702,6 +703,8 @@ def run_scenario(sc: SimScenario) -> SimLog:
                 q_hat_a_j = l2 * theta
                 qdot_hat_a = l2 * theta_dot
                 q_hat_a_m = est_play.step(q_hat_a_j) if est_play is not None else q_hat_a_j
+            if not math.isfinite(f_o):
+                raise SimulationFault(t, "f_o")
 
             if position_chirp:
                 if k % ref_div == 0:
@@ -722,8 +725,6 @@ def run_scenario(sc: SimScenario) -> SimLog:
                 i_m, d_hat = dob_step(chirp(t), f_o)
                 f_d = 0.0
 
-            if not math.isfinite(f_o):
-                raise SimulationFault(t, "f_o")
             if not math.isfinite(f_d):
                 raise SimulationFault(t, "f_d")
             if not math.isfinite(i_m):

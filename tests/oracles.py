@@ -113,7 +113,7 @@ class ThirdOrderObserver:
         self.b1, self.b2, self.b3 = (float(c) for c in b)
         self.gamma = float(gamma)
         self.s1 = self.s2 = self.s3 = 0.0
-        self.u_prev = self.d_hat = 0.0
+        self.u_prev = 0.0
 
     def estimate(self, f):
         u = self.u_prev
@@ -121,7 +121,6 @@ class ThirdOrderObserver:
         self.s1 = self.s2 + self.f1 * f - self.u1 * u + self.b1 * d
         self.s2 = self.s3 + self.f2 * f - self.u2 * u + self.b2 * d
         self.s3 = self.f3 * f - self.u3 * u + self.b3 * d
-        self.d_hat = d
         return d
 
     def step(self, u_c, f):

@@ -49,6 +49,22 @@ def observer_plant(plant_num=None):
     return nominal if plant_num is None else ContinuousTransferFunction(plant_num, nominal.den)
 
 
+def nominal_observer_and_oracle(gamma):
+    """The nominal plant's observer and its written-out oracle.
+
+    The oracle's filters are discretized as ``build_observer`` does.
+    """
+    omega_c, plant = 2 * np.pi * 25.0, nominal_lsea_tf()
+    q = q_filter(omega_c)
+    den = np.convolve(q.den, plant.num)
+    inv_plant = bilinear_discretize(ContinuousTransferFunction(
+        np.convolve(q.num, plant.den), den), T)
+    q_over_den = bilinear_discretize(ContinuousTransferFunction(
+        np.convolve(q.num, plant.num), den), T)
+    oracle = ThirdOrderObserver(inv_plant.a_hat, q_over_den.a_hat, q_over_den.b_hat, gamma)
+    return build_observer(DobConfig(omega_c, gamma, plant), T), oracle
+
+
 def bits(x):
     """The IEEE bit pattern of ``x``, so ``-0.0`` differs from ``0.0``."""
     return np.array(x, dtype=np.float64).view(np.uint64)
@@ -163,6 +179,13 @@ class TestBuildForceController:
         with pytest.raises(CausalityError):
             build_force_controller(front_hip_pid(), DobConfig(100.0, 1.0, plant), 3.2e-3, T)
 
+    @pytest.mark.parametrize("k_ff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_k_ff_rejected(self, k_ff):
+        # a NaN k_ff used to be accepted, and the first step returned NaN
+        dob = DobConfig(2 * np.pi * 25.0, 0.8, nominal_lsea_tf())
+        with pytest.raises(ValueError, match="k_ff"):
+            build_force_controller(front_hip_pid(), dob, k_ff, T)
+
     def test_filters_share_period(self):
         fc = build_force_controller(
             front_hip_pid(), DobConfig(2 * np.pi * 25, 0.8, nominal_lsea_tf()), 3.2e-3, T)
@@ -191,45 +214,11 @@ class TestForceControlStep:
             fd, fm = rng.normal(), rng.normal()
             assert fc.step(fd, fm) == pid_ref.step(fd - fm) + 3.2e-3 * fd
 
-    def test_nan_rejected_command_held_fault_raised(self):
-        fc = self.make(0.8)
-        u1 = fc.step(10.0, 0.0)
-        assert not fc.fault
-        assert fc.step(np.nan, 0.0) == u1
-        assert fc.fault
-        assert fc.step(10.0, np.inf) == u1
-
-    def test_stepper_fault_holds_previous_command(self):
-        fc = self.make(0.8)
-        step = fc.stepper()
-        step(10.0, 0.0)
-        held = step(10.0, 1.0)
-        assert held == (fc.dob.u_prev, fc.dob.d_hat) and held[1] != 0.0
-        assert not fc.fault
-        assert step(np.nan, 0.0) == held
-        assert fc.fault
-        assert step(10.0, np.inf) == held
-        assert (fc.dob.u_prev, fc.dob.d_hat) == held
-
-    def test_reset_zeroes_state_live_steppers_see(self):
-        # a stepper built before reset continues from rest, like a fresh
-        # controller's (PID and observer state alike)
-        fc, fresh = self.make(0.8), self.make(0.8)
-        step, fresh_step = fc.stepper(), fresh.stepper()
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            step(float(rng.normal(100.0)), float(rng.normal()))
-        fc.reset()
-        assert (fc.dob.u_prev, fc.dob.d_hat) == (0.0, 0.0)
-        for _ in range(200):
-            fd, fm = float(rng.normal(100.0)), float(rng.normal())
-            assert step(fd, fm) == fresh_step(fd, fm)
-
     def test_dob_null_on_nominal_plant(self):
         # close the observer blend around the discretized nominal plant: the
         # force it measures comes from the previous blended command, so the
         # estimate stays at the rounding floor
-        fc = self.make(1.0)
+        dob_step = self.make(1.0).dob.stepper()
         plant_d = bilinear_discretize(nominal_lsea_tf(), T)
         rng = np.random.default_rng(3)
         i_m = 0.0
@@ -237,16 +226,9 @@ class TestForceControlStep:
         for _ in range(2000):
             f = plant_d.step(i_m)
             u_c = 0.5 * np.sin(0.3 * _ * T * 2 * np.pi) + 0.1 * rng.normal()
-            i_m = fc.dob.step(u_c, f)
-            worst = max(worst, abs(fc.dob.d_hat))
+            i_m, d_hat = dob_step(u_c, f)
+            worst = max(worst, abs(d_hat))
         assert worst < 1e-9
-
-    def test_reset(self):
-        fc = self.make(0.8)
-        fc.step(100.0, 20.0)
-        fc.reset()
-        assert fc.dob.u_prev == 0.0 and not fc.fault
-        assert fc.step(0.0, 0.0) == 0.0
 
 
 class TestDisturbanceObserver:
@@ -262,6 +244,13 @@ class TestDisturbanceObserver:
         with pytest.raises(ValueError):
             DisturbanceObserver(q, q2, 1.0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        # DobConfig rejects it; the observer itself used to step to NaN
+        q = bilinear_discretize(q_filter(100.0), 1e-3)
+        with pytest.raises(ValueError, match="gamma"):
+            DisturbanceObserver(q, q, gamma)
+
     @pytest.mark.parametrize("plant_num", [[208.8], [2.0, 100.0]])
     def test_matches_two_filter_reference(self, plant_num):
         # the fused filter against Q/P and Q discretized and run separately
@@ -271,13 +260,12 @@ class TestDisturbanceObserver:
         q = q_filter(cfg.omega_c)
         inv_plant = bilinear_discretize(ContinuousTransferFunction(
             np.convolve(q.num, plant.den), np.convolve(q.den, plant.num)), T)
-        dob = build_observer(cfg, T)
+        step = build_observer(cfg, T).stepper()
         rng = np.random.default_rng(17)
         f, u_c = rng.normal(size=(2, 10_000))
         got, u = np.empty(f.size), np.empty(f.size)
         for k in range(f.size):
-            u[k] = dob.step(float(u_c[k]), float(f[k]))
-            got[k] = dob.d_hat
+            u[k], got[k] = step(float(u_c[k]), float(f[k]))
         # step blends in the estimate and keeps the result as the next u_prev
         assert np.array_equal(u, u_c - cfg.gamma * got)
         ref = observer_reference(inv_plant, bilinear_discretize(q, T), f,
@@ -286,91 +274,42 @@ class TestDisturbanceObserver:
 
 
     @given(gamma=st.sampled_from([0.0, 0.8, 1.0]),
-           calls=st.lists(st.tuples(st.sampled_from(["stepper", "step", "estimate"]),
+           calls=st.lists(st.tuples(st.sampled_from(["stepper", "estimate"]),
                                     _SIGNED_INPUT, _SIGNED_INPUT), max_size=40))
     def test_third_order_step_equals_written_out_oracle(self, gamma, calls):
-        # the closure-local step against a written-out DF2T, bit for bit;
-        # the filters are discretized as build_observer does
-        omega_c, plant = 2 * np.pi * 25.0, nominal_lsea_tf()
-        q = q_filter(omega_c)
-        den = np.convolve(q.den, plant.num)
-        inv_plant = bilinear_discretize(ContinuousTransferFunction(
-            np.convolve(q.num, plant.den), den), T)
-        q_over_den = bilinear_discretize(ContinuousTransferFunction(
-            np.convolve(q.num, plant.num), den), T)
-        oracle = ThirdOrderObserver(inv_plant.a_hat, q_over_den.a_hat, q_over_den.b_hat, gamma)
-        dob = build_observer(DobConfig(omega_c, gamma, plant), T)
+        # the closure-local step against a written-out DF2T, bit for bit; a
+        # last step from zero inputs reads the state the calls left
+        dob, oracle = nominal_observer_and_oracle(gamma)
         step = dob.stepper()
-        for how, u_c, f in calls:
+        for how, u_c, f in calls + [("stepper", 0.0, 0.0)]:
             if how == "stepper":
                 got, want = step(u_c, f), oracle.step(u_c, f)
-            elif how == "step":
-                got, want = dob.step(u_c, f), oracle.step(u_c, f)[0]
             else:
                 got, want = dob.estimate(f), oracle.estimate(f)
             assert np.array_equal(bits(got), bits(want))
-            assert np.array_equal(bits((dob.u_prev, dob.d_hat)),
-                                  bits((oracle.u_prev, oracle.d_hat)))
 
     def test_third_order_observer_keeps_its_state_in_closure_locals(self):
         # every scenario's observer is third order: its step reads three
         # closure locals and runs no loop; another order keeps the list
         step = build_observer(DobConfig(2 * np.pi * 25.0, 1.0, nominal_lsea_tf()), T).stepper()
-        assert {"z0", "z1", "z2", "u_prev", "d_hat"} <= set(step.__code__.co_freevars)
+        assert {"z0", "z1", "z2", "u_prev"} <= set(step.__code__.co_freevars)
         assert "z" not in step.__code__.co_freevars
         assert not any(i.opname == "FOR_ITER" for i in dis.get_instructions(step))
         generic = build_observer(DobConfig(2 * np.pi * 25.0, 1.0, observer_plant(WITH_ZERO)),
                                  T).stepper()
         assert "z" in generic.__code__.co_freevars
 
-    @pytest.mark.parametrize("plant_num", [None, WITH_ZERO])
-    @pytest.mark.parametrize("through", ["observer", "controller"])
-    def test_reset_restores_a_fresh_twin(self, plant_num, through):
-        # observer and force-loop reset, on the written-out third-order
-        # path and on the generic one
-        cfg = DobConfig(2 * np.pi * 25.0, 0.8, observer_plant(plant_num))
-        if through == "observer":
-            used, fresh = build_observer(cfg, T), build_observer(cfg, T)
-            step, fresh_step = used.stepper(), fresh.stepper()
-            dob, fresh_dob = used, fresh
-        else:
-            used, fresh = (build_force_controller(front_hip_pid(), cfg, 3.2e-3, T)
-                           for _ in range(2))
-            step, fresh_step = used.stepper(), fresh.stepper()
-            dob, fresh_dob = used.dob, fresh.dob
-        rng = np.random.default_rng(29)
-        for _ in range(100):
-            step(float(rng.normal(100.0)), float(rng.normal()))
-            dob.estimate(float(rng.normal()))
-        assert dob.d_hat != 0.0
-        used.reset()
-        assert (dob.u_prev, dob.d_hat) == (fresh_dob.u_prev, fresh_dob.d_hat) == (0.0, 0.0)
-        for _ in range(300):
-            a, b = float(rng.normal(100.0)), float(rng.normal())
-            assert np.array_equal(bits(step(a, b)), bits(fresh_step(a, b)))
-            assert np.array_equal(bits(dob.estimate(b)), bits(fresh_dob.estimate(b)))
-
-    def test_stepper_equals_step_and_d_hat(self):
-        cfg = DobConfig(2 * np.pi * 25.0, 0.8, nominal_lsea_tf())
-        by_method, by_stepper = build_observer(cfg, T), build_observer(cfg, T)
-        step = by_stepper.stepper()
-        rng = np.random.default_rng(23)
-        for u_c, f in rng.normal(size=(2000, 2)).tolist():
-            u, d = step(u_c, f)
-            want = (by_method.step(u_c, f), by_method.d_hat)
-            assert np.array_equal(np.array((u, d)).view(np.uint64),
-                                  np.array(want).view(np.uint64))
-            assert by_stepper.u_prev == u and by_stepper.d_hat == d
-
     def test_estimate_keeps_u_prev(self):
-        dob = build_observer(DobConfig(2 * np.pi * 25.0, 1.0, nominal_lsea_tf()), T)
-        twin = build_observer(DobConfig(2 * np.pi * 25.0, 1.0, nominal_lsea_tf()), T)
-        u = dob.step(0.3, 1.0)
-        twin.step(0.3, 1.0)
+        dob, oracle = nominal_observer_and_oracle(1.0)
+        step = dob.stepper()
+        twin = build_observer(DobConfig(2 * np.pi * 25.0, 1.0, nominal_lsea_tf()), T).stepper()
+        assert step(0.3, 1.0) == twin(0.3, 1.0) == oracle.step(0.3, 1.0)
         d = dob.estimate(2.0)
-        assert dob.u_prev == u and dob.d_hat == d
+        assert d == oracle.estimate(2.0)
         # the estimate advanced the filter as a step from the same command does
-        assert twin.step(0.5, 2.0) == 0.5 - dob.gamma * d
+        assert twin(0.5, 2.0)[1] == d
+        # the next step reads the command the estimate kept
+        assert step(0.5, 3.0) == oracle.step(0.5, 3.0)
 
 
 class TestImpedance:

@@ -85,7 +85,7 @@ class TestLseaPlant:
 
     def test_unperturbed_dc_gain(self):
         p = LseaPlant()
-        assert p.dc_gain() == pytest.approx(208.8 / 987.0, rel=1e-12)
+        assert p.tf.dc_gain() == pytest.approx(208.8 / 987.0, rel=1e-12)
         f = 0.0
         for _ in range(4000):
             f = p.advance(1.0, 1e-3, 1)
@@ -126,7 +126,7 @@ class TestLseaPlant:
 
     def test_perturbation_scales_dc_gain(self):
         p = LseaPlant(den_factors=(1.0, 1.0, 1.0, 1.25), gain_factor=0.9)
-        assert p.dc_gain() == pytest.approx(0.9 * 208.8 / (1.25 * 987.0), rel=1e-12)
+        assert p.tf.dc_gain() == pytest.approx(0.9 * 208.8 / (1.25 * 987.0), rel=1e-12)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -1004,6 +1004,18 @@ class TestScenario:
         assert err.value.what == "f_d"
         assert err.value.time == 0.002
 
+    def test_plant_overflow_names_plant_output(self):
+        # a plant gain of 1e300 keeps the output finite through tick 0 and
+        # overflows it within tick 1, so the start of tick 2 reports f_o,
+        # before the controller reads it
+        sc = SimScenario(
+            reference=ReferenceSpec(kind="force_step", step_value=500.0, step_time=0.0),
+            duration_s=0.5, plant=PlantConfig(gain_factor=1e300), plant_hz=5000)
+        with pytest.raises(SimulationFault) as err:
+            run_scenario(sc)
+        assert err.value.what == "f_o"
+        assert err.value.time == 0.002
+
     @pytest.mark.parametrize("theta0, theta_dot0, what, time", [
         pytest.param(0.0, 1e308, "theta", 0.001, id="1e+308-theta"),
         pytest.param(1.797e308, 1e308, "theta", 0.0, id="1.797e+308-1e+308-theta"),
@@ -1046,9 +1058,9 @@ class TestScenario:
         assert np.array_equal(log.f_o.view(np.uint64), np.array(replay).view(np.uint64))
 
     def test_pendulum_block_log_across_block_boundaries(self):
-        # replay every tick of a position chirp through the public block
-        # methods: the reference and kinematics on reference ticks, the
-        # impedance, ForceController.step, then the written-out coupled step
+        # replay every tick of a position chirp through the public blocks:
+        # the reference and kinematics on reference ticks, the impedance,
+        # the ForceController's stepper, then the written-out coupled step
         # (two LseaPlant.advance calls and one pendulum RK4 step)
         n = 2 * _LOG_BLOCK_TICKS + 3
         sc = short_pendulum_scenario(duration=n / 1000.0)
@@ -1059,8 +1071,8 @@ class TestScenario:
         ref_div = sc.controller_hz // sc.reference_hz
         assert n % ref_div != 0
         ref, pend = sc.reference, sc.pendulum
-        fc = build_force_controller(sc.pid, DobConfig(sc.omega_c, sc.gamma, nominal_lsea_tf()),
-                                    sc.k_ff, T)
+        fc_step = build_force_controller(
+            sc.pid, DobConfig(sc.omega_c, sc.gamma, nominal_lsea_tf()), sc.k_ff, T).stepper()
         plant, pmap = sc.plant.build(), PendulumMap(pend.l2)
         play = BacklashPlay(sc.estimate_backlash_m)
         f_o, theta, theta_dot = 0.0, pend.theta0, pend.theta_dot0
@@ -1077,8 +1089,8 @@ class TestScenario:
                 f_ff = ff_force(pmap, theta, tau_ff)
             f_d = impedance_step(sc.impedance, q_a_d, qdot_a_d, q_hat_a_m,
                                  pend.l2 * theta_dot, f_ff)
-            i_m = fc.step(f_d, f_o)
-            want.append((t, qj_d, q_a_d, qdot_a_d, f_d, f_o, i_m, fc.dob.d_hat,
+            i_m, d_hat = fc_step(f_d, f_o)
+            want.append((t, qj_d, q_a_d, qdot_a_d, f_d, f_o, i_m, d_hat,
                          theta, theta_dot, q_hat_a_m, q_hat_a_j))
             f_o, theta, theta_dot = pendulum_tick_reference(
                 plant, pend, i_m, f_o, theta, theta_dot, 1.0 / sc.plant_hz, n_sub, T)
@@ -1091,9 +1103,9 @@ class TestScenario:
         ReferenceSpec(kind="current_chirp", amplitude=1.75, f_start=0.1, f_end=20.0),
     ], ids=["force_step", "current_chirp"])
     def test_tick_equals_block_by_block_replay(self, reference):
-        # replay the scenario through the public methods of fresh blocks:
-        # ForceController.step (force step) or DisturbanceObserver.step
-        # (DOB-on chirp), then LseaPlant.advance with the command held
+        # replay the scenario through fresh blocks: the ForceController's
+        # stepper (force step) or the DisturbanceObserver's (DOB-on chirp),
+        # then LseaPlant.advance with the command held
         sc = SimScenario(reference=reference, duration_s=0.6, gamma=1.0,
                          controller_hz=1000, plant_hz=5000,
                          plant=PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15))
@@ -1102,20 +1114,20 @@ class TestScenario:
         dob_cfg = DobConfig(sc.omega_c, sc.gamma, nominal_lsea_tf())
         plant = sc.plant.build()
         if reference.kind == "force_step":
-            fc = build_force_controller(sc.pid, dob_cfg, sc.k_ff, T)
-            dob = fc.dob
+            fc_step = build_force_controller(sc.pid, dob_cfg, sc.k_ff, T).stepper()
         else:
-            dob = build_observer(dob_cfg, T)
+            dob_step = build_observer(dob_cfg, T).stepper()
         f_o, want = 0.0, []
         for k in range(len(log)):
             t = k * T
             if reference.kind == "force_step":
-                i_m = fc.step(reference.step_value if t >= reference.step_time else 0.0, f_o)
+                i_m, d_hat = fc_step(
+                    reference.step_value if t >= reference.step_time else 0.0, f_o)
             else:
                 u_c = exponential_chirp_point(reference.amplitude, reference.f_start,
                                               reference.f_end, sc.duration_s, t)[0]
-                i_m = dob.step(u_c, f_o)
-            want.append((i_m, dob.d_hat, f_o))
+                i_m, d_hat = dob_step(u_c, f_o)
+            want.append((i_m, d_hat, f_o))
             f_o = plant.advance(i_m, 1.0 / sc.plant_hz, n_sub)
         got = np.stack((log.i_m, log.d_hat, log.f_o), axis=1)
         assert np.any(got[:, 1] != 0.0)

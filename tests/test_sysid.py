@@ -303,7 +303,8 @@ class TestEmpiricalFrf:
         def err(n):
             rng = np.random.default_rng(7)
             u = rng.normal(size=n)
-            y = bilinear_discretize(tf, 1e-3).run(u)
+            step = bilinear_discretize(tf, 1e-3).stepper()
+            y = np.array([step(x) for x in u.tolist()])
             frf = empirical_frf(TimeSeries(1e-3, u), TimeSeries(1e-3, y), grid)
             return np.nanmean(np.abs(frf.values - ref))
 
