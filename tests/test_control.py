@@ -299,6 +299,36 @@ class TestDisturbanceObserver:
                                  T).stepper()
         assert "z" in generic.__code__.co_freevars
 
+    @pytest.mark.parametrize("plant_num", [None, WITH_ZERO])
+    @pytest.mark.parametrize("through", ["observer", "controller"])
+    def test_steppers_share_one_state_with_estimate(self, plant_num, through):
+        # steppers built at different times, the controller's step and the
+        # observer's estimate all advance one state, on the written-out
+        # third-order path and on the generic one: interleaved, they match
+        # a twin driven through a single stepper
+        cfg = DobConfig(2 * np.pi * 25.0, 0.8, observer_plant(plant_num))
+        if through == "observer":
+            used, twin = build_observer(cfg, T), build_observer(cfg, T)
+            dob, twin_dob = used, twin
+            ways = [used.stepper()]
+        else:
+            used, twin = (build_force_controller(front_hip_pid(), cfg, 3.2e-3, T)
+                          for _ in range(2))
+            dob, twin_dob = used.dob, twin.dob
+            ways = [used.stepper(), lambda a, b: (used.step(a, b),)]
+        twin_step = twin.stepper()
+        rng = np.random.default_rng(29)
+        for k in range(400):
+            if k == 100:
+                ways.append(used.stepper())
+            a, b = float(rng.normal(100.0)), float(rng.normal())
+            got = ways[k % len(ways)](a, b)
+            want = twin_step(a, b)[:len(got)]
+            assert np.array_equal(bits(got), bits(want))
+            b = float(rng.normal())
+            assert np.array_equal(bits(dob.estimate(b)), bits(twin_dob.estimate(b)))
+        assert want[-1] != 0.0
+
     def test_estimate_keeps_u_prev(self):
         dob, oracle = nominal_observer_and_oracle(1.0)
         step = dob.stepper()
