@@ -15,9 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from seactrl.control import PidConfig, pid_transfer_function, q_filter
+from seactrl.control import PidConfig, nominal_lsea_tf, pid_transfer_function, q_filter
 from seactrl.lti import bilinear_discretize, freq_response, log_grid
-from seactrl.plant import nominal_lsea_tf
 from seactrl.sysid import write_frf_csv
 
 OUT = Path("demo_out/01_discretize")

@@ -16,14 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
+from seactrl.control import nominal_lsea_tf
 from seactrl.lti import freq_response, log_grid
-from seactrl.plant import (
-    PlantConfig,
-    ReferenceSpec,
-    SimScenario,
-    nominal_lsea_tf,
-    run_scenario,
-)
+from seactrl.plant import PlantConfig, ReferenceSpec, SimScenario, run_scenario
 from seactrl.sysid import TimeSeries, empirical_frf, write_frf_csv
 
 OUT = Path("demo_out/02_dob")

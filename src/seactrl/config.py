@@ -149,6 +149,8 @@ def _parse(section: str, key: str, raw: str):
             values = (float(raw),)
     except ValueError as exc:
         raise ConfigError(path, f"cannot parse {raw!r} ({exc})") from None
+    if not values:
+        raise ConfigError(path, f"{raw!r} has no values")
     if not all(map(math.isfinite, values)):
         raise ConfigError(path, f"{raw!r} is not finite")
     if kind == "floats":
@@ -264,6 +266,15 @@ def _check_semantics(cfg: dict, experiment: str) -> None:
             f"multiple of scenario.reference_hz ({reference_hz})")
     if sn["duration_s"] <= 0.0:
         raise ConfigError("scenario.duration_s", f"{sn['duration_s']} is not positive")
+    # pid-step reads each response's late window t >= 0.75 * duration_s on
+    # run_scenario's grid, t = k * T for k < round(duration_s * controller_hz)
+    if experiment == "pid-step":
+        last_t = (int(round(sn["duration_s"] * controller_hz)) - 1) * (1.0 / controller_hz)
+        if last_t < 0.75 * sn["duration_s"]:
+            raise ConfigError(
+                "scenario.duration_s",
+                f"{sn['duration_s']} leaves no controller step in the late window "
+                f"t >= 0.75 * scenario.duration_s that pid-step reads")
     omega_c_hz = cfg["control"]["omega_c_hz"]
     if not 0.0 < omega_c_hz < 0.5 * controller_hz:
         raise ConfigError(

@@ -3,17 +3,18 @@
 The actuator force loop combines a rational PID+feedforward with a
 disturbance observer (DOB): the observer passes the measured force through
 Q/P (inverse nominal plant made causal by a third-order low-pass Q) and
-the previous command through Q, and subtracts the two.  Q/P and Q are put
-over one continuous denominator before Tustin, so the observer is a single
-two-input discrete filter.  Its step closes the blend u = u_c - gamma *
-d_hat with a gain ``gamma`` in [0, 1] and keeps u as the command the next
-estimate compares against.  Each stateful block (PID, observer, force
-loop) hands out its step as a closure over its coefficients and state
-(``stepper``), which the simulator builds once per scenario.  The
-observer's step keeps a third-order state, the order every nominal plant
-with a constant numerator gives, in three closure locals and is written
-out; another order falls back to a state list and a loop, with the same
-arithmetic.  Upstream of the force loop sit a virtual spring/damper
+the previous command through Q, and subtracts the two.  P is the one
+nominal model the controller believes in, ``nominal_lsea_tf``, defined
+here and not a setting: the observer treats every structural variation
+of the real plant as disturbance.  Q/P and Q are put over one continuous
+denominator before Tustin, so the observer is a single third-order
+two-input discrete filter.  Its step closes the blend
+u = u_c - gamma * d_hat with a gain ``gamma`` in [0, 1] and keeps u as the
+command the next estimate compares against.  Each stateful block (PID,
+observer, force loop) hands out its step as a closure over its
+coefficients and state (``stepper``), which the simulator builds once per
+scenario.  The observer's step keeps its state in three closure locals and
+is written out.  Upstream of the force loop sit a virtual spring/damper
 (impedance) and leaky integration of desired accelerations.
 """
 
@@ -32,6 +33,7 @@ from .lti import (
 )
 
 __all__ = [
+    "nominal_lsea_tf",
     "PidConfig",
     "DobConfig",
     "ImpedanceConfig",
@@ -47,6 +49,18 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+
+NOMINAL_NUM = (208.8,)
+NOMINAL_DEN = (0.01, 1.13, 23.04, 987.0)
+
+
+def nominal_lsea_tf() -> ContinuousTransferFunction:
+    """Identified nominal current-to-force model of the actuator testbed.
+
+    It is the model the disturbance observer inverts; ``plant.LseaPlant``
+    perturbs it to simulate the real actuator.
+    """
+    return ContinuousTransferFunction(NOMINAL_NUM, NOMINAL_DEN)
 
 
 def _check_finite(cfg) -> None:
@@ -110,17 +124,16 @@ def q_filter(omega_c: float) -> ContinuousTransferFunction:
 
 @dataclass
 class DobConfig:
-    """Disturbance-observer parameters.
+    """Disturbance-observer parameters: the Q-filter cutoff and the blend gain.
 
     ``gamma`` is clamped into [0, 1] (it is a hand-tuned knob, not a hard
     constraint); this is the only place it is clamped, and a non-finite
-    ``gamma`` is rejected.  ``plant`` is the nominal model whose inverse the
-    observer applies behind the Q filter.
+    ``gamma`` is rejected.  The nominal model whose inverse the observer
+    applies behind the Q filter is fixed: ``nominal_lsea_tf``.
     """
 
     omega_c: float
     gamma: float
-    plant: ContinuousTransferFunction
 
     def __post_init__(self):
         if not 0.0 < self.omega_c < math.inf:
@@ -197,25 +210,21 @@ class DisturbanceObserver:
     """Disturbance estimator d_hat = (Q/P)(f_measured) - Q(u_prev).
 
     ``inv_plant`` (Q/P) and ``q`` (Q) must share the sample period and the
-    denominator, as ``build_observer`` makes them.  Their coefficients are
+    denominator and be third order, as ``build_observer`` makes them; a
+    pair that is not raises ``ValueError``.  Their coefficients are
     copied into one two-input filter,
 
         d_hat = (N1(z) f_measured - N2(z) u_prev) / D(z),
 
-    stepped as a transposed direct form II on Python floats with one state
-    value per order.  The order is ``n = 3 + deg(num)`` for the nominal
-    plant's numerator, so 3 for a constant numerator, as in every
-    scenario; that state is three closure locals and the step is written
-    out, with the generic step's products and sums in the same order, so
-    its values are bit-identical.  Any other order keeps the state in a
-    list walked by a loop.  ``stepper`` returns that step as a closure
-    built once per observer, ``step(u_c, f_measured) -> (u, d_hat)``: it
-    estimates from the current force measurement, subtracts ``gamma *
-    d_hat`` from the command and keeps the result as ``u_prev``, the
-    command the next estimate compares against.  The filter state and
-    ``u_prev`` live in the closure's scope, which ``estimate`` shares;
-    ``gamma`` is bound at construction, and a non-finite one raises
-    ``ValueError``.
+    stepped as a transposed direct form II on Python floats, its three
+    state values held in closure locals and the step written out.
+    ``stepper`` returns that step as a closure built once per observer,
+    ``step(u_c, f_measured) -> (u, d_hat)``: it estimates from the current
+    force measurement, subtracts ``gamma * d_hat`` from the command and
+    keeps the result as ``u_prev``, the command the next estimate compares
+    against.  The filter state and ``u_prev`` live in the closure's scope,
+    which ``estimate`` shares; ``gamma`` is bound at construction, and a
+    non-finite one raises ``ValueError``.
     """
 
     def __init__(self, inv_plant: DiscreteIirFilter, q: DiscreteIirFilter, gamma: float):
@@ -223,55 +232,34 @@ class DisturbanceObserver:
             raise ValueError("observer filters must share the sample period")
         if not np.array_equal(inv_plant.b_hat, q.b_hat):
             raise ValueError("observer filters must share the denominator")
+        if (inv_plant.a_hat.size, q.a_hat.size, q.b_hat.size) != (4, 4, 3):
+            raise ValueError("observer filters must be third order")
         if not math.isfinite(gamma):
             raise ValueError(f"observer gain gamma must be finite, got {gamma}")
-        n = max(1, inv_plant.a_hat.size - 1, q.a_hat.size - 1, q.b_hat.size)
-
-        def padded(c, size):
-            return c.tolist() + [0.0] * (size - c.size)
-
-        p, r = padded(inv_plant.a_hat, n + 1), padded(q.a_hat, n + 1)
-        self._p0, self._q0 = p[0], r[0]
-        self._p, self._q = tuple(p[1:]), tuple(r[1:])
-        self._b = tuple(padded(q.b_hat, n))
+        self._p0, *p = inv_plant.a_hat.tolist()
+        self._q0, *r = q.a_hat.tolist()
+        self._p, self._q = tuple(p), tuple(r)
+        self._b = tuple(q.b_hat.tolist())
         self.T = q.T
         self.gamma = float(gamma)
-        self._step, self._estimate = self._scope(n)
+        self._step, self._estimate = self._scope()
 
-    def _scope(self, n: int):
-        """Build the observer's ``(step, estimate)`` over one state of ``n`` values.
-
-        The state is three closure locals for ``n == 3`` and a list otherwise.
-        """
-        p0, p, q0, q, b, gamma = self._p0, self._p, self._q0, self._q, self._b, self.gamma
+    def _scope(self):
+        """Build the observer's ``(step, estimate)`` over one state in three closure locals."""
+        p0, q0, gamma = self._p0, self._q0, self.gamma
+        (p1, p2, p3), (q1, q2, q3), (b1, b2, b3) = self._p, self._q, self._b
         u_prev = 0.0
+        z0 = z1 = z2 = 0.0
 
-        if n == 3:
-            (p1, p2, p3), (q1, q2, q3), (b1, b2, b3) = p, q, b
-            z0 = z1 = z2 = 0.0
-
-            def step(u_c, f):
-                nonlocal u_prev, z0, z1, z2
-                u = u_prev
-                d = p0 * f - q0 * u + z0
-                z0 = z1 + p1 * f - q1 * u + b1 * d
-                z1 = z2 + p2 * f - q2 * u + b2 * d
-                z2 = p3 * f - q3 * u + b3 * d
-                u_prev = u_c - gamma * d
-                return u_prev, d
-        else:
-            z = [0.0] * n
-            mid, last = range(n - 1), n - 1
-
-            def step(u_c, f):
-                nonlocal u_prev
-                u = u_prev
-                d = p0 * f - q0 * u + z[0]
-                for i in mid:
-                    z[i] = z[i + 1] + p[i] * f - q[i] * u + b[i] * d
-                z[last] = p[last] * f - q[last] * u + b[last] * d
-                u_prev = u_c - gamma * d
-                return u_prev, d
+        def step(u_c, f):
+            nonlocal u_prev, z0, z1, z2
+            u = u_prev
+            d = p0 * f - q0 * u + z0
+            z0 = z1 + p1 * f - q1 * u + b1 * d
+            z1 = z2 + p2 * f - q2 * u + b2 * d
+            z2 = p3 * f - q3 * u + b3 * d
+            u_prev = u_c - gamma * d
+            return u_prev, d
 
         def estimate(f):
             # a step that keeps u_prev, so the recurrence has one home
@@ -333,12 +321,12 @@ class ForceController:
 def build_observer(dob: DobConfig, T: float) -> DisturbanceObserver:
     """Discretize the observer's Q/P and Q filters at sample period ``T``.
 
-    Q/P and Q are each discretized as single composite transfer functions
-    (not cascades) to minimize rounding, both over the one continuous
-    denominator ``Q.den * P.num``, so their Tustin denominators come out
-    bit-identical and the observer runs them as one filter.  The inverse
-    plant is only causal behind Q, so the plant's relative degree must not
-    exceed Q's order.
+    P is ``nominal_lsea_tf``.  Q/P and Q are each discretized as single
+    composite transfer functions (not cascades) to minimize rounding, both
+    over the one continuous denominator ``Q.den * P.num``, so their Tustin
+    denominators come out bit-identical and the observer runs them as one
+    third-order filter.  P's relative degree, 3, equals Q's order, so Q/P
+    is proper.
     """
     if T <= 0.0:
         raise ValueError("sample period must be positive")
@@ -347,11 +335,10 @@ def build_observer(dob: DobConfig, T: float) -> DisturbanceObserver:
             f"Q-filter cutoff {dob.omega_c:g} rad/s is at or above the "
             f"Nyquist rate {math.pi / T:g} rad/s"
         )
-    q = q_filter(dob.omega_c)
-    den = np.convolve(q.den, dob.plant.num)
-    # raises CausalityError when Q cannot make 1/P proper
-    inv_plant = ContinuousTransferFunction(np.convolve(q.num, dob.plant.den), den)
-    q_over_den = ContinuousTransferFunction(np.convolve(q.num, dob.plant.num), den)
+    q, pn = q_filter(dob.omega_c), nominal_lsea_tf()
+    den = np.convolve(q.den, pn.num)
+    inv_plant = ContinuousTransferFunction(np.convolve(q.num, pn.den), den)
+    q_over_den = ContinuousTransferFunction(np.convolve(q.num, pn.num), den)
     return DisturbanceObserver(
         inv_plant=bilinear_discretize(inv_plant, T),
         q=bilinear_discretize(q_over_den, T),

@@ -16,14 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, write_config
-from .control import ImpedanceConfig, LeakyState, PidConfig, leaky_step
+from .control import ImpedanceConfig, LeakyState, PidConfig, leaky_step, nominal_lsea_tf
 from .lti import bilinear_discretize, freq_response, log_grid, tustin_gap
 from .plant import (
     PendulumConfig,
     PlantConfig,
     ReferenceSpec,
     SimScenario,
-    nominal_lsea_tf,
     run_scenario,
 )
 from .sysid import (

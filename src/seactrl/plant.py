@@ -48,6 +48,8 @@ from numbers import Integral
 import numpy as np
 
 from .control import (
+    NOMINAL_DEN,
+    NOMINAL_NUM,
     DobConfig,
     ImpedanceConfig,
     PidConfig,
@@ -62,7 +64,6 @@ from .sysid import exponential_chirp, linear_chirp_freq_hz, linear_chirp_point, 
 
 __all__ = [
     "SimulationFault",
-    "nominal_lsea_tf",
     "BacklashPlay",
     "LseaPlant",
     "free_oscillation_frequency",
@@ -73,10 +74,6 @@ __all__ = [
     "SimLog",
     "run_scenario",
 ]
-
-NOMINAL_NUM = (208.8,)
-NOMINAL_DEN = (0.01, 1.13, 23.04, 987.0)
-
 
 class SimulationFault(RuntimeError):
     """A scenario produced a non-finite value.
@@ -96,11 +93,6 @@ class SimulationFault(RuntimeError):
         super().__init__(f"non-finite {what} at t = {time:.6f} s")
         self.time = time
         self.what = what
-
-
-def nominal_lsea_tf() -> ContinuousTransferFunction:
-    """Identified nominal current-to-force model of the actuator testbed."""
-    return ContinuousTransferFunction(NOMINAL_NUM, NOMINAL_DEN)
 
 
 class BacklashPlay:
@@ -662,7 +654,7 @@ def run_scenario(sc: SimScenario) -> SimLog:
         advance = plant.stepper(dt_sub, n_sub)
     est_play = BacklashPlay(sc.estimate_backlash_m) if sc.estimate_backlash_m > 0.0 else None
 
-    dob_cfg = DobConfig(sc.omega_c, sc.gamma, nominal_lsea_tf())
+    dob_cfg = DobConfig(sc.omega_c, sc.gamma)
     if position_chirp or force_step:
         fc_step = build_force_controller(sc.pid, dob_cfg, sc.k_ff, T).stepper()
     else:

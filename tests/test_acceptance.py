@@ -19,6 +19,7 @@ from oracles import random_stable_tf, tustin_direct
 from seactrl.config import load_config
 from seactrl.control import (
     PidConfig,
+    nominal_lsea_tf,
     pid_transfer_function,
     q_filter,
 )
@@ -31,7 +32,7 @@ from seactrl.lti import (
     freq_response,
     log_grid,
 )
-from seactrl.plant import free_oscillation_frequency, nominal_lsea_tf
+from seactrl.plant import free_oscillation_frequency
 
 RESULTS = []
 

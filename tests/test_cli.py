@@ -124,6 +124,12 @@ class TestCliCommands:
         ("plant", "den_factors", "1, 2"),
         ("scenario", "controller_hz", "300"),
         ("scenario", "duration_s", "-1"),
+        # pid-step reads t >= 0.75 * duration_s: these leave no step there
+        ("scenario", "duration_s", "0.0004"),
+        ("scenario", "duration_s", "0.0014"),
+        ("scenario", "duration_s", "0.002"),
+        ("scenario", "duration_s", "0.003"),
+        ("scenario", "duration_s", "0.0042"),  # four steps, the last at 3 ms
         ("control", "omega_c_hz", "600"),
         ("plant", "backlash", "-1"),
         ("plant", "gain_factor", "0"),
@@ -137,6 +143,10 @@ class TestCliCommands:
         ("scenario", "leaky_dt", "0"),
         ("scenario", "leaky_input_end", "0.06"),
         ("scenario", "alphas", "0.5, 2"),
+        # an empty list would run nothing
+        ("scenario", "kd_sweep", ""),
+        ("scenario", "amplitudes", ","),
+        ("scenario", "alphas", ""),
         ("control", "lambda_c", "0"),
         ("control", "lambda_c", "1e-322"),
         ("control", "lambda_direct", "-1"),
@@ -163,14 +173,24 @@ class TestCliCommands:
     ])
     def test_unrunnable_value_exits_2(self, tmp_path, capsys, section, key, value):
         bad = write(tmp_path, "bad.ini", f"[{section}]\n{key} = {value}\n")
-        # a chirp at Nyquist is runnable except on the experiment that runs it
+        # a chirp at Nyquist is runnable except on the experiment that runs
+        # it; an empty list is tried on an experiment that reads it
         command = {("chirp_f_end", "600"): "bode-open-loop",
                    ("chirp_f_start", "600"): "dob-verify",
                    ("chirp_f_end", "500"): "fit",
-                   ("chirp_omega_o", "30"): "pendulum-chirp"}.get((key, value), "pid-step")
+                   ("chirp_omega_o", "30"): "pendulum-chirp",
+                   ("amplitudes", ","): "bode-open-loop",
+                   ("alphas", ""): "leaky-demo"}.get((key, value), "pid-step")
         code = main([command, "--config", bad, "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_pid_step_shortest_late_window_runs(self, tmp_path):
+        # 3.5 ms at 1 kHz gives four steps, the last at t = 3 ms, in the late
+        # window t >= 0.75 * duration_s that 3 ms (three steps) leaves empty
+        cfg = write(tmp_path, "short.ini", "[scenario]\nduration_s = 0.0035\n")
+        assert main(["pid-step", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert "late_ripple_n_kd0 = 0" in (tmp_path / "o" / "summary.txt").read_text()
 
     @pytest.mark.parametrize("command", ["bode-open-loop", "dob-verify", "fit"])
     def test_segments_beyond_record_exits_2(self, tmp_path, capsys, command):

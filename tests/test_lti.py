@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seactrl.control import PidConfig, pid_transfer_function, q_filter
+from seactrl.control import PidConfig, nominal_lsea_tf, pid_transfer_function, q_filter
 from seactrl.lti import (
     CausalityError,
     ContinuousTransferFunction,
@@ -19,7 +19,6 @@ from seactrl.lti import (
     taylor_shift,
     tustin_gap,
 )
-from seactrl.plant import nominal_lsea_tf
 from seactrl.sysid import fit_rational
 
 from oracles import random_stable_tf, tustin_direct

@@ -20,6 +20,7 @@ from seactrl.control import (
     build_force_controller,
     build_observer,
     impedance_step,
+    nominal_lsea_tf,
 )
 from seactrl.kinematics import PendulumMap, actuator_setpoints, ff_force
 from seactrl.lti import NyquistError, freq_response, log_grid
@@ -35,7 +36,6 @@ from seactrl.plant import (
     SimulationFault,
     _pendulum_stepper,
     free_oscillation_frequency,
-    nominal_lsea_tf,
     run_scenario,
 )
 from seactrl.sysid import (
@@ -1072,7 +1072,7 @@ class TestScenario:
         assert n % ref_div != 0
         ref, pend = sc.reference, sc.pendulum
         fc_step = build_force_controller(
-            sc.pid, DobConfig(sc.omega_c, sc.gamma, nominal_lsea_tf()), sc.k_ff, T).stepper()
+            sc.pid, DobConfig(sc.omega_c, sc.gamma), sc.k_ff, T).stepper()
         plant, pmap = sc.plant.build(), PendulumMap(pend.l2)
         play = BacklashPlay(sc.estimate_backlash_m)
         f_o, theta, theta_dot = 0.0, pend.theta0, pend.theta_dot0
@@ -1111,7 +1111,7 @@ class TestScenario:
                          plant=PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15))
         log = run_scenario(sc)
         T, n_sub = 1.0 / sc.controller_hz, sc.plant_hz // sc.controller_hz
-        dob_cfg = DobConfig(sc.omega_c, sc.gamma, nominal_lsea_tf())
+        dob_cfg = DobConfig(sc.omega_c, sc.gamma)
         plant = sc.plant.build()
         if reference.kind == "force_step":
             fc_step = build_force_controller(sc.pid, dob_cfg, sc.k_ff, T).stepper()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seactrl.control import nominal_lsea_tf
 from seactrl.lti import (
     ContinuousTransferFunction,
     FrequencyResponse,
@@ -13,7 +14,6 @@ from seactrl.lti import (
     freq_response,
     log_grid,
 )
-from seactrl.plant import nominal_lsea_tf
 from seactrl.sysid import (
     _CSV_BLOCK_VALUES,
     FitError,
