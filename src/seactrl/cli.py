@@ -34,8 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bode-open-loop", help="open-loop chirp bode at several amplitudes")
     _add_common(p)
-    p.add_argument("--amp", type=float, default=None,
-                   help="single excitation amplitude; sets scenario.amplitudes")
 
     p = subs.add_parser("dob-verify", help="DOB on/off nominalization comparison")
     _add_common(p)
@@ -96,10 +94,7 @@ def _out_dir(args) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # --amp is a scenario.amplitudes value: checked and echoed like a file value
-        amp = getattr(args, "amp", None)
-        overrides = {} if amp is None else {("scenario", "amplitudes"): repr(amp)}
-        cfg = load_config(args.command, args.config, overrides)
+        cfg = load_config(args.command, args.config)
         if args.command == "discretize":
             report = _discretize(cfg, args.tf, args.rate)
             print(f"tf = {report['tf']}  rate = {report['rate_hz']:g} Hz")

@@ -1,9 +1,10 @@
 """Experiment configuration: flat INI files with sections per module.
 
-Defaults are layered: package baseline, then per-experiment overrides, then
-the user's file.  Unknown sections or keys, and values that parse but
-cannot run (after layering), are rejected with the offending ``section.key``
-path.  The fully resolved configuration is echoed into each
+Defaults are layered: package baseline, then per-experiment defaults, then
+the user's file.  Each quantity is set by one key, whose type and sign rule
+its ``_SCHEMA`` entry states.  Unknown sections or keys, and values that
+parse but cannot run (after layering), are rejected with the offending
+``section.key`` path.  The fully resolved configuration is echoed into each
 experiment's output directory so a run can be reproduced from it exactly.
 """
 
@@ -13,6 +14,7 @@ import configparser
 import math
 from pathlib import Path
 
+from .control import NOMINAL_DEN, NOMINAL_NUM
 from .sysid import linear_chirp_freq_hz
 
 __all__ = ["ConfigError", "EXPERIMENTS", "load_config", "write_config"]
@@ -26,77 +28,78 @@ class ConfigError(ValueError):
         self.keypath = keypath
 
 
-# key -> (type tag, baseline default).  Gain keys follow the gain-table
-# column names; lambda_direct overrides the 1e-3*lambda_c convention when
-# positive.
+# key -> (type tag, baseline default).  A tag is "float", "int" or "floats"
+# (one or more values), with an optional sign rule every value must meet:
+# ">0" positive, ">=0" non-negative.  Gain keys follow the gain table's
+# column names and units: the derivative pole is 1e-3 * lambda_c rad/s, and
+# the feedforward current 1e-3 * k_ff A per unit force.
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "control": {
-        "k": ("float", 40.0),
-        "b": ("float", 5.0),
+        "k": ("float >=0", 40.0),
+        "b": ("float >=0", 5.0),
         "k_ff": ("float", 3.2),
-        "k_p": ("float", 2.0),
-        "k_i": ("float", 4.0),
-        "k_d": ("float", 0.0),
-        "lambda_c": ("float", 3.5),
-        "lambda_direct": ("float", 0.0),
+        "k_p": ("float >=0", 2.0),
+        "k_i": ("float >=0", 4.0),
+        "k_d": ("float >=0", 0.0),
+        "lambda_c": ("float >0", 3.5),
         "gamma": ("float", 1.0),
         "omega_c_hz": ("float", 25.0),
-        "ff_current_scale": ("float", 1e-3),
     },
     "plant": {
-        "den_factors": ("floats", (1.0, 1.2, 0.8, 1.25)),
-        "gain_factor": ("float", 1.0),
-        "stiction_breakaway": ("float", 0.15),
-        "stiction_velocity_deadband": ("float", 0.5),
-        "backlash": ("float", 0.0),
+        "den_factors": ("floats >0", (1.0, 1.2, 0.8, 1.25)),
+        "gain_factor": ("float >0", 1.0),
+        "stiction_breakaway": ("float >=0", 0.15),
+        "stiction_velocity_deadband": ("float >=0", 0.5),
+        "backlash": ("float >=0", 0.0),
     },
     "pendulum": {
-        "m": ("float", 10.0),
-        "l1": ("float", 0.33),
-        "l2": ("float", 0.07),
-        "g": ("float", 9.81),
-        "damping": ("float", 0.05),
+        "m": ("float >0", 10.0),
+        "l1": ("float >0", 0.33),
+        "l2": ("float >0", 0.07),
+        "g": ("float >=0", 9.81),
+        "damping": ("float >=0", 0.05),
         "theta0": ("float", 0.0),
-        "estimate_backlash_m": ("float", 0.0),
+        "estimate_backlash_m": ("float >=0", 0.0),
     },
     "scenario": {
-        "controller_hz": ("int", 1000),
-        "reference_hz": ("int", 200),
-        "plant_hz": ("int", 20000),
-        "duration_s": ("float", 10.0),
-        "amplitude": ("float", 1.0),
-        "chirp_omega_o": ("float", 0.427),
-        "chirp_f_start": ("float", 0.05),
-        "chirp_f_end": ("float", 15.0),
-        "step_force": ("float", 500.0),
+        "controller_hz": ("int >0", 1000),
+        "reference_hz": ("int >0", 200),
+        "plant_hz": ("int >0", 20000),
+        "duration_s": ("float >0", 10.0),
+        "amplitude": ("float >0", 1.0),
+        "chirp_omega_o": ("float >0", 0.427),
+        "chirp_f_start": ("float >0", 0.05),
+        "chirp_f_end": ("float >0", 15.0),
+        "step_force": ("float >0", 500.0),
         "step_time": ("float", 0.1),
         "band_lo_hz": ("float", 0.5),
         "band_hi_hz": ("float", 1.2),
-        "kd_sweep": ("floats", (0.0, 0.25, 0.5, 1.0)),
+        "kd_sweep": ("floats >=0", (0.0, 0.25, 0.5, 1.0)),
         "alphas": ("floats", (0.0, 0.25, 0.5, 0.75, 1.0)),
-        "amplitudes": ("floats", (1.0, 1.5, 1.75)),
-        "leaky_dt": ("float", 0.001),
+        "amplitudes": ("floats >0", (1.0, 1.5, 1.75)),
+        "leaky_dt": ("float >0", 0.001),
         "leaky_qddot": ("float", 1.0),
         "leaky_input_end": ("float", 0.025),
         "leaky_duration": ("float", 0.05),
         "leaky_measured": ("float", 0.1),
     },
     "sysid": {
-        "segments": ("int", 8),
-        "grid_lo_hz": ("float", 0.1),
+        "segments": ("int >0", 8),
+        "grid_lo_hz": ("float >0", 0.1),
         "grid_hi_hz": ("float", 10.0),
-        "points_per_decade": ("int", 20),
-        "fit_lo_hz": ("float", 0.2),
+        "points_per_decade": ("int >0", 20),
+        "fit_lo_hz": ("float >0", 0.2),
         "fit_hi_hz": ("float", 30.0),
-        "num_order": ("int", 0),
-        "den_order": ("int", 3),
-        "sk_iterations": ("int", 0),
+        "num_order": ("int >=0", 0),
+        "den_order": ("int >=0", 3),
+        "sk_iterations": ("int >=0", 0),
     },
 }
 
-# feedforward current gain calibrated to the nominal DC gain (amps per
-# model-unit of force); used by the loop-closing experiments
-_K_FF_CALIBRATED = 987.0 / 208.8
+# the feedforward that inverts the nominal model's DC gain, in the gain
+# table's milliamps per unit force; used by the loop-closing experiments
+_K_FF_CALIBRATED = 1e3 * (NOMINAL_DEN[-1] / NOMINAL_NUM[0])
+
 
 EXPERIMENTS: dict[str, dict[tuple[str, str], object]] = {
     "bode-open-loop": {
@@ -113,9 +116,8 @@ EXPERIMENTS: dict[str, dict[tuple[str, str], object]] = {
     "pid-step": {
         ("scenario", "duration_s"): 2.0,
         ("scenario", "plant_hz"): 5000,
-        ("control", "lambda_direct"): 3.5,
+        ("control", "lambda_c"): 3500.0,
         ("control", "k_ff"): _K_FF_CALIBRATED,
-        ("control", "ff_current_scale"): 1.0,
     },
     "leaky-demo": {},
     "discretize": {},
@@ -125,7 +127,6 @@ EXPERIMENTS: dict[str, dict[tuple[str, str], object]] = {
         ("plant", "stiction_breakaway"): 150.0,
         ("plant", "stiction_velocity_deadband"): 500.0,
         ("control", "k_ff"): _K_FF_CALIBRATED,
-        ("control", "ff_current_scale"): 1.0,
     },
     "fit": {
         ("scenario", "duration_s"): 120.0,
@@ -140,7 +141,7 @@ EXPERIMENTS: dict[str, dict[tuple[str, str], object]] = {
 
 
 def _parse(section: str, key: str, raw: str):
-    kind, _ = _SCHEMA[section][key]
+    kind = _SCHEMA[section][key][0].partition(" ")[0]
     path = f"{section}.{key}"
     try:
         if kind == "floats":
@@ -164,12 +165,10 @@ def _parse(section: str, key: str, raw: str):
     raise ConfigError(path, f"unhandled type {kind}")
 
 
-def load_config(experiment: str, path: str | Path | None = None,
-                overrides: dict | None = None) -> dict:
-    """Resolve the effective configuration for ``experiment``.
+def load_config(experiment: str, path: str | Path | None = None) -> dict:
+    """Resolve the effective configuration for ``experiment``: the baseline,
+    the experiment's defaults, then the file at ``path``, if given.
 
-    ``overrides`` maps ``(section, key)`` to a raw value that takes
-    precedence over the file; it is parsed and checked as a file value is.
     Returns a dict of dicts (section -> key -> typed value).
     """
     if experiment not in EXPERIMENTS:
@@ -191,27 +190,10 @@ def load_config(experiment: str, path: str | Path | None = None,
                 if key not in _SCHEMA[sec]:
                     raise ConfigError(f"{sec}.{key}", "unknown key")
                 cfg[sec][key] = _parse(sec, key, raw)
-    for (sec, key), raw in (overrides or {}).items():
-        cfg[sec][key] = _parse(sec, key, raw)
     _check_semantics(cfg, experiment)
     return cfg
 
 
-# keys whose value (every value, for a list) must be positive, or non-negative
-_POSITIVE = (("control", "lambda_c"), ("plant", "gain_factor"), ("pendulum", "m"),
-             ("pendulum", "l1"), ("pendulum", "l2"), ("scenario", "amplitude"),
-             ("scenario", "amplitudes"), ("scenario", "step_force"), ("scenario", "leaky_dt"),
-             ("scenario", "chirp_omega_o"), ("scenario", "chirp_f_start"),
-             ("scenario", "chirp_f_end"), ("sysid", "segments"), ("sysid", "grid_lo_hz"),
-             ("sysid", "points_per_decade"), ("sysid", "fit_lo_hz"))
-_NON_NEGATIVE = (
-    ("control", "k"), ("control", "b"), ("control", "k_p"), ("control", "k_i"),
-    ("control", "k_d"), ("control", "lambda_direct"), ("scenario", "kd_sweep"),
-    ("plant", "stiction_breakaway"), ("plant", "stiction_velocity_deadband"),
-    ("plant", "backlash"), ("pendulum", "g"), ("pendulum", "damping"),
-    ("pendulum", "estimate_backlash_m"), ("sysid", "num_order"), ("sysid", "den_order"),
-    ("sysid", "sk_iterations"),
-)
 # (section, low key, high key, strict): the low value must lie below the high
 # one, or may equal it where not strict
 _ORDERED = (("scenario", "band_lo_hz", "band_hi_hz", True),
@@ -222,13 +204,14 @@ _ORDERED = (("scenario", "band_lo_hz", "band_hi_hz", True),
 
 def _check_semantics(cfg: dict, experiment: str) -> None:
     """Reject values that parse but cannot run, naming their ``section.key``."""
-    for keys, positive in ((_POSITIVE, True), (_NON_NEGATIVE, False)):
-        for sec, key in keys:
+    for sec, keys in _SCHEMA.items():
+        for key, (tag, _) in keys.items():
+            rule = tag.partition(" ")[2]
             value = cfg[sec][key]
             values = value if isinstance(value, tuple) else (value,)
-            if any(v < 0.0 or (positive and v == 0.0) for v in values):
+            if rule and any(v < 0.0 or (rule == ">0" and v == 0.0) for v in values):
                 raise ConfigError(f"{sec}.{key}", f"{value} is not "
-                                  f"{'positive' if positive else 'non-negative'}")
+                                  f"{'positive' if rule == '>0' else 'non-negative'}")
     for sec, lo_key, hi_key, strict in _ORDERED:
         lo, hi = cfg[sec][lo_key], cfg[sec][hi_key]
         if lo > hi or (strict and lo == hi):
@@ -243,6 +226,10 @@ def _check_semantics(cfg: dict, experiment: str) -> None:
     sn = cfg["scenario"]
     if not all(0.0 <= a <= 1.0 for a in sn["alphas"]):
         raise ConfigError("scenario.alphas", f"{sn['alphas']} has a value outside [0, 1]")
+    # DobConfig would clamp a blend gain outside [0, 1] and run another value
+    gamma = cfg["control"]["gamma"]
+    if not 0.0 <= gamma <= 1.0:
+        raise ConfigError("control.gamma", f"{gamma} is outside [0, 1]")
     dt = sn["leaky_dt"]
     if not 0 <= int(round(sn["leaky_input_end"] / dt)) < int(round(sn["leaky_duration"] / dt)):
         raise ConfigError(
@@ -251,21 +238,15 @@ def _check_semantics(cfg: dict, experiment: str) -> None:
             f"scenario.leaky_dt ({dt}) before scenario.leaky_duration "
             f"({sn['leaky_duration']})")
     factors = cfg["plant"]["den_factors"]
-    if len(factors) != 4 or min(factors) <= 0.0:
-        raise ConfigError("plant.den_factors", f"{factors} is not four positive multipliers")
+    if len(factors) != 4:
+        raise ConfigError("plant.den_factors", f"{factors} is not four multipliers")
     plant_hz, controller_hz, reference_hz = (
         sn["plant_hz"], sn["controller_hz"], sn["reference_hz"])
-    for key, hz in (("plant_hz", plant_hz), ("controller_hz", controller_hz),
-                    ("reference_hz", reference_hz)):
-        if hz <= 0:
-            raise ConfigError(f"scenario.{key}", f"{hz} is not positive")
     if plant_hz % controller_hz or controller_hz % reference_hz:
         raise ConfigError(
             "scenario.controller_hz",
             f"{controller_hz} must divide scenario.plant_hz ({plant_hz}) and be a "
             f"multiple of scenario.reference_hz ({reference_hz})")
-    if sn["duration_s"] <= 0.0:
-        raise ConfigError("scenario.duration_s", f"{sn['duration_s']} is not positive")
     # pid-step reads each response's late window t >= 0.75 * duration_s on
     # run_scenario's grid, t = k * T for k < round(duration_s * controller_hz)
     if experiment == "pid-step":

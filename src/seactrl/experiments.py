@@ -38,8 +38,6 @@ from .sysid import (
 
 def _pid_config(cfg: dict) -> PidConfig:
     c = cfg["control"]
-    if c["lambda_direct"] > 0.0:
-        return PidConfig(c["k_p"], c["k_i"], c["k_d"], c["lambda_direct"])
     return PidConfig.from_gain_row(c["k_p"], c["k_i"], c["k_d"], c["lambda_c"])
 
 
@@ -58,7 +56,7 @@ def _base_scenario(cfg: dict, reference: ReferenceSpec, **overrides) -> SimScena
         plant=PlantConfig(**cfg["plant"]),
         pid=_pid_config(cfg),
         impedance=ImpedanceConfig(c["k"], c["b"]),
-        k_ff=c["k_ff"] * c["ff_current_scale"],
+        k_ff=1e-3 * c["k_ff"],
         omega_c=2.0 * math.pi * c["omega_c_hz"],
         gamma=c["gamma"],
         controller_hz=sn["controller_hz"],
@@ -67,6 +65,18 @@ def _base_scenario(cfg: dict, reference: ReferenceSpec, **overrides) -> SimScena
     )
     kwargs.update(overrides)
     return SimScenario(**kwargs)
+
+
+def _tagged(cfg: dict, key: str) -> list[tuple[float, str]]:
+    """``scenario.<key>``'s values with the tags that name their files and
+    summary keys (0.25 -> 0p25), rejecting a list in which two values share
+    a tag: their runs would write the same files."""
+    values = cfg["scenario"][key]
+    tags = [f"{v:g}".replace(".", "p") for v in values]
+    for tag in tags:
+        if tags.count(tag) > 1:
+            raise ConfigError(f"scenario.{key}", f"{values} has two values tagged {tag!r}")
+    return list(zip(values, tags))
 
 
 def _prepare_out(cfg: dict, out_dir) -> Path:
@@ -159,12 +169,12 @@ def _max_deviation_db(frf, reference_tf) -> float:
 def bode_open_loop(cfg: dict, out_dir) -> dict:
     """Open-loop chirp bode of the simulated testbed at each of
     ``scenario.amplitudes``."""
+    amps = _tagged(cfg, "amplitudes")
     out = _prepare_out(cfg, out_dir)
-    amps = cfg["scenario"]["amplitudes"]
-    summary: dict = {"experiment": "bode-open-loop", "amplitudes": list(amps)}
+    summary: dict = {"experiment": "bode-open-loop",
+                     "amplitudes": list(cfg["scenario"]["amplitudes"])}
     pn = nominal_lsea_tf()
-    for amp in amps:
-        tag = f"{amp:g}".replace(".", "p")
+    for amp, tag in amps:
         frf = _chirp_frf(cfg, 0.0, amp, out / f"log_amp{tag}.csv")
         write_frf_csv(frf, out / f"frf_amp{tag}.csv")
         summary[f"max_dev_from_nominal_db_amp{tag}"] = _max_deviation_db(frf, pn)
@@ -192,12 +202,13 @@ def dob_verify(cfg: dict, out_dir) -> dict:
 
 def pid_step(cfg: dict, out_dir) -> dict:
     """Force-step responses across the derivative-gain sweep."""
+    kds = _tagged(cfg, "kd_sweep")
     out = _prepare_out(cfg, out_dir)
     sn = cfg["scenario"]
     step_force = sn["step_force"]
     summary: dict = {"experiment": "pid-step", "step_force_n": step_force}
     base_pid = _pid_config(cfg)
-    for kd in sn["kd_sweep"]:
+    for kd, tag in kds:
         sc = _base_scenario(
             cfg,
             ReferenceSpec(kind="force_step", step_value=step_force,
@@ -205,7 +216,6 @@ def pid_step(cfg: dict, out_dir) -> dict:
             pid=PidConfig(base_pid.k_p, base_pid.k_i, kd, base_pid.lam),
         )
         log = run_scenario(sc)
-        tag = f"{kd:g}".replace(".", "p")
         log.to_csv(out / f"step_kd{tag}.csv")
         settle = log.f_o[log.t >= 0.75 * sn["duration_s"]]
         summary[f"overshoot_pct_kd{tag}"] = float(
@@ -222,13 +232,14 @@ def leaky_demo(cfg: dict, out_dir) -> dict:
     Constant desired acceleration up to ``leaky_input_end``, zero after;
     constant position measurement throughout.
     """
+    alphas = _tagged(cfg, "alphas")
     out = _prepare_out(cfg, out_dir)
     sn = cfg["scenario"]
     dt = sn["leaky_dt"]
     n = int(round(sn["leaky_duration"] / dt))
     n_in = int(round(sn["leaky_input_end"] / dt))
     summary: dict = {"experiment": "leaky-demo", "dt": dt}
-    for alpha in sn["alphas"]:
+    for alpha, tag in alphas:
         st = LeakyState(alpha_v=alpha, alpha_p=alpha, dT=dt)
         rows = []
         decay_steps = None
@@ -238,7 +249,6 @@ def leaky_demo(cfg: dict, out_dir) -> dict:
             rows.append((k * dt, qddot, q_bar, qdot_bar))
             if k >= n_in and decay_steps is None and abs(qdot_bar) < 1e-4:
                 decay_steps = k + 1 - n_in
-        tag = f"{alpha:g}".replace(".", "p")
         write_csv(out / f"leaky_alpha{tag}.csv", ("t", "qddot_d", "q_bar_d", "qdot_bar_d"),
                   zip(*rows))
         summary[f"velocity_after_input_alpha{tag}"] = rows[n_in][3]

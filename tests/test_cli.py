@@ -8,6 +8,9 @@ import pytest
 
 from seactrl.cli import main
 from seactrl.config import EXPERIMENTS, ConfigError, load_config, write_config
+from seactrl.control import NOMINAL_DEN, NOMINAL_NUM
+from seactrl.experiments import _base_scenario
+from seactrl.plant import ReferenceSpec
 from seactrl.sysid import TimeSeries
 
 FAST_SCENARIO = """
@@ -57,6 +60,26 @@ class TestConfig:
     @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
     def test_shipped_defaults_load(self, experiment):
         load_config(experiment)
+
+    @pytest.mark.parametrize("key", ["lambda_direct", "ff_current_scale"])
+    def test_retired_key_rejected_with_path(self, tmp_path, capsys, key):
+        # the pole and the feedforward have one key each, lambda_c and k_ff
+        path = write(tmp_path, "old.ini", f"[control]\n{key} = 3.5\n")
+        assert main(["pid-step", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert f"control.{key}: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, lam, k_ff", [
+        ("pid-step", 3.5, NOMINAL_DEN[-1] / NOMINAL_NUM[0]),
+        ("pendulum-chirp", 3.5e-3, NOMINAL_DEN[-1] / NOMINAL_NUM[0]),
+        ("dob-verify", 3.5e-3, 3.2e-3),
+    ])
+    def test_gain_table_units_give_the_shipped_gains(self, experiment, lam, k_ff):
+        # the pole is 1e-3 * lambda_c and the feedforward 1e-3 * k_ff, bit
+        # for bit the values each experiment ran with before those keys
+        # were its only ones
+        sc = _base_scenario(load_config(experiment),
+                            ReferenceSpec(kind="force_step", step_value=500.0, step_time=0.1))
+        assert (sc.pid.lam, sc.k_ff) == (lam, k_ff)
 
     def test_round_trip(self, tmp_path):
         cfg = load_config("pendulum-chirp")
@@ -122,6 +145,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("section, key, value", [
         ("plant", "den_factors", "1, 2"),
+        ("plant", "den_factors", "1, 0, 1, 1"),
         ("scenario", "controller_hz", "300"),
         ("scenario", "duration_s", "-1"),
         # pid-step reads t >= 0.75 * duration_s: these leave no step there
@@ -143,13 +167,15 @@ class TestCliCommands:
         ("scenario", "leaky_dt", "0"),
         ("scenario", "leaky_input_end", "0.06"),
         ("scenario", "alphas", "0.5, 2"),
+        # the observer's blend gain, which DobConfig would clamp to [0, 1]
+        ("control", "gamma", "-0.1"),
+        ("control", "gamma", "1.5"),
         # an empty list would run nothing
         ("scenario", "kd_sweep", ""),
         ("scenario", "amplitudes", ","),
         ("scenario", "alphas", ""),
         ("control", "lambda_c", "0"),
         ("control", "lambda_c", "1e-322"),
-        ("control", "lambda_direct", "-1"),
         ("scenario", "step_force", "0"),
         ("scenario", "chirp_omega_o", "0"),
         ("scenario", "chirp_f_start", "0"),
@@ -213,11 +239,19 @@ class TestCliCommands:
         assert code == 2
         assert "sysid.segments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("amp", ["0", "-1", "nan"])
-    def test_bad_amp_exits_2(self, tmp_path, capsys, amp):
-        code = main(["bode-open-loop", "--amp", amp, "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "scenario.amplitudes" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, key, values", [
+        ("pid-step", "kd_sweep", "0.25, 0.2500001"),
+        ("pid-step", "kd_sweep", "0.5, 0.5"),
+        ("bode-open-loop", "amplitudes", "1.5, 1.0, 1.5"),
+        ("leaky-demo", "alphas", "0.1, 0.1000001"),
+    ])
+    def test_list_values_sharing_a_tag_exit_2(self, tmp_path, capsys, command, key, values):
+        # the two runs would write one file name and one summary key
+        bad = write(tmp_path, "bad.ini", f"[scenario]\n{key} = {values}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", bad, "--out", str(out)]) == 2
+        assert f"scenario.{key}" in capsys.readouterr().err
+        assert not out.exists()  # rejected before the first run
 
     @pytest.mark.parametrize("rate", ["0", "-1000", "nan", "inf", "1e300", "1e-300"])
     def test_bad_rate_exits_2(self, capsys, rate):
@@ -263,10 +297,10 @@ class TestCliCommands:
     def test_bode_open_loop_single_amp_smoke(self, tmp_path):
         cfg = write(tmp_path, "fast.ini",
                     "[scenario]\nduration_s = 12.0\nplant_hz = 2000\nchirp_f_start = 0.5\n"
+                    "amplitudes = 1.75\n"
                     "[sysid]\ngrid_lo_hz = 1.0\ngrid_hi_hz = 8.0\nsegments = 4\n")
         out = tmp_path / "bode"
-        assert main(["bode-open-loop", "--config", cfg, "--amp", "1.75",
-                     "--out", str(out)]) == 0
+        assert main(["bode-open-loop", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "frf_amp1p75.csv").exists()
         header = (out / "frf_amp1p75.csv").read_text().splitlines()[0]
         assert header == "f_hz,mag_db,phase_deg,coherence"
@@ -288,19 +322,6 @@ class TestCliCommands:
                      "--out", str(out4)]) == 0
         for name in ("step_kd0.csv", "step_kd0p5.csv", "summary.txt"):
             assert (out3 / name).read_bytes() == (out4 / name).read_bytes()
-        # --amp is echoed as scenario.amplitudes, so the re-run runs that one
-        # amplitude, not the configured sweep
-        cfg = write(tmp_path, "bode.ini",
-                    "[scenario]\nduration_s = 2.0\nplant_hz = 2000\nchirp_f_start = 0.5\n"
-                    "[sysid]\ngrid_lo_hz = 1.0\ngrid_hi_hz = 8.0\nsegments = 2\n")
-        out5, out6 = tmp_path / "e", tmp_path / "f"
-        assert main(["bode-open-loop", "--config", cfg, "--amp", "1.75",
-                     "--out", str(out5)]) == 0
-        assert main(["bode-open-loop", "--config", str(out5 / "effective_config.ini"),
-                     "--out", str(out6)]) == 0
-        assert sorted(p.name for p in out5.iterdir()) == sorted(p.name for p in out6.iterdir())
-        for name in ("frf_amp1p75.csv", "log_amp1p75.csv", "summary.txt"):
-            assert (out5 / name).read_bytes() == (out6 / name).read_bytes()
 
     @staticmethod
     def _fit_records(tmp_path, scenario=""):
