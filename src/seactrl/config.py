@@ -226,10 +226,14 @@ def _check_semantics(cfg: dict, experiment: str) -> None:
     sn = cfg["scenario"]
     if not all(0.0 <= a <= 1.0 for a in sn["alphas"]):
         raise ConfigError("scenario.alphas", f"{sn['alphas']} has a value outside [0, 1]")
-    # DobConfig would clamp a blend gain outside [0, 1] and run another value
+    # the observer rejects a blend gain outside [0, 1] too; this names the key
     gamma = cfg["control"]["gamma"]
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError("control.gamma", f"{gamma} is outside [0, 1]")
+    # the open-loop bode runs without the blend; any other gamma would be
+    # echoed in effective_config.ini but not run
+    if experiment == "bode-open-loop" and gamma != 0.0:
+        raise ConfigError("control.gamma", f"{gamma} is not 0: bode-open-loop runs open loop")
     dt = sn["leaky_dt"]
     if not 0 <= int(round(sn["leaky_input_end"] / dt)) < int(round(sn["leaky_duration"] / dt)):
         raise ConfigError(

@@ -6,9 +6,11 @@ Q/P (inverse nominal plant made causal by a third-order low-pass Q) and
 the previous command through Q, and subtracts the two.  P is the one
 nominal model the controller believes in, ``nominal_lsea_tf``, defined
 here and not a setting: the observer treats every structural variation
-of the real plant as disturbance.  Q/P and Q are put over one continuous
-denominator before Tustin, so the observer is a single third-order
-two-input discrete filter.  Its step closes the blend
+of the real plant as disturbance, so it is set by three numbers, the Q
+cutoff ``omega_c``, the blend gain ``gamma`` and the period ``T``.  Its
+constructor puts Q/P and Q over one continuous denominator before Tustin,
+so the observer is a single third-order two-input discrete filter.  Its
+step closes the blend
 u = u_c - gamma * d_hat with a gain ``gamma`` in [0, 1] and keeps u as the
 command the next estimate compares against.  Each stateful block (PID,
 observer, force loop) hands out its step as a closure over its
@@ -30,19 +32,18 @@ from .lti import (
     DiscreteIirFilter,
     NyquistError,
     bilinear_discretize,
+    bilinear_num_den,
 )
 
 __all__ = [
     "nominal_lsea_tf",
     "PidConfig",
-    "DobConfig",
     "ImpedanceConfig",
     "LeakyState",
     "DisturbanceObserver",
     "ForceController",
     "q_filter",
     "pid_transfer_function",
-    "build_observer",
     "build_force_controller",
     "impedance_step",
     "leaky_step",
@@ -123,28 +124,6 @@ def q_filter(omega_c: float) -> ContinuousTransferFunction:
 
 
 @dataclass
-class DobConfig:
-    """Disturbance-observer parameters: the Q-filter cutoff and the blend gain.
-
-    ``gamma`` is clamped into [0, 1] (it is a hand-tuned knob, not a hard
-    constraint); this is the only place it is clamped, and a non-finite
-    ``gamma`` is rejected.  The nominal model whose inverse the observer
-    applies behind the Q filter is fixed: ``nominal_lsea_tf``.
-    """
-
-    omega_c: float
-    gamma: float
-
-    def __post_init__(self):
-        if not 0.0 < self.omega_c < math.inf:
-            raise ValueError(f"Q-filter cutoff omega_c must be positive and finite, "
-                             f"got {self.omega_c}")
-        if not math.isfinite(self.gamma):
-            raise ValueError(f"observer gain gamma must be finite, got {self.gamma}")
-        self.gamma = min(1.0, max(0.0, float(self.gamma)))
-
-
-@dataclass
 class ImpedanceConfig:
     """Virtual spring/damper gains in actuator space (N/m, N s/m).
 
@@ -209,10 +188,12 @@ def leaky_step(st: LeakyState, qddot_d, q_measured):
 class DisturbanceObserver:
     """Disturbance estimator d_hat = (Q/P)(f_measured) - Q(u_prev).
 
-    ``inv_plant`` (Q/P) and ``q`` (Q) must share the sample period and the
-    denominator and be third order, as ``build_observer`` makes them; a
-    pair that is not raises ``ValueError``.  Their coefficients are
-    copied into one two-input filter,
+    P is ``nominal_lsea_tf`` and Q is ``q_filter(omega_c)``; P's relative
+    degree, 3, equals Q's order, so Q/P is proper.  The constructor
+    Tustin-discretizes Q/P and Q at period ``T``, each as one composite
+    transfer function (not a cascade) to minimize rounding, both over the
+    one continuous denominator ``Q.den * P.num``, so their discrete
+    denominators come out bit-identical and form one two-input filter,
 
         d_hat = (N1(z) f_measured - N2(z) u_prev) / D(z),
 
@@ -223,24 +204,31 @@ class DisturbanceObserver:
     force measurement, subtracts ``gamma * d_hat`` from the command and
     keeps the result as ``u_prev``, the command the next estimate compares
     against.  The filter state and ``u_prev`` live in the closure's scope,
-    which ``estimate`` shares; ``gamma`` is bound at construction, and a
-    non-finite one raises ``ValueError``.
+    which ``estimate`` shares; ``gamma`` is bound at construction.
+
+    A ``gamma`` outside [0, 1] (NaN included) raises ``ValueError``; so
+    do ``q_filter`` for an ``omega_c`` that is not positive and finite and
+    ``bilinear_num_den`` for a ``T`` that is not.  An ``omega_c`` at or
+    above the Nyquist rate ``pi / T`` raises ``NyquistError``.
     """
 
-    def __init__(self, inv_plant: DiscreteIirFilter, q: DiscreteIirFilter, gamma: float):
-        if inv_plant.T != q.T:
-            raise ValueError("observer filters must share the sample period")
-        if not np.array_equal(inv_plant.b_hat, q.b_hat):
-            raise ValueError("observer filters must share the denominator")
-        if (inv_plant.a_hat.size, q.a_hat.size, q.b_hat.size) != (4, 4, 3):
-            raise ValueError("observer filters must be third order")
-        if not math.isfinite(gamma):
-            raise ValueError(f"observer gain gamma must be finite, got {gamma}")
-        self._p0, *p = inv_plant.a_hat.tolist()
-        self._q0, *r = q.a_hat.tolist()
+    def __init__(self, omega_c: float, gamma: float, T: float):
+        q, pn = q_filter(omega_c), nominal_lsea_tf()
+        if not 0.0 <= gamma <= 1.0:
+            raise ValueError(f"observer gain gamma must lie in [0, 1], got {gamma}")
+        den = np.convolve(q.den, pn.num)
+        n1, _ = bilinear_num_den(ContinuousTransferFunction(np.convolve(q.num, pn.den), den), T)
+        n2, d = bilinear_num_den(ContinuousTransferFunction(np.convolve(q.num, pn.num), den), T)
+        if omega_c >= math.pi / T:
+            raise NyquistError(
+                f"Q-filter cutoff {omega_c:g} rad/s is at or above the "
+                f"Nyquist rate {math.pi / T:g} rad/s"
+            )
+        self._p0, *p = n1.tolist()
+        self._q0, *r = n2.tolist()
         self._p, self._q = tuple(p), tuple(r)
-        self._b = tuple(q.b_hat.tolist())
-        self.T = q.T
+        self._b = tuple((-d[1:]).tolist())
+        self.T = float(T)
         self.gamma = float(gamma)
         self._step, self._estimate = self._scope()
 
@@ -318,42 +306,15 @@ class ForceController:
         return self._step(f_desired, f_measured)[0]
 
 
-def build_observer(dob: DobConfig, T: float) -> DisturbanceObserver:
-    """Discretize the observer's Q/P and Q filters at sample period ``T``.
-
-    P is ``nominal_lsea_tf``.  Q/P and Q are each discretized as single
-    composite transfer functions (not cascades) to minimize rounding, both
-    over the one continuous denominator ``Q.den * P.num``, so their Tustin
-    denominators come out bit-identical and the observer runs them as one
-    third-order filter.  P's relative degree, 3, equals Q's order, so Q/P
-    is proper.
-    """
-    if T <= 0.0:
-        raise ValueError("sample period must be positive")
-    if dob.omega_c >= math.pi / T:
-        raise NyquistError(
-            f"Q-filter cutoff {dob.omega_c:g} rad/s is at or above the "
-            f"Nyquist rate {math.pi / T:g} rad/s"
-        )
-    q, pn = q_filter(dob.omega_c), nominal_lsea_tf()
-    den = np.convolve(q.den, pn.num)
-    inv_plant = ContinuousTransferFunction(np.convolve(q.num, pn.den), den)
-    q_over_den = ContinuousTransferFunction(np.convolve(q.num, pn.num), den)
-    return DisturbanceObserver(
-        inv_plant=bilinear_discretize(inv_plant, T),
-        q=bilinear_discretize(q_over_den, T),
-        gamma=dob.gamma,
-    )
-
-
-def build_force_controller(pid: PidConfig, dob: DobConfig, k_ff: float,
+def build_force_controller(pid: PidConfig, omega_c: float, gamma: float, k_ff: float,
                            T: float) -> ForceController:
     """Discretize the loop components and assemble a ForceController.
 
-    The PID comes from its rational form; the observer from ``build_observer``.
+    The PID comes from its rational form; the observer is
+    ``DisturbanceObserver(omega_c, gamma, T)``.
     """
     return ForceController(
         pid=bilinear_discretize(pid_transfer_function(pid), T),
-        dob=build_observer(dob, T),
+        dob=DisturbanceObserver(omega_c, gamma, T),
         k_ff=k_ff,
     )

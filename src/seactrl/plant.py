@@ -50,12 +50,11 @@ import numpy as np
 from .control import (
     NOMINAL_DEN,
     NOMINAL_NUM,
-    DobConfig,
+    DisturbanceObserver,
     ImpedanceConfig,
     PidConfig,
     _check_finite,
     build_force_controller,
-    build_observer,
     impedance_step,
 )
 from .kinematics import PendulumMap, actuator_setpoints, ff_force
@@ -155,8 +154,6 @@ class LseaPlant:
         self.stiction_breakaway = float(stiction_breakaway)
         self.stiction_velocity_deadband = float(stiction_velocity_deadband)
         self._play = BacklashPlay(backlash) if backlash > 0.0 else None
-        self._step_cache: dict[float, tuple] = {}
-        self._lift_cache: dict[tuple[float, int], tuple[tuple, tuple]] = {}
         self._steppers: dict[tuple[float, int], Callable[[float], float]] = {}
         self._state, self._new_stepper = self._scope()
 
@@ -167,9 +164,6 @@ class LseaPlant:
         ``N B``, as Python floats.  ``M`` and ``N`` are built with numpy
         matrix products; ``tolist`` converts their entries exactly.
         """
-        cached = self._step_cache.get(dt)
-        if cached is not None:
-            return cached
         A = np.array([
             [0.0, 1.0, 0.0],
             [0.0, 0.0, 1.0],
@@ -185,9 +179,7 @@ class LseaPlant:
             N = N + term * dt / math.factorial(k)
             term = term @ A * dt
             M = M + term / math.factorial(k)
-        coeffs = (*M.ravel().tolist(), *(N @ B).tolist())
-        self._step_cache[dt] = coeffs
-        return coeffs
+        return (*M.ravel().tolist(), *(N @ B).tolist())
 
     def _lifted(self, dt: float, substeps: int) -> tuple:
         """``n = substeps`` RK4 substeps of ``dt`` as one map ``x+ = P x + G u``.
@@ -203,10 +195,6 @@ class LseaPlant:
         0)``, so the rate after any of them lies within ``d0 |x0| + d1 |x1|
         + d2 |x2| + ds |u|`` of ``x1`` (all zeros for one substep).
         """
-        key = (dt, substeps)
-        cached = self._lift_cache.get(key)
-        if cached is not None:
-            return cached
         m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2 = self._coeffs(dt)
 
         def compose(x0, x1, x2, u, e1):
@@ -224,8 +212,7 @@ class LseaPlant:
         runs = (compose(1.0, 0.0, 0.0, 0.0, 0.0), compose(0.0, 1.0, 0.0, 0.0, 1.0),
                 compose(0.0, 0.0, 1.0, 0.0, 0.0), compose(0.0, 0.0, 0.0, 1.0, 0.0))
         lifted = (*(run[i] for i in range(3) for run in runs[:3]), *runs[3][:3])
-        cached = self._lift_cache[key] = lifted, tuple(run[3] for run in runs)
-        return cached
+        return lifted, tuple(run[3] for run in runs)
 
     def _scope(self):
         """Build the state reader and the stepper factory over one plant state.
@@ -654,11 +641,10 @@ def run_scenario(sc: SimScenario) -> SimLog:
         advance = plant.stepper(dt_sub, n_sub)
     est_play = BacklashPlay(sc.estimate_backlash_m) if sc.estimate_backlash_m > 0.0 else None
 
-    dob_cfg = DobConfig(sc.omega_c, sc.gamma)
     if position_chirp or force_step:
-        fc_step = build_force_controller(sc.pid, dob_cfg, sc.k_ff, T).stepper()
+        fc_step = build_force_controller(sc.pid, sc.omega_c, sc.gamma, sc.k_ff, T).stepper()
     else:
-        dob_step = build_observer(dob_cfg, T).stepper()
+        dob_step = DisturbanceObserver(sc.omega_c, sc.gamma, T).stepper()
         chirp = exponential_chirp(ref.amplitude, ref.f_start, ref.f_end, sc.duration_s)
 
     # each column this scenario writes is its own np.zeros(n) (see the

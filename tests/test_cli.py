@@ -167,9 +167,11 @@ class TestCliCommands:
         ("scenario", "leaky_dt", "0"),
         ("scenario", "leaky_input_end", "0.06"),
         ("scenario", "alphas", "0.5, 2"),
-        # the observer's blend gain, which DobConfig would clamp to [0, 1]
+        # the observer's blend gain, which must lie in [0, 1]
         ("control", "gamma", "-0.1"),
         ("control", "gamma", "1.5"),
+        # the open-loop bode would echo a blend gain it does not run
+        ("control", "gamma", "0.5"),
         # an empty list would run nothing
         ("scenario", "kd_sweep", ""),
         ("scenario", "amplitudes", ","),
@@ -206,6 +208,7 @@ class TestCliCommands:
                    ("chirp_f_end", "500"): "fit",
                    ("chirp_omega_o", "30"): "pendulum-chirp",
                    ("amplitudes", ","): "bode-open-loop",
+                   ("gamma", "0.5"): "bode-open-loop",
                    ("alphas", ""): "leaky-demo"}.get((key, value), "pid-step")
         code = main([command, "--config", bad, "--out", str(tmp_path / "o")])
         assert code == 2

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from seactrl.config import load_config
 from seactrl.control import (
     DisturbanceObserver,
-    DobConfig,
     ForceController,
     ImpedanceConfig,
     LeakyState,
     PidConfig,
     build_force_controller,
-    build_observer,
     impedance_step,
     leaky_step,
     nominal_lsea_tf,
@@ -44,7 +42,8 @@ def front_hip_pid():
 def nominal_observer_and_oracle(gamma):
     """The nominal plant's observer and its written-out oracle.
 
-    The oracle's filters are discretized as ``build_observer`` does.
+    The oracle's filters are discretized one by one, over the observer's
+    one denominator, so the oracle checks the observer's own discretization.
     """
     omega_c, plant = 2 * np.pi * 25.0, nominal_lsea_tf()
     q = q_filter(omega_c)
@@ -54,7 +53,7 @@ def nominal_observer_and_oracle(gamma):
     q_over_den = bilinear_discretize(ContinuousTransferFunction(
         np.convolve(q.num, plant.num), den), T)
     oracle = ThirdOrderObserver(inv_plant.a_hat, q_over_den.a_hat, q_over_den.b_hat, gamma)
-    return build_observer(DobConfig(omega_c, gamma), T), oracle
+    return DisturbanceObserver(omega_c, gamma, T), oracle
 
 
 def bits(x):
@@ -145,42 +144,39 @@ class TestQFilter:
         with pytest.raises(ValueError, match="omega_c must be positive and finite"):
             q_filter(omega_c)
         with pytest.raises(ValueError, match="omega_c must be positive and finite"):
-            DobConfig(omega_c, 1.0)
+            DisturbanceObserver(omega_c, 1.0, T)
 
 
 class TestBuildForceController:
     def test_non_finite_gamma_rejected(self):
         for gamma in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError):
-                DobConfig(10.0, gamma)
+            with pytest.raises(ValueError, match="gamma"):
+                build_force_controller(front_hip_pid(), 10.0, gamma, 3.2e-3, T)
 
-    def test_gamma_clamped(self):
-        dob = DobConfig(10.0, 1.7)
-        assert dob.gamma == 1.0
-        assert DobConfig(10.0, -0.2).gamma == 0.0
+    @pytest.mark.parametrize("gamma", [-0.2, 1.7])
+    def test_gamma_outside_unit_interval_rejected(self, gamma):
+        # a gamma outside [0, 1] used to be clamped into it
+        with pytest.raises(ValueError, match="gamma"):
+            build_force_controller(front_hip_pid(), 10.0, gamma, 3.2e-3, T)
 
     def test_cutoff_above_nyquist_rejected(self):
-        dob = DobConfig(2 * np.pi * 600.0, 1.0)
         with pytest.raises(NyquistError):
-            build_force_controller(front_hip_pid(), dob, 3.2e-3, T)
+            build_force_controller(front_hip_pid(), 2 * np.pi * 600.0, 1.0, 3.2e-3, T)
 
     @pytest.mark.parametrize("k_ff", [math.nan, math.inf, -math.inf])
     def test_non_finite_k_ff_rejected(self, k_ff):
         # a NaN k_ff used to be accepted, and the first step returned NaN
-        dob = DobConfig(2 * np.pi * 25.0, 0.8)
         with pytest.raises(ValueError, match="k_ff"):
-            build_force_controller(front_hip_pid(), dob, k_ff, T)
+            build_force_controller(front_hip_pid(), 2 * np.pi * 25.0, 0.8, k_ff, T)
 
     def test_filters_share_period(self):
-        fc = build_force_controller(
-            front_hip_pid(), DobConfig(2 * np.pi * 25, 0.8), 3.2e-3, T)
+        fc = build_force_controller(front_hip_pid(), 2 * np.pi * 25, 0.8, 3.2e-3, T)
         assert fc.pid.T == fc.dob.T == T
 
 
 class TestForceControlStep:
     def make(self, gamma, k_ff=3.2e-3):
-        return build_force_controller(
-            front_hip_pid(), DobConfig(2 * np.pi * 25.0, gamma), k_ff, T)
+        return build_force_controller(front_hip_pid(), 2 * np.pi * 25.0, gamma, k_ff, T)
 
     def test_rest_state(self):
         fc = self.make(0.8)
@@ -217,56 +213,43 @@ class TestForceControlStep:
 
 
 class TestDisturbanceObserver:
-    def test_mismatched_periods_rejected(self):
-        q = bilinear_discretize(q_filter(100.0), 1e-3)
-        q2 = bilinear_discretize(q_filter(100.0), 2e-3)
-        with pytest.raises(ValueError):
-            DisturbanceObserver(q, q2, 1.0)
-
-    def test_mismatched_denominators_rejected(self):
-        q = bilinear_discretize(q_filter(100.0), 1e-3)
-        q2 = bilinear_discretize(q_filter(120.0), 1e-3)
-        with pytest.raises(ValueError):
-            DisturbanceObserver(q, q2, 1.0)
-
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_non_finite_gamma_rejected(self, gamma):
-        # DobConfig rejects it; the observer itself used to step to NaN
-        q = bilinear_discretize(q_filter(100.0), 1e-3)
+        # the observer itself used to step to NaN
         with pytest.raises(ValueError, match="gamma"):
-            DisturbanceObserver(q, q, gamma)
+            DisturbanceObserver(100.0, gamma, 1e-3)
 
-    def test_fourth_order_filters_rejected(self):
-        # a nominal model with a zero, s/50 + 1, would make Q/P and Q fourth
-        # order; the observer steps third-order filters only
-        pn = nominal_lsea_tf()
-        plant_num = np.convolve([0.02, 1.0], pn.num)
-        q = q_filter(2 * np.pi * 25.0)
-        den = np.convolve(q.den, plant_num)
-        inv_plant = bilinear_discretize(ContinuousTransferFunction(
-            np.convolve(q.num, pn.den), den), T)
-        q_over_den = bilinear_discretize(ContinuousTransferFunction(
-            np.convolve(q.num, plant_num), den), T)
-        assert (inv_plant.a_hat.size, q_over_den.a_hat.size, q_over_den.b_hat.size) == (5, 5, 4)
-        with pytest.raises(ValueError, match="third order"):
-            DisturbanceObserver(inv_plant, q_over_den, 1.0)
+    @pytest.mark.parametrize("gamma", [-0.2, 1.7])
+    def test_gamma_outside_unit_interval_rejected(self, gamma):
+        # a directly built observer used to run a gamma outside [0, 1]
+        with pytest.raises(ValueError, match="gamma"):
+            DisturbanceObserver(100.0, gamma, 1e-3)
+
+    @pytest.mark.parametrize("period", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_period_not_positive_and_finite(self, period):
+        with pytest.raises(ValueError, match="sample period must be positive and finite"):
+            DisturbanceObserver(100.0, 1.0, period)
+
+    def test_cutoff_at_nyquist_rejected(self):
+        with pytest.raises(NyquistError, match="at or above the Nyquist rate"):
+            DisturbanceObserver(math.pi / T, 1.0, T)
+        DisturbanceObserver(math.nextafter(math.pi / T, 0.0), 1.0, T)
 
     def test_matches_two_filter_reference(self):
         # the fused filter against Q/P and Q discretized and run separately
         pytest.importorskip("scipy.signal")
-        plant = nominal_lsea_tf()
-        cfg = DobConfig(2 * np.pi * 25.0, 1.0)
-        q = q_filter(cfg.omega_c)
+        plant, omega_c, gamma = nominal_lsea_tf(), 2 * np.pi * 25.0, 1.0
+        q = q_filter(omega_c)
         inv_plant = bilinear_discretize(ContinuousTransferFunction(
             np.convolve(q.num, plant.den), np.convolve(q.den, plant.num)), T)
-        step = build_observer(cfg, T).stepper()
+        step = DisturbanceObserver(omega_c, gamma, T).stepper()
         rng = np.random.default_rng(17)
         f, u_c = rng.normal(size=(2, 10_000))
         got, u = np.empty(f.size), np.empty(f.size)
         for k in range(f.size):
             u[k], got[k] = step(float(u_c[k]), float(f[k]))
         # step blends in the estimate and keeps the result as the next u_prev
-        assert np.array_equal(u, u_c - cfg.gamma * got)
+        assert np.array_equal(u, u_c - gamma * got)
         ref = observer_reference(inv_plant, bilinear_discretize(q, T), f,
                                  np.concatenate(([0.0], u[:-1])))
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -290,7 +273,7 @@ class TestDisturbanceObserver:
     def test_third_order_observer_keeps_its_state_in_closure_locals(self):
         # the observer is third order: its step reads three closure locals
         # and runs no loop
-        step = build_observer(DobConfig(2 * np.pi * 25.0, 1.0), T).stepper()
+        step = DisturbanceObserver(2 * np.pi * 25.0, 1.0, T).stepper()
         assert {"z0", "z1", "z2", "u_prev"} <= set(step.__code__.co_freevars)
         assert "z" not in step.__code__.co_freevars
         assert not any(i.opname == "FOR_ITER" for i in dis.get_instructions(step))
@@ -300,13 +283,13 @@ class TestDisturbanceObserver:
         # steppers built at different times, the controller's step and the
         # observer's estimate all advance one state: interleaved, they
         # match a twin driven through a single stepper
-        cfg = DobConfig(2 * np.pi * 25.0, 0.8)
+        omega_c, gamma = 2 * np.pi * 25.0, 0.8
         if through == "observer":
-            used, twin = build_observer(cfg, T), build_observer(cfg, T)
+            used, twin = (DisturbanceObserver(omega_c, gamma, T) for _ in range(2))
             dob, twin_dob = used, twin
             ways = [used.stepper()]
         else:
-            used, twin = (build_force_controller(front_hip_pid(), cfg, 3.2e-3, T)
+            used, twin = (build_force_controller(front_hip_pid(), omega_c, gamma, 3.2e-3, T)
                           for _ in range(2))
             dob, twin_dob = used.dob, twin.dob
             ways = [used.stepper(), lambda a, b: (used.step(a, b),)]
@@ -326,7 +309,7 @@ class TestDisturbanceObserver:
     def test_estimate_keeps_u_prev(self):
         dob, oracle = nominal_observer_and_oracle(1.0)
         step = dob.stepper()
-        twin = build_observer(DobConfig(2 * np.pi * 25.0, 1.0), T).stepper()
+        twin = DisturbanceObserver(2 * np.pi * 25.0, 1.0, T).stepper()
         assert step(0.3, 1.0) == twin(0.3, 1.0) == oracle.step(0.3, 1.0)
         d = dob.estimate(2.0)
         assert d == oracle.estimate(2.0)
@@ -456,9 +439,8 @@ class TestDobLoopPrediction:
         dob_verify(cfg, tmp_path)
         plant = LseaPlant(cfg["plant"]["den_factors"], cfg["plant"]["gain_factor"]).tf
         for tag, gamma in (("on", cfg["control"]["gamma"]), ("off", 0.0)):
-            observer = build_observer(
-                DobConfig(2.0 * math.pi * cfg["control"]["omega_c_hz"], gamma),
-                1.0 / cfg["scenario"]["controller_hz"])
+            observer = DisturbanceObserver(2.0 * math.pi * cfg["control"]["omega_c_hz"], gamma,
+                                           1.0 / cfg["scenario"]["controller_hz"])
             f_hz, got_db, got_deg, _ = np.loadtxt(
                 tmp_path / f"frf_dob_{tag}.csv", delimiter=",", skiprows=1, unpack=True)
             want = dob_loop_response(plant, observer, f_hz)

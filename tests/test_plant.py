@@ -14,11 +14,9 @@ from seactrl import plant as plant_module
 from seactrl.config import load_config
 from seactrl.control import (
     DisturbanceObserver,
-    DobConfig,
     ImpedanceConfig,
     PidConfig,
     build_force_controller,
-    build_observer,
     impedance_step,
     nominal_lsea_tf,
 )
@@ -168,13 +166,13 @@ class TestLseaPlant:
         for plant in (p, twin):
             for _ in range(50):
                 plant.advance(1.0, 1e-4, 5)
-        caches = [dict(c) for c in (p._steppers, p._step_cache, p._lift_cache)]
+        steppers = dict(p._steppers)
         with pytest.raises(ValueError):
             if through == "advance":
                 p.advance(1.0, dt, substeps)
             else:
                 p.stepper(dt, substeps)
-        assert [p._steppers, p._step_cache, p._lift_cache] == caches
+        assert p._steppers == steppers
         assert p._state() == twin._state()
         assert p.advance(0.7, 1e-4, 5) == twin.advance(0.7, 1e-4, 5)
         assert p._state() == twin._state()
@@ -229,8 +227,12 @@ def probe_stepper(plant, dt, n):
     with ``load_state`` after each call.
     """
     assert (dt, n) not in plant._steppers
-    plant._lift_cache[(dt, n)] = (math.nan,) * 12, plant._lifted(dt, n)[1]
-    return plant.stepper(dt, n)
+    bound = plant._lifted(dt, n)[1]
+    plant._lifted = lambda *_: ((math.nan,) * 12, bound)
+    try:
+        return plant.stepper(dt, n)
+    finally:
+        del plant._lifted
 
 
 def probe(plant, advance, state, u, dt, n):
@@ -321,9 +323,7 @@ class TestLiftedTick:
     @pytest.mark.parametrize("dt, n", [(1 / 5000, 5), (1 / 20000, 20), (1 / 40000, 5)])
     def test_equals_substep_composition(self, dt, n):
         p = LseaPlant(den_factors=SHIPPED_DEN_FACTORS)
-        cached = p._lifted(dt, n)
-        assert p._lifted(dt, n) is cached
-        lifted, bound = cached
+        lifted, bound = p._lifted(dt, n)
         power, gain = substep_composition(p._coeffs(dt), n)
         got = np.array(lifted)
         assert np.max(np.abs(got[:9] - power.ravel())) <= 1e-13 * np.max(np.abs(power))
@@ -827,6 +827,13 @@ class TestScenario:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             run_scenario(sc)
 
+    @pytest.mark.parametrize("kind", ["force_step", "current_chirp", "position_chirp"])
+    @pytest.mark.parametrize("gamma", [-0.2, 1.7])
+    def test_rejects_gamma_outside_unit_interval(self, kind, gamma):
+        # a gamma outside [0, 1] used to be clamped into it and run
+        with pytest.raises(ValueError, match="gamma"):
+            run_scenario(non_finite_scenario(kind, {"gamma": gamma}))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("kind, name", [
         *(("force_step", name) for name in ("k_ff", "omega_c", "gamma", "estimate_backlash_m",
@@ -1071,8 +1078,7 @@ class TestScenario:
         ref_div = sc.controller_hz // sc.reference_hz
         assert n % ref_div != 0
         ref, pend = sc.reference, sc.pendulum
-        fc_step = build_force_controller(
-            sc.pid, DobConfig(sc.omega_c, sc.gamma), sc.k_ff, T).stepper()
+        fc_step = build_force_controller(sc.pid, sc.omega_c, sc.gamma, sc.k_ff, T).stepper()
         plant, pmap = sc.plant.build(), PendulumMap(pend.l2)
         play = BacklashPlay(sc.estimate_backlash_m)
         f_o, theta, theta_dot = 0.0, pend.theta0, pend.theta_dot0
@@ -1111,12 +1117,11 @@ class TestScenario:
                          plant=PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15))
         log = run_scenario(sc)
         T, n_sub = 1.0 / sc.controller_hz, sc.plant_hz // sc.controller_hz
-        dob_cfg = DobConfig(sc.omega_c, sc.gamma)
         plant = sc.plant.build()
         if reference.kind == "force_step":
-            fc_step = build_force_controller(sc.pid, dob_cfg, sc.k_ff, T).stepper()
+            fc_step = build_force_controller(sc.pid, sc.omega_c, sc.gamma, sc.k_ff, T).stepper()
         else:
-            dob_step = build_observer(dob_cfg, T).stepper()
+            dob_step = DisturbanceObserver(sc.omega_c, sc.gamma, T).stepper()
         f_o, want = 0.0, []
         for k in range(len(log)):
             t = k * T
