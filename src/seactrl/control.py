@@ -199,6 +199,8 @@ class DisturbanceObserver:
 
     stepped as a transposed direct form II on Python floats, its three
     state values held in closure locals and the step written out.
+    ``coefficients`` is ``(N1, N2, D)``, each a tuple of four Python floats
+    in powers of z^-1, ``D`` monic: the numbers the step binds.
     ``stepper`` returns that step as a closure built once per observer,
     ``step(u_c, f_measured) -> (u, d_hat)``: it estimates from the current
     force measurement, subtracts ``gamma * d_hat`` from the command and
@@ -224,18 +226,15 @@ class DisturbanceObserver:
                 f"Q-filter cutoff {omega_c:g} rad/s is at or above the "
                 f"Nyquist rate {math.pi / T:g} rad/s"
             )
-        self._p0, *p = n1.tolist()
-        self._q0, *r = n2.tolist()
-        self._p, self._q = tuple(p), tuple(r)
-        self._b = tuple((-d[1:]).tolist())
+        self.coefficients = (tuple(n1.tolist()), tuple(n2.tolist()), tuple(d.tolist()))
         self.T = float(T)
         self.gamma = float(gamma)
         self._step, self._estimate = self._scope()
 
     def _scope(self):
         """Build the observer's ``(step, estimate)`` over one state in three closure locals."""
-        p0, q0, gamma = self._p0, self._q0, self.gamma
-        (p1, p2, p3), (q1, q2, q3), (b1, b2, b3) = self._p, self._q, self._b
+        (p0, p1, p2, p3), (q0, q1, q2, q3), (_, a1, a2, a3) = self.coefficients
+        b1, b2, b3, gamma = -a1, -a2, -a3, self.gamma
         u_prev = 0.0
         z0 = z1 = z2 = 0.0
 

@@ -341,7 +341,8 @@ def dob_loop_response(plant, observer, freqs_hz):
     def in_z_inverse(coeffs):  # c0 + c1 z^-1 + ...
         return np.polyval(np.asarray(coeffs, float)[::-1], 1.0 / z)
 
-    den = in_z_inverse((1.0, *(-b for b in observer._b)))
-    a = in_z_inverse((observer._p0, *observer._p)) / den
-    b = in_z_inverse((observer._q0, *observer._q)) / den
+    n1, n2, d = observer.coefficients
+    den = in_z_inverse(d)
+    a = in_z_inverse(n1) / den
+    b = in_z_inverse(n2) / den
     return p_d / (1.0 + observer.gamma * (a * p_d - b / z))

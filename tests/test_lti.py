@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seactrl.control import PidConfig, nominal_lsea_tf, pid_transfer_function, q_filter
+from seactrl import lti
 from seactrl.lti import (
     CausalityError,
     ContinuousTransferFunction,
@@ -13,7 +14,9 @@ from seactrl.lti import (
     NyquistError,
     bilinear_discretize,
     bilinear_num_den,
+    block_scan,
     butterworth_lowpass,
+    df2t_state_space,
     freq_response,
     log_grid,
     taylor_shift,
@@ -371,6 +374,67 @@ class TestButterworth:
         assert np.all(np.isfinite(y))
         assert np.max(np.abs(y)) < 1.0
         assert abs(y[-1]) < 1e-12
+
+
+def recurrence(A, B, C, D, inputs):
+    """``y[k] = C x[k] + D u[k]``, ``x[k + 1] = A x[k] + B u[k]`` from ``x[0] = 0``,
+    tick by tick in Python floats."""
+    A, B = np.asarray(A, float).tolist(), np.asarray(B, float).tolist()
+    x, ys = [0.0] * len(A), []
+    for u in zip(*(np.asarray(col, float).tolist() for col in inputs)):
+        ys.append(sum(c * v for c, v in zip(C, x)) + sum(d * v for d, v in zip(D, u)))
+        x = [sum(a * v for a, v in zip(row_a, x)) + sum(b * v for b, v in zip(row_b, u))
+             for row_a, row_b in zip(A, B)]
+    return np.array(ys)
+
+
+class TestBlockScan:
+    # a record of two chunks whose last block and segment are partial
+    N = lti._SCAN_CHUNK + 3 * lti._SCAN_SEGMENT * lti._SCAN_SEGMENTS + 5
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 1), (4, 2)])
+    def test_equals_the_recurrence_up_to_rounding(self, n, m):
+        rng = np.random.default_rng(n + 10 * m)
+        A = rng.standard_normal((n, n))
+        A *= 0.97 / np.max(np.abs(np.linalg.eigvals(A)))
+        B, C, D = rng.standard_normal((n, m)), rng.standard_normal(n), rng.standard_normal(m)
+        inputs = [np.sin(np.cumsum(rng.uniform(0.0, 0.3, self.N))) for _ in range(m)]
+        out = np.full(self.N, np.nan)
+        assert block_scan(A, B, C, D, inputs, out)
+        want = recurrence(A, B, C, D, inputs)
+        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("size", [0, 1, lti._SCAN_SEGMENT + 1])
+    def test_short_records(self, size):
+        A, B, C, D = [[0.5]], [[1.0]], [1.0], [0.25]
+        u = np.linspace(1.0, 2.0, size)
+        out = np.full(size, np.nan)
+        assert block_scan(A, B, C, D, [u], out)
+        np.testing.assert_allclose(out, recurrence(A, B, C, D, [u]), rtol=1e-15)
+
+    def test_df2t_realization_steps_like_the_filter(self):
+        filt = bilinear_discretize(_q_over_pn(), 1e-3)
+        A, B, C, D = df2t_state_space((filt.a_hat,), filt.den)
+        x = np.sin(np.linspace(0.0, 200.0, 3000))
+        out = np.empty(x.size)
+        assert block_scan(A, B, C, D, [x], out)
+        want = filtered(filt, x)
+        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_df2t_pads_the_shorter_polynomials(self):
+        # a one-tick delay as a second numerator (0, 1): y[k] = x1[k] + x2[k - 1]
+        A, B, C, D = df2t_state_space(((1.0,), (0.0, 1.0)), (1.0,))
+        assert (A, B, C, D) == ([[0.0]], [[0.0, 1.0]], [1.0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("case", ["unstable", "nan_input", "huge_input"])
+    def test_gives_up_on_a_value_out_of_range(self, case):
+        A = [[1.5]] if case == "unstable" else [[0.5]]
+        u = np.ones(5000)
+        if case == "nan_input":
+            u[4000] = np.nan
+        elif case == "huge_input":
+            u[4000] = 1e301
+        assert not block_scan(A, [[1.0]], [1.0], [0.0], [u], np.empty(u.size))
 
 
 class TestLogGrid:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from seactrl import experiments
+from seactrl import experiments, lti
 from seactrl import plant as plant_module
 from seactrl.config import load_config
 from seactrl.control import (
@@ -56,11 +56,58 @@ from oracles import (
 )
 
 SHIPPED_DEN_FACTORS = (1.0, 1.2, 0.8, 1.25)
+CHIRP = ReferenceSpec(kind="current_chirp", amplitude=1.75, f_start=0.1, f_end=20.0)
 
 
 def bits(values):
     """The IEEE bit patterns of ``values``, so ``-0.0`` differs from ``0.0``."""
     return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def block_replay(sc):
+    """Replay a force-step or current-chirp scenario through fresh blocks.
+
+    Each tick steps the ``ForceController``'s stepper (force step) or the
+    ``DisturbanceObserver``'s (chirp), then ``LseaPlant.advance`` with the
+    command held.  Returns the rows ``(i_m, d_hat, f_o)``, up to the first
+    tick whose ``f_o`` is not finite.
+    """
+    ref, T = sc.reference, 1.0 / sc.controller_hz
+    plant = sc.plant.build()
+    if ref.kind == "force_step":
+        fc_step = build_force_controller(sc.pid, sc.omega_c, sc.gamma, sc.k_ff, T).stepper()
+    else:
+        dob_step = DisturbanceObserver(sc.omega_c, sc.gamma, T).stepper()
+    f_o, rows = 0.0, []
+    for k in range(int(round(sc.duration_s * sc.controller_hz))):
+        if not math.isfinite(f_o):
+            break
+        t = k * T
+        if ref.kind == "force_step":
+            i_m, d_hat = fc_step(ref.step_value if t >= ref.step_time else 0.0, f_o)
+        else:
+            u_c = exponential_chirp_point(ref.amplitude, ref.f_start, ref.f_end,
+                                          sc.duration_s, t)[0]
+            i_m, d_hat = dob_step(u_c, f_o)
+        rows.append((i_m, d_hat, f_o))
+        f_o = plant.advance(i_m, 1.0 / sc.plant_hz, sc.plant_hz // sc.controller_hz)
+    return np.array(rows)
+
+
+def refuse_block_scan(*args):
+    raise AssertionError("the tick loop's scenario took the block path")
+
+
+def spy_block_scan(monkeypatch):
+    """Record what each ``lti.block_scan`` call of ``run_scenario`` returns."""
+    results = []
+
+    def spy(*args):
+        results.append(lti.block_scan(*args))
+        return results[-1]
+
+    monkeypatch.setattr(plant_module, "block_scan", spy)
+    return results
 
 
 def assert_log_layout(log, written):
@@ -1104,39 +1151,58 @@ class TestScenario:
         assert np.any(log.q_hat_a_m != log.q_hat_a_j)
         assert np.array_equal(bits(got), bits(want))
 
-    @pytest.mark.parametrize("reference", [
-        ReferenceSpec(kind="force_step", step_value=500.0, step_time=0.05),
-        ReferenceSpec(kind="current_chirp", amplitude=1.75, f_start=0.1, f_end=20.0),
-    ], ids=["force_step", "current_chirp"])
-    def test_tick_equals_block_by_block_replay(self, reference):
-        # replay the scenario through fresh blocks: the ForceController's
-        # stepper (force step) or the DisturbanceObserver's (DOB-on chirp),
-        # then LseaPlant.advance with the command held
-        sc = SimScenario(reference=reference, duration_s=0.6, gamma=1.0,
-                         controller_hz=1000, plant_hz=5000,
-                         plant=PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15))
+    @pytest.mark.parametrize("reference, gamma, plant", [
+        (ReferenceSpec(kind="force_step", step_value=500.0, step_time=0.05), 1.0,
+         PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15)),
+        (CHIRP, 1.0, PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15)),
+        (CHIRP, 1.0, PlantConfig(SHIPPED_DEN_FACTORS)),
+        (CHIRP, 0.0, PlantConfig(SHIPPED_DEN_FACTORS, backlash=0.5)),
+    ], ids=["force_step", "current_chirp", "linear_chirp_gamma1", "chirp_backlash"])
+    def test_tick_equals_block_by_block_replay(self, monkeypatch, reference, gamma, plant):
+        # none of these takes the block path: the observer's blend, stiction
+        # or backlash closes or breaks the linear map
+        monkeypatch.setattr(plant_module, "block_scan", refuse_block_scan)
+        sc = SimScenario(reference=reference, duration_s=0.6, gamma=gamma,
+                         controller_hz=1000, plant_hz=5000, plant=plant)
         log = run_scenario(sc)
-        T, n_sub = 1.0 / sc.controller_hz, sc.plant_hz // sc.controller_hz
-        plant = sc.plant.build()
-        if reference.kind == "force_step":
-            fc_step = build_force_controller(sc.pid, sc.omega_c, sc.gamma, sc.k_ff, T).stepper()
-        else:
-            dob_step = DisturbanceObserver(sc.omega_c, sc.gamma, T).stepper()
-        f_o, want = 0.0, []
-        for k in range(len(log)):
-            t = k * T
-            if reference.kind == "force_step":
-                i_m, d_hat = fc_step(
-                    reference.step_value if t >= reference.step_time else 0.0, f_o)
-            else:
-                u_c = exponential_chirp_point(reference.amplitude, reference.f_start,
-                                              reference.f_end, sc.duration_s, t)[0]
-                i_m, d_hat = dob_step(u_c, f_o)
-            want.append((i_m, d_hat, f_o))
-            f_o = plant.advance(i_m, 1.0 / sc.plant_hz, n_sub)
+        want = block_replay(sc)
         got = np.stack((log.i_m, log.d_hat, log.f_o), axis=1)
         assert np.any(got[:, 1] != 0.0)
-        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("plant_hz", [1000, 5000])
+    def test_linear_chirp_scan_matches_replay(self, monkeypatch, plant_hz):
+        # an open-loop chirp on a linear plant is scanned by blocks: i_m is
+        # the replay's bit for bit, f_o and d_hat differ in rounding only
+        scans = spy_block_scan(monkeypatch)
+        sc = SimScenario(reference=CHIRP, duration_s=17.3, gamma=0.0, controller_hz=1000,
+                         plant_hz=plant_hz, plant=PlantConfig(SHIPPED_DEN_FACTORS))
+        log = run_scenario(sc)
+        assert scans == [True, True]
+        # two chunks, the last ending in a partial block and a partial segment
+        n = len(log)
+        assert n > lti._SCAN_CHUNK and n % lti._SCAN_SEGMENT
+        i_m, d_hat, f_o = block_replay(sc).T
+        assert np.array_equal(bits(log.i_m), bits(i_m))
+        assert np.max(np.abs(log.f_o - f_o)) <= 1e-13 * np.max(np.abs(f_o))
+        assert np.max(np.abs(log.d_hat - d_hat)) <= 1e-9 * np.max(np.abs(d_hat))
+        assert np.array_equal(log.t, np.arange(n) * (1.0 / sc.controller_hz))
+
+    @pytest.mark.parametrize("plant_hz", [1000, 5000])
+    def test_linear_chirp_fault_falls_back_to_tick_loop(self, monkeypatch, plant_hz):
+        # an unstable plant overflows the scan, which gives up; the tick
+        # loop then names the first non-finite signal at its own time
+        scans = spy_block_scan(monkeypatch)
+        sc = SimScenario(reference=CHIRP, duration_s=1.0, gamma=0.0, controller_hz=1000,
+                         plant_hz=plant_hz, plant=PlantConfig((1.0, 1.0, 1.0, 1e6)))
+        want = block_replay(sc)
+        assert len(want) < round(sc.duration_s * sc.controller_hz)
+        assert np.all(np.isfinite(want))
+        with pytest.raises(SimulationFault) as fault:
+            run_scenario(sc)
+        assert scans[-1] is False
+        assert fault.value.what == "f_o"
+        assert fault.value.time == len(want) * (1.0 / sc.controller_hz)
 
     def test_locked_testbed_logs_zero_pendulum_columns(self):
         sc = SimScenario(
