@@ -38,14 +38,10 @@ loop.  A non-finite signal stops the loop with a ``SimulationFault`` that
 names the signal and the time.
 
 One kind of scenario skips the tick loop: an open-loop current chirp
-(``gamma = 0``) with no pendulum, stiction or backlash.  Every tick of it
-applies the plant's lifted map to a known input, so its log is a linear
-filter of the chirp, and ``lti.block_scan`` computes ``f_o`` and
-``d_hat`` by blocks of ticks.  Its ``i_m`` is the tick loop's bit for
-bit; ``f_o`` and ``d_hat`` differ from the tick loop's in rounding only
-(within 1e-13 and 1e-9 of their peaks).  A scan that meets a non-finite
-value, or one of 1e300 or more in magnitude, gives way to the tick loop,
-which raises the fault.
+(``gamma = 0``) with no pendulum.  Its command is the chirp itself and
+``d_hat`` feeds nothing back, so the plant runs alone over the chirp, by
+blocks of ticks, and ``lti.block_scan`` computes ``d_hat`` afterwards.
+A fault gives way to the tick loop, which raises it.
 """
 
 from __future__ import annotations
@@ -88,14 +84,18 @@ class SimulationFault(RuntimeError):
     """A scenario produced a non-finite value.
 
     ``what`` names the signal: ``theta``/``theta_dot`` (pendulum state),
-    ``f_o`` (plant output), ``f_d`` (desired force) or ``i_m`` (current
-    command), checked in that order: the first three at the start of a
-    controller step, before the controller reads them, the last two after
-    the controller call.  ``time`` is the start of the controller step
-    that reports it.  A value produced at the end of
-    step k (``f_o``, ``theta``, ``theta_dot``) is reported at the start of
-    step k + 1; an angle that overflows inside one of step k's RK4 stages,
-    and ``f_d`` and ``i_m``, are reported at step k.
+    ``f_o`` (plant output), ``f_d`` (desired force), then ``d_hat``
+    (disturbance estimate) or ``i_m`` (current command), checked in that
+    order: the first three at the start of a controller step, before the
+    controller reads them, the rest after the controller call.  A
+    non-finite command is reported as ``d_hat`` when the estimate it was
+    formed from is non-finite too (at ``gamma = 0`` the command is
+    ``u_c - 0.0 * d_hat``, NaN for an infinite estimate), else as ``i_m``.
+    ``time`` is the start of the controller step that reports it.  A value
+    produced at the end of step k (``f_o``, ``theta``, ``theta_dot``) is
+    reported at the start of step k + 1; an angle that overflows inside
+    one of step k's RK4 stages, and ``f_d``, ``d_hat`` and ``i_m``, are
+    reported at step k.
     """
 
     def __init__(self, time: float, what: str):
@@ -590,27 +590,43 @@ class SimLog:
         write_csv(path, LOG_COLUMNS, [self.column(name) for name in LOG_COLUMNS])
 
 
-def _scan_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
-    """Fill a linear open-loop current chirp's ``t``, ``i_m``, ``f_o`` and
-    ``d_hat`` columns by ``lti.block_scan``; ``False`` if the scan gave up.
+def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
+    """Fill an open-loop current chirp's ``t``, ``i_m``, ``f_o`` and
+    ``d_hat`` columns by blocks of ticks; ``False`` on a non-finite ``f_o``
+    or a ``d_hat`` scan that gave up.
 
     ``i_m`` is ``chirp(k * T)``, the value the tick loop commands at
-    ``gamma = 0``.  ``f_o`` is the plant's lifted map ``(P, G, c_y)`` of
-    ``n_sub`` substeps driven by ``i_m``; ``d_hat`` is the observer's DF2T
-    driven by ``f_o`` and ``i_m``, whose one-tick delay (``u_prev``) moves
-    into ``N2``'s coefficients.
+    ``gamma = 0``.  On a linear plant (no stiction, no backlash) ``f_o`` is
+    ``lti.block_scan`` of the plant's lifted map ``(P, G, c_y)`` of
+    ``n_sub`` substeps driven by ``i_m``; on any other plant it is the
+    plant's own stepper, ``f_o[k + 1] = advance(i_m[k])``, called once per
+    tick over one block of ``i_m`` at a time.  ``d_hat`` is then
+    ``block_scan`` of the observer's DF2T driven by ``f_o`` and ``i_m``,
+    whose one-tick delay (``u_prev``) moves into ``N2``'s coefficients.
     """
-    times, i_m = log["t"], log["i_m"]
-    for k0 in range(0, i_m.size, _LOG_BLOCK_TICKS):
-        k1 = min(k0 + _LOG_BLOCK_TICKS, i_m.size)
+    times, i_m, f_o = log["t"], log["i_m"], log["f_o"]
+    n = i_m.size
+    linear = plant.stiction_breakaway == 0.0 and plant._play is None
+    advance = plant.stepper(dt_sub, n_sub)
+    for k0 in range(0, n, _LOG_BLOCK_TICKS):
+        k1 = min(k0 + _LOG_BLOCK_TICKS, n)
         i_m[k0:k1] = np.fromiter(map(chirp, map(T.__mul__, range(k0, k1))), float, k1 - k0)
         np.multiply(np.arange(k0, k1), T, out=times[k0:k1])
-    lifted, _ = plant._lifted(dt_sub, n_sub)
-    P, G = [lifted[0:3], lifted[3:6], lifted[6:9]], [[g] for g in lifted[9:]]
+        if not linear:
+            # the last tick's step is never logged, nor checked
+            k2 = min(k1, n - 1)
+            stepped = f_o[k0 + 1:k2 + 1]
+            stepped[:] = np.fromiter(map(advance, i_m[k0:k2].tolist()), float, k2 - k0)
+            if not np.isfinite(stepped).all():
+                return False
+    if linear:
+        lifted, _ = plant._lifted(dt_sub, n_sub)
+        P, G = [lifted[0:3], lifted[3:6], lifted[6:9]], [[g] for g in lifted[9:]]
+        if not block_scan(P, G, [plant._cy, 0.0, 0.0], [0.0], [i_m], f_o):
+            return False
     n1, n2, den = dob.coefficients
-    return (block_scan(P, G, [plant._cy, 0.0, 0.0], [0.0], [i_m], log["f_o"])
-            and block_scan(*df2t_state_space((n1, (0.0, *(-q for q in n2))), den),
-                           [log["f_o"], i_m], log["d_hat"]))
+    return block_scan(*df2t_state_space((n1, (0.0, *(-q for q in n2))), den),
+                      [f_o, i_m], log["d_hat"])
 
 
 def run_scenario(sc: SimScenario) -> SimLog:
@@ -650,18 +666,15 @@ def run_scenario(sc: SimScenario) -> SimLog:
     nothing: the pendulum state and the plant output are checked before
     the controller call, the desired force and the command after it.
 
-    A current chirp with ``gamma == 0``, no pendulum, and a plant with
-    neither stiction nor backlash skips the tick loop: it is linear, so
-    ``i_m`` is the chirp at ``t = k * T`` and ``lti.block_scan`` filters it
-    through the plant's lifted map ``(P, G, c_y)`` of ``n_sub`` substeps
-    into ``f_o``, and ``f_o`` and ``i_m`` through the observer's DF2T into
-    ``d_hat``, by blocks of ticks (``_scan_open_loop_chirp``).  ``i_m`` and
-    ``t`` equal the tick loop's bit for bit; ``f_o`` and ``d_hat`` differ
-    from it in rounding only, by at most 1e-13 and 1e-9 of their peaks.
-    If the scan meets a non-finite value, or one of 1e300 or more in
-    magnitude, the scenario runs the tick loop instead, so every
-    ``SimulationFault`` keeps its signal and time.  Every other scenario
-    runs the tick loop.
+    A current chirp with ``gamma == 0`` and no pendulum, whatever the
+    plant, skips the tick loop (``_run_open_loop_chirp``).  ``i_m``, ``t``
+    and a stepped ``f_o`` equal the tick loop's bit for bit; a scanned
+    ``f_o`` (a plant with neither stiction nor backlash) and ``d_hat``
+    differ from it in rounding only, by at most 1e-13 and 1e-9 of their
+    peaks.  If ``f_o`` is non-finite, or a scan meets a non-finite value
+    or one of 1e300 or more in magnitude, the scenario runs the tick loop
+    instead, on a fresh plant, so every ``SimulationFault`` keeps its
+    time.  Every other scenario runs the tick loop.
     """
     sc.validate()
     T = 1.0 / sc.controller_hz
@@ -716,11 +729,12 @@ def run_scenario(sc: SimScenario) -> SimLog:
     f_o = 0.0
     q_a_d = qdot_a_d = f_ff = 0.0
 
-    # an open-loop chirp on a linear plant is a linear filter of the chirp
-    if (ref.kind == "current_chirp" and pend is None and sc.gamma == 0.0
-            and sc.plant.stiction_breakaway == 0.0 and sc.plant.backlash == 0.0
-            and _scan_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob)):
-        return SimLog(**log)
+    # an open-loop chirp commands the chirp itself, and d_hat feeds nothing back
+    if ref.kind == "current_chirp" and pend is None and sc.gamma == 0.0:
+        if _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob):
+            return SimLog(**log)
+        # the tick loop names the fault at its time, from a fresh plant
+        advance = sc.plant.build().stepper(dt_sub, n_sub)
 
     for k0 in range(0, n_steps, _LOG_BLOCK_TICKS):
         k1 = min(k0 + _LOG_BLOCK_TICKS, n_steps)
@@ -752,14 +766,14 @@ def run_scenario(sc: SimScenario) -> SimLog:
             elif force_step:
                 f_d = ref.step_value if t >= ref.step_time else 0.0
                 i_m, d_hat = fc_step(f_d, f_o)
-            else:  # current_chirp: open loop around the observer blend
+            else:  # current_chirp with gamma > 0, or one the open-loop path gave up on
                 i_m, d_hat = dob_step(chirp(t), f_o)
                 f_d = 0.0
 
             if not math.isfinite(f_d):
                 raise SimulationFault(t, "f_d")
             if not math.isfinite(i_m):
-                raise SimulationFault(t, "i_m")
+                raise SimulationFault(t, "i_m" if math.isfinite(d_hat) else "d_hat")
 
             if pend is not None:
                 record((f_d, f_o, i_m, d_hat, theta, theta_dot, q_hat_a_m))

@@ -12,7 +12,7 @@ the library's own maps, what the library must match bit for bit:
 ``pendulum_tick_reference`` the controller step of ``run_scenario``'s
 pendulum path, ``rate_rows`` the substep rates whose deviations
 ``LseaPlant._lifted`` keeps as its bound, ``stepped_call``,
-``lifted_call`` and ``held_call_reference`` one plant call with
+``lifted_oracle`` and ``held_call_reference`` one plant call with
 stiction, and
 ``ThirdOrderObserver`` the third-order observer step, from the two
 filters' coefficients.
@@ -225,21 +225,27 @@ def stepped_call(plant, state, u, dt, n):
     return x0, x1, x2
 
 
-def lifted_call(plant, state, u, dt, n):
-    """``plant._lifted(dt, n)`` applied to ``state`` with the input that the
-    Karnopp test on ``state`` lets through (zero or ``u``).
+def lifted_oracle(plant, dt, n):
+    """Return ``call(state, u)``: ``plant._lifted(dt, n)`` applied to
+    ``state`` with the input that the Karnopp test on ``state`` lets
+    through (zero or ``u``).
 
-    Returns the state after the call.
+    The map is composed once, here, for every call; ``call`` returns the
+    state after the call.
     """
     p00, p01, p02, p10, p11, p12, p20, p21, p22, g0, g1, g2 = plant._lifted(dt, n)[0]
-    brk, vdead = plant.stiction_breakaway, plant.stiction_velocity_deadband
-    x0, x1, x2 = state
-    ue = 0.0 if brk > 0.0 and abs(u) < brk and abs(plant._cy * x1) < vdead else u
-    return (
-        p00 * x0 + p01 * x1 + p02 * x2 + g0 * ue,
-        p10 * x0 + p11 * x1 + p12 * x2 + g1 * ue,
-        p20 * x0 + p21 * x1 + p22 * x2 + g2 * ue,
-    )
+    brk, vdead, cy = plant.stiction_breakaway, plant.stiction_velocity_deadband, plant._cy
+
+    def call(state, u):
+        x0, x1, x2 = state
+        ue = 0.0 if brk > 0.0 and abs(u) < brk and abs(cy * x1) < vdead else u
+        return (
+            p00 * x0 + p01 * x1 + p02 * x2 + g0 * ue,
+            p10 * x0 + p11 * x1 + p12 * x2 + g1 * ue,
+            p20 * x0 + p21 * x1 + p22 * x2 + g2 * ue,
+        )
+
+    return call
 
 
 def held_call_reference(plant, state, u, dt, n):
@@ -250,7 +256,8 @@ def held_call_reference(plant, state, u, dt, n):
     row 1 of numpy's composition ``(M^j, (M^0 + ... + M^(j-1)) N)`` of the
     substep map, applied to ``state`` and that input.  Returns ``(agrees,
     state_after)``: when the test gives substep 0's answer on every
-    substep, the state after ``lifted_call``, else after ``stepped_call``.
+    substep, the state after ``lifted_oracle``'s call, else after
+    ``stepped_call``.
     """
     cy, vdead = plant._cy, plant.stiction_velocity_deadband
     c = np.array(plant._coeffs(dt))
@@ -264,8 +271,9 @@ def held_call_reference(plant, state, u, dt, n):
         gain = gain + power @ n_col
         power = m @ power
         agrees = agrees and bool(abs(cy * (power[1] @ x + gain[1] * ue)) < vdead) == zeroed
-    call = lifted_call if agrees else stepped_call
-    return agrees, call(plant, state, u, dt, n)
+    if agrees:
+        return agrees, lifted_oracle(plant, dt, n)(state, u)
+    return agrees, stepped_call(plant, state, u, dt, n)
 
 
 def zoh_map(den, T):

@@ -47,7 +47,7 @@ from oracles import (
     coupled_ode_reference,
     csv_reference,
     held_call_reference,
-    lifted_call,
+    lifted_oracle,
     pendulum_tick_reference,
     rate_rows,
     stepped_call,
@@ -98,15 +98,15 @@ def refuse_block_scan(*args):
     raise AssertionError("the tick loop's scenario took the block path")
 
 
-def spy_block_scan(monkeypatch):
-    """Record what each ``lti.block_scan`` call of ``run_scenario`` returns."""
-    results = []
+def spy_on(monkeypatch, name):
+    """Record what each call of ``plant_module``'s function ``name`` returns."""
+    results, function = [], getattr(plant_module, name)
 
-    def spy(*args):
-        results.append(lti.block_scan(*args))
+    def recorded(*args):
+        results.append(function(*args))
         return results[-1]
 
-    monkeypatch.setattr(plant_module, "block_scan", spy)
+    monkeypatch.setattr(plant_module, name, recorded)
     return results
 
 
@@ -528,20 +528,22 @@ class TestLiftedTick:
                 dt, n, calls = 1.0 / sc.plant_hz, n_sub, 1
             else:
                 dt, n, calls = 0.5 / sc.plant_hz, n_sub, 2
-            advance = plant.stepper(dt, n)
+            advance, lifted_call = plant.stepper(dt, n), lifted_oracle(plant, dt, n)
             lifted = stepped = 0
             for u in i_m:
                 for _ in range(calls):
                     state = plant._state()
                     advance(u)
                     got = plant._state()
-                    want = lifted_call(plant, state, u, dt, n)
+                    want = lifted_call(state, u)
                     if abs(u) >= plant.stiction_breakaway:
                         assert got == want
-                    elif want != stepped_call(plant, state, u, dt, n):
+                        continue
+                    other = stepped_call(plant, state, u, dt, n)
+                    if want != other:
                         lifted += got == want
                         stepped += got != want
-                        assert got in (want, stepped_call(plant, state, u, dt, n))
+                        assert got in (want, other)
             assert lifted + stepped >= 0.04 * calls * len(i_m)
             assert lifted >= 0.99 * (lifted + stepped)
 
@@ -1156,11 +1158,10 @@ class TestScenario:
          PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15)),
         (CHIRP, 1.0, PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15)),
         (CHIRP, 1.0, PlantConfig(SHIPPED_DEN_FACTORS)),
-        (CHIRP, 0.0, PlantConfig(SHIPPED_DEN_FACTORS, backlash=0.5)),
-    ], ids=["force_step", "current_chirp", "linear_chirp_gamma1", "chirp_backlash"])
+    ], ids=["force_step", "current_chirp", "linear_chirp_gamma1"])
     def test_tick_equals_block_by_block_replay(self, monkeypatch, reference, gamma, plant):
-        # none of these takes the block path: the observer's blend, stiction
-        # or backlash closes or breaks the linear map
+        # none of these takes the block path: the observer's blend closes
+        # the loop, or the reference is a force step
         monkeypatch.setattr(plant_module, "block_scan", refuse_block_scan)
         sc = SimScenario(reference=reference, duration_s=0.6, gamma=gamma,
                          controller_hz=1000, plant_hz=5000, plant=plant)
@@ -1174,7 +1175,7 @@ class TestScenario:
     def test_linear_chirp_scan_matches_replay(self, monkeypatch, plant_hz):
         # an open-loop chirp on a linear plant is scanned by blocks: i_m is
         # the replay's bit for bit, f_o and d_hat differ in rounding only
-        scans = spy_block_scan(monkeypatch)
+        scans = spy_on(monkeypatch, "block_scan")
         sc = SimScenario(reference=CHIRP, duration_s=17.3, gamma=0.0, controller_hz=1000,
                          plant_hz=plant_hz, plant=PlantConfig(SHIPPED_DEN_FACTORS))
         log = run_scenario(sc)
@@ -1192,7 +1193,7 @@ class TestScenario:
     def test_linear_chirp_fault_falls_back_to_tick_loop(self, monkeypatch, plant_hz):
         # an unstable plant overflows the scan, which gives up; the tick
         # loop then names the first non-finite signal at its own time
-        scans = spy_block_scan(monkeypatch)
+        scans = spy_on(monkeypatch, "block_scan")
         sc = SimScenario(reference=CHIRP, duration_s=1.0, gamma=0.0, controller_hz=1000,
                          plant_hz=plant_hz, plant=PlantConfig((1.0, 1.0, 1.0, 1e6)))
         want = block_replay(sc)
@@ -1203,6 +1204,74 @@ class TestScenario:
         assert scans[-1] is False
         assert fault.value.what == "f_o"
         assert fault.value.time == len(want) * (1.0 / sc.controller_hz)
+
+    @pytest.mark.parametrize("plant", [
+        PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15),
+        PlantConfig(SHIPPED_DEN_FACTORS, backlash=0.5),
+        PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15, backlash=0.01),
+    ], ids=["stiction", "backlash", "stiction_backlash"])
+    def test_open_loop_chirp_steps_plant_as_tick_loop(self, monkeypatch, plant):
+        # an open-loop chirp on a nonlinear plant steps the plant alone,
+        # block by block, and scans d_hat once afterwards: t, i_m and f_o
+        # are the tick loop's bit for bit, d_hat differs in rounding only;
+        # the tick loop itself equals the block-by-block replay
+        n = 2 * _LOG_BLOCK_TICKS + 1  # the last block is one tick, never stepped
+        sc = SimScenario(reference=CHIRP, duration_s=n / 1000.0, gamma=0.0,
+                         controller_hz=1000, plant_hz=5000, plant=plant)
+        scans = spy_on(monkeypatch, "block_scan")
+        log = run_scenario(sc)
+        assert scans == [True]
+        monkeypatch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
+        tick = run_scenario(sc)
+        assert scans == [True]
+        assert len(log) == len(tick) == n
+        for name in ("t", "i_m", "f_o"):
+            assert np.array_equal(bits(log.column(name)), bits(tick.column(name))), name
+        assert np.any(tick.d_hat != 0.0)
+        assert np.max(np.abs(log.d_hat - tick.d_hat)) <= 1e-9 * np.max(np.abs(tick.d_hat))
+        want = block_replay(sc)
+        assert np.array_equal(bits(np.stack((tick.i_m, tick.d_hat, tick.f_o), axis=1)),
+                              bits(want))
+
+    @pytest.mark.parametrize("plant_hz, backlash", [(1000, 0.0), (5000, 0.01)])
+    def test_stepped_chirp_fault_falls_back_to_tick_loop(self, monkeypatch, plant_hz, backlash):
+        # an unstable stiction plant overflows f_o while it is stepped; the
+        # tick loop then names it at its own time, from a fresh plant
+        # (t = 0.322 and 0.42 s)
+        results = spy_on(monkeypatch, "_run_open_loop_chirp")
+        sc = SimScenario(reference=CHIRP, duration_s=1.0, gamma=0.0, controller_hz=1000,
+                         plant_hz=plant_hz,
+                         plant=PlantConfig((1.0, 1.0, 1.0, 1e6), stiction_breakaway=0.15,
+                                           backlash=backlash))
+        want = block_replay(sc)
+        assert len(want) < round(sc.duration_s * sc.controller_hz)
+        assert np.all(np.isfinite(want))
+        with pytest.raises(SimulationFault) as fault:
+            run_scenario(sc)
+        assert results == [False]
+        assert fault.value.what == "f_o"
+        assert fault.value.time == len(want) * (1.0 / sc.controller_hz)
+        monkeypatch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
+        with pytest.raises(SimulationFault) as tick:
+            run_scenario(sc)
+        assert (tick.value.what, tick.value.time) == (fault.value.what, fault.value.time)
+
+    def test_estimate_overflow_names_d_hat(self, monkeypatch):
+        # the observer's estimate overflows while f_o is still finite; at
+        # gamma = 0 the command is u_c - 0.0 * d_hat, NaN, so the tick that
+        # forms it names the estimate, the signal that went non-finite
+        scans = spy_on(monkeypatch, "block_scan")
+        sc = SimScenario(reference=CHIRP, duration_s=3.0, gamma=0.0, controller_hz=1000,
+                         plant_hz=5000, plant=PlantConfig((1.0, 1.0, 1.0, 1e9)))
+        with pytest.raises(SimulationFault) as fault:
+            run_scenario(sc)
+        assert scans[-1] is False
+        assert fault.value.what == "d_hat"
+        assert fault.value.time == 26 * (1.0 / sc.controller_hz)  # t = 0.026 s
+        monkeypatch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
+        with pytest.raises(SimulationFault) as tick:
+            run_scenario(sc)
+        assert (tick.value.what, tick.value.time) == ("d_hat", fault.value.time)
 
     def test_locked_testbed_logs_zero_pendulum_columns(self):
         sc = SimScenario(
