@@ -275,10 +275,12 @@ def _within_limit(values: np.ndarray) -> bool:
                                     and values.min() > -_SCAN_LIMIT)
 
 
-def block_scan(A, B, C, D, inputs, out) -> bool:
+def block_scan(A, B, C, D, inputs, out, ticks=None, states=None) -> bool:
     """Fill ``out`` with ``y[k] = C x[k] + D u[k]``, ``x[k + 1] = A x[k] + B u[k]``
     from ``x[0] = 0``, a block of ``_SCAN_SEGMENTS * _SCAN_SEGMENT`` ticks
-    at a time.
+    at a time, and ``states[i]`` with ``x[ticks[i]]`` when ``ticks`` (an
+    ascending integer array of ticks below ``out.size``) and ``states`` (an
+    array of ``len(ticks)`` rows of ``len(A)``) are given.
 
     ``inputs`` holds one 1-D array per column of ``B``, each as long as
     ``out``.  Within a segment of ``L = _SCAN_SEGMENT`` ticks from state
@@ -293,12 +295,15 @@ def block_scan(A, B, C, D, inputs, out) -> bool:
     product or add in a fixed order, over ``_SCAN_CHUNK`` ticks at a time,
     with no matrix product, so the bytes do not depend on a BLAS kernel.
     ``A^L``, the rows above and the powers of ``A^L`` come from running the
-    recurrence itself in Python floats.  The result equals the
-    tick-by-tick recurrence up to rounding.
+    recurrence itself in Python floats.  A requested state is its segment's
+    start state advanced by the recurrence over the at most ``L - 1`` ticks
+    before it, elementwise for every request at once.  The result equals
+    the tick-by-tick recurrence up to rounding.
 
-    Returns ``False`` as soon as an output or a segment's start state is
-    non-finite or reaches ``_SCAN_LIMIT`` in magnitude, leaving ``out``
-    partly written; ``True`` when every output is filled.
+    Returns ``False`` as soon as an output, a segment's start state or a
+    requested state is non-finite or reaches ``_SCAN_LIMIT`` in magnitude,
+    leaving ``out`` and ``states`` partly written; ``True`` when every
+    output and state is filled.
     """
     A = np.asarray(A, dtype=float).tolist()
     B = np.asarray(B, dtype=float).tolist()
@@ -367,12 +372,32 @@ def block_scan(A, B, C, D, inputs, out) -> bool:
             for r in range(n):
                 starts += block_starts[:, None, r:r + 1] * powers[:, :, r]
             starts = starts.reshape(nb * per, n)[:count]
+            if ticks is not None:
+                lo, hi = np.searchsorted(ticks, (k0, k1))
+                states[lo:hi] = starts[(ticks[lo:hi] - k0) // L]
             tails = [u[k_tail:k1].reshape(count - full, tail) for u in inputs]
             if not (_within_limit(starts)
                     and fill(starts[:full], segments, out[k0:k_tail].reshape(full, L))
                     and fill(starts[full:], tails, out[k_tail:k1].reshape(count - full, tail))):
                 return False
-    return True
+        if ticks is None or not ticks.size:
+            return True
+        # advance each request from its segment's start, the longest lag
+        # first, so the requests still moving at lag j are a prefix
+        lags = ticks % L
+        order = np.argsort(-lags, kind="stable")
+        lags, firsts, x = lags[order], (ticks - lags)[order], states[order]
+        columns, gains = np.array(A).T, np.array(B).T
+        for j in range(lags[0]):
+            live = np.count_nonzero(lags > j)
+            moved = x[:live, :1] * columns[0]
+            for r in range(1, n):
+                moved += x[:live, r:r + 1] * columns[r]
+            for u, g in zip(inputs, gains):
+                moved += u[firsts[:live] + j, None] * g
+            x[:live] = moved
+        states[order] = x
+        return _within_limit(x)
 
 
 def _davies_chain(coeffs: np.ndarray, n: int, T: float) -> np.ndarray:

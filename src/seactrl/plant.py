@@ -39,9 +39,13 @@ names the signal and the time.
 
 One kind of scenario skips the tick loop: an open-loop current chirp
 (``gamma = 0``) with no pendulum.  Its command is the chirp itself and
-``d_hat`` feeds nothing back, so the plant runs alone over the chirp, by
-blocks of ticks, and ``lti.block_scan`` computes ``d_hat`` afterwards.
-A fault gives way to the tick loop, which raises it.
+``d_hat`` feeds nothing back, so the plant runs alone over the chirp: one
+``lti.block_scan`` of its linear map, with the windows of calls that
+``LseaPlant.held`` names (below the stiction breakaway; every call with
+backlash) stepped by the plant's own stepper and superposed on the scan.
+Another scan computes ``d_hat`` afterwards.  A scan that gives up leaves
+its column to the stepper; a non-finite value gives way to the tick
+loop, which raises the fault.
 """
 
 from __future__ import annotations
@@ -138,6 +142,10 @@ class LseaPlant:
     transmitted output.  The breakaway, dead-band and play width must be
     non-negative and finite.  A parameter that breaks these rules raises
     ``ValueError`` naming it.
+
+    ``state()`` reads and ``set_state(x)`` loads the one state ``(x0, x1,
+    x2)`` that every stepper of the plant steps; ``realization`` and
+    ``held`` say which calls are the linear map ``x+ = P x + G u``.
     """
 
     def __init__(self, den_factors=(1.0, 1.0, 1.0, 1.0), gain_factor: float = 1.0,
@@ -165,7 +173,7 @@ class LseaPlant:
         self.stiction_velocity_deadband = float(stiction_velocity_deadband)
         self._play = BacklashPlay(backlash) if backlash > 0.0 else None
         self._steppers: dict[tuple[float, int], Callable[[float], float]] = {}
-        self._state, self._new_stepper = self._scope()
+        self.state, self.set_state, self._new_stepper = self._scope()
 
     def _coeffs(self, dt: float) -> tuple:
         """One RK4 substep of ``dt`` as the map ``x+ = M x + N u``.
@@ -224,12 +232,35 @@ class LseaPlant:
         lifted = (*(run[i] for i in range(3) for run in runs[:3]), *runs[3][:3])
         return lifted, tuple(run[3] for run in runs)
 
+    def realization(self, dt: float, substeps: int) -> tuple:
+        """``(P, G, c_y)`` of a call of ``substeps`` RK4 substeps of ``dt``
+        whose every substep sees the input ``u``: ``x+ = P x + G u`` and
+        the transmitted force ``f_o = c_y x0``, without backlash.
+
+        ``P`` is three rows of three Python floats and ``G`` three, the
+        map ``_lifted`` composes, which the stepper applies to every call
+        that ``held`` leaves out.
+        """
+        lifted, _ = self._lifted(dt, substeps)
+        return [list(lifted[0:3]), list(lifted[3:6]), list(lifted[6:9])], list(lifted[9:]), self._cy
+
+    def held(self, inputs) -> np.ndarray:
+        """Which calls, with these held inputs, a stepper may run otherwise
+        than by ``realization``'s map: none on a linear plant, those below
+        the stiction breakaway, and with backlash every call."""
+        u = np.asarray(inputs, dtype=float)
+        if self._play is not None:
+            return np.ones(u.shape, dtype=bool)
+        return np.abs(u) < self.stiction_breakaway
+
     def _scope(self):
-        """Build the state reader and the stepper factory over one plant state.
+        """Build the state reader, its setter and the stepper factory over
+        one plant state.
 
         The state ``x0, x1, x2`` lives in this scope, so every stepper the
         factory builds, and ``advance``, step the same state; ``state()``
-        reads it.  The perturbation parameters are bound here, once.
+        reads it and ``set_state`` loads it.  The perturbation parameters
+        are bound here, once.
         """
         x0 = x1 = x2 = 0.0
         cy, play = self._cy, self._play
@@ -242,6 +273,10 @@ class LseaPlant:
 
         def state():
             return x0, x1, x2
+
+        def set_state(x):
+            nonlocal x0, x1, x2
+            x0, x1, x2 = x
 
         def new_stepper(dt, substeps):
             m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2 = self._coeffs(dt)
@@ -298,7 +333,7 @@ class LseaPlant:
 
             return advance
 
-        return state, new_stepper
+        return state, set_state, new_stepper
 
     def stepper(self, dt: float, substeps: int) -> Callable[[float], float]:
         """Return ``advance(i_m) -> f_o``: ``substeps`` equal RK4 substeps of
@@ -590,43 +625,113 @@ class SimLog:
         write_csv(path, LOG_COLUMNS, [self.column(name) for name in LOG_COLUMNS])
 
 
+def _powers(P, count: int) -> np.ndarray:
+    """``P^0 ... P^count`` of a 3 x 3 ``P`` (rows of Python floats), as a
+    ``(count + 1, 3, 3)`` array.
+
+    Built by doubling: with ``S = P^m``, squared in Python floats, each
+    ``P^(m + i) = S P^i`` for every ``i < m`` at once, row by row as an
+    elementwise numpy sum in a fixed order, with no BLAS call.
+    """
+    table = np.empty((count + 1, 3, 3))
+    table[0] = np.eye(3)
+    size, square = 1, P
+    while size <= count:
+        src = table[:min(size, count + 1 - size)]
+        dst = table[size:size + len(src)]
+        for r, (s0, s1, s2) in enumerate(square):
+            dst[:, r] = s0 * src[:, 0] + s1 * src[:, 1] + s2 * src[:, 2]
+        square = [[a0 * c0 + a1 * c1 + a2 * c2 for c0, c1, c2 in zip(*square)]
+                  for a0, a1, a2 in square]
+        size *= 2
+    return table
+
+
 def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
     """Fill an open-loop current chirp's ``t``, ``i_m``, ``f_o`` and
-    ``d_hat`` columns by blocks of ticks; ``False`` on a non-finite ``f_o``
-    or a ``d_hat`` scan that gave up.
+    ``d_hat`` columns by blocks of ticks; ``False`` on a non-finite
+    ``f_o`` or ``d_hat``.
 
     ``i_m`` is ``chirp(k * T)``, the value the tick loop commands at
-    ``gamma = 0``.  On a linear plant (no stiction, no backlash) ``f_o`` is
-    ``lti.block_scan`` of the plant's lifted map ``(P, G, c_y)`` of
-    ``n_sub`` substeps driven by ``i_m``; on any other plant it is the
-    plant's own stepper, ``f_o[k + 1] = advance(i_m[k])``, called once per
-    tick over one block of ``i_m`` at a time.  ``d_hat`` is then
-    ``block_scan`` of the observer's DF2T driven by ``f_o`` and ``i_m``,
-    whose one-tick delay (``u_prev``) moves into ``N2``'s coefficients.
+    ``gamma = 0``.  The tick loop's ``f_o[k + 1]`` is ``advance(i_m[k])``
+    of the plant's stepper, whose every call outside ``plant.held`` is the
+    map ``(P, G, c_y) = plant.realization(dt_sub, n_sub)``.  So one
+    ``lti.block_scan`` of that map, driven by ``i_m``, gives ``f_lin`` and
+    its states ``x_lin`` at the edges of each window of held calls, and
+    ``f_o`` is ``f_lin`` plus the free response of ``delta = x - x_lin``:
+    in Python floats, a window starts from ``x_lin + P^j delta`` loaded
+    into the plant, its held calls are the plant's own stepper, and the
+    state it ends in gives the next ``delta``; between windows, ``f_o[b +
+    j] = f_lin[b + j] + c_y e0' P^j delta`` is elementwise numpy over the
+    powers of ``P`` (``_powers``), at most ``_LOG_BLOCK_TICKS`` ticks at
+    a time.  A linear plant has no window, so ``f_o`` is the scan; with
+    backlash, or when the scan gives up, every call is held and stepped.
+    ``d_hat`` is ``block_scan`` of the observer's DF2T driven by ``f_o``
+    and ``i_m``, whose one-tick delay (``u_prev``) moves into ``N2``'s
+    coefficients, or, when that scan gives up, the observer's own step.
     """
-    times, i_m, f_o = log["t"], log["i_m"], log["f_o"]
+    times, i_m, f_o, d_hat = log["t"], log["i_m"], log["f_o"], log["d_hat"]
     n = i_m.size
-    linear = plant.stiction_breakaway == 0.0 and plant._play is None
-    advance = plant.stepper(dt_sub, n_sub)
+    held = np.empty(n, dtype=bool)
     for k0 in range(0, n, _LOG_BLOCK_TICKS):
         k1 = min(k0 + _LOG_BLOCK_TICKS, n)
-        i_m[k0:k1] = np.fromiter(map(chirp, map(T.__mul__, range(k0, k1))), float, k1 - k0)
         np.multiply(np.arange(k0, k1), T, out=times[k0:k1])
-        if not linear:
-            # the last tick's step is never logged, nor checked
-            k2 = min(k1, n - 1)
-            stepped = f_o[k0 + 1:k2 + 1]
-            stepped[:] = np.fromiter(map(advance, i_m[k0:k2].tolist()), float, k2 - k0)
-            if not np.isfinite(stepped).all():
-                return False
-    if linear:
-        lifted, _ = plant._lifted(dt_sub, n_sub)
-        P, G = [lifted[0:3], lifted[3:6], lifted[6:9]], [[g] for g in lifted[9:]]
-        if not block_scan(P, G, [plant._cy, 0.0, 0.0], [0.0], [i_m], f_o):
-            return False
+        i_m[k0:k1] = chirp(times[k0:k1])
+        held[k0:k1] = plant.held(i_m[k0:k1])
+    # the last tick's call is never logged; the windows are the calls
+    # a ... b - 1 for each pair (a, b) of edges
+    held = held[:-1]
+    edges = np.flatnonzero(np.diff(held, prepend=False, append=False))
+    states = np.zeros((edges.size, 3))
+    P, G, cy = plant.realization(dt_sub, n_sub)
+    if held.all() or not block_scan(P, [[g] for g in G], [cy, 0.0, 0.0], [0.0], [i_m], f_o,
+                                    edges, states):
+        edges, states = np.array([0, max(n - 1, 0)]), np.zeros((2, 3))
+    starts, ends = edges[::2], edges[1::2]
+    longest = np.append(starts[1:], n - 1) - ends
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _powers(P, min(int(longest.max(initial=0)), _LOG_BLOCK_TICKS))
+        rows = [cy * table[:, 0, c] for c in range(3)]
+
+    def carry(k, stop, delta):
+        # corrects f_o[k + 1 ... stop] for delta at tick k; returns it at stop
+        while k < stop:
+            j = min(stop - k, len(table) - 1)
+            d0, d1, d2 = delta
+            correction = rows[0][1:j + 1] * d0
+            correction += rows[1][1:j + 1] * d1
+            correction += rows[2][1:j + 1] * d2
+            f_o[k + 1:k + j + 1] += correction
+            delta = [p0 * d0 + p1 * d1 + p2 * d2 for p0, p1, p2 in table[j].tolist()]
+            k += j
+        return delta
+
+    advance = plant.stepper(dt_sub, n_sub)
+    delta, end = [0.0, 0.0, 0.0], edges[0] if edges.size else n - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b, x_a, x_b in zip(starts.tolist(), ends.tolist(), states[::2].tolist(),
+                                  states[1::2].tolist()):
+            delta = carry(end, a, delta)
+            plant.set_state([x + d for x, d in zip(x_a, delta)])
+            for k0 in range(a, b, _LOG_BLOCK_TICKS):
+                k1 = min(k0 + _LOG_BLOCK_TICKS, b)
+                f_o[k0 + 1:k1 + 1] = np.fromiter(map(advance, i_m[k0:k1].tolist()), float,
+                                                 k1 - k0)
+            delta, end = [x - y for x, y in zip(plant.state(), x_b)], b
+        carry(end, n - 1, delta)
+    if not np.isfinite(f_o).all():
+        return False
+
     n1, n2, den = dob.coefficients
-    return block_scan(*df2t_state_space((n1, (0.0, *(-q for q in n2))), den),
-                      [f_o, i_m], log["d_hat"])
+    if block_scan(*df2t_state_space((n1, (0.0, *(-q for q in n2))), den), [f_o, i_m], d_hat):
+        return True
+    step = dob.stepper()
+    for k0 in range(0, n, _LOG_BLOCK_TICKS):
+        k1 = min(k0 + _LOG_BLOCK_TICKS, n)
+        d_hat[k0:k1] = np.fromiter(
+            (step(u, f)[1] for u, f in zip(i_m[k0:k1].tolist(), f_o[k0:k1].tolist())),
+            float, k1 - k0)
+    return bool(np.isfinite(d_hat).all())
 
 
 def run_scenario(sc: SimScenario) -> SimLog:
@@ -667,14 +772,18 @@ def run_scenario(sc: SimScenario) -> SimLog:
     the controller call, the desired force and the command after it.
 
     A current chirp with ``gamma == 0`` and no pendulum, whatever the
-    plant, skips the tick loop (``_run_open_loop_chirp``).  ``i_m``, ``t``
-    and a stepped ``f_o`` equal the tick loop's bit for bit; a scanned
-    ``f_o`` (a plant with neither stiction nor backlash) and ``d_hat``
-    differ from it in rounding only, by at most 1e-13 and 1e-9 of their
-    peaks.  If ``f_o`` is non-finite, or a scan meets a non-finite value
-    or one of 1e300 or more in magnitude, the scenario runs the tick loop
-    instead, on a fresh plant, so every ``SimulationFault`` keeps its
-    time.  Every other scenario runs the tick loop.
+    plant, skips the tick loop (``_run_open_loop_chirp``).  ``i_m`` and
+    ``t`` equal the tick loop's bit for bit, and so does ``f_o`` with
+    backlash, where every call is stepped; a scanned ``f_o`` (on a plant
+    without backlash, superposed with its stepped windows of held calls)
+    and ``d_hat`` differ from it in rounding only, by at most 1e-13 and
+    1e-9 of their peaks.  A scan that gives up, on a non-finite value or
+    one of 1e300 or more in magnitude, leaves its column to the stepper:
+    every plant call, or the observer's step, as the tick loop runs them.
+    If ``f_o`` or ``d_hat`` is non-finite, the scenario runs the tick loop
+    instead, on a fresh plant and observer, so every ``SimulationFault``
+    keeps its time.  Every other scenario runs the tick loop, sampling the
+    chirp a block of ticks at a time.
     """
     sc.validate()
     T = 1.0 / sc.controller_hz
@@ -733,11 +842,15 @@ def run_scenario(sc: SimScenario) -> SimLog:
     if ref.kind == "current_chirp" and pend is None and sc.gamma == 0.0:
         if _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob):
             return SimLog(**log)
-        # the tick loop names the fault at its time, from a fresh plant
+        # the tick loop names the fault at its time, from a fresh plant and observer
         advance = sc.plant.build().stepper(dt_sub, n_sub)
+        dob_step = DisturbanceObserver(sc.omega_c, sc.gamma, T).stepper()
 
     for k0 in range(0, n_steps, _LOG_BLOCK_TICKS):
         k1 = min(k0 + _LOG_BLOCK_TICKS, n_steps)
+        np.multiply(np.arange(k0, k1), T, out=times[k0:k1])
+        if not (position_chirp or force_step):
+            u_c = chirp(times[k0:k1]).tolist()
         for k in range(k0, k1):
             t = k * T
             if pend is not None:
@@ -767,7 +880,7 @@ def run_scenario(sc: SimScenario) -> SimLog:
                 f_d = ref.step_value if t >= ref.step_time else 0.0
                 i_m, d_hat = fc_step(f_d, f_o)
             else:  # current_chirp with gamma > 0, or one the open-loop path gave up on
-                i_m, d_hat = dob_step(chirp(t), f_o)
+                i_m, d_hat = dob_step(u_c[k - k0], f_o)
                 f_d = 0.0
 
             if not math.isfinite(f_d):
@@ -791,7 +904,6 @@ def run_scenario(sc: SimScenario) -> SimLog:
         for j, column in enumerate(recorded):
             column[k0:k1] = ticks[:, j]
         block.clear()
-        np.multiply(np.arange(k0, k1), T, out=times[k0:k1])
 
     # the other columns a scenario writes, each in place, without a
     # log-sized temporary

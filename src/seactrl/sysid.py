@@ -239,23 +239,38 @@ def linear_chirp_freq_hz(omega_o: float, t) -> float:
 
 
 def exponential_chirp(amplitude: float, f_start: float, f_end: float, duration: float):
-    """The exponential sweep's value as a function of ``t``.
+    """The exponential sweep's sampler: ``sample(t)`` maps a 1-D array of
+    times to the sweep's values there.
 
-    The sweep rate ``ln(f_end / f_start) / duration`` and ``2 pi f_start``
-    are computed once here, so a caller that samples the sweep every tick
-    pays only for the ``exp`` and ``sin``.
+    Each value is ``amplitude * sin(w0 (exp(lnk t) - 1) / lnk)``, or
+    ``amplitude * sin(w0 t)`` when ``f_end == f_start``, with ``w0 = 2 pi
+    f_start`` and ``lnk = ln(f_end / f_start) / duration`` computed once
+    here.  numpy does each product, difference and quotient elementwise,
+    in that order, and ``math.exp`` and ``math.sin`` each value, so every
+    sample equals that expression in Python floats, bit for bit (numpy's
+    own ``exp`` differs from libm in the last ulp).
     """
     w0 = 2.0 * math.pi * f_start
+
+    def sines(phases):
+        return amplitude * np.fromiter(map(math.sin, phases.tolist()), float, phases.size)
+
     if f_end == f_start:
-        return lambda t: amplitude * math.sin(w0 * t)
+        return lambda t: sines(w0 * np.asarray(t, dtype=float))
     lnk = math.log(f_end / f_start) / duration
-    return lambda t: amplitude * math.sin(w0 * (math.exp(lnk * t) - 1.0) / lnk)
+
+    def sample(t):
+        lnk_t = lnk * np.asarray(t, dtype=float)
+        e = np.fromiter(map(math.exp, lnk_t.tolist()), float, lnk_t.size)
+        return sines(w0 * (e - 1.0) / lnk)
+
+    return sample
 
 
 def exponential_chirp_point(amplitude: float, f_start: float, f_end: float,
                             duration: float, t: float):
     """Value and instantaneous frequency of an exponential sweep at ``t``."""
-    value = exponential_chirp(amplitude, f_start, f_end, duration)(t)
+    value = float(exponential_chirp(amplitude, f_start, f_end, duration)([t])[0])
     if f_end == f_start:
         return value, f_start
     return value, f_start * math.exp(math.log(f_end / f_start) / duration * t)

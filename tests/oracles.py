@@ -11,9 +11,9 @@ reference formats each value on its own.  The exceptions write out, with
 the library's own maps, what the library must match bit for bit:
 ``pendulum_tick_reference`` the controller step of ``run_scenario``'s
 pendulum path, ``rate_rows`` the substep rates whose deviations
-``LseaPlant._lifted`` keeps as its bound, ``stepped_call``,
-``lifted_oracle`` and ``held_call_reference`` one plant call with
-stiction, and
+``LseaPlant._lifted`` keeps as its bound, ``stepped_substeps``,
+``stepped_call``, ``lifted_oracle`` and ``held_call_reference`` one
+plant call with stiction, and
 ``ThirdOrderObserver`` the third-order observer step, from the two
 filters' coefficients.
 """
@@ -204,25 +204,33 @@ def rate_rows(plant, dt, n):
                      rates(0.0, 0.0, 1.0, 0.0), rates(0.0, 0.0, 0.0, 1.0)))
 
 
-def stepped_call(plant, state, u, dt, n):
+def stepped_substeps(plant, state, u, dt, n):
     """``n`` substeps of ``plant._coeffs(dt)`` from ``state``, one by one.
 
     Before each substep the Karnopp test zeroes the input when it is below
     the breakaway and the force rate ``cy x1`` is inside the dead-band.
-    Returns the state after the call.
+    Returns the state after the call and the effective input of each
+    substep.
     """
     m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2 = plant._coeffs(dt)
     cy, brk = plant._cy, plant.stiction_breakaway
     vdead = plant.stiction_velocity_deadband
     x0, x1, x2 = state
+    inputs = []
     for _ in range(n):
         ue = 0.0 if brk > 0.0 and abs(u) < brk and abs(cy * x1) < vdead else u
+        inputs.append(ue)
         x0, x1, x2 = (
             m00 * x0 + m01 * x1 + m02 * x2 + n0 * ue,
             m10 * x0 + m11 * x1 + m12 * x2 + n1 * ue,
             m20 * x0 + m21 * x1 + m22 * x2 + n2 * ue,
         )
-    return x0, x1, x2
+    return (x0, x1, x2), tuple(inputs)
+
+
+def stepped_call(plant, state, u, dt, n):
+    """The state after ``stepped_substeps``' call."""
+    return stepped_substeps(plant, state, u, dt, n)[0]
 
 
 def lifted_oracle(plant, dt, n):

@@ -376,16 +376,21 @@ class TestButterworth:
         assert abs(y[-1]) < 1e-12
 
 
-def recurrence(A, B, C, D, inputs):
+def trajectory(A, B, C, D, inputs):
     """``y[k] = C x[k] + D u[k]``, ``x[k + 1] = A x[k] + B u[k]`` from ``x[0] = 0``,
-    tick by tick in Python floats."""
+    tick by tick in Python floats; returns the outputs and the states ``x[k]``."""
     A, B = np.asarray(A, float).tolist(), np.asarray(B, float).tolist()
-    x, ys = [0.0] * len(A), []
+    x, ys, xs = [0.0] * len(A), [], []
     for u in zip(*(np.asarray(col, float).tolist() for col in inputs)):
+        xs.append(x)
         ys.append(sum(c * v for c, v in zip(C, x)) + sum(d * v for d, v in zip(D, u)))
         x = [sum(a * v for a, v in zip(row_a, x)) + sum(b * v for b, v in zip(row_b, u))
              for row_a, row_b in zip(A, B)]
-    return np.array(ys)
+    return np.array(ys), np.array(xs)
+
+
+def recurrence(A, B, C, D, inputs):
+    return trajectory(A, B, C, D, inputs)[0]
 
 
 class TestBlockScan:
@@ -403,6 +408,25 @@ class TestBlockScan:
         assert block_scan(A, B, C, D, inputs, out)
         want = recurrence(A, B, C, D, inputs)
         assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n, m", [(3, 1), (4, 2)])
+    def test_states_at_ticks_equal_the_recurrence(self, n, m):
+        # ticks at a record's start, at segment starts and ends, at either
+        # side of a chunk boundary and at its last tick
+        rng = np.random.default_rng(n + 10 * m)
+        A = rng.standard_normal((n, n))
+        A *= 0.97 / np.max(np.abs(np.linalg.eigvals(A)))
+        B, C, D = rng.standard_normal((n, m)), rng.standard_normal(n), rng.standard_normal(m)
+        inputs = [np.sin(np.cumsum(rng.uniform(0.0, 0.3, self.N))) for _ in range(m)]
+        L, chunk = lti._SCAN_SEGMENT, lti._SCAN_CHUNK
+        ticks = np.unique(np.concatenate((
+            [0, 1, L - 1, L, chunk - 1, chunk, chunk + L - 1, self.N - 1],
+            rng.integers(0, self.N, 200))))
+        out, states = np.empty(self.N), np.full((ticks.size, n), np.nan)
+        assert block_scan(A, B, C, D, inputs, out, ticks, states)
+        want = trajectory(A, B, C, D, inputs)[1][ticks]
+        assert np.max(np.abs(states - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(states[0], np.zeros(n))
 
     @pytest.mark.parametrize("size", [0, 1, lti._SCAN_SEGMENT + 1])
     def test_short_records(self, size):

@@ -51,6 +51,7 @@ from oracles import (
     pendulum_tick_reference,
     rate_rows,
     stepped_call,
+    stepped_substeps,
     substep_composition,
     zoh_map,
 )
@@ -108,6 +109,59 @@ def spy_on(monkeypatch, name):
 
     monkeypatch.setattr(plant_module, name, recorded)
     return results
+
+
+def shipped_open_loop_chirp(experiment, amplitude):
+    """The shipped ``experiment``'s gamma = 0 current chirp at ``amplitude``."""
+    cfg = load_config(experiment)
+    sn = cfg["scenario"]
+    ref = ReferenceSpec(kind="current_chirp", amplitude=amplitude,
+                        f_start=sn["chirp_f_start"], f_end=sn["chirp_f_end"])
+    return experiments._base_scenario(cfg, ref, gamma=0.0)
+
+
+def superpose_against_tick_loop(monkeypatch, sc):
+    """Run the open-loop chirp ``sc`` on its own path, then on the tick loop.
+
+    ``t`` and ``i_m`` must be bit-equal, ``f_o`` within 1e-13 and
+    ``d_hat`` within 1e-9 of their peaks, and every held call (input below
+    the breakaway) must come in the same order, with the same input, on
+    both paths.  Returns the open-loop path's log and the number of held
+    calls whose substeps see another effective input than on the tick
+    loop, from the state each path loads before the call.
+    """
+    calls = []
+    stepper = LseaPlant.stepper
+
+    def recorded_stepper(plant, dt, substeps):
+        advance = stepper(plant, dt, substeps)
+
+        def recorded(u):
+            if abs(u) < plant.stiction_breakaway:
+                calls.append((u, plant.state()))
+            return advance(u)
+
+        return recorded
+
+    monkeypatch.setattr(LseaPlant, "stepper", recorded_stepper)
+    log = run_scenario(sc)
+    superposed = calls[:]
+    calls.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
+        tick = run_scenario(sc)
+    assert np.array_equal(bits(log.t), bits(tick.t))
+    assert np.array_equal(bits(log.i_m), bits(tick.i_m))
+    assert np.max(np.abs(log.f_o - tick.f_o)) <= 1e-13 * np.max(np.abs(tick.f_o))
+    assert np.max(np.abs(log.d_hat - tick.d_hat)) <= 1e-9 * np.max(np.abs(tick.d_hat))
+    # the tick loop also steps the last tick, whose output is never logged
+    tick_calls = calls[:len(superposed)]
+    assert [bits(u) for u, _ in superposed] == [bits(u) for u, _ in tick_calls]
+    plant, dt, n_sub = sc.plant.build(), 1.0 / sc.plant_hz, sc.plant_hz // sc.controller_hz
+    changed = sum(stepped_substeps(plant, x, u, dt, n_sub)[1]
+                  != stepped_substeps(plant, y, u, dt, n_sub)[1]
+                  for (u, x), (_, y) in zip(superposed, tick_calls))
+    return log, changed
 
 
 def assert_log_layout(log, written):
@@ -220,9 +274,9 @@ class TestLseaPlant:
             else:
                 p.stepper(dt, substeps)
         assert p._steppers == steppers
-        assert p._state() == twin._state()
+        assert p.state() == twin.state()
         assert p.advance(0.7, 1e-4, 5) == twin.advance(0.7, 1e-4, 5)
-        assert p._state() == twin._state()
+        assert p.state() == twin.state()
 
     @pytest.mark.parametrize("plant_hz, bound", [(1000, 1e-6), (5000, 1e-8), (20000, 1e-8)])
     def test_linear_limit_matches_lsim(self, plant_hz, bound):
@@ -259,19 +313,12 @@ class TestLseaPlant:
 SHIPPED_HELD_STEPS = [(1 / 40000, 20), (1 / 5000, 5)]
 
 
-def load_state(plant, state):
-    """Set the one state every stepper of ``plant`` steps (its closure cells)."""
-    cells = dict(zip(plant._state.__code__.co_freevars, plant._state.__closure__))
-    for name, value in zip(("x0", "x1", "x2"), state):
-        cells[name].cell_contents = value
-
-
 def probe_stepper(plant, dt, n):
     """``plant.stepper(dt, n)`` over a NaN lifted map and the plant's own bound.
 
     A held call that the bound decides is lifted, so it returns NaN and
     leaves a NaN state; every other held call is stepped.  Reload the state
-    with ``load_state`` after each call.
+    with ``set_state`` after each call.
     """
     assert (dt, n) not in plant._steppers
     bound = plant._lifted(dt, n)[1]
@@ -289,7 +336,7 @@ def probe(plant, advance, state, u, dt, n):
     NaN where the stepped oracle does not, and a call it leaves undecided
     is the stepped oracle, bit for bit (asserted).
     """
-    load_state(plant, state)
+    plant.set_state(state)
     got = advance(u)
     want = plant._cy * stepped_call(plant, state, u, dt, n)[0]
     if math.isnan(want):  # the stepped call overflowed: the probe cannot tell
@@ -460,11 +507,11 @@ class TestLiftedTick:
             p.advance(1.0, dt, 1)
         lifted = differs = 0
         for u in rng.uniform(-0.149, 0.149, 100):
-            state = p._state()
+            state = p.state()
             agrees, want = held_call_reference(p, state, u, dt, n)
             stepped = stepped_call(p, state, u, dt, n)
             f = p.advance(u, dt, n)
-            got = p._state()
+            got = p.state()
             assert f == p._cy * got[0]
             assert got in ((want, stepped) if agrees else (stepped,))
             assert (abs(p._cy * state[1]) < deadband) is zeroed
@@ -488,7 +535,7 @@ class TestLiftedTick:
                 p.advance(1.0, dt, 1)
         crossings = set()
         for _ in range(1000):
-            state = call._state()
+            state = call.state()
             agrees, want = held_call_reference(call, state, u, dt, n)
             if agrees:
                 assert call.advance(u, dt, 1) == single.advance(u, dt, 1)
@@ -497,7 +544,7 @@ class TestLiftedTick:
             for _ in range(n):
                 f = single.advance(u, dt, 1)
             assert got == f
-            assert call._state() == single._state() == want
+            assert call.state() == single.state() == want
             crossings.add(abs(call._cy * state[1]) < 0.8)
         assert crossings == {True, False}  # left the band, and entered it
 
@@ -532,9 +579,9 @@ class TestLiftedTick:
             lifted = stepped = 0
             for u in i_m:
                 for _ in range(calls):
-                    state = plant._state()
+                    state = plant.state()
                     advance(u)
-                    got = plant._state()
+                    got = plant.state()
                     want = lifted_call(state, u)
                     if abs(u) >= plant.stiction_breakaway:
                         assert got == want
@@ -577,7 +624,7 @@ class TestLiftedTick:
             else:
                 want = twin.advance(u, dt, n)
             assert got == want
-            assert mixed._state() == twin._state()
+            assert mixed.state() == twin.state()
 
     @pytest.mark.parametrize("dt, n", SHIPPED_HELD_STEPS)
     @pytest.mark.parametrize("gain, vdead, x0, x2, u", [
@@ -627,10 +674,10 @@ class TestLiftedTick:
         for x0 in (1.79e308, -1.79e308, 1e308, -1e308):
             for x1 in (1.7976931348623157e308, -1.7976931348623157e308):
                 state = (x0, x1, 0.0)
-                load_state(plant, state)
+                plant.set_state(state)
                 plant.advance(0.0, dt, n)
                 want = stepped_call(plant, state, 0.0, dt, n)
-                assert np.array_equal(plant._state(), want, equal_nan=True)
+                assert np.array_equal(plant.state(), want, equal_nan=True)
 
     @given(dt_n=st.sampled_from(SHIPPED_HELD_STEPS),
            gain=st.floats(0.5, 2.0),
@@ -1094,7 +1141,8 @@ class TestScenario:
 
     def test_block_log_across_block_boundaries(self):
         # with gamma = 0 the logged command is the chirp itself, and each
-        # tick's output is one advance of a plant driven by the logged command
+        # tick's output is, up to rounding, one advance of a plant driven by
+        # the logged command
         n = 2 * _LOG_BLOCK_TICKS + 1
         ref = ReferenceSpec(kind="current_chirp", amplitude=1.0, f_start=0.1, f_end=10.0)
         sc = SimScenario(reference=ref, duration_s=n / 1000.0, gamma=0.0,
@@ -1109,9 +1157,9 @@ class TestScenario:
                                          sc.duration_s, t)[0] for t in log.t.tolist()]
         assert np.array_equal(log.i_m.view(np.uint64), np.array(chirp).view(np.uint64))
         plant = sc.plant.build()
-        replay = [0.0] + [plant.advance(i_m, 1.0 / sc.plant_hz, 5)
-                          for i_m in log.i_m[:-1].tolist()]
-        assert np.array_equal(log.f_o.view(np.uint64), np.array(replay).view(np.uint64))
+        replay = np.array([0.0] + [plant.advance(i_m, 1.0 / sc.plant_hz, 5)
+                                   for i_m in log.i_m[:-1].tolist()])
+        assert np.max(np.abs(log.f_o - replay)) <= 1e-13 * np.max(np.abs(replay))
 
     def test_pendulum_block_log_across_block_boundaries(self):
         # replay every tick of a position chirp through the public blocks:
@@ -1205,33 +1253,99 @@ class TestScenario:
         assert fault.value.what == "f_o"
         assert fault.value.time == len(want) * (1.0 / sc.controller_hz)
 
-    @pytest.mark.parametrize("plant", [
-        PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15),
-        PlantConfig(SHIPPED_DEN_FACTORS, backlash=0.5),
-        PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15, backlash=0.01),
+    @pytest.mark.parametrize("plant, scanned", [
+        (PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15), True),
+        (PlantConfig(SHIPPED_DEN_FACTORS, backlash=0.5), False),
+        (PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15, backlash=0.01), False),
     ], ids=["stiction", "backlash", "stiction_backlash"])
-    def test_open_loop_chirp_steps_plant_as_tick_loop(self, monkeypatch, plant):
-        # an open-loop chirp on a nonlinear plant steps the plant alone,
-        # block by block, and scans d_hat once afterwards: t, i_m and f_o
-        # are the tick loop's bit for bit, d_hat differs in rounding only;
-        # the tick loop itself equals the block-by-block replay
+    def test_open_loop_chirp_steps_plant_as_tick_loop(self, monkeypatch, plant, scanned):
+        # an open-loop chirp on a nonlinear plant runs the plant alone and
+        # scans d_hat once afterwards: t and i_m are the tick loop's bit for
+        # bit, d_hat differs in rounding only.  With stiction alone f_o is
+        # scanned and superposed, so it differs in rounding only too; with
+        # backlash every call is stepped and f_o is the tick loop's bit for
+        # bit.  The tick loop itself equals the block-by-block replay
         n = 2 * _LOG_BLOCK_TICKS + 1  # the last block is one tick, never stepped
         sc = SimScenario(reference=CHIRP, duration_s=n / 1000.0, gamma=0.0,
                          controller_hz=1000, plant_hz=5000, plant=plant)
         scans = spy_on(monkeypatch, "block_scan")
         log = run_scenario(sc)
-        assert scans == [True]
+        assert scans == [True] * (1 + scanned)
         monkeypatch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
         tick = run_scenario(sc)
-        assert scans == [True]
+        assert scans == [True] * (1 + scanned)
         assert len(log) == len(tick) == n
-        for name in ("t", "i_m", "f_o"):
+        for name in ("t", "i_m") if scanned else ("t", "i_m", "f_o"):
             assert np.array_equal(bits(log.column(name)), bits(tick.column(name))), name
+        assert np.max(np.abs(log.f_o - tick.f_o)) <= 1e-13 * np.max(np.abs(tick.f_o))
         assert np.any(tick.d_hat != 0.0)
         assert np.max(np.abs(log.d_hat - tick.d_hat)) <= 1e-9 * np.max(np.abs(tick.d_hat))
         want = block_replay(sc)
         assert np.array_equal(bits(np.stack((tick.i_m, tick.d_hat, tick.f_o), axis=1)),
                               bits(want))
+
+    @pytest.mark.parametrize("experiment, amplitude", [
+        ("dob-verify", 1.75), ("bode-open-loop", 1.0), ("bode-open-loop", 1.5),
+        ("bode-open-loop", 1.75)])
+    def test_shipped_stiction_chirp_superposes_like_tick_loop(self, monkeypatch, experiment,
+                                                              amplitude):
+        # dob-verify's DOB-off run and each bode-open-loop amplitude: one
+        # scan and 630 windows of held calls, the first at tick 0 (the chirp
+        # starts at sin 0); no held call sees another effective input
+        sc = shipped_open_loop_chirp(experiment, amplitude)
+        scans = spy_on(monkeypatch, "block_scan")
+        log, changed = superpose_against_tick_loop(monkeypatch, sc)
+        assert scans == [True, True]
+        held = np.abs(log.i_m[:-1]) < sc.plant.stiction_breakaway
+        assert held[0] and np.count_nonzero(np.diff(held.astype(int)) == 1) == 629
+        assert changed == 0
+
+    @pytest.mark.parametrize("f_start, f_end, duration, plant_hz", [
+        (5.0, 5.0, 0.2, 5000),  # the last window ends at the last tick
+        (5.0, 5.0, 0.02, 5000),  # shorter than one scan segment
+        (0.1, 20.0, 3.0, 1000),  # one substep a call: an all-zero bound
+    ], ids=["last_tick", "short", "one_substep"])
+    def test_stiction_chirp_edges_superpose_like_tick_loop(self, monkeypatch, f_start, f_end,
+                                                           duration, plant_hz):
+        sc = SimScenario(
+            reference=ReferenceSpec(kind="current_chirp", amplitude=1.0, f_start=f_start,
+                                    f_end=f_end),
+            duration_s=duration, gamma=0.0, controller_hz=1000, plant_hz=plant_hz,
+            plant=PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15))
+        log, changed = superpose_against_tick_loop(monkeypatch, sc)
+        held = np.abs(log.i_m[:-1]) < sc.plant.stiction_breakaway
+        assert held[0] and not held.all()
+        assert changed == 0
+        if duration == 0.2:
+            assert held[-1]
+        if duration == 0.02:
+            assert len(log) < lti._SCAN_SEGMENT
+
+    @pytest.mark.parametrize("gain, scans_wanted", [(1e300, [True, False]),
+                                                    (2e300, [False, False])])
+    def test_finite_scan_limit_steps_the_column(self, monkeypatch, gain, scans_wanted):
+        # a scan that reaches 1e300 with every value finite gives up on its
+        # column alone: d_hat (peak 1.75e300) is the observer's own step over
+        # i_m and f_o, and at twice the gain f_o (peak 1.6e300) is every
+        # call stepped too, the tick loop's bit for bit; the scenario never
+        # reaches the tick loop, which would run every tick to no fault
+        sc = SimScenario(reference=CHIRP, duration_s=10.0, gamma=0.0, controller_hz=1000,
+                         plant_hz=5000,
+                         plant=PlantConfig(gain_factor=gain, stiction_breakaway=0.15))
+        results = spy_on(monkeypatch, "_run_open_loop_chirp")
+        scans = spy_on(monkeypatch, "block_scan")
+        log, changed = superpose_against_tick_loop(monkeypatch, sc)
+        assert results == [True] and scans == scans_wanted
+        assert changed == 0
+        step = DisturbanceObserver(sc.omega_c, 0.0, 1.0 / sc.controller_hz).stepper()
+        stepped = [step(u, f)[1] for u, f in zip(log.i_m.tolist(), log.f_o.tolist())]
+        assert np.array_equal(bits(log.d_hat), bits(stepped))
+        assert np.max(np.abs(log.d_hat)) > 1e300
+        if gain == 2e300:
+            advance = sc.plant.build().stepper(1.0 / sc.plant_hz, 5)
+            f_o = [0.0] + [advance(u) for u in log.i_m[:-1].tolist()]
+            assert np.array_equal(bits(log.f_o), bits(f_o))
+            assert np.max(np.abs(log.f_o)) > 1e300
 
     @pytest.mark.parametrize("plant_hz, backlash", [(1000, 0.0), (5000, 0.01)])
     def test_stepped_chirp_fault_falls_back_to_tick_loop(self, monkeypatch, plant_hz, backlash):
@@ -1256,16 +1370,21 @@ class TestScenario:
             run_scenario(sc)
         assert (tick.value.what, tick.value.time) == (fault.value.what, fault.value.time)
 
-    def test_estimate_overflow_names_d_hat(self, monkeypatch):
+    @pytest.mark.parametrize("duration, scans_wanted", [(3.0, [False]),
+                                                        (0.027, [False, False])])
+    def test_estimate_overflow_names_d_hat(self, monkeypatch, duration, scans_wanted):
         # the observer's estimate overflows while f_o is still finite; at
         # gamma = 0 the command is u_c - 0.0 * d_hat, NaN, so the tick that
-        # forms it names the estimate, the signal that went non-finite
+        # forms it names the estimate, the signal that went non-finite.  In
+        # 3 s the stepped f_o overflows too; in 27 ticks it stays finite, so
+        # the open-loop path steps the observer before the tick loop runs
+        # from a fresh one
         scans = spy_on(monkeypatch, "block_scan")
-        sc = SimScenario(reference=CHIRP, duration_s=3.0, gamma=0.0, controller_hz=1000,
+        sc = SimScenario(reference=CHIRP, duration_s=duration, gamma=0.0, controller_hz=1000,
                          plant_hz=5000, plant=PlantConfig((1.0, 1.0, 1.0, 1e9)))
         with pytest.raises(SimulationFault) as fault:
             run_scenario(sc)
-        assert scans[-1] is False
+        assert scans == scans_wanted
         assert fault.value.what == "d_hat"
         assert fault.value.time == 26 * (1.0 / sc.controller_hz)  # t = 0.026 s
         monkeypatch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
@@ -1460,7 +1579,7 @@ class TestPythonFloats:
         p = LseaPlant(den_factors=SHIPPED_DEN_FACTORS, **kwargs)
         for _ in range(3):
             assert type(p.advance(u, 1e-4, n)) is float
-            assert all(type(x) is float for x in p._state())
+            assert all(type(x) is float for x in p.state())
 
     def test_coefficient_tuples_hold_floats(self):
         p = LseaPlant(den_factors=SHIPPED_DEN_FACTORS)

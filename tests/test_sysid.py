@@ -87,18 +87,23 @@ class TestChirp:
         assert np.max(np.diff(phe)) < np.pi
 
     @pytest.mark.parametrize("f_start, f_end", [(0.05, 15.0), (0.1, 35.0), (2.0, 2.0)])
-    def test_builder_matches_written_out_sweep(self, f_start, f_end):
-        # the per-tick builder keeps the one-shot expression order: equal bits
+    def test_sampler_matches_written_out_sweep(self, f_start, f_end):
+        # the array sampler keeps the scalar expression's order: equal bits
         a, duration = 1.75, 120.0
-        value = exponential_chirp(a, f_start, f_end, duration)
-        for t in (np.arange(120_001)[::997] * 1e-3).tolist():
+        times = np.arange(120_001) * 1e-3
+        got = exponential_chirp(a, f_start, f_end, duration)(times)
+        want = []
+        for t in times.tolist():
             if f_end == f_start:
-                expected = a * math.sin(2.0 * math.pi * f_start * t)
+                want.append(a * math.sin(2.0 * math.pi * f_start * t))
             else:
                 lnk = math.log(f_end / f_start) / duration
-                expected = a * math.sin(2.0 * math.pi * f_start * (math.exp(lnk * t) - 1.0) / lnk)
-            assert value(t) == expected
-            assert exponential_chirp_point(a, f_start, f_end, duration, t)[0] == expected
+                want.append(a * math.sin(2.0 * math.pi * f_start * (math.exp(lnk * t) - 1.0)
+                                         / lnk))
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+        for t, expected in zip(times[::997].tolist(), want[::997]):
+            value = exponential_chirp_point(a, f_start, f_end, duration, t)[0]
+            assert type(value) is float and value == expected
 
     def test_constant_tone_degenerate_exponential(self):
         v, f = exponential_chirp_point(1.0, 2.0, 2.0, 10.0, 0.25)
