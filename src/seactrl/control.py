@@ -206,7 +206,9 @@ class DisturbanceObserver:
     force measurement, subtracts ``gamma * d_hat`` from the command and
     keeps the result as ``u_prev``, the command the next estimate compares
     against.  The filter state and ``u_prev`` live in the closure's scope,
-    which ``estimate`` shares; ``gamma`` is bound at construction.
+    which ``estimate`` shares; ``state()`` reads it as ``(z0, z1, z2,
+    u_prev)`` and ``set_state(s)`` loads it.  ``gamma`` is bound at
+    construction.
 
     A ``gamma`` outside [0, 1] (NaN included) raises ``ValueError``; so
     do ``q_filter`` for an ``omega_c`` that is not positive and finite and
@@ -229,10 +231,11 @@ class DisturbanceObserver:
         self.coefficients = (tuple(n1.tolist()), tuple(n2.tolist()), tuple(d.tolist()))
         self.T = float(T)
         self.gamma = float(gamma)
-        self._step, self._estimate = self._scope()
+        self._step, self._estimate, self.state, self.set_state = self._scope()
 
     def _scope(self):
-        """Build the observer's ``(step, estimate)`` over one state in three closure locals."""
+        """Build the observer's ``(step, estimate, state, set_state)`` over
+        one state: the DF2T state in three closure locals, and ``u_prev``."""
         (p0, p1, p2, p3), (q0, q1, q2, q3), (_, a1, a2, a3) = self.coefficients
         b1, b2, b3, gamma = -a1, -a2, -a3, self.gamma
         u_prev = 0.0
@@ -256,7 +259,14 @@ class DisturbanceObserver:
             u_prev = u
             return d
 
-        return step, estimate
+        def state():
+            return z0, z1, z2, u_prev
+
+        def set_state(s):
+            nonlocal z0, z1, z2, u_prev
+            z0, z1, z2, u_prev = s
+
+        return step, estimate, state, set_state
 
     def stepper(self):
         """Return the observer step ``step(u_c, f_measured) -> (u, d_hat)``."""

@@ -13,9 +13,10 @@ as a transposed direct form II (DF2T) stepped on Python floats by a
 closure each filter builds once (``DiscreteIirFilter.stepper``): the state
 is one zero-initialized value per order, updated in the same order of
 operations as ``scipy.signal.lfilter``.  ``block_scan`` runs a state-space
-system (such as a DF2T written out by ``df2t_state_space``) over a whole
-record by blocks of ticks, equal to the tick recurrence up to rounding,
-with no BLAS call.  All coefficient arithmetic is 64-bit; single
+system over a whole record by blocks of ticks, computing several output
+rows over one pass of the state and keeping the state each segment
+starts from, equal to the tick recurrence up to rounding, with no BLAS
+call.  All coefficient arithmetic is 64-bit; single
 precision is known to destabilize filters above a few orders.  Orders
 above ~10 produce very large intermediate coefficients and are not
 guaranteed, only passed through.
@@ -37,7 +38,6 @@ __all__ = [
     "taylor_shift",
     "bilinear_num_den",
     "bilinear_discretize",
-    "df2t_state_space",
     "block_scan",
     "tustin_gap",
     "freq_response",
@@ -218,28 +218,6 @@ class DiscreteIirFilter:
         )
 
 
-def df2t_state_space(nums, den):
-    """State-space form ``(A, B, C, D)`` of a DF2T filter with one input per
-    numerator over the shared denominator ``den``, all in powers of z^-1.
-
-    ``den`` is monic (``den[0] == 1``).  The state is the DF2T state
-    ``z``, so ``y = z[0] + sum_q nums[q][0] u_q`` and ``z[i]+ = z[i + 1] +
-    sum_q nums[q][i + 1] u_q - den[i + 1] y``; every polynomial is padded
-    with zeros to the longest one.  Returns nested lists of Python floats:
-    ``A`` is ``n x n``, ``B`` is ``n x m``, ``C`` has ``n`` entries and
-    ``D`` one per input.
-    """
-    n = max(len(den), *(len(num) for num in nums)) - 1
-
-    def padded(coeffs):
-        return [float(c) for c in coeffs] + [0.0] * (n + 1 - len(coeffs))
-
-    a, ns = padded(den), [padded(num) for num in nums]
-    A = [[-a[i + 1] if j == 0 else float(j == i + 1) for j in range(n)] for i in range(n)]
-    B = [[num[i + 1] - a[i + 1] * num[0] for num in ns] for i in range(n)]
-    return A, B, [float(j == 0) for j in range(n)], [num[0] for num in ns]
-
-
 # block_scan's sizes: a block of _SCAN_SEGMENTS segments of _SCAN_SEGMENT
 # ticks each, and _SCAN_CHUNK ticks (whole blocks) of temporaries at a
 # time; a value at or beyond _SCAN_LIMIT in magnitude makes it give up
@@ -275,54 +253,56 @@ def _within_limit(values: np.ndarray) -> bool:
                                     and values.min() > -_SCAN_LIMIT)
 
 
-def block_scan(A, B, C, D, inputs, out, ticks=None, states=None) -> bool:
-    """Fill ``out`` with ``y[k] = C x[k] + D u[k]``, ``x[k + 1] = A x[k] + B u[k]``
-    from ``x[0] = 0``, a block of ``_SCAN_SEGMENTS * _SCAN_SEGMENT`` ticks
-    at a time, and ``states[i]`` with ``x[ticks[i]]`` when ``ticks`` (an
-    ascending integer array of ticks below ``out.size``) and ``states`` (an
-    array of ``len(ticks)`` rows of ``len(A)``) are given.
+def block_scan(A, B, C, D, inputs, outs, starts=None) -> bool:
+    """Fill each ``outs[i]`` with ``y_i[k] = C[i] x[k] + D[i] u[k]``, where
+    ``x[k + 1] = A x[k] + B u[k]`` from ``x[0] = 0``, a block of
+    ``_SCAN_SEGMENTS * _SCAN_SEGMENT`` ticks at a time, and, when ``starts``
+    (an array of ``ceil(n / _SCAN_SEGMENT)`` rows of ``len(A)``) is given,
+    ``starts[b]`` with ``x[b * _SCAN_SEGMENT]``, the state segment ``b``
+    starts from.
 
-    ``inputs`` holds one 1-D array per column of ``B``, each as long as
-    ``out``.  Within a segment of ``L = _SCAN_SEGMENT`` ticks from state
-    ``s``,
+    ``C`` and ``D`` hold one row per output, ``D``'s with one entry per
+    column of ``B``; ``inputs`` holds one 1-D array per column of ``B``,
+    each as long as every array in ``outs``.  Within a segment of ``L =
+    _SCAN_SEGMENT`` ticks from state ``s``,
 
-        y[j] = C A^j s + sum_{i <= j} h[j - i] u[i],  h[0] = D, h[l] = C A^(l-1) B,
+        y_i[j] = C_i A^j s + sum_{l <= j} h_i[j - l] u[l],  h_i[0] = D_i, h_i[l] = C_i A^(l-1) B,
 
-    and the next segment starts from ``A^L s + sum_i A^(L-1-i) B u[i]``.
+    and the next segment starts from ``A^L s + sum_l A^(L-1-l) B u[l]``.
     Each block's start state is carried in Python floats, from the block
     before it.  Every other sum (a segment's outputs, its end state, and
     the start state of each segment of a block) is an elementwise numpy
     product or add in a fixed order, over ``_SCAN_CHUNK`` ticks at a time,
     with no matrix product, so the bytes do not depend on a BLAS kernel.
     ``A^L``, the rows above and the powers of ``A^L`` come from running the
-    recurrence itself in Python floats.  A requested state is its segment's
-    start state advanced by the recurrence over the at most ``L - 1`` ticks
-    before it, elementwise for every request at once.  The result equals
-    the tick-by-tick recurrence up to rounding.
+    recurrence itself in Python floats.  The result equals the tick-by-tick
+    recurrence up to rounding.
 
-    Returns ``False`` as soon as an output, a segment's start state or a
-    requested state is non-finite or reaches ``_SCAN_LIMIT`` in magnitude,
-    leaving ``out`` and ``states`` partly written; ``True`` when every
-    output and state is filled.
+    Returns ``False`` as soon as an output or a segment's start state is
+    non-finite or reaches ``_SCAN_LIMIT`` in magnitude, leaving ``outs``
+    and ``starts`` partly written; ``True`` when every one is filled.
     """
     A = np.asarray(A, dtype=float).tolist()
     B = np.asarray(B, dtype=float).tolist()
     C = np.asarray(C, dtype=float).tolist()
     D = np.asarray(D, dtype=float).tolist()
     n, L, per = len(A), _SCAN_SEGMENT, _SCAN_SEGMENTS
+    size = outs[0].size
 
     # orbits of the unit states and of B's columns under A, and of the unit
-    # states under step = A^L: free[r, j] = (C A^j)_r, powers[j] = step^j,
-    # block = step^per, markov[q, l] = h[l], weight[q, i] = A^(L-1-i) B_q
+    # states under step = A^L: free[i, r, j] = (C_i A^j)_r, powers[j] =
+    # step^j, block = step^per, markov[i, q, l] = h_i[l] for input q, and
+    # weight[q, l] = A^(L-1-l) B_q
     units = [[float(i == r) for i in range(n)] for r in range(n)]
     orbits = [_orbit(A, e, L) for e in units]
-    free = np.array([[_dot(C, x) for x in orbit[:L]] for orbit in orbits])
+    free = np.array([[[_dot(c, x) for x in orbit[:L]] for orbit in orbits] for c in C])
     step = np.transpose([orbit[L] for orbit in orbits]).tolist()
     orbits = [_orbit(step, e, per) for e in units]
     powers = np.array([orbit[:per] for orbit in orbits]).transpose(1, 2, 0)
     block = np.transpose([orbit[per] for orbit in orbits]).tolist()
-    orbits = [_orbit(A, [row[q] for row in B], L - 1) for q in range(len(D))]
-    markov = np.array([[d] + [_dot(C, x) for x in orbit[:-1]] for d, orbit in zip(D, orbits)])
+    orbits = [_orbit(A, [row[q] for row in B], L - 1) for q in range(len(B[0]))]
+    markov = np.array([[[d[q]] + [_dot(c, x) for x in orbit[:-1]]
+                        for q, orbit in enumerate(orbits)] for c, d in zip(C, D)])
     weight = np.array([orbit[::-1] for orbit in orbits])
     step_columns = np.array(step).T
 
@@ -333,71 +313,58 @@ def block_scan(A, B, C, D, inputs, out, ticks=None, states=None) -> bool:
             dst += src[..., r:r + 1] * step_columns[r]
         dst += ends
 
-    def fill(starts, segments, ys):
-        # ys[b, j] = y at tick j of segment b, from its start state starts[b]
-        width = ys.shape[1]
-        np.multiply(starts[:, :1], free[0, :width], out=ys)
+    def fill(starts, segments, out, free, markov):
+        # rows[j, b] = y at tick j of segment b, from its start state
+        # starts[b]: each product runs over a contiguous row of segments
+        rows = free[0][:, None] * starts[:, 0]
         for r in range(1, n):
-            ys += starts[:, r:r + 1] * free[r, :width]
+            rows += free[r][:, None] * starts[:, r]
         for u, h in zip(segments, markov):
-            for lag in range(width):
-                ys[:, lag:] += h[lag] * u[:, :width - lag]
-        return _within_limit(ys)
+            for lag in range(L):
+                rows[lag:] += h[lag] * u[:L - lag]
+        out[:] = rows.T.reshape(-1)[:out.size]
+        return _within_limit(out)
 
     state = [0.0] * n
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, out.size, _SCAN_CHUNK):
-            k1 = min(k0 + _SCAN_CHUNK, out.size)
-            full, tail = divmod(k1 - k0, L)
-            k_tail = k0 + full * L
-            count = full + (tail > 0)  # segments, the last maybe partial
+        for k0 in range(0, size, _SCAN_CHUNK):
+            k1 = min(k0 + _SCAN_CHUNK, size)
+            count = -(-(k1 - k0) // L)  # segments, the last maybe partial
             nb = -(-count // per)  # blocks, the last maybe partial
-            segments = [u[k0:k_tail].reshape(full, L) for u in inputs]
+            # each input's segments as columns, the last one padded with
+            # zeros, which reach no tick of the record
+            segments = []
+            for u in inputs:
+                padded = np.zeros(count * L)
+                padded[:k1 - k0] = u[k0:k1]
+                segments.append(np.ascontiguousarray(padded.reshape(count, L).T))
             ends = np.zeros((nb * per, n))
             for u, w in zip(segments, weight):
                 for i in range(L):
-                    ends[:full] += u[:, i:i + 1] * w[i]
+                    ends[:count] += u[i][:, None] * w[i]
             ends = ends.reshape(nb, per, n)
             # each segment's start from a zero block start, then each
             # block's own start carried through the powers of step
-            starts, block_ends = np.zeros((nb, per, n)), np.empty((nb, n))
+            seg_starts, block_ends = np.zeros((nb, per, n)), np.empty((nb, n))
             for j in range(per - 1):
-                advance(starts[:, j], ends[:, j], starts[:, j + 1])
-            advance(starts[:, per - 1], ends[:, per - 1], block_ends)
+                advance(seg_starts[:, j], ends[:, j], seg_starts[:, j + 1])
+            advance(seg_starts[:, per - 1], ends[:, per - 1], block_ends)
             block_starts = []
             for end in block_ends.tolist():
                 block_starts.append(state)
                 state = [_dot(row, state) + e for row, e in zip(block, end)]
             block_starts = np.array(block_starts)
             for r in range(n):
-                starts += block_starts[:, None, r:r + 1] * powers[:, :, r]
-            starts = starts.reshape(nb * per, n)[:count]
-            if ticks is not None:
-                lo, hi = np.searchsorted(ticks, (k0, k1))
-                states[lo:hi] = starts[(ticks[lo:hi] - k0) // L]
-            tails = [u[k_tail:k1].reshape(count - full, tail) for u in inputs]
-            if not (_within_limit(starts)
-                    and fill(starts[:full], segments, out[k0:k_tail].reshape(full, L))
-                    and fill(starts[full:], tails, out[k_tail:k1].reshape(count - full, tail))):
+                seg_starts += block_starts[:, None, r:r + 1] * powers[:, :, r]
+            seg_starts = seg_starts.reshape(nb * per, n)[:count]
+            if not _within_limit(seg_starts):
                 return False
-        if ticks is None or not ticks.size:
-            return True
-        # advance each request from its segment's start, the longest lag
-        # first, so the requests still moving at lag j are a prefix
-        lags = ticks % L
-        order = np.argsort(-lags, kind="stable")
-        lags, firsts, x = lags[order], (ticks - lags)[order], states[order]
-        columns, gains = np.array(A).T, np.array(B).T
-        for j in range(lags[0]):
-            live = np.count_nonzero(lags > j)
-            moved = x[:live, :1] * columns[0]
-            for r in range(1, n):
-                moved += x[:live, r:r + 1] * columns[r]
-            for u, g in zip(inputs, gains):
-                moved += u[firsts[:live] + j, None] * g
-            x[:live] = moved
-        states[order] = x
-        return _within_limit(x)
+            if starts is not None:
+                starts[k0 // L:k0 // L + count] = seg_starts
+            for out, f, h in zip(outs, free, markov):
+                if not fill(seg_starts, segments, out[k0:k1], f, h):
+                    return False
+    return True
 
 
 def _davies_chain(coeffs: np.ndarray, n: int, T: float) -> np.ndarray:

@@ -37,15 +37,15 @@ block, and the held reference and the other derived columns after the
 loop.  A non-finite signal stops the loop with a ``SimulationFault`` that
 names the signal and the time.
 
-One kind of scenario skips the tick loop: an open-loop current chirp
-(``gamma = 0``) with no pendulum.  Its command is the chirp itself and
-``d_hat`` feeds nothing back, so the plant runs alone over the chirp: one
-``lti.block_scan`` of its linear map, with the windows of calls that
-``LseaPlant.held`` names (below the stiction breakaway; every call with
-backlash) stepped by the plant's own stepper and superposed on the scan.
-Another scan computes ``d_hat`` afterwards.  A scan that gives up leaves
-its column to the stepper; a non-finite value gives way to the tick
-loop, which raises the fault.
+One kind of scenario skips the tick loop: a current chirp with no
+pendulum, at any ``gamma``, which is the observer loop alone.  Outside the
+calls that ``LseaPlant.held_below`` names (below the stiction breakaway;
+every call with backlash) its tick is one linear map (``_chirp_loop``),
+so one ``lti.block_scan`` of that map runs over the whole chirp, and the
+windows of held calls, found in order, are stepped by the plant's and
+the observer's own steppers and superposed on the scan.  With backlash,
+or when the scan gives up, the steppers step every tick; a non-finite
+value gives way to the tick loop, which raises the fault.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .control import (
     impedance_step,
 )
 from .kinematics import PendulumMap, actuator_setpoints, ff_force
-from .lti import ContinuousTransferFunction, NyquistError, block_scan, df2t_state_space
+from .lti import _SCAN_SEGMENT, ContinuousTransferFunction, NyquistError, _dot, block_scan
 from .sysid import exponential_chirp, linear_chirp_freq_hz, linear_chirp_point, write_csv
 
 __all__ = [
@@ -145,7 +145,7 @@ class LseaPlant:
 
     ``state()`` reads and ``set_state(x)`` loads the one state ``(x0, x1,
     x2)`` that every stepper of the plant steps; ``realization`` and
-    ``held`` say which calls are the linear map ``x+ = P x + G u``.
+    ``held_below`` say which calls are the linear map ``x+ = P x + G u``.
     """
 
     def __init__(self, den_factors=(1.0, 1.0, 1.0, 1.0), gain_factor: float = 1.0,
@@ -239,19 +239,17 @@ class LseaPlant:
 
         ``P`` is three rows of three Python floats and ``G`` three, the
         map ``_lifted`` composes, which the stepper applies to every call
-        that ``held`` leaves out.
+        whose input is not below ``held_below``.
         """
         lifted, _ = self._lifted(dt, substeps)
         return [list(lifted[0:3]), list(lifted[3:6]), list(lifted[6:9])], list(lifted[9:]), self._cy
 
-    def held(self, inputs) -> np.ndarray:
-        """Which calls, with these held inputs, a stepper may run otherwise
-        than by ``realization``'s map: none on a linear plant, those below
-        the stiction breakaway, and with backlash every call."""
-        u = np.asarray(inputs, dtype=float)
-        if self._play is not None:
-            return np.ones(u.shape, dtype=bool)
-        return np.abs(u) < self.stiction_breakaway
+    @property
+    def held_below(self) -> float:
+        """The input magnitude below which a stepper may run a call
+        otherwise than by ``realization``'s map: 0 on a linear plant, the
+        stiction breakaway, and with backlash ``inf`` (every call)."""
+        return math.inf if self._play is not None else self.stiction_breakaway
 
     def _scope(self):
         """Build the state reader, its setter and the stepper factory over
@@ -585,6 +583,7 @@ class SimScenario:
 LOG_COLUMNS = ("t", "ref_pos", "q_bar_a_d", "qdot_bar_a_d", "f_d", "f_o", "i_m",
                "d_hat", "theta", "theta_dot", "q_hat_a_m", "q_hat_a_j")
 _LOG_BLOCK_TICKS = 1024  # ticks recorded before one copy into the log columns
+_POWERS = 256  # the longest free response the block path takes in one step
 # the columns a tick records, in the order it records them: the loop's
 # outputs, and with the pendulum also the desired force and the pendulum
 # state; t, the held reference (_REF_COLUMNS, one value per reference tick),
@@ -625,113 +624,201 @@ class SimLog:
         write_csv(path, LOG_COLUMNS, [self.column(name) for name in LOG_COLUMNS])
 
 
-def _powers(P, count: int) -> np.ndarray:
-    """``P^0 ... P^count`` of a 3 x 3 ``P`` (rows of Python floats), as a
-    ``(count + 1, 3, 3)`` array.
+def _powers(M, count: int) -> np.ndarray:
+    """``M^0 ... M^count`` of a square ``M`` (rows of Python floats), as a
+    ``(count + 1, n, n)`` array.
 
-    Built by doubling: with ``S = P^m``, squared in Python floats, each
-    ``P^(m + i) = S P^i`` for every ``i < m`` at once, row by row as an
+    Built by doubling: with ``S = M^m``, squared in Python floats, each
+    ``M^(m + i) = S M^i`` for every ``i < m`` at once, row by row as an
     elementwise numpy sum in a fixed order, with no BLAS call.
     """
-    table = np.empty((count + 1, 3, 3))
-    table[0] = np.eye(3)
-    size, square = 1, P
+    n = len(M)
+    table = np.empty((count + 1, n, n))
+    table[0] = np.eye(n)
+    size, square = 1, M
     while size <= count:
         src = table[:min(size, count + 1 - size)]
         dst = table[size:size + len(src)]
-        for r, (s0, s1, s2) in enumerate(square):
-            dst[:, r] = s0 * src[:, 0] + s1 * src[:, 1] + s2 * src[:, 2]
-        square = [[a0 * c0 + a1 * c1 + a2 * c2 for c0, c1, c2 in zip(*square)]
-                  for a0, a1, a2 in square]
+        for r, row in enumerate(square):
+            dst[:, r] = row[0] * src[:, 0]
+            for c in range(1, n):
+                dst[:, r] += row[c] * src[:, c]
+        square = [[_dot(row, column) for column in zip(*square)] for row in square]
         size *= 2
     return table
 
 
-def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
-    """Fill an open-loop current chirp's ``t``, ``i_m``, ``f_o`` and
-    ``d_hat`` columns by blocks of ticks; ``False`` on a non-finite
-    ``f_o`` or ``d_hat``.
+def _chirp_loop(plant, dob, dt_sub, n_sub):
+    """The tick of a current chirp around the observer as one linear map
+    ``(A, B, C, D)`` for ``lti.block_scan``, in sheared coordinates.
 
-    ``i_m`` is ``chirp(k * T)``, the value the tick loop commands at
-    ``gamma = 0``.  The tick loop's ``f_o[k + 1]`` is ``advance(i_m[k])``
-    of the plant's stepper, whose every call outside ``plant.held`` is the
-    map ``(P, G, c_y) = plant.realization(dt_sub, n_sub)``.  So one
-    ``lti.block_scan`` of that map, driven by ``i_m``, gives ``f_lin`` and
-    its states ``x_lin`` at the edges of each window of held calls, and
-    ``f_o`` is ``f_lin`` plus the free response of ``delta = x - x_lin``:
-    in Python floats, a window starts from ``x_lin + P^j delta`` loaded
-    into the plant, its held calls are the plant's own stepper, and the
-    state it ends in gives the next ``delta``; between windows, ``f_o[b +
-    j] = f_lin[b + j] + c_y e0' P^j delta`` is elementwise numpy over the
-    powers of ``P`` (``_powers``), at most ``_LOG_BLOCK_TICKS`` ticks at
-    a time.  A linear plant has no window, so ``f_o`` is the scan; with
-    backlash, or when the scan gives up, every call is held and stepped.
-    ``d_hat`` is ``block_scan`` of the observer's DF2T driven by ``f_o``
-    and ``i_m``, whose one-tick delay (``u_prev``) moves into ``N2``'s
-    coefficients, or, when that scan gives up, the observer's own step.
+    The tick's state is the plant's ``x``, the observer's DF2T state ``z``
+    and its ``u_prev``; its input is the chirp ``u_c``; it measures ``f =
+    c_y x0`` and estimates ``d = p0 f - q0 u_prev + z0``, commands ``i_m =
+    u_c - gamma d``, and the plant call is ``realization``'s map ``x+ = P x
+    + G i_m``.  With ``(p0, p1, p2, p3)`` the observer's ``N1``, the state
+    is ``(x0, x1, x2, v0, v1, v2, u_prev)`` with ``v0 = z0 + p0 f``, ``v1 =
+    z1 - (p2 + p3) f`` and ``v2 = z2 - p3 f``: each DF2T state taken
+    relative to the large part the force drives, which the raw states
+    cancel between them, so ``d = v0 - q0 u_prev`` and every entry of the
+    map multiplies a small increment.  ``C`` holds the rows of ``f`` and
+    ``d``; ``D`` is zero.
+    """
+    P, G, cy = plant.realization(dt_sub, n_sub)
+    (p0, p1, p2, p3), (q0, q1, q2, q3), (_, a1, a2, a3) = dob.coefficients
+    gamma = dob.gamma
+    s2 = p2 + p3
+    gf = cy * G[0]  # f+ per unit command
+    dp = [P[0][0] - 1.0, P[0][1], P[0][2]]  # (f+ - f) / c_y per unit x
+    # d = v0 - q0 u_prev, and f+ - f = c_y dp x + gf i_m with i_m = u_c - gamma d
+    A = [[*P[i], -gamma * G[i], 0.0, 0.0, gamma * q0 * G[i]] for i in range(3)]
+    A.append([cy * (p0 * dp[0] + (p0 + p1 + s2)), cy * p0 * dp[1], cy * p0 * dp[2],
+              -a1 - gamma * p0 * gf, 1.0, 0.0, a1 * q0 - q1 + gamma * q0 * p0 * gf])
+    # v1+ = v2 + s2 (f - f+) - q2 u_prev - a2 d and v2+ = p3 (f - f+) - q3 u_prev - a3 d
+    for p, a, q, v2 in ((s2, a2, q2, 1.0), (p3, a3, q3, 0.0)):
+        A.append([-p * cy * dp[0], -p * cy * dp[1], -p * cy * dp[2],
+                  -a + gamma * p * gf, 0.0, v2, a * q0 - q - gamma * p * q0 * gf])
+    A.append([0.0, 0.0, 0.0, -gamma, 0.0, 0.0, gamma * q0])
+    B = [[g] for g in G] + [[p0 * gf], [-s2 * gf], [-p3 * gf], [1.0]]
+    C = [[cy, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, -q0]]
+    return A, B, C, [[0.0], [0.0]]
+
+
+def _row_sums(products: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, left to right (``add.accumulate`` is
+    sequential, so the order is fixed whatever numpy's kernels)."""
+    return np.add.accumulate(products, axis=-1)[..., -1]
+
+
+def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
+    """Fill a current chirp's ``t``, ``i_m``, ``f_o`` and ``d_hat`` columns
+    without the tick loop, at any ``gamma``; ``False`` on a non-finite
+    ``f_o``, ``d_hat`` or ``i_m``.
+
+    Every plant call whose command is not below ``plant.held_below`` is
+    ``realization``'s map, so outside the held calls the tick is the
+    linear map ``(A, B, C)`` of ``_chirp_loop``.  One ``lti.block_scan`` of
+    that map over the whole record, driven by the chirp ``u_c``, gives the
+    linear ``f_o`` and ``d_hat`` and the state each segment of ``L = 32``
+    ticks starts from; the state at tick ``b L + m`` is that start and the
+    ``m`` inputs before it through ``A^m`` and ``A^(m - 1 - i) B``.  The
+    windows of held calls are found in order, since at ``gamma > 0`` the
+    command depends on the estimate.  From the tick ``k`` where the
+    steppers' state is known, ``f_o[k + j]`` and ``d_hat[k + j]`` are the
+    scan plus the free response ``C A^j delta`` of the difference ``delta``
+    between that state and the scanned one, and ``i_m = u_c - gamma
+    d_hat``, up to the first tick whose ``|i_m|`` is below
+    ``held_below``; numpy does this over the powers of ``A`` (``_powers``),
+    at most ``_POWERS`` ticks at a time.  There the scanned state
+    plus ``A^j delta`` is loaded into the plant's and the observer's own
+    steppers (``set_state``), which step until a command is at or above
+    ``held_below``, that call included; their state (``state()``) less the
+    scanned one is the next ``delta``.  Every sum runs in a fixed order,
+    with no BLAS call.
+    A linear plant has no window; with backlash, or when the scan gives
+    up, the steppers step every tick from the zero state, as the tick loop
+    does.
     """
     times, i_m, f_o, d_hat = log["t"], log["i_m"], log["f_o"], log["d_hat"]
-    n = i_m.size
-    held = np.empty(n, dtype=bool)
-    for k0 in range(0, n, _LOG_BLOCK_TICKS):
-        k1 = min(k0 + _LOG_BLOCK_TICKS, n)
+    n, L = i_m.size, _SCAN_SEGMENT
+    blocks = [(k0, min(k0 + _LOG_BLOCK_TICKS, n)) for k0 in range(0, n, _LOG_BLOCK_TICKS)]
+    u_c = times  # the chirp, until t replaces it at the end
+    for k0, k1 in blocks:
         np.multiply(np.arange(k0, k1), T, out=times[k0:k1])
-        i_m[k0:k1] = chirp(times[k0:k1])
-        held[k0:k1] = plant.held(i_m[k0:k1])
-    # the last tick's call is never logged; the windows are the calls
-    # a ... b - 1 for each pair (a, b) of edges
-    held = held[:-1]
-    edges = np.flatnonzero(np.diff(held, prepend=False, append=False))
-    states = np.zeros((edges.size, 3))
-    P, G, cy = plant.realization(dt_sub, n_sub)
-    if held.all() or not block_scan(P, [[g] for g in G], [cy, 0.0, 0.0], [0.0], [i_m], f_o,
-                                    edges, states):
-        edges, states = np.array([0, max(n - 1, 0)]), np.zeros((2, 3))
-    starts, ends = edges[::2], edges[1::2]
-    longest = np.append(starts[1:], n - 1) - ends
+        u_c[k0:k1] = chirp(times[k0:k1])
+    A, B, C, D = _chirp_loop(plant, dob, dt_sub, n_sub)
+    # f = c_y x0 and d = v0 - q0 u_prev; v is z sheared by p0, s2 and p3
+    (p0, _, p2, p3), gamma, cy, q0 = dob.coefficients[0], dob.gamma, C[0][0], -C[1][6]
+    s2 = p2 + p3
+    starts = np.zeros((-(-n // L), len(A)))
+    below = plant.held_below
+    if below < math.inf and not block_scan(A, B, C, D, [u_c], [f_o, d_hat], starts):
+        below = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        table = _powers(P, min(int(longest.max(initial=0)), _LOG_BLOCK_TICKS))
-        rows = [cy * table[:, 0, c] for c in range(3)]
+        table = _powers(A, min(n, _POWERS) if 0.0 < below < math.inf else 0)
+        # response[c, i, j] = (C_i A^j)_c; from_start[m] = [A^m, A^(m-1) B ... B]
+        response = np.stack((cy * table[:, 0], table[:, 3] - q0 * table[:, 6]))
+        response = np.ascontiguousarray(response.transpose(2, 0, 1))
+        drive = _row_sums(table[:L] * np.ravel(B))
+        from_start = [np.concatenate((table[m], drive[:m][::-1].T), axis=1)
+                      for m in range(min(L, len(table)))]
 
-    def carry(k, stop, delta):
-        # corrects f_o[k + 1 ... stop] for delta at tick k; returns it at stop
-        while k < stop:
-            j = min(stop - k, len(table) - 1)
-            d0, d1, d2 = delta
-            correction = rows[0][1:j + 1] * d0
-            correction += rows[1][1:j + 1] * d1
-            correction += rows[2][1:j + 1] * d2
-            f_o[k + 1:k + j + 1] += correction
-            delta = [p0 * d0 + p1 * d1 + p2 * d2 for p0, p1, p2 in table[j].tolist()]
-            k += j
-        return delta
+    def scanned(k, delta=None, j=0):
+        # the scanned state at tick k, plus A^j delta
+        b, m = divmod(k, L)
+        if delta is None:
+            return _row_sums(from_start[m] * np.concatenate((starts[b], u_c[k - m:k])))
+        return _row_sums(np.concatenate((from_start[m], table[j]), axis=1)
+                         * np.concatenate((starts[b], u_c[k - m:k], delta)))
 
-    advance = plant.stepper(dt_sub, n_sub)
-    delta, end = [0.0, 0.0, 0.0], edges[0] if edges.size else n - 1
+    def stretch(k, delta, size):
+        # ticks k ... from the scan plus delta's free response, up to the
+        # first held tick, a chunk of size ticks, then twice as many, at a
+        # time; returns that tick, delta at its chunk's start and the
+        # ticks between the two
+        while k < n:
+            j = min(n - k, size, _LOG_BLOCK_TICKS if delta is None else len(table) - 1)
+            d = d_hat[k:k + j]
+            if delta is not None:
+                # C-contiguous, so the sum over the state runs element by element
+                free = np.add.reduce(response[:, :, :j] * delta[:, None, None])
+                d = d + free[1]
+            command = u_c[k:k + j] - gamma * d
+            held = np.abs(command) < below
+            m = int(held.argmax())
+            if not held[m]:
+                m = j
+            if delta is not None:
+                f_o[k:k + m] += free[0, :m]
+                d_hat[k:k + m] = d[:m]
+            i_m[k:k + m] = command[:m]
+            if m < j:
+                return k + m, delta, m
+            if delta is not None:
+                delta = _row_sums(table[j] * delta)
+            k, size = k + j, 2 * size
+        return n, None, 0
+
+    step, advance = dob.stepper(), plant.stepper(dt_sub, n_sub)
+    k, delta, f = 0, None, 0.0  # the steppers hold the state at tick k
+    size = 4 * L  # a stretch's first chunk; then the last stretch, half as long again, + L
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b, x_a, x_b in zip(starts.tolist(), ends.tolist(), states[::2].tolist(),
-                                  states[1::2].tolist()):
-            delta = carry(end, a, delta)
-            plant.set_state([x + d for x, d in zip(x_a, delta)])
-            for k0 in range(a, b, _LOG_BLOCK_TICKS):
-                k1 = min(k0 + _LOG_BLOCK_TICKS, b)
-                f_o[k0 + 1:k1 + 1] = np.fromiter(map(advance, i_m[k0:k1].tolist()), float,
-                                                 k1 - k0)
-            delta, end = [x - y for x, y in zip(plant.state(), x_b)], b
-        carry(end, n - 1, delta)
-    if not np.isfinite(f_o).all():
-        return False
-
-    n1, n2, den = dob.coefficients
-    if block_scan(*df2t_state_space((n1, (0.0, *(-q for q in n2))), den), [f_o, i_m], d_hat):
-        return True
-    step = dob.stepper()
-    for k0 in range(0, n, _LOG_BLOCK_TICKS):
-        k1 = min(k0 + _LOG_BLOCK_TICKS, n)
-        d_hat[k0:k1] = np.fromiter(
-            (step(u, f)[1] for u, f in zip(i_m[k0:k1].tolist(), f_o[k0:k1].tolist())),
-            float, k1 - k0)
-    return bool(np.isfinite(d_hat).all())
+        while k < n:
+            a, delta, j = stretch(k, delta, size) if below < math.inf else (k, None, 0)
+            if a == n:
+                break
+            size = (a - k) + (a - k) // 2 + L
+            if a > k:
+                x = scanned(a, delta, j).tolist()
+                f = cy * x[0]
+                plant.set_state(x[:3])
+                dob.set_state((x[3] - p0 * f, x[4] + s2 * f, x[5] + p3 * f, x[6]))
+            # step until a call that is not held, that call included, a
+            # segment of the chirp at a time, writing a log block at a time
+            k0 = k = a
+            values, u = [], 0.0
+            while k < n and abs(u) < below:
+                for u in u_c[k:min(k + L, n)].tolist():
+                    u, d = step(u, f)
+                    values += (f, d, u)
+                    f = advance(u)
+                    if not abs(u) < below:
+                        break
+                k = k0 + len(values) // 3
+                if k - k0 >= _LOG_BLOCK_TICKS or k == n or not abs(u) < below:
+                    f_o[k0:k], d_hat[k0:k], i_m[k0:k] = np.fromiter(
+                        values, float, len(values)).reshape(-1, 3).T
+                    k0, values = k, []
+            if not math.isfinite(u):
+                return False
+            if k < n:
+                x0, x1, x2 = plant.state()
+                z0, z1, z2, u = dob.state()
+                delta = np.array((x0, x1, x2, z0 + p0 * f, z1 - s2 * f, z2 - p3 * f, u))
+                delta -= scanned(k)
+    for k0, k1 in blocks:
+        np.multiply(np.arange(k0, k1), T, out=times[k0:k1])
+    return all(bool(np.isfinite(column).all()) for column in (f_o, d_hat, i_m))
 
 
 def run_scenario(sc: SimScenario) -> SimLog:
@@ -771,19 +858,22 @@ def run_scenario(sc: SimScenario) -> SimLog:
     nothing: the pendulum state and the plant output are checked before
     the controller call, the desired force and the command after it.
 
-    A current chirp with ``gamma == 0`` and no pendulum, whatever the
-    plant, skips the tick loop (``_run_open_loop_chirp``).  ``i_m`` and
-    ``t`` equal the tick loop's bit for bit, and so does ``f_o`` with
-    backlash, where every call is stepped; a scanned ``f_o`` (on a plant
-    without backlash, superposed with its stepped windows of held calls)
-    and ``d_hat`` differ from it in rounding only, by at most 1e-13 and
-    1e-9 of their peaks.  A scan that gives up, on a non-finite value or
-    one of 1e300 or more in magnitude, leaves its column to the stepper:
-    every plant call, or the observer's step, as the tick loop runs them.
-    If ``f_o`` or ``d_hat`` is non-finite, the scenario runs the tick loop
-    instead, on a fresh plant and observer, so every ``SimulationFault``
-    keeps its time.  Every other scenario runs the tick loop, sampling the
-    chirp a block of ticks at a time.
+    A current chirp with no pendulum, at any ``gamma`` and whatever the
+    plant, skips the tick loop (``_run_open_loop_chirp``): one scan of the
+    loop's linear map, with the windows of held calls stepped by the
+    plant's and the observer's own steppers.  ``t`` equals the tick loop's
+    bit for bit, and so does ``i_m`` at ``gamma = 0``; the scanned columns
+    differ from it in rounding only: ``f_o`` by at most 1e-13 of its peak
+    at ``gamma = 0`` and 1e-10 at ``gamma = 1``, ``d_hat`` by 1e-9 of its
+    peak, and ``i_m`` at ``gamma > 0`` by 1e-9 of ``d_hat``'s.  With
+    backlash every call is held, and when the scan gives up, on a
+    non-finite value or one of 1e300 or more in magnitude, every tick is
+    held too: the steppers step every tick from the zero state, which is
+    the tick loop's bit for bit.  If ``f_o``, ``d_hat`` or ``i_m`` is
+    non-finite, the scenario runs the tick loop instead, on a fresh plant
+    and observer, so every ``SimulationFault`` keeps its signal and time.
+    Every other scenario runs the tick loop, sampling the chirp a block of
+    ticks at a time.
     """
     sc.validate()
     T = 1.0 / sc.controller_hz
@@ -838,8 +928,8 @@ def run_scenario(sc: SimScenario) -> SimLog:
     f_o = 0.0
     q_a_d = qdot_a_d = f_ff = 0.0
 
-    # an open-loop chirp commands the chirp itself, and d_hat feeds nothing back
-    if ref.kind == "current_chirp" and pend is None and sc.gamma == 0.0:
+    # a current chirp without the pendulum is the observer loop alone
+    if ref.kind == "current_chirp" and pend is None:
         if _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob):
             return SimLog(**log)
         # the tick loop names the fault at its time, from a fresh plant and observer
@@ -879,7 +969,7 @@ def run_scenario(sc: SimScenario) -> SimLog:
             elif force_step:
                 f_d = ref.step_value if t >= ref.step_time else 0.0
                 i_m, d_hat = fc_step(f_d, f_o)
-            else:  # current_chirp with gamma > 0, or one the open-loop path gave up on
+            else:  # current_chirp with the pendulum, or one the block path gave up on
                 i_m, d_hat = dob_step(u_c[k - k0], f_o)
                 f_d = 0.0
 

@@ -319,6 +319,28 @@ class TestDisturbanceObserver:
         assert step(0.5, 3.0) == oracle.step(0.5, 3.0)
 
 
+    def test_state_reloads_bit_for_bit(self):
+        # set_state(state()) mid-run changes nothing in the next 1,000 steps,
+        # and a twin loaded with that state steps as the observer does
+        omega_c, gamma = 2 * np.pi * 25.0, 1.0
+        dob, reloaded, twin = (DisturbanceObserver(omega_c, gamma, T) for _ in range(3))
+        steps = [dob.stepper(), reloaded.stepper()]
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            a, b = float(rng.normal()), float(rng.normal(100.0))
+            assert steps[0](a, b) == steps[1](a, b)
+        state = reloaded.state()
+        assert len(state) == 4 and all(type(x) is float for x in state)
+        reloaded.set_state(state)
+        twin.set_state(state)
+        steps.append(twin.stepper())
+        for _ in range(1000):
+            a, b = float(rng.normal()), float(rng.normal(100.0))
+            got = [step(a, b) for step in steps]
+            assert np.array_equal(bits(got[1:]), bits([got[0]] * 2))
+        assert reloaded.state() == twin.state() == dob.state()
+
+
 class TestImpedance:
     def test_front_hip_arithmetic(self):
         cfg = ImpedanceConfig(k=40.0, b=5.0)

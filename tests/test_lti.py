@@ -16,7 +16,6 @@ from seactrl.lti import (
     bilinear_num_den,
     block_scan,
     butterworth_lowpass,
-    df2t_state_space,
     freq_response,
     log_grid,
     taylor_shift,
@@ -397,58 +396,58 @@ class TestBlockScan:
     # a record of two chunks whose last block and segment are partial
     N = lti._SCAN_CHUNK + 3 * lti._SCAN_SEGMENT * lti._SCAN_SEGMENTS + 5
 
-    @pytest.mark.parametrize("n, m", [(1, 1), (3, 1), (4, 2)])
-    def test_equals_the_recurrence_up_to_rounding(self, n, m):
+    @pytest.mark.parametrize("n, m, p", [(1, 1, 1), (3, 1, 1), (4, 2, 1), (7, 1, 2)])
+    def test_equals_the_recurrence_up_to_rounding(self, n, m, p):
+        # p output rows over one state pass, each the recurrence's
         rng = np.random.default_rng(n + 10 * m)
         A = rng.standard_normal((n, n))
         A *= 0.97 / np.max(np.abs(np.linalg.eigvals(A)))
-        B, C, D = rng.standard_normal((n, m)), rng.standard_normal(n), rng.standard_normal(m)
+        B, C, D = (rng.standard_normal((n, m)), rng.standard_normal((p, n)),
+                   rng.standard_normal((p, m)))
         inputs = [np.sin(np.cumsum(rng.uniform(0.0, 0.3, self.N))) for _ in range(m)]
-        out = np.full(self.N, np.nan)
-        assert block_scan(A, B, C, D, inputs, out)
-        want = recurrence(A, B, C, D, inputs)
-        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+        outs = [np.full(self.N, np.nan) for _ in range(p)]
+        assert block_scan(A, B, C, D, inputs, outs)
+        for out, c, d in zip(outs, C, D):
+            want = recurrence(A, B, c, d, inputs)
+            assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n, m", [(3, 1), (4, 2)])
-    def test_states_at_ticks_equal_the_recurrence(self, n, m):
-        # ticks at a record's start, at segment starts and ends, at either
-        # side of a chunk boundary and at its last tick
+    def test_segment_starts_equal_the_recurrence(self, n, m):
+        # every segment's start state, across a chunk boundary and up to the
+        # partial last segment
         rng = np.random.default_rng(n + 10 * m)
         A = rng.standard_normal((n, n))
         A *= 0.97 / np.max(np.abs(np.linalg.eigvals(A)))
-        B, C, D = rng.standard_normal((n, m)), rng.standard_normal(n), rng.standard_normal(m)
+        B, C, D = rng.standard_normal((n, m)), rng.standard_normal((1, n)), np.zeros((1, m))
         inputs = [np.sin(np.cumsum(rng.uniform(0.0, 0.3, self.N))) for _ in range(m)]
-        L, chunk = lti._SCAN_SEGMENT, lti._SCAN_CHUNK
-        ticks = np.unique(np.concatenate((
-            [0, 1, L - 1, L, chunk - 1, chunk, chunk + L - 1, self.N - 1],
-            rng.integers(0, self.N, 200))))
-        out, states = np.empty(self.N), np.full((ticks.size, n), np.nan)
-        assert block_scan(A, B, C, D, inputs, out, ticks, states)
-        want = trajectory(A, B, C, D, inputs)[1][ticks]
-        assert np.max(np.abs(states - want)) <= 1e-12 * np.max(np.abs(want))
-        assert np.array_equal(states[0], np.zeros(n))
+        L = lti._SCAN_SEGMENT
+        starts = np.full((-(-self.N // L), n), np.nan)
+        assert self.N % L
+        assert block_scan(A, B, C, D, inputs, [np.empty(self.N)], starts)
+        want = trajectory(A, B, C[0], D[0], inputs)[1][::L]
+        assert np.max(np.abs(starts - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(starts[0], np.zeros(n))
 
     @pytest.mark.parametrize("size", [0, 1, lti._SCAN_SEGMENT + 1])
     def test_short_records(self, size):
         A, B, C, D = [[0.5]], [[1.0]], [1.0], [0.25]
         u = np.linspace(1.0, 2.0, size)
         out = np.full(size, np.nan)
-        assert block_scan(A, B, C, D, [u], out)
+        assert block_scan(A, B, [C], [D], [u], [out])
         np.testing.assert_allclose(out, recurrence(A, B, C, D, [u]), rtol=1e-15)
 
     def test_df2t_realization_steps_like_the_filter(self):
+        # the filter's DF2T state z: y = z0 + b0 x, z_i+ = z_(i+1) + b_(i+1) x - a_(i+1) y
         filt = bilinear_discretize(_q_over_pn(), 1e-3)
-        A, B, C, D = df2t_state_space((filt.a_hat,), filt.den)
+        (_, *a), (b0, *b) = filt.den.tolist(), filt.a_hat.tolist()
+        n = len(a)
+        A = [[-a[i] if j == 0 else float(j == i + 1) for j in range(n)] for i in range(n)]
+        B = [[b[i] - a[i] * b0] for i in range(n)]
         x = np.sin(np.linspace(0.0, 200.0, 3000))
         out = np.empty(x.size)
-        assert block_scan(A, B, C, D, [x], out)
+        assert block_scan(A, B, [[float(j == 0) for j in range(n)]], [[b0]], [x], [out])
         want = filtered(filt, x)
         assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
-
-    def test_df2t_pads_the_shorter_polynomials(self):
-        # a one-tick delay as a second numerator (0, 1): y[k] = x1[k] + x2[k - 1]
-        A, B, C, D = df2t_state_space(((1.0,), (0.0, 1.0)), (1.0,))
-        assert (A, B, C, D) == ([[0.0]], [[0.0, 1.0]], [1.0], [1.0, 0.0])
 
     @pytest.mark.parametrize("case", ["unstable", "nan_input", "huge_input"])
     def test_gives_up_on_a_value_out_of_range(self, case):
@@ -458,7 +457,7 @@ class TestBlockScan:
             u[4000] = np.nan
         elif case == "huge_input":
             u[4000] = 1e301
-        assert not block_scan(A, [[1.0]], [1.0], [0.0], [u], np.empty(u.size))
+        assert not block_scan(A, [[1.0]], [[1.0]], [[0.0]], [u], [np.empty(u.size)])
 
 
 class TestLogGrid:

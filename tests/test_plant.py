@@ -46,6 +46,7 @@ from seactrl.sysid import (
 from oracles import (
     coupled_ode_reference,
     csv_reference,
+    dob_loop_response,
     held_call_reference,
     lifted_oracle,
     pendulum_tick_reference,
@@ -111,24 +112,27 @@ def spy_on(monkeypatch, name):
     return results
 
 
-def shipped_open_loop_chirp(experiment, amplitude):
-    """The shipped ``experiment``'s gamma = 0 current chirp at ``amplitude``."""
+def shipped_chirp(experiment, amplitude, gamma=0.0):
+    """The shipped ``experiment``'s current chirp at ``amplitude`` and ``gamma``."""
     cfg = load_config(experiment)
     sn = cfg["scenario"]
     ref = ReferenceSpec(kind="current_chirp", amplitude=amplitude,
                         f_start=sn["chirp_f_start"], f_end=sn["chirp_f_end"])
-    return experiments._base_scenario(cfg, ref, gamma=0.0)
+    return experiments._base_scenario(cfg, ref, gamma=gamma)
 
 
 def superpose_against_tick_loop(monkeypatch, sc):
-    """Run the open-loop chirp ``sc`` on its own path, then on the tick loop.
+    """Run the current chirp ``sc`` on its block path, then on the tick loop.
 
-    ``t`` and ``i_m`` must be bit-equal, ``f_o`` within 1e-13 and
-    ``d_hat`` within 1e-9 of their peaks, and every held call (input below
-    the breakaway) must come in the same order, with the same input, on
-    both paths.  Returns the open-loop path's log and the number of held
-    calls whose substeps see another effective input than on the tick
-    loop, from the state each path loads before the call.
+    ``t`` must be bit-equal, and ``d_hat`` within 1e-9 of its peak.  At
+    ``gamma = 0``, ``i_m`` must be bit-equal and ``f_o`` within 1e-13 of
+    its peak; at ``gamma > 0``, ``i_m`` within 1e-9 of ``d_hat``'s peak and
+    ``f_o`` within 1e-10 of its own.  Every held call (input below the
+    breakaway) must come in the same order on both paths, and no logged
+    command may be held on one path and not on the other.  Returns the
+    block path's log and the number of held calls whose substeps are
+    zeroed otherwise than on the tick loop, from the state and input each
+    path steps the call with.
     """
     calls = []
     stepper = LseaPlant.stepper
@@ -145,22 +149,35 @@ def superpose_against_tick_loop(monkeypatch, sc):
 
     monkeypatch.setattr(LseaPlant, "stepper", recorded_stepper)
     log = run_scenario(sc)
-    superposed = calls[:]
+    block = calls[:]
     calls.clear()
     with monkeypatch.context() as patch:
         patch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
         tick = run_scenario(sc)
+    d_peak = np.max(np.abs(tick.d_hat))
     assert np.array_equal(bits(log.t), bits(tick.t))
-    assert np.array_equal(bits(log.i_m), bits(tick.i_m))
-    assert np.max(np.abs(log.f_o - tick.f_o)) <= 1e-13 * np.max(np.abs(tick.f_o))
-    assert np.max(np.abs(log.d_hat - tick.d_hat)) <= 1e-9 * np.max(np.abs(tick.d_hat))
+    assert np.max(np.abs(log.d_hat - tick.d_hat)) <= 1e-9 * d_peak
+    f_bound = 1e-13 if sc.gamma == 0.0 else 1e-10
+    assert np.max(np.abs(log.f_o - tick.f_o)) <= f_bound * np.max(np.abs(tick.f_o))
+    if sc.gamma == 0.0:
+        assert np.array_equal(bits(log.i_m), bits(tick.i_m))
+    else:
+        assert np.max(np.abs(log.i_m - tick.i_m)) <= 1e-9 * d_peak
+    brk = sc.plant.stiction_breakaway
+    assert np.array_equal(np.abs(log.i_m) < brk, np.abs(tick.i_m) < brk)  # no flipped hold
     # the tick loop also steps the last tick, whose output is never logged
-    tick_calls = calls[:len(superposed)]
-    assert [bits(u) for u, _ in superposed] == [bits(u) for u, _ in tick_calls]
+    tick_calls = calls[:len(block)]
+    assert len(block) == len(tick_calls)
+    if sc.gamma == 0.0:
+        assert [bits(u) for u, _ in block] == [bits(u) for u, _ in tick_calls]
+    elif block:
+        assert max(abs(u - v) for (u, _), (v, _) in zip(block, tick_calls)) <= 1e-9 * d_peak
     plant, dt, n_sub = sc.plant.build(), 1.0 / sc.plant_hz, sc.plant_hz // sc.controller_hz
-    changed = sum(stepped_substeps(plant, x, u, dt, n_sub)[1]
-                  != stepped_substeps(plant, y, u, dt, n_sub)[1]
-                  for (u, x), (_, y) in zip(superposed, tick_calls))
+
+    def zeroed(state, u):
+        return [e == 0.0 for e in stepped_substeps(plant, state, u, dt, n_sub)[1]]
+
+    changed = sum(zeroed(x, u) != zeroed(y, v) for (u, x), (v, y) in zip(block, tick_calls))
     return log, changed
 
 
@@ -1208,9 +1225,10 @@ class TestScenario:
         (CHIRP, 1.0, PlantConfig(SHIPPED_DEN_FACTORS)),
     ], ids=["force_step", "current_chirp", "linear_chirp_gamma1"])
     def test_tick_equals_block_by_block_replay(self, monkeypatch, reference, gamma, plant):
-        # none of these takes the block path: the observer's blend closes
-        # the loop, or the reference is a force step
+        # the tick loop, which a force step always runs and a chirp runs
+        # when the block path gives it up, is the replay bit for bit
         monkeypatch.setattr(plant_module, "block_scan", refuse_block_scan)
+        monkeypatch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
         sc = SimScenario(reference=reference, duration_s=0.6, gamma=gamma,
                          controller_hz=1000, plant_hz=5000, plant=plant)
         log = run_scenario(sc)
@@ -1227,7 +1245,7 @@ class TestScenario:
         sc = SimScenario(reference=CHIRP, duration_s=17.3, gamma=0.0, controller_hz=1000,
                          plant_hz=plant_hz, plant=PlantConfig(SHIPPED_DEN_FACTORS))
         log = run_scenario(sc)
-        assert scans == [True, True]
+        assert scans == [True]
         # two chunks, the last ending in a partial block and a partial segment
         n = len(log)
         assert n > lti._SCAN_CHUNK and n % lti._SCAN_SEGMENT
@@ -1259,23 +1277,23 @@ class TestScenario:
         (PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15, backlash=0.01), False),
     ], ids=["stiction", "backlash", "stiction_backlash"])
     def test_open_loop_chirp_steps_plant_as_tick_loop(self, monkeypatch, plant, scanned):
-        # an open-loop chirp on a nonlinear plant runs the plant alone and
-        # scans d_hat once afterwards: t and i_m are the tick loop's bit for
-        # bit, d_hat differs in rounding only.  With stiction alone f_o is
-        # scanned and superposed, so it differs in rounding only too; with
-        # backlash every call is stepped and f_o is the tick loop's bit for
-        # bit.  The tick loop itself equals the block-by-block replay
+        # an open-loop chirp on a nonlinear plant: with stiction alone one
+        # scan gives f_o and d_hat, superposed with the stepped windows, so
+        # t and i_m are the tick loop's bit for bit and f_o and d_hat differ
+        # in rounding only; with backlash nothing is scanned and every tick
+        # is stepped, the tick loop's bit for bit.  The tick loop itself
+        # equals the block-by-block replay
         n = 2 * _LOG_BLOCK_TICKS + 1  # the last block is one tick, never stepped
         sc = SimScenario(reference=CHIRP, duration_s=n / 1000.0, gamma=0.0,
                          controller_hz=1000, plant_hz=5000, plant=plant)
         scans = spy_on(monkeypatch, "block_scan")
         log = run_scenario(sc)
-        assert scans == [True] * (1 + scanned)
+        assert scans == [True] * scanned
         monkeypatch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
         tick = run_scenario(sc)
-        assert scans == [True] * (1 + scanned)
+        assert scans == [True] * scanned
         assert len(log) == len(tick) == n
-        for name in ("t", "i_m") if scanned else ("t", "i_m", "f_o"):
+        for name in ("t", "i_m") if scanned else ("t", "i_m", "f_o", "d_hat"):
             assert np.array_equal(bits(log.column(name)), bits(tick.column(name))), name
         assert np.max(np.abs(log.f_o - tick.f_o)) <= 1e-13 * np.max(np.abs(tick.f_o))
         assert np.any(tick.d_hat != 0.0)
@@ -1292,12 +1310,25 @@ class TestScenario:
         # dob-verify's DOB-off run and each bode-open-loop amplitude: one
         # scan and 630 windows of held calls, the first at tick 0 (the chirp
         # starts at sin 0); no held call sees another effective input
-        sc = shipped_open_loop_chirp(experiment, amplitude)
+        sc = shipped_chirp(experiment, amplitude)
         scans = spy_on(monkeypatch, "block_scan")
         log, changed = superpose_against_tick_loop(monkeypatch, sc)
-        assert scans == [True, True]
+        assert scans == [True]
         held = np.abs(log.i_m[:-1]) < sc.plant.stiction_breakaway
         assert held[0] and np.count_nonzero(np.diff(held.astype(int)) == 1) == 629
+        assert changed == 0
+
+    def test_shipped_dob_on_chirp_scans_like_tick_loop(self, monkeypatch):
+        # dob-verify's DOB-on run (gamma = 1): one scan of the sheared loop
+        # map, and 650 windows of held calls found in order, the first at
+        # tick 0; f_o within 1e-10 and d_hat within 1e-9 of their peaks, no
+        # held decision flipped and no held call zeroed otherwise
+        sc = shipped_chirp("dob-verify", 1.75, gamma=1.0)
+        scans = spy_on(monkeypatch, "block_scan")
+        log, changed = superpose_against_tick_loop(monkeypatch, sc)
+        assert scans == [True]
+        held = np.abs(log.i_m[:-1]) < sc.plant.stiction_breakaway
+        assert held[0] and np.count_nonzero(np.diff(held.astype(int)) == 1) == 649
         assert changed == 0
 
     @pytest.mark.parametrize("f_start, f_end, duration, plant_hz", [
@@ -1321,31 +1352,86 @@ class TestScenario:
         if duration == 0.02:
             assert len(log) < lti._SCAN_SEGMENT
 
-    @pytest.mark.parametrize("gain, scans_wanted", [(1e300, [True, False]),
-                                                    (2e300, [False, False])])
-    def test_finite_scan_limit_steps_the_column(self, monkeypatch, gain, scans_wanted):
-        # a scan that reaches 1e300 with every value finite gives up on its
-        # column alone: d_hat (peak 1.75e300) is the observer's own step over
-        # i_m and f_o, and at twice the gain f_o (peak 1.6e300) is every
-        # call stepped too, the tick loop's bit for bit; the scenario never
-        # reaches the tick loop, which would run every tick to no fault
+    @pytest.mark.parametrize("duration", [0.2, 0.02], ids=["last_tick", "short"])
+    def test_dob_on_chirp_edges_like_tick_loop(self, monkeypatch, duration):
+        # gamma = 1: a window that ends at the last tick, and a run shorter
+        # than one scan segment
+        sc = SimScenario(
+            reference=ReferenceSpec(kind="current_chirp", amplitude=1.0, f_start=5.0,
+                                    f_end=5.0),
+            duration_s=duration, gamma=1.0, controller_hz=1000, plant_hz=5000,
+            plant=PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15))
+        log, changed = superpose_against_tick_loop(monkeypatch, sc)
+        held = np.abs(log.i_m[:-1]) < sc.plant.stiction_breakaway
+        assert held[0] and not held.all()
+        assert changed == 0
+        if duration == 0.2:
+            assert held[-1]
+        else:
+            assert len(log) < lti._SCAN_SEGMENT
+
+    def test_dob_on_chirp_with_backlash_steps_every_tick(self, monkeypatch):
+        # with backlash every call is held: nothing is scanned, and the
+        # steppers step every tick from the zero state, the tick loop's bit
+        # for bit
+        n = 2 * _LOG_BLOCK_TICKS + 1
+        sc = SimScenario(reference=CHIRP, duration_s=n / 1000.0, gamma=1.0,
+                         controller_hz=1000, plant_hz=5000,
+                         plant=PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15,
+                                           backlash=0.01))
+        scans = spy_on(monkeypatch, "block_scan")
+        results = spy_on(monkeypatch, "_run_open_loop_chirp")
+        log = run_scenario(sc)
+        assert scans == [] and results == [True]
+        monkeypatch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
+        tick = run_scenario(sc)
+        assert len(log) == n and np.any(tick.d_hat != 0.0)
+        for name in LOG_COLUMNS:
+            assert np.array_equal(bits(log.column(name)), bits(tick.column(name))), name
+
+    @pytest.mark.parametrize("plant_hz, breakaway", [(1000, 0.0), (5000, 0.0), (1000, 0.15),
+                                                     (5000, 0.15)])
+    def test_dob_on_chirp_fault_is_the_tick_loop_fault(self, monkeypatch, plant_hz, breakaway):
+        # gamma = 1 on an unstable plant: the block path gives up, and the
+        # tick loop names the fault at the time it names it alone (f_o at
+        # t = 0.221, 0.321 and 0.274 s; d_hat at 0.373 s)
+        results = spy_on(monkeypatch, "_run_open_loop_chirp")
+        sc = SimScenario(reference=CHIRP, duration_s=1.0, gamma=1.0, controller_hz=1000,
+                         plant_hz=plant_hz,
+                         plant=PlantConfig((1.0, 1.0, 1.0, 1e6), stiction_breakaway=breakaway))
+        with pytest.raises(SimulationFault) as fault:
+            run_scenario(sc)
+        assert results == [False]
+        monkeypatch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
+        with pytest.raises(SimulationFault) as tick:
+            run_scenario(sc)
+        assert (fault.value.what, fault.value.time) == (tick.value.what, tick.value.time)
+        assert fault.value.time < 0.5
+
+    @pytest.mark.parametrize("gain", [1e300, 2e300])
+    def test_finite_scan_limit_steps_the_column(self, monkeypatch, gain):
+        # a scan that reaches 1e300 with every value finite (d_hat peaks at
+        # 1.75e300, and at twice the gain f_o at 1.6e300) gives up, and the
+        # steppers step every tick from the zero state: f_o is the plant's
+        # own step over i_m and d_hat the observer's over i_m and f_o, the
+        # tick loop's bit for bit; the scenario never reaches the tick loop,
+        # which would run every tick to no fault
         sc = SimScenario(reference=CHIRP, duration_s=10.0, gamma=0.0, controller_hz=1000,
                          plant_hz=5000,
                          plant=PlantConfig(gain_factor=gain, stiction_breakaway=0.15))
         results = spy_on(monkeypatch, "_run_open_loop_chirp")
         scans = spy_on(monkeypatch, "block_scan")
         log, changed = superpose_against_tick_loop(monkeypatch, sc)
-        assert results == [True] and scans == scans_wanted
+        assert results == [True] and scans == [False]
         assert changed == 0
         step = DisturbanceObserver(sc.omega_c, 0.0, 1.0 / sc.controller_hz).stepper()
         stepped = [step(u, f)[1] for u, f in zip(log.i_m.tolist(), log.f_o.tolist())]
         assert np.array_equal(bits(log.d_hat), bits(stepped))
         assert np.max(np.abs(log.d_hat)) > 1e300
-        if gain == 2e300:
-            advance = sc.plant.build().stepper(1.0 / sc.plant_hz, 5)
-            f_o = [0.0] + [advance(u) for u in log.i_m[:-1].tolist()]
-            assert np.array_equal(bits(log.f_o), bits(f_o))
-            assert np.max(np.abs(log.f_o)) > 1e300
+        advance = sc.plant.build().stepper(1.0 / sc.plant_hz, 5)
+        f_o = [0.0] + [advance(u) for u in log.i_m[:-1].tolist()]
+        assert np.array_equal(bits(log.f_o), bits(f_o))
+        assert (np.max(np.abs(log.f_o)) > 1e300) == (gain == 2e300)
 
     @pytest.mark.parametrize("plant_hz, backlash", [(1000, 0.0), (5000, 0.01)])
     def test_stepped_chirp_fault_falls_back_to_tick_loop(self, monkeypatch, plant_hz, backlash):
@@ -1370,21 +1456,21 @@ class TestScenario:
             run_scenario(sc)
         assert (tick.value.what, tick.value.time) == (fault.value.what, fault.value.time)
 
-    @pytest.mark.parametrize("duration, scans_wanted", [(3.0, [False]),
-                                                        (0.027, [False, False])])
-    def test_estimate_overflow_names_d_hat(self, monkeypatch, duration, scans_wanted):
+    @pytest.mark.parametrize("duration", [3.0, 0.027])
+    def test_estimate_overflow_names_d_hat(self, monkeypatch, duration):
         # the observer's estimate overflows while f_o is still finite; at
         # gamma = 0 the command is u_c - 0.0 * d_hat, NaN, so the tick that
-        # forms it names the estimate, the signal that went non-finite.  In
-        # 3 s the stepped f_o overflows too; in 27 ticks it stays finite, so
-        # the open-loop path steps the observer before the tick loop runs
-        # from a fresh one
+        # forms it names the estimate, the signal that went non-finite.  The
+        # scan gives up and the block path steps every tick until the
+        # command is NaN (in 3 s the stepped f_o would overflow too, in 27
+        # ticks it stays finite); the tick loop then runs from a fresh
+        # plant and observer
         scans = spy_on(monkeypatch, "block_scan")
         sc = SimScenario(reference=CHIRP, duration_s=duration, gamma=0.0, controller_hz=1000,
                          plant_hz=5000, plant=PlantConfig((1.0, 1.0, 1.0, 1e9)))
         with pytest.raises(SimulationFault) as fault:
             run_scenario(sc)
-        assert scans == scans_wanted
+        assert scans == [False]
         assert fault.value.what == "d_hat"
         assert fault.value.time == 26 * (1.0 / sc.controller_hz)  # t = 0.026 s
         monkeypatch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
@@ -1430,6 +1516,43 @@ class TestScenario:
         gap = log.q_hat_a_m - log.q_hat_a_j
         assert np.max(np.abs(gap)) <= 0.001 + 1e-12
         assert np.max(np.abs(gap)) > 0.0
+
+
+class TestChirpLoopMap:
+    """The tick of a current chirp around the observer as one linear map."""
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.0])
+    def test_response_is_the_sampled_data_prediction(self, gamma):
+        # ROADMAP item 3's gate for the DOB loop: on dob-verify's 41-point
+        # grid, C (zI - A)^-1 B + D from u_c to f_o is the exact sampled-data
+        # loop (scipy's zero-order hold of the plant) within 1e-8 dB
+        pytest.importorskip("scipy")
+        cfg = load_config("dob-verify")
+        sn = cfg["scenario"]
+        plant = LseaPlant(cfg["plant"]["den_factors"], cfg["plant"]["gain_factor"])
+        T = 1.0 / sn["controller_hz"]
+        dob = DisturbanceObserver(2.0 * math.pi * cfg["control"]["omega_c_hz"], gamma, T)
+        A, B, C, D = plant_module._chirp_loop(plant, dob, 1.0 / sn["plant_hz"],
+                                              sn["plant_hz"] // sn["controller_hz"])
+        freqs = experiments._grid(cfg)
+        assert freqs.size == 41
+        A, B, C = np.array(A), np.array(B)[:, 0], np.array(C[0])
+        got = np.array([C @ np.linalg.solve(z * np.eye(len(A)) - A, B) + D[0][0]
+                        for z in np.exp(2j * np.pi * freqs * T)])
+        want = dob_loop_response(plant.tf, dob, freqs)
+        assert np.max(np.abs(20.0 * np.log10(np.abs(got / want)))) <= 1e-8
+
+    def test_dob_verify_summary_is_the_tick_loop_summary(self, tmp_path, monkeypatch):
+        # both runs' deviations within 1e-6 dB of the tick loop's, and the
+        # same verdicts
+        cfg = load_config("dob-verify")
+        block = experiments.dob_verify(cfg, tmp_path / "block")
+        monkeypatch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
+        tick = experiments.dob_verify(cfg, tmp_path / "tick")
+        for key in ("max_dev_db_dob_on", "max_dev_db_dob_off"):
+            assert abs(block[key] - tick[key]) <= 1e-6, key
+        for key in ("nominalized_within_2db", "off_exceeds_2db"):
+            assert block[key] is tick[key] is True, key
 
 
 class TestDerivedColumns:
@@ -1623,7 +1746,14 @@ class TestPythonFloats:
         plant = (PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=150.0,
                              stiction_velocity_deadband=500.0) if pendulum else
                  PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15))
-        run_scenario(SimScenario(reference=reference, duration_s=0.2, plant=plant,
-                                 pendulum=pendulum, k_ff=987.0 / 208.8))
+        sc = SimScenario(reference=reference, duration_s=0.2, plant=plant, pendulum=pendulum,
+                         k_ff=987.0 / 208.8)
+        if reference.kind == "current_chirp":
+            # the block path steps its windows of held calls only
+            run_scenario(sc)
+            assert seen and {type(x) for x in seen} == {float}
+            seen.clear()
+            monkeypatch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
+        run_scenario(sc)
         assert len(seen) >= 1000  # 200 ticks of at least one observer and one plant call
         assert {type(x) for x in seen} == {float}
