@@ -12,14 +12,14 @@ equation
 as a transposed direct form II (DF2T) stepped on Python floats by a
 closure each filter builds once (``DiscreteIirFilter.stepper``): the state
 is one zero-initialized value per order, updated in the same order of
-operations as ``scipy.signal.lfilter``.  ``block_scan`` runs a state-space
-system over a whole record by blocks of ticks, computing several output
-rows over one pass of the state and keeping the state each segment
-starts from, equal to the tick recurrence up to rounding, with no BLAS
-call.  All coefficient arithmetic is 64-bit; single
-precision is known to destabilize filters above a few orders.  Orders
-above ~10 produce very large intermediate coefficients and are not
-guaranteed, only passed through.
+operations as ``scipy.signal.lfilter``.  ``block_scan`` runs a
+single-input state-space system with no feedthrough over a whole record
+by blocks of ticks, computing several output rows over one pass of the
+state and keeping the state each segment starts from, equal to the tick
+recurrence up to rounding, with no BLAS call.  All coefficient
+arithmetic is 64-bit; single precision is known to destabilize filters
+above a few orders.  Orders above ~10 produce very large intermediate
+coefficients and are not guaranteed, only passed through.
 """
 
 from __future__ import annotations
@@ -253,22 +253,20 @@ def _within_limit(values: np.ndarray) -> bool:
                                     and values.min() > -_SCAN_LIMIT)
 
 
-def block_scan(A, B, C, D, inputs, outs, starts=None) -> bool:
-    """Fill each ``outs[i]`` with ``y_i[k] = C[i] x[k] + D[i] u[k]``, where
-    ``x[k + 1] = A x[k] + B u[k]`` from ``x[0] = 0``, a block of
-    ``_SCAN_SEGMENTS * _SCAN_SEGMENT`` ticks at a time, and, when ``starts``
-    (an array of ``ceil(n / _SCAN_SEGMENT)`` rows of ``len(A)``) is given,
-    ``starts[b]`` with ``x[b * _SCAN_SEGMENT]``, the state segment ``b``
-    starts from.
+def block_scan(A, b, C, u, outs, starts) -> bool:
+    """Fill each ``outs[i]`` with ``y_i[k] = C[i] x[k]``, where ``x[k + 1] =
+    A x[k] + b u[k]`` from ``x[0] = 0``, a block of ``_SCAN_SEGMENTS *
+    _SCAN_SEGMENT`` ticks at a time, and each row ``m`` of ``starts`` (an
+    array of ``ceil(n / _SCAN_SEGMENT)`` rows of ``len(A)``) with ``x[m *
+    _SCAN_SEGMENT]``, the state segment ``m`` starts from.
 
-    ``C`` and ``D`` hold one row per output, ``D``'s with one entry per
-    column of ``B``; ``inputs`` holds one 1-D array per column of ``B``,
-    each as long as every array in ``outs``.  Within a segment of ``L =
-    _SCAN_SEGMENT`` ticks from state ``s``,
+    ``b`` is one input column and ``u`` its 1-D record; ``C`` holds one row
+    per output, and every array in ``outs`` is as long as ``u``.  Within a
+    segment of ``L = _SCAN_SEGMENT`` ticks from state ``s``,
 
-        y_i[j] = C_i A^j s + sum_{l <= j} h_i[j - l] u[l],  h_i[0] = D_i, h_i[l] = C_i A^(l-1) B,
+        y_i[j] = C_i A^j s + sum_{l < j} h_i[j - 1 - l] u[l],  h_i[l] = C_i A^l b,
 
-    and the next segment starts from ``A^L s + sum_l A^(L-1-l) B u[l]``.
+    and the next segment starts from ``A^L s + sum_l A^(L-1-l) b u[l]``.
     Each block's start state is carried in Python floats, from the block
     before it.  Every other sum (a segment's outputs, its end state, and
     the start state of each segment of a block) is an elementwise numpy
@@ -283,16 +281,14 @@ def block_scan(A, B, C, D, inputs, outs, starts=None) -> bool:
     and ``starts`` partly written; ``True`` when every one is filled.
     """
     A = np.asarray(A, dtype=float).tolist()
-    B = np.asarray(B, dtype=float).tolist()
+    b = np.asarray(b, dtype=float).tolist()
     C = np.asarray(C, dtype=float).tolist()
-    D = np.asarray(D, dtype=float).tolist()
     n, L, per = len(A), _SCAN_SEGMENT, _SCAN_SEGMENTS
-    size = outs[0].size
+    size = u.size
 
-    # orbits of the unit states and of B's columns under A, and of the unit
-    # states under step = A^L: free[i, r, j] = (C_i A^j)_r, powers[j] =
-    # step^j, block = step^per, markov[i, q, l] = h_i[l] for input q, and
-    # weight[q, l] = A^(L-1-l) B_q
+    # orbits of the unit states and of b under A, and of the unit states
+    # under step = A^L: free[i, r, j] = (C_i A^j)_r, powers[j] = step^j,
+    # block = step^per, markov[i, l] = h_i[l] and weight[l] = A^(L-1-l) b
     units = [[float(i == r) for i in range(n)] for r in range(n)]
     orbits = [_orbit(A, e, L) for e in units]
     free = np.array([[[_dot(c, x) for x in orbit[:L]] for orbit in orbits] for c in C])
@@ -300,10 +296,9 @@ def block_scan(A, B, C, D, inputs, outs, starts=None) -> bool:
     orbits = [_orbit(step, e, per) for e in units]
     powers = np.array([orbit[:per] for orbit in orbits]).transpose(1, 2, 0)
     block = np.transpose([orbit[per] for orbit in orbits]).tolist()
-    orbits = [_orbit(A, [row[q] for row in B], L - 1) for q in range(len(B[0]))]
-    markov = np.array([[[d[q]] + [_dot(c, x) for x in orbit[:-1]]
-                        for q, orbit in enumerate(orbits)] for c, d in zip(C, D)])
-    weight = np.array([orbit[::-1] for orbit in orbits])
+    orbit = _orbit(A, b, L - 1)
+    markov = np.array([[_dot(c, x) for x in orbit[:-1]] for c in C])
+    weight = np.array(orbit[::-1])
     step_columns = np.array(step).T
 
     def advance(src, ends, dst):
@@ -313,15 +308,14 @@ def block_scan(A, B, C, D, inputs, outs, starts=None) -> bool:
             dst += src[..., r:r + 1] * step_columns[r]
         dst += ends
 
-    def fill(starts, segments, out, free, markov):
-        # rows[j, b] = y at tick j of segment b, from its start state
-        # starts[b]: each product runs over a contiguous row of segments
+    def fill(starts, segments, out, free, h):
+        # rows[j, m] = y at tick j of segment m, from its start state
+        # starts[m]: each product runs over a contiguous row of segments
         rows = free[0][:, None] * starts[:, 0]
         for r in range(1, n):
             rows += free[r][:, None] * starts[:, r]
-        for u, h in zip(segments, markov):
-            for lag in range(L):
-                rows[lag:] += h[lag] * u[:L - lag]
+        for lag in range(1, L):
+            rows[lag:] += h[lag - 1] * segments[:L - lag]
         out[:] = rows.T.reshape(-1)[:out.size]
         return _within_limit(out)
 
@@ -331,17 +325,14 @@ def block_scan(A, B, C, D, inputs, outs, starts=None) -> bool:
             k1 = min(k0 + _SCAN_CHUNK, size)
             count = -(-(k1 - k0) // L)  # segments, the last maybe partial
             nb = -(-count // per)  # blocks, the last maybe partial
-            # each input's segments as columns, the last one padded with
+            # the input's segments as columns, the last one padded with
             # zeros, which reach no tick of the record
-            segments = []
-            for u in inputs:
-                padded = np.zeros(count * L)
-                padded[:k1 - k0] = u[k0:k1]
-                segments.append(np.ascontiguousarray(padded.reshape(count, L).T))
+            padded = np.zeros(count * L)
+            padded[:k1 - k0] = u[k0:k1]
+            segments = np.ascontiguousarray(padded.reshape(count, L).T)
             ends = np.zeros((nb * per, n))
-            for u, w in zip(segments, weight):
-                for i in range(L):
-                    ends[:count] += u[i][:, None] * w[i]
+            for i in range(L):
+                ends[:count] += segments[i][:, None] * weight[i]
             ends = ends.reshape(nb, per, n)
             # each segment's start from a zero block start, then each
             # block's own start carried through the powers of step
@@ -359,8 +350,7 @@ def block_scan(A, B, C, D, inputs, outs, starts=None) -> bool:
             seg_starts = seg_starts.reshape(nb * per, n)[:count]
             if not _within_limit(seg_starts):
                 return False
-            if starts is not None:
-                starts[k0 // L:k0 // L + count] = seg_starts
+            starts[k0 // L:k0 // L + count] = seg_starts
             for out, f, h in zip(outs, free, markov):
                 if not fill(seg_starts, segments, out[k0:k1], f, h):
                     return False

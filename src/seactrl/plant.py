@@ -38,14 +38,14 @@ loop.  A non-finite signal stops the loop with a ``SimulationFault`` that
 names the signal and the time.
 
 One kind of scenario skips the tick loop: a current chirp with no
-pendulum, at any ``gamma``, which is the observer loop alone.  Outside the
-calls that ``LseaPlant.held_below`` names (below the stiction breakaway;
-every call with backlash) its tick is one linear map (``_chirp_loop``),
+pendulum, at any ``gamma``, on a plant without backlash, which is the
+observer loop alone.  Outside the calls below the stiction breakaway
+(``LseaPlant.held_below``) its tick is one linear map (``_chirp_loop``),
 so one ``lti.block_scan`` of that map runs over the whole chirp, and the
 windows of held calls, found in order, are stepped by the plant's and
-the observer's own steppers and superposed on the scan.  With backlash,
-or when the scan gives up, the steppers step every tick; a non-finite
-value gives way to the tick loop, which raises the fault.
+the observer's own steppers and superposed on the scan.  A plant with
+backlash, a scan that gives up and a non-finite value all give way to
+the tick loop, which also raises the fault.
 """
 
 from __future__ import annotations
@@ -248,7 +248,8 @@ class LseaPlant:
     def held_below(self) -> float:
         """The input magnitude below which a stepper may run a call
         otherwise than by ``realization``'s map: 0 on a linear plant, the
-        stiction breakaway, and with backlash ``inf`` (every call)."""
+        stiction breakaway, and with backlash ``inf`` (every call, so a
+        current chirp runs the tick loop)."""
         return math.inf if self._play is not None else self.stiction_breakaway
 
     def _scope(self):
@@ -650,19 +651,20 @@ def _powers(M, count: int) -> np.ndarray:
 
 def _chirp_loop(plant, dob, dt_sub, n_sub):
     """The tick of a current chirp around the observer as one linear map
-    ``(A, B, C, D)`` for ``lti.block_scan``, in sheared coordinates.
+    ``(A, b, C)`` for ``lti.block_scan``, in sheared coordinates, and that
+    shear.
 
     The tick's state is the plant's ``x``, the observer's DF2T state ``z``
     and its ``u_prev``; its input is the chirp ``u_c``; it measures ``f =
     c_y x0`` and estimates ``d = p0 f - q0 u_prev + z0``, commands ``i_m =
     u_c - gamma d``, and the plant call is ``realization``'s map ``x+ = P x
     + G i_m``.  With ``(p0, p1, p2, p3)`` the observer's ``N1``, the state
-    is ``(x0, x1, x2, v0, v1, v2, u_prev)`` with ``v0 = z0 + p0 f``, ``v1 =
-    z1 - (p2 + p3) f`` and ``v2 = z2 - p3 f``: each DF2T state taken
-    relative to the large part the force drives, which the raw states
-    cancel between them, so ``d = v0 - q0 u_prev`` and every entry of the
-    map multiplies a small increment.  ``C`` holds the rows of ``f`` and
-    ``d``; ``D`` is zero.
+    is ``(x0, x1, x2, v0, v1, v2, u_prev)`` with ``v = z + s f`` for the
+    shear ``s = (p0, -(p2 + p3), -p3)``: each DF2T state taken relative to
+    the large part the force drives, which the raw states cancel between
+    them, so ``d = v0 - q0 u_prev`` and every entry of the map multiplies a
+    small increment.  ``C`` holds the rows of ``f`` and ``d``, and the tick
+    has no feedthrough.  Returns ``(A, b, C, s)``.
     """
     P, G, cy = plant.realization(dt_sub, n_sub)
     (p0, p1, p2, p3), (q0, q1, q2, q3), (_, a1, a2, a3) = dob.coefficients
@@ -679,9 +681,10 @@ def _chirp_loop(plant, dob, dt_sub, n_sub):
         A.append([-p * cy * dp[0], -p * cy * dp[1], -p * cy * dp[2],
                   -a + gamma * p * gf, 0.0, v2, a * q0 - q - gamma * p * q0 * gf])
     A.append([0.0, 0.0, 0.0, -gamma, 0.0, 0.0, gamma * q0])
-    B = [[g] for g in G] + [[p0 * gf], [-s2 * gf], [-p3 * gf], [1.0]]
+    shear = (p0, -s2, -p3)
+    b = [*G, *(s * gf for s in shear), 1.0]
     C = [[cy, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, -q0]]
-    return A, B, C, [[0.0], [0.0]]
+    return A, b, C, shear
 
 
 def _row_sums(products: np.ndarray) -> np.ndarray:
@@ -692,33 +695,36 @@ def _row_sums(products: np.ndarray) -> np.ndarray:
 
 def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
     """Fill a current chirp's ``t``, ``i_m``, ``f_o`` and ``d_hat`` columns
-    without the tick loop, at any ``gamma``; ``False`` on a non-finite
-    ``f_o``, ``d_hat`` or ``i_m``.
+    without the tick loop, at any ``gamma``; ``False``, for the tick loop
+    to run the scenario, on a plant with backlash (before anything is
+    sampled), when the scan gives up, and on a non-finite ``f_o``,
+    ``d_hat`` or ``i_m``.
 
     Every plant call whose command is not below ``plant.held_below`` is
     ``realization``'s map, so outside the held calls the tick is the
-    linear map ``(A, B, C)`` of ``_chirp_loop``.  One ``lti.block_scan`` of
+    linear map ``(A, b, C)`` of ``_chirp_loop``.  One ``lti.block_scan`` of
     that map over the whole record, driven by the chirp ``u_c``, gives the
     linear ``f_o`` and ``d_hat`` and the state each segment of ``L = 32``
-    ticks starts from; the state at tick ``b L + m`` is that start and the
-    ``m`` inputs before it through ``A^m`` and ``A^(m - 1 - i) B``.  The
-    windows of held calls are found in order, since at ``gamma > 0`` the
-    command depends on the estimate.  From the tick ``k`` where the
-    steppers' state is known, ``f_o[k + j]`` and ``d_hat[k + j]`` are the
-    scan plus the free response ``C A^j delta`` of the difference ``delta``
-    between that state and the scanned one, and ``i_m = u_c - gamma
-    d_hat``, up to the first tick whose ``|i_m|`` is below
+    ticks starts from; the state at tick ``g L + m`` is segment ``g``'s
+    start and the ``m`` inputs before it through ``A^m`` and ``A^(m - 1 -
+    i) b``.  The windows of held calls are found in order, since at
+    ``gamma > 0`` the command depends on the estimate.  From the tick ``k``
+    where the steppers' state is known, ``f_o[k + j]`` and ``d_hat[k + j]``
+    are the scan plus the free response ``C A^j delta`` of the difference
+    ``delta`` between that state and the scanned one, and ``i_m = u_c -
+    gamma d_hat``, up to the first tick whose ``|i_m|`` is below
     ``held_below``; numpy does this over the powers of ``A`` (``_powers``),
-    at most ``_POWERS`` ticks at a time.  There the scanned state
-    plus ``A^j delta`` is loaded into the plant's and the observer's own
-    steppers (``set_state``), which step until a command is at or above
-    ``held_below``, that call included; their state (``state()``) less the
-    scanned one is the next ``delta``.  Every sum runs in a fixed order,
-    with no BLAS call.
-    A linear plant has no window; with backlash, or when the scan gives
-    up, the steppers step every tick from the zero state, as the tick loop
-    does.
+    at most ``_POWERS`` ticks at a time.  There the scanned state plus ``A^j
+    delta`` is loaded into the plant's and the observer's own steppers
+    (``set_state``, the observer's ``z = v - s f`` with ``_chirp_loop``'s
+    shear ``s``), which step until a command is at or above ``held_below``,
+    that call included; their state (``state()``, sheared) less the
+    scanned one is the next ``delta``.  Every sum runs in a fixed
+    order, with no BLAS call.  A linear plant has no window.
     """
+    below = plant.held_below
+    if below == math.inf:
+        return False
     times, i_m, f_o, d_hat = log["t"], log["i_m"], log["f_o"], log["d_hat"]
     n, L = i_m.size, _SCAN_SEGMENT
     blocks = [(k0, min(k0 + _LOG_BLOCK_TICKS, n)) for k0 in range(0, n, _LOG_BLOCK_TICKS)]
@@ -726,30 +732,28 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
     for k0, k1 in blocks:
         np.multiply(np.arange(k0, k1), T, out=times[k0:k1])
         u_c[k0:k1] = chirp(times[k0:k1])
-    A, B, C, D = _chirp_loop(plant, dob, dt_sub, n_sub)
-    # f = c_y x0 and d = v0 - q0 u_prev; v is z sheared by p0, s2 and p3
-    (p0, _, p2, p3), gamma, cy, q0 = dob.coefficients[0], dob.gamma, C[0][0], -C[1][6]
-    s2 = p2 + p3
+    A, b, C, (sh0, sh1, sh2) = _chirp_loop(plant, dob, dt_sub, n_sub)
+    # f = c_y x0 and d = v0 - q0 u_prev; v = z + sh f, with sh the shear
+    gamma, cy, q0 = dob.gamma, C[0][0], -C[1][6]
     starts = np.zeros((-(-n // L), len(A)))
-    below = plant.held_below
-    if below < math.inf and not block_scan(A, B, C, D, [u_c], [f_o, d_hat], starts):
-        below = math.inf
+    if not block_scan(A, b, C, u_c, [f_o, d_hat], starts):
+        return False
     with np.errstate(over="ignore", invalid="ignore"):
-        table = _powers(A, min(n, _POWERS) if 0.0 < below < math.inf else 0)
-        # response[c, i, j] = (C_i A^j)_c; from_start[m] = [A^m, A^(m-1) B ... B]
+        table = _powers(A, min(n, _POWERS) if below > 0.0 else 0)
+        # response[c, i, j] = (C_i A^j)_c; from_start[m] = [A^m, A^(m-1) b ... b]
         response = np.stack((cy * table[:, 0], table[:, 3] - q0 * table[:, 6]))
         response = np.ascontiguousarray(response.transpose(2, 0, 1))
-        drive = _row_sums(table[:L] * np.ravel(B))
+        drive = _row_sums(table[:L] * np.array(b))
         from_start = [np.concatenate((table[m], drive[:m][::-1].T), axis=1)
                       for m in range(min(L, len(table)))]
 
     def scanned(k, delta=None, j=0):
         # the scanned state at tick k, plus A^j delta
-        b, m = divmod(k, L)
+        g, m = divmod(k, L)
         if delta is None:
-            return _row_sums(from_start[m] * np.concatenate((starts[b], u_c[k - m:k])))
+            return _row_sums(from_start[m] * np.concatenate((starts[g], u_c[k - m:k])))
         return _row_sums(np.concatenate((from_start[m], table[j]), axis=1)
-                         * np.concatenate((starts[b], u_c[k - m:k], delta)))
+                         * np.concatenate((starts[g], u_c[k - m:k], delta)))
 
     def stretch(k, delta, size):
         # ticks k ... from the scan plus delta's free response, up to the
@@ -784,7 +788,7 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
     size = 4 * L  # a stretch's first chunk; then the last stretch, half as long again, + L
     with np.errstate(over="ignore", invalid="ignore"):
         while k < n:
-            a, delta, j = stretch(k, delta, size) if below < math.inf else (k, None, 0)
+            a, delta, j = stretch(k, delta, size)
             if a == n:
                 break
             size = (a - k) + (a - k) // 2 + L
@@ -792,7 +796,7 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
                 x = scanned(a, delta, j).tolist()
                 f = cy * x[0]
                 plant.set_state(x[:3])
-                dob.set_state((x[3] - p0 * f, x[4] + s2 * f, x[5] + p3 * f, x[6]))
+                dob.set_state((x[3] - sh0 * f, x[4] - sh1 * f, x[5] - sh2 * f, x[6]))
             # step until a call that is not held, that call included, a
             # segment of the chirp at a time, writing a log block at a time
             k0 = k = a
@@ -812,9 +816,8 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
             if not math.isfinite(u):
                 return False
             if k < n:
-                x0, x1, x2 = plant.state()
                 z0, z1, z2, u = dob.state()
-                delta = np.array((x0, x1, x2, z0 + p0 * f, z1 - s2 * f, z2 - p3 * f, u))
+                delta = np.array((*plant.state(), z0 + sh0 * f, z1 + sh1 * f, z2 + sh2 * f, u))
                 delta -= scanned(k)
     for k0, k1 in blocks:
         np.multiply(np.arange(k0, k1), T, out=times[k0:k1])
@@ -858,22 +861,21 @@ def run_scenario(sc: SimScenario) -> SimLog:
     nothing: the pendulum state and the plant output are checked before
     the controller call, the desired force and the command after it.
 
-    A current chirp with no pendulum, at any ``gamma`` and whatever the
-    plant, skips the tick loop (``_run_open_loop_chirp``): one scan of the
+    A current chirp with no pendulum, at any ``gamma``, skips the tick loop
+    on a plant without backlash (``_run_open_loop_chirp``): one scan of the
     loop's linear map, with the windows of held calls stepped by the
     plant's and the observer's own steppers.  ``t`` equals the tick loop's
     bit for bit, and so does ``i_m`` at ``gamma = 0``; the scanned columns
     differ from it in rounding only: ``f_o`` by at most 1e-13 of its peak
     at ``gamma = 0`` and 1e-10 at ``gamma = 1``, ``d_hat`` by 1e-9 of its
-    peak, and ``i_m`` at ``gamma > 0`` by 1e-9 of ``d_hat``'s.  With
-    backlash every call is held, and when the scan gives up, on a
-    non-finite value or one of 1e300 or more in magnitude, every tick is
-    held too: the steppers step every tick from the zero state, which is
-    the tick loop's bit for bit.  If ``f_o``, ``d_hat`` or ``i_m`` is
-    non-finite, the scenario runs the tick loop instead, on a fresh plant
-    and observer, so every ``SimulationFault`` keeps its signal and time.
-    Every other scenario runs the tick loop, sampling the chirp a block of
-    ticks at a time.
+    peak, and ``i_m`` at ``gamma > 0`` by 1e-9 of ``d_hat``'s.  The block
+    path declines a plant with backlash, every call of which is held, a
+    scan that gives up (on a non-finite value or one of 1e300 or more in
+    magnitude), and a non-finite ``f_o``, ``d_hat`` or ``i_m``; the
+    scenario then runs the tick loop on a fresh plant and observer, so
+    every ``SimulationFault`` keeps its signal and time.  Every other
+    scenario runs the tick loop, sampling the chirp a block of ticks at a
+    time.
     """
     sc.validate()
     T = 1.0 / sc.controller_hz
@@ -932,7 +934,8 @@ def run_scenario(sc: SimScenario) -> SimLog:
     if ref.kind == "current_chirp" and pend is None:
         if _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob):
             return SimLog(**log)
-        # the tick loop names the fault at its time, from a fresh plant and observer
+        # the tick loop runs what the block path declines, from a fresh
+        # plant and observer, and names any fault at its time
         advance = sc.plant.build().stepper(dt_sub, n_sub)
         dob_step = DisturbanceObserver(sc.omega_c, sc.gamma, T).stepper()
 
@@ -969,7 +972,7 @@ def run_scenario(sc: SimScenario) -> SimLog:
             elif force_step:
                 f_d = ref.step_value if t >= ref.step_time else 0.0
                 i_m, d_hat = fc_step(f_d, f_o)
-            else:  # current_chirp with the pendulum, or one the block path gave up on
+            else:  # current_chirp with the pendulum, or one the block path declined
                 i_m, d_hat = dob_step(u_c[k - k0], f_o)
                 f_d = 0.0
 

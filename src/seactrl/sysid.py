@@ -326,7 +326,7 @@ def empirical_frf(u: TimeSeries, y: TimeSeries, freqs_hz,
 
     bins = np.fft.rfftfreq(seg, T)
     floor = _SPECTRUM_FLOOR * puu.max()
-    idx = np.array([int(np.argmin(np.abs(bins - fk))) for fk in f])
+    idx = np.array([int(np.argmin(np.abs(bins - fk))) for fk in f], dtype=np.intp)
     valid = puu[idx] > floor
     values = np.full(f.size, np.nan + 1j * np.nan)
     coherence = np.full(f.size, np.nan)

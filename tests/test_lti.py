@@ -375,79 +375,84 @@ class TestButterworth:
         assert abs(y[-1]) < 1e-12
 
 
-def trajectory(A, B, C, D, inputs):
-    """``y[k] = C x[k] + D u[k]``, ``x[k + 1] = A x[k] + B u[k]`` from ``x[0] = 0``,
-    tick by tick in Python floats; returns the outputs and the states ``x[k]``."""
-    A, B = np.asarray(A, float).tolist(), np.asarray(B, float).tolist()
+def trajectory(A, b, C, u):
+    """``y[k] = C x[k]``, ``x[k + 1] = A x[k] + b u[k]`` from ``x[0] = 0``, tick
+    by tick in Python floats; returns the outputs and the states ``x[k]``."""
+    A, b = np.asarray(A, float).tolist(), np.asarray(b, float).tolist()
     x, ys, xs = [0.0] * len(A), [], []
-    for u in zip(*(np.asarray(col, float).tolist() for col in inputs)):
+    for v in np.asarray(u, float).tolist():
         xs.append(x)
-        ys.append(sum(c * v for c, v in zip(C, x)) + sum(d * v for d, v in zip(D, u)))
-        x = [sum(a * v for a, v in zip(row_a, x)) + sum(b * v for b, v in zip(row_b, u))
-             for row_a, row_b in zip(A, B)]
+        ys.append(sum(c * e for c, e in zip(C, x)))
+        x = [sum(a * e for a, e in zip(row, x)) + g * v for row, g in zip(A, b)]
     return np.array(ys), np.array(xs)
 
 
-def recurrence(A, B, C, D, inputs):
-    return trajectory(A, B, C, D, inputs)[0]
+def segment_starts(size, n):
+    """A NaN-filled ``starts`` array for a record of ``size`` ticks."""
+    return np.full((-(-size // lti._SCAN_SEGMENT), n), np.nan)
 
 
 class TestBlockScan:
     # a record of two chunks whose last block and segment are partial
     N = lti._SCAN_CHUNK + 3 * lti._SCAN_SEGMENT * lti._SCAN_SEGMENTS + 5
 
-    @pytest.mark.parametrize("n, m, p", [(1, 1, 1), (3, 1, 1), (4, 2, 1), (7, 1, 2)])
-    def test_equals_the_recurrence_up_to_rounding(self, n, m, p):
-        # p output rows over one state pass, each the recurrence's
-        rng = np.random.default_rng(n + 10 * m)
+    @staticmethod
+    def stable_system(n, p):
+        rng = np.random.default_rng(n + 10)
         A = rng.standard_normal((n, n))
         A *= 0.97 / np.max(np.abs(np.linalg.eigvals(A)))
-        B, C, D = (rng.standard_normal((n, m)), rng.standard_normal((p, n)),
-                   rng.standard_normal((p, m)))
-        inputs = [np.sin(np.cumsum(rng.uniform(0.0, 0.3, self.N))) for _ in range(m)]
+        b, C = rng.standard_normal(n), rng.standard_normal((p, n))
+        u = np.sin(np.cumsum(rng.uniform(0.0, 0.3, TestBlockScan.N)))
+        return A, b, C, u
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (3, 1), (7, 2)])
+    def test_equals_the_recurrence_up_to_rounding(self, n, p):
+        # p output rows over one state pass, each the recurrence's
+        A, b, C, u = self.stable_system(n, p)
         outs = [np.full(self.N, np.nan) for _ in range(p)]
-        assert block_scan(A, B, C, D, inputs, outs)
-        for out, c, d in zip(outs, C, D):
-            want = recurrence(A, B, c, d, inputs)
+        assert block_scan(A, b, C, u, outs, segment_starts(self.N, n))
+        for out, c in zip(outs, C):
+            want = trajectory(A, b, c, u)[0]
             assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("n, m", [(3, 1), (4, 2)])
-    def test_segment_starts_equal_the_recurrence(self, n, m):
+    def test_segment_starts_equal_the_recurrence(self):
         # every segment's start state, across a chunk boundary and up to the
         # partial last segment
-        rng = np.random.default_rng(n + 10 * m)
-        A = rng.standard_normal((n, n))
-        A *= 0.97 / np.max(np.abs(np.linalg.eigvals(A)))
-        B, C, D = rng.standard_normal((n, m)), rng.standard_normal((1, n)), np.zeros((1, m))
-        inputs = [np.sin(np.cumsum(rng.uniform(0.0, 0.3, self.N))) for _ in range(m)]
-        L = lti._SCAN_SEGMENT
-        starts = np.full((-(-self.N // L), n), np.nan)
+        n, L = 3, lti._SCAN_SEGMENT
+        A, b, C, u = self.stable_system(n, 1)
+        starts = segment_starts(self.N, n)
         assert self.N % L
-        assert block_scan(A, B, C, D, inputs, [np.empty(self.N)], starts)
-        want = trajectory(A, B, C[0], D[0], inputs)[1][::L]
+        assert block_scan(A, b, C, u, [np.empty(self.N)], starts)
+        want = trajectory(A, b, C[0], u)[1][::L]
         assert np.max(np.abs(starts - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(starts[0], np.zeros(n))
 
     @pytest.mark.parametrize("size", [0, 1, lti._SCAN_SEGMENT + 1])
     def test_short_records(self, size):
-        A, B, C, D = [[0.5]], [[1.0]], [1.0], [0.25]
+        # y = x + 0.25 u, x+ = 0.5 x + u, the feedthrough added outside the scan
         u = np.linspace(1.0, 2.0, size)
         out = np.full(size, np.nan)
-        assert block_scan(A, B, [C], [D], [u], [out])
-        np.testing.assert_allclose(out, recurrence(A, B, C, D, [u]), rtol=1e-15)
+        assert block_scan([[0.5]], [1.0], [[1.0]], u, [out], segment_starts(size, 1))
+        x, want = 0.0, []
+        for v in u.tolist():
+            want.append(x + 0.25 * v)
+            x = 0.5 * x + v
+        np.testing.assert_allclose(out + 0.25 * u, want, rtol=1e-15)
 
     def test_df2t_realization_steps_like_the_filter(self):
-        # the filter's DF2T state z: y = z0 + b0 x, z_i+ = z_(i+1) + b_(i+1) x - a_(i+1) y
+        # the filter's DF2T state z: y = z0 + b0 x, z_i+ = z_(i+1) + b_(i+1) x - a_(i+1) y;
+        # the scan gives z0, and b0 x is added outside it
         filt = bilinear_discretize(_q_over_pn(), 1e-3)
         (_, *a), (b0, *b) = filt.den.tolist(), filt.a_hat.tolist()
         n = len(a)
         A = [[-a[i] if j == 0 else float(j == i + 1) for j in range(n)] for i in range(n)]
-        B = [[b[i] - a[i] * b0] for i in range(n)]
         x = np.sin(np.linspace(0.0, 200.0, 3000))
         out = np.empty(x.size)
-        assert block_scan(A, B, [[float(j == 0) for j in range(n)]], [[b0]], [x], [out])
+        assert block_scan(A, [b[i] - a[i] * b0 for i in range(n)],
+                          [[float(j == 0) for j in range(n)]], x, [out],
+                          segment_starts(x.size, n))
         want = filtered(filt, x)
-        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(out + b0 * x - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("case", ["unstable", "nan_input", "huge_input"])
     def test_gives_up_on_a_value_out_of_range(self, case):
@@ -457,7 +462,8 @@ class TestBlockScan:
             u[4000] = np.nan
         elif case == "huge_input":
             u[4000] = 1e301
-        assert not block_scan(A, [[1.0]], [[1.0]], [[0.0]], [u], [np.empty(u.size)])
+        assert not block_scan(A, [1.0], [[1.0]], u, [np.empty(u.size)],
+                              segment_starts(u.size, 1))
 
 
 class TestLogGrid:

@@ -112,6 +112,27 @@ def spy_on(monkeypatch, name):
     return results
 
 
+def count_steps(monkeypatch):
+    """Record the inputs of every call of a plant's or an observer's stepper."""
+    calls = []
+
+    def counted(factory):
+        def build(block, *args):
+            step = factory(block, *args)
+
+            def recorded(*values):
+                calls.append(values)
+                return step(*values)
+
+            return recorded
+
+        return build
+
+    for block in (LseaPlant, DisturbanceObserver):
+        monkeypatch.setattr(block, "stepper", counted(block.stepper))
+    return calls
+
+
 def shipped_chirp(experiment, amplitude, gamma=0.0):
     """The shipped ``experiment``'s current chirp at ``amplitude`` and ``gamma``."""
     cfg = load_config(experiment)
@@ -1280,9 +1301,9 @@ class TestScenario:
         # an open-loop chirp on a nonlinear plant: with stiction alone one
         # scan gives f_o and d_hat, superposed with the stepped windows, so
         # t and i_m are the tick loop's bit for bit and f_o and d_hat differ
-        # in rounding only; with backlash nothing is scanned and every tick
-        # is stepped, the tick loop's bit for bit.  The tick loop itself
-        # equals the block-by-block replay
+        # in rounding only; with backlash nothing is scanned and the block
+        # path declines to the tick loop.  The tick loop itself equals the
+        # block-by-block replay
         n = 2 * _LOG_BLOCK_TICKS + 1  # the last block is one tick, never stepped
         sc = SimScenario(reference=CHIRP, duration_s=n / 1000.0, gamma=0.0,
                          controller_hz=1000, plant_hz=5000, plant=plant)
@@ -1370,10 +1391,10 @@ class TestScenario:
         else:
             assert len(log) < lti._SCAN_SEGMENT
 
-    def test_dob_on_chirp_with_backlash_steps_every_tick(self, monkeypatch):
-        # with backlash every call is held: nothing is scanned, and the
-        # steppers step every tick from the zero state, the tick loop's bit
-        # for bit
+    def test_dob_on_chirp_with_backlash_runs_tick_loop(self, monkeypatch):
+        # with backlash every call is held: the block path declines before
+        # it scans anything, and the tick loop runs, bit for bit as when
+        # it is forced
         n = 2 * _LOG_BLOCK_TICKS + 1
         sc = SimScenario(reference=CHIRP, duration_s=n / 1000.0, gamma=1.0,
                          controller_hz=1000, plant_hz=5000,
@@ -1382,7 +1403,7 @@ class TestScenario:
         scans = spy_on(monkeypatch, "block_scan")
         results = spy_on(monkeypatch, "_run_open_loop_chirp")
         log = run_scenario(sc)
-        assert scans == [] and results == [True]
+        assert scans == [] and results == [False]
         monkeypatch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
         tick = run_scenario(sc)
         assert len(log) == n and np.any(tick.d_hat != 0.0)
@@ -1409,20 +1430,19 @@ class TestScenario:
         assert fault.value.time < 0.5
 
     @pytest.mark.parametrize("gain", [1e300, 2e300])
-    def test_finite_scan_limit_steps_the_column(self, monkeypatch, gain):
+    def test_finite_scan_limit_runs_tick_loop(self, monkeypatch, gain):
         # a scan that reaches 1e300 with every value finite (d_hat peaks at
-        # 1.75e300, and at twice the gain f_o at 1.6e300) gives up, and the
-        # steppers step every tick from the zero state: f_o is the plant's
-        # own step over i_m and d_hat the observer's over i_m and f_o, the
-        # tick loop's bit for bit; the scenario never reaches the tick loop,
-        # which would run every tick to no fault
+        # 1.75e300, and at twice the gain f_o at 1.6e300) gives up, the
+        # block path declines, and the tick loop runs every tick to no
+        # fault: f_o is the plant's own step over i_m and d_hat the
+        # observer's over i_m and f_o, bit for bit
         sc = SimScenario(reference=CHIRP, duration_s=10.0, gamma=0.0, controller_hz=1000,
                          plant_hz=5000,
                          plant=PlantConfig(gain_factor=gain, stiction_breakaway=0.15))
         results = spy_on(monkeypatch, "_run_open_loop_chirp")
         scans = spy_on(monkeypatch, "block_scan")
         log, changed = superpose_against_tick_loop(monkeypatch, sc)
-        assert results == [True] and scans == [False]
+        assert results == [False] and scans == [False]
         assert changed == 0
         step = DisturbanceObserver(sc.omega_c, 0.0, 1.0 / sc.controller_hz).stepper()
         stepped = [step(u, f)[1] for u, f in zip(log.i_m.tolist(), log.f_o.tolist())]
@@ -1433,11 +1453,45 @@ class TestScenario:
         assert np.array_equal(bits(log.f_o), bits(f_o))
         assert (np.max(np.abs(log.f_o)) > 1e300) == (gain == 2e300)
 
+    @pytest.mark.parametrize("gamma, plant, scanned", [
+        (1.0, PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15, backlash=0.01), []),
+        (0.0, PlantConfig(gain_factor=1e300, stiction_breakaway=0.15), [False]),
+    ], ids=["backlash", "scan_limit"])
+    def test_block_path_declines_without_stepping(self, monkeypatch, gamma, plant, scanned):
+        # a plant with backlash is declined before anything is scanned, and
+        # a scan that reaches 1e300 with every value finite gives up: the
+        # block path returns False having stepped neither the plant nor
+        # the observer, whose states stay zero, and the tick loop's log is
+        # the forced tick loop's bit for bit
+        sc = SimScenario(reference=CHIRP, duration_s=10.0, gamma=gamma, controller_hz=1000,
+                         plant_hz=5000, plant=plant)
+        calls, declined = count_steps(monkeypatch), []
+        block_path = plant_module._run_open_loop_chirp
+
+        def spied(log, chirp, T, lsea, dt_sub, n_sub, dob):
+            stepped = len(calls)
+            declined.append(block_path(log, chirp, T, lsea, dt_sub, n_sub, dob))
+            assert len(calls) == stepped
+            assert lsea.state() == (0.0,) * 3 and dob.state() == (0.0,) * 4
+            return declined[-1]
+
+        monkeypatch.setattr(plant_module, "_run_open_loop_chirp", spied)
+        scans = spy_on(monkeypatch, "block_scan")
+        log = run_scenario(sc)
+        assert declined == [False] and scans == scanned
+        assert len(calls) == 2 * len(log)  # the tick loop's: an observer and a plant step a tick
+        monkeypatch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
+        tick = run_scenario(sc)
+        assert np.all(np.isfinite(tick.d_hat)) and np.any(tick.d_hat != 0.0)
+        for name in LOG_COLUMNS:
+            assert np.array_equal(bits(log.column(name)), bits(tick.column(name))), name
+
     @pytest.mark.parametrize("plant_hz, backlash", [(1000, 0.0), (5000, 0.01)])
     def test_stepped_chirp_fault_falls_back_to_tick_loop(self, monkeypatch, plant_hz, backlash):
-        # an unstable stiction plant overflows f_o while it is stepped; the
-        # tick loop then names it at its own time, from a fresh plant
-        # (t = 0.322 and 0.42 s)
+        # an unstable stiction plant overflows f_o; the block path declines,
+        # when the scan gives up (without backlash) or before it scans
+        # (with backlash), and the tick loop names the fault at its own
+        # time, from a fresh plant (t = 0.322 and 0.42 s)
         results = spy_on(monkeypatch, "_run_open_loop_chirp")
         sc = SimScenario(reference=CHIRP, duration_s=1.0, gamma=0.0, controller_hz=1000,
                          plant_hz=plant_hz,
@@ -1461,10 +1515,9 @@ class TestScenario:
         # the observer's estimate overflows while f_o is still finite; at
         # gamma = 0 the command is u_c - 0.0 * d_hat, NaN, so the tick that
         # forms it names the estimate, the signal that went non-finite.  The
-        # scan gives up and the block path steps every tick until the
-        # command is NaN (in 3 s the stepped f_o would overflow too, in 27
-        # ticks it stays finite); the tick loop then runs from a fresh
-        # plant and observer
+        # scan gives up and the block path declines; the tick loop then runs
+        # from a fresh plant and observer (in 3 s its f_o would overflow
+        # too, in 27 ticks it stays finite)
         scans = spy_on(monkeypatch, "block_scan")
         sc = SimScenario(reference=CHIRP, duration_s=duration, gamma=0.0, controller_hz=1000,
                          plant_hz=5000, plant=PlantConfig((1.0, 1.0, 1.0, 1e9)))
@@ -1524,7 +1577,7 @@ class TestChirpLoopMap:
     @pytest.mark.parametrize("gamma", [1.0, 0.0])
     def test_response_is_the_sampled_data_prediction(self, gamma):
         # ROADMAP item 3's gate for the DOB loop: on dob-verify's 41-point
-        # grid, C (zI - A)^-1 B + D from u_c to f_o is the exact sampled-data
+        # grid, C (zI - A)^-1 B from u_c to f_o is the exact sampled-data
         # loop (scipy's zero-order hold of the plant) within 1e-8 dB
         pytest.importorskip("scipy")
         cfg = load_config("dob-verify")
@@ -1532,12 +1585,14 @@ class TestChirpLoopMap:
         plant = LseaPlant(cfg["plant"]["den_factors"], cfg["plant"]["gain_factor"])
         T = 1.0 / sn["controller_hz"]
         dob = DisturbanceObserver(2.0 * math.pi * cfg["control"]["omega_c_hz"], gamma, T)
-        A, B, C, D = plant_module._chirp_loop(plant, dob, 1.0 / sn["plant_hz"],
-                                              sn["plant_hz"] // sn["controller_hz"])
+        A, B, C, shear = plant_module._chirp_loop(plant, dob, 1.0 / sn["plant_hz"],
+                                                  sn["plant_hz"] // sn["controller_hz"])
+        p0, _, p2, p3 = dob.coefficients[0]
+        assert shear == (p0, -(p2 + p3), -p3)
         freqs = experiments._grid(cfg)
         assert freqs.size == 41
-        A, B, C = np.array(A), np.array(B)[:, 0], np.array(C[0])
-        got = np.array([C @ np.linalg.solve(z * np.eye(len(A)) - A, B) + D[0][0]
+        A, B, C = np.array(A), np.array(B), np.array(C[0])
+        got = np.array([C @ np.linalg.solve(z * np.eye(len(A)) - A, B)
                         for z in np.exp(2j * np.pi * freqs * T)])
         want = dob_loop_response(plant.tf, dob, freqs)
         assert np.max(np.abs(20.0 * np.log10(np.abs(got / want)))) <= 1e-8

@@ -292,6 +292,15 @@ class TestEmpiricalFrf:
         with pytest.raises(ValueError):
             empirical_frf(u, TimeSeries(1e-3, np.zeros(64)), [10.0])
 
+    def test_empty_grid_gives_empty_response(self):
+        # as freq_response does for the same grid
+        rng = np.random.default_rng(5)
+        u = TimeSeries(1e-3, rng.normal(size=1024))
+        frf = empirical_frf(u, u, [])
+        want = freq_response(nominal_lsea_tf(), [])
+        assert frf.freqs_hz.shape == frf.values.shape == want.values.shape == (0,)
+        assert frf.coherence.shape == frf.valid.shape == (0,)
+
     def test_grid_above_nyquist_rejected(self):
         u = TimeSeries(1e-3, np.zeros(128))
         with pytest.raises(NyquistError):
