@@ -96,9 +96,19 @@ def _write_summary(out: Path, summary: dict) -> None:
                 fh.write(f"{key} = {value}\n")
 
 
-def _grid(cfg: dict) -> np.ndarray:
+def _grid(cfg: dict, name: str) -> np.ndarray:
+    """The ``sysid.<name>_lo_hz`` to ``sysid.<name>_hi_hz`` grid, ``name``
+    being ``grid`` (the FRF CSVs) or ``fit``."""
     s = cfg["sysid"]
-    return log_grid(s["grid_lo_hz"], s["grid_hi_hz"], s["points_per_decade"])
+    return log_grid(s[f"{name}_lo_hz"], s[f"{name}_hi_hz"], s["points_per_decade"])
+
+
+def _below_nyquist(keypath: str, hz: float, T: float) -> None:
+    """Reject ``keypath`` when the frequency ``hz`` it gives is at or above
+    the Nyquist rate of samples every ``T`` seconds."""
+    if hz >= 0.5 / T:
+        raise ConfigError(keypath, f"reaches {hz:.12g} Hz, at or above the Nyquist "
+                          f"rate ({0.5 / T:g} Hz) of its {1.0 / T:g} Hz samples")
 
 
 def _check_segments(cfg: dict, n_samples: int) -> None:
@@ -120,21 +130,22 @@ def _read_record(flag: str, path) -> TimeSeries:
         raise ConfigError(flag, str(exc)) from None
 
 
-def _current_chirp(cfg: dict, gamma: float, amplitude: float):
+def _current_chirp(cfg: dict, gamma: float, amplitude: float, grid: str):
     """Run the configured exponential current chirp through the
     (DOB-wrapped) plant; returns the log and its sample period.
 
     Before the run, a chirp endpoint at or above the controller's Nyquist
-    rate (``SimScenario.validate``'s bound, checked here to name the key)
-    and a segment count the log cannot hold for its H1 estimate are
-    rejected.
+    rate (``SimScenario.validate``'s bound, checked here to name the key),
+    a ``grid`` (``_grid``'s name) whose last point is there (the point
+    ``empirical_frf`` checks, which ``np.logspace`` can round above the
+    key's value), and a segment count the log cannot hold for its H1
+    estimate are rejected.
     """
     sn = cfg["scenario"]
-    nyquist = 0.5 / (1.0 / sn["controller_hz"])
+    T = 1.0 / sn["controller_hz"]
     for key in ("chirp_f_start", "chirp_f_end"):
-        if sn[key] >= nyquist:
-            raise ConfigError(f"scenario.{key}", f"{sn[key]} must lie below the "
-                              f"controller's Nyquist rate ({nyquist:g} Hz)")
+        _below_nyquist(f"scenario.{key}", sn[key], T)
+    _below_nyquist(f"sysid.{grid}_hi_hz", _grid(cfg, grid)[-1], T)
     sc = _base_scenario(
         cfg,
         ReferenceSpec(kind="current_chirp", amplitude=amplitude,
@@ -142,7 +153,7 @@ def _current_chirp(cfg: dict, gamma: float, amplitude: float):
         gamma=gamma,
     )
     _check_segments(cfg, int(round(sc.duration_s * sc.controller_hz)))
-    return run_scenario(sc), 1.0 / sc.controller_hz
+    return run_scenario(sc), T
 
 
 def _chirp_frf(cfg: dict, gamma: float, amplitude: float, log_path):
@@ -152,11 +163,11 @@ def _chirp_frf(cfg: dict, gamma: float, amplitude: float, log_path):
     Only the response is returned, so the log is freed before the caller
     runs its next scenario.
     """
-    log, T = _current_chirp(cfg, gamma, amplitude)
+    log, T = _current_chirp(cfg, gamma, amplitude, "grid")
     log.to_csv(log_path)
     u_c = gamma * log.d_hat
     u_c += log.i_m
-    return empirical_frf(TimeSeries(T, u_c), TimeSeries(T, log.f_o), _grid(cfg),
+    return empirical_frf(TimeSeries(T, u_c), TimeSeries(T, log.f_o), _grid(cfg, "grid"),
                          segments=cfg["sysid"]["segments"])
 
 
@@ -357,6 +368,13 @@ def fit_experiment(cfg: dict, out_dir, u_csv=None, y_csv=None) -> dict:
     if (u_csv is None) != (y_csv is None):
         raise ConfigError("--y" if y_csv is None else "--u",
                           "missing: give both --u and --y records, or neither")
+    # fit_rational needs two grid bins per unknown; a record whose valid
+    # bins fall short still raises FitError
+    grid, unknowns = _grid(cfg, "fit"), s["num_order"] + s["den_order"] + 1
+    if 2 * unknowns > grid.size:
+        raise ConfigError("sysid.den_order", f"{s['den_order']} with sysid.num_order "
+                          f"{s['num_order']} fits {unknowns} coefficients, which need "
+                          f"{2 * unknowns} bins; the fit grid has {grid.size}")
     if u_csv is not None:
         u = _read_record("--u", u_csv)
         y = _read_record("--y", y_csv)
@@ -365,14 +383,15 @@ def fit_experiment(cfg: dict, out_dir, u_csv=None, y_csv=None) -> dict:
                 "--y", f"{y.samples.size} samples every {y.sample_period:g} s, but --u "
                 f"has {u.samples.size} every {u.sample_period:g} s")
         _check_segments(cfg, u.samples.size)
+        _below_nyquist("sysid.fit_hi_hz", grid[-1], u.sample_period)
     else:
-        log, T = _current_chirp(cfg, cfg["control"]["gamma"], cfg["scenario"]["amplitude"])
+        log, T = _current_chirp(cfg, cfg["control"]["gamma"], cfg["scenario"]["amplitude"],
+                                "fit")
         u = TimeSeries(T, log.i_m)
         y = TimeSeries(T, log.f_o)
         u.to_csv(out / "input.csv")
         y.to_csv(out / "output.csv")
 
-    grid = log_grid(s["fit_lo_hz"], s["fit_hi_hz"], s["points_per_decade"])
     frf = zoh_compensate(
         empirical_frf(u, y, grid, segments=s["segments"]), u.sample_period)
     write_frf_csv(frf, out / "frf.csv")

@@ -14,9 +14,10 @@ closure each filter builds once (``DiscreteIirFilter.stepper``): the state
 is one zero-initialized value per order, updated in the same order of
 operations as ``scipy.signal.lfilter``.  ``block_scan`` runs a
 single-input state-space system with no feedthrough over a whole record
-by blocks of ticks, computing several output rows over one pass of the
-state and keeping the state each segment starts from, equal to the tick
-recurrence up to rounding, with no BLAS call.  All coefficient
+in segments of ticks, whose start states a doubling prefix sums, computing
+several output rows over one pass of the state and keeping the state each
+segment starts from, equal to the tick recurrence up to rounding, with no
+BLAS call.  All coefficient
 arithmetic is 64-bit; single precision is known to destabilize filters
 above a few orders.  Orders above ~10 produce very large intermediate
 coefficients and are not guaranteed, only passed through.
@@ -218,11 +219,10 @@ class DiscreteIirFilter:
         )
 
 
-# block_scan's sizes: a block of _SCAN_SEGMENTS segments of _SCAN_SEGMENT
-# ticks each, and _SCAN_CHUNK ticks (whole blocks) of temporaries at a
-# time; a value at or beyond _SCAN_LIMIT in magnitude makes it give up
+# block_scan's sizes: segments of _SCAN_SEGMENT ticks, and _SCAN_CHUNK
+# ticks (whole segments) of temporaries at a time; a value at or beyond
+# _SCAN_LIMIT in magnitude makes it give up
 _SCAN_SEGMENT = 32
-_SCAN_SEGMENTS = 8
 _SCAN_CHUNK = 16384
 _SCAN_LIMIT = 1e300
 
@@ -255,10 +255,9 @@ def _within_limit(values: np.ndarray) -> bool:
 
 def block_scan(A, b, C, u, outs, starts) -> bool:
     """Fill each ``outs[i]`` with ``y_i[k] = C[i] x[k]``, where ``x[k + 1] =
-    A x[k] + b u[k]`` from ``x[0] = 0``, a block of ``_SCAN_SEGMENTS *
-    _SCAN_SEGMENT`` ticks at a time, and each row ``m`` of ``starts`` (an
-    array of ``ceil(n / _SCAN_SEGMENT)`` rows of ``len(A)``) with ``x[m *
-    _SCAN_SEGMENT]``, the state segment ``m`` starts from.
+    A x[k] + b u[k]`` from ``x[0] = 0``, and each row ``m`` of ``starts``
+    (an array of ``ceil(n / _SCAN_SEGMENT)`` rows of ``len(A)``) with ``x[m
+    * _SCAN_SEGMENT]``, the state segment ``m`` starts from.
 
     ``b`` is one input column and ``u`` its 1-D record; ``C`` holds one row
     per output, and every array in ``outs`` is as long as ``u``.  Within a
@@ -266,47 +265,45 @@ def block_scan(A, b, C, u, outs, starts) -> bool:
 
         y_i[j] = C_i A^j s + sum_{l < j} h_i[j - 1 - l] u[l],  h_i[l] = C_i A^l b,
 
-    and the next segment starts from ``A^L s + sum_l A^(L-1-l) b u[l]``.
-    Each block's start state is carried in Python floats, from the block
-    before it.  Every other sum (a segment's outputs, its end state, and
-    the start state of each segment of a block) is an elementwise numpy
-    product or add in a fixed order, over ``_SCAN_CHUNK`` ticks at a time,
-    with no matrix product, so the bytes do not depend on a BLAS kernel.
-    ``A^L``, the rows above and the powers of ``A^L`` come from running the
-    recurrence itself in Python floats.  The result equals the tick-by-tick
-    recurrence up to rounding.
+    and the next segment starts from ``S s + e``, with ``S = A^L`` and ``e =
+    sum_l A^(L-1-l) b u[l]`` the segment's end state from a zero start.  So
+    ``starts[m] = sum_{j < m} S^(m-1-j) e_j``: each ``e_j`` is summed into
+    ``starts[j + 1]``, and passes ``shift = 1, 2, 4, ...`` each add
+    ``S^shift`` times a copy of ``starts[:-shift]`` to ``starts[shift:]``
+    (a doubling prefix), ``S^shift`` squared in Python floats.  Every other
+    sum (the prefix, and each segment's end state and outputs, over
+    ``_SCAN_CHUNK`` ticks at a time) is an elementwise numpy product or add
+    in a fixed order, with no matrix product, so the bytes do not depend on
+    a BLAS kernel.  ``S``, the rows above and ``A^j b`` come from running
+    the recurrence itself in Python floats.  The result equals the
+    tick-by-tick recurrence up to rounding.
 
-    Returns ``False`` as soon as an output or a segment's start state is
+    Returns ``False`` as soon as a segment's start state or an output is
     non-finite or reaches ``_SCAN_LIMIT`` in magnitude, leaving ``outs``
     and ``starts`` partly written; ``True`` when every one is filled.
     """
     A = np.asarray(A, dtype=float).tolist()
     b = np.asarray(b, dtype=float).tolist()
     C = np.asarray(C, dtype=float).tolist()
-    n, L, per = len(A), _SCAN_SEGMENT, _SCAN_SEGMENTS
-    size = u.size
+    n, L, size = len(A), _SCAN_SEGMENT, u.size
 
-    # orbits of the unit states and of b under A, and of the unit states
-    # under step = A^L: free[i, r, j] = (C_i A^j)_r, powers[j] = step^j,
-    # block = step^per, markov[i, l] = h_i[l] and weight[l] = A^(L-1-l) b
-    units = [[float(i == r) for i in range(n)] for r in range(n)]
-    orbits = [_orbit(A, e, L) for e in units]
+    # orbits of the unit states and of b under A: free[i, r, j] = (C_i
+    # A^j)_r, power = A^L, markov[i, l] = h_i[l] and weight[l] = A^(L-1-l) b
+    orbits = [_orbit(A, [float(i == r) for i in range(n)], L) for r in range(n)]
     free = np.array([[[_dot(c, x) for x in orbit[:L]] for orbit in orbits] for c in C])
-    step = np.transpose([orbit[L] for orbit in orbits]).tolist()
-    orbits = [_orbit(step, e, per) for e in units]
-    powers = np.array([orbit[:per] for orbit in orbits]).transpose(1, 2, 0)
-    block = np.transpose([orbit[per] for orbit in orbits]).tolist()
+    power = np.transpose([orbit[L] for orbit in orbits]).tolist()
     orbit = _orbit(A, b, L - 1)
     markov = np.array([[_dot(c, x) for x in orbit[:-1]] for c in C])
     weight = np.array(orbit[::-1])
-    step_columns = np.array(step).T
 
-    def advance(src, ends, dst):
-        # dst = step src + ends, for each row of src
-        np.multiply(src[..., :1], step_columns[0], out=dst)
-        for r in range(1, n):
-            dst += src[..., r:r + 1] * step_columns[r]
-        dst += ends
+    def chunks():
+        # each chunk's first segment and the input's segments as columns,
+        # the last one padded with zeros, which reach no tick of the record
+        for k0 in range(0, size, _SCAN_CHUNK):
+            k1 = min(k0 + _SCAN_CHUNK, size)
+            padded = np.zeros(-(-(k1 - k0) // L) * L)
+            padded[:k1 - k0] = u[k0:k1]
+            yield k0 // L, k1, np.ascontiguousarray(padded.reshape(-1, L).T)
 
     def fill(starts, segments, out, free, h):
         # rows[j, m] = y at tick j of segment m, from its start state
@@ -319,40 +316,26 @@ def block_scan(A, b, C, u, outs, starts) -> bool:
         out[:] = rows.T.reshape(-1)[:out.size]
         return _within_limit(out)
 
-    state = [0.0] * n
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, size, _SCAN_CHUNK):
-            k1 = min(k0 + _SCAN_CHUNK, size)
-            count = -(-(k1 - k0) // L)  # segments, the last maybe partial
-            nb = -(-count // per)  # blocks, the last maybe partial
-            # the input's segments as columns, the last one padded with
-            # zeros, which reach no tick of the record
-            padded = np.zeros(count * L)
-            padded[:k1 - k0] = u[k0:k1]
-            segments = np.ascontiguousarray(padded.reshape(count, L).T)
-            ends = np.zeros((nb * per, n))
+        starts[:1] = 0.0
+        for m0, _, segments in chunks():
+            ends = starts[m0 + 1:m0 + 1 + segments.shape[1]]
+            ends[:] = 0.0
             for i in range(L):
-                ends[:count] += segments[i][:, None] * weight[i]
-            ends = ends.reshape(nb, per, n)
-            # each segment's start from a zero block start, then each
-            # block's own start carried through the powers of step
-            seg_starts, block_ends = np.zeros((nb, per, n)), np.empty((nb, n))
-            for j in range(per - 1):
-                advance(seg_starts[:, j], ends[:, j], seg_starts[:, j + 1])
-            advance(seg_starts[:, per - 1], ends[:, per - 1], block_ends)
-            block_starts = []
-            for end in block_ends.tolist():
-                block_starts.append(state)
-                state = [_dot(row, state) + e for row, e in zip(block, end)]
-            block_starts = np.array(block_starts)
-            for r in range(n):
-                seg_starts += block_starts[:, None, r:r + 1] * powers[:, :, r]
-            seg_starts = seg_starts.reshape(nb * per, n)[:count]
-            if not _within_limit(seg_starts):
-                return False
-            starts[k0 // L:k0 // L + count] = seg_starts
+                ends += segments[i][:len(ends), None] * weight[i]
+        shift = 1
+        while shift < len(starts):
+            previous = starts[:-shift].copy()
+            for r, column in enumerate(np.transpose(power)):
+                starts[shift:] += previous[:, r:r + 1] * column
+            power = [[_dot(row, column) for column in zip(*power)] for row in power]
+            shift *= 2
+        if not _within_limit(starts):
+            return False
+        for m0, k1, segments in chunks():
+            k0 = m0 * L
             for out, f, h in zip(outs, free, markov):
-                if not fill(seg_starts, segments, out[k0:k1], f, h):
+                if not fill(starts[m0:m0 + segments.shape[1]], segments, out[k0:k1], f, h):
                     return False
     return True
 

@@ -755,13 +755,12 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
         return _row_sums(np.concatenate((from_start[m], table[j]), axis=1)
                          * np.concatenate((starts[g], u_c[k - m:k], delta)))
 
-    def stretch(k, delta, size):
+    def stretch(k, delta):
         # ticks k ... from the scan plus delta's free response, up to the
-        # first held tick, a chunk of size ticks, then twice as many, at a
-        # time; returns that tick, delta at its chunk's start and the
-        # ticks between the two
+        # first held tick, a chunk at a time; returns that tick, delta at
+        # its chunk's start and the ticks between the two
         while k < n:
-            j = min(n - k, size, _LOG_BLOCK_TICKS if delta is None else len(table) - 1)
+            j = min(n - k, _LOG_BLOCK_TICKS if delta is None else len(table) - 1)
             d = d_hat[k:k + j]
             if delta is not None:
                 # C-contiguous, so the sum over the state runs element by element
@@ -780,18 +779,16 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
                 return k + m, delta, m
             if delta is not None:
                 delta = _row_sums(table[j] * delta)
-            k, size = k + j, 2 * size
+            k += j
         return n, None, 0
 
     step, advance = dob.stepper(), plant.stepper(dt_sub, n_sub)
     k, delta, f = 0, None, 0.0  # the steppers hold the state at tick k
-    size = 4 * L  # a stretch's first chunk; then the last stretch, half as long again, + L
     with np.errstate(over="ignore", invalid="ignore"):
         while k < n:
-            a, delta, j = stretch(k, delta, size)
+            a, delta, j = stretch(k, delta)
             if a == n:
                 break
-            size = (a - k) + (a - k) // 2 + L
             if a > k:
                 x = scanned(a, delta, j).tolist()
                 f = cy * x[0]

@@ -198,19 +198,36 @@ class TestCliCommands:
         ("scenario", "chirp_f_start", "600"),
         ("scenario", "chirp_f_end", "500"),
         ("scenario", "chirp_omega_o", "30"),
+        # an FRF grid that ends at or above the records' Nyquist rate, and
+        # fit orders with more unknowns than half the fit grid's points
+        ("sysid", "grid_hi_hz", "600"),
+        ("sysid", "fit_hi_hz", "600"),
+        ("sysid", "fit_hi_hz", "550"),
+        ("sysid", "den_order", "40"),
     ])
     def test_unrunnable_value_exits_2(self, tmp_path, capsys, section, key, value):
         bad = write(tmp_path, "bad.ini", f"[{section}]\n{key} = {value}\n")
-        # a chirp at Nyquist is runnable except on the experiment that runs
-        # it; an empty list is tried on an experiment that reads it
+        # a chirp or a grid at Nyquist is runnable except on the experiment
+        # that runs it; an empty list is tried on an experiment that reads it
         command = {("chirp_f_end", "600"): "bode-open-loop",
                    ("chirp_f_start", "600"): "dob-verify",
                    ("chirp_f_end", "500"): "fit",
                    ("chirp_omega_o", "30"): "pendulum-chirp",
                    ("amplitudes", ","): "bode-open-loop",
                    ("gamma", "0.5"): "bode-open-loop",
-                   ("alphas", ""): "leaky-demo"}.get((key, value), "pid-step")
-        code = main([command, "--config", bad, "--out", str(tmp_path / "o")])
+                   ("alphas", ""): "leaky-demo",
+                   ("grid_hi_hz", "600"): "dob-verify",
+                   ("fit_hi_hz", "600"): "fit",
+                   ("fit_hi_hz", "550"): "fit",
+                   ("den_order", "40"): "fit"}.get((key, value), "pid-step")
+        records = []
+        if (key, value) == ("fit_hi_hz", "550"):
+            # fit's own records, sampled at 1 kHz: a Nyquist rate of 500 Hz
+            for flag in ("--u", "--y"):
+                path = tmp_path / f"{flag[2:]}.csv"
+                TimeSeries(1e-3, np.arange(64.0)).to_csv(path)
+                records += [flag, str(path)]
+        code = main([command, "--config", bad, *records, "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"{section}.{key}" in capsys.readouterr().err
 

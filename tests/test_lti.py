@@ -393,16 +393,16 @@ def segment_starts(size, n):
 
 
 class TestBlockScan:
-    # a record of two chunks whose last block and segment are partial
-    N = lti._SCAN_CHUNK + 3 * lti._SCAN_SEGMENT * lti._SCAN_SEGMENTS + 5
+    # a record of two chunks whose last segment is partial
+    N = lti._SCAN_CHUNK + 24 * lti._SCAN_SEGMENT + 5
 
     @staticmethod
-    def stable_system(n, p):
+    def stable_system(n, p, size=N):
         rng = np.random.default_rng(n + 10)
         A = rng.standard_normal((n, n))
         A *= 0.97 / np.max(np.abs(np.linalg.eigvals(A)))
         b, C = rng.standard_normal(n), rng.standard_normal((p, n))
-        u = np.sin(np.cumsum(rng.uniform(0.0, 0.3, TestBlockScan.N)))
+        u = np.sin(np.cumsum(rng.uniform(0.0, 0.3, size)))
         return A, b, C, u
 
     @pytest.mark.parametrize("n, p", [(1, 1), (3, 1), (7, 2)])
@@ -415,14 +415,16 @@ class TestBlockScan:
             want = trajectory(A, b, c, u)[0]
             assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_segment_starts_equal_the_recurrence(self):
-        # every segment's start state, across a chunk boundary and up to the
-        # partial last segment
+    # 1 and 2 segments (no pass of the doubling prefix, one), 64 and 65 (a
+    # power of two, and one more), 537 (N ticks, two chunks) and 1,025
+    # (three chunks), each record's last segment partial
+    @pytest.mark.parametrize("segments", [1, 2, 64, 65, 537, 1025])
+    def test_segment_starts_equal_the_recurrence(self, segments):
         n, L = 3, lti._SCAN_SEGMENT
-        A, b, C, u = self.stable_system(n, 1)
-        starts = segment_starts(self.N, n)
-        assert self.N % L
-        assert block_scan(A, b, C, u, [np.empty(self.N)], starts)
+        size = (segments - 1) * L + 5
+        A, b, C, u = self.stable_system(n, 1, size)
+        starts = segment_starts(size, n)
+        assert block_scan(A, b, C, u, [np.empty(size)], starts)
         want = trajectory(A, b, C[0], u)[1][::L]
         assert np.max(np.abs(starts - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(starts[0], np.zeros(n))

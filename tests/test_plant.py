@@ -1589,7 +1589,7 @@ class TestChirpLoopMap:
                                                   sn["plant_hz"] // sn["controller_hz"])
         p0, _, p2, p3 = dob.coefficients[0]
         assert shear == (p0, -(p2 + p3), -p3)
-        freqs = experiments._grid(cfg)
+        freqs = experiments._grid(cfg, "grid")
         assert freqs.size == 41
         A, B, C = np.array(A), np.array(B), np.array(C[0])
         got = np.array([C @ np.linalg.solve(z * np.eye(len(A)) - A, B)
