@@ -111,6 +111,18 @@ def _below_nyquist(keypath: str, hz: float, T: float) -> None:
                           f"rate ({0.5 / T:g} Hz) of its {1.0 / T:g} Hz samples")
 
 
+def _grid_below_nyquist(cfg: dict, name: str, T: float) -> None:
+    """Reject ``sysid.<name>_hi_hz`` when it, or the last point of its grid,
+    is at or above the Nyquist rate of samples every ``T`` seconds.
+
+    ``np.logspace`` can round the last point to either side of the key,
+    and ``empirical_frf`` reads the FFT bin nearest it, so a key at Nyquist
+    whose point rounds below it would read the Nyquist bin.
+    """
+    key = f"{name}_hi_hz"
+    _below_nyquist(f"sysid.{key}", max(cfg["sysid"][key], _grid(cfg, name)[-1]), T)
+
+
 def _check_segments(cfg: dict, n_samples: int) -> None:
     """Reject a ``sysid.segments`` that an ``n_samples`` record cannot hold."""
     segments = cfg["sysid"]["segments"]
@@ -136,16 +148,15 @@ def _current_chirp(cfg: dict, gamma: float, amplitude: float, grid: str):
 
     Before the run, a chirp endpoint at or above the controller's Nyquist
     rate (``SimScenario.validate``'s bound, checked here to name the key),
-    a ``grid`` (``_grid``'s name) whose last point is there (the point
-    ``empirical_frf`` checks, which ``np.logspace`` can round above the
-    key's value), and a segment count the log cannot hold for its H1
-    estimate are rejected.
+    a ``grid`` (``_grid``'s name) whose key or last point is there
+    (``_grid_below_nyquist``), and a segment count the log cannot hold for
+    its H1 estimate are rejected.
     """
     sn = cfg["scenario"]
     T = 1.0 / sn["controller_hz"]
     for key in ("chirp_f_start", "chirp_f_end"):
         _below_nyquist(f"scenario.{key}", sn[key], T)
-    _below_nyquist(f"sysid.{grid}_hi_hz", _grid(cfg, grid)[-1], T)
+    _grid_below_nyquist(cfg, grid, T)
     sc = _base_scenario(
         cfg,
         ReferenceSpec(kind="current_chirp", amplitude=amplitude,
@@ -383,7 +394,7 @@ def fit_experiment(cfg: dict, out_dir, u_csv=None, y_csv=None) -> dict:
                 "--y", f"{y.samples.size} samples every {y.sample_period:g} s, but --u "
                 f"has {u.samples.size} every {u.sample_period:g} s")
         _check_segments(cfg, u.samples.size)
-        _below_nyquist("sysid.fit_hi_hz", grid[-1], u.sample_period)
+        _grid_below_nyquist(cfg, "fit", u.sample_period)
     else:
         log, T = _current_chirp(cfg, cfg["control"]["gamma"], cfg["scenario"]["amplitude"],
                                 "fit")

@@ -41,9 +41,11 @@ One kind of scenario skips the tick loop: a current chirp with no
 pendulum, at any ``gamma``, on a plant without backlash, which is the
 observer loop alone.  Outside the calls below the stiction breakaway
 (``LseaPlant.held_below``) its tick is one linear map (``_chirp_loop``),
-so one ``lti.block_scan`` of that map runs over the whole chirp, and the
-windows of held calls, found in order, are stepped by the plant's and
-the observer's own steppers and superposed on the scan.  A plant with
+so one ``lti.block_scan`` of that map runs over the whole chirp.  The
+held calls, found in order, are decided in bulk from the scan by the
+plant's own bound: one that keeps its input is the scanned map, and from
+each one the bound leaves undecided, the plant's and the observer's own
+steppers step to the end of its window, superposed on the scan.  A plant with
 backlash, a scan that gives up and a non-finite value all give way to
 the tick loop, which also raises the fault.
 """
@@ -145,7 +147,9 @@ class LseaPlant:
 
     ``state()`` reads and ``set_state(x)`` loads the one state ``(x0, x1,
     x2)`` that every stepper of the plant steps; ``realization`` and
-    ``held_below`` say which calls are the linear map ``x+ = P x + G u``.
+    ``held_below`` say which calls are the linear map ``x+ = P x + G u``,
+    and ``held_bound`` gives the constants of the bound that decides the
+    others before they are stepped.
     """
 
     def __init__(self, den_factors=(1.0, 1.0, 1.0, 1.0), gain_factor: float = 1.0,
@@ -244,6 +248,22 @@ class LseaPlant:
         lifted, _ = self._lifted(dt, substeps)
         return [list(lifted[0:3]), list(lifted[3:6]), list(lifted[6:9])], list(lifted[9:]), self._cy
 
+    def held_bound(self, dt: float, substeps: int) -> tuple:
+        """The constants ``(acy, vdead, floor, d0, d1, d2, ds)`` of the bound
+        by which a stepper of ``substeps`` RK4 substeps of ``dt`` decides a
+        held call before stepping it (see ``stepper``): ``|c_y|``, the
+        velocity dead-band, the underflow floor and ``_lifted``'s ``bound``,
+        which is NaN for ``|c_y| < 1`` (a rate can overflow while ``v + b``
+        stays finite), so that no held call is decided.  ``_keeps_input``
+        evaluates the same test on arrays.
+        """
+        _, bound = self._lifted(dt, substeps)
+        acy = abs(self._cy)
+        # underflow errs by up to half the least subnormal per product,
+        # an absolute error that acy scales and no relative margin covers
+        return (acy, self.stiction_velocity_deadband, math.ldexp(acy + 1.0, -1070),
+                *(bound if acy >= 1.0 else (math.nan,) * 4))
+
     @property
     def held_below(self) -> float:
         """The input magnitude below which a stepper may run a call
@@ -263,11 +283,7 @@ class LseaPlant:
         """
         x0 = x1 = x2 = 0.0
         cy, play = self._cy, self._play
-        acy = abs(cy)
-        # underflow errs by up to half the least subnormal per product,
-        # an absolute error that acy scales and no relative margin covers
-        floor = math.ldexp(acy + 1.0, -1070)
-        brk, vdead = self.stiction_breakaway, self.stiction_velocity_deadband
+        brk = self.stiction_breakaway
         stiction = brk > 0.0
 
         def state():
@@ -283,11 +299,9 @@ class LseaPlant:
             # agrees is one lifted map (for one substep, the substep's own,
             # entry for entry)
             lifted = play is None
-            (p00, p01, p02, p10, p11, p12, p20, p21, p22, g0, g1, g2), bound = (
-                self._lifted(dt, substeps) if lifted else ((math.nan,) * 12, None))
-            # for |cy| < 1 a rate can overflow while v + b stays finite, so
-            # a NaN bound steps every held call
-            d0, d1, d2, ds = bound if lifted and acy >= 1.0 else (math.nan,) * 4
+            p00, p01, p02, p10, p11, p12, p20, p21, p22, g0, g1, g2 = (
+                self._lifted(dt, substeps)[0] if lifted else (math.nan,) * 12)
+            acy, vdead, floor, d0, d1, d2, ds = self.held_bound(dt, substeps)
             substep_range = range(substeps)
 
             def advance(i_m):
@@ -584,7 +598,7 @@ class SimScenario:
 LOG_COLUMNS = ("t", "ref_pos", "q_bar_a_d", "qdot_bar_a_d", "f_d", "f_o", "i_m",
                "d_hat", "theta", "theta_dot", "q_hat_a_m", "q_hat_a_j")
 _LOG_BLOCK_TICKS = 1024  # ticks recorded before one copy into the log columns
-_POWERS = 256  # the longest free response the block path takes in one step
+_POWERS = 1024  # the longest free response the block path takes in one step
 # the columns a tick records, in the order it records them: the loop's
 # outputs, and with the pendulum also the desired force and the pendulum
 # state; t, the held reference (_REF_COLUMNS, one value per reference tick),
@@ -693,6 +707,26 @@ def _row_sums(products: np.ndarray) -> np.ndarray:
     return np.add.accumulate(products, axis=-1)[..., -1]
 
 
+def _keeps_input(bound, margin: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Which held calls keep their input on every substep, by the
+    stepper's own test on ``LseaPlant.held_bound``'s constants ``bound``,
+    evaluated elementwise on the states ``x`` (rows ``x0, x1, x2``) and the
+    inputs ``u``.
+
+    A call is kept when ``v - b`` is at or above the dead-band, with ``v =
+    |c_y x1|`` and ``b = |c_y| (d0 |x0| + d1 |x1| + d2 |x2| + ds |u|)``
+    plus ``margin``, widened by ``1e-9 (v + b)`` and the underflow floor;
+    with ``margin = 0`` each product and sum is the stepper's, so the
+    answer is its answer bit for bit.  A NaN bound keeps nothing.
+    """
+    acy, vdead, floor, d0, d1, d2, ds = bound
+    x0, x1, x2 = np.abs(x)
+    v = acy * x1
+    b = acy * (d0 * x0 + d1 * x1 + d2 * x2 + ds * np.abs(u)) + margin
+    b += 1e-9 * (v + b) + floor
+    return v - b >= vdead
+
+
 def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
     """Fill a current chirp's ``t``, ``i_m``, ``f_o`` and ``d_hat`` columns
     without the tick loop, at any ``gamma``; ``False``, for the tick loop
@@ -707,20 +741,27 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
     linear ``f_o`` and ``d_hat`` and the state each segment of ``L = 32``
     ticks starts from; the state at tick ``g L + m`` is segment ``g``'s
     start and the ``m`` inputs before it through ``A^m`` and ``A^(m - 1 -
-    i) b``.  The windows of held calls are found in order, since at
-    ``gamma > 0`` the command depends on the estimate.  From the tick ``k``
-    where the steppers' state is known, ``f_o[k + j]`` and ``d_hat[k + j]``
-    are the scan plus the free response ``C A^j delta`` of the difference
-    ``delta`` between that state and the scanned one, and ``i_m = u_c -
-    gamma d_hat``, up to the first tick whose ``|i_m|`` is below
-    ``held_below``; numpy does this over the powers of ``A`` (``_powers``),
-    at most ``_POWERS`` ticks at a time.  There the scanned state plus ``A^j
-    delta`` is loaded into the plant's and the observer's own steppers
-    (``set_state``, the observer's ``z = v - s f`` with ``_chirp_loop``'s
-    shear ``s``), which step until a command is at or above ``held_below``,
-    that call included; their state (``state()``, sheared) less the
-    scanned one is the next ``delta``.  Every sum runs in a fixed
-    order, with no BLAS call.  A linear plant has no window.
+    i) b``.  The held calls are found in order, since at ``gamma > 0`` the
+    command depends on the estimate.  From the tick ``k`` where the
+    steppers' state is known, ``f_o[k + j]`` and ``d_hat[k + j]`` are the
+    scan plus the free response ``C A^j delta`` of the difference ``delta``
+    between that state and the scanned one, and ``i_m = u_c - gamma
+    d_hat``; numpy does this over the powers of ``A`` (``_powers``), at most
+    ``_POWERS`` ticks at a time.  The held calls of such a chunk (``|i_m|``
+    below ``held_below``) are decided in bulk: one pass forms the plant
+    rows of their scanned states plus ``A^j delta``, and ``_keeps_input``
+    applies the stepper's own bound (``LseaPlant.held_bound``) to them,
+    widened by 1e-9 of ``v + b`` at the peak of the segment starts, which
+    covers the scan's rounding against a stepped state.  A held call that
+    keeps its input on every substep is the linear map the scan and the
+    free response already apply.  At the first held call the bound does
+    not decide so, the scanned state plus ``A^j delta`` is loaded into the
+    plant's and the observer's own steppers (``set_state``, the observer's
+    ``z = v - s f`` with ``_chirp_loop``'s shear ``s``), which step until a
+    command is at or above ``held_below``, that call included; their state
+    (``state()``, sheared) less the scanned one is the next ``delta``.
+    Every sum runs in a fixed order, with no BLAS call.  A linear plant has
+    no held call.
     """
     below = plant.held_below
     if below == math.inf:
@@ -746,6 +787,20 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
         drive = _row_sums(table[:L] * np.array(b))
         from_start = [np.concatenate((table[m], drive[:m][::-1].T), axis=1)
                       for m in range(min(L, len(table)))]
+        # terms[i, :, m] = column i of from_start[m]'s plant rows x0, x1, x2
+        # (its inputs padded with zeros to L - 1), and free_terms[i, :, j]
+        # that of A^j's: the first axis is summed, term by term
+        terms = np.zeros((len(A) + L - 1, 3, L))
+        for m, rows in enumerate(from_start):
+            terms[:rows.shape[1], :, m] = rows[:3].T
+        free_terms = np.ascontiguousarray(table[:, :3].transpose(2, 1, 0))
+        # a held call is decided from its scanned state, so the bound is
+        # widened by 1e-9 of v + b taken at the peaks of the segment starts'
+        # x1, x0, x1, x2 and command u_prev, which covers the scan's rounding
+        bound = plant.held_bound(dt_sub, n_sub)
+        peak = np.max(np.abs(starts[:, [1, 0, 1, 2, 6]]), axis=0, initial=0.0).tolist()
+        margin = 1e-9 * bound[0] * _dot((1.0, *bound[3:]), peak)
+    lags = np.arange(L - 1)[:, None]
 
     def scanned(k, delta=None, j=0):
         # the scanned state at tick k, plus A^j delta
@@ -755,10 +810,30 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
         return _row_sums(np.concatenate((from_start[m], table[j]), axis=1)
                          * np.concatenate((starts[g], u_c[k - m:k], delta)))
 
+    def undecided(k, held, command, delta):
+        # of the held ticks k + held, the offset from k of the first that
+        # the bound does not decide as keeping its input, from the plant
+        # rows of their scanned states plus delta's free response; or the
+        # chunk's length
+        g, m = np.divmod(k + held, L)
+        # u_c from each segment start, the lags past the tick multiplied by 0
+        values = np.concatenate((starts[g].T, u_c[np.minimum(g * L + lags, n - 1)]))
+        # np.take keeps the products C-contiguous, so each sum runs term by term
+        products = np.take(terms, m, axis=2)
+        products *= values[:, None, :]
+        x = np.add.reduce(products)
+        if delta is not None:
+            products = np.take(free_terms, held, axis=2)
+            products *= delta[:, None, None]
+            x += np.add.reduce(products)
+        kept = _keeps_input(bound, margin, x, command[held])
+        return command.size if kept.all() else int(held[kept.argmin()])
+
     def stretch(k, delta):
         # ticks k ... from the scan plus delta's free response, up to the
-        # first held tick, a chunk at a time; returns that tick, delta at
-        # its chunk's start and the ticks between the two
+        # first held tick the bound does not decide, a chunk at a time;
+        # returns that tick, delta at its chunk's start and the ticks
+        # between the two
         while k < n:
             j = min(n - k, _LOG_BLOCK_TICKS if delta is None else len(table) - 1)
             d = d_hat[k:k + j]
@@ -767,10 +842,8 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
                 free = np.add.reduce(response[:, :, :j] * delta[:, None, None])
                 d = d + free[1]
             command = u_c[k:k + j] - gamma * d
-            held = np.abs(command) < below
-            m = int(held.argmax())
-            if not held[m]:
-                m = j
+            held = np.flatnonzero(np.abs(command) < below)
+            m = undecided(k, held, command, delta) if held.size else j
             if delta is not None:
                 f_o[k:k + m] += free[0, :m]
                 d_hat[k:k + m] = d[:m]
@@ -860,8 +933,11 @@ def run_scenario(sc: SimScenario) -> SimLog:
 
     A current chirp with no pendulum, at any ``gamma``, skips the tick loop
     on a plant without backlash (``_run_open_loop_chirp``): one scan of the
-    loop's linear map, with the windows of held calls stepped by the
-    plant's and the observer's own steppers.  ``t`` equals the tick loop's
+    loop's linear map.  Its held calls are decided in bulk from the scanned
+    state by the stepper's own bound, widened to cover the scan's rounding,
+    and only from a held call that the bound does not decide as keeping its
+    input do the plant's and the observer's own steppers step, to the end
+    of that window of held calls.  ``t`` equals the tick loop's
     bit for bit, and so does ``i_m`` at ``gamma = 0``; the scanned columns
     differ from it in rounding only: ``f_o`` by at most 1e-13 of its peak
     at ``gamma = 0`` and 1e-10 at ``gamma = 1``, ``d_hat`` by 1e-9 of its

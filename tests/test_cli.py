@@ -198,11 +198,14 @@ class TestCliCommands:
         ("scenario", "chirp_f_start", "600"),
         ("scenario", "chirp_f_end", "500"),
         ("scenario", "chirp_omega_o", "30"),
-        # an FRF grid that ends at or above the records' Nyquist rate, and
-        # fit orders with more unknowns than half the fit grid's points
+        # an FRF grid that ends at or above the records' Nyquist rate (at
+        # 500 Hz np.logspace rounds the last point to 499.99999999999994),
+        # and fit orders with more unknowns than half the fit grid's points
         ("sysid", "grid_hi_hz", "600"),
+        ("sysid", "grid_hi_hz", "500"),
         ("sysid", "fit_hi_hz", "600"),
         ("sysid", "fit_hi_hz", "550"),
+        ("sysid", "fit_hi_hz", "500"),
         ("sysid", "den_order", "40"),
     ])
     def test_unrunnable_value_exits_2(self, tmp_path, capsys, section, key, value):
@@ -217,11 +220,13 @@ class TestCliCommands:
                    ("gamma", "0.5"): "bode-open-loop",
                    ("alphas", ""): "leaky-demo",
                    ("grid_hi_hz", "600"): "dob-verify",
+                   ("grid_hi_hz", "500"): "dob-verify",
                    ("fit_hi_hz", "600"): "fit",
                    ("fit_hi_hz", "550"): "fit",
+                   ("fit_hi_hz", "500"): "fit",
                    ("den_order", "40"): "fit"}.get((key, value), "pid-step")
         records = []
-        if (key, value) == ("fit_hi_hz", "550"):
+        if key == "fit_hi_hz" and value in ("550", "500"):
             # fit's own records, sampled at 1 kHz: a Nyquist rate of 500 Hz
             for flag in ("--u", "--y"):
                 path = tmp_path / f"{flag[2:]}.csv"

@@ -32,6 +32,7 @@ from seactrl.plant import (
     ReferenceSpec,
     SimScenario,
     SimulationFault,
+    _keeps_input,
     _pendulum_stepper,
     free_oscillation_frequency,
     run_scenario,
@@ -100,12 +101,15 @@ def refuse_block_scan(*args):
     raise AssertionError("the tick loop's scenario took the block path")
 
 
-def spy_on(monkeypatch, name):
-    """Record what each call of ``plant_module``'s function ``name`` returns."""
+def spy_on(monkeypatch, name, record=None):
+    """Record what each call of ``plant_module``'s function ``name`` returns;
+    ``record(args, result)``, if given, also sees each call's arguments."""
     results, function = [], getattr(plant_module, name)
 
     def recorded(*args):
         results.append(function(*args))
+        if record is not None:
+            record(args, results[-1])
         return results[-1]
 
     monkeypatch.setattr(plant_module, name, recorded)
@@ -150,13 +154,22 @@ def superpose_against_tick_loop(monkeypatch, sc):
     its peak; at ``gamma > 0``, ``i_m`` within 1e-9 of ``d_hat``'s peak and
     ``f_o`` within 1e-10 of its own.  Every held call (input below the
     breakaway) must come in the same order on both paths, and no logged
-    command may be held on one path and not on the other.  Returns the
-    block path's log and the number of held calls whose substeps are
-    zeroed otherwise than on the tick loop, from the state and input each
-    path steps the call with.
+    command may be held on one path and not on the other.  On the block
+    path a held call is either stepped by the plant's stepper or decided
+    without stepping by ``plant._keeps_input``, up to the first call that
+    it leaves undecided; both kinds are collected in the order the path
+    meets them, which is tick order.  Returns the block path's log and the
+    number of held calls whose substeps are zeroed otherwise than on the
+    tick loop, from the state and input each path steps or decides the
+    call with.
     """
     calls = []
     stepper = LseaPlant.stepper
+
+    def decided(args, kept):
+        _, _, x, u = args
+        count = kept.size if kept.all() else int(kept.argmin())
+        calls.extend(zip(u[:count].tolist(), map(tuple, x[:, :count].T.tolist())))
 
     def recorded_stepper(plant, dt, substeps):
         advance = stepper(plant, dt, substeps)
@@ -169,6 +182,7 @@ def superpose_against_tick_loop(monkeypatch, sc):
         return recorded
 
     monkeypatch.setattr(LseaPlant, "stepper", recorded_stepper)
+    spy_on(monkeypatch, "_keeps_input", decided)
     log = run_scenario(sc)
     block = calls[:]
     calls.clear()
@@ -732,6 +746,46 @@ class TestLiftedTick:
         probes, _ = bound_edges(plant, state[0], state[1], u, sign, *dt_n, window=4)
         assert all(agreed for decided, agreed in probes if decided)
 
+    @given(dt_n=st.sampled_from([(1 / 5000, 5), (1 / 1000, 1)]),
+           x0=st.floats(-1e3, 1e3), x2=st.floats(-1e6, 1e6), u=st.floats(-0.1499, 0.1499),
+           spread=st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6), st.floats(-0.5, 0.5)),
+           ulps=st.lists(st.integers(-64, 64), min_size=1, max_size=8),
+           sign=st.sampled_from([1.0, -1.0]),
+           margin=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+    @example(dt_n=(1 / 1000, 1), x0=0.0, x2=0.0, u=0.1, spread=0.0, ulps=list(range(-8, 9)),
+             sign=1.0, margin=0.0)
+    def test_bulk_decision_is_the_stepper_bound(self, dt_n, x0, x2, u, spread, ulps, sign,
+                                                margin):
+        # held calls of dob-verify's plant (five substeps a call, and one,
+        # where the bound is all zeros) whose force rate lies at and near
+        # the edge above which the bound keeps the input: _keeps_input,
+        # on all of them at once, keeps no call whose stepped substeps zero
+        # an input; with no margin it is the stepper's own decision, and
+        # with one it differs from it only within that margin of the edge
+        dt, n = dt_n
+        plant = LseaPlant(den_factors=SHIPPED_DEN_FACTORS, stiction_breakaway=0.15)
+        bound = acy, vdead, floor, d0, d1, d2, ds = plant.held_bound(dt, n)
+        assert acy >= 1.0 and (n > 1 or bound[3:] == (0.0,) * 4)
+        # where v - b = vdead, up to the bound's widening
+        edge = (vdead + acy * (d0 * abs(x0) + d2 * abs(x2) + ds * abs(u))) / (acy * (1.0 - d1))
+        x1 = [sign * _float(max(0, _bits(edge * (1.0 + spread)) + k)) for k in ulps]
+        x = np.array([[x0] * len(x1), x1, [x2] * len(x1)])
+        kept = _keeps_input(bound, margin, x, np.full(len(x1), u)).tolist()
+        advance = probe_stepper(plant, dt, n)
+        for state, bulk in zip(x.T.tolist(), kept):
+            _, inputs = stepped_substeps(plant, state, u, dt, n)
+            assert not bulk or all(e == u for e in inputs)
+            v = abs(plant._cy * state[1])
+            lifted = probe(plant, advance, state, u, dt, n)
+            assert bulk <= (lifted and v >= vdead)
+            if margin == 0.0:
+                assert bulk == (lifted and v >= vdead)
+            b = acy * (d0 * abs(state[0]) + d1 * abs(state[1]) + d2 * abs(state[2])
+                       + ds * abs(u))
+            b += 1e-9 * (v + b) + floor
+            if v - b >= vdead + 2.0 * margin:
+                assert bulk
+
 
 class TestAdvancePendulum:
     """``run_scenario``'s pendulum path: two plant calls, one pendulum RK4 step."""
@@ -936,6 +990,14 @@ class TestScenario:
             path = tmp_path / "empty.csv"
             log.to_csv(path)
             assert path.read_text() == ",".join(LOG_COLUMNS) + "\n"
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_chirp_shorter_than_half_a_tick_logs_nothing(self, gamma):
+        # 0.4 ms at 1 kHz rounds to no tick: the block path scans an empty
+        # record, with no segment start to take a peak from
+        sc = SimScenario(reference=CHIRP, duration_s=0.0004, gamma=gamma,
+                         plant=PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15))
+        assert len(run_scenario(sc)) == 0
 
     def test_invalid_rate_ratio_rejected(self):
         sc = SimScenario(reference=ReferenceSpec(), duration_s=0.1,
@@ -1350,6 +1412,26 @@ class TestScenario:
         assert scans == [True]
         held = np.abs(log.i_m[:-1]) < sc.plant.stiction_breakaway
         assert held[0] and np.count_nonzero(np.diff(held.astype(int)) == 1) == 649
+        assert changed == 0
+
+    @pytest.mark.parametrize("gamma, starts", [(0.0, 104), (1.0, 119)])
+    def test_stuck_chirp_steps_zeroing_windows_like_tick_loop(self, monkeypatch, gamma,
+                                                              starts):
+        # dob-verify's chirp over 20 s at a breakaway of 0.6 (CI's
+        # stuck.ini): stiction zeroes inputs in windows all through the
+        # record, so besides tick 0 the bound leaves held calls undecided
+        # mid-record, where the steppers are loaded and step; each held
+        # call still sees the tick loop's effective input
+        sc = shipped_chirp("dob-verify", 1.75, gamma)
+        sc = dataclasses.replace(sc, duration_s=20.0,
+                                 plant=dataclasses.replace(sc.plant, stiction_breakaway=0.6))
+        scans = spy_on(monkeypatch, "block_scan")
+        decisions = spy_on(monkeypatch, "_keeps_input")
+        log, changed = superpose_against_tick_loop(monkeypatch, sc)
+        assert scans == [True]
+        held = np.abs(log.i_m[:-1]) < sc.plant.stiction_breakaway
+        assert held[0] and np.count_nonzero(np.diff(held.astype(int)) == 1) == starts
+        assert sum(not kept.all() for kept in decisions) > 1
         assert changed == 0
 
     @pytest.mark.parametrize("f_start, f_end, duration, plant_hz", [
