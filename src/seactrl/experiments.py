@@ -26,6 +26,7 @@ from .plant import (
     run_scenario,
 )
 from .sysid import (
+    _SWEEP_RATIO_LIMIT,
     TimeSeries,
     empirical_frf,
     fit_rational,
@@ -147,8 +148,10 @@ def _current_chirp(cfg: dict, gamma: float, amplitude: float, grid: str):
     (DOB-wrapped) plant; returns the log and its sample period.
 
     Before the run, a chirp endpoint at or above the controller's Nyquist
-    rate (``SimScenario.validate``'s bound, checked here to name the key),
-    a ``grid`` (``_grid``'s name) whose key or last point is there
+    rate and a sweep ratio ``f_end / f_start`` that is not positive and
+    below ``2**1022`` (``SimScenario.validate``'s bounds, checked here to
+    name the key, the smaller endpoint for the ratio), a ``grid``
+    (``_grid``'s name) whose key or last point is there
     (``_grid_below_nyquist``), and a segment count the log cannot hold for
     its H1 estimate are rejected.
     """
@@ -156,6 +159,11 @@ def _current_chirp(cfg: dict, gamma: float, amplitude: float, grid: str):
     T = 1.0 / sn["controller_hz"]
     for key in ("chirp_f_start", "chirp_f_end"):
         _below_nyquist(f"scenario.{key}", sn[key], T)
+    ratio = sn["chirp_f_end"] / sn["chirp_f_start"]
+    if not 0.0 < ratio < _SWEEP_RATIO_LIMIT:
+        key = "chirp_f_start" if sn["chirp_f_start"] < sn["chirp_f_end"] else "chirp_f_end"
+        raise ConfigError(f"scenario.{key}", f"{sn[key]:.12g} Hz gives f_end / f_start = "
+                          f"{ratio:g}, not a positive ratio below 2**1022")
     _grid_below_nyquist(cfg, grid, T)
     sc = _base_scenario(
         cfg,

@@ -71,7 +71,13 @@ from .control import (
 )
 from .kinematics import PendulumMap, actuator_setpoints, ff_force
 from .lti import _SCAN_SEGMENT, ContinuousTransferFunction, NyquistError, _dot, block_scan
-from .sysid import exponential_chirp, linear_chirp_freq_hz, linear_chirp_point, write_csv
+from .sysid import (
+    _SWEEP_RATIO_LIMIT,
+    exponential_chirp,
+    linear_chirp_freq_hz,
+    linear_chirp_point,
+    write_csv,
+)
 
 __all__ = [
     "SimulationFault",
@@ -548,9 +554,14 @@ class SimScenario:
         reads, and ``estimate_backlash_m`` non-negative; the error names the
         field.
 
+        A current chirp's ``f_end / f_start`` must be positive and below
+        ``2**1022``: a ratio that overflows or underflows gives no sweep,
+        and the bound keeps ``exponential_chirp`` on libm's bits.
+
         This is the one check of a reference; ``config`` (position chirp)
-        and ``experiments`` (current chirp) repeat the Nyquist bounds only to
-        name the offending key.  Raises ``ValueError``, or
+        and ``experiments`` (current chirp) repeat the Nyquist bounds, and
+        ``experiments`` the sweep ratio, only to name the offending key.
+        Raises ``ValueError``, or
         ``NyquistError`` for a chirp whose frequency reaches the Nyquist rate
         of its generating rate before the sweep ends.
         """
@@ -583,6 +594,9 @@ class SimScenario:
         if ref.kind == "current_chirp":
             if not (ref.f_start and ref.f_end) or ref.f_start <= 0.0 or ref.f_end <= 0.0:
                 raise ValueError("current_chirp needs positive f_start and f_end")
+            if not 0.0 < ref.f_end / ref.f_start < _SWEEP_RATIO_LIMIT:
+                raise ValueError("current_chirp needs f_end / f_start positive and "
+                                 "below 2**1022")
             if max(ref.f_start, ref.f_end) >= 0.5 / (1.0 / self.controller_hz):
                 raise NyquistError("current chirp endpoint at or above Nyquist")
         else:

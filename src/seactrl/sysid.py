@@ -6,9 +6,11 @@ estimator (cross-spectrum over input auto-spectrum, Hann windows, 50%
 overlap), then fit a rational transfer function with linearized complex
 least squares (Levy's method, optionally refined by Sanathanan-Koerner
 reweighting).  All operations are pure and safe to parallelize across
-records.  The chirp functions give the signal at one instant; which sweep a
-scenario runs, and its check against the generating rate, belong to
-``plant.ReferenceSpec`` and ``plant.SimScenario.validate``.
+records.  The ``*_chirp_point`` functions give a chirp at one instant,
+``exponential_chirp``'s sampler the sweep at an array of times; which sweep a
+scenario runs, and its checks against the generating rate and on the
+sweep ratio, belong to ``plant.ReferenceSpec`` and
+``plant.SimScenario.validate``.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ _G9_SLOTS = 27
 # an FRF bin whose input auto-spectrum is below this fraction of the
 # spectral peak carries no input energy and is flagged invalid
 _SPECTRUM_FLOOR = 1e-12
+# an exponential sweep's f_end / f_start stays below this, so every
+# argument of its exp stays below 1022 ln 2 (``exponential_chirp``)
+_SWEEP_RATIO_LIMIT = 2.0**1022
 
 
 class FitError(RuntimeError):
@@ -246,22 +251,32 @@ def exponential_chirp(amplitude: float, f_start: float, f_end: float, duration: 
     ``amplitude * sin(w0 t)`` when ``f_end == f_start``, with ``w0 = 2 pi
     f_start`` and ``lnk = ln(f_end / f_start) / duration`` computed once
     here.  numpy does each product, difference and quotient elementwise,
-    in that order, and ``math.exp`` and ``math.sin`` each value, so every
-    sample equals that expression in Python floats, bit for bit (numpy's
-    own ``exp`` differs from libm in the last ulp).
+    in that order, so every sample equals that expression in Python floats
+    (``math.exp``, ``math.sin``), bit for bit.
+
+    The ``exp`` and ``sin`` are the real parts of numpy's complex ``exp``
+    and ``sin`` of ``x + 0j``, which evaluate C99's ``cexp`` and ``csin``:
+    for finite ``x``, ``cexp(x + 0i) = exp(x) cos 0`` and ``csin(x + 0i) =
+    sin(x) cosh 0``, libm's values times an exact 1, at C-loop speed.
+    numpy's real ``exp`` runs its own vector kernel, which differs from
+    libm in the last ulp (on 5,556 of the shipped 120 s sweep's 120,000
+    arguments), and which kernel its real ``sin`` runs depends on the
+    build, so neither is used.  glibc's ``cexp`` splits an ``x`` above
+    ``1023 ln 2`` into two factors, whose product can round otherwise;
+    ``SimScenario.validate`` keeps ``f_end / f_start`` below ``2**1022``,
+    so no accepted sweep gets there.
     """
     w0 = 2.0 * math.pi * f_start
 
     def sines(phases):
-        return amplitude * np.fromiter(map(math.sin, phases.tolist()), float, phases.size)
+        return amplitude * np.sin(phases.astype(complex)).real
 
     if f_end == f_start:
         return lambda t: sines(w0 * np.asarray(t, dtype=float))
     lnk = math.log(f_end / f_start) / duration
 
     def sample(t):
-        lnk_t = lnk * np.asarray(t, dtype=float)
-        e = np.fromiter(map(math.exp, lnk_t.tolist()), float, lnk_t.size)
+        e = np.exp((lnk * np.asarray(t, dtype=float)).astype(complex)).real
         return sines(w0 * (e - 1.0) / lnk)
 
     return sample

@@ -253,6 +253,19 @@ class TestCliCommands:
         # rejected before the first simulation: no log was written
         assert sorted(p.name for p in out.iterdir()) == ["effective_config.ini"]
 
+    @pytest.mark.parametrize("command", ["bode-open-loop", "dob-verify", "fit"])
+    @pytest.mark.parametrize("text, key", [
+        # f_end / f_start overflows to inf, or underflows to 0
+        ("chirp_f_start = 1e-320\n", "chirp_f_start"),
+        ("chirp_f_start = 100\nchirp_f_end = 5e-324\n", "chirp_f_end"),
+    ])
+    def test_sweep_ratio_out_of_range_exits_2(self, tmp_path, capsys, command, text, key):
+        bad = write(tmp_path, "bad.ini", "[scenario]\n" + text)
+        out = tmp_path / "o"
+        assert main([command, "--config", bad, "--out", str(out)]) == 2
+        assert f"scenario.{key}" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["effective_config.ini"]
+
     def test_segments_beyond_csv_records_exits_2(self, tmp_path, capsys):
         u = TimeSeries(1e-3, np.arange(64.0))
         up, yp = tmp_path / "u.csv", tmp_path / "y.csv"

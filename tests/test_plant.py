@@ -1149,6 +1149,20 @@ class TestScenario:
         with pytest.raises(ValueError, match="f_start and f_end"):
             sc.validate()
 
+    def test_current_chirp_sweep_ratio_validation(self):
+        # f_end / f_start overflows, underflows, or reaches 2**1022: rejected;
+        # just below 2**1022 validates
+        def scenario(f_start, f_end):
+            return SimScenario(
+                reference=ReferenceSpec(kind="current_chirp", amplitude=1.0,
+                                        f_start=f_start, f_end=f_end),
+                duration_s=1.0)
+
+        for f_start, f_end in [(1e-320, 15.0), (100.0, 5e-324), (400.0 / 2.0**1022, 400.0)]:
+            with pytest.raises(ValueError, match="f_end / f_start"):
+                scenario(f_start, f_end).validate()
+        scenario(math.nextafter(400.0 / 2.0**1022, 1.0), 400.0).validate()
+
     def test_current_chirp_observer_nyquist_guard(self):
         # the chirp path builds its observer through the same guarded builder
         # as the force controller: a Q cutoff above Nyquist is rejected

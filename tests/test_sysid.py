@@ -35,6 +35,21 @@ PN_MONIC_DEN = np.array([1.0, 113.0, 2304.0, 98700.0])
 PN_MONIC_NUM = 20880.0
 
 
+# an endpoint of an accepted exponential sweep: at most 500 Hz, and as low
+# as 1e-300 Hz (log-uniform draws reach every decade)
+_SWEEP_HZ = st.floats(1e-300, 500.0) | st.floats(-300.0, math.log10(500.0)).map(
+    lambda e: min(10.0**e, 500.0))
+
+
+def _written_out_sweep(a, f_start, f_end, duration, times):
+    """The exponential sweep at each of ``times``, in Python floats."""
+    if f_end == f_start:
+        return np.array([a * math.sin(2.0 * math.pi * f_start * t) for t in times.tolist()])
+    lnk = math.log(f_end / f_start) / duration
+    return np.array([a * math.sin(2.0 * math.pi * f_start * (math.exp(lnk * t) - 1.0) / lnk)
+                     for t in times.tolist()])
+
+
 class TestChirp:
     def test_linear_values_at_zero(self):
         pos, vel, acc = linear_chirp_point(1.0, 2.75, 0.0)
@@ -86,7 +101,8 @@ class TestChirp:
         phe = 2 * np.pi * f_start * (np.exp(lnk * te) - 1.0) / lnk
         assert np.max(np.diff(phe)) < np.pi
 
-    @pytest.mark.parametrize("f_start, f_end", [(0.05, 15.0), (0.1, 35.0), (2.0, 2.0)])
+    @pytest.mark.parametrize("f_start, f_end",
+                             [(0.05, 15.0), (0.1, 35.0), (2.0, 2.0), (15.0, 0.05)])
     def test_sampler_matches_written_out_sweep(self, f_start, f_end):
         # the array sampler keeps the scalar expression's order: equal bits
         a, duration = 1.75, 120.0
@@ -104,6 +120,33 @@ class TestChirp:
         for t, expected in zip(times[::997].tolist(), want[::997]):
             value = exponential_chirp_point(a, f_start, f_end, duration, t)[0]
             assert type(value) is float and value == expected
+
+    @given(f_start=_SWEEP_HZ, f_end=st.none() | _SWEEP_HZ,
+           duration=st.floats(0.1, 1e4), amplitude=st.floats(1e-3, 1e3),
+           ticks=st.integers(1, 400))
+    def test_sampler_matches_written_out_sweep_property(self, f_start, f_end, duration,
+                                                        amplitude, ticks):
+        # any accepted sweep (f_end None: a constant tone), sampled at
+        # ``ticks`` times k T below the duration: equal bits, and no
+        # floating-point exception on the way
+        f_end = f_start if f_end is None else f_end
+        times = np.arange(ticks) * (duration / ticks)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = exponential_chirp(amplitude, f_start, f_end, duration)(times)
+        want = _written_out_sweep(amplitude, f_start, f_end, duration, times)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_sampler_bits_do_not_depend_on_block_or_stride(self):
+        # the block path and the tick loop sample by blocks, and numpy may
+        # pick another inner loop for a short or non-contiguous input
+        times = np.arange(120_000) * 1e-3
+        sample = exponential_chirp(1.75, 0.05, 15.0, 120.0)
+        want = _written_out_sweep(1.75, 0.05, 15.0, 120.0, times).view(np.uint64)
+        for block in (times.size, 1024, 1000):
+            got = np.concatenate([sample(times[k:k + block])
+                                  for k in range(0, times.size, block)])
+            assert np.array_equal(got.view(np.uint64), want)
+        assert np.array_equal(sample(times[::3]).view(np.uint64), want[::3])
 
     def test_constant_tone_degenerate_exponential(self):
         v, f = exponential_chirp_point(1.0, 2.0, 2.0, 10.0, 0.25)
