@@ -15,9 +15,10 @@ is one zero-initialized value per order, updated in the same order of
 operations as ``scipy.signal.lfilter``.  ``block_scan`` runs a
 single-input state-space system with no feedthrough over a whole record
 in segments of ticks, whose start states a doubling prefix sums, computing
-several output rows over one pass of the state and keeping the state each
-segment starts from, equal to the tick recurrence up to rounding, with no
-BLAS call.  All coefficient
+several output rows over one pass of the state, equal to the tick
+recurrence up to rounding, with no BLAS call.  It returns a ``Scan``, which
+owns the segment starts and the powers of the map and answers, for any
+ticks, the scanned state and the free response of a state.  All coefficient
 arithmetic is 64-bit; single precision is known to destabilize filters
 above a few orders.  Orders above ~10 produce very large intermediate
 coefficients and are not guaranteed, only passed through.
@@ -25,6 +26,7 @@ coefficients and are not guaranteed, only passed through.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,6 +41,7 @@ __all__ = [
     "taylor_shift",
     "bilinear_num_den",
     "bilinear_discretize",
+    "Scan",
     "block_scan",
     "tustin_gap",
     "freq_response",
@@ -235,15 +238,11 @@ def _dot(row, x) -> float:
     return acc
 
 
-def _matvec(rows, x) -> list:
-    return [_dot(row, x) for row in rows]
-
-
 def _orbit(M, x, count) -> list:
     """``[x, M x, ..., M^count x]`` in Python floats."""
     orbit = [x]
     for _ in range(count):
-        orbit.append(_matvec(M, orbit[-1]))
+        orbit.append([_dot(row, orbit[-1]) for row in M])
     return orbit
 
 
@@ -253,11 +252,104 @@ def _within_limit(values: np.ndarray) -> bool:
                                     and values.min() > -_SCAN_LIMIT)
 
 
-def block_scan(A, b, C, u, outs, starts) -> bool:
+class Scan:
+    """A finished ``block_scan``: its segment starts, and the two questions
+    a caller asks of the scanned record, the state at a tick (``state``)
+    and the free response of a state (``free``).
+
+    ``starts[m]`` is the state segment ``m`` starts from, ``x[m L]`` with
+    ``L = _SCAN_SEGMENT``, and ``horizon`` the most ticks ``free`` takes.
+    The scan owns one list of powers of ``A``: ``A^0 ... A^L`` are its own
+    orbits of the unit states, and longer ones, up to ``A^horizon``, are
+    doubled from them, ``A^(m + i) = A^m A^i`` for ``i = 1 ... m`` and ``m
+    = L, 2 L, 4 L, ...``, over the squares ``A^m`` that the prefix formed
+    in Python floats.  ``horizon`` is ``L 2^p`` for the prefix's ``p``
+    passes, at most ``L L``, so it covers at least ``min(len(u), L L)``
+    ticks.  The tables are built at the first query.  Both queries take
+    an int or an int array of ticks (``free`` also a slice), and every sum
+    runs term by term in a fixed order, with no BLAS call.  ``state`` reads
+    ``u``, which the scan does not copy.
+    """
+
+    def __init__(self, u, C, orbits, drive, squares, starts):
+        self.starts, self._u = starts, u
+        self.horizon = _SCAN_SEGMENT * min(2 ** len(squares), _SCAN_SEGMENT)
+        self._parts = C, orbits, drive, squares
+
+    @functools.cached_property
+    def _tables(self) -> tuple:
+        # terms[r, c, m] = (A^m)_rc for c < n, and (A^(m - 1 - l) b)_r for c
+        # = n + l with l < m (zero for l >= m): x[g L + m] is the sum over c
+        # of terms[:, c, m] times (starts[g], u[g L], ..., u[g L + L - 2])_c;
+        # powers[r, c, j] = (A^j)_rc and outputs[i, c, j] = (C_i A^j)_c, for
+        # j <= horizon, the rows of one table
+        C, orbits, drive, squares = self._parts
+        n, m = len(orbits), _SCAN_SEGMENT
+        table = np.empty((self.horizon + 1, n + len(C), n))
+        table[:m + 1, :n] = np.transpose(orbits, (1, 2, 0))
+        terms = np.zeros((n, n + m - 1, m))
+        terms[:, :n] = table[:m, :n].transpose(1, 2, 0)
+        for lag in range(m - 1):
+            terms[:, n + lag, lag + 1:] = np.transpose(drive[:m - 1 - lag])
+        for square in squares[:int(math.log2(self.horizon // m))]:
+            _rows_times(square, table[1:m + 1, :n], table[m + 1:2 * m + 1, :n])
+            m *= 2
+        _rows_times(C, table[:, :n], table[:, n:])
+        stacked = np.ascontiguousarray(table.transpose(1, 2, 0))
+        return terms, stacked[:n], stacked[n:]
+
+    def state(self, ticks, rows=slice(None)) -> np.ndarray:
+        """The rows ``rows`` of the scanned state ``x[k]`` at each tick ``k``
+        of ``ticks`` (each ``0 <= k < len(u)``), shaped ``(rows,) +
+        shape(ticks)``: segment ``k // L``'s start through ``A^(k % L)``, plus
+        the inputs since it through ``A^l b``."""
+        L, u = _SCAN_SEGMENT, self._u
+        g, m = np.divmod(ticks, L)
+        # the lags at or past the tick read a clamped u that zero terms cancel
+        lagged = np.minimum(np.add.outer(np.arange(L - 1), g * L), u.size - 1)
+        values = np.concatenate((self.starts[g].T, u[lagged]))
+        return _summed(self._tables[0][rows].take(m, axis=2), values)
+
+    def free(self, x, ticks, rows=None) -> np.ndarray:
+        """The free response of the state ``x`` after ``j`` ticks, for each
+        ``j`` of ``ticks`` (an int, an int array or a slice, each ``0 <= j
+        <= horizon``): the outputs ``C A^j x`` with ``rows=None``, otherwise
+        the rows ``rows`` of ``A^j x``; shaped ``(rows,) + shape(ticks)``."""
+        _, powers, outputs = self._tables
+        table = outputs if rows is None else powers[rows]
+        products = table[:, :, ticks] if isinstance(ticks, slice) else table.take(ticks, axis=2)
+        return _summed(products, np.asarray(x).reshape((-1,) + (1,) * (products.ndim - 2)))
+
+
+def _rows_times(M, source: np.ndarray, out: np.ndarray) -> None:
+    """``out[:, r] = sum_c M[r][c] source[:, c]`` for each row ``r`` of
+    ``M`` (rows of Python floats), an elementwise numpy sum in a fixed
+    order."""
+    for r, row in enumerate(M):
+        out[:, r] = row[0] * source[:, 0]
+        for c in range(1, len(row)):
+            out[:, r] += row[c] * source[:, c]
+
+
+def _summed(products: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_c products[:, c] * weights[c]``, term by term from ``c = 0``.
+
+    The products are a new C-contiguous array, so ``add.reduce`` over its
+    second axis adds, for each row, whole runs of ticks in order; with one
+    tick a row's terms would be a 1-D sum, which numpy adds pairwise, so
+    those are accumulated.
+    """
+    products = np.multiply(products, weights, order="C")
+    if math.prod(products.shape[2:]) == 1:
+        return np.add.accumulate(products, axis=1)[:, -1]
+    return np.add.reduce(products, axis=1)
+
+
+def block_scan(A, b, C, u, outs) -> Scan | None:
     """Fill each ``outs[i]`` with ``y_i[k] = C[i] x[k]``, where ``x[k + 1] =
-    A x[k] + b u[k]`` from ``x[0] = 0``, and each row ``m`` of ``starts``
-    (an array of ``ceil(n / _SCAN_SEGMENT)`` rows of ``len(A)``) with ``x[m
-    * _SCAN_SEGMENT]``, the state segment ``m`` starts from.
+    A x[k] + b u[k]`` from ``x[0] = 0``, and return the ``Scan`` of the
+    record, which holds ``starts``, the state each segment of
+    ``_SCAN_SEGMENT`` ticks starts from, and the powers of ``A``.
 
     ``b`` is one input column and ``u`` its 1-D record; ``C`` holds one row
     per output, and every array in ``outs`` is as long as ``u``.  Within a
@@ -275,17 +367,19 @@ def block_scan(A, b, C, u, outs, starts) -> bool:
     ``_SCAN_CHUNK`` ticks at a time) is an elementwise numpy product or add
     in a fixed order, with no matrix product, so the bytes do not depend on
     a BLAS kernel.  ``S``, the rows above and ``A^j b`` come from running
-    the recurrence itself in Python floats.  The result equals the
-    tick-by-tick recurrence up to rounding.
+    the recurrence itself in Python floats, and the ``Scan`` keeps those
+    orbits and the squares ``S^shift`` for its own tables.  The result
+    equals the tick-by-tick recurrence up to rounding.
 
-    Returns ``False`` as soon as a segment's start state or an output is
+    Returns ``None`` as soon as a segment's start state or an output is
     non-finite or reaches ``_SCAN_LIMIT`` in magnitude, leaving ``outs``
-    and ``starts`` partly written; ``True`` when every one is filled.
+    partly written.
     """
     A = np.asarray(A, dtype=float).tolist()
     b = np.asarray(b, dtype=float).tolist()
     C = np.asarray(C, dtype=float).tolist()
     n, L, size = len(A), _SCAN_SEGMENT, u.size
+    starts = np.empty((-(-size // L), n))
 
     # orbits of the unit states and of b under A: free[i, r, j] = (C_i
     # A^j)_r, power = A^L, markov[i, l] = h_i[l] and weight[l] = A^(L-1-l) b
@@ -323,21 +417,24 @@ def block_scan(A, b, C, u, outs, starts) -> bool:
             ends[:] = 0.0
             for i in range(L):
                 ends += segments[i][:len(ends), None] * weight[i]
-        shift = 1
+        # squares[i] = S^(2^i), the power each pass of the prefix applies
+        shift, squares = 1, []
         while shift < len(starts):
+            if squares:
+                power = [[_dot(row, column) for column in zip(*power)] for row in power]
+            squares.append(power)
             previous = starts[:-shift].copy()
             for r, column in enumerate(np.transpose(power)):
                 starts[shift:] += previous[:, r:r + 1] * column
-            power = [[_dot(row, column) for column in zip(*power)] for row in power]
             shift *= 2
         if not _within_limit(starts):
-            return False
+            return None
         for m0, k1, segments in chunks():
             k0 = m0 * L
             for out, f, h in zip(outs, free, markov):
                 if not fill(starts[m0:m0 + segments.shape[1]], segments, out[k0:k1], f, h):
-                    return False
-    return True
+                    return None
+    return Scan(u, C, orbits, orbit, squares, starts)
 
 
 def _davies_chain(coeffs: np.ndarray, n: int, T: float) -> np.ndarray:

@@ -41,11 +41,13 @@ One kind of scenario skips the tick loop: a current chirp with no
 pendulum, at any ``gamma``, on a plant without backlash, which is the
 observer loop alone.  Outside the calls below the stiction breakaway
 (``LseaPlant.held_below``) its tick is one linear map (``_chirp_loop``),
-so one ``lti.block_scan`` of that map runs over the whole chirp.  The
-held calls, found in order, are decided in bulk from the scan by the
-plant's own bound: one that keeps its input is the scanned map, and from
-each one the bound leaves undecided, the plant's and the observer's own
-steppers step to the end of its window, superposed on the scan.  A plant with
+so one ``lti.block_scan`` of that map runs over the whole chirp, and the
+``lti.Scan`` it returns answers the scanned state at any tick and the
+free response of a state.  The held calls, found in order, are decided
+in bulk from the scanned states by the plant's own bound: one that keeps
+its input is the scanned map, and from each one the bound leaves
+undecided, the plant's and the observer's own steppers step to the end
+of its window, superposed on the scan.  A plant with
 backlash, a scan that gives up and a non-finite value all give way to
 the tick loop, which also raises the fault.
 """
@@ -70,7 +72,7 @@ from .control import (
     impedance_step,
 )
 from .kinematics import PendulumMap, actuator_setpoints, ff_force
-from .lti import _SCAN_SEGMENT, ContinuousTransferFunction, NyquistError, _dot, block_scan
+from .lti import ContinuousTransferFunction, NyquistError, block_scan
 from .sysid import (
     _SWEEP_RATIO_LIMIT,
     exponential_chirp,
@@ -612,7 +614,6 @@ class SimScenario:
 LOG_COLUMNS = ("t", "ref_pos", "q_bar_a_d", "qdot_bar_a_d", "f_d", "f_o", "i_m",
                "d_hat", "theta", "theta_dot", "q_hat_a_m", "q_hat_a_j")
 _LOG_BLOCK_TICKS = 1024  # ticks recorded before one copy into the log columns
-_POWERS = 1024  # the longest free response the block path takes in one step
 # the columns a tick records, in the order it records them: the loop's
 # outputs, and with the pendulum also the desired force and the pendulum
 # state; t, the held reference (_REF_COLUMNS, one value per reference tick),
@@ -653,30 +654,6 @@ class SimLog:
         write_csv(path, LOG_COLUMNS, [self.column(name) for name in LOG_COLUMNS])
 
 
-def _powers(M, count: int) -> np.ndarray:
-    """``M^0 ... M^count`` of a square ``M`` (rows of Python floats), as a
-    ``(count + 1, n, n)`` array.
-
-    Built by doubling: with ``S = M^m``, squared in Python floats, each
-    ``M^(m + i) = S M^i`` for every ``i < m`` at once, row by row as an
-    elementwise numpy sum in a fixed order, with no BLAS call.
-    """
-    n = len(M)
-    table = np.empty((count + 1, n, n))
-    table[0] = np.eye(n)
-    size, square = 1, M
-    while size <= count:
-        src = table[:min(size, count + 1 - size)]
-        dst = table[size:size + len(src)]
-        for r, row in enumerate(square):
-            dst[:, r] = row[0] * src[:, 0]
-            for c in range(1, n):
-                dst[:, r] += row[c] * src[:, c]
-        square = [[_dot(row, column) for column in zip(*square)] for row in square]
-        size *= 2
-    return table
-
-
 def _chirp_loop(plant, dob, dt_sub, n_sub):
     """The tick of a current chirp around the observer as one linear map
     ``(A, b, C)`` for ``lti.block_scan``, in sheared coordinates, and that
@@ -715,12 +692,6 @@ def _chirp_loop(plant, dob, dt_sub, n_sub):
     return A, b, C, shear
 
 
-def _row_sums(products: np.ndarray) -> np.ndarray:
-    """Sums along the last axis, left to right (``add.accumulate`` is
-    sequential, so the order is fixed whatever numpy's kernels)."""
-    return np.add.accumulate(products, axis=-1)[..., -1]
-
-
 def _keeps_input(bound, margin: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Which held calls keep their input on every substep, by the
     stepper's own test on ``LseaPlant.held_bound``'s constants ``bound``,
@@ -752,157 +723,115 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
     ``realization``'s map, so outside the held calls the tick is the
     linear map ``(A, b, C)`` of ``_chirp_loop``.  One ``lti.block_scan`` of
     that map over the whole record, driven by the chirp ``u_c``, gives the
-    linear ``f_o`` and ``d_hat`` and the state each segment of ``L = 32``
-    ticks starts from; the state at tick ``g L + m`` is segment ``g``'s
-    start and the ``m`` inputs before it through ``A^m`` and ``A^(m - 1 -
-    i) b``.  The held calls are found in order, since at ``gamma > 0`` the
+    linear ``f_o`` and ``d_hat`` and an ``lti.Scan``, whose ``state`` is the
+    scanned state at any tick and whose ``free`` is the free response of a
+    state.  The held calls are found in order, since at ``gamma > 0`` the
     command depends on the estimate.  From the tick ``k`` where the
     steppers' state is known, ``f_o[k + j]`` and ``d_hat[k + j]`` are the
     scan plus the free response ``C A^j delta`` of the difference ``delta``
     between that state and the scanned one, and ``i_m = u_c - gamma
-    d_hat``; numpy does this over the powers of ``A`` (``_powers``), at most
-    ``_POWERS`` ticks at a time.  The held calls of such a chunk (``|i_m|``
-    below ``held_below``) are decided in bulk: one pass forms the plant
-    rows of their scanned states plus ``A^j delta``, and ``_keeps_input``
-    applies the stepper's own bound (``LseaPlant.held_bound``) to them,
-    widened by 1e-9 of ``v + b`` at the peak of the segment starts, which
-    covers the scan's rounding against a stepped state.  A held call that
-    keeps its input on every substep is the linear map the scan and the
-    free response already apply.  At the first held call the bound does
+    d_hat``, at most the scan's ``horizon`` ticks at a time.  The held
+    calls of such a chunk (``|i_m|`` below ``held_below``) are decided in
+    bulk: ``_keeps_input`` applies the stepper's own bound
+    (``LseaPlant.held_bound``) to the plant rows of their scanned states
+    plus ``A^j delta``, widened by 1e-9 of ``v + b`` at the peak of the
+    segment starts, which covers the scan's rounding against a stepped
+    state.  A held call that keeps its input on every substep is the linear
+    map the scan and the free response already apply.  At the first held call the bound does
     not decide so, the scanned state plus ``A^j delta`` is loaded into the
     plant's and the observer's own steppers (``set_state``, the observer's
     ``z = v - s f`` with ``_chirp_loop``'s shear ``s``), which step until a
     command is at or above ``held_below``, that call included; their state
     (``state()``, sheared) less the scanned one is the next ``delta``.
     Every sum runs in a fixed order, with no BLAS call.  A linear plant has
-    no held call.
+    no held call, so it asks the scan nothing.
     """
     below = plant.held_below
     if below == math.inf:
         return False
     times, i_m, f_o, d_hat = log["t"], log["i_m"], log["f_o"], log["d_hat"]
-    n, L = i_m.size, _SCAN_SEGMENT
+    n = i_m.size
     blocks = [(k0, min(k0 + _LOG_BLOCK_TICKS, n)) for k0 in range(0, n, _LOG_BLOCK_TICKS)]
     u_c = times  # the chirp, until t replaces it at the end
     for k0, k1 in blocks:
-        np.multiply(np.arange(k0, k1), T, out=times[k0:k1])
-        u_c[k0:k1] = chirp(times[k0:k1])
+        u_c[k0:k1] = chirp(np.arange(k0, k1) * T)
     A, b, C, (sh0, sh1, sh2) = _chirp_loop(plant, dob, dt_sub, n_sub)
     # f = c_y x0 and d = v0 - q0 u_prev; v = z + sh f, with sh the shear
-    gamma, cy, q0 = dob.gamma, C[0][0], -C[1][6]
-    starts = np.zeros((-(-n // L), len(A)))
-    if not block_scan(A, b, C, u_c, [f_o, d_hat], starts):
+    gamma, cy = dob.gamma, C[0][0]
+    scan = block_scan(A, b, C, u_c, [f_o, d_hat])
+    if scan is None:
         return False
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = _powers(A, min(n, _POWERS) if below > 0.0 else 0)
-        # response[c, i, j] = (C_i A^j)_c; from_start[m] = [A^m, A^(m-1) b ... b]
-        response = np.stack((cy * table[:, 0], table[:, 3] - q0 * table[:, 6]))
-        response = np.ascontiguousarray(response.transpose(2, 0, 1))
-        drive = _row_sums(table[:L] * np.array(b))
-        from_start = [np.concatenate((table[m], drive[:m][::-1].T), axis=1)
-                      for m in range(min(L, len(table)))]
-        # terms[i, :, m] = column i of from_start[m]'s plant rows x0, x1, x2
-        # (its inputs padded with zeros to L - 1), and free_terms[i, :, j]
-        # that of A^j's: the first axis is summed, term by term
-        terms = np.zeros((len(A) + L - 1, 3, L))
-        for m, rows in enumerate(from_start):
-            terms[:rows.shape[1], :, m] = rows[:3].T
-        free_terms = np.ascontiguousarray(table[:, :3].transpose(2, 1, 0))
-        # a held call is decided from its scanned state, so the bound is
-        # widened by 1e-9 of v + b taken at the peaks of the segment starts'
-        # x1, x0, x1, x2 and command u_prev, which covers the scan's rounding
-        bound = plant.held_bound(dt_sub, n_sub)
-        peak = np.max(np.abs(starts[:, [1, 0, 1, 2, 6]]), axis=0, initial=0.0).tolist()
-        margin = 1e-9 * bound[0] * _dot((1.0, *bound[3:]), peak)
-    lags = np.arange(L - 1)[:, None]
-
-    def scanned(k, delta=None, j=0):
-        # the scanned state at tick k, plus A^j delta
-        g, m = divmod(k, L)
-        if delta is None:
-            return _row_sums(from_start[m] * np.concatenate((starts[g], u_c[k - m:k])))
-        return _row_sums(np.concatenate((from_start[m], table[j]), axis=1)
-                         * np.concatenate((starts[g], u_c[k - m:k], delta)))
-
-    def undecided(k, held, command, delta):
-        # of the held ticks k + held, the offset from k of the first that
-        # the bound does not decide as keeping its input, from the plant
-        # rows of their scanned states plus delta's free response; or the
-        # chunk's length
-        g, m = np.divmod(k + held, L)
-        # u_c from each segment start, the lags past the tick multiplied by 0
-        values = np.concatenate((starts[g].T, u_c[np.minimum(g * L + lags, n - 1)]))
-        # np.take keeps the products C-contiguous, so each sum runs term by term
-        products = np.take(terms, m, axis=2)
-        products *= values[:, None, :]
-        x = np.add.reduce(products)
-        if delta is not None:
-            products = np.take(free_terms, held, axis=2)
-            products *= delta[:, None, None]
-            x += np.add.reduce(products)
-        kept = _keeps_input(bound, margin, x, command[held])
-        return command.size if kept.all() else int(held[kept.argmin()])
+    # a held call is decided from its scanned state, so the bound is
+    # widened by 1e-9 of v + b taken at the peaks of the segment starts'
+    # x1, x0, x1, x2 and command u_prev, which covers the scan's rounding
+    bound = plant.held_bound(dt_sub, n_sub)
+    peak = np.max(np.abs(scan.starts[:, [1, 0, 1, 2, 6]]), axis=0, initial=0.0).tolist()
+    margin = 1e-9 * bound[0] * sum(w * p for w, p in zip((1.0, *bound[3:]), peak))
 
     def stretch(k, delta):
         # ticks k ... from the scan plus delta's free response, up to the
         # first held tick the bound does not decide, a chunk at a time;
-        # returns that tick, delta at its chunk's start and the ticks
-        # between the two
+        # returns that tick and delta there
         while k < n:
-            j = min(n - k, _LOG_BLOCK_TICKS if delta is None else len(table) - 1)
+            j = min(n - k, _LOG_BLOCK_TICKS if delta is None else scan.horizon)
             d = d_hat[k:k + j]
             if delta is not None:
-                # C-contiguous, so the sum over the state runs element by element
-                free = np.add.reduce(response[:, :, :j] * delta[:, None, None])
+                free = scan.free(delta, slice(j))
                 d = d + free[1]
             command = u_c[k:k + j] - gamma * d
             held = np.flatnonzero(np.abs(command) < below)
-            m = undecided(k, held, command, delta) if held.size else j
+            m = j
+            if held.size:
+                # the first held tick the bound does not decide as keeping
+                # its input, from the plant rows x0, x1, x2 of the held
+                # ticks' scanned states plus delta's free response
+                x = scan.state(k + held, slice(3))
+                if delta is not None:
+                    x += scan.free(delta, held, slice(3))
+                kept = _keeps_input(bound, margin, x, command[held])
+                m = j if kept.all() else int(held[kept.argmin()])
             if delta is not None:
                 f_o[k:k + m] += free[0, :m]
                 d_hat[k:k + m] = d[:m]
+                delta = scan.free(delta, m, slice(None))
             i_m[k:k + m] = command[:m]
             if m < j:
-                return k + m, delta, m
-            if delta is not None:
-                delta = _row_sums(table[j] * delta)
+                return k + m, delta
             k += j
-        return n, None, 0
+        return n, None
 
     step, advance = dob.stepper(), plant.stepper(dt_sub, n_sub)
     k, delta, f = 0, None, 0.0  # the steppers hold the state at tick k
     with np.errstate(over="ignore", invalid="ignore"):
         while k < n:
-            a, delta, j = stretch(k, delta)
+            a, delta = stretch(k, delta)
             if a == n:
                 break
             if a > k:
-                x = scanned(a, delta, j).tolist()
+                x = scan.state(a)
+                x = (x if delta is None else x + delta).tolist()
                 f = cy * x[0]
                 plant.set_state(x[:3])
                 dob.set_state((x[3] - sh0 * f, x[4] - sh1 * f, x[5] - sh2 * f, x[6]))
-            # step until a call that is not held, that call included, a
-            # segment of the chirp at a time, writing a log block at a time
-            k0 = k = a
-            values, u = [], 0.0
+            # step until a call that is not held, that call included, a log
+            # block at a time
+            k, u = a, 0.0
             while k < n and abs(u) < below:
-                for u in u_c[k:min(k + L, n)].tolist():
+                values = []
+                for u in u_c[k:min(k + _LOG_BLOCK_TICKS, n)].tolist():
                     u, d = step(u, f)
                     values += (f, d, u)
                     f = advance(u)
                     if not abs(u) < below:
                         break
-                k = k0 + len(values) // 3
-                if k - k0 >= _LOG_BLOCK_TICKS or k == n or not abs(u) < below:
-                    f_o[k0:k], d_hat[k0:k], i_m[k0:k] = np.fromiter(
-                        values, float, len(values)).reshape(-1, 3).T
-                    k0, values = k, []
+                k0, k = k, k + len(values) // 3
+                f_o[k0:k], d_hat[k0:k], i_m[k0:k] = np.fromiter(values, float).reshape(-1, 3).T
             if not math.isfinite(u):
                 return False
             if k < n:
                 z0, z1, z2, u = dob.state()
                 delta = np.array((*plant.state(), z0 + sh0 * f, z1 + sh1 * f, z2 + sh2 * f, u))
-                delta -= scanned(k)
+                delta -= scan.state(k)
     for k0, k1 in blocks:
         np.multiply(np.arange(k0, k1), T, out=times[k0:k1])
     return all(bool(np.isfinite(column).all()) for column in (f_o, d_hat, i_m))
@@ -947,10 +876,12 @@ def run_scenario(sc: SimScenario) -> SimLog:
 
     A current chirp with no pendulum, at any ``gamma``, skips the tick loop
     on a plant without backlash (``_run_open_loop_chirp``): one scan of the
-    loop's linear map.  Its held calls are decided in bulk from the scanned
-    state by the stepper's own bound, widened to cover the scan's rounding,
-    and only from a held call that the bound does not decide as keeping its
-    input do the plant's and the observer's own steppers step, to the end
+    loop's linear map, whose ``lti.Scan`` gives the scanned state at any
+    tick and the free response of a state.  Its held calls are decided in
+    bulk from the scanned state by the stepper's own bound, widened to
+    cover the scan's rounding, and only from a held call that the bound
+    does not decide as keeping its input do the plant's and the observer's
+    own steppers step, to the end
     of that window of held calls.  ``t`` equals the tick loop's
     bit for bit, and so does ``i_m`` at ``gamma = 0``; the scanned columns
     differ from it in rounding only: ``f_o`` by at most 1e-13 of its peak

@@ -387,14 +387,18 @@ def trajectory(A, b, C, u):
     return np.array(ys), np.array(xs)
 
 
-def segment_starts(size, n):
-    """A NaN-filled ``starts`` array for a record of ``size`` ticks."""
-    return np.full((-(-size // lti._SCAN_SEGMENT), n), np.nan)
+def orbit(A, x, count):
+    """``[x, A x, ..., A^count x]``, by repeated ``A x`` in Python floats."""
+    A, xs = np.asarray(A, float).tolist(), [np.asarray(x, float).tolist()]
+    for _ in range(count):
+        xs.append([sum(a * e for a, e in zip(row, xs[-1])) for row in A])
+    return np.array(xs)
 
 
 class TestBlockScan:
     # a record of two chunks whose last segment is partial
     N = lti._SCAN_CHUNK + 24 * lti._SCAN_SEGMENT + 5
+    SYSTEMS = pytest.mark.parametrize("n, p", [(1, 1), (3, 1), (7, 2)])
 
     @staticmethod
     def stable_system(n, p, size=N):
@@ -405,15 +409,53 @@ class TestBlockScan:
         u = np.sin(np.cumsum(rng.uniform(0.0, 0.3, size)))
         return A, b, C, u
 
-    @pytest.mark.parametrize("n, p", [(1, 1), (3, 1), (7, 2)])
+    @SYSTEMS
     def test_equals_the_recurrence_up_to_rounding(self, n, p):
         # p output rows over one state pass, each the recurrence's
         A, b, C, u = self.stable_system(n, p)
         outs = [np.full(self.N, np.nan) for _ in range(p)]
-        assert block_scan(A, b, C, u, outs, segment_starts(self.N, n))
+        assert block_scan(A, b, C, u, outs) is not None
         for out, c in zip(outs, C):
             want = trajectory(A, b, c, u)[0]
             assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @SYSTEMS
+    def test_state_at_a_tick_equals_the_recurrence(self, n, p):
+        # segment edges, a chunk edge and the last tick, at once, one at a
+        # time and a selection of rows at a time
+        L = lti._SCAN_SEGMENT
+        A, b, C, u = self.stable_system(n, p)
+        scan = block_scan(A, b, C, u, [np.empty(self.N) for _ in range(p)])
+        states = trajectory(A, b, C[0], u)[1]
+        ticks = np.array([0, L - 1, L, L + 1, lti._SCAN_CHUNK, self.N - 1])
+        got = scan.state(ticks)
+        assert got.shape == (n, ticks.size)
+        assert np.max(np.abs(got - states[ticks].T)) <= 1e-12 * np.max(np.abs(states))
+        assert np.array_equal(got[:, 0], np.zeros(n))
+        for i, k in enumerate(ticks.tolist()):
+            assert np.array_equal(scan.state(k), got[:, i])
+        assert np.array_equal(scan.state(ticks, slice(1, n)), got[1:])
+
+    @SYSTEMS
+    def test_free_response_equals_repeated_products(self, n, p):
+        # C A^j x and the rows of A^j x, across the scan's own powers
+        # (j <= L) and the doubled ones, up to the horizon
+        A, b, C, u = self.stable_system(n, p)
+        scan = block_scan(A, b, C, u, [np.empty(self.N) for _ in range(p)])
+        x = np.random.default_rng(n).standard_normal(n)
+        js = np.array([0, 1, 31, 32, 33, 1024])
+        assert scan.horizon >= js[-1]
+        want = orbit(A, x, js[-1])
+        outputs = want @ C.T
+        got = scan.free(x, js)
+        assert got.shape == (p, js.size)
+        assert np.max(np.abs(got - outputs[js].T)) <= 1e-12 * np.max(np.abs(outputs))
+        got = scan.free(x, js, slice(None))
+        assert got.shape == (n, js.size)
+        assert np.max(np.abs(got - want[js].T)) <= 1e-12 * np.max(np.abs(want))
+        for i, j in enumerate(js.tolist()):
+            assert np.array_equal(scan.free(x, j, slice(None)), got[:, i])
+        assert np.array_equal(scan.free(x, js, [n - 1]), got[n - 1:])
 
     # 1 and 2 segments (no pass of the doubling prefix, one), 64 and 65 (a
     # power of two, and one more), 537 (N ticks, two chunks) and 1,025
@@ -423,23 +465,33 @@ class TestBlockScan:
         n, L = 3, lti._SCAN_SEGMENT
         size = (segments - 1) * L + 5
         A, b, C, u = self.stable_system(n, 1, size)
-        starts = segment_starts(size, n)
-        assert block_scan(A, b, C, u, [np.empty(size)], starts)
+        starts = block_scan(A, b, C, u, [np.empty(size)]).starts
+        assert starts.shape == (segments, n)
         want = trajectory(A, b, C[0], u)[1][::L]
         assert np.max(np.abs(starts - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(starts[0], np.zeros(n))
 
     @pytest.mark.parametrize("size", [0, 1, lti._SCAN_SEGMENT + 1])
     def test_short_records(self, size):
-        # y = x + 0.25 u, x+ = 0.5 x + u, the feedthrough added outside the scan
+        # y = x + 0.25 u, x+ = 0.5 x + u, the feedthrough added outside the
+        # scan; the state at every tick, and the free response 0.5^j x,
+        # exact in binary, over the horizon
         u = np.linspace(1.0, 2.0, size)
         out = np.full(size, np.nan)
-        assert block_scan([[0.5]], [1.0], [[1.0]], u, [out], segment_starts(size, 1))
-        x, want = 0.0, []
+        scan = block_scan([[0.5]], [1.0], [[1.0]], u, [out])
+        x, want, states = 0.0, [], []
         for v in u.tolist():
+            states.append(x)
             want.append(x + 0.25 * v)
             x = 0.5 * x + v
         np.testing.assert_allclose(out + 0.25 * u, want, rtol=1e-15)
+        got = scan.state(np.arange(size))
+        assert got.shape == (1, size)
+        assert np.max(np.abs(got[0] - states), initial=0.0) <= 1e-12 * max(states, default=0.0)
+        js = np.arange(scan.horizon + 1)
+        assert scan.horizon >= lti._SCAN_SEGMENT
+        assert np.array_equal(scan.free([3.0], js), [3.0 * 0.5 ** js])
+        assert np.array_equal(scan.free([3.0], js, [0]), [3.0 * 0.5 ** js])
 
     def test_df2t_realization_steps_like_the_filter(self):
         # the filter's DF2T state z: y = z0 + b0 x, z_i+ = z_(i+1) + b_(i+1) x - a_(i+1) y;
@@ -451,8 +503,7 @@ class TestBlockScan:
         x = np.sin(np.linspace(0.0, 200.0, 3000))
         out = np.empty(x.size)
         assert block_scan(A, [b[i] - a[i] * b0 for i in range(n)],
-                          [[float(j == 0) for j in range(n)]], x, [out],
-                          segment_starts(x.size, n))
+                          [[float(j == 0) for j in range(n)]], x, [out]) is not None
         want = filtered(filt, x)
         assert np.max(np.abs(out + b0 * x - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -464,8 +515,7 @@ class TestBlockScan:
             u[4000] = np.nan
         elif case == "huge_input":
             u[4000] = 1e301
-        assert not block_scan(A, [1.0], [[1.0]], u, [np.empty(u.size)],
-                              segment_starts(u.size, 1))
+        assert block_scan(A, [1.0], [[1.0]], u, [np.empty(u.size)]) is None
 
 
 class TestLogGrid:
