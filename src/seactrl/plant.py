@@ -43,11 +43,14 @@ observer loop alone.  Outside the calls below the stiction breakaway
 (``LseaPlant.held_below``) its tick is one linear map (``_chirp_loop``),
 so one ``lti.block_scan`` of that map runs over the whole chirp, and the
 ``lti.Scan`` it returns answers the scanned state at any tick and the
-free response of a state.  The held calls, found in order, are decided
-in bulk from the scanned states by the plant's own bound: one that keeps
-its input is the scanned map, and from each one the bound leaves
-undecided, the plant's and the observer's own steppers step to the end
-of its window, superposed on the scan.  A plant with
+free response of a state.  A plant without stiction holds no call, so
+its command is the chirp less ``gamma`` times the scanned estimate.
+Otherwise one loop over chunks of the scan carries, from tick 0, the
+steppers' state less the scanned one, and finds the held calls in order.
+They are decided in bulk from the scanned states by the plant's own
+bound: one that keeps its input is the scanned map, and from each one
+the bound leaves undecided, the plant's and the observer's own steppers
+step to the end of its window, superposed on the scan.  A plant with
 backlash, a scan that gives up and a non-finite value all give way to
 the tick loop, which also raises the fault.
 """
@@ -725,26 +728,28 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
     that map over the whole record, driven by the chirp ``u_c``, gives the
     linear ``f_o`` and ``d_hat`` and an ``lti.Scan``, whose ``state`` is the
     scanned state at any tick and whose ``free`` is the free response of a
-    state.  The held calls are found in order, since at ``gamma > 0`` the
-    command depends on the estimate.  From the tick ``k`` where the
-    steppers' state is known, ``f_o[k + j]`` and ``d_hat[k + j]`` are the
-    scan plus the free response ``C A^j delta`` of the difference ``delta``
-    between that state and the scanned one, and ``i_m = u_c - gamma
-    d_hat``, at most the scan's ``horizon`` ticks at a time.  The held
-    calls of such a chunk (``|i_m|`` below ``held_below``) are decided in
-    bulk: ``_keeps_input`` applies the stepper's own bound
-    (``LseaPlant.held_bound``) to the plant rows of their scanned states
-    plus ``A^j delta``, widened by 1e-9 of ``v + b`` at the peak of the
-    segment starts, which covers the scan's rounding against a stepped
-    state.  A held call that keeps its input on every substep is the linear
-    map the scan and the free response already apply.  At the first held call the bound does
-    not decide so, the scanned state plus ``A^j delta`` is loaded into the
-    plant's and the observer's own steppers (``set_state``, the observer's
-    ``z = v - s f`` with ``_chirp_loop``'s shear ``s``), which step until a
-    command is at or above ``held_below``, that call included; their state
-    (``state()``, sheared) less the scanned one is the next ``delta``.
-    Every sum runs in a fixed order, with no BLAS call.  A linear plant has
-    no held call, so it asks the scan nothing.
+    state.  A linear plant has no held call: its ``i_m`` is ``u_c - gamma
+    d_hat`` over the scanned ``d_hat``, and it asks the scan nothing.
+    Otherwise the held calls are found in order, since at ``gamma > 0`` the
+    command depends on the estimate, in one loop over chunks of the scan's
+    ``horizon`` ticks.  ``delta`` is the steppers' state less the scanned
+    one, zero at tick 0; from the chunk's first tick ``k``, ``f_o[k + j]``
+    and ``d_hat[k + j]`` are the scan plus the free response ``C A^j
+    delta``, and ``i_m = u_c - gamma d_hat``.  The chunk's held calls
+    (``|i_m|`` below ``held_below``) are decided in bulk: ``_keeps_input``
+    applies the stepper's own bound (``LseaPlant.held_bound``) to the plant
+    rows of their scanned states plus ``A^j delta``, widened by 1e-9 of ``v
+    + b`` at the peak of the segment starts, which covers the scan's
+    rounding against a stepped state.  A held call that keeps its input on
+    every substep is the linear map the scan and the free response already
+    apply.  The chunk ends at the first held call the bound does not decide
+    so; unless the steppers already hold that tick, the scanned state plus
+    ``A^j delta`` is loaded into the plant's and the observer's own
+    steppers (``set_state``, the observer's ``z = v - s f`` with
+    ``_chirp_loop``'s shear ``s``), which step until a command is at or
+    above ``held_below``, that call included; their state (``state()``,
+    sheared) less the scanned one is the next ``delta``, and the next chunk
+    starts there.  Every sum runs in a fixed order, with no BLAS call.
     """
     below = plant.held_below
     if below == math.inf:
@@ -761,23 +766,28 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
     scan = block_scan(A, b, C, u_c, [f_o, d_hat])
     if scan is None:
         return False
+    # the chunks start at tick k; the steppers hold the scanned state plus
+    # delta at tick s
+    k = s = 0
+    if below == 0.0:
+        # no held call: the loop, and every query of the scan, is skipped
+        np.subtract(u_c, np.multiply(gamma, d_hat, out=i_m), out=i_m)
+        k = n
     # a held call is decided from its scanned state, so the bound is
     # widened by 1e-9 of v + b taken at the peaks of the segment starts'
     # x1, x0, x1, x2 and command u_prev, which covers the scan's rounding
     bound = plant.held_bound(dt_sub, n_sub)
     peak = np.max(np.abs(scan.starts[:, [1, 0, 1, 2, 6]]), axis=0, initial=0.0).tolist()
     margin = 1e-9 * bound[0] * sum(w * p for w, p in zip((1.0, *bound[3:]), peak))
-
-    def stretch(k, delta):
-        # ticks k ... from the scan plus delta's free response, up to the
-        # first held tick the bound does not decide, a chunk at a time;
-        # returns that tick and delta there
+    step, advance = dob.stepper(), plant.stepper(dt_sub, n_sub)
+    delta, f = np.zeros(len(b)), 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
         while k < n:
-            j = min(n - k, _LOG_BLOCK_TICKS if delta is None else scan.horizon)
-            d = d_hat[k:k + j]
-            if delta is not None:
-                free = scan.free(delta, slice(j))
-                d = d + free[1]
+            # ticks k ... from the scan plus delta's free response, up to
+            # the first held tick the bound does not decide, a chunk at a time
+            j = min(n - k, scan.horizon)
+            free = scan.free(delta, slice(j))
+            d = d_hat[k:k + j] + free[1]
             command = u_c[k:k + j] - gamma * d
             held = np.flatnonzero(np.abs(command) < below)
             m = j
@@ -785,40 +795,26 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
                 # the first held tick the bound does not decide as keeping
                 # its input, from the plant rows x0, x1, x2 of the held
                 # ticks' scanned states plus delta's free response
-                x = scan.state(k + held, slice(3))
-                if delta is not None:
-                    x += scan.free(delta, held, slice(3))
+                x = scan.state(k + held, slice(3)) + scan.free(delta, held, slice(3))
                 kept = _keeps_input(bound, margin, x, command[held])
                 m = j if kept.all() else int(held[kept.argmin()])
-            if delta is not None:
-                f_o[k:k + m] += free[0, :m]
-                d_hat[k:k + m] = d[:m]
-                delta = scan.free(delta, m, slice(None))
-            i_m[k:k + m] = command[:m]
-            if m < j:
-                return k + m, delta
-            k += j
-        return n, None
-
-    step, advance = dob.stepper(), plant.stepper(dt_sub, n_sub)
-    k, delta, f = 0, None, 0.0  # the steppers hold the state at tick k
-    with np.errstate(over="ignore", invalid="ignore"):
-        while k < n:
-            a, delta = stretch(k, delta)
-            if a == n:
-                break
-            if a > k:
-                x = scan.state(a)
-                x = (x if delta is None else x + delta).tolist()
+            f_o[k:k + m] += free[0, :m]
+            d_hat[k:k + m], i_m[k:k + m] = d[:m], command[:m]
+            delta = scan.free(delta, m, slice(None))
+            k += m
+            if m == j:
+                continue
+            if k > s:
+                x = (scan.state(k) + delta).tolist()
                 f = cy * x[0]
                 plant.set_state(x[:3])
                 dob.set_state((x[3] - sh0 * f, x[4] - sh1 * f, x[5] - sh2 * f, x[6]))
-            # step until a call that is not held, that call included, a log
-            # block at a time
-            k, u = a, 0.0
+            # step until a call that is not held, that call included, a
+            # chunk at a time
+            u = 0.0
             while k < n and abs(u) < below:
                 values = []
-                for u in u_c[k:min(k + _LOG_BLOCK_TICKS, n)].tolist():
+                for u in u_c[k:k + scan.horizon].tolist():
                     u, d = step(u, f)
                     values += (f, d, u)
                     f = advance(u)
@@ -832,6 +828,7 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
                 z0, z1, z2, u = dob.state()
                 delta = np.array((*plant.state(), z0 + sh0 * f, z1 + sh1 * f, z2 + sh2 * f, u))
                 delta -= scan.state(k)
+                s = k
     for k0, k1 in blocks:
         np.multiply(np.arange(k0, k1), T, out=times[k0:k1])
     return all(bool(np.isfinite(column).all()) for column in (f_o, d_hat, i_m))
@@ -877,12 +874,14 @@ def run_scenario(sc: SimScenario) -> SimLog:
     A current chirp with no pendulum, at any ``gamma``, skips the tick loop
     on a plant without backlash (``_run_open_loop_chirp``): one scan of the
     loop's linear map, whose ``lti.Scan`` gives the scanned state at any
-    tick and the free response of a state.  Its held calls are decided in
-    bulk from the scanned state by the stepper's own bound, widened to
-    cover the scan's rounding, and only from a held call that the bound
-    does not decide as keeping its input do the plant's and the observer's
-    own steppers step, to the end
-    of that window of held calls.  ``t`` equals the tick loop's
+    tick and the free response of a state.  Without stiction that is all,
+    and ``i_m`` is the chirp less ``gamma`` times the scanned ``d_hat``.
+    With it, one loop over the scan's chunks carries the steppers' state
+    less the scanned one from tick 0 and decides the held calls in bulk
+    from the scanned state by the stepper's own bound, widened to cover the
+    scan's rounding; only from a held call that the bound does not decide
+    as keeping its input do the plant's and the observer's own steppers
+    step, to the end of that window of held calls.  ``t`` equals the tick loop's
     bit for bit, and so does ``i_m`` at ``gamma = 0``; the scanned columns
     differ from it in rounding only: ``f_o`` by at most 1e-13 of its peak
     at ``gamma = 0`` and 1e-10 at ``gamma = 1``, ``d_hat`` by 1e-9 of its
