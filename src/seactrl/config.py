@@ -15,7 +15,7 @@ import math
 from pathlib import Path
 
 from .control import NOMINAL_DEN, NOMINAL_NUM
-from .sysid import linear_chirp_freq_hz
+from .kinematics import DET_TOL
 
 __all__ = ["ConfigError", "EXPERIMENTS", "load_config", "write_config"]
 
@@ -223,6 +223,18 @@ def _check_semantics(cfg: dict, experiment: str) -> None:
     if 1e-3 * lambda_c == 0.0:
         raise ConfigError("control.lambda_c", f"{lambda_c} gives a derivative pole "
                           f"1e-3 * lambda_c that underflows to 0")
+    # the pendulum's feedforward forms l1**2, which overflows for l1 above
+    # about 1.34e154, and kinematics.ff_force divides by the moment arm l2
+    # only from DET_TOL up
+    l1, l2 = cfg["pendulum"]["l1"], cfg["pendulum"]["l2"]
+    try:
+        l1**2
+    except OverflowError:
+        raise ConfigError("pendulum.l1", f"{l1} gives a feedforward inertia term "
+                          f"l1**2 that overflows") from None
+    if l2 < DET_TOL:
+        raise ConfigError("pendulum.l2", f"{l2} is below the moment-arm tolerance "
+                          f"{DET_TOL:g} of the feedforward force")
     sn = cfg["scenario"]
     if not all(0.0 <= a <= 1.0 for a in sn["alphas"]):
         raise ConfigError("scenario.alphas", f"{sn['alphas']} has a value outside [0, 1]")
@@ -266,18 +278,6 @@ def _check_semantics(cfg: dict, experiment: str) -> None:
             "control.omega_c_hz",
             f"{omega_c_hz} must lie between 0 and the controller's Nyquist rate "
             f"({0.5 * controller_hz:g} Hz)")
-    # SimScenario.validate's position-chirp bound, checked here to name the
-    # key (experiments._current_chirp checks the current chirp's): a position
-    # chirp is generated at the reference rate
-    if experiment == "pendulum-chirp":
-        nyquist = 0.5 / (1.0 / reference_hz)
-        f_end = linear_chirp_freq_hz(sn["chirp_omega_o"], sn["duration_s"])
-        if f_end >= nyquist:
-            raise ConfigError(
-                "scenario.chirp_omega_o",
-                f"{sn['chirp_omega_o']} sweeps to {f_end:g} Hz by scenario.duration_s "
-                f"({sn['duration_s']}), at or above the reference rate's Nyquist rate "
-                f"({nyquist:g} Hz)")
 
 
 def write_config(cfg: dict, path: str | Path) -> None:

@@ -26,7 +26,6 @@ from .plant import (
     run_scenario,
 )
 from .sysid import (
-    _SWEEP_RATIO_LIMIT,
     TimeSeries,
     empirical_frf,
     fit_rational,
@@ -48,7 +47,13 @@ def _pendulum_config(cfg: dict) -> PendulumConfig:
                           damping=p["damping"], theta0=p["theta0"])
 
 
+# the config key of each reference field that SimScenario.validate may reject
+_CHIRP_KEYS = {name: f"scenario.chirp_{name}" for name in ("f_start", "f_end", "omega_o")}
+
+
 def _base_scenario(cfg: dict, reference: ReferenceSpec, **overrides) -> SimScenario:
+    """The configured scenario with ``overrides``, validated; a chirp field
+    that ``SimScenario.validate`` rejects is reported under its config key."""
     sn = cfg["scenario"]
     c = cfg["control"]
     kwargs = dict(
@@ -64,8 +69,14 @@ def _base_scenario(cfg: dict, reference: ReferenceSpec, **overrides) -> SimScena
         reference_hz=sn["reference_hz"],
         plant_hz=sn["plant_hz"],
     )
-    kwargs.update(overrides)
-    return SimScenario(**kwargs)
+    sc = SimScenario(**(kwargs | overrides))
+    try:
+        sc.validate()
+    except ValueError as exc:
+        if getattr(exc, "field", None) not in _CHIRP_KEYS:
+            raise
+        raise ConfigError(_CHIRP_KEYS[exc.field], str(exc)) from None
+    return sc
 
 
 def _tagged(cfg: dict, key: str) -> list[tuple[float, str]]:
@@ -104,14 +115,6 @@ def _grid(cfg: dict, name: str) -> np.ndarray:
     return log_grid(s[f"{name}_lo_hz"], s[f"{name}_hi_hz"], s["points_per_decade"])
 
 
-def _below_nyquist(keypath: str, hz: float, T: float) -> None:
-    """Reject ``keypath`` when the frequency ``hz`` it gives is at or above
-    the Nyquist rate of samples every ``T`` seconds."""
-    if hz >= 0.5 / T:
-        raise ConfigError(keypath, f"reaches {hz:.12g} Hz, at or above the Nyquist "
-                          f"rate ({0.5 / T:g} Hz) of its {1.0 / T:g} Hz samples")
-
-
 def _grid_below_nyquist(cfg: dict, name: str, T: float) -> None:
     """Reject ``sysid.<name>_hi_hz`` when it, or the last point of its grid,
     is at or above the Nyquist rate of samples every ``T`` seconds.
@@ -121,7 +124,10 @@ def _grid_below_nyquist(cfg: dict, name: str, T: float) -> None:
     whose point rounds below it would read the Nyquist bin.
     """
     key = f"{name}_hi_hz"
-    _below_nyquist(f"sysid.{key}", max(cfg["sysid"][key], _grid(cfg, name)[-1]), T)
+    hz = max(cfg["sysid"][key], _grid(cfg, name)[-1])
+    if hz >= 0.5 / T:
+        raise ConfigError(f"sysid.{key}", f"reaches {hz:.12g} Hz, at or above the Nyquist "
+                          f"rate ({0.5 / T:g} Hz) of its {1.0 / T:g} Hz samples")
 
 
 def _check_segments(cfg: dict, n_samples: int) -> None:
@@ -147,30 +153,21 @@ def _current_chirp(cfg: dict, gamma: float, amplitude: float, grid: str):
     """Run the configured exponential current chirp through the
     (DOB-wrapped) plant; returns the log and its sample period.
 
-    Before the run, a chirp endpoint at or above the controller's Nyquist
-    rate and a sweep ratio ``f_end / f_start`` that is not positive and
-    below ``2**1022`` (``SimScenario.validate``'s bounds, checked here to
-    name the key, the smaller endpoint for the ratio), a ``grid``
-    (``_grid``'s name) whose key or last point is there
+    Before the run, a chirp that ``SimScenario.validate`` rejects (through
+    ``_base_scenario``, naming its key), a ``grid`` (``_grid``'s name)
+    whose key or last point is at or above the controller's Nyquist rate
     (``_grid_below_nyquist``), and a segment count the log cannot hold for
     its H1 estimate are rejected.
     """
     sn = cfg["scenario"]
-    T = 1.0 / sn["controller_hz"]
-    for key in ("chirp_f_start", "chirp_f_end"):
-        _below_nyquist(f"scenario.{key}", sn[key], T)
-    ratio = sn["chirp_f_end"] / sn["chirp_f_start"]
-    if not 0.0 < ratio < _SWEEP_RATIO_LIMIT:
-        key = "chirp_f_start" if sn["chirp_f_start"] < sn["chirp_f_end"] else "chirp_f_end"
-        raise ConfigError(f"scenario.{key}", f"{sn[key]:.12g} Hz gives f_end / f_start = "
-                          f"{ratio:g}, not a positive ratio below 2**1022")
-    _grid_below_nyquist(cfg, grid, T)
     sc = _base_scenario(
         cfg,
         ReferenceSpec(kind="current_chirp", amplitude=amplitude,
                       f_start=sn["chirp_f_start"], f_end=sn["chirp_f_end"]),
         gamma=gamma,
     )
+    T = 1.0 / sc.controller_hz
+    _grid_below_nyquist(cfg, grid, T)
     _check_segments(cfg, int(round(sc.duration_s * sc.controller_hz)))
     return run_scenario(sc), T
 
@@ -334,7 +331,6 @@ def pendulum_chirp(cfg: dict, out_dir, dob: str = "both") -> dict:
     """
     if dob not in ("on", "off", "both"):
         raise ValueError("dob must be 'on', 'off', or 'both'")
-    out = _prepare_out(cfg, out_dir)
     sn = cfg["scenario"]
     pend = _pendulum_config(cfg)
     omega_o = sn["chirp_omega_o"]
@@ -350,15 +346,16 @@ def pendulum_chirp(cfg: dict, out_dir, dob: str = "both") -> dict:
 
     runs = {"on": gamma_on, "off": 0.0} if dob == "both" else \
         {dob: gamma_on if dob == "on" else 0.0}
-    for tag, gamma in runs.items():
-        sc = _base_scenario(
-            cfg,
-            ReferenceSpec(kind="position_chirp", amplitude=sn["amplitude"],
-                          omega_o=omega_o),
-            gamma=gamma,
-            pendulum=pend,
-            estimate_backlash_m=cfg["pendulum"]["estimate_backlash_m"],
-        )
+    # built, and so validated, before anything is written
+    scenarios = {tag: _base_scenario(
+        cfg,
+        ReferenceSpec(kind="position_chirp", amplitude=sn["amplitude"], omega_o=omega_o),
+        gamma=gamma,
+        pendulum=pend,
+        estimate_backlash_m=cfg["pendulum"]["estimate_backlash_m"],
+    ) for tag, gamma in runs.items()}
+    out = _prepare_out(cfg, out_dir)
+    for tag, sc in scenarios.items():
         log = run_scenario(sc)
         log.to_csv(out / f"pendulum_dob_{tag}.csv")
         f_inst = omega_o * log.t / math.pi

@@ -20,7 +20,11 @@ __all__ = [
     "TwoDofAffineMap",
     "actuator_setpoints",
     "ff_force",
+    "DET_TOL",
 ]
+
+# |det J| below which ff_force refuses to invert the Jacobian
+DET_TOL = 1e-9
 
 
 class SingularJacobianError(ValueError):
@@ -96,19 +100,20 @@ def actuator_setpoints(mapping: JointActuatorMap, q_bar_j_d, qdot_bar_j_d, q_j_m
     return q_a, qdot_a
 
 
-def ff_force(mapping: JointActuatorMap, q_j_measured, tau_ff_d, det_tol: float = 1e-9):
+def ff_force(mapping: JointActuatorMap, q_j_measured, tau_ff_d):
     """Feedforward actuator force f = J^{-T} tau at the measured joint position.
 
     For scalar 1-DoF maps this reduces to tau / l.  Raises
-    SingularJacobianError (and emits no command) when |det J| < det_tol.
+    SingularJacobianError (and emits no command) when |det J| < ``DET_TOL``;
+    the config rejects a pendulum moment arm ``l2`` below it.
     """
     J = mapping.jacobian(q_j_measured)
     if type(J) is float or np.ndim(J) == 0:
-        if abs(J) < det_tol:
-            raise SingularJacobianError(f"|J| = {abs(J):g} below tolerance {det_tol:g}")
+        if abs(J) < DET_TOL:
+            raise SingularJacobianError(f"|J| = {abs(J):g} below tolerance {DET_TOL:g}")
         return tau_ff_d / float(J)
     J = np.asarray(J, dtype=float)
     det = np.linalg.det(J)
-    if abs(det) < det_tol:
-        raise SingularJacobianError(f"|det J| = {abs(det):g} below tolerance {det_tol:g}")
+    if abs(det) < DET_TOL:
+        raise SingularJacobianError(f"|det J| = {abs(det):g} below tolerance {DET_TOL:g}")
     return np.linalg.solve(J.T, np.asarray(tau_ff_d, dtype=float))

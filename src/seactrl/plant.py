@@ -531,6 +531,13 @@ class ReferenceSpec:
 _REFERENCE_NUMBERS = ("amplitude", "omega_o", "f_start", "f_end", "step_value", "step_time")
 
 
+def _reject(name: str, message: str, cls: type = ValueError) -> ValueError:
+    """A ``cls`` error whose ``field`` names the ``ReferenceSpec`` field it rejects."""
+    exc = cls(message)
+    exc.field = name
+    return exc
+
+
 @dataclass
 class SimScenario:
     """Configuration of one two-rate controller/plant run."""
@@ -559,16 +566,19 @@ class SimScenario:
         reads, and ``estimate_backlash_m`` non-negative; the error names the
         field.
 
-        A current chirp's ``f_end / f_start`` must be positive and below
-        ``2**1022``: a ratio that overflows or underflows gives no sweep,
-        and the bound keeps ``exponential_chirp`` on libm's bits.
+        A chirp's frequency must stay below the Nyquist rate of its
+        generating rate: a current chirp's ``f_start``, then its ``f_end``,
+        and a position chirp's at the end of the sweep.  Then a current
+        chirp's ``f_end / f_start`` must be positive and below ``2**1022``:
+        a ratio that overflows or underflows gives no sweep, and the bound
+        keeps ``exponential_chirp`` on libm's bits.
 
-        This is the one check of a reference; ``config`` (position chirp)
-        and ``experiments`` (current chirp) repeat the Nyquist bounds, and
-        ``experiments`` the sweep ratio, only to name the offending key.
-        Raises ``ValueError``, or
-        ``NyquistError`` for a chirp whose frequency reaches the Nyquist rate
-        of its generating rate before the sweep ends.
+        This is the one check of a reference.  Raises ``ValueError``, or
+        ``NyquistError`` for a chirp that reaches the Nyquist rate; the
+        message states the offending value and the bound.  A rejection of
+        a chirp field carries its name in ``field`` (``f_start``, ``f_end``
+        or ``omega_o``; the smaller endpoint for the sweep ratio), which
+        ``experiments`` maps to the config key.
         """
         if not 0.0 <= self.duration_s < math.inf:
             raise ValueError("duration_s must be non-negative and finite")
@@ -596,20 +606,27 @@ class SimScenario:
             raise ValueError("a chirp needs a positive amplitude and duration_s")
         # current chirps are generated at the controller rate; position
         # references are communicated at the reference rate
+        rate = self.controller_hz if ref.kind == "current_chirp" else self.reference_hz
+        nyquist = 0.5 / (1.0 / rate)
+        bound = f"at or above the Nyquist rate ({nyquist:g} Hz) of its {rate} Hz samples"
         if ref.kind == "current_chirp":
-            if not (ref.f_start and ref.f_end) or ref.f_start <= 0.0 or ref.f_end <= 0.0:
-                raise ValueError("current_chirp needs positive f_start and f_end")
-            if not 0.0 < ref.f_end / ref.f_start < _SWEEP_RATIO_LIMIT:
-                raise ValueError("current_chirp needs f_end / f_start positive and "
-                                 "below 2**1022")
-            if max(ref.f_start, ref.f_end) >= 0.5 / (1.0 / self.controller_hz):
-                raise NyquistError("current chirp endpoint at or above Nyquist")
+            for name, hz in (("f_start", ref.f_start), ("f_end", ref.f_end)):
+                if hz is None or hz <= 0.0:
+                    raise _reject(name, "current_chirp needs positive f_start and f_end")
+                if hz >= nyquist:
+                    raise _reject(name, f"{name} reaches {hz:.12g} Hz, {bound}", NyquistError)
+            ratio = ref.f_end / ref.f_start
+            if not 0.0 < ratio < _SWEEP_RATIO_LIMIT:
+                name = "f_start" if ref.f_start < ref.f_end else "f_end"
+                raise _reject(name, f"{name} = {getattr(ref, name):.12g} Hz gives f_end / "
+                              f"f_start = {ratio:g}, not a positive ratio below 2**1022")
         else:
             if ref.omega_o is None or ref.omega_o <= 0.0:
-                raise ValueError("position_chirp needs a positive sweep rate omega_o")
-            nyquist = 0.5 / (1.0 / self.reference_hz)
-            if linear_chirp_freq_hz(ref.omega_o, self.duration_s) >= nyquist:
-                raise NyquistError("position chirp reaches Nyquist before the sweep ends")
+                raise _reject("omega_o", "position_chirp needs a positive sweep rate omega_o")
+            f_end = linear_chirp_freq_hz(ref.omega_o, self.duration_s)
+            if f_end >= nyquist:
+                raise _reject("omega_o", f"omega_o = {ref.omega_o:.12g} sweeps to {f_end:g} Hz "
+                              f"by duration_s, {bound}", NyquistError)
             if self.pendulum is None:
                 raise ValueError("position_chirp needs the pendulum enabled")
 

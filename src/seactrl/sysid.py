@@ -314,6 +314,13 @@ def empirical_frf(u: TimeSeries, y: TimeSeries, freqs_hz,
     nearest FFT bin.  Bins whose input auto-spectrum falls below
     ``_SPECTRUM_FLOOR`` times the spectral peak are flagged invalid (NaN
     value) rather than fabricated.  Coherence is reported per bin.
+
+    Each windowed segment is scaled by ``2**-e``, ``e`` the ``np.frexp``
+    exponent of its record's peak magnitude, and the ratio is scaled back
+    by ``2**(e_y - e_u)``.  A power of two scales exactly, so the spectra
+    neither overflow nor underflow for records of any magnitude, and the
+    estimate of records scaled by ``2**k_u`` and ``2**k_y`` is the
+    unscaled one times ``2**(k_y - k_u)``, bit for bit.
     """
     if u.sample_period != y.sample_period:
         raise ValueError("input and output records must share the sample period")
@@ -327,13 +334,18 @@ def empirical_frf(u: TimeSeries, y: TimeSeries, freqs_hz,
     seg = segment_length(n, segments)
     step = seg // 2
     win = np.hanning(seg)
+    # the peak magnitude's exponent, from the extremes: no record-sized temporary
+    e_u, e_y = (int(np.frexp(max(r.samples.max(), -r.samples.min()))[1]) for r in (u, y))
+    buf = np.empty(seg)
     puu = np.zeros(seg // 2 + 1)
     pyy = np.zeros(seg // 2 + 1)
     puy = np.zeros(seg // 2 + 1, dtype=complex)
     start = 0
     while start + seg <= n:
-        uw = np.fft.rfft(win * u.samples[start:start + seg])
-        yw = np.fft.rfft(win * y.samples[start:start + seg])
+        np.multiply(win, u.samples[start:start + seg], out=buf)
+        uw = np.fft.rfft(np.ldexp(buf, -e_u, out=buf))
+        np.multiply(win, y.samples[start:start + seg], out=buf)
+        yw = np.fft.rfft(np.ldexp(buf, -e_y, out=buf))
         puu += np.abs(uw) ** 2
         pyy += np.abs(yw) ** 2
         puy += yw * np.conj(uw)
@@ -346,7 +358,10 @@ def empirical_frf(u: TimeSeries, y: TimeSeries, freqs_hz,
     values = np.full(f.size, np.nan + 1j * np.nan)
     coherence = np.full(f.size, np.nan)
     ok = idx[valid]
-    values[valid] = puy[ok] / puu[ok]
+    ratio = puy[ok] / puu[ok]
+    np.ldexp(ratio.real, e_y - e_u, out=ratio.real)
+    np.ldexp(ratio.imag, e_y - e_u, out=ratio.imag)
+    values[valid] = ratio
     with np.errstate(invalid="ignore", divide="ignore"):
         coherence[valid] = np.abs(puy[ok]) ** 2 / (puu[ok] * pyy[ok])
     return FrequencyResponse(f, values, coherence=coherence, valid=valid)

@@ -1,4 +1,6 @@
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ from seactrl.cli import main
 from seactrl.config import EXPERIMENTS, ConfigError, load_config, write_config
 from seactrl.control import NOMINAL_DEN, NOMINAL_NUM
 from seactrl.experiments import _base_scenario
+from seactrl.kinematics import DET_TOL
 from seactrl.plant import ReferenceSpec
 from seactrl.sysid import TimeSeries
 
@@ -265,6 +268,88 @@ class TestCliCommands:
         assert main([command, "--config", bad, "--out", str(out)]) == 2
         assert f"scenario.{key}" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["effective_config.ini"]
+
+    @pytest.mark.parametrize("command, text, key, texts", [
+        # each endpoint at or above the controller's Nyquist rate, and fit's
+        # at exactly 500 Hz
+        ("dob-verify", "chirp_f_start = 600", "chirp_f_start",
+         ["reaches 600 Hz, at or above the Nyquist rate (500 Hz) of its 1000 Hz samples"]),
+        ("bode-open-loop", "chirp_f_end = 600", "chirp_f_end",
+         ["reaches 600 Hz, at or above the Nyquist rate (500 Hz) of its 1000 Hz samples"]),
+        ("fit", "chirp_f_end = 500", "chirp_f_end",
+         ["reaches 500 Hz, at or above the Nyquist rate (500 Hz) of its 1000 Hz samples"]),
+        # a sweep ratio that overflows or underflows names the smaller endpoint
+        ("fit", "chirp_f_start = 1e-320", "chirp_f_start",
+         ["9.99988867183e-321 Hz gives f_end / f_start = inf, not a positive ratio "
+          "below 2**1022"]),
+        ("dob-verify", "chirp_f_start = 100\nchirp_f_end = 5e-324", "chirp_f_end",
+         ["4.94065645841e-324 Hz gives f_end / f_start = 0, not a positive ratio "
+          "below 2**1022"]),
+        # a position chirp that sweeps past the reference rate's Nyquist rate
+        ("pendulum-chirp", "chirp_omega_o = 30", "chirp_omega_o",
+         ["sweeps to 122.231 Hz", "Nyquist rate (100 Hz)"]),
+    ])
+    def test_chirp_rejection_names_key_value_and_bound(self, tmp_path, capsys, command,
+                                                       text, key, texts):
+        bad = write(tmp_path, "bad.ini", f"[scenario]\n{text}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", bad, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: scenario.{key}: ")
+        for want in texts:
+            assert want in err
+        # rejected before the first simulation; a position chirp before the
+        # output directory is made
+        if command == "pendulum-chirp":
+            assert not out.exists()
+        else:
+            assert sorted(p.name for p in out.iterdir()) == ["effective_config.ini"]
+
+    def test_non_chirp_rejection_passes_through_base_scenario(self):
+        # only a chirp field maps to a config key; any other rejection of
+        # SimScenario.validate is re-raised as it is
+        cfg = load_config("pendulum-chirp")
+        with pytest.raises(ValueError, match="needs the pendulum") as info:
+            _base_scenario(cfg, ReferenceSpec(kind="position_chirp", amplitude=0.1,
+                                              omega_o=0.427))
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("command", ["pendulum-chirp", "pid-step"])
+    @pytest.mark.parametrize("key, value", [
+        ("l1", "1e200"),  # the feedforward's l1**2 overflows
+        ("l2", "1e-12"),  # below the moment-arm tolerance of ff_force
+    ])
+    def test_pendulum_constant_that_cannot_be_formed_exits_2(self, tmp_path, capsys,
+                                                             command, key, value):
+        bad = write(tmp_path, "bad.ini", f"[pendulum]\n{key} = {value}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", bad, "--out", str(out)]) == 2
+        assert f"pendulum.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pendulum_constants_at_their_limits_load(self, tmp_path):
+        # the largest l1 whose square is finite, and l2 at the tolerance
+        l1 = math.sqrt(sys.float_info.max)
+        assert l1**2 < math.inf
+        edge = write(tmp_path, "edge.ini", f"[pendulum]\nl1 = {l1!r}\nl2 = {DET_TOL!r}\n")
+        pend = load_config("pendulum-chirp", edge)["pendulum"]
+        assert (pend["l1"], pend["l2"]) == (l1, DET_TOL)
+        for key, value in (("l1", math.nextafter(l1, math.inf)),
+                           ("l2", math.nextafter(DET_TOL, 0.0))):
+            beyond = write(tmp_path, "beyond.ini", f"[pendulum]\n{key} = {value!r}\n")
+            with pytest.raises(ConfigError, match=f"pendulum.{key}"):
+                load_config("pendulum-chirp", beyond)
+
+    @pytest.mark.parametrize("command, amplitude", [("fit", "1e-300"), ("dob-verify", "1e300")])
+    def test_chirp_at_extreme_amplitude_gives_finite_summary(self, tmp_path, command,
+                                                             amplitude):
+        # the FRF's spectra would underflow or overflow; warnings are errors here
+        cfg = write(tmp_path, "amp.ini",
+                    f"[scenario]\namplitude = {amplitude}\nduration_s = 20.0\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text()
+        assert not re.search(r"\b(nan|inf)\b", summary), summary
 
     def test_segments_beyond_csv_records_exits_2(self, tmp_path, capsys):
         u = TimeSeries(1e-3, np.arange(64.0))

@@ -1164,6 +1164,45 @@ class TestScenario:
                 scenario(f_start, f_end).validate()
         scenario(math.nextafter(400.0 / 2.0**1022, 1.0), 400.0).validate()
 
+    def test_chirp_rejection_names_its_field(self):
+        # each endpoint for its own rule, f_start first, both against
+        # Nyquist before the sweep ratio, which names the smaller endpoint
+        def current(f_start, f_end):
+            return SimScenario(
+                reference=ReferenceSpec(kind="current_chirp", amplitude=1.0,
+                                        f_start=f_start, f_end=f_end),
+                duration_s=1.0)
+
+        def position(omega_o, pendulum=PendulumConfig()):
+            return SimScenario(
+                reference=ReferenceSpec(kind="position_chirp", amplitude=1.0, omega_o=omega_o),
+                duration_s=10.0, pendulum=pendulum)
+
+        cases = [
+            (current(None, 10.0), ValueError, "f_start"),
+            (current(0.1, -1.0), ValueError, "f_end"),
+            (current(600.0, 10.0), NyquistError, "f_start"),
+            (current(0.1, 600.0), NyquistError, "f_end"),
+            (current(700.0, 600.0), NyquistError, "f_start"),
+            (current(1e-320, 600.0), NyquistError, "f_end"),
+            (current(1e-320, 15.0), ValueError, "f_start"),
+            (current(100.0, 5e-324), ValueError, "f_end"),
+            (current(400.0 / 2.0**1022, 400.0), ValueError, "f_start"),
+            (position(None), ValueError, "omega_o"),
+            (position(0.0), ValueError, "omega_o"),
+            (position(200.0), NyquistError, "omega_o"),
+        ]
+        for sc, error, name in cases:
+            with pytest.raises(ValueError) as info:
+                sc.validate()
+            assert (type(info.value), info.value.field) == (error, name), sc.reference
+        # a rejection of anything but a chirp field names none
+        for sc in (position(0.427, pendulum=None),
+                   SimScenario(reference=ReferenceSpec(), duration_s=-1.0)):
+            with pytest.raises(ValueError) as info:
+                sc.validate()
+            assert not hasattr(info.value, "field")
+
     def test_current_chirp_observer_nyquist_guard(self):
         # the chirp path builds its observer through the same guarded builder
         # as the force controller: a Q cutoff above Nyquist is rejected

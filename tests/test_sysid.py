@@ -367,6 +367,26 @@ class TestEmpiricalFrf:
 
         assert err(65536) < err(4096)
 
+    @pytest.mark.parametrize("record", ["u", "y"])
+    @pytest.mark.parametrize("k", [-900, -1, 1, 900])
+    def test_power_of_two_scaled_record_scales_the_estimate_exactly(self, record, k):
+        # each segment is scaled by a power of two before its FFT, so the
+        # spectra neither overflow nor underflow: scaling u by 2**k_u and y
+        # by 2**k_y scales the estimate by 2**(k_y - k_u), bit for bit
+        rng = np.random.default_rng(11)
+        u = rng.normal(size=4096)
+        y = np.convolve(u, [0.5, 0.3, 0.2])[:u.size]
+        grid = log_grid(1.0, 400.0, 20)
+        ref = empirical_frf(TimeSeries(1e-3, u), TimeSeries(1e-3, y), grid)
+        k_u, k_y = (k, 0) if record == "u" else (0, k)
+        frf = empirical_frf(TimeSeries(1e-3, np.ldexp(u, k_u)),
+                            TimeSeries(1e-3, np.ldexp(y, k_y)), grid)
+        assert ref.valid.all()
+        assert np.array_equal(frf.valid, ref.valid)
+        assert np.array_equal(frf.coherence.view(np.uint64), ref.coherence.view(np.uint64))
+        want = np.ldexp(ref.values.real, k_y - k_u) + 1j * np.ldexp(ref.values.imag, k_y - k_u)
+        assert np.array_equal(frf.values.view(np.uint64), want.view(np.uint64))
+
     def test_frf_csv_schema(self, tmp_path):
         rng = np.random.default_rng(4)
         u = TimeSeries(1e-3, rng.normal(size=2048))
