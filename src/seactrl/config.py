@@ -223,15 +223,16 @@ def _check_semantics(cfg: dict, experiment: str) -> None:
     if 1e-3 * lambda_c == 0.0:
         raise ConfigError("control.lambda_c", f"{lambda_c} gives a derivative pole "
                           f"1e-3 * lambda_c that underflows to 0")
-    # the pendulum's feedforward forms l1**2, which overflows for l1 above
-    # about 1.34e154, and kinematics.ff_force divides by the moment arm l2
-    # only from DET_TOL up
-    l1, l2 = cfg["pendulum"]["l1"], cfg["pendulum"]["l2"]
-    try:
-        l1**2
-    except OverflowError:
-        raise ConfigError("pendulum.l1", f"{l1} gives a feedforward inertia term "
-                          f"l1**2 that overflows") from None
+    # plant forms the pendulum's inertia m * l1 * l1, which its RK4 divides
+    # by, and its gravity torque m * g * l1 as written here, for the RK4 and
+    # the feedforward; kinematics.ff_force divides by the moment arm l2 only
+    # from DET_TOL up
+    m, l1, l2 = cfg["pendulum"]["m"], cfg["pendulum"]["l1"], cfg["pendulum"]["l2"]
+    inertia, mgl = m * l1 * l1, m * cfg["pendulum"]["g"] * l1
+    if not (0.0 < inertia < math.inf and mgl < math.inf):
+        raise ConfigError("pendulum.l1", f"{l1} with pendulum.m {m} gives an inertia "
+                          f"m * l1 * l1 = {inertia:g} and a gravity torque m * g * l1 = "
+                          f"{mgl:g}; the inertia must be finite and non-zero, the torque finite")
     if l2 < DET_TOL:
         raise ConfigError("pendulum.l2", f"{l2} is below the moment-arm tolerance "
                           f"{DET_TOL:g} of the feedforward force")

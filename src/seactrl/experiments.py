@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ConfigError, write_config
 from .control import ImpedanceConfig, LeakyState, PidConfig, leaky_step, nominal_lsea_tf
-from .lti import bilinear_discretize, freq_response, log_grid, tustin_gap
+from .lti import CausalityError, bilinear_discretize, freq_response, log_grid, tustin_gap
 from .plant import (
     PendulumConfig,
     PlantConfig,
@@ -172,25 +172,24 @@ def _current_chirp(cfg: dict, gamma: float, amplitude: float, grid: str):
     return run_scenario(sc), T
 
 
-def _chirp_frf(cfg: dict, gamma: float, amplitude: float, log_path):
-    """Run a current chirp, write its log to ``log_path`` and estimate the
-    u_c -> f_o response on the configured grid.
+def _chirp_frf(cfg: dict, gamma: float, amplitude: float, out: Path, name: str) -> float:
+    """Run a current chirp, write its log to ``log_<name>.csv`` and its
+    u_c -> f_o response on the configured grid to ``frf_<name>.csv``;
+    returns the response's largest deviation from the nominal model, in dB.
 
-    Only the response is returned, so the log is freed before the caller
-    runs its next scenario.
+    The log is freed before the response is written, so no two logs are
+    alive at once.
     """
     log, T = _current_chirp(cfg, gamma, amplitude, "grid")
-    log.to_csv(log_path)
+    log.to_csv(out / f"log_{name}.csv")
     u_c = gamma * log.d_hat
     u_c += log.i_m
-    return empirical_frf(TimeSeries(T, u_c), TimeSeries(T, log.f_o), _grid(cfg, "grid"),
-                         segments=cfg["sysid"]["segments"])
-
-
-def _max_deviation_db(frf, reference_tf) -> float:
-    ref = freq_response(reference_tf, frf.freqs_hz)
-    dev = np.abs(frf.magnitude_db - ref.magnitude_db)
-    return float(np.nanmax(dev))
+    frf = empirical_frf(TimeSeries(T, u_c), TimeSeries(T, log.f_o), _grid(cfg, "grid"),
+                        segments=cfg["sysid"]["segments"])
+    del log, u_c
+    write_frf_csv(frf, out / f"frf_{name}.csv")
+    ref = freq_response(nominal_lsea_tf(), frf.freqs_hz)
+    return float(np.nanmax(np.abs(frf.magnitude_db - ref.magnitude_db)))
 
 
 def bode_open_loop(cfg: dict, out_dir) -> dict:
@@ -200,11 +199,9 @@ def bode_open_loop(cfg: dict, out_dir) -> dict:
     out = _prepare_out(cfg, out_dir)
     summary: dict = {"experiment": "bode-open-loop",
                      "amplitudes": list(cfg["scenario"]["amplitudes"])}
-    pn = nominal_lsea_tf()
     for amp, tag in amps:
-        frf = _chirp_frf(cfg, 0.0, amp, out / f"log_amp{tag}.csv")
-        write_frf_csv(frf, out / f"frf_amp{tag}.csv")
-        summary[f"max_dev_from_nominal_db_amp{tag}"] = _max_deviation_db(frf, pn)
+        summary[f"max_dev_from_nominal_db_amp{tag}"] = _chirp_frf(
+            cfg, 0.0, amp, out, f"amp{tag}")
     _write_summary(out, summary)
     return summary
 
@@ -215,12 +212,9 @@ def dob_verify(cfg: dict, out_dir) -> dict:
     out = _prepare_out(cfg, out_dir)
     amp = cfg["scenario"]["amplitude"]
     gamma_on = cfg["control"]["gamma"]
-    pn = nominal_lsea_tf()
     summary: dict = {"experiment": "dob-verify", "gamma_on": gamma_on}
     for tag, gamma in (("on", gamma_on), ("off", 0.0)):
-        frf = _chirp_frf(cfg, gamma, amp, out / f"log_dob_{tag}.csv")
-        write_frf_csv(frf, out / f"frf_dob_{tag}.csv")
-        summary[f"max_dev_db_dob_{tag}"] = _max_deviation_db(frf, pn)
+        summary[f"max_dev_db_dob_{tag}"] = _chirp_frf(cfg, gamma, amp, out, f"dob_{tag}")
     summary["nominalized_within_2db"] = bool(summary["max_dev_db_dob_on"] <= 2.0)
     summary["off_exceeds_2db"] = bool(summary["max_dev_db_dob_off"] > 2.0)
     _write_summary(out, summary)
@@ -289,6 +283,9 @@ def leaky_demo(cfg: dict, out_dir) -> dict:
 # 0.1-100 Hz, of which a rate keeps those below a quarter of itself, away
 # from the zeros Tustin puts at Nyquist
 TUSTIN_CHECK_HZ = np.logspace(-1.0, 2.0, 40)
+# largest Tustin identity gap (relative rounding error of the printed
+# coefficients, see lti.tustin_gap) that discretize accepts
+TUSTIN_GAP_TOL = 1e-6
 
 
 def discretize_report(cfg: dict, tf_name: str, rate_hz: float) -> dict:
@@ -298,29 +295,47 @@ def discretize_report(cfg: dict, tf_name: str, rate_hz: float) -> dict:
     exactly, while the rounded coefficients move an integrator's pole off
     z = 1.  ``tustin_gap`` is ``lti.tustin_gap`` on the points of
     ``TUSTIN_CHECK_HZ`` below a quarter of the rate (inf when none is).
+    Rejected with ``--rate``: a rate that is not positive and finite or
+    that the Tustin chain cannot carry, one that overflows or underflows on
+    the way, gives non-finite coefficients, or gives a ``tustin_gap`` above
+    ``TUSTIN_GAP_TOL``.
     """
     from .control import pid_transfer_function, q_filter
 
+    if not (math.isfinite(rate_hz) and rate_hz > 0.0):
+        raise ConfigError("--rate", f"{rate_hz} is not a positive finite rate")
     name = tf_name.lower()
-    if name == "pn":
-        tf = nominal_lsea_tf()
-    elif name == "qd":
-        tf = q_filter(2.0 * math.pi * cfg["control"]["omega_c_hz"])
-    elif name == "pid":
-        tf = pid_transfer_function(_pid_config(cfg))
-    else:
-        raise ValueError(f"unknown transfer function {tf_name!r} (pn, qd, pid)")
-    filt = bilinear_discretize(tf, 1.0 / rate_hz)
-    check_hz = TUSTIN_CHECK_HZ[TUSTIN_CHECK_HZ < 0.25 * rate_hz]
-    return {
-        "experiment": "discretize",
-        "tf": name,
-        "rate_hz": rate_hz,
-        "a_hat": filt.a_hat.tolist(),
-        "b_hat": filt.b_hat.tolist(),
-        "dc_gain_at_z1": float(tf.dc_gain()),
-        "tustin_gap": tustin_gap(tf, filt, check_hz) if check_hz.size else math.inf,
-    }
+    try:
+        with np.errstate(all="raise"):
+            if name == "pn":
+                tf = nominal_lsea_tf()
+            elif name == "qd":
+                tf = q_filter(2.0 * math.pi * cfg["control"]["omega_c_hz"])
+            elif name == "pid":
+                tf = pid_transfer_function(_pid_config(cfg))
+            else:
+                raise ValueError(f"unknown transfer function {tf_name!r} (pn, qd, pid)")
+            filt = bilinear_discretize(tf, 1.0 / rate_hz)
+            check_hz = TUSTIN_CHECK_HZ[TUSTIN_CHECK_HZ < 0.25 * rate_hz]
+            report = {
+                "experiment": "discretize",
+                "tf": name,
+                "rate_hz": rate_hz,
+                "a_hat": filt.a_hat.tolist(),
+                "b_hat": filt.b_hat.tolist(),
+                "dc_gain_at_z1": float(tf.dc_gain()),
+                "tustin_gap": tustin_gap(tf, filt, check_hz) if check_hz.size else math.inf,
+            }
+    except (FloatingPointError, CausalityError) as exc:
+        raise ConfigError("--rate", f"{rate_hz:g} Hz cannot be discretized ({exc})") from None
+    if not all(map(math.isfinite, report["a_hat"] + report["b_hat"])):
+        raise ConfigError("--rate", f"{rate_hz:g} Hz gives non-finite coefficients")
+    if not report["tustin_gap"] <= TUSTIN_GAP_TOL:
+        raise ConfigError(
+            "--rate", f"{rate_hz:g} Hz gives a Tustin gap of {report['tustin_gap']:.2g} "
+            f"(tolerance {TUSTIN_GAP_TOL:g}) on the 0.1-100 Hz check points below a "
+            "quarter of the rate (inf: there is none)")
+    return report
 
 
 def pendulum_chirp(cfg: dict, out_dir, dob: str = "both") -> dict:
@@ -362,9 +377,13 @@ def pendulum_chirp(cfg: dict, out_dir, dob: str = "both") -> dict:
         band = (f_inst >= sn["band_lo_hz"]) & (f_inst <= sn["band_hi_hz"])
         err = log.q_bar_a_d[band] - log.q_hat_a_j[band]
         del log  # freed before the next scenario runs
-        # a run too short to reach the band reports nan rather than a value
+        # the RMS of err * 2**-e, e the exponent of err's peak, scaled back
+        # by 2**e: exact, and its square cannot overflow; a run too short to
+        # reach the band reports nan rather than a value
+        e = int(np.frexp(np.max(np.abs(err), initial=0.0))[1])
         summary[f"rms_pos_err_m_dob_{tag}"] = (
-            float(np.sqrt(np.mean(err**2))) if err.size else float("nan"))
+            math.ldexp(float(np.sqrt(np.mean(np.ldexp(err, -e)**2))), e)
+            if err.size else float("nan"))
     if dob == "both":
         summary["rms_ratio_on_over_off"] = (
             summary["rms_pos_err_m_dob_on"] / summary["rms_pos_err_m_dob_off"])
@@ -413,29 +432,23 @@ def fit_experiment(cfg: dict, out_dir, u_csv=None, y_csv=None) -> dict:
     write_frf_csv(frf, out / "frf.csv")
     result = fit_rational(frf, s["num_order"], s["den_order"],
                           sk_iterations=s["sk_iterations"])
-    monic_num = result.tf.num / result.tf.den[0]
-    monic_den = result.tf.den / result.tf.den[0]
+    num, den = result.tf.num, result.tf.den  # fit_rational's den is monic
     pn = nominal_lsea_tf()
     ref_num = pn.num / pn.den[0]
     ref_den = pn.den / pn.den[0]
-    max_rel = 0.0
-    if monic_num.size == ref_num.size and monic_den.size == ref_den.size:
-        max_rel = float(max(
-            np.max(np.abs(monic_num - ref_num) / np.abs(ref_num)),
-            np.max(np.abs(monic_den[1:] - ref_den[1:]) / np.abs(ref_den[1:])),
-        ))
-        summary_extra = {"max_rel_coeff_err_vs_nominal": max_rel}
-    else:
-        summary_extra = {}
     summary = {
         "experiment": "fit",
-        "num_monic": monic_num.tolist(),
-        "den_monic": monic_den.tolist(),
+        "num_monic": num.tolist(),
+        "den_monic": den.tolist(),
         "relative_residual": result.relative_residual,
         "condition": result.condition,
         "n_bins": result.n_bins,
-        **summary_extra,
     }
+    if num.size == ref_num.size and den.size == ref_den.size:
+        summary["max_rel_coeff_err_vs_nominal"] = float(max(
+            np.max(np.abs(num - ref_num) / np.abs(ref_num)),
+            np.max(np.abs(den[1:] - ref_den[1:]) / np.abs(ref_den[1:])),
+        ))
     _write_summary(out, summary)
     return summary
 

@@ -928,6 +928,8 @@ def run_scenario(sc: SimScenario) -> SimLog:
         l2 = pend.l2
         pmap = PendulumMap(l2)
         pend_rk4 = _pendulum_stepper(T, pend.m, pend.l1, l2, pend.g, pend.damping)
+        # the feedforward's inertia and gravity torque, formed as the RK4 forms them
+        inertia, mgl = pend.m * pend.l1 * pend.l1, pend.m * pend.g * pend.l1
         # n_sub half-substeps: half a tick per call, two calls a tick
         advance = plant.stepper(0.5 * dt_sub, n_sub)
     else:
@@ -995,8 +997,7 @@ def run_scenario(sc: SimScenario) -> SimLog:
                 if k % ref_div == 0:
                     qj_d, qjdot_d, qjddot_d = linear_chirp_point(
                         ref.amplitude, ref.omega_o, t)
-                    tau_ff = (pend.m * pend.l1**2 * qjddot_d
-                              + pend.m * pend.g * pend.l1 * math.sin(qj_d))
+                    tau_ff = inertia * qjddot_d + mgl * math.sin(qj_d)
                     q_a_d, qdot_a_d = actuator_setpoints(pmap, qj_d, qjdot_d, theta)
                     f_ff = ff_force(pmap, theta, tau_ff)
                     record_ref((qj_d, q_a_d, qdot_a_d))

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seactrl.cli import main
+from seactrl import experiments
+from seactrl.cli import build_parser, main
 from seactrl.config import EXPERIMENTS, ConfigError, load_config, write_config
 from seactrl.control import NOMINAL_DEN, NOMINAL_NUM
 from seactrl.experiments import _base_scenario
@@ -316,7 +317,9 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("command", ["pendulum-chirp", "pid-step"])
     @pytest.mark.parametrize("key, value", [
-        ("l1", "1e200"),  # the feedforward's l1**2 overflows
+        ("l1", "1e200"),  # the inertia m * l1 * l1 overflows
+        ("l1", "1e154"),  # ... though l1**2 is finite
+        ("l1", "1e-300"),  # the inertia, which the RK4 divides by, underflows to 0
         ("l2", "1e-12"),  # below the moment-arm tolerance of ff_force
     ])
     def test_pendulum_constant_that_cannot_be_formed_exits_2(self, tmp_path, capsys,
@@ -328,9 +331,14 @@ class TestCliCommands:
         assert not out.exists()
 
     def test_pendulum_constants_at_their_limits_load(self, tmp_path):
-        # the largest l1 whose square is finite, and l2 at the tolerance
-        l1 = math.sqrt(sys.float_info.max)
-        assert l1**2 < math.inf
+        # the largest l1 whose inertia m * l1 * l1 is finite at the default
+        # m, and l2 at the tolerance
+        m = load_config("pendulum-chirp")["pendulum"]["m"]
+        l1 = math.sqrt(sys.float_info.max / m)
+        while m * l1 * l1 < math.inf:
+            l1 = math.nextafter(l1, math.inf)
+        while m * l1 * l1 == math.inf:
+            l1 = math.nextafter(l1, 0.0)
         edge = write(tmp_path, "edge.ini", f"[pendulum]\nl1 = {l1!r}\nl2 = {DET_TOL!r}\n")
         pend = load_config("pendulum-chirp", edge)["pendulum"]
         assert (pend["l1"], pend["l2"]) == (l1, DET_TOL)
@@ -339,6 +347,27 @@ class TestCliCommands:
             beyond = write(tmp_path, "beyond.ini", f"[pendulum]\n{key} = {value!r}\n")
             with pytest.raises(ConfigError, match=f"pendulum.{key}"):
                 load_config("pendulum-chirp", beyond)
+
+    def test_pendulum_inertia_rule_reads_m_with_l1(self, tmp_path):
+        # m * l1 * l1 = 1e20 is finite, though l1**2 alone is not
+        light = write(tmp_path, "light.ini", "[pendulum]\nm = 1e-300\nl1 = 1e160\n")
+        pend = load_config("pendulum-chirp", light)["pendulum"]
+        assert (pend["m"], pend["l1"]) == (1e-300, 1e160)
+
+    @pytest.mark.parametrize("text", [
+        "[pendulum]\ntheta0 = 1e300\n[scenario]\n",
+        "[pendulum]\ng = 1e300\n[scenario]\n",
+        "[scenario]\namplitude = 1e300\n",
+    ], ids=["theta0", "g", "amplitude"])
+    def test_pendulum_chirp_at_extreme_value_gives_finite_summary(self, tmp_path, text):
+        # the position error's square would overflow; its RMS is taken
+        # scaled by a power of two, and warnings are errors here
+        cfg = write(tmp_path, "huge.ini", text + "duration_s = 5.0\n")
+        out = tmp_path / "o"
+        assert main(["pendulum-chirp", "--config", cfg, "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text()
+        assert "rms_ratio_on_over_off" in summary
+        assert not re.search(r"\b(nan|inf)\b", summary), summary
 
     @pytest.mark.parametrize("command, amplitude", [("fit", "1e-300"), ("dob-verify", "1e300")])
     def test_chirp_at_extreme_amplitude_gives_finite_summary(self, tmp_path, command,
@@ -516,6 +545,38 @@ class TestCliCommands:
         TimeSeries(period, np.arange(float(samples))).to_csv(y)
         assert self._fit_with(tmp_path, u, y) == 2
         assert message in capsys.readouterr().err
+
+
+class TestCommandTable:
+    def test_main_looks_up_the_experiment_when_the_command_runs(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # a function rebound on the experiments module (as perfbench's wall_s
+        # timer does) is the one the command calls
+        calls = []
+
+        def stub(cfg, out_dir):
+            calls.append(out_dir)
+            return {"stub_key": 1}
+
+        monkeypatch.setattr(experiments, "dob_verify", stub)
+        out = str(tmp_path / "o")
+        assert main(["dob-verify", "--out", out]) == 0
+        assert calls == [out]
+        assert "stub_key = 1\n" in capsys.readouterr().out
+
+    def test_commands_are_the_configured_experiments(self):
+        usage = build_parser().format_usage()
+        commands = re.search(r"\{([^}]*)\}", usage).group(1).split(",")
+        assert sorted(commands) == sorted(EXPERIMENTS)
+
+    @pytest.mark.parametrize("command", sorted(EXPERIMENTS))
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        help_text = capsys.readouterr().out
+        assert f"usage: seactrl {command}" in help_text
+        assert "--config CONFIG" in help_text and "--out OUT" in help_text
 
 
 def test_installed_entry_point_runs_the_cli():

@@ -1333,6 +1333,7 @@ class TestScenario:
         plant, pmap = sc.plant.build(), PendulumMap(pend.l2)
         play = BacklashPlay(sc.estimate_backlash_m)
         f_o, theta, theta_dot = 0.0, pend.theta0, pend.theta_dot0
+        inertia, mgl = pend.m * pend.l1 * pend.l1, pend.m * pend.g * pend.l1
         want = []
         for k in range(n):
             t = k * T
@@ -1340,8 +1341,7 @@ class TestScenario:
             q_hat_a_m = play.step(q_hat_a_j)
             if k % ref_div == 0:
                 qj_d, qjdot_d, qjddot_d = linear_chirp_point(ref.amplitude, ref.omega_o, t)
-                tau_ff = (pend.m * pend.l1**2 * qjddot_d
-                          + pend.m * pend.g * pend.l1 * math.sin(qj_d))
+                tau_ff = inertia * qjddot_d + mgl * math.sin(qj_d)
                 q_a_d, qdot_a_d = actuator_setpoints(pmap, qj_d, qjdot_d, theta)
                 f_ff = ff_force(pmap, theta, tau_ff)
             f_d = impedance_step(sc.impedance, q_a_d, qdot_a_d, q_hat_a_m,
