@@ -233,10 +233,18 @@ def _check_semantics(cfg: dict, experiment: str) -> None:
         raise ConfigError("pendulum.l1", f"{l1} with pendulum.m {m} gives an inertia "
                           f"m * l1 * l1 = {inertia:g} and a gravity torque m * g * l1 = "
                           f"{mgl:g}; the inertia must be finite and non-zero, the torque finite")
+    # a position chirp starts at qj = 0 with the acceleration 2 A omega_o,
+    # so the tick's first feedforward force, as the tick and ff_force form
+    # it, is (m * l1 * l1 * (2 A omega_o) + m g l1 sin 0) / l2
+    sn = cfg["scenario"]
+    force = (inertia * (2.0 * sn["amplitude"] * sn["chirp_omega_o"]) + 0.0) / l2
+    if experiment == "pendulum-chirp" and not math.isfinite(force):
+        raise ConfigError("pendulum.l1", f"{l1} with pendulum.m {m}, scenario.amplitude "
+                          f"{sn['amplitude']}, scenario.chirp_omega_o {sn['chirp_omega_o']} and "
+                          f"pendulum.l2 {l2} gives a first feedforward force of {force:g}")
     if l2 < DET_TOL:
         raise ConfigError("pendulum.l2", f"{l2} is below the moment-arm tolerance "
                           f"{DET_TOL:g} of the feedforward force")
-    sn = cfg["scenario"]
     if not all(0.0 <= a <= 1.0 for a in sn["alphas"]):
         raise ConfigError("scenario.alphas", f"{sn['alphas']} has a value outside [0, 1]")
     # the observer rejects a blend gain outside [0, 1] too; this names the key
@@ -257,6 +265,10 @@ def _check_semantics(cfg: dict, experiment: str) -> None:
     factors = cfg["plant"]["den_factors"]
     if len(factors) != 4:
         raise ConfigError("plant.den_factors", f"{factors} is not four multipliers")
+    # a leading coefficient that underflows would leave the plant a lower order
+    if NOMINAL_DEN[0] * factors[0] == 0.0:
+        raise ConfigError("plant.den_factors", f"{factors} scales the leading denominator "
+                          f"coefficient {NOMINAL_DEN[0]:g} to 0")
     plant_hz, controller_hz, reference_hz = (
         sn["plant_hz"], sn["controller_hz"], sn["reference_hz"])
     if plant_hz % controller_hz or controller_hz % reference_hz:

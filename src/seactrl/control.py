@@ -206,7 +206,7 @@ class DisturbanceObserver:
     force measurement, subtracts ``gamma * d_hat`` from the command and
     keeps the result as ``u_prev``, the command the next estimate compares
     against.  The filter state and ``u_prev`` live in the closure's scope,
-    which ``estimate`` shares; ``state()`` reads it as ``(z0, z1, z2,
+    which ``estimate`` steps too; ``state()`` reads it as ``(z0, z1, z2,
     u_prev)`` and ``set_state(s)`` loads it.  ``gamma`` is bound at
     construction.
 
@@ -231,11 +231,11 @@ class DisturbanceObserver:
         self.coefficients = (tuple(n1.tolist()), tuple(n2.tolist()), tuple(d.tolist()))
         self.T = float(T)
         self.gamma = float(gamma)
-        self._step, self._estimate, self.state, self.set_state = self._scope()
+        self._step, self.state, self.set_state = self._scope()
 
     def _scope(self):
-        """Build the observer's ``(step, estimate, state, set_state)`` over
-        one state: the DF2T state in three closure locals, and ``u_prev``."""
+        """Build the observer's ``(step, state, set_state)`` over one state:
+        the DF2T state in three closure locals, and ``u_prev``."""
         (p0, p1, p2, p3), (q0, q1, q2, q3), (_, a1, a2, a3) = self.coefficients
         b1, b2, b3, gamma = -a1, -a2, -a3, self.gamma
         u_prev = 0.0
@@ -251,14 +251,6 @@ class DisturbanceObserver:
             u_prev = u_c - gamma * d
             return u_prev, d
 
-        def estimate(f):
-            # a step that keeps u_prev, so the recurrence has one home
-            nonlocal u_prev
-            u = u_prev
-            d = step(u, f)[1]
-            u_prev = u
-            return d
-
         def state():
             return z0, z1, z2, u_prev
 
@@ -266,15 +258,20 @@ class DisturbanceObserver:
             nonlocal z0, z1, z2, u_prev
             z0, z1, z2, u_prev = s
 
-        return step, estimate, state, set_state
+        return step, state, set_state
 
     def stepper(self):
         """Return the observer step ``step(u_c, f_measured) -> (u, d_hat)``."""
         return self._step
 
     def estimate(self, f_measured: float) -> float:
-        """Return ``d_hat`` from ``f_measured``; ``u_prev`` is unchanged."""
-        return self._estimate(f_measured)
+        """Return ``d_hat`` from ``f_measured``; ``u_prev`` is unchanged.
+
+        It is one ``step``, after which ``u_prev`` is loaded back."""
+        u_prev = self.state()[3]
+        d_hat = self._step(u_prev, f_measured)[1]
+        self.set_state((*self.state()[:3], u_prev))
+        return d_hat
 
 
 class ForceController:

@@ -29,6 +29,7 @@ from .sysid import (
     TimeSeries,
     empirical_frf,
     fit_rational,
+    linear_chirp_freq_hz,
     segment_length,
     write_csv,
     write_frf_csv,
@@ -373,7 +374,7 @@ def pendulum_chirp(cfg: dict, out_dir, dob: str = "both") -> dict:
     for tag, sc in scenarios.items():
         log = run_scenario(sc)
         log.to_csv(out / f"pendulum_dob_{tag}.csv")
-        f_inst = omega_o * log.t / math.pi
+        f_inst = linear_chirp_freq_hz(omega_o, log.t)
         band = (f_inst >= sn["band_lo_hz"]) & (f_inst <= sn["band_hi_hz"])
         err = log.q_bar_a_d[band] - log.q_hat_a_j[band]
         del log  # freed before the next scenario runs

@@ -42,6 +42,7 @@ __all__ = [
     "bilinear_num_den",
     "bilinear_discretize",
     "Scan",
+    "orbit",
     "block_scan",
     "tustin_gap",
     "freq_response",
@@ -238,12 +239,13 @@ def _dot(row, x) -> float:
     return acc
 
 
-def _orbit(M, x, count) -> list:
-    """``[x, M x, ..., M^count x]`` in Python floats."""
-    orbit = [x]
+def orbit(M, x, count) -> list:
+    """``[x, M x, ..., M^count x]`` in Python floats, each row of ``M``
+    dotted with the last point left to right."""
+    points = [x]
     for _ in range(count):
-        orbit.append([_dot(row, orbit[-1]) for row in M])
-    return orbit
+        points.append([_dot(row, points[-1]) for row in M])
+    return points
 
 
 def _within_limit(values: np.ndarray) -> bool:
@@ -383,12 +385,12 @@ def block_scan(A, b, C, u, outs) -> Scan | None:
 
     # orbits of the unit states and of b under A: free[i, r, j] = (C_i
     # A^j)_r, power = A^L, markov[i, l] = h_i[l] and weight[l] = A^(L-1-l) b
-    orbits = [_orbit(A, [float(i == r) for i in range(n)], L) for r in range(n)]
-    free = np.array([[[_dot(c, x) for x in orbit[:L]] for orbit in orbits] for c in C])
-    power = np.transpose([orbit[L] for orbit in orbits]).tolist()
-    orbit = _orbit(A, b, L - 1)
-    markov = np.array([[_dot(c, x) for x in orbit[:-1]] for c in C])
-    weight = np.array(orbit[::-1])
+    orbits = [orbit(A, [float(i == r) for i in range(n)], L) for r in range(n)]
+    free = np.array([[[_dot(c, x) for x in run[:L]] for run in orbits] for c in C])
+    power = np.transpose([run[L] for run in orbits]).tolist()
+    drive = orbit(A, b, L - 1)
+    markov = np.array([[_dot(c, x) for x in drive[:-1]] for c in C])
+    weight = np.array(drive[::-1])
 
     def chunks():
         # each chunk's first segment and the input's segments as columns,
@@ -434,7 +436,7 @@ def block_scan(A, b, C, u, outs) -> Scan | None:
             for out, f, h in zip(outs, free, markov):
                 if not fill(starts[m0:m0 + segments.shape[1]], segments, out[k0:k1], f, h):
                     return None
-    return Scan(u, C, orbits, orbit, squares, starts)
+    return Scan(u, C, orbits, drive, squares, starts)
 
 
 def _davies_chain(coeffs: np.ndarray, n: int, T: float) -> np.ndarray:

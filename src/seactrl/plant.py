@@ -3,7 +3,8 @@
 The actuator is the identified third-order current-to-force model in a
 controllable-canonical realization, advanced with RK4 (for a linear system
 with held input one RK4 substep is exactly a constant matrix recurrence,
-which is precomputed per substep size).  ``LseaPlant.stepper(dt, n)``
+which is precomputed per substep size, from the transfer function, for
+any order).  ``LseaPlant.stepper(dt, n)``
 builds, once per substep size and count, a closure that advances ``n``
 substeps with the input held; every stepper of a plant, and
 ``LseaPlant.advance``, steps the one state that lives in the plant's
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral
 
 import numpy as np
@@ -75,7 +76,7 @@ from .control import (
     impedance_step,
 )
 from .kinematics import PendulumMap, actuator_setpoints, ff_force
-from .lti import ContinuousTransferFunction, NyquistError, block_scan
+from .lti import ContinuousTransferFunction, NyquistError, block_scan, orbit
 from .sysid import (
     _SWEEP_RATIO_LIMIT,
     exponential_chirp,
@@ -147,7 +148,8 @@ class LseaPlant:
     """Perturbable realization of the third-order actuator model.
 
     ``den_factors`` multiply the four denominator coefficients and
-    ``gain_factor`` the numerator gain; both must be positive and finite.
+    ``gain_factor`` the numerator gain; both must be positive and finite,
+    and the leading denominator coefficient must not underflow to 0.
     Stiction follows a Karnopp model:
     while the output rate is inside the velocity dead-band and the input
     magnitude is below the breakaway threshold, the effective input is
@@ -155,6 +157,12 @@ class LseaPlant:
     transmitted output.  The breakaway, dead-band and play width must be
     non-negative and finite.  A parameter that breaks these rules raises
     ``ValueError`` naming it.
+
+    The model is ``tf``, a constant numerator over the perturbed
+    denominator, in companion form with ``f_o = c_y x0``.  The build-time
+    maps (``_coeffs``, ``_lifted``, ``realization``, ``held_bound``) are
+    read off ``tf`` for whatever order its denominator has; the stepper is
+    written out for the three states of this model.
 
     ``state()`` reads and ``set_state(x)`` loads the one state ``(x0, x1,
     x2)`` that every stepper of the plant steps; ``realization`` and
@@ -178,89 +186,85 @@ class LseaPlant:
                             ("backlash", backlash)):
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite")
-        den = np.asarray(NOMINAL_DEN) * factors
-        gain = NOMINAL_NUM[0] * gain_factor
-        self.tf = ContinuousTransferFunction([gain], den)
-        a = den / den[0]
-        self._c1, self._c2, self._c3 = float(a[1]), float(a[2]), float(a[3])
-        self._cy = float(gain / den[0])
+        self.tf = ContinuousTransferFunction([NOMINAL_NUM[0] * gain_factor],
+                                             np.asarray(NOMINAL_DEN) * factors)
+        if self.tf.order != factors.size - 1:
+            raise ValueError("den_factors[0] scales the leading denominator coefficient to 0")
         self.stiction_breakaway = float(stiction_breakaway)
         self.stiction_velocity_deadband = float(stiction_velocity_deadband)
         self._play = BacklashPlay(backlash) if backlash > 0.0 else None
         self._steppers: dict[tuple[float, int], Callable[[float], float]] = {}
         self.state, self.set_state, self._new_stepper = self._scope()
 
+    @property
+    def _cy(self) -> float:
+        """The output gain: ``f_o = c_y x0`` for ``tf``'s constant numerator."""
+        return float(self.tf.num[-1] / self.tf.den[0])
+
     def _coeffs(self, dt: float) -> tuple:
         """One RK4 substep of ``dt`` as the map ``x+ = M x + N u``.
 
-        Returns the nine entries of ``M`` row by row, then the three of
-        ``N B``, as Python floats.  ``M`` and ``N`` are built with numpy
-        matrix products; ``tolist`` converts their entries exactly.
+        ``A`` is the companion matrix of ``tf``'s denominator, of whatever
+        order ``n`` it has, and ``B`` the last unit vector.  Returns the
+        ``n * n`` entries of ``M`` row by row, then the ``n`` of ``N B``, as
+        Python floats.  ``M`` and ``N`` are built with numpy matrix products;
+        ``tolist`` converts their entries exactly.
         """
-        A = np.array([
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [-self._c3, -self._c2, -self._c1],
-        ])
-        B = np.array([0.0, 0.0, 1.0])
+        a = self.tf.den / self.tf.den[0]
+        n = a.size - 1
+        A = np.eye(n, k=1)
+        A[-1] = -a[:0:-1]
         # RK4 of a linear system with held input is exact in (M, N) form:
         # x+ = M x + N u with the degree-4 truncations of expm(A dt).
-        M = np.eye(3)
-        N = np.zeros((3, 3))
-        term = np.eye(3)
+        M = np.eye(n)
+        N = np.zeros((n, n))
+        term = np.eye(n)
         for k in range(1, 5):
             N = N + term * dt / math.factorial(k)
             term = term @ A * dt
             M = M + term / math.factorial(k)
-        return (*M.ravel().tolist(), *(N @ B).tolist())
+        return (*M.ravel().tolist(), *(N @ np.eye(n)[-1]).tolist())
 
     def _lifted(self, dt: float, substeps: int) -> tuple:
-        """``n = substeps`` RK4 substeps of ``dt`` as one map ``x+ = P x + G u``.
+        """``substeps`` RK4 substeps of ``dt`` as one map ``x+ = P x + G u``.
 
-        ``P = M^n`` and ``G = (M^0 + ... + M^(n-1)) N`` are built by running
-        the substep recurrence of ``_coeffs(dt)``, which holds Python floats,
-        ``n`` times on each unit state (zero input) and on the zero state
-        (unit input), so each entry is that composition.  Returns ``(lifted,
-        bound)`` in Python floats: ``lifted`` holds the nine entries of ``P``
-        row by row, then the three of ``G``; ``bound = (d0, d1, d2, ds)``,
-        kept in the same runs, holds the largest deviation ``|x1 - e1_i|``
-        of each run's rate after substeps 1 ... n - 1, with ``e1 = (0, 1, 0,
-        0)``, so the rate after any of them lies within ``d0 |x0| + d1 |x1|
-        + d2 |x2| + ds |u|`` of ``x1`` (all zeros for one substep).
+        ``P = M^substeps`` and ``G = (M^0 + ... + M^(substeps-1)) N`` are
+        the ``lti.orbit``s, in Python floats, of the substep map of
+        ``_coeffs(dt)`` augmented by the held input, ``(x, u)+ = (M x + N
+        u, u)``, from each unit state (zero input) and from the zero state
+        (unit input).  Returns ``(lifted, bound)`` in Python floats:
+        ``lifted`` holds the ``n * n`` entries of ``P`` row by row, then the
+        ``n`` of ``G``; ``bound``, read off the same orbits, holds the
+        largest deviation ``|x1 - e1_i|`` of each orbit's rate after substeps
+        1 ... substeps - 1, with ``e1 = (0, 1, 0, ..., 0)``, so the rate
+        after any of them lies within ``sum_i bound[i] |x_i| + bound[n] |u|``
+        of ``x1`` (all zeros for one substep).
         """
-        m00, m01, m02, m10, m11, m12, m20, m21, m22, n0, n1, n2 = self._coeffs(dt)
-
-        def compose(x0, x1, x2, u, e1):
-            deviation = 0.0
-            for j in range(substeps):
-                if j:
-                    deviation = max(deviation, abs(x1 - e1))
-                x0, x1, x2 = (
-                    m00 * x0 + m01 * x1 + m02 * x2 + n0 * u,
-                    m10 * x0 + m11 * x1 + m12 * x2 + n1 * u,
-                    m20 * x0 + m21 * x1 + m22 * x2 + n2 * u,
-                )
-            return x0, x1, x2, deviation
-
-        runs = (compose(1.0, 0.0, 0.0, 0.0, 0.0), compose(0.0, 1.0, 0.0, 0.0, 1.0),
-                compose(0.0, 0.0, 1.0, 0.0, 0.0), compose(0.0, 0.0, 0.0, 1.0, 0.0))
-        lifted = (*(run[i] for i in range(3) for run in runs[:3]), *runs[3][:3])
-        return lifted, tuple(run[3] for run in runs)
+        coeffs = self._coeffs(dt)
+        n = self.tf.order
+        step = [[*coeffs[i * n:i * n + n], coeffs[n * n + i]] for i in range(n)]
+        step.append([0.0] * n + [1.0])
+        runs = [orbit(step, [float(i == r) for i in range(n + 1)], substeps)
+                for r in range(n + 1)]
+        lifted = (*(run[-1][i] for i in range(n) for run in runs[:n]), *runs[n][-1][:n])
+        return lifted, tuple(max([0.0] + [abs(x[1] - float(r == 1)) for x in run[1:-1]])
+                             for r, run in enumerate(runs))
 
     def realization(self, dt: float, substeps: int) -> tuple:
         """``(P, G, c_y)`` of a call of ``substeps`` RK4 substeps of ``dt``
         whose every substep sees the input ``u``: ``x+ = P x + G u`` and
         the transmitted force ``f_o = c_y x0``, without backlash.
 
-        ``P`` is three rows of three Python floats and ``G`` three, the
-        map ``_lifted`` composes, which the stepper applies to every call
-        whose input is not below ``held_below``.
+        ``P`` is ``n`` rows of ``n`` Python floats and ``G`` ``n``, the map
+        ``_lifted`` composes, which the stepper applies to every call whose
+        input is not below ``held_below``.
         """
         lifted, _ = self._lifted(dt, substeps)
-        return [list(lifted[0:3]), list(lifted[3:6]), list(lifted[6:9])], list(lifted[9:]), self._cy
+        n = self.tf.order
+        return [list(lifted[i:i + n]) for i in range(0, n * n, n)], list(lifted[n * n:]), self._cy
 
     def held_bound(self, dt: float, substeps: int) -> tuple:
-        """The constants ``(acy, vdead, floor, d0, d1, d2, ds)`` of the bound
+        """The constants ``(acy, vdead, floor, d0, ..., ds)`` of the bound
         by which a stepper of ``substeps`` RK4 substeps of ``dt`` decides a
         held call before stepping it (see ``stepper``): ``|c_y|``, the
         velocity dead-band, the underflow floor and ``_lifted``'s ``bound``,
@@ -273,7 +277,7 @@ class LseaPlant:
         # underflow errs by up to half the least subnormal per product,
         # an absolute error that acy scales and no relative margin covers
         return (acy, self.stiction_velocity_deadband, math.ldexp(acy + 1.0, -1070),
-                *(bound if acy >= 1.0 else (math.nan,) * 4))
+                *(bound if acy >= 1.0 else (math.nan,) * len(bound)))
 
     @property
     def held_below(self) -> float:
@@ -631,8 +635,6 @@ class SimScenario:
                 raise ValueError("position_chirp needs the pendulum enabled")
 
 
-LOG_COLUMNS = ("t", "ref_pos", "q_bar_a_d", "qdot_bar_a_d", "f_d", "f_o", "i_m",
-               "d_hat", "theta", "theta_dot", "q_hat_a_m", "q_hat_a_j")
 _LOG_BLOCK_TICKS = 1024  # ticks recorded before one copy into the log columns
 # the columns a tick records, in the order it records them: the loop's
 # outputs, and with the pendulum also the desired force and the pendulum
@@ -672,6 +674,10 @@ class SimLog:
 
     def to_csv(self, path) -> None:
         write_csv(path, LOG_COLUMNS, [self.column(name) for name in LOG_COLUMNS])
+
+
+# the CSV header, in SimLog's field order
+LOG_COLUMNS = tuple(column.name for column in fields(SimLog))
 
 
 def _chirp_loop(plant, dob, dt_sub, n_sub):

@@ -166,12 +166,13 @@ def pendulum_tick_reference(plant, pend, i_m, f_o, theta, theta_dot, dt_sub, n_s
 def substep_composition(coeffs, n):
     """``(M^n, (M^0 + ... + M^(n-1)) N)`` of a substep ``x+ = M x + N u``, in numpy.
 
-    ``coeffs`` is the plant's substep tuple: the nine entries of ``M`` row
-    by row, then the three of ``N``.
+    ``coeffs`` is the plant's substep tuple of a plant of order ``k``: the
+    ``k * k`` entries of ``M`` row by row, then the ``k`` of ``N``.
     """
     c = np.array([float(v) for v in coeffs])
-    m, n_col = c[:9].reshape(3, 3), c[9:]
-    power, gain = np.eye(3), np.zeros(3)
+    k = (math.isqrt(4 * c.size + 1) - 1) // 2
+    m, n_col = c[:k * k].reshape(k, k), c[k * k:]
+    power, gain = np.eye(k), np.zeros(k)
     for _ in range(n):
         gain = gain + power @ n_col
         power = m @ power
@@ -287,19 +288,21 @@ def held_call_reference(plant, state, u, dt, n):
 def zoh_map(den, T):
     """Exact zero-order-hold map ``(Phi, Gamma)`` of the canonical realization.
 
-    ``den`` is the actuator's denominator, highest degree first, and the
-    state is (x, dx/dt, d2x/dt2) with d3x/dt3 = u - a3 x - a2 dx/dt - a1 d2x/dt2
-    for the monic coefficients a.  The map is ``scipy.linalg.expm`` of the
-    augmented ``[[A, B], [0, 0]] T``.
+    ``den`` is the actuator's denominator of degree ``n``, highest degree
+    first, and the state is ``(x, dx/dt, ..., d^(n-1)x/dt^(n-1))`` with
+    ``d^n x/dt^n = u - a_n x - ... - a_1 d^(n-1)x/dt^(n-1)`` for the monic
+    coefficients ``a``.  The map is ``scipy.linalg.expm`` of the augmented
+    ``[[A, B], [0, 0]] T``.
     """
     from scipy.linalg import expm
 
     a = np.asarray(den, float) / den[0]
-    aug = np.zeros((4, 4))
-    aug[0, 1] = aug[1, 2] = aug[2, 3] = 1.0
-    aug[2, :3] = -a[3], -a[2], -a[1]
+    n = a.size - 1
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, 1:] = np.eye(n)
+    aug[n - 1, :n] = -a[:0:-1]
     e = expm(aug * T)
-    return e[:3, :3], e[:3, 3]
+    return e[:n, :n], e[:n, n]
 
 
 def coupled_ode_reference(num, den, pend, inputs, T):

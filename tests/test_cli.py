@@ -13,9 +13,9 @@ from seactrl.cli import build_parser, main
 from seactrl.config import EXPERIMENTS, ConfigError, load_config, write_config
 from seactrl.control import NOMINAL_DEN, NOMINAL_NUM
 from seactrl.experiments import _base_scenario
-from seactrl.kinematics import DET_TOL
+from seactrl.kinematics import DET_TOL, PendulumMap, ff_force
 from seactrl.plant import ReferenceSpec
-from seactrl.sysid import TimeSeries
+from seactrl.sysid import TimeSeries, linear_chirp_point
 
 FAST_SCENARIO = """
 [scenario]
@@ -150,6 +150,9 @@ class TestCliCommands:
     @pytest.mark.parametrize("section, key, value", [
         ("plant", "den_factors", "1, 2"),
         ("plant", "den_factors", "1, 0, 1, 1"),
+        # the leading coefficient 0.01 underflows to 0: the plant's order
+        # is its transfer function's, which would drop to two
+        ("plant", "den_factors", "1e-322, 1, 1, 1"),
         ("scenario", "controller_hz", "300"),
         ("scenario", "duration_s", "-1"),
         # pid-step reads t >= 0.75 * duration_s: these leave no step there
@@ -332,7 +335,8 @@ class TestCliCommands:
 
     def test_pendulum_constants_at_their_limits_load(self, tmp_path):
         # the largest l1 whose inertia m * l1 * l1 is finite at the default
-        # m, and l2 at the tolerance
+        # m, and l2 at the tolerance; pid-step loads them, where
+        # pendulum-chirp's feedforward rule rejects the pair (see below)
         m = load_config("pendulum-chirp")["pendulum"]["m"]
         l1 = math.sqrt(sys.float_info.max / m)
         while m * l1 * l1 < math.inf:
@@ -340,13 +344,48 @@ class TestCliCommands:
         while m * l1 * l1 == math.inf:
             l1 = math.nextafter(l1, 0.0)
         edge = write(tmp_path, "edge.ini", f"[pendulum]\nl1 = {l1!r}\nl2 = {DET_TOL!r}\n")
-        pend = load_config("pendulum-chirp", edge)["pendulum"]
+        pend = load_config("pid-step", edge)["pendulum"]
         assert (pend["l1"], pend["l2"]) == (l1, DET_TOL)
         for key, value in (("l1", math.nextafter(l1, math.inf)),
                            ("l2", math.nextafter(DET_TOL, 0.0))):
             beyond = write(tmp_path, "beyond.ini", f"[pendulum]\n{key} = {value!r}\n")
             with pytest.raises(ConfigError, match=f"pendulum.{key}"):
                 load_config("pendulum-chirp", beyond)
+
+    def test_feedforward_that_overflows_at_the_first_point_exits_2(self, tmp_path, capsys):
+        # at l1 = 4.2e153 the inertia m * l1 * l1 is finite, the tick's
+        # first feedforward force m l1^2 (2 A omega_o) / l2 is not
+        bad = write(tmp_path, "bad.ini", "[pendulum]\nl1 = 4.2e153\n")
+        out = tmp_path / "o"
+        assert main(["pendulum-chirp", "--config", bad, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        for want in ("pendulum.l1: 4.2e+153", "pendulum.m 10.0", "scenario.amplitude 0.1",
+                     "scenario.chirp_omega_o 0.427", "pendulum.l2 0.07"):
+            assert want in err
+        assert not out.exists()
+        # only pendulum-chirp runs the position chirp
+        assert load_config("pid-step", bad)["pendulum"]["l1"] == 4.2e153
+
+    def test_feedforward_rule_is_the_ticks_first_force(self, tmp_path):
+        # the largest l1 whose first feedforward force, formed as the tick
+        # forms it, is finite loads, and the next float is rejected
+        cfg = load_config("pendulum-chirp")
+        m, g, l2 = (cfg["pendulum"][key] for key in ("m", "g", "l2"))
+        pos, _, acc = linear_chirp_point(cfg["scenario"]["amplitude"],
+                                         cfg["scenario"]["chirp_omega_o"], 0.0)
+
+        def force(l1):
+            return ff_force(PendulumMap(l2), 0.0, m * l1 * l1 * acc + m * g * l1 * math.sin(pos))
+
+        lo, hi = 1.0, 4.2e153
+        while math.nextafter(lo, math.inf) < hi:
+            mid = lo + 0.5 * (hi - lo)
+            lo, hi = (mid, hi) if math.isfinite(force(mid)) else (lo, mid)
+        edge = write(tmp_path, "edge.ini", f"[pendulum]\nl1 = {lo!r}\n")
+        assert load_config("pendulum-chirp", edge)["pendulum"]["l1"] == lo
+        beyond = write(tmp_path, "beyond.ini", f"[pendulum]\nl1 = {hi!r}\n")
+        with pytest.raises(ConfigError, match="pendulum.l1"):
+            load_config("pendulum-chirp", beyond)
 
     def test_pendulum_inertia_rule_reads_m_with_l1(self, tmp_path):
         # m * l1 * l1 = 1e20 is finite, though l1**2 alone is not

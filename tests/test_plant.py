@@ -21,7 +21,7 @@ from seactrl.control import (
     nominal_lsea_tf,
 )
 from seactrl.kinematics import PendulumMap, actuator_setpoints, ff_force
-from seactrl.lti import NyquistError, freq_response, log_grid
+from seactrl.lti import ContinuousTransferFunction, NyquistError, freq_response, log_grid
 from seactrl.plant import (
     _LOG_BLOCK_TICKS,
     LOG_COLUMNS,
@@ -289,6 +289,10 @@ class TestLseaPlant:
             LseaPlant(gain_factor=-1.0)
         with pytest.raises(ValueError):
             LseaPlant(backlash=-1.0)
+        # a leading coefficient 0.01 * 1e-322 underflows to 0, which would
+        # leave a second-order transfer function
+        with pytest.raises(ValueError, match="leading denominator coefficient"):
+            LseaPlant(den_factors=(1e-322, 1.0, 1.0, 1.0))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["den_factors", "gain_factor", "stiction_breakaway",
@@ -786,6 +790,73 @@ class TestLiftedTick:
             b += 1e-9 * (v + b) + floor
             if v - b >= vdead + 2.0 * margin:
                 assert bulk
+
+
+def link_mode_plant(order):
+    """The shipped plant (order 3), or, with ``tf`` replaced on the
+    instance, the shipped plant times a lightly damped link mode
+    w^2 / (s^2 + 2 zeta w s + w^2), w = 2 pi 60 rad/s and zeta = 0.05
+    (order 5)."""
+    plant = LseaPlant(den_factors=SHIPPED_DEN_FACTORS)
+    if order == 5:
+        w = 2.0 * math.pi * 60.0
+        plant.tf = ContinuousTransferFunction(
+            plant.tf.num * (w * w), np.convolve(plant.tf.den, [1.0, 2.0 * 0.05 * w, w * w]))
+    return plant
+
+
+class TestOrderGenericBuild:
+    """The build-time maps (``_coeffs``, ``_lifted``, ``realization`` and
+    ``held_bound``) come from ``tf`` of whatever order it has."""
+
+    @pytest.mark.parametrize("order, dt, n, bound", [
+        (3, 1 / 5000, 5, 1e-8), (3, 1 / 20000, 20, 4e-11), (3, 1 / 40000, 5, 3e-12),
+        (5, 1 / 5000, 5, 6e-7), (5, 1 / 20000, 20, 2e-9), (5, 1 / 40000, 5, 1.5e-10)])
+    def test_maps_match_exact_zero_order_hold(self, order, dt, n, bound):
+        # RK4's error falls as dt^4; each order-3 bound is TestLiftedTick's,
+        # each order-5 one ~3x the measured 2.2e-7, 8.4e-10 and 5.3e-11
+        # relative of one substep (the n-substep map's: 1.8e-7, 6.4e-10 and
+        # 5.2e-11)
+        pytest.importorskip("scipy")
+        p = link_mode_plant(order)
+        assert p.tf.order == order
+        lifted = p._lifted(dt, n)[0]
+        for got, T in ((p._coeffs(dt), dt), (lifted, n * dt)):
+            assert len(got) == order * order + order
+            phi, gamma = zoh_map(p.tf.den, T)
+            got = np.array(got)
+            assert np.max(np.abs(got[:order * order] - phi.ravel())) <= bound * np.max(np.abs(phi))
+            assert np.max(np.abs(got[order * order:] - gamma)) <= bound * np.max(np.abs(gamma))
+        P, G, cy = p.realization(dt, n)
+        assert [v for row in P for v in row] + G == list(lifted)
+        assert [len(row) for row in P] == [order] * order
+        assert cy == float(p.tf.num[-1] / p.tf.den[0])
+
+    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("dt, n", [(1 / 5000, 5), (1 / 20000, 20), (1 / 40000, 5)])
+    def test_lifted_and_bound_equal_substep_composition(self, order, dt, n):
+        p = link_mode_plant(order)
+        lifted, bound = p._lifted(dt, n)
+        power, gain = substep_composition(p._coeffs(dt), n)
+        got = np.array(lifted)
+        assert np.max(np.abs(got[:order * order] - power.ravel())) <= 1e-13 * np.max(np.abs(power))
+        assert np.max(np.abs(got[order * order:] - gain)) <= 1e-13 * np.max(np.abs(gain))
+        # the bound is the largest deviation from (0, 1, 0, ..., 0) of the
+        # rate row of the j-substep composition, j < n, one per state and
+        # one for the input
+        parts = [substep_composition(p._coeffs(dt), j) for j in range(1, n)]
+        unit = np.eye(order + 1)[1]
+        want = np.max([np.abs(np.append(power[1], gain[1]) - unit) for power, gain in parts],
+                      axis=0)
+        scale = np.max([np.abs(power) for power, _ in parts])
+        assert len(bound) == order + 1
+        assert np.max(np.abs(np.array(bound[:-1]) - want[:-1])) <= 1e-13 * scale
+        assert abs(bound[-1] - want[-1]) <= 1e-13 * np.max([np.abs(g) for _, g in parts])
+        acy = abs(p._cy)
+        assert p.held_bound(dt, n) == (acy, p.stiction_velocity_deadband,
+                                       math.ldexp(acy + 1.0, -1070), *bound)
+        # one substep is the substep map itself, with a zero bound
+        assert p._lifted(dt, 1) == (p._coeffs(dt), (0.0,) * (order + 1))
 
 
 class TestAdvancePendulum:
