@@ -14,8 +14,11 @@ import configparser
 import math
 from pathlib import Path
 
-from .control import NOMINAL_DEN, NOMINAL_NUM
-from .kinematics import DET_TOL
+from .control import (NOMINAL_DEN, NOMINAL_NUM, ImpedanceConfig, PidConfig,
+                      build_force_controller, impedance_step)
+from .kinematics import DET_TOL, PendulumMap, actuator_setpoints, ff_force
+from .plant import BacklashPlay
+from .sysid import linear_chirp_point
 
 __all__ = ["ConfigError", "EXPERIMENTS", "load_config", "write_config"]
 
@@ -158,11 +161,9 @@ def _parse(section: str, key: str, raw: str):
         return values
     if kind == "float":
         return values[0]
-    if kind == "int":
-        if values[0] != int(values[0]):
-            raise ConfigError(path, f"cannot parse {raw!r} (not an integer)")
-        return int(values[0])
-    raise ConfigError(path, f"unhandled type {kind}")
+    if values[0] != int(values[0]):
+        raise ConfigError(path, f"cannot parse {raw!r} (not an integer)")
+    return int(values[0])
 
 
 def load_config(experiment: str, path: str | Path | None = None) -> dict:
@@ -233,18 +234,10 @@ def _check_semantics(cfg: dict, experiment: str) -> None:
         raise ConfigError("pendulum.l1", f"{l1} with pendulum.m {m} gives an inertia "
                           f"m * l1 * l1 = {inertia:g} and a gravity torque m * g * l1 = "
                           f"{mgl:g}; the inertia must be finite and non-zero, the torque finite")
-    # a position chirp starts at qj = 0 with the acceleration 2 A omega_o,
-    # so the tick's first feedforward force, as the tick and ff_force form
-    # it, is (m * l1 * l1 * (2 A omega_o) + m g l1 sin 0) / l2
-    sn = cfg["scenario"]
-    force = (inertia * (2.0 * sn["amplitude"] * sn["chirp_omega_o"]) + 0.0) / l2
-    if experiment == "pendulum-chirp" and not math.isfinite(force):
-        raise ConfigError("pendulum.l1", f"{l1} with pendulum.m {m}, scenario.amplitude "
-                          f"{sn['amplitude']}, scenario.chirp_omega_o {sn['chirp_omega_o']} and "
-                          f"pendulum.l2 {l2} gives a first feedforward force of {force:g}")
     if l2 < DET_TOL:
         raise ConfigError("pendulum.l2", f"{l2} is below the moment-arm tolerance "
                           f"{DET_TOL:g} of the feedforward force")
+    sn = cfg["scenario"]
     if not all(0.0 <= a <= 1.0 for a in sn["alphas"]):
         raise ConfigError("scenario.alphas", f"{sn['alphas']} has a value outside [0, 1]")
     # the observer rejects a blend gain outside [0, 1] too; this names the key
@@ -291,6 +284,28 @@ def _check_semantics(cfg: dict, experiment: str) -> None:
             "control.omega_c_hz",
             f"{omega_c_hz} must lie between 0 and the controller's Nyquist rate "
             f"({0.5 * controller_hz:g} Hz)")
+    # pendulum-chirp's first tick, as the tick forms it: the feedforward
+    # force at the position chirp's first point, the desired force (the
+    # impedance of the first setpoint against theta0's estimate, plus that
+    # force) and the command of the force loop's own stepper at f_o = 0; a
+    # play of width 0 passes the estimate through but for the sign of a zero
+    if experiment == "pendulum-chirp":
+        c, p, pmap = cfg["control"], cfg["pendulum"], PendulumMap(l2)
+        pos, vel, acc = linear_chirp_point(sn["amplitude"], sn["chirp_omega_o"], 0.0)
+        f_ff = ff_force(pmap, p["theta0"], inertia * acc + mgl * math.sin(pos))
+        q_hat = BacklashPlay(p["estimate_backlash_m"]).step(l2 * p["theta0"])
+        f_d = impedance_step(ImpedanceConfig(c["k"], c["b"]),
+                             *actuator_setpoints(pmap, pos, vel, p["theta0"]), q_hat, 0.0, f_ff)
+        pid = PidConfig.from_gain_row(c["k_p"], c["k_i"], c["k_d"], lambda_c)
+        i_m = build_force_controller(pid, 2.0 * math.pi * omega_c_hz, gamma, 1e-3 * c["k_ff"],
+                                     1.0 / controller_hz).stepper()(f_d, 0.0)[0]
+        if not math.isfinite(i_m):
+            key = "theta0" if math.isfinite(f_ff) and not math.isfinite(f_d) else "l1"
+            raise ConfigError(f"pendulum.{key}", f"{p[key]} gives a first feedforward force of "
+                              f"{f_ff:g} (with pendulum.m {m}, scenario.amplitude "
+                              f"{sn['amplitude']}, scenario.chirp_omega_o {sn['chirp_omega_o']} "
+                              f"and pendulum.l2 {l2}), a first desired force f_d = {f_d:g} and "
+                              f"a first command i_m = {i_m:g}; all three must be finite")
 
 
 def write_config(cfg: dict, path: str | Path) -> None:

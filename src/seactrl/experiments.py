@@ -360,8 +360,7 @@ def pendulum_chirp(cfg: dict, out_dir, dob: str = "both") -> dict:
         "band_hi_hz": sn["band_hi_hz"],
     }
 
-    runs = {"on": gamma_on, "off": 0.0} if dob == "both" else \
-        {dob: gamma_on if dob == "on" else 0.0}
+    runs = {tag: g for tag, g in (("on", gamma_on), ("off", 0.0)) if dob in (tag, "both")}
     # built, and so validated, before anything is written
     scenarios = {tag: _base_scenario(
         cfg,

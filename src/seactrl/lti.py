@@ -553,8 +553,6 @@ class FrequencyResponse:
         """Unwrapped phase in degrees (NaN preserved for invalid bins)."""
         ang = np.angle(self.values)
         finite = np.isfinite(ang)
-        if finite.all():
-            return np.degrees(np.unwrap(ang))
         out = np.full(ang.shape, np.nan)
         out[finite] = np.unwrap(ang[finite])
         return np.degrees(out)

@@ -738,31 +738,32 @@ def _keeps_input(bound, margin: float, x: np.ndarray, u: np.ndarray) -> np.ndarr
     return v - b >= vdead
 
 
-def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
-    """Fill a current chirp's ``t``, ``i_m``, ``f_o`` and ``d_hat`` columns
-    without the tick loop, at any ``gamma``; ``False``, for the tick loop
-    to run the scenario, on a plant with backlash (before anything is
-    sampled), when the scan gives up, and on a non-finite ``f_o``,
-    ``d_hat`` or ``i_m``.
+def _run_open_loop_chirp(log, chirp, plant, dt_sub, n_sub, dob) -> bool:
+    """Fill a current chirp's ``i_m``, ``f_o`` and ``d_hat`` columns
+    without the tick loop, at any ``gamma``, on the ``t`` column that
+    ``run_scenario`` has filled; ``False``, for the tick loop to run the
+    scenario, on a plant with backlash (before anything is sampled), when
+    the scan gives up, and on a non-finite ``f_o``, ``d_hat`` or ``i_m``.
 
     Every plant call whose command is not below ``plant.held_below`` is
     ``realization``'s map, so outside the held calls the tick is the
-    linear map ``(A, b, C)`` of ``_chirp_loop``.  One ``lti.block_scan`` of
-    that map over the whole record, driven by the chirp ``u_c``, gives the
-    linear ``f_o`` and ``d_hat`` and an ``lti.Scan``, whose ``state`` is the
+    linear map ``(A, b, C)`` of ``_chirp_loop``.  The chirp ``u_c`` is
+    sampled on ``t`` into the ``i_m`` column.  One ``lti.block_scan`` of
+    that map over the whole record, driven by ``u_c``, gives the linear
+    ``f_o`` and ``d_hat`` and an ``lti.Scan``, whose ``state`` is the
     scanned state at any tick and whose ``free`` is the free response of a
-    state.  A linear plant has no held call: its ``i_m`` is ``u_c - gamma
-    d_hat`` over the scanned ``d_hat``, and it asks the scan nothing.
+    state.  A linear plant has no held call, and it asks the scan nothing.
     Otherwise the held calls are found in order, since at ``gamma > 0`` the
     command depends on the estimate, in one loop over chunks of the scan's
     ``horizon`` ticks.  ``delta`` is the steppers' state less the scanned
     one, zero at tick 0; from the chunk's first tick ``k``, ``f_o[k + j]``
     and ``d_hat[k + j]`` are the scan plus the free response ``C A^j
-    delta``, and ``i_m = u_c - gamma d_hat``.  The chunk's held calls
-    (``|i_m|`` below ``held_below``) are decided in bulk: ``_keeps_input``
-    applies the stepper's own bound (``LseaPlant.held_bound``) to the plant
-    rows of their scanned states plus ``A^j delta``, widened by 1e-9 of ``v
-    + b`` at the peak of the segment starts, which covers the scan's
+    delta``, and the command is ``u_c - gamma d_hat``.  The chunk's held
+    calls (a command below ``held_below``) are decided in bulk:
+    ``_keeps_input`` applies the stepper's own bound
+    (``LseaPlant.held_bound``) to the plant rows of their scanned states
+    plus ``A^j delta``, widened by 1e-9 of ``v + b`` at the peak of the
+    segment starts, which covers the scan's
     rounding against a stepped state.  A held call that keeps its input on
     every substep is the linear map the scan and the free response already
     apply.  The chunk ends at the first held call the bound does not decide
@@ -770,19 +771,23 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
     ``A^j delta`` is loaded into the plant's and the observer's own
     steppers (``set_state``, the observer's ``z = v - s f`` with
     ``_chirp_loop``'s shear ``s``), which step until a command is at or
-    above ``held_below``, that call included; their state (``state()``,
-    sheared) less the scanned one is the next ``delta``, and the next chunk
-    starts there.  Every sum runs in a fixed order, with no BLAS call.
+    above ``held_below``, that call included, and record ``f_o`` and
+    ``d_hat``; their state (``state()``, sheared) less the scanned one is
+    the next ``delta``, and the next chunk starts there.  After the loop
+    the blend ``i_m = u_c - gamma d_hat`` replaces the chirp, the product
+    then the difference, as the observer's step forms it, so a stepped
+    command is the one the observer gave.  Every sum runs in a fixed order,
+    with no BLAS call.
     """
     below = plant.held_below
     if below == math.inf:
         return False
     times, i_m, f_o, d_hat = log["t"], log["i_m"], log["f_o"], log["d_hat"]
     n = i_m.size
-    blocks = [(k0, min(k0 + _LOG_BLOCK_TICKS, n)) for k0 in range(0, n, _LOG_BLOCK_TICKS)]
-    u_c = times  # the chirp, until t replaces it at the end
-    for k0, k1 in blocks:
-        u_c[k0:k1] = chirp(np.arange(k0, k1) * T)
+    blocks = [slice(k0, k0 + _LOG_BLOCK_TICKS) for k0 in range(0, n, _LOG_BLOCK_TICKS)]
+    u_c = i_m  # the chirp, until the blend replaces it after the loop
+    for block in blocks:
+        u_c[block] = chirp(times[block])
     A, b, C, (sh0, sh1, sh2) = _chirp_loop(plant, dob, dt_sub, n_sub)
     # f = c_y x0 and d = v0 - q0 u_prev; v = z + sh f, with sh the shear
     gamma, cy = dob.gamma, C[0][0]
@@ -790,12 +795,9 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
     if scan is None:
         return False
     # the chunks start at tick k; the steppers hold the scanned state plus
-    # delta at tick s
-    k = s = 0
-    if below == 0.0:
-        # no held call: the loop, and every query of the scan, is skipped
-        np.subtract(u_c, np.multiply(gamma, d_hat, out=i_m), out=i_m)
-        k = n
+    # delta at tick s; with no held call the loop, and every query of the
+    # scan, is skipped
+    k, s = (n if below == 0.0 else 0), 0
     # a held call is decided from its scanned state, so the bound is
     # widened by 1e-9 of v + b taken at the peaks of the segment starts'
     # x1, x0, x1, x2 and command u_prev, which covers the scan's rounding
@@ -822,7 +824,7 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
                 kept = _keeps_input(bound, margin, x, command[held])
                 m = j if kept.all() else int(held[kept.argmin()])
             f_o[k:k + m] += free[0, :m]
-            d_hat[k:k + m], i_m[k:k + m] = d[:m], command[:m]
+            d_hat[k:k + m] = d[:m]
             delta = scan.free(delta, m, slice(None))
             k += m
             if m == j:
@@ -839,12 +841,12 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
                 values = []
                 for u in u_c[k:k + scan.horizon].tolist():
                     u, d = step(u, f)
-                    values += (f, d, u)
+                    values += (f, d)
                     f = advance(u)
                     if not abs(u) < below:
                         break
-                k0, k = k, k + len(values) // 3
-                f_o[k0:k], d_hat[k0:k], i_m[k0:k] = np.fromiter(values, float).reshape(-1, 3).T
+                k0, k = k, k + len(values) // 2
+                f_o[k0:k], d_hat[k0:k] = np.fromiter(values, float).reshape(-1, 2).T
             if not math.isfinite(u):
                 return False
             if k < n:
@@ -852,8 +854,9 @@ def _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob) -> bool:
                 delta = np.array((*plant.state(), z0 + sh0 * f, z1 + sh1 * f, z2 + sh2 * f, u))
                 delta -= scan.state(k)
                 s = k
-    for k0, k1 in blocks:
-        np.multiply(np.arange(k0, k1), T, out=times[k0:k1])
+        # the blend, as the observer's step forms it
+        for block in blocks:
+            i_m[block] -= gamma * d_hat[block]
     return all(bool(np.isfinite(column).all()) for column in (f_o, d_hat, i_m))
 
 
@@ -878,15 +881,16 @@ def run_scenario(sc: SimScenario) -> SimLog:
     without a warning.  A tick records only what it computes: ``f_o``,
     ``i_m`` and ``d_hat``, and with the pendulum also ``f_d``, ``theta``,
     ``theta_dot`` and ``q_hat_a_m``, into a flat list that is copied into
-    those columns every ``_LOG_BLOCK_TICKS`` ticks, when numpy also fills
-    the block's ``t = k * T``; a position chirp's three reference values
-    are recorded on reference ticks only.  After the loop, numpy fills a
-    force step's ``f_d`` (without the pendulum), ``q_hat_a_j = l2 * theta``
-    and the reference columns, each held between reference ticks, in place
-    and without a log-sized temporary.  Each column the scenario writes is
-    its own ``np.zeros(n)`` array (numpy advises huge pages for an
-    allocation of 4 MiB or more, so one ``(12, n)`` array would make every
-    row resident), and every other column is a read-only zero-stride
+    those columns every ``_LOG_BLOCK_TICKS`` ticks; a position chirp's
+    three reference values are recorded on reference ticks only.  Numpy
+    fills ``t = k * T`` once, a block at a time, before either path runs.
+    After the loop, numpy fills a force step's ``f_d`` (without the
+    pendulum), ``q_hat_a_j = l2 * theta`` and the reference columns, each
+    held between reference ticks, in place and without a log-sized
+    temporary.  Each column the scenario writes is its own ``np.zeros(n)``
+    array (numpy advises huge pages for an allocation of 4 MiB or more, so
+    one ``(12, n)`` array would make every row resident), and every other
+    column is a read-only zero-stride
     ``+0.0``, which the CSV writer reads as one value.  Re-running an
     identical scenario yields bit-identical output.  A non-finite pendulum
     state, plant output, desired force or current command raises
@@ -897,21 +901,22 @@ def run_scenario(sc: SimScenario) -> SimLog:
     A current chirp with no pendulum, at any ``gamma``, skips the tick loop
     on a plant without backlash (``_run_open_loop_chirp``): one scan of the
     loop's linear map, whose ``lti.Scan`` gives the scanned state at any
-    tick and the free response of a state.  Without stiction that is all,
-    and ``i_m`` is the chirp less ``gamma`` times the scanned ``d_hat``.
+    tick and the free response of a state.  Without stiction that is all.
     With it, one loop over the scan's chunks carries the steppers' state
     less the scanned one from tick 0 and decides the held calls in bulk
     from the scanned state by the stepper's own bound, widened to cover the
     scan's rounding; only from a held call that the bound does not decide
     as keeping its input do the plant's and the observer's own steppers
-    step, to the end of that window of held calls.  ``t`` equals the tick loop's
-    bit for bit, and so does ``i_m`` at ``gamma = 0``; the scanned columns
-    differ from it in rounding only: ``f_o`` by at most 1e-13 of its peak
-    at ``gamma = 0`` and 1e-10 at ``gamma = 1``, ``d_hat`` by 1e-9 of its
-    peak, and ``i_m`` at ``gamma > 0`` by 1e-9 of ``d_hat``'s.  The block
-    path declines a plant with backlash, every call of which is held, a
-    scan that gives up (on a non-finite value or one of 1e300 or more in
-    magnitude), and a non-finite ``f_o``, ``d_hat`` or ``i_m``; the
+    step, to the end of that window of held calls.  Either way ``i_m`` is
+    formed once, after the loop: the chirp less ``gamma`` times ``d_hat``.
+    ``t`` is the tick loop's own, and ``i_m`` equals the tick loop's bit
+    for bit at ``gamma = 0``; the scanned columns differ from it in
+    rounding only: ``f_o`` by at most 1e-13 of its peak at ``gamma = 0``
+    and 1e-10 at ``gamma = 1``, ``d_hat`` by 1e-9 of its peak, and ``i_m``
+    at ``gamma > 0`` by 1e-9 of ``d_hat``'s.  The block path declines a
+    plant with backlash, every call of which is held, a scan that gives up
+    (on a non-finite value or one of 1e300 or more in magnitude), and a
+    non-finite ``f_o``, ``d_hat`` or ``i_m``; the
     scenario then runs the tick loop on a fresh plant and observer, so
     every ``SimulationFault`` keeps its signal and time.  Every other
     scenario runs the tick loop, sampling the chirp a block of ticks at a
@@ -939,7 +944,6 @@ def run_scenario(sc: SimScenario) -> SimLog:
         # n_sub half-substeps: half a tick per call, two calls a tick
         advance = plant.stepper(0.5 * dt_sub, n_sub)
     else:
-        theta = theta_dot = 0.0
         advance = plant.stepper(dt_sub, n_sub)
     est_play = BacklashPlay(sc.estimate_backlash_m) if sc.estimate_backlash_m > 0.0 else None
 
@@ -963,6 +967,9 @@ def run_scenario(sc: SimScenario) -> SimLog:
     log = {name: np.zeros(n_steps) if name in written else np.broadcast_to(0.0, n_steps)
            for name in LOG_COLUMNS}
     times = log["t"]
+    for k0 in range(0, n_steps, _LOG_BLOCK_TICKS):
+        k1 = min(k0 + _LOG_BLOCK_TICKS, n_steps)
+        np.multiply(np.arange(k0, k1), T, out=times[k0:k1])
     recorded = [log[name] for name in tick_columns]
     width = len(recorded)
     block: list[float] = []
@@ -974,7 +981,7 @@ def run_scenario(sc: SimScenario) -> SimLog:
 
     # a current chirp without the pendulum is the observer loop alone
     if ref.kind == "current_chirp" and pend is None:
-        if _run_open_loop_chirp(log, chirp, T, plant, dt_sub, n_sub, dob):
+        if _run_open_loop_chirp(log, chirp, plant, dt_sub, n_sub, dob):
             return SimLog(**log)
         # the tick loop runs what the block path declines, from a fresh
         # plant and observer, and names any fault at its time
@@ -983,7 +990,6 @@ def run_scenario(sc: SimScenario) -> SimLog:
 
     for k0 in range(0, n_steps, _LOG_BLOCK_TICKS):
         k1 = min(k0 + _LOG_BLOCK_TICKS, n_steps)
-        np.multiply(np.arange(k0, k1), T, out=times[k0:k1])
         if not (position_chirp or force_step):
             u_c = chirp(times[k0:k1]).tolist()
         for k in range(k0, k1):

@@ -406,16 +406,14 @@ def fit_rational(frf: FrequencyResponse, num_order: int, den_order: int,
     s = 1j * (w / w_med)
     m, n = num_order, den_order
     num_cols = np.column_stack([s ** (m - j) for j in range(m + 1)])
-    den_cols = np.column_stack([s ** (n - i) for i in range(1, n + 1)]) if n else None
+    # (w.size, 0) at den_order = 0, so every order takes one path
+    den_cols = np.reshape([s ** (n - i) for i in range(1, n + 1)], (n, w.size)).T
 
     scale = np.ones(w.size)  # Sanathanan-Koerner weights 1/|D_prev(jw)|
     cond = 0.0
     sol = None
     for _ in range(max(1, sk_iterations + 1)):
-        if den_cols is not None:
-            a_mat = np.hstack([num_cols, -(h[:, None]) * den_cols])
-        else:
-            a_mat = num_cols
+        a_mat = np.hstack([num_cols, -(h[:, None]) * den_cols])
         rhs = h * (s ** n)
         a_real = np.vstack([np.real(a_mat * scale[:, None]), np.imag(a_mat * scale[:, None])])
         b_real = np.concatenate([np.real(rhs * scale), np.imag(rhs * scale)])
@@ -426,13 +424,11 @@ def fit_rational(frf: FrequencyResponse, num_order: int, den_order: int,
                 f"rank-deficient normal equations (rank {rank} < {n_unknown}, "
                 f"condition {cond:.3g})"
             )
-        if den_cols is not None:
-            den_scaled = np.concatenate([[1.0], sol[m + 1:]])
-            with np.errstate(divide="ignore"):
-                scale = 1.0 / np.maximum(np.abs(np.polyval(den_scaled, s)), 1e-300)
+        den_scaled = np.concatenate([[1.0], sol[m + 1:]])
+        with np.errstate(divide="ignore"):
+            scale = 1.0 / np.maximum(np.abs(np.polyval(den_scaled, s)), 1e-300)
 
     num_scaled = sol[:m + 1]
-    den_scaled = np.concatenate([[1.0], sol[m + 1:]])
     # undo the frequency scaling: coefficient of s^d picks up w_med^-d, then
     # renormalize monic
     num = num_scaled * w_med ** (n - m + np.arange(m + 1))

@@ -11,7 +11,7 @@ import pytest
 from seactrl import experiments
 from seactrl.cli import build_parser, main
 from seactrl.config import EXPERIMENTS, ConfigError, load_config, write_config
-from seactrl.control import NOMINAL_DEN, NOMINAL_NUM
+from seactrl.control import NOMINAL_DEN, NOMINAL_NUM, build_force_controller, impedance_step
 from seactrl.experiments import _base_scenario
 from seactrl.kinematics import DET_TOL, PendulumMap, ff_force
 from seactrl.plant import ReferenceSpec
@@ -367,25 +367,49 @@ class TestCliCommands:
         assert load_config("pid-step", bad)["pendulum"]["l1"] == 4.2e153
 
     def test_feedforward_rule_is_the_ticks_first_force(self, tmp_path):
-        # the largest l1 whose first feedforward force, formed as the tick
-        # forms it, is finite loads, and the next float is rejected
+        # the largest l1 whose first command, formed as the tick forms it
+        # from the first desired force at theta0 = 0, is finite loads, and
+        # the next float is rejected, though its feedforward force is finite
         cfg = load_config("pendulum-chirp")
         m, g, l2 = (cfg["pendulum"][key] for key in ("m", "g", "l2"))
-        pos, _, acc = linear_chirp_point(cfg["scenario"]["amplitude"],
-                                         cfg["scenario"]["chirp_omega_o"], 0.0)
+        sc = _base_scenario(cfg, ReferenceSpec(kind="position_chirp",
+                                               amplitude=cfg["scenario"]["amplitude"],
+                                               omega_o=cfg["scenario"]["chirp_omega_o"]),
+                            pendulum=experiments._pendulum_config(cfg))
+        pos, vel, acc = linear_chirp_point(sc.reference.amplitude, sc.reference.omega_o, 0.0)
 
         def force(l1):
             return ff_force(PendulumMap(l2), 0.0, m * l1 * l1 * acc + m * g * l1 * math.sin(pos))
 
+        def command(l1):
+            f_d = impedance_step(sc.impedance, l2 * pos, l2 * vel, l2 * 0.0, 0.0, force(l1))
+            step = build_force_controller(sc.pid, sc.omega_c, sc.gamma, sc.k_ff,
+                                          1.0 / sc.controller_hz).stepper()
+            return step(f_d, 0.0)[0]
+
         lo, hi = 1.0, 4.2e153
         while math.nextafter(lo, math.inf) < hi:
             mid = lo + 0.5 * (hi - lo)
-            lo, hi = (mid, hi) if math.isfinite(force(mid)) else (lo, mid)
+            lo, hi = (mid, hi) if math.isfinite(command(mid)) else (lo, mid)
+        assert 1.4797e153 < lo < 1.4798e153 and math.isfinite(force(hi))
         edge = write(tmp_path, "edge.ini", f"[pendulum]\nl1 = {lo!r}\n")
         assert load_config("pendulum-chirp", edge)["pendulum"]["l1"] == lo
         beyond = write(tmp_path, "beyond.ini", f"[pendulum]\nl1 = {hi!r}\n")
         with pytest.raises(ConfigError, match="pendulum.l1"):
             load_config("pendulum-chirp", beyond)
+
+    @pytest.mark.parametrize("key, value", [("l1", 3e153), ("theta0", 1e308)])
+    def test_first_command_that_overflows_exits_2(self, tmp_path, capsys, key, value):
+        # at l1 = 3e153 the first feedforward and desired forces are finite
+        # and the force loop's first command is not; at theta0 = 1e308 the
+        # impedance of the first setpoint against theta0's estimate overflows
+        bad = write(tmp_path, "bad.ini", f"[pendulum]\n{key} = {value!r}\n")
+        out = tmp_path / "o"
+        assert main(["pendulum-chirp", "--config", bad, "--out", str(out)]) == 2
+        assert f"pendulum.{key}: {value:g}" in capsys.readouterr().err
+        assert not out.exists()
+        # only pendulum-chirp runs the position chirp
+        assert load_config("pid-step", bad)["pendulum"][key] == value
 
     def test_pendulum_inertia_rule_reads_m_with_l1(self, tmp_path):
         # m * l1 * l1 = 1e20 is finite, though l1**2 alone is not

@@ -11,6 +11,7 @@ from seactrl.lti import (
     CausalityError,
     ContinuousTransferFunction,
     DiscreteIirFilter,
+    FrequencyResponse,
     NyquistError,
     bilinear_discretize,
     bilinear_num_den,
@@ -303,6 +304,20 @@ class TestFrequencyResponse:
         resp = freq_response(pn, [1e-3 / (2 * np.pi)])  # s = j*1e-3
         assert round(float(resp.magnitude_db[0]), 2) == -13.49
         assert abs(float(resp.phase_deg[0])) < 0.01
+
+    def test_phase_keeps_nan_and_unwraps_across_an_invalid_bin(self):
+        # the phase turns 70 degrees a bin, to 420; bin 3 is invalid, so it
+        # stays NaN, and the valid bins unwrap across it as if adjacent
+        turns = np.radians(70.0 * np.arange(7))
+        values = np.exp(1j * turns)
+        values[3] = complex(np.nan, np.nan)
+        phase = FrequencyResponse(np.arange(1.0, 8.0), values).phase_deg
+        assert np.isnan(phase[3])
+        valid = [0, 1, 2, 4, 5, 6]
+        np.testing.assert_allclose(phase[valid], np.degrees(turns[valid]), rtol=0, atol=1e-9)
+        # every bin valid: one unwrap over the whole response
+        whole = FrequencyResponse(np.arange(1.0, 8.0), np.exp(1j * turns)).phase_deg
+        assert np.array_equal(whole, np.degrees(np.unwrap(np.angle(np.exp(1j * turns)))))
 
     def test_grid_must_increase(self):
         pn = ContinuousTransferFunction([1.0], [1.0, 1.0])

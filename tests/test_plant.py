@@ -1734,9 +1734,9 @@ class TestScenario:
         calls, declined = count_steps(monkeypatch), []
         block_path = plant_module._run_open_loop_chirp
 
-        def spied(log, chirp, T, lsea, dt_sub, n_sub, dob):
+        def spied(log, chirp, lsea, dt_sub, n_sub, dob):
             stepped = len(calls)
-            declined.append(block_path(log, chirp, T, lsea, dt_sub, n_sub, dob))
+            declined.append(block_path(log, chirp, lsea, dt_sub, n_sub, dob))
             assert len(calls) == stepped
             assert lsea.state() == (0.0,) * 3 and dob.state() == (0.0,) * 4
             return declined[-1]
@@ -1749,6 +1749,45 @@ class TestScenario:
         monkeypatch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
         tick = run_scenario(sc)
         assert np.all(np.isfinite(tick.d_hat)) and np.any(tick.d_hat != 0.0)
+        for name in LOG_COLUMNS:
+            assert np.array_equal(bits(log.column(name)), bits(tick.column(name))), name
+
+    def test_stepped_window_with_non_finite_command_declines(self, monkeypatch):
+        # the first plant's stepper gives NaN on a held call, so the stepped
+        # window's next command is NaN: the block path returns False at that
+        # window, after a scan that succeeded, with the NaN force it recorded
+        # the only non-finite f_o, and the tick loop, on a fresh plant, logs
+        # what the forced tick loop logs, bit for bit
+        sc = SimScenario(reference=CHIRP, duration_s=1.0, gamma=1.0, controller_hz=1000,
+                         plant_hz=5000,
+                         plant=PlantConfig(SHIPPED_DEN_FACTORS, stiction_breakaway=0.15))
+        stepper, plants, poisoned = LseaPlant.stepper, [], []
+
+        def poison_first(lsea, *args):
+            step = stepper(lsea, *args)
+            plants.append(lsea)
+            if lsea is not plants[0]:
+                return step
+
+            def held_nan(u):
+                if abs(u) < lsea.held_below:
+                    poisoned.append(u)
+                    return math.nan
+                return step(u)
+
+            return held_nan
+
+        monkeypatch.setattr(LseaPlant, "stepper", poison_first)
+        non_finite = []
+        results = spy_on(monkeypatch, "_run_open_loop_chirp", lambda args, _: non_finite.append(
+            np.count_nonzero(~np.isfinite(args[0]["f_o"]))))
+        scans = spy_on(monkeypatch, "block_scan")
+        log = run_scenario(sc)
+        assert results == [False] and scans[0] is not None
+        assert len(poisoned) == 1 and non_finite == [1]
+        monkeypatch.setattr(plant_module, "_run_open_loop_chirp", lambda *args: False)
+        tick = run_scenario(sc)
+        assert np.all(np.isfinite(log.i_m)) and np.any(np.abs(log.i_m) < 0.15)
         for name in LOG_COLUMNS:
             assert np.array_equal(bits(log.column(name)), bits(tick.column(name))), name
 
