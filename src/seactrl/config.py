@@ -4,8 +4,12 @@ Defaults are layered: package baseline, then per-experiment defaults, then
 the user's file.  Each quantity is set by one key, whose type and sign rule
 its ``_SCHEMA`` entry states.  Unknown sections or keys, and values that
 parse but cannot run (after layering), are rejected with the offending
-``section.key`` path.  The fully resolved configuration is echoed into each
-experiment's output directory so a run can be reproduced from it exactly.
+``section.key`` path.  This module holds the schema and the rules on the
+values and the constants formed from them; a first tick that cannot run
+is rejected where the scenario is built, at ``experiments._base_scenario``,
+which runs the tick's own first step.  The fully resolved configuration is
+echoed into each experiment's output directory so a run can be reproduced
+from it exactly.
 """
 
 from __future__ import annotations
@@ -14,11 +18,8 @@ import configparser
 import math
 from pathlib import Path
 
-from .control import (NOMINAL_DEN, NOMINAL_NUM, ImpedanceConfig, PidConfig,
-                      build_force_controller, impedance_step)
-from .kinematics import DET_TOL, PendulumMap, actuator_setpoints, ff_force
-from .plant import BacklashPlay
-from .sysid import linear_chirp_point
+from .control import NOMINAL_DEN, NOMINAL_NUM
+from .kinematics import DET_TOL
 
 __all__ = ["ConfigError", "EXPERIMENTS", "load_config", "write_config"]
 
@@ -284,28 +285,6 @@ def _check_semantics(cfg: dict, experiment: str) -> None:
             "control.omega_c_hz",
             f"{omega_c_hz} must lie between 0 and the controller's Nyquist rate "
             f"({0.5 * controller_hz:g} Hz)")
-    # pendulum-chirp's first tick, as the tick forms it: the feedforward
-    # force at the position chirp's first point, the desired force (the
-    # impedance of the first setpoint against theta0's estimate, plus that
-    # force) and the command of the force loop's own stepper at f_o = 0; a
-    # play of width 0 passes the estimate through but for the sign of a zero
-    if experiment == "pendulum-chirp":
-        c, p, pmap = cfg["control"], cfg["pendulum"], PendulumMap(l2)
-        pos, vel, acc = linear_chirp_point(sn["amplitude"], sn["chirp_omega_o"], 0.0)
-        f_ff = ff_force(pmap, p["theta0"], inertia * acc + mgl * math.sin(pos))
-        q_hat = BacklashPlay(p["estimate_backlash_m"]).step(l2 * p["theta0"])
-        f_d = impedance_step(ImpedanceConfig(c["k"], c["b"]),
-                             *actuator_setpoints(pmap, pos, vel, p["theta0"]), q_hat, 0.0, f_ff)
-        pid = PidConfig.from_gain_row(c["k_p"], c["k_i"], c["k_d"], lambda_c)
-        i_m = build_force_controller(pid, 2.0 * math.pi * omega_c_hz, gamma, 1e-3 * c["k_ff"],
-                                     1.0 / controller_hz).stepper()(f_d, 0.0)[0]
-        if not math.isfinite(i_m):
-            key = "theta0" if math.isfinite(f_ff) and not math.isfinite(f_d) else "l1"
-            raise ConfigError(f"pendulum.{key}", f"{p[key]} gives a first feedforward force of "
-                              f"{f_ff:g} (with pendulum.m {m}, scenario.amplitude "
-                              f"{sn['amplitude']}, scenario.chirp_omega_o {sn['chirp_omega_o']} "
-                              f"and pendulum.l2 {l2}), a first desired force f_d = {f_d:g} and "
-                              f"a first command i_m = {i_m:g}; all three must be finite")
 
 
 def write_config(cfg: dict, path: str | Path) -> None:

@@ -11,6 +11,7 @@ identification round trip.  Experiments write CSV logs plus a flat
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .plant import (
     PlantConfig,
     ReferenceSpec,
     SimScenario,
+    first_tick_fault,
     run_scenario,
 )
 from .sysid import (
@@ -53,8 +55,22 @@ _CHIRP_KEYS = {name: f"scenario.chirp_{name}" for name in ("f_start", "f_end", "
 
 
 def _base_scenario(cfg: dict, reference: ReferenceSpec, **overrides) -> SimScenario:
-    """The configured scenario with ``overrides``, validated; a chirp field
-    that ``SimScenario.validate`` rejects is reported under its config key."""
+    """The configured scenario with ``overrides``, validated and its first
+    tick run: the door of every simulated experiment, passed before
+    anything is written.
+
+    A chirp field that ``SimScenario.validate`` rejects is reported under
+    its config key.  So is a first tick that faults
+    (``plant.first_tick_fault``, the run's own first tick) where the same
+    tick with the reference at rest runs: under ``scenario.step_force`` for
+    a force step (at rest at ``step_value = 0``), and for a position chirp
+    (at rest at ``amplitude = 0`` and ``theta0 = 0``) under
+    ``pendulum.theta0`` when the tick runs from ``theta0 = 0``, else
+    ``pendulum.l1``.  A fault that the tick at rest keeps (a gain's, say)
+    is pinned on no key, and the run reports its signal.  A current
+    chirp's first tick is not run: its first command is the sweep at
+    t = 0, exactly 0.
+    """
     sn = cfg["scenario"]
     c = cfg["control"]
     kwargs = dict(
@@ -77,7 +93,20 @@ def _base_scenario(cfg: dict, reference: ReferenceSpec, **overrides) -> SimScena
         if getattr(exc, "field", None) not in _CHIRP_KEYS:
             raise
         raise ConfigError(_CHIRP_KEYS[exc.field], str(exc)) from None
-    return sc
+    if reference.kind == "current_chirp" or (fault := first_tick_fault(sc)) is None:
+        return sc
+    key, level, given = "scenario.step_force", sc, f"scenario.step_time {reference.step_time}"
+    if reference.kind == "position_chirp":
+        pend, level = sc.pendulum, replace(sc, pendulum=replace(sc.pendulum, theta0=0.0))
+        key = "pendulum.theta0" if first_tick_fault(level) is None else "pendulum.l1"
+        given = (f"pendulum.m {pend.m}, scenario.amplitude {reference.amplitude}, "
+                 f"scenario.chirp_omega_o {reference.omega_o} and pendulum.l2 {pend.l2}")
+    # the reference at rest, a position chirp's from theta0 = 0 (level)
+    rest = {"amplitude" if reference.kind == "position_chirp" else "step_value": 0.0}
+    if first_tick_fault(replace(level, reference=replace(reference, **rest))) is not None:
+        return sc
+    section, name = key.split(".")
+    raise ConfigError(key, f"{cfg[section][name]:g} (with {given}) stops the first tick: {fault}")
 
 
 def _tagged(cfg: dict, key: str) -> list[tuple[float, str]]:
@@ -224,19 +253,17 @@ def dob_verify(cfg: dict, out_dir) -> dict:
 
 def pid_step(cfg: dict, out_dir) -> dict:
     """Force-step responses across the derivative-gain sweep."""
-    kds = _tagged(cfg, "kd_sweep")
-    out = _prepare_out(cfg, out_dir)
     sn = cfg["scenario"]
     step_force = sn["step_force"]
+    # built, and so checked, before anything is written
+    scenarios = {tag: _base_scenario(
+        cfg,
+        ReferenceSpec(kind="force_step", step_value=step_force, step_time=sn["step_time"]),
+        pid=replace(_pid_config(cfg), k_d=kd),
+    ) for kd, tag in _tagged(cfg, "kd_sweep")}
+    out = _prepare_out(cfg, out_dir)
     summary: dict = {"experiment": "pid-step", "step_force_n": step_force}
-    base_pid = _pid_config(cfg)
-    for kd, tag in kds:
-        sc = _base_scenario(
-            cfg,
-            ReferenceSpec(kind="force_step", step_value=step_force,
-                          step_time=sn["step_time"]),
-            pid=PidConfig(base_pid.k_p, base_pid.k_i, kd, base_pid.lam),
-        )
+    for tag, sc in scenarios.items():
         log = run_scenario(sc)
         log.to_csv(out / f"step_kd{tag}.csv")
         settle = log.f_o[log.t >= 0.75 * sn["duration_s"]]
@@ -361,7 +388,7 @@ def pendulum_chirp(cfg: dict, out_dir, dob: str = "both") -> dict:
     }
 
     runs = {tag: g for tag, g in (("on", gamma_on), ("off", 0.0)) if dob in (tag, "both")}
-    # built, and so validated, before anything is written
+    # built, and so checked, before anything is written
     scenarios = {tag: _base_scenario(
         cfg,
         ReferenceSpec(kind="position_chirp", amplitude=sn["amplitude"], omega_o=omega_o),

@@ -96,6 +96,7 @@ __all__ = [
     "SimScenario",
     "SimLog",
     "run_scenario",
+    "first_tick_fault",
 ]
 
 class SimulationFault(RuntimeError):
@@ -920,11 +921,32 @@ def run_scenario(sc: SimScenario) -> SimLog:
     scenario then runs the tick loop on a fresh plant and observer, so
     every ``SimulationFault`` keeps its signal and time.  Every other
     scenario runs the tick loop, sampling the chirp a block of ticks at a
-    time.
+    time.  ``first_tick_fault`` runs the same loop for one tick.
     """
     sc.validate()
+    return _run(sc, int(round(sc.duration_s * sc.controller_hz)))
+
+
+def first_tick_fault(sc: SimScenario) -> SimulationFault | None:
+    """The ``SimulationFault`` that ``run_scenario``'s loop raises on the
+    first tick of ``sc``, or None when that tick runs.
+
+    ``sc`` is taken as validated and is not validated again, so a caller
+    may put the reference at rest (a chirp's ``amplitude``, a step's
+    ``step_value`` at 0).  The one-tick run steps as a run's first tick
+    does, so its fault is the fault at t = 0 of every run of ``sc`` that
+    has a tick.
+    """
+    try:
+        _run(sc, 1)
+    except SimulationFault as fault:
+        return fault
+    return None
+
+
+def _run(sc: SimScenario, n_steps: int) -> SimLog:
+    """``run_scenario``'s body: ``n_steps`` ticks of the validated ``sc``."""
     T = 1.0 / sc.controller_hz
-    n_steps = int(round(sc.duration_s * sc.controller_hz))
     n_sub = sc.plant_hz // sc.controller_hz
     dt_sub = 1.0 / sc.plant_hz
     ref_div = sc.controller_hz // sc.reference_hz

@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seactrl import experiments
+from seactrl import experiments, plant
 from seactrl.cli import build_parser, main
 from seactrl.config import EXPERIMENTS, ConfigError, load_config, write_config
 from seactrl.control import NOMINAL_DEN, NOMINAL_NUM, build_force_controller, impedance_step
 from seactrl.experiments import _base_scenario
 from seactrl.kinematics import DET_TOL, PendulumMap, ff_force
-from seactrl.plant import ReferenceSpec
+from seactrl.plant import ReferenceSpec, SimulationFault
 from seactrl.sysid import TimeSeries, linear_chirp_point
 
 FAST_SCENARIO = """
@@ -28,6 +28,18 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def first_scenario(command, cfg):
+    """``_base_scenario`` of the first scenario ``command`` builds from ``cfg``."""
+    sn = cfg["scenario"]
+    if command == "pid-step":
+        return _base_scenario(cfg, ReferenceSpec(kind="force_step", step_value=sn["step_force"],
+                                                 step_time=sn["step_time"]))
+    return _base_scenario(cfg, ReferenceSpec(kind="position_chirp", amplitude=sn["amplitude"],
+                                             omega_o=sn["chirp_omega_o"]),
+                          pendulum=experiments._pendulum_config(cfg),
+                          estimate_backlash_m=cfg["pendulum"]["estimate_backlash_m"])
 
 
 class TestConfig:
@@ -366,10 +378,11 @@ class TestCliCommands:
         # only pendulum-chirp runs the position chirp
         assert load_config("pid-step", bad)["pendulum"]["l1"] == 4.2e153
 
-    def test_feedforward_rule_is_the_ticks_first_force(self, tmp_path):
+    def test_feedforward_rule_is_the_ticks_first_force(self):
         # the largest l1 whose first command, formed as the tick forms it
-        # from the first desired force at theta0 = 0, is finite loads, and
-        # the next float is rejected, though its feedforward force is finite
+        # from the first desired force at theta0 = 0, is finite passes the
+        # door, and the next float is rejected, though its feedforward
+        # force is finite
         cfg = load_config("pendulum-chirp")
         m, g, l2 = (cfg["pendulum"][key] for key in ("m", "g", "l2"))
         sc = _base_scenario(cfg, ReferenceSpec(kind="position_chirp",
@@ -392,11 +405,11 @@ class TestCliCommands:
             mid = lo + 0.5 * (hi - lo)
             lo, hi = (mid, hi) if math.isfinite(command(mid)) else (lo, mid)
         assert 1.4797e153 < lo < 1.4798e153 and math.isfinite(force(hi))
-        edge = write(tmp_path, "edge.ini", f"[pendulum]\nl1 = {lo!r}\n")
-        assert load_config("pendulum-chirp", edge)["pendulum"]["l1"] == lo
-        beyond = write(tmp_path, "beyond.ini", f"[pendulum]\nl1 = {hi!r}\n")
+        cfg["pendulum"]["l1"] = lo
+        assert first_scenario("pendulum-chirp", cfg).pendulum.l1 == lo
+        cfg["pendulum"]["l1"] = hi
         with pytest.raises(ConfigError, match="pendulum.l1"):
-            load_config("pendulum-chirp", beyond)
+            first_scenario("pendulum-chirp", cfg)
 
     @pytest.mark.parametrize("key, value", [("l1", 3e153), ("theta0", 1e308)])
     def test_first_command_that_overflows_exits_2(self, tmp_path, capsys, key, value):
@@ -410,6 +423,54 @@ class TestCliCommands:
         assert not out.exists()
         # only pendulum-chirp runs the position chirp
         assert load_config("pid-step", bad)["pendulum"][key] == value
+
+    @pytest.mark.parametrize("command, text, at_t0, key", [
+        *[("pendulum-chirp", f"[pendulum]\nl1 = {l1}\n", key is not None, key)
+          for l1, key in (("0.33", None), ("1.4e153", None), ("1.47975e153", None),
+                          ("1.4798e153", "pendulum.l1"), ("3e153", "pendulum.l1"),
+                          ("4.2e153", "pendulum.l1"))],
+        ("pendulum-chirp", "[pendulum]\ntheta0 = 1e308\n", True, "pendulum.theta0"),
+        # the tick with the reference at rest faults too: no key to pin it on
+        ("pendulum-chirp", "[control]\nk_d = 1e308\nlambda_c = 1e308\n", True, None),
+        ("pid-step", "[scenario]\nstep_force = 1e308\nstep_time = 0\n", True,
+         "scenario.step_force"),
+        ("pid-step", "[scenario]\nstep_force = 1e308\nstep_time = 0.1\n", False, None),
+    ])
+    def test_door_agrees_with_the_run(self, tmp_path, monkeypatch, command, text, at_t0, key):
+        # the run of the scenario the door is given faults at t = 0 exactly
+        # when at_t0, and the door rejects it, naming key, exactly when it
+        # can pin that fault on a key
+        cfg = load_config(command, write(tmp_path, "case.ini", text))
+        with monkeypatch.context() as door_open:
+            door_open.setattr(experiments, "first_tick_fault", lambda sc: None)
+            sc = first_scenario(command, cfg)
+        try:
+            experiments.run_scenario(sc)
+            fault = None
+        except SimulationFault as exc:
+            fault = exc
+        assert (fault is not None and fault.time == 0.0) == at_t0
+        if key is None:
+            assert first_scenario(command, cfg) == sc
+        else:
+            with pytest.raises(ConfigError, match=re.escape(key)) as rejected:
+                first_scenario(command, cfg)
+            assert str(fault) in str(rejected.value)
+
+    def test_door_runs_no_scenario(self, monkeypatch):
+        # the door runs the tick's first step, never run_scenario, which
+        # perfbench times as a simulated run
+        def run_scenario(sc):
+            raise AssertionError("the door called run_scenario")
+
+        monkeypatch.setattr(plant, "run_scenario", run_scenario)
+        monkeypatch.setattr(experiments, "run_scenario", run_scenario)
+        for command in ("pendulum-chirp", "pid-step"):
+            cfg = load_config(command)
+            assert first_scenario(command, cfg).duration_s == cfg["scenario"]["duration_s"]
+        cfg["scenario"]["step_force"], cfg["scenario"]["step_time"] = 1e308, 0.0
+        with pytest.raises(ConfigError, match="scenario.step_force"):
+            first_scenario("pid-step", cfg)
 
     def test_pendulum_inertia_rule_reads_m_with_l1(self, tmp_path):
         # m * l1 * l1 = 1e20 is finite, though l1**2 alone is not
