@@ -94,9 +94,11 @@ def taylor_shift(coeffs, shift: float = 1.0) -> np.ndarray:
     """
     c = np.array(coeffs, dtype=float).ravel()
     m = c.size
-    for i in range(m - 1):
-        for j in range(1, m - i):
-            c[j] += shift * c[j - 1]
+    # an overflow leaves inf or nan, which the run that uses them reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(m - 1):
+            for j in range(1, m - i):
+                c[j] += shift * c[j - 1]
     return c
 
 

@@ -38,8 +38,8 @@ __all__ = [
     "write_frf_csv",
 ]
 
-# varying values formatted per block: bounds the kernel's transient arrays
-_CSV_BLOCK_VALUES = 4096
+# varying values formatted per kernel call: bounds the kernel's transient arrays
+_CSV_BLOCK_VALUES = 8192
 # byte slots of one value's ``%.9g`` field in ``_format_g9``; unused slots
 # hold NUL, which the writer drops
 _G9_SLOTS = 27
@@ -50,77 +50,126 @@ _SPECTRUM_FLOOR = 1e-12
 # argument of its exp stays below 1022 ln 2 (``exponential_chirp``)
 _SWEEP_RATIO_LIMIT = 2.0**1022
 
+# ``_format_g9``'s constants: exact powers of ten up to 1e22, the digit
+# positions 1-9, and for each ``0.000`` slot the highest point position
+# that shows it and its byte
+_P10 = np.array([float(10 ** i) for i in range(23)])
+_ONE_TO_NINE = np.arange(1, 10, dtype=np.int8)[:, None]
+_LEAD_BELOW = np.array([-1, -1, -2, -3, -4], np.int8)[:, None]
+_LEAD_BYTES = np.array([48, 46, 48, 48, 48], np.uint8)[:, None]  # "0.000"
+
 
 class FitError(RuntimeError):
     """Raised when the rational fit is rank-deficient or under-determined."""
 
 
-def _format_g9(x: np.ndarray) -> np.ndarray:
-    """``"%.9g" % v`` of each value of the float64 vector ``x``, as the
-    columns of a ``(_G9_SLOTS, x.size)`` uint8 matrix padded with NUL.
+def _scaled(x: np.ndarray):
+    """``|x|`` scaled by an exact power of ten ``10^k`` onto about [1e8, 1e9),
+    with the decimal exponent ``8 - k`` (``int8``), the mask of +-0, and
+    the mask of values in the kernel's range 1e-14 <= |v| < 1e31 or +-0.
+    A zero, like each value out of range, is scaled as 1.0 (exponent 0).
+
+    ``k`` comes from ``floor(log10|v|)``, which can round across a power
+    of ten; ``_nine_digits`` checks the scaled value.  A negative ``k``
+    divides by ``10^-k``, so every scaled value is rounded once.
+    """
+    s = np.abs(x)
+    zero = s == 0.0
+    ok = (s >= 1e-14) & (s < 1e31)
+    s[~ok] = 1.0
+    k = np.clip(8.0 - np.floor(np.log10(s)), -22.0, 22.0).astype(np.intp)
+    exp10 = (8 - k).astype(np.int8)
+    big = np.flatnonzero(k < 0)
+    scaled_big = s[big] / _P10[-k[big]]
+    s *= _P10[np.abs(k, out=k)]
+    s[big] = scaled_big
+    return s, exp10, zero, ok | zero
+
+
+def _nine_digits(x: np.ndarray):
+    """The nine significant digits of each value of the float64 vector
+    ``x`` as one ``uint32``, its decimal exponent (``int8``), and whether
+    both are right (``ok``); ``_format_g9`` lays them out.
+
+    A value with 1e-14 <= |v| < 1e31 is scaled onto [1e8, 1e9)
+    (``_scaled``), rounded once there (by at most 6e-8), and its nearest
+    integer holds the nine digits; +-0 gets the digits 0 and exponent 0.
+    ``ok`` is false for NaN, +-inf, |v| outside that range, a scaled value
+    whose fraction lies within 1e-6 of one half (a tie, or too close to
+    call), and one whose decimal exponent came out too high or low.
+    """
+    s, exp10, zero, ok = _scaled(x)
+    r = np.rint(s)
+    ok &= s >= 99999999.96
+    ok &= r <= 1e9
+    s -= r
+    ok &= np.abs(s, out=s) < 0.499999
+    carry = r == 1e9  # the digits rounded up to 1e9: 1e8, one decade higher
+    r[carry | ~ok] = 1e8
+    r[zero] = 0.0
+    exp10 += carry.view(np.int8)
+    return r.astype(np.uint32), exp10, ok
+
+
+def _digits(d: np.ndarray, digits: np.ndarray) -> None:
+    """Write the nine decimal digits of each ``uint32`` of ``d`` (below
+    1e9) down the rows of ``digits``, a ``(9, d.size)`` uint8 array, most
+    significant first: three three-digit groups, split in uint16 lanes.
+    ``d`` is overwritten."""
+    groups = np.empty((3, d.size), np.uint16)
+    q = d // 1000
+    groups[2] = d - q * 1000
+    np.floor_divide(q, 1000, out=d)
+    groups[0] = d
+    groups[1] = q - d * 1000
+    tens = groups // 10
+    hundreds = digits[0::3]
+    np.floor_divide(tens, 10, out=hundreds)
+    np.subtract(tens, hundreds * np.uint8(10), out=digits[1::3])
+    tens *= 10
+    np.subtract(groups, tens, out=digits[2::3])
+
+
+def _format_g9(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``"%.9g" % v`` of each value of the float64 vector ``x``, written as
+    the columns of ``out``, a ``(_G9_SLOTS, x.size)`` uint8 array, padded
+    with NUL; returns ``out``.
 
     Slot 0 holds the sign, slots 1-5 the ``0.000`` that fixed notation puts
     before a value below 1, slots 6-22 the nine significant digits with a
     decimal-point slot after each of the first eight, and slots 23-26 the
-    ``e+XX`` of scientific notation; a slot the value does not use is NUL.
+    ``e+XX`` of scientific notation.  A slot the value does not use is NUL,
+    and ``write_csv`` drops the slots that no value of a block uses.
 
-    A value with 1e-14 <= |v| < 1e31 is scaled by an exact power of ten
-    onto [1e8, 1e9), so the scaled value is rounded once (by at most 6e-8),
-    and its nearest integer holds the nine digits.  Python formats the rest:
-    +-0, NaN, +-inf, |v| outside that range, a scaled value whose fraction
-    lies within 1e-6 of one half (a tie, or too close to call), and one
-    whose decimal exponent ``floor(log10|v|)`` came out too high or low.
+    The digits and exponent come from ``_nine_digits``, so +-0 shows as
+    ``0`` after its sign; Python formats each value it marks not ``ok``.
+    NaN compares false, so call it under ``np.errstate(invalid="ignore")``.
     """
-    n = x.size
-    a = np.abs(x)
-    with np.errstate(invalid="ignore"):  # NaN compares false: formatted by Python
-        ok = (a >= 1e-14) & (a < 1e31)
-    a[~ok] = 1.0
-    p10 = np.array([float(10 ** i) for i in range(23)])  # exact up to 1e22
-    # scale by 10^k onto [1e8, 1e9); floor(log10) can round across a power of ten
-    k = np.clip(8.0 - np.floor(np.log10(a)), -22.0, 22.0).astype(np.intp)
-    s = a * p10[np.abs(k)]
-    big = np.flatnonzero(k < 0)
-    s[big] = a[big] / p10[-k[big]]
-    r = np.rint(s)
-    ok &= (s >= 99999999.96) & (r <= 1e9) & (np.abs(s - r) < 0.499999)
-    carry = r == 1e9  # the digits rounded up to 1e9: 1e8, one decade higher
-    r[carry | ~ok] = 1e8
-    exp10 = (8 - k).astype(np.int8) + carry.view(np.int8)
-
-    # nine digits from three three-digit groups, in uint16 lanes
-    d = r.astype(np.uint32)
-    groups = np.empty((3, n), np.uint16)
-    groups[0] = d // 1000000
-    groups[1] = d // 1000 % 1000
-    groups[2] = d % 1000
-    digits = np.empty((3, 3, n), np.uint8)
-    tens = groups // 10
-    hundreds = tens // 10
-    digits[:, 0] = hundreds
-    digits[:, 1] = tens - hundreds * 10
-    digits[:, 2] = groups - tens * 10
-    digits = digits.reshape(9, n)
-    one_to_nine = np.arange(1, 10, dtype=np.int8)[:, None]
-    sig = ((digits != 0).view(np.int8) * one_to_nine).max(axis=0)  # trailing zeros cut
+    d, exp10, ok = _nine_digits(x)
+    digits = out[6:23:2]
+    _digits(d, digits)
+    sig = ((digits != 0).view(np.int8) * _ONE_TO_NINE).max(axis=0)  # trailing zeros cut
 
     fixed = (exp10 >= -4) & (exp10 < 9)
     point = exp10 * fixed.view(np.int8)  # digit the point follows; 0 in scientific
     kept = np.maximum(sig, point + np.int8(1))  # digits shown, integer zeros included
-    out = np.empty((_G9_SLOTS, n), np.uint8)
+    digits += np.uint8(48)
+    digits *= _ONE_TO_NINE <= kept
     out[0] = np.signbit(x).view(np.uint8) * np.uint8(45)  # "-"
-    lead_below = np.array([-1, -1, -2, -3, -4], np.int8)[:, None]
-    out[1:6] = ((point <= lead_below).view(np.uint8)
-                * np.array([48, 46, 48, 48, 48], np.uint8)[:, None])  # "0.000"
-    out[6:23:2] = (digits + np.uint8(48)) * (one_to_nine <= kept).view(np.uint8)
-    out[7:22:2] = (((one_to_nine[:8] == point + np.int8(1)) & (one_to_nine[:8] < sig))
-                   .view(np.uint8) * np.uint8(46))  # "."
-    sci = (~fixed).view(np.uint8)
-    mag = np.abs(exp10).view(np.uint8)
-    out[23] = sci * np.uint8(101)  # "e"
-    out[24] = sci * (np.uint8(43) + (exp10 < 0).view(np.uint8) * np.uint8(2))  # "+" or "-"
-    out[25] = sci * (mag // np.uint8(10) + np.uint8(48))
-    out[26] = sci * (mag % np.uint8(10) + np.uint8(48))
+    np.multiply(point <= _LEAD_BELOW, _LEAD_BYTES, out=out[1:6])
+    follows = point + np.int8(1)
+    follows[follows >= sig] = 0  # no point after the last digit shown
+    np.multiply(_ONE_TO_NINE[:8] == follows, np.uint8(46), out=out[7:22:2])  # "."
+    out[23:] = 0
+    sci = np.flatnonzero(~fixed)  # "e", the exponent's sign and its two digits
+    if sci.size:
+        e10 = exp10[sci]
+        mag = np.abs(e10).view(np.uint8)
+        tens = mag // np.uint8(10)
+        out[23, sci] = 101
+        out[24, sci] = np.uint8(43) + (e10 < 0).view(np.uint8) * np.uint8(2)  # "+" or "-"
+        out[25, sci] = tens + np.uint8(48)
+        out[26, sci] = mag - tens * np.uint8(10) + np.uint8(48)
 
     rest = np.flatnonzero(~ok)
     if rest.size:
@@ -140,9 +189,12 @@ def write_csv(path, header, columns) -> None:
     - A column whose values all share one bit pattern (compared as
       ``uint64``, so ``0.0`` and ``-0.0`` differ and NaN matches itself) is
       formatted once, into a row buffer that also holds the separators.
-    - The other columns are formatted ``_CSV_BLOCK_VALUES`` values at a time
-      by the numpy kernel ``_format_g9``, copied into that buffer, and
-      written with the kernel's NUL padding dropped.
+    - The other columns are formatted a block of rows at a time, with
+      ``_CSV_BLOCK_VALUES`` values per call of the numpy kernel
+      ``_format_g9``.  Each column's field in the row buffer holds only
+      the kernel slots that some value of the block uses; the buffer is
+      rebuilt when a block's field widths differ from the last block's.
+      The rows are written with the remaining NUL padding dropped.
 
     Raises ``ValueError`` when the columns differ in length.
     """
@@ -151,27 +203,41 @@ def write_csv(path, header, columns) -> None:
     for j, c in enumerate(cols):
         if c.size != n:
             raise ValueError(f"column {j} has {c.size} values, column 0 has {n}")
-    row, varying = bytearray(), []  # varying: (offset in row, column)
+    texts, varying = [b""], []  # texts: the row's constant bytes around each varying field
     for c in cols:
         bits = c.view(np.uint64)
         if n and (bits == bits[0]).all():
-            row += ("%.9g" % c[0]).encode()
+            texts[-1] += ("%.9g" % c[0]).encode()
         else:
-            varying.append((len(row), c))
-            row += bytes(_G9_SLOTS)
-        row += b","
-    row[-1:] = b"\n"
-    rows = max(1, _CSV_BLOCK_VALUES // max(1, len(varying)))
-    buf = np.tile(np.frombuffer(row, np.uint8), (min(rows, n), 1))
-    with open(path, "wb") as fh:
+            varying.append(c)
+            texts.append(b"")
+        texts[-1] += b","
+    texts[-1] = texts[-1][:-1] + b"\n"
+    v = len(varying)
+    rows = max(1, min(n, _CSV_BLOCK_VALUES // max(1, v)))
+    values = np.empty(v * rows)  # a block's varying columns, one after another
+    slots = np.empty((_G9_SLOTS, v * rows), np.uint8)  # the kernel's output
+    text, widths = slots, None  # text stays the empty slots when no column varies
+    with open(path, "wb") as fh, np.errstate(invalid="ignore"):
         fh.write((",".join(header) + "\n").encode())
         for s in range(0, n, rows):
             m = min(rows, n - s)
             if varying:
-                text = _format_g9(np.concatenate([c[s:s + m] for _, c in varying]))
-                for j, (off, _) in enumerate(varying):
-                    buf[:m, off:off + _G9_SLOTS] = text[:, j * m:(j + 1) * m].T
-            fh.write(buf[:m].tobytes().translate(None, b"\0"))
+                x = np.concatenate([c[s:s + m] for c in varying], out=values[:v * m])
+                text = _format_g9(x, slots[:, :v * m])
+            used = text.reshape(_G9_SLOTS, v, m).any(axis=2)
+            last, widths = widths, used.sum(axis=0).tolist()
+            if widths != last:
+                row, spans = bytearray(texts[0]), []  # spans: each varying field in the row
+                for w, t in zip(widths, texts[1:]):
+                    spans.append((len(row), len(row) + w))
+                    row += bytes(w) + t
+                rows_bytes = row * rows  # buf, a numpy view, writes into these bytes
+                buf = np.frombuffer(rows_bytes, np.uint8).reshape(rows, len(row))
+            for j, (a, b) in enumerate(spans):
+                buf[:m, a:b] = text[used[:, j], j * m:(j + 1) * m].T
+            fh.write((rows_bytes if m == rows else rows_bytes[:m * len(row)])
+                     .translate(None, b"\0"))
 
 
 @dataclass

@@ -543,6 +543,16 @@ class TestCliCommands:
         assert code == 3
         assert "t =" in capsys.readouterr().err
 
+    def test_gains_that_overflow_the_tustin_chain_exit_3_without_warning(self, tmp_path,
+                                                                        capsys):
+        cfg = write(tmp_path, "gains.ini", "[control]\nk_p = 1e308\nk_i = 1e308\n"
+                    "k_d = 1e308\n[scenario]\nduration_s = 0.5\n")
+        code = main(["pendulum-chirp", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "non-finite i_m at t = 0.001000 s" in err
+        assert "Warning" not in err
+
     def test_pid_step_smoke(self, tmp_path):
         cfg = write(tmp_path, "fast.ini",
                     "[scenario]\nduration_s = 1.0\nplant_hz = 5000\nkd_sweep = 0.0, 0.25\n")

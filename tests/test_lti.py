@@ -85,6 +85,12 @@ class TestTaylorShift:
         # 2(x+1)^3 + (x+1) + 5 = 2x^3 + 6x^2 + 7x + 8
         assert np.allclose(taylor_shift([2.0, 0.0, 1.0, 5.0]), [2.0, 6.0, 7.0, 8.0])
 
+    def test_overflow_gives_non_finite_coefficients_without_warning(self):
+        # a PID's Tustin chain at gains of 1e308: the run that uses these
+        # coefficients reports the fault, so the shift itself stays quiet
+        got = taylor_shift([1e308, 1e308, 1e308])
+        assert np.isinf(got[1:]).all()
+
     def test_negative_shift_inverts(self):
         rng = np.random.default_rng(0)
         c = rng.normal(size=6)

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,17 +284,62 @@ class TestWriteCsv:
 
     # a block is _CSV_BLOCK_VALUES // k rows of k varying columns, formatted
     # in one kernel call and copied column by column into the row buffer,
-    # between constant columns; the files below span two blocks and a row
-    @pytest.mark.parametrize("varying", [1, 3, 5, 12])
-    def test_block_edges_match_oracle(self, tmp_path, varying):
-        per_block = _CSV_BLOCK_VALUES // varying
-        rows = 2 * per_block + 1
+    # between constant columns; the files below end a row short of a block,
+    # a row past it, and one and three rows past two blocks
+    @pytest.mark.parametrize("varying", [1, 2, 3, 4, 5, 12])
+    @pytest.mark.parametrize("past", [(1, -1), (1, 1), (2, 1), (2, 3)],
+                             ids=["block-1", "block+1", "2blocks+1", "2blocks+3"])
+    def test_block_edges_match_oracle(self, tmp_path, varying, past):
+        blocks, extra = past
+        rows = blocks * (_CSV_BLOCK_VALUES // varying) + extra
         rng = np.random.default_rng(varying)
         cols = [np.full(rows, -0.0)]
         for _ in range(varying):
-            cols += [rng.normal(size=rows) * 10.0 ** rng.integers(-16, 33, rows),
-                     np.full(rows, 0.1)]
+            vals = rng.normal(size=rows) * 10.0 ** rng.integers(-16, 33, rows)
+            vals[::7] = 0.0
+            vals[3::11] = -0.0
+            cols += [vals, np.full(rows, 0.1)]
         self.assert_matches_oracle(tmp_path, cols)
+
+    # a column's field holds only the kernel slots that some value of its
+    # block uses, so the fields change width where the values change form:
+    # fixed >= 1, fixed with the "0.000" lead, scientific, fixed >= 1 again,
+    # a block each (two varying columns), at the boundaries and a row after
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_used_slots_change_at_block_boundaries(self, tmp_path, offset):
+        per_block = _CSV_BLOCK_VALUES // 2
+        k = np.arange(per_block)
+        col = np.concatenate([np.full(offset, 2.0), 1.5 + k * 1e-3, 2e-4 + k * 1e-8,
+                              -3e-9 - k * 1e-13, 7.25 + k])
+        rows = col.size
+        self.assert_matches_oracle(tmp_path, (np.full(rows, 0.5), col, np.arange(rows) * 0.001))
+
+    # in one block one column needs the "e+XX" slots and the other does
+    # not; the next block swaps the two columns' values, so both fields
+    # change width and the row does not
+    def test_columns_swap_exponent_slots_at_a_block_boundary(self, tmp_path):
+        k = np.arange(_CSV_BLOCK_VALUES // 2)
+        sci, fixed = -1.25e-7 * (k + 1), 3.5 + k
+        self.assert_matches_oracle(tmp_path, (np.concatenate([sci, fixed]),
+                                              np.concatenate([fixed, sci])))
+
+    # pendulum-chirp's peak RSS is set while its log is written, so the
+    # writer's peak traced allocation is bounded on a log of that shape
+    # (12,800 rows of 12 varying columns): 0.77 MB on numpy 2.4 with 8,192
+    # values per kernel call, and 1.40 MB with 16,384, which the bound fails
+    def test_peak_memory_of_a_pendulum_chirp_sized_log(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = 12800
+        cols = [rng.normal(size=rows) * 10.0 ** rng.integers(-3, 3, rows) for _ in range(12)]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            write_csv(tmp_path / "log.csv", [f"c{j}" for j in range(12)], cols)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.9e6
 
     def test_unequal_columns_rejected(self, tmp_path):
         path = tmp_path / "out.csv"
